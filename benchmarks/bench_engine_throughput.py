@@ -42,16 +42,16 @@ When the acceptance cell is measured, the report additionally carries a
 phase-level span breakdown under ``observe="profile"`` on both engines.
 It is informational and never consulted by the ``--check`` gate.
 
-The ``cstate-*`` cells are **columnar-state arms**: timed sweep-scale
-coordinates with seed-dependent delivery that the PR-9 planner routes to
-the columnar-state tier (the whole generic algorithm as one
-``(runs × processes)`` array program).  Each batch sample records the tier
-the planner assigned (``"tier"``), and when ``--check`` diffs a
-columnar-state arm against a committed figure produced by a *different*
-tier — e.g. ``benchmarks/baselines/BENCH_engine_pr8.json``, the parent
-commit's per-run columnar figures — the arm must reach
-``COLUMNAR_STATE_SPEEDUP`` (3x) its committed rate instead of the ordinary
-tolerance rule.  Same-tier baselines gate on ``--tolerance`` as usual.
+The ``cstate-*`` cells are **columnar-state arms**: sweep-scale
+coordinates with seed-dependent delivery that the planner routes to the
+columnar-state tier (the whole generic algorithm as one
+``(runs × processes)`` array program) — ``cstate-<cell>`` on the timed
+engine, ``cstate-lockstep-<cell>`` under the lockstep oracle policies.
+Each batch sample records the tier the planner assigned (``"tier"``), and
+every columnar-state arm must reach ``COLUMNAR_STATE_SPEEDUP`` (3x) the
+scalar oracle arm measured beside it (time-window mode only, like the
+other acceptance ratios); against the committed report they gate on
+``--tolerance`` like any other arm.
 """
 
 from __future__ import annotations
@@ -104,24 +104,25 @@ BACKEND_CELLS = {
     "scenario-partition-pbft-n10": ("pbft", (10, 3, 0), "partition_heal"),
 }
 
-#: Columnar-state cells: timed-engine sweep-scale coordinates whose
-#: delivery is seed-dependent but whose generic algorithm the planner can
-#: prove expressible as one (runs × processes) array program.  Backend
-#: arms only (scalar oracle vs batch), timed engine only — their lockstep
-#: siblings would replicate.  The same coordinates ran on the per-run
-#: columnar tier before PR 9, so diffing their batch arms against a
-#: columnar-tier baseline measures the array program itself.
+#: Columnar-state cells: sweep-scale coordinates (algorithm, model,
+#: scenario, engine) whose delivery is seed-dependent but whose generic
+#: algorithm the planner can prove expressible as one (runs × processes)
+#: array program.  Backend arms only (scalar oracle vs batch).
 COLUMNAR_STATE_CELLS = {
-    "cstate-otr-n30-flaky": ("one-third-rule", (30, 0, 9), "flaky_gst"),
-    "cstate-otr-n30-lossy": ("one-third-rule", (30, 0, 9), "lossy_channel"),
-    "cstate-class2-n21-flaky": ("class-2", (21, 2, 2), "flaky_gst"),
-    "cstate-class3-n21-lossy": ("class-3", (21, 2, 2), "lossy_channel"),
+    "cstate-otr-n30-flaky": ("one-third-rule", (30, 0, 9), "flaky_gst", "timed"),
+    "cstate-otr-n30-lossy": ("one-third-rule", (30, 0, 9), "lossy_channel", "timed"),
+    "cstate-class2-n21-flaky": ("class-2", (21, 2, 2), "flaky_gst", "timed"),
+    "cstate-class3-n21-lossy": ("class-3", (21, 2, 2), "lossy_channel", "timed"),
+    "cstate-lockstep-otr-n30-flaky": (
+        "one-third-rule", (30, 0, 9), "flaky_gst", "lockstep",
+    ),
+    "cstate-lockstep-class2-n21-lossy": (
+        "class-2", (21, 2, 2), "lossy_channel", "lockstep",
+    ),
 }
 
 #: The columnar-state gate: a batch arm the planner runs columnar-state
-#: must reach 3x a committed figure that a *different* tier produced
-#: (recorded per sample under ``"tier"``; absent in pre-PR-9 reports,
-#: which also counts as a different tier).
+#: must reach 3x the scalar oracle arm of the same cell.
 COLUMNAR_STATE_SPEEDUP = 3.0
 
 
@@ -194,16 +195,15 @@ def make_backend_runner(cell: str, engine: str, backend: str):
 
     Returns ``(run, tier)`` where ``tier`` is the batch tier the planner
     assigns the cell (``None`` for the scalar oracle arm, which bypasses
-    the planner entirely).  Recording the tier per sample lets baseline
-    diffs see which executor produced a committed figure — the
-    columnar-state gate keys off it.
+    the planner entirely).  Recording the tier per sample shows which
+    executor produced a figure — the columnar-state gate keys off it.
     """
     from repro.campaigns import CampaignSpec
     from repro.campaigns.runner import execute_chunk
     from repro.engine.batch import plan_for_run
 
     algorithm, model, scenario = (
-        BACKEND_CELLS.get(cell) or COLUMNAR_STATE_CELLS[cell]
+        BACKEND_CELLS.get(cell) or COLUMNAR_STATE_CELLS[cell][:3]
     )
     spec = CampaignSpec(
         name=f"bench-{cell}",
@@ -330,20 +330,15 @@ def arm_key(sample: Dict) -> str:
     return f"{key}/{backend}" if backend else key
 
 
-def load_baseline(path: str):
-    """``cell/engine/observe[/backend]`` → committed (runs/sec, tier).
-
-    ``tier`` is the batch tier recorded with the committed sample, or
-    ``None`` when the report predates tier recording (pre-PR-9) or the
-    arm is not a batch arm.
-    """
+def load_baseline(path: str) -> Dict[str, float]:
+    """``cell/engine/observe[/backend]`` → committed runs/sec."""
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    rates: Dict[str, tuple] = {}
+    rates: Dict[str, float] = {}
     for sample in report.get("cells", ()):
         rate = sample.get("runs_per_sec")
         if rate:
-            rates[arm_key(sample)] = (rate, sample.get("tier"))
+            rates[arm_key(sample)] = rate
     return rates
 
 
@@ -442,15 +437,15 @@ def main(argv=None) -> int:
                     rate = sample["runs_per_sec"] or 0
                     if key not in best or rate > (best[key]["runs_per_sec"] or 0):
                         best[key] = sample
-        for name in COLUMNAR_STATE_CELLS:
+        for name, (*_cell, engine) in COLUMNAR_STATE_CELLS.items():
             if name not in selected:
                 continue
             for backend in BACKENDS:
                 sample = measure_backend(
-                    name, "timed", backend,
+                    name, engine, backend,
                     budget=args.budget, seconds=args.seconds,
                 )
-                key = (name, "timed", OBSERVE_METRICS, backend)
+                key = (name, engine, OBSERVE_METRICS, backend)
                 rate = sample["runs_per_sec"] or 0
                 if key not in best or rate > (best[key]["runs_per_sec"] or 0):
                     best[key] = sample
@@ -492,24 +487,31 @@ def main(argv=None) -> int:
                     f"speedup={speedup:.2f}x"
                 )
 
-    for name in COLUMNAR_STATE_CELLS:
+    cstate_arms: Dict[str, Dict] = {}
+    for name, (*_cell, engine) in COLUMNAR_STATE_CELLS.items():
         if name not in selected:
             continue
         backend_rates = {}
         for backend in BACKENDS:
-            sample = best[(name, "timed", OBSERVE_METRICS, backend)]
+            sample = best[(name, engine, OBSERVE_METRICS, backend)]
             results.append(sample)
             backend_rates[backend] = sample["runs_per_sec"]
         if backend_rates["scalar"] and backend_rates["batch"]:
             speedup = round(
                 backend_rates["batch"] / backend_rates["scalar"], 2
             )
-            speedups[f"{name}/timed/batch"] = speedup
-            tier = best[(name, "timed", OBSERVE_METRICS, "batch")].get(
-                "tier", "?"
-            )
+            speedups[f"{name}/{engine}/batch"] = speedup
+            tier = best[(name, engine, OBSERVE_METRICS, "batch")].get("tier")
+            cstate_arms[f"{name}/{engine}"] = {
+                "tier": tier,
+                "measured_speedup": speedup,
+                "pass": (
+                    tier == "columnar-state"
+                    and speedup >= COLUMNAR_STATE_SPEEDUP
+                ),
+            }
             print(
-                f"{name:22s} {'timed':9s} "
+                f"{name:32s} {engine:9s} "
                 f"scalar={backend_rates['scalar']:9.1f}/s "
                 f"batch={backend_rates['batch']:9.1f}/s "
                 f"speedup={speedup:.2f}x [{tier}]"
@@ -545,6 +547,12 @@ def main(argv=None) -> int:
         "acceptance": acceptance,
         "batch_acceptance": batch_acceptance,
     }
+    if cstate_arms:
+        report["columnar_state_acceptance"] = {
+            "required_speedup": COLUMNAR_STATE_SPEEDUP,
+            "arms": cstate_arms,
+            "pass": all(arm["pass"] for arm in cstate_arms.values()),
+        }
     if ACCEPTANCE_CELL in selected:
         report["profile"] = profile_breakdown(runs=args.budget or 5)
 
@@ -552,14 +560,13 @@ def main(argv=None) -> int:
     if baseline is not None:
         # Before/after arms: every measured arm next to its committed figure.
         arms: Dict[str, Dict[str, float]] = {}
-        cstate_arms: Dict[str, Dict] = {}
         for sample in results:
             rate = sample["runs_per_sec"]
             if not rate:
                 continue
             key = arm_key(sample)
-            entry = baseline.get(key)
-            if entry is None:
+            committed = baseline.get(key)
+            if committed is None:
                 # A measured arm the baseline never recorded cannot be
                 # gated; under --check that is a gate failure (refresh the
                 # committed report), never a vacuous pass.
@@ -571,46 +578,17 @@ def main(argv=None) -> int:
                         file=sys.stderr,
                     )
                 continue
-            committed, committed_tier = entry
             arms[key] = {
                 "baseline": committed,
                 "measured": rate,
                 "ratio": round(rate / committed, 2),
             }
-            # A columnar-state arm diffed against a figure produced by a
-            # different tier (or a pre-tier report that recorded none) is
-            # the tier's acceptance measurement: it must *gain* 3x, not
-            # merely avoid losing --tolerance.
-            cstate = (
-                sample.get("tier") == "columnar-state"
-                and committed_tier != "columnar-state"
-            )
-            if cstate:
-                ok = rate >= COLUMNAR_STATE_SPEEDUP * committed
-                cstate_arms[key] = {
-                    **arms[key],
-                    "baseline_tier": committed_tier,
-                    "required_speedup": COLUMNAR_STATE_SPEEDUP,
-                    "pass": ok,
-                }
-                if args.check and not ok:
-                    regressions.append(
-                        f"{key}: {rate:.1f}/s < {COLUMNAR_STATE_SPEEDUP:g} x "
-                        f"{committed:.1f}/s committed "
-                        f"{committed_tier or 'pre-tier'} figure"
-                    )
-            elif rate < (1.0 - args.tolerance) * committed:
+            if rate < (1.0 - args.tolerance) * committed:
                 regressions.append(
                     f"{key}: {rate:.1f}/s < (1 - {args.tolerance:g}) x "
                     f"{committed:.1f}/s committed"
                 )
         report["baseline"] = {"path": args.baseline, "arms": arms}
-        if cstate_arms:
-            report["columnar_state_acceptance"] = {
-                "required_speedup": COLUMNAR_STATE_SPEEDUP,
-                "arms": cstate_arms,
-                "pass": all(a["pass"] for a in cstate_arms.values()),
-            }
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -637,6 +615,11 @@ def main(argv=None) -> int:
             and not batch_acceptance["pass"]
         ):
             print("batch acceptance speedup not reached", file=sys.stderr)
+            return 1
+        if args.budget is None and not all(
+            arm["pass"] for arm in cstate_arms.values()
+        ):
+            print("columnar-state acceptance speedup not reached", file=sys.stderr)
             return 1
     return 0
 

@@ -253,7 +253,8 @@ def _cmd_profile_batch(args: argparse.Namespace) -> int:
     coordinate-derived seeds a real campaign would use), executes them as
     one batch with telemetry bound, and prints the plan, the per-tier
     ``batch.*`` counters and the span breakdown — the quickest way to see
-    whether a cell actually runs columnar and where its time goes.
+    which tier a cell actually runs on, what demoted it
+    (``batch.demoted[reason]``) and where its time goes.
     """
     from collections import Counter
     from time import perf_counter
@@ -824,11 +825,17 @@ def _cmd_campaign_plan(args: argparse.Namespace) -> int:
     the batch tier the planner assigns each cell together with its reason
     — the quickest way to see how much of a campaign will replicate, run
     as one array program, or fall back to the per-run oracle, before
-    spending any cycles on it.
+    spending any cycles on it.  ``--explain`` adds, under every scalar
+    cell, each clause that keeps it off the columnar-state tier.
     """
     from collections import Counter
 
-    from repro.engine.batch import cell_key, plan_for_run
+    from repro.engine.batch import (
+        MODE_SCALAR,
+        cell_key,
+        explain_for_run,
+        plan_for_run,
+    )
 
     spec = _load_campaign(args.spec)
     if spec is None:
@@ -855,6 +862,9 @@ def _cmd_campaign_plan(args: argparse.Namespace) -> int:
             f"  {run.algorithm:<14} {model:<10} {run.engine:<9} "
             f"{run.scenario.name:<18} {reps:>4}  {plan.mode:<15} {plan.reason}"
         )
+        if args.explain and plan.mode == MODE_SCALAR:
+            for clause in explain_for_run(run):
+                print(f"      - {clause}")
     print(
         "  tiers: "
         + "  ".join(
@@ -1394,9 +1404,15 @@ def build_parser() -> argparse.ArgumentParser:
     cplan = csub.add_parser(
         "plan",
         help="print each campaign cell's batch tier (replicate / "
-        "columnar-state / columnar / scalar) and why, without executing",
+        "columnar-state / scalar) and why, without executing",
     )
     cplan.add_argument("spec", help="spec file (.json/.toml) or built-in name")
+    cplan.add_argument(
+        "--explain",
+        action="store_true",
+        help="under each scalar cell, list every eligibility clause that "
+        "keeps it off the columnar-state tier",
+    )
 
     fuzz = sub.add_parser(
         "fuzz",

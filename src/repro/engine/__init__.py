@@ -22,9 +22,10 @@ execution path into three orthogonal pieces:
   per-round record construction — the hot path for campaign sweeps.
 * **Batching** (:mod:`repro.engine.batch`) — whole campaign cells execute
   as array programs: seed-independent cells replicate one representative
-  run, seed-dependent timed cells advance B kernels in lockstep over
-  block-capable RNG streams, and everything else falls back to the
-  per-run scalar oracle, byte for byte.
+  run, eligible seed-dependent cells of either engine run the generic
+  algorithm as one (runs × processes) array program over delivery masks,
+  and everything else falls back to the per-run scalar oracle, byte for
+  byte.
 
 ``repro.core.run.run_consensus`` and
 ``repro.eventsim.runtime.run_timed_consensus`` are thin compatibility
@@ -37,7 +38,6 @@ from repro.engine.kernel import (
     OBSERVE_METRICS,
     OBSERVE_PROFILE,
     ExecutionKernel,
-    kernel_outcome,
     run_instance,
 )
 from repro.engine.outcome import Outcome
@@ -55,7 +55,6 @@ from repro.engine.scheduler import (
 _BATCH_EXPORTS = frozenset(
     {
         "BatchPlan",
-        "ColumnarTimedScheduler",
         "cell_key",
         "plan_cell",
         "plan_for_run",
@@ -74,7 +73,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BatchPlan",
-    "ColumnarTimedScheduler",
     "ExecutionKernel",
     "Instance",
     "LockstepScheduler",
@@ -87,7 +85,6 @@ __all__ = [
     "TimedScheduler",
     "build_instance",
     "cell_key",
-    "kernel_outcome",
     "plan_cell",
     "plan_for_run",
     "run_batch",

@@ -2,13 +2,12 @@
 
 One campaign *cell* is B runs differing only in repetition index and
 derived seed.  This package executes a cell as a unit — see
-:mod:`repro.engine.batch.plan` for the four execution tiers (replicate /
-columnar-state / columnar / scalar), :mod:`repro.engine.batch.scheduler`
-for the block-stream timed scheduler, :mod:`repro.engine.batch.kernel`
-for the lockstep sweep that drives B kernels round by round, and
-:mod:`repro.engine.batch.columnar_state` for the top tier, which runs the
-generic algorithm itself as one array program over ``(B runs × n
-processes)`` state.
+:mod:`repro.engine.batch.plan` for the three execution tiers (replicate /
+columnar-state / scalar), :mod:`repro.engine.batch.kernel` for row
+production and the demotion discipline, and
+:mod:`repro.engine.batch.columnar_state` for the array tier, which runs
+the generic algorithm itself as one program over ``(B runs × n
+processes)`` state on either engine.
 
 The columnar-state contracts
 ============================
@@ -28,12 +27,17 @@ template-build time and demoted (never fudged) when unprovable:
 
 * **Mask contract** — the per-run seed enters the array program **only**
   through ``(B, n, n)`` boolean delivery masks (dest-major:
-  ``mask[b, dest, sender]``).  Each round's mask is produced by mirroring
-  the scalar scheduler draw for draw on the run's own two ``BlockRng``
-  streams: scenario-filter coins first (policy stream), then latency
-  samples against the round deadline (network stream).  Everything else —
-  payloads, suggestion sets, validator sets, edge lists, wall-clock
-  windows — is a per-cell template shared by all runs.
+  ``mask[b, dest, sender]``), produced by mirroring the scalar scheduler
+  draw for draw on the run's own ``BlockRng`` streams (next section).
+  Everything else — payloads, suggestion sets, validator sets, edge lists,
+  wall-clock windows, zero-draw rounds — is a per-cell template shared by
+  all runs.  Byzantine payloads overlay the honest state per ``(dest,
+  sender)``: the timed scheduler pins a Byzantine sender to its first
+  outbound payload in every selection round; the lockstep oracle
+  canonicalizes only in *good* rounds (to the payload addressed to the
+  lowest-id audience member, possibly injecting deliveries the sender
+  never addressed) and delivers an equivocator's per-destination payloads
+  raw in lossy/bad ones.
 
 The per-run RNG-stream contract
 ===============================
@@ -42,9 +46,18 @@ Batch row *b* consumes **exactly the streams of the scalar run with the
 same coordinate-derived seed** — never a shared batch stream, never a
 re-partitioned one:
 
-* the timed network stream of run *b* is seeded ``seed_b``, and the
+* *timed*: the network stream of run *b* is seeded ``seed_b``, and the
   policy/filter stream of run *b* is an independent generator also seeded
-  ``seed_b`` — precisely the two streams scalar compilation builds;
+  ``seed_b`` — precisely the two streams scalar compilation builds.  Per
+  round: scenario-filter coins first (policy stream), then latency
+  samples against the round deadline (network stream);
+* *lockstep*: one policy stream per run, seeded ``seed_b`` — no network
+  stream, no deadline.  A ``lossy`` round, or a bad round of
+  ``good-bad``/``drop``, draws one coin per edge whose receiver is not
+  Byzantine, in the template's sender-major, dest-minor order (the
+  iteration order of ``random_drop_behavior``); every other round —
+  good ``Pcons``/``Pgood`` rounds, partitions, silence — draws **zero**
+  and is delivered once per cell by the real compiled scheduler;
 * bulk draws (:meth:`~repro.utils.accel.BlockRng.block`) return the next
   *k* values of that run's own stream, bit-identical to *k* successive
   ``random.Random.random()`` calls (``BlockRng`` transplants the MT19937
@@ -52,44 +65,43 @@ re-partitioned one:
   53-bit double derivation; :func:`~repro.utils.accel.get_numpy`
   self-checks this once per process and disables numpy on any mismatch);
 * array arithmetic mirrors the scalar expressions op for op
-  (``low + span * u``, selective ``* chaos``, ``min(·, δ)``), so the
-  floats — not just the draws — are bit-identical.
+  (``low + span * u``, selective ``* chaos``, ``min(·, δ)``,
+  ``coin >= drop_prob``), so the floats — not just the draws — are
+  bit-identical.
 
 Consequences: result JSONL is byte-identical at any ``(workers, chunk,
 backend)`` combination; resuming a campaign with the backend switched
 changes nothing (each row depends only on its own seed); and removing any
 subset of runs from a batch leaves the remaining rows' bytes untouched.
-``tests/engine/test_batch_backend.py`` pins each clause.
+``tests/engine/test_batch_backend.py`` pins each clause.  Without numpy
+the array tier demotes (``batch.demoted[numpy absent]``) and the cell runs
+on the scalar oracle — same bytes, oracle speed.
 """
 
 from repro.engine.batch.kernel import cell_key, run_batch
 from repro.engine.batch.plan import (
     COLUMNAR_STATE_STRATEGIES,
     DETERMINISTIC_STRATEGIES,
-    MODE_COLUMNAR,
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
     MODE_SCALAR,
     BatchPlan,
+    columnar_state_blockers,
+    explain_for_run,
     plan_cell,
     plan_for_run,
-)
-from repro.engine.batch.scheduler import (
-    ColumnarTimedScheduler,
-    compile_batch_scenario,
 )
 
 __all__ = [
     "COLUMNAR_STATE_STRATEGIES",
     "DETERMINISTIC_STRATEGIES",
-    "MODE_COLUMNAR",
     "MODE_COLUMNAR_STATE",
     "MODE_REPLICATE",
     "MODE_SCALAR",
     "BatchPlan",
-    "ColumnarTimedScheduler",
     "cell_key",
-    "compile_batch_scenario",
+    "columnar_state_blockers",
+    "explain_for_run",
     "plan_cell",
     "plan_for_run",
     "run_batch",

@@ -1,45 +1,53 @@
 """The columnar-state executor: one array program per campaign cell.
 
-The columnar tier (:mod:`repro.engine.batch.kernel`) vectorizes the
-RNG/latency layer but still advances B separate kernel objects — every
-send/receive/FLV evaluation of the generic algorithm runs as per-run
-Python.  This module lifts the *algorithm state itself* into arrays for
-cells the planner proved eligible (:data:`~repro.engine.batch.plan
-.MODE_COLUMNAR_STATE`):
+The scalar oracle runs every send/receive/FLV evaluation of the generic
+algorithm as per-run Python.  This module lifts the *algorithm state
+itself* into arrays for cells the planner proved eligible
+(:data:`~repro.engine.batch.plan.MODE_COLUMNAR_STATE`), on either engine:
 
 * the cell's value alphabet is closed and encoded as small ints
   (:func:`repro.core.columnar.encode_alphabet`);
 * votes, timestamps, histories, selections and decisions live in
   ``(B runs × n processes)`` arrays;
 * the per-run seed enters **only** through ``(B, n, n)`` delivery masks,
-  produced by mirroring the timed scheduler's fast sweep
-  (:meth:`TimedScheduler._deliver_fast`), the scenario delivery filters
-  and the partial-synchrony sampling paths draw for draw on two fresh
-  :class:`~repro.utils.accel.BlockRng` streams per run — exactly the
-  streams :func:`~repro.engine.batch.scheduler.compile_batch_scenario`
-  builds (nothing is drawn at compile time, so fresh streams are equal
-  streams);
+  built by one of two producers on fresh
+  :class:`~repro.utils.accel.BlockRng` streams (nothing is drawn at
+  compile time, so fresh streams are equal streams).  *Timed*: two streams
+  per run mirror the fast sweep (:meth:`TimedScheduler._deliver_fast`),
+  the scenario delivery filters and the partial-synchrony sampling paths
+  draw for draw.  *Lockstep*: one policy stream per run mirrors
+  :func:`~repro.rounds.policies.random_drop_behavior` — one coin per edge
+  whose receiver is not Byzantine, in sender-major order, in ``lossy``
+  rounds and bad ``drop`` rounds; every other round draws nothing and its
+  delivery is a run-invariant template obtained by driving the cell's
+  *real* compiled scheduler (``Pcons`` canonicalization and injection,
+  faithful ``Pgood`` delivery, the rescan drop count) over the round's
+  template outbound;
 * FLV classes 1–3, ANY-resolution, validation quorums and decision
   thresholds evaluate as the counting/argmax reductions of
   :mod:`repro.core.columnar`.
 
-Everything that is *not* seed-dependent is a per-cell template computed
-once: Byzantine outbound payloads (the eligible strategies are inbox-free,
-so each strategy instance is driven through rounds ``1..max_rounds`` once
-and its real dict/frozenset iteration orders recorded), per-round edge
-lists, selector suggestions and validator sets, and coercion verdicts.
+Everything that is *not* seed-dependent is a per-cell template, built the
+first time a run reaches the round: Byzantine outbound payloads (the
+eligible strategies are inbox-free, so each strategy instance is driven
+through rounds ``1..max_rounds`` once and its real dict/frozenset
+iteration orders recorded), per-round edge lists, selector suggestions
+and validator sets, and coercion verdicts.  Byzantine payloads overlay
+the honest state per ``(dest, sender)``: the timed scheduler pins an
+equivocator to one selection payload per round, the lockstep oracle does
+so only in good rounds — in lossy/bad rounds its per-destination payloads
+arrive raw.
 
-Fallback discipline mirrors the columnar tier: the per-run prologue maps
-resolution failures to the oracle's exact status rows; any surprise while
-building or running the array program demotes — the whole cell to the
-per-run columnar tier (``None`` return), or a single run to the scalar
-oracle (``None`` row).  Demotion costs speed, never bytes: the scalar
-kernel remains the oracle the identity suite diffs this executor against.
+Any surprise while building or running the array program raises
+(:class:`Demote` with the reason, or whatever broke) and the whole cell
+re-executes on the scalar oracle.  Demotion costs speed, never bytes: the
+scalar kernel remains the oracle the identity suite diffs this executor
+against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.campaigns.spec import RunSpec
 from repro.core.columnar import (
@@ -54,36 +62,34 @@ from repro.core.columnar import (
     threshold_pick,
 )
 from repro.core.types import (
-    FaultModel,
     RoundKind,
     coerce_decision_message,
     coerce_selection_message,
     coerce_validation_message,
 )
-from repro.engine.batch.scheduler import compile_batch_scenario
 from repro.faults.registry import build_byzantine
+from repro.rounds.base import RunContext
+from repro.rounds.policies import count_edges
 from repro.scenarios.compile import (
-    ScenarioInapplicable,
+    CompiledScenario,
     _memoized_schedule,
     _partition_edges,
     _partition_groups,
 )
 from repro.scenarios.spec import split_values
-from repro.utils.accel import BlockRng, get_numpy
+from repro.utils.accel import BlockRng
 from repro.utils.sentinels import ANY_VALUE, NULL_VALUE
 
-__all__ = ["columnar_state_rows"]
-
-Row = Dict[str, object]
+__all__ = ["CellProgram", "Demote"]
 
 
-class _Demote(Exception):
-    """The cell cannot run as an array program; drop to the columnar tier."""
+class Demote(Exception):
+    """The cell cannot run as an array program; the scalar oracle takes it."""
 
 
 def _require(condition: bool, why: str) -> None:
     if not condition:
-        raise _Demote(why)
+        raise Demote(why)
 
 
 class _RoundTemplate:
@@ -97,20 +103,28 @@ class _RoundTemplate:
         "e_dest",
         "coin_idx",
         "sent",
-        "ok_row",
-        "svote_row",
-        "sts_row",
+        # Byzantine overlays, all (dest, sender): selection …
+        "sok",
+        "svote",
+        "sts",
         "shist",
+        # … validation …
         "vsel",
-        "vok",
         "val_mask",
         "val_len",
+        # … decision.
         "dvote",
         "dts",
         "dok",
-        # Run-invariant delivery precomputation: the wall-clock window, the
-        # zero-draw constant-latency verdict, the admission base of the
-        # scenario filter and — when no coin is drawn — its nonzero edges.
+        # Run-invariant delivery precomputation.  Lockstep: ``fixed`` is the
+        # whole zero-draw round ``(mask, delivered, dropped)`` or ``None``
+        # for a coin round, whose mask is ``base_flat`` with one coin per
+        # ``coin_flat`` cell.  Timed: the wall-clock window, the zero-draw
+        # constant-latency verdict, the admission base of the scenario
+        # filter and — when no coin is drawn — its nonzero edges.
+        "fixed",
+        "base_flat",
+        "coin_flat",
         "now",
         "deadline",
         "pre_gst",
@@ -124,14 +138,19 @@ class _RoundTemplate:
     )
 
 
-class _CellProgram:
+class CellProgram:
     """One campaign cell compiled to templates + array-program parameters."""
 
-    def __init__(self, np, run: RunSpec, model, parameters, config, byzantine):
+    def __init__(
+        self, np, run: RunSpec, parameters, compiled: CompiledScenario
+    ) -> None:
         self.np = np
-        self.model = model
+        model = self.model = compiled.model
         self.parameters = parameters
-        self.byzantine = dict(byzantine)
+        self.byzantine = dict(compiled.byzantine)
+        self.lockstep = run.engine == "lockstep"
+        # Lockstep zero-draw rounds are delivered by the real scheduler.
+        self.scheduler = compiled.scheduler
         scenario = run.scenario
         self.timing = scenario.timing
         self.comm = scenario.comm
@@ -158,7 +177,10 @@ class _CellProgram:
         # (class 3) by FLV history support; FLAG = * cells need neither.
         self.need_hist = self.phase_gated or self.flv_class == 3
         self.structure = RoundStructure(parameters.flag)
-        self.max_phases = max(run.max_phases, _suggested_phases(run))
+        # The campaign horizon is the floor, exactly as the oracle takes it.
+        self.max_phases = max(
+            run.max_phases, compiled.max_phases(run.max_phases)
+        )
         self.max_rounds = self.structure.rounds_for_phases(self.max_phases)
 
         self.byz_pids = sorted(self.byzantine)
@@ -166,14 +188,17 @@ class _CellProgram:
             pid for pid in range(n) if pid not in self.byzantine
         ]
         self.byz_col = np.zeros(n, dtype=bool)
-        for pid in self.byz_pids:
-            self.byz_col[pid] = True
+        self.byz_col[self.byz_pids] = True
         self.honest_col = ~self.byz_col
+        self.context = RunContext(model, byzantine=frozenset(self.byz_pids))
+        #: The never-crashing honest set (the planner excluded crashes).
+        self.correct = frozenset(self.honest_pids)
         self.initial_values = split_values(model, self.byzantine)
 
         self._compile_filter()
-        self._compile_timing()
-        self._compile_templates(config)
+        if not self.lockstep:
+            self._compile_timing()
+        self._compile_payloads()
 
     # ------------------------------------------------------------ filters
 
@@ -196,6 +221,12 @@ class _CellProgram:
                 )
             self.bad = comm.bad
 
+    def _draws_coins(self, number: int) -> bool:
+        """One loss coin per honest-bound edge: lossy rounds, bad drop rounds."""
+        if self.filter_kind == "good-bad":
+            return self.bad == "drop" and not self.is_good(number)
+        return self.filter_kind == "lossy"
+
     def _compile_timing(self) -> None:
         t = self.timing
         _require(t.kind in ("uniform", "fixed"), f"latency kind {t.kind!r}")
@@ -213,12 +244,10 @@ class _CellProgram:
 
     # ---------------------------------------------------------- templates
 
-    def _compile_templates(self, config) -> None:
-        np = self.np
-        model = self.model
+    def _compile_payloads(self) -> None:
+        """Byzantine payloads of every round, and the alphabet they close."""
         parameters = self.parameters
         selector = parameters.selector
-        n = self.n
         max_phases = self.max_phases
 
         # Drive each (inbox-free) strategy through every round once, in
@@ -231,18 +260,12 @@ class _CellProgram:
             pid: build_byzantine(pid, name, parameters)
             for pid, name in self.byzantine.items()
         }
-
-        suggestions = {}
-        validator_sets = {}
-        for phase in range(1, max_phases + 1):
-            suggestion = selector.select(0, phase)
-            suggestions[phase] = list(suggestion)
-            validator_sets[phase] = selector.select(0, phase)
-
-        outboxes = {}
-        values = set()
-        for pid, value in self.initial_values.items():
-            values.add(value)
+        self.suggestions = {
+            phase: list(selector.select(0, phase))
+            for phase in range(1, max_phases + 1)
+        }
+        self.outboxes = {}
+        values = set(self.initial_values.values())
         for number in range(1, self.max_rounds + 1):
             info = self.structure.info(number)
             per_round = {}
@@ -250,8 +273,8 @@ class _CellProgram:
                 out = strategies[pid].send(info)
                 per_round[pid] = out
                 for payload in out.values():
-                    _collect_values(info.kind, payload, values, max_phases)
-            outboxes[number] = per_round
+                    _collect_values(info.kind, payload, values)
+            self.outboxes[number] = per_round
 
         self.alphabet = encode_alphabet(values)
         _require(
@@ -262,106 +285,184 @@ class _CellProgram:
             "sentinel values cannot be encoded",
         )
         self.n_values = len(self.alphabet)
-        code = {value: index for index, value in enumerate(self.alphabet)}
+        self.code = {value: index for index, value in enumerate(self.alphabet)}
         self.initial_codes = {
-            pid: code[value] for pid, value in self.initial_values.items()
+            pid: self.code[value] for pid, value in self.initial_values.items()
         }
+        self.templates: Dict[int, _RoundTemplate] = {}
 
-        templates: List[_RoundTemplate] = []
-        for number in range(1, self.max_rounds + 1):
-            info = self.structure.info(number)
-            rt = _RoundTemplate()
-            rt.number = number
-            rt.phase = info.phase
-            rt.kind = info.kind
-            per_round = outboxes[number]
+    def template(self, number: int) -> _RoundTemplate:
+        """Round ``number``'s template, built when the first run reaches it."""
+        rt = self.templates.get(number)
+        if rt is None:
+            rt = self.templates[number] = self._build_template(number)
+        return rt
 
-            senders: List[int] = []
-            dests: List[int] = []
-            if info.kind is RoundKind.SELECTION:
-                rt.ok_row = np.zeros(n, dtype=bool)
-                rt.ok_row[self.honest_pids] = True
-                rt.svote_row = np.full(n, NULL_CODE, dtype=np.int64)
-                rt.sts_row = np.zeros(n, dtype=np.int64)
-                rt.shist = {}
-            elif info.kind is RoundKind.VALIDATION:
-                validators = validator_sets[info.phase]
-                rt.val_mask = np.zeros(n, dtype=bool)
-                for pid in validators:
-                    rt.val_mask[pid] = True
-                rt.val_len = len(validators)
-                rt.vsel = np.full((n, n), NULL_CODE, dtype=np.int64)
+    def _build_template(self, number: int) -> _RoundTemplate:
+        np = self.np
+        n = self.n
+        info = self.structure.info(number)
+        kind = info.kind
+        rt = _RoundTemplate()
+        rt.number = number
+        rt.phase = info.phase
+        rt.kind = kind
+
+        everyone = dict.fromkeys(self.model.processes)
+        if kind is RoundKind.SELECTION:
+            honest_out = dict.fromkeys(self.suggestions[info.phase])
+            rt.sok = np.zeros((n, n), dtype=bool)
+            rt.sok[:, self.honest_pids] = True
+            rt.svote = np.full((n, n), NULL_CODE, dtype=np.int64)
+            rt.sts = np.zeros((n, n), dtype=np.int64)
+            rt.shist = {}
+        elif kind is RoundKind.VALIDATION:
+            validators = self.parameters.selector.select(0, info.phase)
+            rt.val_mask = np.zeros(n, dtype=bool)
+            rt.val_mask[list(validators)] = True
+            rt.val_len = len(validators)
+            rt.vsel = np.full((n, n), NULL_CODE, dtype=np.int64)
+        else:
+            rt.dvote = np.full((n, n), NULL_CODE, dtype=np.int64)
+            rt.dts = np.zeros((n, n), dtype=np.int64)
+            rt.dok = np.zeros((n, n), dtype=bool)
+            rt.dok[:, self.honest_pids] = True
+
+        # The round's template outbound, in the kernel's sender-major order;
+        # honest payloads are run-dependent and stay ``None`` (no delivery
+        # discipline ever reads a payload).
+        outbound = {}
+        for sender in range(n):
+            if sender in self.byzantine:
+                outbound[sender] = self.outboxes[number][sender]
+            elif kind is RoundKind.SELECTION:
+                outbound[sender] = honest_out
+            elif kind is RoundKind.VALIDATION and not rt.val_mask[sender]:
+                outbound[sender] = {}
             else:
-                rt.dvote = np.full((n, n), NULL_CODE, dtype=np.int64)
-                rt.dts = np.zeros((n, n), dtype=np.int64)
-                rt.dok = np.zeros((n, n), dtype=bool)
-                rt.dok[:, self.honest_pids] = True
+                outbound[sender] = everyone
+        senders: List[int] = []
+        dests: List[int] = []
+        for sender, out in outbound.items():
+            senders.extend([sender] * len(out))
+            dests.extend(out)
+        rt.e_send = np.asarray(senders, dtype=np.intp)
+        rt.e_dest = np.asarray(dests, dtype=np.intp)
+        rt.sent = len(senders)
+        # Which edges consume one policy coin in a coin round: the loss
+        # test short-circuits on Byzantine receivers, which draw none.
+        rt.coin_idx = np.nonzero(~self.byz_col[rt.e_dest])[0]
 
-            for sender in range(n):
-                if sender in self.byzantine:
-                    out = per_round[sender]
-                    if info.kind is RoundKind.SELECTION and out:
-                        # Pcons canonicalization: one payload per Byzantine
-                        # sender per selection round — the payload of its
-                        # first outbound edge, on both scheduler branches.
-                        canonical = next(iter(out.values()))
-                        parsed = coerce_selection_message(canonical)
-                        if parsed is not None:
-                            rt.ok_row[sender] = True
-                            rt.svote_row[sender] = _encode(code, parsed.vote)
-                            rt.sts_row[sender] = parsed.ts
-                            if self.flv_class == 3:
-                                rt.shist[sender] = _history_table(
-                                    np, parsed.history, code,
-                                    self.n_values, max_phases,
-                                )
-                    for dest, payload in out.items():
-                        senders.append(sender)
-                        dests.append(dest)
-                        if info.kind is RoundKind.VALIDATION:
-                            parsed = coerce_validation_message(payload)
-                            if parsed is not None and (
-                                parsed.select is not NULL_VALUE
-                            ):
-                                rt.vsel[dest, sender] = _encode(
-                                    code, parsed.select
-                                )
-                        elif info.kind is RoundKind.DECISION:
-                            parsed = coerce_decision_message(payload)
-                            if parsed is not None:
-                                rt.dok[dest, sender] = True
-                                rt.dvote[dest, sender] = _encode(
-                                    code, parsed.vote
-                                )
-                                rt.dts[dest, sender] = parsed.ts
-                    continue
-                if info.kind is RoundKind.SELECTION:
-                    for dest in suggestions[info.phase]:
-                        senders.append(sender)
-                        dests.append(dest)
-                elif info.kind is RoundKind.VALIDATION:
-                    if rt.val_mask[sender]:
-                        for dest in model.processes:
-                            senders.append(sender)
-                            dests.append(dest)
-                else:
-                    for dest in model.processes:
-                        senders.append(sender)
-                        dests.append(dest)
-
-            rt.e_send = np.asarray(senders, dtype=np.intp)
-            rt.e_dest = np.asarray(dests, dtype=np.intp)
-            rt.sent = len(senders)
-            # Which edges consume one policy coin: lossy always, good-bad
-            # only when the round is bad and the behaviour is "drop"; the
-            # filter short-circuits on Byzantine receivers, which draw none.
-            rt.coin_idx = np.nonzero(~self.byz_col[rt.e_dest])[0]
+        matrix = None
+        if self.lockstep:
+            matrix = self._precompute_lockstep(rt, info, outbound)
+        else:
             self._precompute_delivery(rt)
-            templates.append(rt)
-        self.templates = templates
+
+        # Byzantine overlays: what each receiver would read from each
+        # Byzantine sender if the edge arrives.
+        tables: Dict[int, object] = {}
+        for sender in self.byz_pids:
+            out = outbound[sender]
+            if matrix is not None:
+                # Zero-draw lockstep round: the oracle already decided —
+                # canonical (and possibly injected) under Pcons, raw else.
+                seen = [
+                    (dest, matrix[dest][sender])
+                    for dest in self.honest_pids
+                    if sender in matrix.get(dest, ())
+                ]
+            elif kind is RoundKind.SELECTION and out and not self.lockstep:
+                # Timed Pcons canonicalization: one payload per Byzantine
+                # sender per selection round — that of its first outbound
+                # edge, whichever edges survive the filter.
+                seen = dict.fromkeys(out, next(iter(out.values()))).items()
+            else:
+                seen = out.items()  # raw, per destination
+            for dest, payload in seen:
+                self._overlay(rt, dest, sender, payload, tables)
+        # Where every honest receiver reads the same row, keep one: the
+        # array program then broadcasts ``(B, 1, n)`` honest state instead
+        # of materializing ``(B, n, n)`` per-receiver copies.
+        honest = self.honest_pids
+        if kind is RoundKind.SELECTION:
+            rt.sok = _shared_row(rt.sok, honest)
+            rt.svote = _shared_row(rt.svote, honest)
+            rt.sts = _shared_row(rt.sts, honest)
+            rt.shist = {
+                sender: _shared_row(table, honest)
+                for sender, table in rt.shist.items()
+            }
+        elif kind is RoundKind.VALIDATION:
+            rt.vsel = _shared_row(rt.vsel, honest)
+        else:
+            rt.dok = _shared_row(rt.dok, honest)
+            rt.dvote = _shared_row(rt.dvote, honest)
+            rt.dts = _shared_row(rt.dts, honest)
+        return rt
+
+    def _overlay(self, rt, dest: int, sender: int, payload, tables) -> None:
+        code = self.code
+        if rt.kind is RoundKind.SELECTION:
+            parsed = coerce_selection_message(payload)
+            if parsed is None:
+                return
+            rt.sok[dest, sender] = True
+            rt.svote[dest, sender] = _encode(code, parsed.vote)
+            rt.sts[dest, sender] = parsed.ts
+            if self.flv_class == 3:
+                table = tables.get(id(payload))
+                if table is None:
+                    table = tables[id(payload)] = _history_table(
+                        self.np, parsed.history, code,
+                        self.n_values, self.max_phases,
+                    )
+                if sender not in rt.shist:
+                    rt.shist[sender] = self.np.zeros(
+                        (self.n,) + table.shape, dtype=bool
+                    )
+                rt.shist[sender][dest] = table
+        elif rt.kind is RoundKind.VALIDATION:
+            parsed = coerce_validation_message(payload)
+            if parsed is not None and parsed.select is not NULL_VALUE:
+                rt.vsel[dest, sender] = _encode(code, parsed.select)
+        else:
+            parsed = coerce_decision_message(payload)
+            if parsed is not None:
+                rt.dok[dest, sender] = True
+                rt.dvote[dest, sender] = _encode(code, parsed.vote)
+                rt.dts[dest, sender] = parsed.ts
+
+    def _precompute_lockstep(self, rt: _RoundTemplate, info, outbound):
+        """Round ``rt`` under the oracle policy; returns its delivery matrix
+        when the round is zero-draw (``None`` for a coin round).
+
+        A coin round mirrors ``random_drop_behavior``: Byzantine receivers
+        get everything addressed to them, every other edge flips one coin
+        in sender-major order.  Any other round consumes no randomness, so
+        the cell's real compiled scheduler delivers the template outbound
+        once for all runs — ``Pcons`` canonicalization and injection in
+        good selection rounds, faithful delivery elsewhere, and the
+        scheduler's own drop count.
+        """
+        np = self.np
+        n = self.n
+        if self._draws_coins(rt.number):
+            rt.fixed = None
+            flat = rt.e_dest * n + rt.e_send
+            rt.base_flat = np.zeros(n * n, dtype=bool)
+            rt.base_flat[flat[self.byz_col[rt.e_dest]]] = True
+            rt.coin_flat = flat[rt.coin_idx]
+            return None
+        delivery = self.scheduler.deliver_round(info, outbound, self.context)
+        mask = np.zeros((n, n), dtype=bool)
+        for dest, inbox in delivery.matrix.items():
+            mask[dest, list(inbox)] = True
+        rt.fixed = (mask, count_edges(delivery.matrix), delivery.dropped)
+        return delivery.matrix
 
     def _precompute_delivery(self, rt: _RoundTemplate) -> None:
-        """Everything about round ``rt`` that no per-run seed can change.
+        """Everything about timed round ``rt`` that no per-run seed can change.
 
         The wall clock is run-invariant (every run accumulates the same
         ``deadline = now + round_duration`` float sequence), and so is the
@@ -371,6 +472,7 @@ class _CellProgram:
         entire per-run round cost.
         """
         np = self.np
+        rt.fixed = None
         # Same float accumulation as the scalar scheduler: the round's
         # start is the previous round's deadline.
         now = 0.0
@@ -395,14 +497,14 @@ class _CellProgram:
         rt.use_coins = False
         if kind == "reliable":
             rt.admit_base = None  # filter-free: deadline decides alone
-        elif kind == "silent":
-            rt.admit_base = byz_dest
-        elif kind == "lossy":
+        elif self._draws_coins(rt.number):
+            # One coin per edge whose receiver is not Byzantine, in template
+            # (sender-major) order, flips each edge of the base on or off.
             rt.admit_base = byz_dest
             rt.use_coins = rt.coin_idx.size > 0
-        elif self.is_good(rt.number):
+        elif kind == "good-bad" and self.is_good(rt.number):
             rt.admit_base = np.ones(rt.sent, dtype=bool)
-        elif self.bad == "partition":
+        elif kind == "good-bad" and self.bad == "partition":
             in_group = np.fromiter(
                 (
                     (int(s), int(d)) in self.partition
@@ -412,30 +514,24 @@ class _CellProgram:
                 count=rt.sent,
             )
             rt.admit_base = in_group | byz_dest
-        elif self.bad == "silence":
-            rt.admit_base = byz_dest
         else:
-            # lossy, or good-bad "drop" in a bad round: one coin per edge
-            # whose receiver is not Byzantine, in template (sender-major)
-            # order, flips each edge of the base on or off per run.
-            rt.admit_base = byz_dest
-            rt.use_coins = rt.coin_idx.size > 0
+            rt.admit_base = byz_dest  # silent, or a bad "silence" round
         rt.pending_idx = (
             None
             if rt.admit_base is None or rt.use_coins
             else np.nonzero(rt.admit_base)[0]
         )
 
-    # ------------------------------------------------------ mask producer
+    # ----------------------------------------------------- mask producers
 
     def _transits(self, net, rt: _RoundTemplate, count: int):
         """The next ``count`` transit times of one run's network stream.
 
-        Op-for-op the batched paths of
-        :meth:`PartialSynchronyNetwork.sample_round` / ``sample_fan`` and
-        ``_pre_gst_block`` — per-sender fan calls concatenate into one
-        round-wide block because consecutive ``block`` calls continue one
-        stream and every segment has even length in the interleaved case.
+        Op-for-op the per-message draws of
+        :meth:`PartialSynchronyNetwork.sample_round` / ``sample_fan`` —
+        per-sender fan calls concatenate into one round-wide block because
+        consecutive draws continue one stream, and pre-GST the uniform
+        model interleaves (base, chaos coin) pairs.
         """
         np = self.np
         if not rt.pre_gst:
@@ -455,7 +551,7 @@ class _CellProgram:
         return bases
 
     def _delivered_edges(self, rt: _RoundTemplate, net, pol):
-        """Indices of the round's delivered edges for one run.
+        """Indices of the timed round's delivered edges for one run.
 
         Only the seed-dependent work happens here: per-edge drop coins
         (policy stream) and latency draws (network stream).  Everything
@@ -486,10 +582,43 @@ class _CellProgram:
         transits = self._transits(net, rt, int(pending.size))
         return pending[rt.now + transits <= rt.deadline]
 
+    def _deliver(self, rt: _RoundTemplate, streams, live):
+        """``(mask, delivered, dropped)`` of round ``rt`` for the ``live`` runs.
+
+        ``mask`` is ``(B, n, n)`` dest-major (rows of finished runs are
+        don't-cares); the counts are per live run, or run-invariant ints.
+        """
+        np = self.np
+        n = self.n
+        if rt.fixed is not None:
+            mask, got, lost = rt.fixed
+            return np.broadcast_to(mask, (len(streams), n, n)), got, lost
+        deliv = np.zeros((len(streams), n, n), dtype=bool)
+        if self.lockstep:
+            # One coin round for all live runs at once: each run's next
+            # ``k`` policy draws, stacked, against the loss probability.
+            mask = np.repeat(rt.base_flat[None, :], live.size, axis=0)
+            k = int(rt.coin_flat.size)
+            if k:
+                coins = np.stack([streams[bi].block(k) for bi in live])
+                mask[:, rt.coin_flat] = coins >= self.drop_prob
+            deliv[live] = mask.reshape(live.size, n, n)
+            got = mask.sum(axis=1)
+            return deliv, got, rt.sent - got
+        got = np.zeros(live.size, dtype=np.int64)
+        for slot, bi in enumerate(live):
+            on = self._delivered_edges(rt, *streams[bi])
+            if on.size:
+                deliv[bi, rt.e_dest[on], rt.e_send[on]] = True
+            got[slot] = on.size
+        return deliv, got, rt.sent - got
+
     # ------------------------------------------------------ array program
 
     def execute(self, seeds: Sequence[int]) -> List[Dict[str, object]]:
-        """Run every seed's instance at once; one result dict per seed."""
+        """Run every seed's instance at once; one result dict per seed:
+        the oracle's row metrics plus ``decided_values`` for the property
+        report."""
         np = self.np
         n = self.n
         B = len(seeds)
@@ -497,10 +626,13 @@ class _CellProgram:
         V = self.n_values
         honest_col = self.honest_col
 
-        # Per run: a network stream and a policy stream, both seeded with
-        # the run seed — exactly compile_batch_scenario's pair (nothing is
-        # drawn at compile time, so fresh streams are equal streams).
-        streams = [(BlockRng(seed), BlockRng(seed)) for seed in seeds]
+        # Per run, streams seeded with the run seed exactly as scalar
+        # compilation builds them: the policy stream alone under lockstep,
+        # a network stream and an independent policy stream when timed.
+        if self.lockstep:
+            streams = [BlockRng(seed) for seed in seeds]
+        else:
+            streams = [(BlockRng(seed), BlockRng(seed)) for seed in seeds]
         vote = np.zeros((B, n), dtype=np.int64)
         ts = np.zeros((B, n), dtype=np.int64)
         selected = np.full((B, n), NULL_CODE, dtype=np.int64)
@@ -521,40 +653,35 @@ class _CellProgram:
         delivered = np.zeros(B, dtype=np.int64)
         dropped = np.zeros(B, dtype=np.int64)
         active = np.ones(B, dtype=bool)
-        if self.max_rounds <= 0:
-            active[:] = False
 
         b_idx = np.arange(B)[:, None, None]
         b_idx2 = np.arange(B)[:, None]
-        for rt in self.templates:
+        for number in range(1, self.max_rounds + 1):
             if not active.any():
                 break
-            deadline = rt.deadline
-            deliv = np.zeros((B, n, n), dtype=bool)
-            for bi in np.nonzero(active)[0]:
-                net, pol = streams[bi]
-                on = self._delivered_edges(rt, net, pol)
-                if on.size:
-                    deliv[bi, rt.e_dest[on], rt.e_send[on]] = True
-                sent[bi] += rt.sent
-                delivered[bi] += on.size
-                dropped[bi] += rt.sent - on.size
+            rt = self.template(number)
+            deliv, arrived, lost = self._deliver(
+                rt, streams, np.nonzero(active)[0]
+            )
+            sent[active] += rt.sent
+            delivered[active] += arrived
+            dropped[active] += lost
 
             upd = active[:, None] & honest_col[None, :]
             phase = rt.phase
             if rt.kind is RoundKind.SELECTION:
-                valid = deliv & rt.ok_row[None, None, :]
+                valid = deliv & rt.sok[None, :, :]
                 eff_vote = np.where(
-                    self.byz_col, rt.svote_row[None, None, :], vote[:, None, :]
+                    self.byz_col, rt.svote[None, :, :], vote[:, None, :]
                 )
                 if self.uses_ts:
                     eff_ts = np.where(
-                        self.byz_col, rt.sts_row[None, None, :], ts[:, None, :]
+                        self.byz_col, rt.sts[None, :, :], ts[:, None, :]
                     )
                 else:
                     eff_ts = np.where(
                         self.byz_col,
-                        rt.sts_row[None, None, :],
+                        rt.sts[None, :, :],
                         np.zeros((B, 1, n), dtype=np.int64),
                     )
                 if self.flv_class == 1:
@@ -613,36 +740,35 @@ class _CellProgram:
                 fired = upd & (win >= 0) & ~decided
                 dec_value = np.where(fired, win, dec_value)
                 dec_round = np.where(fired, rt.number, dec_round)
-                dec_time = np.where(fired, deadline, dec_time)
+                if not self.lockstep:
+                    dec_time = np.where(fired, rt.deadline, dec_time)
                 decided = decided | fired
 
             rounds_exec[active] = rt.number
             all_decided = (decided | self.byz_col[None, :]).all(axis=1)
-            active = active & ~all_decided & (rt.number < self.max_rounds)
+            active = active & ~all_decided
 
         results = []
-        byz_set = frozenset(self.byz_pids)
-        correct = frozenset(self.honest_pids)
         for bi in range(B):
-            decided_values = {
-                pid: self.alphabet[int(dec_value[bi, pid])]
-                for pid in self.honest_pids
-                if decided[bi, pid]
-            }
-            times = [
-                float(dec_time[bi, pid])
-                for pid in self.honest_pids
-                if decided[bi, pid]
-            ]
+            done = [pid for pid in self.honest_pids if decided[bi, pid]]
+            # Phase counts are a lockstep metric, time-to-decision a timed
+            # one — the same split the oracle's row makes.
+            phases = time_to_decision = None
+            if done and self.lockstep:
+                last = int(dec_round[bi, done].max())
+                phases = self.structure.info(last).phase
+            elif done:
+                time_to_decision = float(dec_time[bi, done].max())
             results.append(
                 {
-                    "decided_values": decided_values,
-                    "initial_values": self.initial_values,
-                    "byzantine": byz_set,
-                    "correct": correct,
-                    "decided": len(decided_values),
+                    "decided_values": {
+                        pid: self.alphabet[int(dec_value[bi, pid])]
+                        for pid in done
+                    },
+                    "decided": len(done),
                     "rounds": int(rounds_exec[bi]),
-                    "time_to_decision": max(times) if times else None,
+                    "phases": phases,
+                    "time_to_decision": time_to_decision,
                     "messages_sent": int(sent[bi]),
                     "messages_delivered": int(delivered[bi]),
                     "messages_dropped": int(dropped[bi]),
@@ -665,16 +791,23 @@ class _CellProgram:
             contains = in_range & (held == eff_vote)
             support += np.where(valid[:, :, sender][:, :, None], contains, False)
         for sender, table in rt.shist.items():
-            contains = in_range & table[vote_q, ts_q]
+            d_idx = np.arange(len(table))[None, :, None]
+            contains = in_range & table[d_idx, vote_q, ts_q]
             support += np.where(valid[:, :, sender][:, :, None], contains, False)
         return support
+
+
+def _shared_row(overlay, honest: List[int]):
+    """``overlay[:1]`` when all honest receivers' rows agree, else as is."""
+    rows = overlay[honest]
+    return rows[:1] if (rows == rows[:1]).all() else overlay
 
 
 def _encode(code: Dict, value) -> int:
     try:
         result = code[value]
     except (KeyError, TypeError):
-        raise _Demote(f"value {value!r} escaped the cell alphabet") from None
+        raise Demote(f"value {value!r} escaped the cell alphabet") from None
     return result
 
 
@@ -692,7 +825,7 @@ def _history_table(np, history, code, n_values: int, max_phases: int):
     return table
 
 
-def _collect_values(kind, payload, values, max_phases: int) -> None:
+def _collect_values(kind, payload, values) -> None:
     """Add every encodable value a coerced payload can inject to the pool."""
     if kind is RoundKind.SELECTION:
         parsed = coerce_selection_message(payload)
@@ -706,138 +839,3 @@ def _collect_values(kind, payload, values, max_phases: int) -> None:
         parsed = coerce_decision_message(payload)
         if parsed is not None:
             values.add(parsed.vote)
-
-
-def _suggested_phases(run: RunSpec) -> int:
-    suggested = run.scenario.max_phases
-    return run.max_phases if suggested is None else suggested
-
-
-def columnar_state_rows(
-    runs: Sequence[RunSpec],
-) -> Optional[List[Optional[Row]]]:
-    """Execute one cell's runs as a single array program.
-
-    Returns the oracle-identical row list (``None`` entries mark runs the
-    caller must complete through the scalar oracle), or ``None`` when the
-    whole cell must demote to the per-run columnar tier — numpy absent
-    (the pure-python fallback *is* the columnar tier: same per-run
-    ``BlockRng`` streams, scalar draws) or a template assumption the
-    planner could not see failing at build time.
-    """
-    np = get_numpy()
-    if np is None:
-        return None
-    from repro.analysis.invariants import evaluate_properties
-    from repro.campaigns.runner import (
-        STATUS_ERROR,
-        STATUS_INADMISSIBLE,
-        STATUS_INAPPLICABLE,
-        _base_row,
-        _resolve_algorithm_memo,
-    )
-
-    rows: List[Optional[Row]] = [None] * len(runs)
-    viable: List[int] = []
-    prepared: List[Row] = []
-    program: Optional[_CellProgram] = None
-    compiled_outcome = None
-    try:
-        for index, run in enumerate(runs):
-            row = _base_row(run)
-            try:
-                model = FaultModel(run.n, run.b, run.f)
-            except ValueError as exc:
-                row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-                rows[index] = _tag(row)
-                continue
-            try:
-                parameters, config = _resolve_algorithm_memo(
-                    run.algorithm, model
-                )
-            except ValueError as exc:
-                row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-                rows[index] = _tag(row)
-                continue
-            except Exception as exc:
-                row.update(
-                    status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
-                )
-                rows[index] = _tag(row)
-                continue
-            hosted = parameters.model
-            if hosted.b < model.b or hosted.f < model.f:
-                row.update(
-                    status=STATUS_INADMISSIBLE,
-                    error=(
-                        f"{run.algorithm} hosts (b={hosted.b}, f={hosted.f}), "
-                        f"grid point wants (b={model.b}, f={model.f})"
-                    ),
-                )
-                rows[index] = _tag(row)
-                continue
-            # One compilation serves the whole cell: placement, the crash
-            # schedule and the inapplicability verdict are memoized per
-            # (spec, model) and provably seed-independent, so every run of
-            # the cell gets the same outcome the oracle would hand it.
-            if compiled_outcome is None:
-                try:
-                    compiled_outcome = (
-                        "ok",
-                        compile_batch_scenario(run.scenario, model, run.seed),
-                    )
-                except ScenarioInapplicable as exc:
-                    compiled_outcome = ("inapplicable", str(exc))
-                except Exception:
-                    # Oracle fallback: traceback rows must be its own.
-                    compiled_outcome = ("oracle", None)
-            verdict, compiled = compiled_outcome
-            if verdict == "inapplicable":
-                row.update(status=STATUS_INAPPLICABLE, error=compiled)
-                rows[index] = _tag(row)
-                continue
-            if verdict == "oracle":
-                continue
-            if program is None:
-                # The planner proved crashes == 0; a schedule appearing
-                # anyway means the proof is stale — trust the oracle tiers.
-                _require(compiled.crash_schedule is None, "crash schedule")
-                program = _CellProgram(
-                    np, run, model, parameters, config, compiled.byzantine
-                )
-            viable.append(index)
-            prepared.append(row)
-
-        if program is None or not viable:
-            return rows
-        results = program.execute([runs[index].seed for index in viable])
-    except _Demote:
-        return None
-    except Exception:
-        return None  # any array-program surprise: demote, never fabricate
-
-    for row, result in zip(prepared, results):
-        report = evaluate_properties(
-            decided_values=result["decided_values"],
-            initial_values=result["initial_values"],
-            byzantine=result["byzantine"],
-            correct=result["correct"],
-        )
-        row.update(
-            decided=result["decided"],
-            rounds=result["rounds"],
-            phases=None,  # timed-only tier; phases is a lockstep metric
-            time_to_decision=result["time_to_decision"],
-            messages_sent=result["messages_sent"],
-            messages_delivered=result["messages_delivered"],
-            messages_dropped=result["messages_dropped"],
-            **report,
-        )
-    for index, row in zip(viable, prepared):
-        rows[index] = _tag(row)
-    return rows
-
-
-def _tag(row: Row) -> Row:
-    row["_backend"] = "columnar-state"
-    return row

@@ -10,47 +10,54 @@ produces exactly the rows the scalar oracle
 * columnar-state tier — execute the whole cell as one array program over
   ``(B runs × n processes)`` state (:mod:`repro.engine.batch
   .columnar_state`), the per-run seed entering only through delivery
-  masks; any build-time surprise demotes the cell to the columnar tier;
-* columnar tier — drive B timed kernels round by round in lockstep, each
-  over its own block-capable RNG streams (bulk latency draws), finalizing
-  each run the moment its stop condition fires;
+  masks;
 * scalar tier — per-run oracle execution, byte for byte.
 
-Fallback discipline: any batch-path surprise that the scalar oracle would
-report as an ``error`` row (an exception inside compilation, assembly or
-the round loop) re-executes that run through the oracle itself instead of
-fabricating the row — error tracebacks embed frame names, and only the
-oracle's frames are byte-stable across backends.  Rows that carry no
-traceback (``inadmissible`` / ``inapplicable`` and resolution failures,
-whose text is a plain message) are emitted directly.
+Demotion discipline: a tier that cannot hold its oracle-identity contract
+raises — :class:`~repro.engine.batch.columnar_state.Demote` with the
+reason (numpy absent, a template assumption failing at build time, a
+representative run that errored) or any other exception — and the whole
+cell re-executes on the scalar oracle; a tier may also hand back ``None``
+for single rows it leaves to the oracle.  Error tracebacks embed frame
+names, and only the oracle's frames are byte-stable across backends, so
+``error`` rows are never fabricated here.  Rows that carry no traceback
+(``inadmissible`` / ``inapplicable`` and resolution failures, whose text
+is a plain message) are emitted directly.  Every demoted row is counted
+under ``batch.demoted[<reason>]``.
 
 Every row is tagged with a volatile ``_backend`` field (``replicate`` /
-``columnar-state`` / ``columnar`` / ``scalar``) for the events sidecar and
-progress display; volatile fields never reach the canonical JSONL.
+``columnar-state`` / ``scalar``) for the events sidecar and progress
+display; volatile fields never reach the canonical JSONL.
 """
 
 from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaigns.spec import RunSpec
 from repro.core.types import FaultModel
-from repro.engine.assembly import build_instance
-from repro.engine.batch.columnar_state import columnar_state_rows
+
+# ``build_instance`` is not used here; it stays importable from this module
+# because the frozen end-to-end benchmark (benchmarks/e2e/trace.py) rebinds
+# it by this name.
+from repro.engine.assembly import build_instance  # noqa: F401
+from repro.engine.batch.columnar_state import CellProgram, Demote
 from repro.engine.batch.plan import (
-    MODE_COLUMNAR,
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
+    MODE_SCALAR,
     BatchPlan,
     plan_for_run,
 )
-from repro.engine.batch.scheduler import compile_batch_scenario
-from repro.engine.kernel import OBSERVE_METRICS, ExecutionKernel, kernel_outcome
 from repro.observability.telemetry import Telemetry
-from repro.scenarios.compile import ScenarioInapplicable
-from repro.scenarios.spec import split_values
+from repro.scenarios.compile import (
+    CompiledScenario,
+    ScenarioInapplicable,
+    compile_scenario,
+)
+from repro.utils.accel import get_numpy
 
 __all__ = ["cell_key", "run_batch"]
 
@@ -97,33 +104,30 @@ def run_batch(
     if telemetry is not None:
         telemetry.count("batch.rows", len(runs))
 
-    rows: Optional[List[Optional[Row]]] = None
-    tier = "batch.columnar_rows"
-    # Tier production is demotion-safe: a tier that cannot hold its
-    # oracle-identity contract returns ``None`` rows, and a tier that
-    # *raises* (a broken template assumption surfacing at execution
-    # rather than build time) demotes the same way — the cell re-executes
-    # on the per-run oracle, so ``run_batch`` keeps its never-raises,
-    # byte-identical contract no matter how a tier fails.
+    rows: List[Optional[Row]] = [None] * len(runs)
+    tier = "batch.replicated_rows"
+    # Tier production is demotion-safe: whichever way a tier fails — a
+    # Demote with its reason or a broken template assumption surfacing as
+    # any other exception — the cell re-executes on the per-run oracle, so
+    # ``run_batch`` keeps its never-raises, byte-identical contract.
+    demoted = "tier left the row to the oracle"
     try:
         if plan.mode == MODE_REPLICATE:
             rows = _replicate_rows(runs)
-            tier = "batch.replicated_rows"
-        elif plan.mode in (MODE_COLUMNAR, MODE_COLUMNAR_STATE):
+        elif plan.mode == MODE_COLUMNAR_STATE:
+            tier = "batch.columnar_state_rows"
             if telemetry is not None:
                 with telemetry.span("scheduler.batch"):
-                    rows, tier = _timed_rows(runs, plan.mode)
+                    rows = columnar_state_rows(runs)
             else:
-                rows, tier = _timed_rows(runs, plan.mode)
-    except Exception:
-        rows = None
+                rows = columnar_state_rows(runs)
+    except Demote as exc:
+        demoted = str(exc)
+    except Exception as exc:
+        demoted = f"tier raised {type(exc).__name__}"
 
-    if rows is None:
-        rows = [None] * len(runs)
-
-    # Scalar completion: the planner's scalar tier, a replicate
-    # representative that errored, or individual columnar rows that fell
-    # back — all re-execute through the per-run oracle.
+    # Scalar completion: the planner's scalar tier, a demoted cell, or
+    # single rows a tier left open — all re-execute through the oracle.
     from repro.campaigns.runner import execute_run
 
     pending = [index for index, row in enumerate(rows) if row is None]
@@ -131,6 +135,8 @@ def run_batch(
         produced = len(runs) - len(pending)
         if pending:
             telemetry.count("batch.fallback_scalar", len(pending))
+            if plan.mode != MODE_SCALAR:
+                telemetry.count(f"batch.demoted[{demoted}]", len(pending))
         if produced:
             telemetry.count(tier, produced)
     for index in pending:
@@ -140,35 +146,19 @@ def run_batch(
     return rows  # type: ignore[return-value]
 
 
-def _timed_rows(
-    runs: Sequence[RunSpec], mode: str
-) -> Tuple[Optional[List[Optional[Row]]], str]:
-    """The timed tiers' row production, with the telemetry counter earned.
-
-    The columnar-state tier may demote the whole cell (``None`` result —
-    numpy absent or a template assumption failed at build time), in which
-    case the cell runs — and is counted — as the per-run columnar tier.
-    """
-    if mode == MODE_COLUMNAR_STATE:
-        rows = columnar_state_rows(runs)
-        if rows is not None:
-            return rows, "batch.columnar_state_rows"
-    return _columnar_rows(runs), "batch.columnar_rows"
-
-
-def _replicate_rows(runs: Sequence[RunSpec]) -> Optional[List[Optional[Row]]]:
+def _replicate_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
     """One representative execution, cloned across the cell's runs.
 
     Valid only under the planner's seed-independence proof.  A
-    representative ``error`` row aborts the tier (``None`` → full scalar
-    fallback): errors may be transient, and their traceback text is only
-    byte-stable when each run produces its own.
+    representative ``error`` row demotes the cell: errors may be
+    transient, and their traceback text is only byte-stable when each run
+    produces its own.
     """
     from repro.campaigns.runner import STATUS_ERROR, execute_run
 
     representative = execute_run(runs[0])
     if representative["status"] == STATUS_ERROR:
-        return None
+        raise Demote("replicate representative errored")
     rows: List[Optional[Row]] = []
     for run in runs:
         row = dict(representative)
@@ -180,31 +170,31 @@ def _replicate_rows(runs: Sequence[RunSpec]) -> Optional[List[Optional[Row]]]:
     return rows
 
 
-class _RowState:
-    """One in-flight run of a columnar sweep."""
+def compile_batch_scenario(run: RunSpec, model: FaultModel) -> CompiledScenario:
+    """One scenario compilation serving a whole cell.
 
-    __slots__ = ("index", "run", "row", "instance", "kernel", "max_rounds", "target")
-
-    def __init__(self, index, run, row, instance, kernel, max_rounds, target):
-        self.index = index
-        self.run = run
-        self.row = row
-        self.instance = instance
-        self.kernel = kernel
-        self.max_rounds = max_rounds
-        self.target = target
+    Placement, the crash schedule and the inapplicability verdict are
+    memoized per ``(spec, model)`` and provably seed-independent, so every
+    run of the cell gets the outcome the oracle would hand it; the
+    scheduler is compiled under the first run's seed and only ever asked
+    for zero-draw rounds.
+    """
+    return compile_scenario(run.scenario, model, run.engine, run.seed)
 
 
-def _columnar_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
-    """Advance every run's timed kernel in lockstep, one round per pass.
+def columnar_state_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
+    """Execute one cell's runs as a single array program.
 
     The per-run prologue mirrors the scalar oracle's step for step (same
-    exception-to-status mapping, same messages); the round loop then
-    replays :meth:`ExecutionKernel.run`'s step-then-check semantics per
-    kernel, so early-stopping runs finalize on exactly the same round.
-    ``None`` entries mark rows the caller must complete through the
-    oracle.
+    exception-to-status mapping, same messages); ``None`` entries mark
+    runs the caller must complete through the oracle.  Raises
+    :class:`Demote` when the whole cell must — numpy absent, or a
+    template assumption the planner could not see failing.
     """
+    np = get_numpy()
+    if np is None:
+        raise Demote("numpy absent")
+    from repro.analysis.invariants import evaluate_properties
     from repro.campaigns.runner import (
         STATUS_ERROR,
         STATUS_INADMISSIBLE,
@@ -214,28 +204,25 @@ def _columnar_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
     )
 
     rows: List[Optional[Row]] = [None] * len(runs)
-    states: List[_RowState] = []
+    viable: List[int] = []
+    program: Optional[CellProgram] = None
+    compiled_outcome = None
     for index, run in enumerate(runs):
         row = _base_row(run)
+        row["_backend"] = "columnar-state"
         try:
             model = FaultModel(run.n, run.b, run.f)
+            parameters, _config = _resolve_algorithm_memo(run.algorithm, model)
         except ValueError as exc:
+            # ParameterError (a ValueError) ⇒ the bound rejects this model.
             row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-            rows[index] = _tag(row)
-            continue
-        try:
-            parameters, config = _resolve_algorithm_memo(run.algorithm, model)
-        except ValueError as exc:
-            row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-            rows[index] = _tag(row)
+            rows[index] = row
             continue
         except Exception as exc:
             # Head only, exactly like the oracle: memoized rejections
             # replay with their traceback reset.
-            row.update(
-                status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
-            )
-            rows[index] = _tag(row)
+            row.update(status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}")
+            rows[index] = row
             continue
         hosted = parameters.model
         if hosted.b < model.b or hosted.f < model.f:
@@ -246,101 +233,41 @@ def _columnar_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
                     f"grid point wants (b={model.b}, f={model.f})"
                 ),
             )
-            rows[index] = _tag(row)
+            rows[index] = row
             continue
-        try:
-            compiled = compile_batch_scenario(run.scenario, model, run.seed)
-        except ScenarioInapplicable as exc:
-            row.update(status=STATUS_INAPPLICABLE, error=str(exc))
-            rows[index] = _tag(row)
-            continue
-        except Exception:
-            continue  # oracle fallback: traceback rows must be its own
-        initial_values = split_values(model, compiled.byzantine)
-        max_phases = max(run.max_phases, compiled.max_phases(run.max_phases))
-        try:
-            instance = build_instance(
-                parameters,
-                initial_values,
-                config=config,
-                byzantine=compiled.byzantine,
-            )
-            kernel = ExecutionKernel(
-                instance.parameters.model,
-                instance.processes,
-                compiled.scheduler,
-                instance.structure.info,
-                context=instance.context,
-                crash_schedule=compiled.crash_schedule,
-                snapshot_fn=instance.snapshot,
-                decision_probe=instance.decision_probe,
-                record_snapshots=False,
-                observe=OBSERVE_METRICS,
-            )
-            max_rounds = instance.structure.rounds_for_phases(max_phases)
-        except Exception:
-            continue  # oracle fallback
-        states.append(
-            _RowState(
-                index,
-                run,
-                row,
-                instance,
-                kernel,
-                max_rounds,
-                kernel.eventually_correct,
-            )
-        )
-
-    active = states
-    while active:
-        survivors: List[_RowState] = []
-        for state in active:
-            kernel = state.kernel
+        if compiled_outcome is None:
             try:
-                kernel.step()
+                compiled_outcome = ("ok", compile_batch_scenario(run, model))
+            except ScenarioInapplicable as exc:
+                compiled_outcome = ("inapplicable", str(exc))
             except Exception:
-                continue  # oracle fallback for this run
-            if (
-                kernel.rounds_executed >= state.max_rounds
-                or state.target <= _decided(kernel)
-            ):
-                rows[state.index] = _finalize(state)
-            else:
-                survivors.append(state)
-        active = survivors
-    # Zero-round horizons (max_rounds ≤ 0) never enter the loop above;
-    # finalize them without stepping, as ExecutionKernel.run would.
-    for state in states:
-        if state.max_rounds <= 0 and rows[state.index] is None:
-            rows[state.index] = _finalize(state)
-    return rows
+                # Oracle fallback: traceback rows must be its own.
+                compiled_outcome = ("oracle", None)
+        verdict, compiled = compiled_outcome
+        if verdict == "inapplicable":
+            row.update(status=STATUS_INAPPLICABLE, error=compiled)
+            rows[index] = row
+            continue
+        if verdict == "oracle":
+            continue
+        if program is None:
+            # The planner proved crashes == 0; a schedule appearing anyway
+            # means the proof is stale — trust the oracle.
+            if compiled.crash_schedule is not None:
+                raise Demote("crash schedule")
+            program = CellProgram(np, run, parameters, compiled)
+        viable.append(index)
+        rows[index] = row
 
-
-def _decided(kernel: ExecutionKernel) -> Set:
-    return set(kernel.decisions)
-
-
-def _finalize(state: _RowState) -> Optional[Row]:
-    """Fold one finished kernel into its result row (oracle field set)."""
-    row = state.row
-    try:
-        outcome = kernel_outcome(state.instance, state.kernel)
-        row.update(
-            decided=len(outcome.decisions),
-            rounds=outcome.rounds_executed,
-            phases=None,  # columnar is timed-only; phases is a lockstep metric
-            time_to_decision=outcome.last_decision_time,
-            messages_sent=outcome.messages_sent,
-            messages_delivered=outcome.messages_delivered,
-            messages_dropped=outcome.messages_dropped,
-            **outcome.invariant_report(),
+    if program is None:
+        return rows
+    results = program.execute([runs[index].seed for index in viable])
+    for index, result in zip(viable, results):
+        report = evaluate_properties(
+            decided_values=result.pop("decided_values"),
+            initial_values=program.initial_values,
+            byzantine=program.context.byzantine,
+            correct=program.correct,
         )
-    except Exception:
-        return None  # oracle fallback
-    return _tag(row)
-
-
-def _tag(row: Row) -> Row:
-    row["_backend"] = "columnar"
-    return row
+        rows[index].update(result, **report)
+    return rows

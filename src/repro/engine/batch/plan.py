@@ -1,4 +1,4 @@
-"""Batch planning: classify a campaign cell's executions into one of four
+"""Batch planning: classify a campaign cell's executions into one of three
 execution tiers.
 
 One :class:`~repro.campaigns.spec.CampaignSpec` cell is B runs of one
@@ -13,35 +13,35 @@ run executes, how much of that structure the batch kernel may exploit:
   per repetition with only ``run_id`` / ``rep`` / ``seed`` patched.  This
   is the dominant tier for the paper's Table-1 sweeps and delivers the
   order-of-magnitude batch speedup.
-* :data:`MODE_COLUMNAR_STATE` — seed-dependent timed cells whose *entire
-  generic algorithm* is provably expressible as an array program over
-  ``(B runs × n processes)`` state: the value alphabet is closed and
-  encodable as small ints, the FLV is one of the paper's classes 1–3, the
-  Selector is pid-independent, Byzantine payloads are run-invariant, and
-  the per-run seed enters only through ``(B, n, n)`` delivery masks.  One
-  array program advances every run's votes/timestamps/decisions at once
+* :data:`MODE_COLUMNAR_STATE` — seed-dependent cells, on either engine,
+  whose *entire generic algorithm* is provably expressible as an array
+  program over ``(B runs × n processes)`` state: the value alphabet is
+  closed and encodable as small ints, the FLV is one of the paper's
+  classes 1–3, the Selector is pid-independent, Byzantine payloads are
+  run-invariant, and the per-run seed enters only through ``(B, n, n)``
+  delivery masks — deadline misses and filter coins on the timed engine,
+  the oracle policy's per-edge loss coins on the lockstep one.  One array
+  program advances every run's votes/timestamps/decisions at once
   (:mod:`repro.engine.batch.columnar_state`); the scalar kernel remains
   the oracle it is checked against.
-* :data:`MODE_COLUMNAR` — other timed-engine cells whose outcome depends
-  on the seed: each run keeps its own RNG streams (the per-run contract),
-  but they are block-capable (:class:`~repro.utils.accel.BlockRng`), so
-  every round's latency draws collapse into a handful of array ops while
-  the B kernels advance in lockstep.
-* :data:`MODE_SCALAR` — everything else (stochastic lockstep policies,
-  ``async-prel``, randomized coins, unknown Byzantine strategies, the
-  ``REPRO_SLOW_SCHEDULER`` escape hatch): fall back to the per-run scalar
-  oracle, byte for byte.
+* :data:`MODE_SCALAR` — everything else (``async-prel``, randomized coins,
+  crash scripts, inbox-reading or unknown Byzantine strategies,
+  coordinator-style selectors, the ``REPRO_SLOW_SCHEDULER`` escape hatch):
+  the per-run scalar oracle, byte for byte.
 
 The classification is deliberately conservative: anything the rules cannot
-prove seed-independent or block-safe drops a tier.  Misclassifying *down*
-costs only speed; the byte-identity suite exists to prove the tiers above
-never misclassify *up*.
+prove seed-independent or mask-expressible drops to the oracle.
+Misclassifying *down* costs only speed; the byte-identity suite exists to
+prove the tiers above never misclassify *up*.  ``repro campaign plan
+--explain`` prints every clause of :func:`columnar_state_blockers` a
+scalar cell failed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import List
 
 from repro.campaigns.spec import RunSpec
 from repro.engine.scheduler import SLOW_SCHEDULER_ENV
@@ -51,18 +51,18 @@ from repro.scenarios.spec import CommSpec, ScenarioSpec
 __all__ = [
     "COLUMNAR_STATE_STRATEGIES",
     "DETERMINISTIC_STRATEGIES",
-    "MODE_COLUMNAR",
     "MODE_COLUMNAR_STATE",
     "MODE_REPLICATE",
     "MODE_SCALAR",
     "BatchPlan",
+    "columnar_state_blockers",
+    "explain_for_run",
     "plan_cell",
     "plan_for_run",
 ]
 
 MODE_REPLICATE = "replicate"
 MODE_COLUMNAR_STATE = "columnar-state"
-MODE_COLUMNAR = "columnar"
 MODE_SCALAR = "scalar"
 
 #: Registered Byzantine strategies whose payloads do not depend on the
@@ -87,7 +87,7 @@ DETERMINISTIC_STRATEGIES = frozenset(
 #: computable from ``(pid, round)`` alone, before any delivery happens.
 #: The columnar-state tier precomputes each strategy's outbound payloads
 #: once per cell, so an adversary that reads its inbox (``adaptive-liar``)
-#: must stay on the per-run columnar tier.
+#: stays on the scalar oracle.
 COLUMNAR_STATE_STRATEGIES = DETERMINISTIC_STRATEGIES - {"adaptive-liar"}
 
 
@@ -138,19 +138,20 @@ def _timed_delivery_deterministic(timing: NetworkSpec) -> bool:
     return min(max_latency, timing.delta) <= timing.round_duration
 
 
-def _columnar_state_eligible(
+def columnar_state_blockers(
     scenario: ScenarioSpec, parameters: object, config: object
-) -> bool:
-    """True when a seed-dependent timed cell can run as one array program.
+) -> List[str]:
+    """Every reason a seed-dependent cell cannot run as one array program.
 
-    Every clause guards an assumption the columnar-state executor bakes
-    into its per-cell templates; anything unprovable here demotes to the
-    per-run columnar tier (cost: speed, never bytes):
+    Empty means eligible.  Each clause guards an assumption the
+    columnar-state executor bakes into its per-cell templates; anything
+    unprovable here leaves the cell on the scalar oracle (cost: speed,
+    never bytes):
 
     * no crashes — the array program has no crash schedule;
     * only inbox-free Byzantine strategies — payloads precompute per cell;
-    * a comm kind whose per-round filter reduces to per-edge booleans
-      (``async-prel`` is timed-inapplicable anyway);
+    * a comm kind whose per-round delivery reduces to per-edge booleans
+      (``async-prel`` samples per-receiver subsets);
     * an FLV that is exactly one of the paper's classes 1–3 — the columnar
       evaluators in :mod:`repro.core.columnar` mirror Algorithms 2–4 only;
     * a pid-independent Selector (suggestion sets depend on the phase, not
@@ -171,17 +172,19 @@ def _columnar_state_eligible(
         RotatingSubsetSelector,
     )
 
+    why: List[str] = []
     if scenario.crashes != 0:
-        return False
-    if any(
-        name not in COLUMNAR_STATE_STRATEGIES for name in scenario.byzantine
-    ):
-        return False
+        why.append("crash script (the array program has no crash schedule)")
+    why.extend(
+        f"strategy {name!r} reads its inbox"
+        for name in scenario.byzantine
+        if name not in COLUMNAR_STATE_STRATEGIES
+    )
     if scenario.comm.kind not in ("reliable", "lossy", "silent", "good-bad"):
-        return False
+        why.append(f"comm kind {scenario.comm.kind!r} has no per-edge mask form")
     flv = getattr(parameters, "flv", None)
     if type(flv) not in (FLVClass1, FLVClass2, FLVClass3):
-        return False
+        why.append(f"FLV {type(flv).__name__} is not one of classes 1-3")
     selector = getattr(parameters, "selector", None)
     if type(selector) not in (
         AllProcessesSelector,
@@ -189,13 +192,12 @@ def _columnar_state_eligible(
         RotatingSubsetSelector,
         RotatingCoordinatorSelector,
     ):
-        return False
-    if getattr(config, "skip_first_selection", False):
-        return False
-    if getattr(config, "record_validation_in_history", False):
-        return False
+        why.append(f"selector {type(selector).__name__} is not pid-independent")
+    for switch in ("skip_first_selection", "record_validation_in_history"):
+        if getattr(config, switch, False):
+            why.append(f"config switch {switch} reshapes state")
     if getattr(config, "max_history_size", None) is not None:
-        return False
+        why.append("config switch max_history_size reshapes state")
     if parameters.flag.needs_validation_round:
         static = (
             config.uses_static_selector(selector)
@@ -203,8 +205,8 @@ def _columnar_state_eligible(
             else selector.is_static
         )
         if not static:
-            return False
-    return True
+            why.append("validation round needs per-message selector quorums")
+    return why
 
 
 def plan_cell(
@@ -221,8 +223,8 @@ def plan_cell(
     ``parameters`` is the resolved
     :class:`~repro.core.parameters.ConsensusParameters` — required for the
     columnar-state tier (without it the planner cannot prove the FLV /
-    Selector expressible as reductions, so seed-dependent timed cells stay
-    on the per-run columnar tier).
+    Selector expressible as reductions, so seed-dependent cells stay on
+    the scalar oracle).
     """
     if getattr(config, "coin", None) is not None:
         return BatchPlan(MODE_SCALAR, "randomized coin consumes per-run seed")
@@ -247,16 +249,27 @@ def plan_cell(
             return BatchPlan(
                 MODE_SCALAR, "REPRO_SLOW_SCHEDULER forces the heap oracle"
             )
-        if parameters is not None and _columnar_state_eligible(
-            scenario, parameters, config
-        ):
-            return BatchPlan(
-                MODE_COLUMNAR_STATE,
-                "generic algorithm runs as one (runs × processes) "
-                "array program over delivery masks",
-            )
-        return BatchPlan(MODE_COLUMNAR, "seed-dependent timed delivery")
+    if parameters is not None and not columnar_state_blockers(
+        scenario, parameters, config
+    ):
+        return BatchPlan(
+            MODE_COLUMNAR_STATE,
+            "generic algorithm runs as one (runs × processes) "
+            "array program over delivery masks",
+        )
+    if engine == "timed":
+        return BatchPlan(MODE_SCALAR, "seed-dependent timed delivery")
     return BatchPlan(MODE_SCALAR, "stochastic lockstep policy")
+
+
+def _resolve(run: RunSpec):
+    """``(parameters, config)`` through the runner's worker memo."""
+    from repro.campaigns.runner import _resolve_algorithm_memo
+    from repro.core.types import FaultModel
+
+    return _resolve_algorithm_memo(
+        run.algorithm, FaultModel(run.n, run.b, run.f)
+    )
 
 
 def plan_for_run(run: RunSpec) -> BatchPlan:
@@ -267,12 +280,21 @@ def plan_for_run(run: RunSpec) -> BatchPlan:
     model failure yields the scalar tier, whose per-run oracle produces
     the proper ``inadmissible`` / ``error`` rows.
     """
-    from repro.campaigns.runner import _resolve_algorithm_memo
-    from repro.core.types import FaultModel
-
     try:
-        model = FaultModel(run.n, run.b, run.f)
-        parameters, config = _resolve_algorithm_memo(run.algorithm, model)
+        parameters, config = _resolve(run)
     except Exception:
         return BatchPlan(MODE_SCALAR, "algorithm/model resolution failed")
     return plan_cell(run.scenario, run.engine, config, parameters=parameters)
+
+
+def explain_for_run(run: RunSpec) -> List[str]:
+    """Everything keeping a cell off the columnar-state tier, clause by
+    clause (``repro campaign plan --explain``); empty when nothing does."""
+    try:
+        parameters, config = _resolve(run)
+    except Exception as exc:
+        return [f"{type(exc).__name__}: {exc}"]
+    why = columnar_state_blockers(run.scenario, parameters, config)
+    if getattr(config, "coin", None) is not None:
+        why.insert(0, "randomized coin consumes per-run seed")
+    return why

@@ -400,22 +400,13 @@ def run_instance(
     kernel.run(
         instance.structure.rounds_for_phases(max_phases), stop_when=stop_when
     )
-    return kernel_outcome(instance, kernel)
-
-
-def kernel_outcome(instance, kernel: ExecutionKernel) -> Outcome:
-    """Package a finished kernel's state as an :class:`Outcome`.
-
-    Shared by :func:`run_instance` and the batch backend's lockstep sweep
-    (which drives many kernels round by round itself and finalizes each one
-    here), so both paths produce structurally identical outcomes.
-    """
     return Outcome(
         parameters=instance.parameters,
         structure=instance.structure,
         processes=instance.processes,
         initial_values=instance.initial_values,
         context=kernel.context,
+        correct=kernel.eventually_correct,
         decisions=kernel.decisions,
         decision_times=kernel.decision_times,
         rounds_executed=kernel.rounds_executed,

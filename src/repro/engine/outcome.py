@@ -11,7 +11,7 @@ empty (e.g. ``decision_times`` under lockstep, ``trace`` in metrics mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping, Optional
 
 from repro.analysis.trace import ExecutionTrace
 from repro.core.parameters import ConsensusParameters
@@ -30,6 +30,12 @@ class Outcome:
     processes: Dict[ProcessId, RoundProcess]
     initial_values: Dict[ProcessId, Value]
     context: RunContext
+    #: The paper's *correct* processes: honest and never crashing under this
+    #: execution's crash schedule, whether or not the run reached the crash
+    #: round (``context.correct`` still counts a process doomed to crash in
+    #: a round the run never executed).  Termination is judged over this
+    #: set — the one the kernel's early stop waits for.
+    correct: FrozenSet[ProcessId]
     #: First decision of each honest process that decided.
     decisions: Dict[ProcessId, Decision]
     #: pid → simulated time of its decision (timed schedulers only).
@@ -115,8 +121,8 @@ class Outcome:
 
     @property
     def all_correct_decided(self) -> bool:
-        """Every correct (honest, never-crashed) process decided."""
-        return all(pid in self.decisions for pid in self.context.correct)
+        """Every correct (honest, never-crashing) process decided."""
+        return all(pid in self.decisions for pid in self.correct)
 
     def validity_holds(self) -> bool:
         """If all processes are honest, decisions come from initial values."""
@@ -149,5 +155,5 @@ class Outcome:
             decided_values=self.decided_value_by_process,
             initial_values=self.initial_values,
             byzantine=self.context.byzantine,
-            correct=self.context.correct,
+            correct=self.correct,
         )

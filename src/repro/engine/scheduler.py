@@ -216,16 +216,6 @@ class TimedScheduler(RoundScheduler):
         """Current simulated time (the deadline of the last round)."""
         return self._now
 
-    @property
-    def delivery_filter(self) -> Optional[DeliveryFilter]:
-        """The per-message admission test, or ``None`` (filter-free).
-
-        Exposed so scenario compilation post-passes (the batch backend
-        swaps in its columnar scheduler subclass) can rebuild an
-        equivalent scheduler without reaching into private state.
-        """
-        return self._filter
-
     def deliver_round(
         self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
     ) -> RoundDelivery:

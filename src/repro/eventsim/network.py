@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.types import ProcessId
-from repro.utils.accel import block_stream
 
 __all__ = [
     "FixedLatency",
@@ -63,18 +62,6 @@ class LatencyModel(abc.ABC):
         """
         sample = self.sample
         return [sample(rng, sender, dest) for dest in dests]
-
-    def sample_matrix(
-        self, rngs: Sequence[random.Random], edges: Sequence[Edge]
-    ) -> List[List[float]]:
-        """A (runs × edges) latency matrix, one row per RNG stream.
-
-        Row *b* is exactly ``sample_many(rngs[b], edges)`` — each run keeps
-        its own independent stream (the per-run RNG contract), so the batch
-        backend vectorizes *within* a row, never across rows.  Overrides
-        inherit :meth:`sample_many`'s draw-for-draw stream contract.
-        """
-        return [self.sample_many(rng, edges) for rng in rngs]
 
     def max_latency(self) -> Optional[float]:
         """An upper bound on every sample, or ``None`` if unbounded.
@@ -131,19 +118,12 @@ class UniformLatency(LatencyModel):
     # The batched draws inline ``Random.uniform``'s exact expression
     # ``a + (b - a) * random()`` — bit-identical results, one Python call
     # fewer per message (test_sample_round_matches_per_message_stream pins
-    # the equivalence draw for draw).  When the stream is a block-capable
-    # BlockRng the whole batch is one array op: float64 ``low + span * u``
-    # is the same IEEE expression per element, and ``.tolist()`` hands back
-    # plain Python floats so downstream arithmetic and JSON never see numpy
-    # scalars.
+    # the equivalence draw for draw).
 
     def sample_many(
         self, rng: random.Random, edges: Sequence[Edge]
     ) -> List[float]:
         low, span = self.low, self.high - self.low
-        blk = block_stream(rng)
-        if blk is not None:
-            return (low + span * blk.block(len(edges))).tolist()
         rand = rng.random
         return [low + span * rand() for _ in edges]
 
@@ -151,9 +131,6 @@ class UniformLatency(LatencyModel):
         self, rng: random.Random, sender: ProcessId, dests: Sequence[ProcessId]
     ) -> List[float]:
         low, span = self.low, self.high - self.low
-        blk = block_stream(rng)
-        if blk is not None:
-            return (low + span * blk.block(len(dests))).tolist()
         rand = rng.random
         return [low + span * rand() for _ in dests]
 
@@ -255,9 +232,6 @@ class PartialSynchronyNetwork:
             return [base if base <= delta else delta for base in samples]
         # Pre-GST the chaos coin interleaves with the latency draw message
         # by message; batching the bases first would reorder the stream.
-        transits = self._pre_gst_block(len(edges))
-        if transits is not None:
-            return transits
         rng = self._rng
         sample = self._latency.sample
         rand = rng.random
@@ -286,9 +260,6 @@ class PartialSynchronyNetwork:
                 return samples
             delta = self.delta
             return [base if base <= delta else delta for base in samples]
-        transits = self._pre_gst_block(len(dests))
-        if transits is not None:
-            return transits
         rng = self._rng
         sample = self._latency.sample
         rand = rng.random
@@ -300,37 +271,6 @@ class PartialSynchronyNetwork:
             base = sample(rng, sender, dest)
             append(base * chaos if rand() < prob else base)
         return transits
-
-    def _pre_gst_block(self, count: int) -> Optional[List[float]]:
-        """Pre-GST transits via bulk draws, or ``None`` for the scalar loop.
-
-        Only the two built-in latency models have a known draw pattern the
-        interleaved (base, coin) stream can be reconstructed from: uniform
-        consumes two draws per message, fixed consumes only the coin.  Any
-        other model — or a non-block RNG — falls back to the scalar loop.
-        The array expressions mirror the scalar branch op for op
-        (``low + span * u`` then a selective ``* chaos``), so results are
-        bit-identical; ``.tolist()`` returns plain Python floats.
-        """
-        blk = block_stream(self._rng)
-        if blk is None:
-            return None
-        prob = self._delay_prob
-        chaos = self._chaos
-        latency = self._latency
-        if type(latency) is UniformLatency:
-            draws = blk.block(2 * count)
-            bases = latency.low + (latency.high - latency.low) * draws[0::2]
-            bases[draws[1::2] < prob] *= chaos
-            return bases.tolist()
-        if type(latency) is FixedLatency:
-            base = latency.latency
-            delayed = base * chaos
-            return [
-                delayed if coin < prob else base
-                for coin in blk.block(count).tolist()
-            ]
-        return None
 
 
 @dataclass(frozen=True)
@@ -370,15 +310,8 @@ class NetworkSpec:
         if self.round_duration <= 0:
             raise ValueError("round_duration must be positive")
 
-    def build(
-        self, seed: int, *, rng: Optional[random.Random] = None
-    ) -> PartialSynchronyNetwork:
-        """Instantiate the timed network with a per-run RNG stream.
-
-        ``rng`` overrides the ``random.Random(seed)`` stream with a
-        caller-supplied one — the batch backend passes a block-capable
-        stream seeded identically, keeping draw order byte-compatible.
-        """
+    def build(self, seed: int) -> PartialSynchronyNetwork:
+        """Instantiate the timed network with a per-run RNG stream."""
         if self.kind == "fixed":
             latency = FixedLatency(self.low)
         else:
@@ -390,7 +323,6 @@ class NetworkSpec:
             pre_gst_delay_prob=self.pre_gst_delay_prob,
             chaos_factor=self.chaos_factor,
             seed=seed,
-            rng=rng,
         )
 
     def describe(self) -> str:

@@ -345,26 +345,20 @@ def compile_scenario(
     rng: RngLike = None,
     *,
     network: Optional[PartialSynchronyNetwork] = None,
-    policy_rng: Optional[random.Random] = None,
 ) -> CompiledScenario:
     """Resolve ``spec`` against ``model`` for one timing discipline.
 
     ``rng`` is the per-run randomness: an ``int`` seed (what campaigns
     pass — it also seeds the timed network, exactly as the pre-scenario
     runner did), a ready :class:`random.Random`, or ``None`` for seed 0.
-    ``network`` overrides the timing spec with a caller-built network;
-    ``policy_rng`` overrides the policy/filter stream (the batch backend
-    passes a block-capable stream seeded identically to the one
-    ``_coerce_rng`` would build, keeping draw order byte-compatible).
+    ``network`` overrides the timing spec with a caller-built network.
 
     Raises :class:`ScenarioInapplicable` when the configuration cannot host
     the scenario; any other spec inconsistency raises :class:`ValueError`.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    seed, coerced_rng = _coerce_rng(rng)
-    if policy_rng is None:
-        policy_rng = coerced_rng
+    seed, policy_rng = _coerce_rng(rng)
     byzantine, crash_schedule = _scenario_template(spec, model)
     if engine == "lockstep":
         scheduler: RoundScheduler = LockstepScheduler(

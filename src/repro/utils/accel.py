@@ -1,10 +1,10 @@
 """Optional numpy acceleration with exact scalar-stream fidelity.
 
-The batch backend (:mod:`repro.engine.batch`) vectorizes latency and loss
-draws, but the project's correctness contract is *byte identity with the
-scalar oracle*: every accelerated path must consume and produce exactly the
-same underlying Mersenne-Twister stream as ``random.Random``.  Two pieces
-make that possible:
+The batch backend (:mod:`repro.engine.batch`) draws each run's latency
+samples and loss coins in bulk, but the project's correctness contract is
+*byte identity with the scalar oracle*: every accelerated path must consume
+and produce exactly the same underlying Mersenne-Twister stream as
+``random.Random``.  Two pieces make that possible:
 
 * :func:`get_numpy` — imports numpy at most once per process, gated by the
   ``REPRO_NO_NUMPY`` env var, and **self-checks the state transplant** on
@@ -230,44 +230,3 @@ class BlockRng:
         if buffered == 0:
             return tail
         return self._np.concatenate((head, tail))
-
-    def clone(self) -> "BlockRng":
-        """An independent stream continuing from this one's exact state.
-
-        On the numpy path the MT19937 state is copied generator-to-
-        generator (into a pool-recycled ``RandomState``) instead of being
-        re-derived through ``random.Random``'s boxed-int state tuple.  The
-        batch backend builds its per-run (network, policy) stream pairs —
-        two identically seeded streams that then evolve independently —
-        as one seeded stream plus one clone.
-        """
-        twin = object.__new__(BlockRng)
-        twin._np = self._np
-        twin._pos = self._pos
-        if self._np is not None:
-            state = _acquire_state(self._np)
-            state.set_state(self._state.get_state(legacy=True))
-            twin._state = state
-            twin._scalar = None
-            weakref.finalize(twin, _release_state, state)
-            # Buffers are only ever read (block() hands out views), so the
-            # twin may share the unconsumed prefix.
-            twin._buf = self._buf
-        else:
-            twin._state = None
-            twin._scalar = random.Random()
-            twin._scalar.setstate(self._scalar.getstate())
-            twin._buf = None
-        return twin
-
-
-def block_stream(rng: object) -> Optional[BlockRng]:
-    """Return ``rng`` as a block-capable stream, or ``None``.
-
-    The network sampling hot paths use this to route bulk draws through
-    ``block(k)`` when the scheduler installed a :class:`BlockRng`, without
-    eventsim importing anything from the batch backend.
-    """
-    if isinstance(rng, BlockRng) and rng.accelerated:
-        return rng
-    return None

@@ -1,9 +1,9 @@
 """Campaign rows are byte-identical across every fast-path configuration.
 
 The PR-5 optimizations (heap-free timed delivery, batched latency sampling,
-policy-reported drops, chunked dispatch, worker-side memos) and the PR-7
-batch backend (replicated / columnar / scalar execution tiers) all promise
-the same thing: not one byte of any result row changes.  This suite pins
+policy-reported drops, chunked dispatch, worker-side memos) and the batch
+backend (replicate / columnar-state / scalar execution tiers, the middle
+one on both engines) all promise the same thing: not one byte of any result row changes.  This suite pins
 that down end to end on the ``gauntlet`` campaign — every registered
 scenario × every algorithm class × both engines — by diffing the canonical
 JSONL against a baseline produced with ``REPRO_SLOW_SCHEDULER=1`` (the
@@ -141,71 +141,133 @@ def test_gauntlet_exercises_columnar_state_tier():
 
     The byte-identity claims are only as strong as the tiers the gauntlet
     actually dispatches through: if planner eligibility ever regressed and
-    every seed-dependent timed cell silently demoted to columnar/scalar,
-    the suite would pass vacuously.  Pin the gauntlet to keep cells on the
-    columnar-state tier (and on every other tier).
+    every seed-dependent cell silently fell to scalar, the suite would
+    pass vacuously.  Pin the gauntlet to keep cells on the columnar-state
+    tier on **both engines** (and on every other tier — three, not four).
     """
     from repro.engine.batch import (
-        MODE_COLUMNAR,
         MODE_COLUMNAR_STATE,
         MODE_REPLICATE,
         MODE_SCALAR,
         plan_for_run,
     )
 
-    modes = {plan_for_run(run).mode for run in GAUNTLET.iter_runs()}
-    assert modes == {
-        MODE_REPLICATE, MODE_COLUMNAR_STATE, MODE_COLUMNAR, MODE_SCALAR
+    modes = {
+        (run.engine, plan_for_run(run).mode) for run in GAUNTLET.iter_runs()
     }
+    assert {mode for _engine, mode in modes} == {
+        MODE_REPLICATE, MODE_COLUMNAR_STATE, MODE_SCALAR
+    }
+    assert ("lockstep", MODE_COLUMNAR_STATE) in modes
+    assert ("timed", MODE_COLUMNAR_STATE) in modes
+
+
+def _batch_vs_oracle(runs):
+    """``execute_chunk`` at ``--backend batch`` vs ``execute_run``, diffed
+    ``row_to_json``-byte-for-byte, on numpy and on the no-numpy demotion."""
+    import os
+
+    from repro.campaigns.results import row_to_json
+    from repro.campaigns.runner import execute_chunk, execute_run
+
+    oracle = [row_to_json(execute_run(run)) for run in runs]
+    accelerated = execute_chunk(runs, False, "batch")
+    assert [row_to_json(row) for row in accelerated] == oracle
+    os.environ["REPRO_NO_NUMPY"] = "1"
+    try:
+        fallback = execute_chunk(runs, False, "batch")
+    finally:
+        del os.environ["REPRO_NO_NUMPY"]
+    assert [row_to_json(row) for row in fallback] == oracle
+    assert {row["_backend"] for row in fallback} == {"scalar"}
+    return oracle, accelerated
+
+
+@pytest.mark.parametrize("repetitions", [4, 32])
+def test_stochastic_grid_lockstep_cells_match_oracle(repetitions):
+    """Every lockstep ``flaky_gst`` / ``lossy_channel`` cell of the e2e
+    stochastic grid (classes 1–3 × (9,1,1), (21,2,2)): columnar-state
+    planned, columnar-state produced, oracle bytes."""
+    from repro.engine.batch import MODE_COLUMNAR_STATE, plan_for_run
+    from repro.utils.accel import get_numpy
+
+    spec = dataclasses.replace(
+        GAUNTLET,
+        name="e2e-stochastic",
+        scenarios=("flaky_gst", "lossy_channel"),
+        models=((9, 1, 1), (21, 2, 2)),
+        engines=("lockstep",),
+        repetitions=repetitions,
+        seed=11,
+    )
+    runs = tuple(spec.iter_runs())
+    assert len(runs) == 12 * repetitions
+    assert all(plan_for_run(run).mode == MODE_COLUMNAR_STATE for run in runs)
+    oracle, accelerated = _batch_vs_oracle(runs)
+    assert all('"status":"ok"' in line for line in oracle)
+    if get_numpy() is not None:
+        assert {row["_backend"] for row in accelerated} == {"columnar-state"}
 
 
 @pytest.fixture
-def byz_lossy_scenario():
-    """A synthetic Byzantine + lossy scenario, registered for one test.
+def byz_scenarios():
+    """Synthetic Byzantine × seed-dependent scenarios, registered per test.
 
-    No builtin scenario combines Byzantine strategies with seed-dependent
-    timed delivery, so without this cell the columnar-state tier's
-    Byzantine payload templates would only ever face reliable delivery.
-    Registered/unregistered by hand: the registry is process-global and
-    must not leak into other tests (inline workers only — a pool worker
-    process would never see this registration).
+    No builtin scenario combines inbox-free Byzantine strategies with
+    seed-dependent delivery, so without these cells the columnar-state
+    tier's Byzantine payload overlays would only ever face reliable
+    delivery.  Registered/unregistered by hand: the registry is
+    process-global and must not leak into other tests (inline workers
+    only — a pool worker process would never see this registration).
     """
     from repro.scenarios import CommSpec, ScenarioSpec, register_scenario
     from repro.scenarios.registry import SCENARIO_REGISTRY
 
-    spec = ScenarioSpec(
-        name="byz_lossy_identity",
-        byzantine=("equivocator", "high-ts-liar"),
-        comm=CommSpec(kind="lossy", drop_prob=0.3),
-        max_phases=15,
-    )
-    register_scenario(spec)
+    specs = {
+        "lossy": ScenarioSpec(
+            name="byz_lossy_identity",
+            byzantine=("equivocator", "high-ts-liar"),
+            comm=CommSpec(kind="lossy", drop_prob=0.3),
+            max_phases=15,
+        ),
+        # Rounds 1–3 are bad (an equivocator's per-destination selection
+        # payloads arrive raw under lockstep), rounds ≥ 4 good (the Pcons
+        # oracle canonicalizes them and may inject deliveries).
+        "equivocator-gst": ScenarioSpec(
+            name="byz_equivocator_gst_identity",
+            byzantine=("equivocator",),
+            comm=CommSpec(
+                kind="good-bad", schedule="after", good_from=4,
+                bad="drop", drop_prob=0.5,
+            ),
+            max_phases=15,
+        ),
+        "high-ts-lossy": ScenarioSpec(
+            name="byz_high_ts_lossy_identity",
+            byzantine=("high-ts-liar",),
+            comm=CommSpec(kind="lossy", drop_prob=0.3),
+            max_phases=15,
+        ),
+    }
+    for spec in specs.values():
+        register_scenario(spec)
     try:
-        yield spec
+        yield specs
     finally:
-        del SCENARIO_REGISTRY[spec.name]
+        for spec in specs.values():
+            del SCENARIO_REGISTRY[spec.name]
 
 
-def test_forced_columnar_state_cell_matches_scalar_oracle(byz_lossy_scenario):
-    """Byzantine payloads under lossy masks: forced tier vs the oracle.
-
-    Every run of the synthetic cell must plan columnar-state (not merely
-    happen to), and the batch rows must match the scalar oracle byte for
-    byte — on the numpy array program and on the pure-python block
-    fallback alike.
-    """
-    import os
-
+def _forced_cells(scenario, engines):
     from repro.campaigns import CampaignSpec
-    from repro.campaigns.runner import execute_chunk
     from repro.engine.batch import MODE_COLUMNAR_STATE, plan_for_run
 
     spec = CampaignSpec(
-        name="byz-lossy-forced",
+        name="byz-forced",
         algorithms=("class-2", "class-3"),
         models=((11, 2, 1),),
-        engines=("timed",),
-        scenarios=(byz_lossy_scenario.name,),
+        engines=engines,
+        scenarios=(scenario.name,),
         repetitions=8,
         seed=13,
     )
@@ -213,12 +275,41 @@ def test_forced_columnar_state_cell_matches_scalar_oracle(byz_lossy_scenario):
     assert all(
         plan_for_run(run).mode == MODE_COLUMNAR_STATE for run in runs
     )
-    scalar = canonical(execute_chunk(runs, False, "scalar"))
-    assert all('"status": "ok"' in line for line in scalar)
-    assert canonical(execute_chunk(runs, False, "batch")) == scalar
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        fallback = canonical(execute_chunk(runs, False, "batch"))
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
-    assert fallback == scalar
+    return runs
+
+
+def test_forced_columnar_state_cell_matches_scalar_oracle(byz_scenarios):
+    """Byzantine payloads under lossy masks: forced tier vs the oracle.
+
+    Every run of the synthetic cell must plan columnar-state (not merely
+    happen to), and the batch rows must match the scalar oracle byte for
+    byte — on the numpy array program and on the no-numpy demotion alike.
+    """
+    runs = _forced_cells(byz_scenarios["lossy"], ("timed", "lockstep"))
+    oracle, _rows = _batch_vs_oracle(runs)
+    assert all('"status":"ok"' in line for line in oracle)
+
+
+@pytest.mark.parametrize("name", ["equivocator-gst", "high-ts-lossy"])
+def test_forced_byzantine_lockstep_cells_match_scalar_oracle(byz_scenarios, name):
+    """The two lockstep-only delivery semantics, against the oracle.
+
+    ``equivocator`` × ``good-bad``/``drop`` with ``good_from = 4``: bad
+    selection rounds deliver its per-destination payloads raw, good ones
+    pin it to the payload addressed to the lowest-id audience member —
+    so ``sent`` / ``delivered`` / ``dropped`` must equal the oracle's
+    matrix edge count and rescan count, which the row bytes carry.
+    ``high-ts-liar`` × ``lossy``: a broadcast liar under per-edge coins.
+    """
+    import json as _json
+
+    runs = _forced_cells(byz_scenarios[name], ("lockstep",))
+    oracle, _rows = _batch_vs_oracle(runs)
+    rows = [_json.loads(line) for line in oracle]
+    assert all(row["status"] == "ok" for row in rows)
+    assert all(
+        row["messages_sent"] >= row["messages_delivered"] > 0 for row in rows
+    )
+    if name == "equivocator-gst":
+        # The cells must actually reach the good (Pcons) rounds.
+        assert any(row["rounds"] >= 4 for row in rows)

@@ -7,13 +7,12 @@ docstring).  This suite pins every layer of that claim:
 * :class:`~repro.utils.accel.BlockRng` continues a ``random.Random``
   stream bit for bit — from a seed, mid-stream, under interleaved
   scalar/block draws, and in the pure-python fallback;
-* block-capable networks draw the same floats as scalar ones, draw for
-  draw, with ``sample_matrix`` keeping one independent stream per row;
 * the planner proves tiers conservatively (known cells land where the
-  design says they land);
+  design says they land — three tiers, no fourth);
 * :func:`~repro.engine.batch.run_batch` reproduces the scalar oracle's
-  rows byte-for-byte on representative cells of every tier, with and
-  without numpy.
+  rows byte-for-byte on representative cells of every tier and both
+  engines' columnar-state mask producers, with and without numpy, at any
+  batch composition.
 """
 
 from __future__ import annotations
@@ -27,17 +26,19 @@ from repro.campaigns import BUILTIN_CAMPAIGNS
 from repro.campaigns.results import row_to_json
 from repro.campaigns.runner import execute_run
 from repro.engine.batch import (
-    MODE_COLUMNAR,
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
     MODE_SCALAR,
     cell_key,
+    columnar_state_blockers,
     plan_cell,
     plan_for_run,
     run_batch,
 )
-from repro.eventsim.network import NetworkSpec, UniformLatency
-from repro.scenarios.registry import get_scenario
+from repro.campaigns.runner import _resolve_algorithm_memo
+from repro.core.types import FaultModel
+from repro.scenarios import CommSpec, ScenarioSpec, register_scenario
+from repro.scenarios.registry import SCENARIO_REGISTRY, get_scenario
 from repro.utils.accel import BlockRng, get_numpy
 
 HAVE_NUMPY = get_numpy() is not None
@@ -94,45 +95,6 @@ def test_block_rng_accelerated_when_numpy_present():
     assert BlockRng(0).accelerated
 
 
-# ----------------------------------------------------- network block paths
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-@pytest.mark.parametrize("kind,gst", [("uniform", 0.0), ("uniform", 30.0),
-                                      ("fixed", 30.0)])
-def test_block_network_matches_scalar_network(kind, gst):
-    """Bulk draws equal the scalar loop draw for draw, floats included."""
-    spec = NetworkSpec(kind=kind, gst=gst)
-    scalar_net = spec.build(7)
-    block_net = spec.build(7, rng=BlockRng(7))
-    edges = [(s % 5, (s + 1) % 5) for s in range(23)]
-    for send_time in (0.0, 5.0, 29.0, 31.0):
-        assert block_net.sample_round(send_time, edges) == (
-            scalar_net.sample_round(send_time, edges)
-        )
-        # Interleaved per-message draws continue the same stream.
-        assert block_net.transit_time(send_time, 1, 2) == (
-            scalar_net.transit_time(send_time, 1, 2)
-        )
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_block_network_returns_plain_python_floats():
-    net = NetworkSpec().build(3, rng=BlockRng(3))
-    for value in net.sample_round(0.0, [(0, 1), (1, 2), (2, 0)]):
-        assert type(value) is float
-
-
-def test_sample_matrix_one_stream_per_row():
-    """Row b of the matrix equals sample_many on row b's own stream."""
-    model = UniformLatency(0.5, 2.0)
-    edges = [(s, d) for s in range(4) for d in range(4)]
-    seeds = (11, 22, 33)
-    matrix = model.sample_matrix([random.Random(s) for s in seeds], edges)
-    for seed, row in zip(seeds, matrix):
-        assert list(row) == model.sample_many(random.Random(seed), edges)
-
-
 # ------------------------------------------------------------- the planner
 
 
@@ -145,11 +107,58 @@ def test_plan_deterministic_cells_replicate():
             assert plan.mode == MODE_REPLICATE, (name, engine, plan)
 
 
-def test_plan_stochastic_cells_split_by_engine():
-    for name in ("lossy_channel", "flaky_gst", "async_then_sync"):
+def _resolved(algorithm="class-2", model=(7, 1, 1)):
+    return _resolve_algorithm_memo(algorithm, FaultModel(*model))
+
+
+def test_plan_stochastic_cells_need_parameters_for_columnar_state():
+    """Without resolved parameters nothing proves the reductions: scalar."""
+    parameters, config = _resolved()
+    for name in ("lossy_channel", "flaky_gst"):
         scenario = get_scenario(name)
-        assert plan_cell(scenario, "lockstep").mode == MODE_SCALAR, name
-        assert plan_cell(scenario, "timed").mode == MODE_COLUMNAR, name
+        for engine in ("lockstep", "timed"):
+            assert plan_cell(scenario, engine).mode == MODE_SCALAR, name
+            plan = plan_cell(scenario, engine, config, parameters=parameters)
+            assert plan.mode == MODE_COLUMNAR_STATE, (name, engine)
+
+
+@pytest.mark.parametrize("engine", ["lockstep", "timed"])
+def test_plan_ineligible_stochastic_cells_fall_to_scalar(engine):
+    """adaptive-liar / crashes / async-prel / a coin: the oracle, and
+    ``columnar_state_blockers`` names every failed clause."""
+    parameters, config = _resolved()
+    lossy = get_scenario("lossy_channel")
+    liar = get_scenario("async_then_sync")
+    crashing = dataclasses.replace(lossy, crashes=1)
+    prel = dataclasses.replace(lossy, comm=CommSpec(kind="async-prel"))
+    both = dataclasses.replace(liar, crashes=1)
+    for scenario, fragments in (
+        (liar, ["'adaptive-liar' reads its inbox"]),
+        (crashing, ["crash script"]),
+        (prel, ["'async-prel'"]),
+        (both, ["crash script", "'adaptive-liar' reads its inbox"]),
+    ):
+        plan = plan_cell(scenario, engine, config, parameters=parameters)
+        assert plan.mode == MODE_SCALAR, scenario
+        why = columnar_state_blockers(scenario, parameters, config)
+        assert len(why) == len(fragments)
+        for clause, fragment in zip(why, fragments):
+            assert fragment in clause
+    assert columnar_state_blockers(lossy, parameters, config) == []
+
+    coin = dataclasses.replace(config, coin=lambda phase: "1")
+    plan = plan_cell(lossy, engine, coin, parameters=parameters)
+    assert plan.mode == MODE_SCALAR and "coin" in plan.reason
+
+
+def test_gauntlet_tier_tally():
+    """Replicate 50 / columnar-state 20 / scalar 26 — and no fourth tier."""
+    from collections import Counter
+
+    tally = Counter(plan_for_run(run).mode for run in GAUNTLET.iter_runs())
+    assert tally == {
+        MODE_REPLICATE: 50, MODE_COLUMNAR_STATE: 20, MODE_SCALAR: 26
+    }
 
 
 def test_plan_randomized_coin_forces_scalar():
@@ -168,23 +177,29 @@ def test_plan_unknown_strategy_forces_scalar():
     assert plan_cell(scenario, "lockstep").mode == MODE_SCALAR
 
 
-def test_plan_slow_scheduler_env_forces_scalar_on_columnar(monkeypatch):
+def test_plan_slow_scheduler_env_forces_scalar_on_timed(monkeypatch):
+    """The heap oracle is timed-only: lockstep cells keep their tier."""
     scenario = get_scenario("lossy_channel")
+    parameters, config = _resolved()
     monkeypatch.setenv("REPRO_SLOW_SCHEDULER", "1")
-    assert plan_cell(scenario, "timed").mode == MODE_SCALAR
+    for engine, mode in (("timed", MODE_SCALAR), ("lockstep", MODE_COLUMNAR_STATE)):
+        plan = plan_cell(scenario, engine, config, parameters=parameters)
+        assert plan.mode == mode
     monkeypatch.delenv("REPRO_SLOW_SCHEDULER")
-    assert plan_cell(scenario, "timed").mode == MODE_COLUMNAR
+    plan = plan_cell(scenario, "timed", config, parameters=parameters)
+    assert plan.mode == MODE_COLUMNAR_STATE
 
 
 # --------------------------------------------------- run_batch byte-identity
 
 
-def _cell_runs(scenario_name, engine, repetitions=6):
+def _cell_runs(scenario_name, engine, repetitions=6, algorithm="class-2",
+               model=(7, 1, 1)):
     spec = dataclasses.replace(
         GAUNTLET,
         scenarios=(scenario_name,),
-        algorithms=("class-2",),
-        models=((7, 1, 1),),
+        algorithms=(algorithm,),
+        models=(model,),
         engines=(engine,),
         repetitions=repetitions,
     )
@@ -207,9 +222,11 @@ def _assert_rows_match_oracle(runs, rows):
         ("partition_heal", "timed", MODE_REPLICATE),
         ("flaky_gst", "timed", MODE_COLUMNAR_STATE),
         ("lossy_channel", "timed", MODE_COLUMNAR_STATE),
-        ("lossy_channel", "lockstep", MODE_SCALAR),
-        # adaptive-liar reads its inbox, so the cell stays per-run columnar.
-        ("async_then_sync", "timed", MODE_COLUMNAR),
+        ("flaky_gst", "lockstep", MODE_COLUMNAR_STATE),
+        ("lossy_channel", "lockstep", MODE_COLUMNAR_STATE),
+        # adaptive-liar reads its inbox, so the cell stays on the oracle.
+        ("async_then_sync", "timed", MODE_SCALAR),
+        ("async_then_sync", "lockstep", MODE_SCALAR),
     ],
 )
 def test_run_batch_matches_oracle(scenario, engine, expected_mode):
@@ -220,7 +237,8 @@ def test_run_batch_matches_oracle(scenario, engine, expected_mode):
 
 @pytest.mark.parametrize(
     "scenario,engine",
-    [("partition_heal", "timed"), ("flaky_gst", "timed")],
+    [("partition_heal", "timed"), ("flaky_gst", "timed"),
+     ("flaky_gst", "lockstep"), ("lossy_channel", "lockstep")],
 )
 def test_run_batch_matches_oracle_without_numpy(
     monkeypatch, scenario, engine
@@ -230,16 +248,21 @@ def test_run_batch_matches_oracle_without_numpy(
     _assert_rows_match_oracle(runs, run_batch(runs))
 
 
-def test_run_batch_rows_independent_of_batch_composition():
-    """Dropping runs from a batch leaves the remaining rows' bytes alone."""
-    runs = _cell_runs("flaky_gst", "timed", repetitions=6)
-    full = run_batch(runs)
+@pytest.mark.parametrize("engine", ["timed", "lockstep"])
+@pytest.mark.parametrize("scenario", ["flaky_gst", "lossy_channel"])
+def test_run_batch_rows_independent_of_batch_composition(scenario, engine):
+    """A run's row is the same at B = 1, 5 and 32: each run draws from its
+    own streams only, however many neighbours share the array program."""
+    runs = _cell_runs(scenario, engine, repetitions=32, algorithm="class-3",
+                      model=(9, 1, 1))
+    full = [row_to_json(row) for row in run_batch(runs)]
+    assert [row_to_json(r) for r in run_batch(runs[3:8])] == full[3:8]
+    for index in (0, 17, 31):
+        (alone,) = run_batch([runs[index]])
+        assert alone["_backend"] == ("columnar-state" if HAVE_NUMPY else "scalar")
+        assert row_to_json(alone) == full[index]
     subset = [runs[1], runs[4]]
-    partial = run_batch(subset)
-    assert [row_to_json(r) for r in partial] == [
-        row_to_json(full[1]),
-        row_to_json(full[4]),
-    ]
+    assert [row_to_json(r) for r in run_batch(subset)] == [full[1], full[4]]
 
 
 def test_run_batch_tags_rows_with_backend():
@@ -257,16 +280,38 @@ def test_run_batch_counts_telemetry():
     runs = _cell_runs("lossy_channel", "timed", repetitions=4)
     run_batch(runs, telemetry=telemetry)
     assert telemetry.counters["batch.rows"] == 4
-    # Without numpy the columnar-state tier demotes to per-run columnar
-    # at build time, and the counter follows the tier that actually ran.
-    tier = "batch.columnar_state_rows" if HAVE_NUMPY else "batch.columnar_rows"
-    assert telemetry.counters[tier] == 4
+    # Without numpy the columnar-state tier demotes straight to the
+    # oracle, and the counters say so, reason included.
+    if HAVE_NUMPY:
+        assert telemetry.counters["batch.columnar_state_rows"] == 4
+        assert not any(k.startswith("batch.demoted") for k in telemetry.counters)
+    else:
+        assert telemetry.counters["batch.fallback_scalar"] == 4
+        assert telemetry.counters["batch.demoted[numpy absent]"] == 4
     assert "scheduler.batch" in telemetry.span_names
 
+    # A planned-scalar cell falls back without counting as demoted.
     telemetry = Telemetry()
-    run_batch(_cell_runs("lossy_channel", "lockstep", repetitions=4),
+    run_batch(_cell_runs("async_then_sync", "lockstep", repetitions=4),
               telemetry=telemetry)
     assert telemetry.counters["batch.fallback_scalar"] == 4
+    assert not any(k.startswith("batch.demoted") for k in telemetry.counters)
+
+
+def test_run_batch_demotion_reason_without_numpy(monkeypatch):
+    """numpy absent: rows are the oracle's, the reason is on the counter,
+    and the result bytes are the same with and without telemetry."""
+    from repro.observability import Telemetry
+
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    runs = _cell_runs("lossy_channel", "lockstep", repetitions=5)
+    telemetry = Telemetry()
+    rows = run_batch(runs, telemetry=telemetry)
+    assert telemetry.counters["batch.demoted[numpy absent]"] == 5
+    assert [row_to_json(r) for r in rows] == [
+        row_to_json(r) for r in run_batch(runs)
+    ]
+    _assert_rows_match_oracle(runs, rows)
 
 
 def test_run_batch_inadmissible_cell_matches_oracle():
@@ -286,20 +331,37 @@ def test_run_batch_inadmissible_cell_matches_oracle():
     _assert_rows_match_oracle(runs, rows)
 
 
-def test_run_batch_inapplicable_cell_matches_oracle():
-    """The columnar prologue maps ScenarioInapplicable like the oracle."""
+@pytest.fixture()
+def byz_lossy_scenario():
+    spec = ScenarioSpec(
+        name="byz_lossy_backend",
+        byzantine=("equivocator",),
+        comm=CommSpec(kind="lossy", drop_prob=0.3),
+    )
+    register_scenario(spec)
+    try:
+        yield spec
+    finally:
+        del SCENARIO_REGISTRY[spec.name]
+
+
+@pytest.mark.parametrize("engine", ["lockstep", "timed"])
+def test_run_batch_inapplicable_cell_matches_oracle(byz_lossy_scenario, engine):
+    """The columnar-state prologue maps ScenarioInapplicable like the oracle."""
     spec = dataclasses.replace(
         GAUNTLET,
-        scenarios=("async_then_sync",),  # byzantine placement, but b = 0
+        scenarios=(byz_lossy_scenario.name,),  # byzantine placement, but b = 0
         algorithms=("class-2",),
         models=((4, 0, 1),),
-        engines=("timed",),
+        engines=(engine,),
         repetitions=3,
     )
     runs = list(spec.iter_runs())
-    assert plan_for_run(runs[0]).mode == MODE_COLUMNAR
+    assert plan_for_run(runs[0]).mode == MODE_COLUMNAR_STATE
     rows = run_batch(runs)
     assert {row["status"] for row in rows} == {"inapplicable"}
+    if HAVE_NUMPY:
+        assert {row["_backend"] for row in rows} == {"columnar-state"}
     _assert_rows_match_oracle(runs, rows)
 
 

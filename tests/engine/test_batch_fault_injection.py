@@ -1,12 +1,13 @@
 """Fault-inject the batch tiers: a tier that *raises* must demote cleanly.
 
-The planned tiers (replicate / columnar-state / columnar) demote by
-returning ``None`` rows when they cannot hold the oracle-identity
-contract.  This suite forces the uglier failure mode — an exception
-escaping tier production itself — and pins the demotion path:
-``run_batch`` never raises, every row re-executes through the per-run
-scalar oracle byte-identically, and the ``batch.fallback_scalar``
-telemetry counter accounts for the whole cell.
+The planned tiers (replicate / columnar-state) demote by raising
+``Demote`` with a reason when they cannot hold the oracle-identity
+contract.  This suite forces the uglier failure mode — an arbitrary
+exception escaping tier production, at build time or from inside either
+engine's mask producer — and pins the demotion path: ``run_batch`` never
+raises, every row re-executes through the per-run scalar oracle
+byte-identically, and the ``batch.fallback_scalar`` /
+``batch.demoted[reason]`` telemetry counters account for the whole cell.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from repro.engine.batch import (
     plan_for_run,
     run_batch,
 )
+from repro.engine.batch.columnar_state import CellProgram, Demote
 from repro.observability import Telemetry
 from repro.scenarios import CommSpec, ScenarioSpec, register_scenario
 from repro.scenarios.registry import SCENARIO_REGISTRY
+from repro.utils.accel import get_numpy
 
 
 def canonical(rows):
@@ -53,14 +56,14 @@ def byz_lossy_scenario():
         del SCENARIO_REGISTRY[spec.name]
 
 
-@pytest.fixture()
-def columnar_state_runs(byz_lossy_scenario):
+@pytest.fixture(params=["timed", "lockstep"])
+def columnar_state_runs(request, byz_lossy_scenario):
     """One campaign cell every run of which plans the columnar-state tier."""
     spec = CampaignSpec(
         name="byz-lossy-fault-injection",
         algorithms=("class-3",),
         models=((11, 2, 1),),
-        engines=("timed",),
+        engines=(request.param,),
         scenarios=(byz_lossy_scenario.name,),
         repetitions=6,
         seed=13,
@@ -88,28 +91,55 @@ def test_columnar_state_exception_demotes_to_scalar(
     assert canonical(rows) == oracle
     assert all(row["_backend"] == "scalar" for row in rows)
     assert telemetry.counters["batch.fallback_scalar"] == len(runs)
+    assert telemetry.counters["batch.demoted[tier raised RuntimeError]"] == len(runs)
     assert "batch.columnar_state_rows" not in telemetry.counters
-    assert "batch.columnar_rows" not in telemetry.counters
 
 
-def test_columnar_row_loop_exception_demotes_to_scalar(
+def test_exploding_mask_producer_demotes_to_scalar(
     monkeypatch, columnar_state_runs
 ):
-    """If the per-run columnar tier raises too, the oracle still answers."""
+    """The array program itself blowing up mid-run — inside the engine's
+    mask producer, templates already built — demotes with identical rows."""
     runs = columnar_state_runs
-
-    def exploding(*_args, **_kwargs):
-        raise RuntimeError("injected: tier blew up")
-
-    monkeypatch.setattr(
-        "repro.engine.batch.kernel.columnar_state_rows", exploding
-    )
-    monkeypatch.setattr("repro.engine.batch.kernel._columnar_rows", exploding)
     oracle = canonical(execute_chunk(runs, False, "scalar"))
+    if get_numpy() is not None:  # the program really runs: rows match first
+        assert canonical(run_batch(runs)) == oracle
+
+    def exploding(self, rt, streams, live):
+        if rt.number < 2:
+            return original(self, rt, streams, live)
+        raise FloatingPointError("injected: mask producer broke in round 2")
+
+    original = CellProgram._deliver
+    monkeypatch.setattr(CellProgram, "_deliver", exploding)
     telemetry = Telemetry()
     rows = run_batch(runs, telemetry=telemetry)
     assert canonical(rows) == oracle
+    assert all(row["_backend"] == "scalar" for row in rows)
     assert telemetry.counters["batch.fallback_scalar"] == len(runs)
+    reason = (
+        "tier raised FloatingPointError"
+        if get_numpy() is not None
+        else "numpy absent"
+    )
+    assert telemetry.counters[f"batch.demoted[{reason}]"] == len(runs)
+
+
+def test_template_demotion_carries_its_reason(monkeypatch, columnar_state_runs):
+    """A ``Demote`` raised while building templates names itself."""
+    if get_numpy() is None:
+        pytest.skip("numpy absent demotes before any template is built")
+    runs = columnar_state_runs
+
+    def stale(self, number):
+        raise Demote("value 'x' escaped the cell alphabet")
+
+    monkeypatch.setattr(CellProgram, "_build_template", stale)
+    telemetry = Telemetry()
+    rows = run_batch(runs, telemetry=telemetry)
+    assert canonical(rows) == canonical(execute_chunk(runs, False, "scalar"))
+    key = "batch.demoted[value 'x' escaped the cell alphabet]"
+    assert telemetry.counters[key] == len(runs)
 
 
 def test_replicate_exception_demotes_to_scalar(monkeypatch):
@@ -135,4 +165,5 @@ def test_replicate_exception_demotes_to_scalar(monkeypatch):
     rows = run_batch(runs, telemetry=telemetry)
     assert canonical(rows) == oracle
     assert telemetry.counters["batch.fallback_scalar"] == len(runs)
+    assert telemetry.counters["batch.demoted[tier raised RuntimeError]"] == len(runs)
     assert "batch.replicated_rows" not in telemetry.counters

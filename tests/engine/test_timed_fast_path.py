@@ -197,36 +197,43 @@ def test_sample_round_matches_per_message_stream():
         assert batched.sample_round(send_time, edges) == expected
 
 
-@pytest.mark.parametrize(
-    "latency", [UniformLatency(0.5, 2.0), FixedLatency(1.0)]
-)
-def test_block_rng_network_matches_per_message_stream(latency):
+@pytest.mark.parametrize("kind", ["uniform", "fixed"])
+def test_columnar_state_transits_match_per_message_stream(kind):
     """The batch backend's per-run RNG contract, at the network layer.
 
-    A network whose stream is a :class:`~repro.utils.accel.BlockRng` (the
-    columnar tier's block-capable stream) draws the same floats, draw for
-    draw, as the scalar network — including scalar ``transit_time`` calls
-    interleaved between bulk rounds, which is exactly the heap scheduler's
-    access pattern.
+    The columnar-state tier's timed mask producer never calls the network:
+    it re-derives each round's transit times from bulk
+    :meth:`~repro.utils.accel.BlockRng.block` draws.  Those must be the
+    floats the scalar network hands the scheduler, draw for draw — pre-GST
+    chaos pairs, post-GST clamping and the fixed model's coin-only stream
+    included — and leave the stream where the scalar one stands.
     """
-    from repro.utils.accel import BlockRng
+    from types import SimpleNamespace
 
+    from repro.engine.batch.columnar_state import CellProgram
+    from repro.eventsim.network import NetworkSpec
+    from repro.utils.accel import BlockRng, get_numpy
+
+    np = get_numpy()
+    if np is None:
+        pytest.skip("columnar-state needs numpy")
     edges = [(s, d) for s in range(6) for d in range(6)]
-    for gst, send_time in [(0.0, 0.0), (30.0, 2.5), (30.0, 30.0)]:
-        block_net = PartialSynchronyNetwork(
-            latency, gst=gst, delta=2.0, pre_gst_delay_prob=0.5,
-            rng=BlockRng(5),
-        )
-        serial = PartialSynchronyNetwork(
-            latency, gst=gst, delta=2.0, pre_gst_delay_prob=0.5, seed=5
-        )
-        expected = [serial.transit_time(send_time, s, d) for s, d in edges]
-        assert block_net.sample_round(send_time, edges) == expected
-        # The streams stay aligned across the bulk draw: the next scalar
-        # draw on each network agrees too.
-        assert block_net.transit_time(send_time, 1, 2) == serial.transit_time(
-            send_time, 1, 2
-        )
+    for gst, send_time, delta in [(0.0, 0.0, 2.0), (30.0, 2.5, 2.0),
+                                  (30.0, 30.0, 2.0), (0.0, 0.0, 1.2)]:
+        spec = NetworkSpec(kind=kind, gst=gst, delta=delta)
+        program = SimpleNamespace(np=np, timing=spec)
+        CellProgram._compile_timing(program)
+        stream = BlockRng(5)
+        serial = spec.build(5)
+        for _ in range(2):  # consecutive rounds continue one stream
+            expected = serial.sample_round(send_time, edges)
+            if serial.constant_transit(send_time) is not None:
+                continue  # the zero-draw branch: nothing to mirror
+            got = CellProgram._transits(
+                program, stream,
+                SimpleNamespace(pre_gst=send_time < gst), len(edges),
+            )
+            assert [float(v) for v in got] == expected
 
 
 def test_sample_many_accepts_payload_triples():
@@ -291,23 +298,3 @@ def test_block_rng_transplant_equality_immediately():
     assert [float(v) for v in rng.block(5)] == [
         mirror.random() for _ in range(5)
     ]
-
-
-def test_block_rng_clone_diverges_from_shared_state():
-    """clone() duplicates the stream position; the twins then diverge."""
-    from repro.utils.accel import BlockRng
-
-    rng = BlockRng(47)
-    rng.block(13)  # leave a partially consumed buffer behind
-    twin = rng.clone()
-    a = [float(v) for v in rng.block(20)]
-    b = [float(v) for v in twin.block(20)]
-    assert a == b  # same state at clone time -> same continuation
-    # Independent states after the clone: advancing one does not move the
-    # other — the twin's next draw is still draw #34 of the seed stream.
-    rng.random()
-    rng.random()
-    reference = random.Random(47)
-    for _ in range(33):
-        reference.random()
-    assert twin.random() == reference.random()

@@ -112,7 +112,38 @@ def test_campaign_plan_classifies_cells_without_executing(capsys):
     assert "array program" in out
     # The classification is a plan, not an execution: tier counts cover
     # the whole grid.
-    assert "tiers:" in out
+    assert "tiers: columnar-state 20  replicate 50  scalar 26" in out
+    assert "reads its inbox" not in out  # clause lists are opt-in
+
+
+def test_campaign_plan_explain_lists_every_failed_clause(capsys):
+    assert main(["campaign", "plan", "gauntlet"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["campaign", "plan", "gauntlet", "--explain"]) == 0
+    explained = capsys.readouterr().out.splitlines()
+    # The default table — rows, one-line reasons, tally — is untouched;
+    # --explain only adds clause lines under scalar cells.
+    clauses = [line for line in explained if line.startswith("      - ")]
+    assert [line for line in explained if line not in clauses] == plain
+    assert len(clauses) == 26
+    # 16 class-1 (7,1,1) resolution failures, 10 adaptive-liar cells.
+    assert sum("requires n > 5b + 3f" in line for line in clauses) == 16
+    assert sum(
+        line == "      - strategy 'adaptive-liar' reads its inbox"
+        for line in clauses
+    ) == 10
+
+
+def test_profile_batch_surfaces_demotion_reason(capsys, monkeypatch):
+    cell = ["profile", "lossy_channel", "--algorithm", "class-2", "--n", "9",
+            "--b", "1", "--f", "1", "--engine", "lockstep", "--batch", "6"]
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    assert main(cell) == 0
+    out = capsys.readouterr().out
+    assert "plan: columnar-state" in out
+    assert "rows: scalar 6" in out
+    assert "batch.demoted[numpy absent]=6" in out
+    assert "batch.fallback_scalar=6" in out
 
 
 def test_campaign_plan_unknown_spec(capsys):
