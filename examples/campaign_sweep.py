@@ -34,8 +34,12 @@ def main():
 
     # 2. Stream the grid through a process pool: rows are yielded as they
     #    complete (bounded in-flight window, memory O(window) not O(grid))
-    #    and appended to a crash-safe checkpoint one flush at a time.  The
-    #    per-cell report folds in the same pass.  Per-run seeds are derived
+    #    and appended to a crash-safe checkpoint one flush at a time
+    #    (`lines=True`: the worker that ran a row also serialized it, the
+    #    sink writes that line verbatim and notes where it went, and the
+    #    finalize merge copies lines by that index — no row is dumped or
+    #    parsed twice).  The per-cell report folds in the same pass.
+    #    Per-run seeds are derived
     #    from the campaign seed and each run's coordinates, so any worker
     #    count produces a byte-identical final file — and an interrupted
     #    sweep resumes from the checkpoint (`repro campaign run --resume`).
@@ -44,14 +48,15 @@ def main():
     # This demo always starts fresh: drop any checkpoint a previously
     # interrupted run left behind (appending to it would let its stale
     # rows win at finalize).  A real resuming caller instead gates on
-    # `validate_resume(spec, checkpoint)` and passes the returned run_ids
-    # as `skip_run_ids` — what `repro campaign run --resume` does.
+    # `validate_resume(spec, checkpoint)`, passes the returned index's
+    # run_ids as `skip_run_ids` and the index itself to `open_append` —
+    # what `repro campaign run --resume` does.
     checkpoint_path(out).unlink(missing_ok=True)
     with ResultStore(checkpoint_path(out)).open_append() as sink:
-        for row in iter_campaign(spec, workers=4):
+        for row in iter_campaign(spec, workers=4, lines=True):
             sink.append(row)
             fold.add(row)
-    path = finalize_checkpoint(checkpoint_path(out), out)
+    path = finalize_checkpoint(checkpoint_path(out), out, sink.index)
     print(f"wrote {spec.total_runs} rows to {path}\n")
 
     # 3. Aggregate: per-(algorithm, n, b, f, engine, fault) summaries.

@@ -28,14 +28,18 @@ keep their derived seeds.  The same campaign seed yields byte-identical
 results at any worker count.
 
 Execution is **streaming and resumable**: :func:`iter_campaign` yields rows
-as runs complete (runs dispatched in chunks of ``chunk`` per pool future,
-auto-sized from the grid, under a bounded in-flight window accounted in
-runs — memory O(window), not O(grid)), each row lands in a crash-safe
+as runs complete (runs dispatched in chunks — ``chunk`` per pool future,
+auto-sized from the grid, a cell that replicates or runs as one array
+program travelling whole — under a bounded in-flight window accounted in
+runs: memory O(window), not O(grid)), each row lands in a crash-safe
 ``<out>.partial`` checkpoint as its chunk completes (a crash re-executes at
 most the in-flight window of runs on ``--resume``; pass ``chunk=1`` for
 per-run checkpoint granularity), and ``repro campaign run --resume`` skips
 the recorded ``run_id``\\ s and completes the file; the finalized snapshot
-is byte-identical to a single-shot run at any ``(workers, chunk)``.
+is byte-identical to a single-shot run at any ``(workers, chunk)``.  Each
+row is serialized once, by the process that executed it, and the finalize
+step merges checkpoint lines by byte offset instead of re-reading rows
+(see :mod:`repro.campaigns.results`).
 """
 
 from repro.campaigns.aggregate import (

@@ -11,9 +11,20 @@ Two file shapes exist:
   completed run survives an interrupted campaign.  :func:`scan_checkpoint`
   recovers the recorded ``run_id``\\ s (tolerating one torn final line from
   a crash mid-write) and ``repro campaign run --resume`` skips them;
-* the **final snapshot** (``<out>``) — the checkpoint sorted by ``run_id``
-  and rewritten canonically (atomic rename), byte-identical to what a
-  single uninterrupted run would have produced.
+* the **final snapshot** (``<out>``) — the checkpoint's lines in ``run_id``
+  order (atomic rename), byte-identical to what a single uninterrupted
+  run would have produced.
+
+Each row is serialized **once, by the process that executed it**:
+:func:`attach_lines` (called by the runner's ``execute_chunk``, so in the
+pool worker when there is one) stores the canonical line on the row under
+the volatile :data:`LINE_KEY`, :meth:`ResultSink.append` writes that line
+verbatim, and :func:`finalize_checkpoint` is a *byte-offset merge*: the
+sink records ``run_id → (offset, length)`` for every line it appends (the
+resume scan records the same for the lines it parses), and finalize copies
+those slices of the checkpoint in ``run_id`` order.  No row is parsed or
+dumped a second time and finalize never builds a row dict; what it holds
+is the checkpoint's bytes and two integers per row.
 
 :class:`ResultStore` binds one path; :meth:`ResultStore.open_append`
 returns the held-open :class:`ResultSink` the streaming runner writes
@@ -27,9 +38,29 @@ import json
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Type,
+)
 
 Row = Dict[str, object]
+
+#: ``run_id → (byte offset, byte length)`` of the checkpoint line recording
+#: that run, newline included; a run recorded twice keeps its first line.
+LineIndex = Dict[int, Tuple[int, int]]
+
+#: Volatile row key under which :func:`attach_lines` stores the row's
+#: canonical line for :meth:`ResultSink.append` to write verbatim.
+LINE_KEY = "_line"
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def row_to_json(row: Row) -> str:
@@ -40,9 +71,21 @@ def row_to_json(row: Row) -> str:
     are stripped here, so canonical result files stay byte-identical
     across worker counts, chunk sizes and instrumentation settings.
     """
-    if any(key.startswith("_") for key in row):
-        row = {key: value for key, value in row.items() if not key.startswith("_")}
-    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return _encode(
+        {key: value for key, value in row.items() if key[:1] != "_"}
+    )
+
+
+def attach_lines(rows: List[Row]) -> List[Row]:
+    """Store each row's canonical line on the row, under :data:`LINE_KEY`.
+
+    Called by the process that produced ``rows`` once they are final, so
+    serialization happens there (a pool worker, when there is one) and
+    exactly once; the key is volatile, so it never reaches a result file.
+    """
+    for row in rows:
+        row[LINE_KEY] = row_to_json(row)
+    return rows
 
 
 def rows_to_jsonl(rows: Iterable[Row]) -> str:
@@ -90,19 +133,21 @@ def checkpoint_path(out: object) -> Path:
 
 
 class _CheckpointScan:
-    """One streaming pass over a checkpoint: ids, offset, endpoint rows."""
+    """One streaming pass over a checkpoint: index, offset, endpoint rows."""
 
-    __slots__ = ("run_ids", "intact", "first", "last", "campaigns")
+    __slots__ = ("index", "intact", "first", "last", "campaigns")
 
     def __init__(self) -> None:
-        self.run_ids: Set[int] = set()
+        self.index: LineIndex = {}
         self.intact = 0
         self.first: Optional[Row] = None
         self.last: Optional[Row] = None
         self.campaigns: Set[object] = set()
 
 
-def _scan(path: object) -> _CheckpointScan:
+def _scan(
+    path: object, on_row: Optional[Callable[[Row], None]] = None
+) -> _CheckpointScan:
     scan = _CheckpointScan()
     # A parse failure is tolerated only on the *final* line; remember it
     # and raise retroactively if any further line proves it was mid-file.
@@ -128,7 +173,12 @@ def _scan(path: object) -> _CheckpointScan:
                 raise ValueError(
                     f"{path}: checkpoint line {number} has no integer run_id"
                 )
-            scan.run_ids.add(run_id)
+            if run_id not in scan.index:
+                # ``intact`` is this line's offset: every earlier line
+                # has been added to it.
+                scan.index[run_id] = (scan.intact, len(raw))
+                if on_row is not None:
+                    on_row(row)
             scan.campaigns.add(row.get("campaign"))
             if scan.first is None:
                 scan.first = row
@@ -145,19 +195,32 @@ def scan_checkpoint(path: object) -> Tuple[Set[int], int]:
     truncates it and re-executes that run.  Corruption anywhere *before*
     the final line raises ``ValueError`` — that file is not a checkpoint
     this code ever wrote.  The scan streams line by line: memory stays
-    O(one line) however large the checkpoint grew.
+    O(one line) plus two integers per recorded run.
     """
     scan = _scan(path)
-    return scan.run_ids, scan.intact
+    return set(scan.index), scan.intact
 
 
-def validate_resume(spec, checkpoint: object) -> Tuple[Set[int], int]:
+def validate_resume(
+    spec,
+    checkpoint: object,
+    on_row: Optional[Callable[[Row], None]] = None,
+) -> Tuple[LineIndex, int]:
     """Scan ``checkpoint`` and validate that ``spec`` may resume from it.
 
     ``spec`` is any object with ``name``, ``total_runs`` and ``iter_runs()``
     — a :class:`~repro.campaigns.spec.CampaignSpec` (duck-typed so this
-    module needs no spec import).  Returns ``(recorded run_ids, intact
-    byte length)``; truncate the file to that length before appending.
+    module needs no spec import).  Returns ``(line index, intact byte
+    length)``: the index's keys are the recorded run_ids (what
+    :func:`~repro.campaigns.runner.iter_campaign` takes as
+    ``skip_run_ids``); truncate the file to the length before appending,
+    and hand the index to :meth:`ResultStore.open_append` so the sink
+    continues it for :func:`finalize_checkpoint`.
+
+    This is the one pass that parses the recorded rows, so ``on_row`` —
+    called once per recorded run, duplicates skipped — is where a caller
+    folds them into its report; whatever it accumulated is void when the
+    validation raises.
 
     Raises :class:`ValueError` when the checkpoint is corrupt, names a
     different campaign, records a ``run_id`` outside this grid, or fails
@@ -170,18 +233,18 @@ def validate_resume(spec, checkpoint: object) -> Tuple[Set[int], int]:
     should gate on this.
     """
     path = Path(checkpoint)
-    scan = _scan(path)  # single parse pass: ids, offset, endpoint rows
-    if not scan.run_ids:
-        return scan.run_ids, scan.intact
+    scan = _scan(path, on_row)  # single parse pass: index, endpoint rows
+    if not scan.index:
+        return scan.index, scan.intact
     foreign = scan.campaigns - {spec.name}
     if foreign:
         raise ValueError(
             f"checkpoint {path} belongs to campaign "
             f"{next(iter(foreign))!r}, not {spec.name!r}"
         )
-    if max(scan.run_ids) >= spec.total_runs:
+    if max(scan.index) >= spec.total_runs:
         raise ValueError(
-            f"checkpoint {path} records run {max(scan.run_ids)} but this "
+            f"checkpoint {path} records run {max(scan.index)} but this "
             f"grid has only {spec.total_runs} runs (spec changed?)"
         )
     expected = {
@@ -197,32 +260,70 @@ def validate_resume(spec, checkpoint: object) -> Tuple[Set[int], int]:
                 )
             if not expected:
                 break
-    return scan.run_ids, scan.intact
+    return scan.index, scan.intact
 
 
-def finalize_checkpoint(checkpoint: object, out: object) -> Path:
-    """Sort a complete checkpoint into the canonical final snapshot.
+def _is_line_of(data: bytes, run_id: int, offset: int, length: int) -> bool:
+    """Is ``data[offset:offset + length]`` exactly one whole line — starting
+    where a line starts, its only newline last — that records ``run_id``?"""
+    end = offset + length
+    if not 0 <= offset < end <= len(data):
+        return False
+    if data.find(b"\n", offset, end) != end - 1:
+        return False  # no newline, or one before the slice's last byte
+    if offset and data[offset - 1:offset] != b"\n":
+        return False
+    field = b'"run_id":%d' % run_id
+    found = data.find(field, offset, end)
+    return found != -1 and data[found + len(field)] in b",}"
 
-    Rows are ordered by ``run_id`` (duplicates — possible only if two
-    resumes raced — keep their first occurrence), written to a temporary
-    sibling and atomically renamed onto ``out``; the checkpoint is removed
-    last, so a crash at any point leaves either a resumable checkpoint or
-    the finished file, never neither.
 
-    This is the one step that holds the full row set in memory (sorting
-    needs it); the *runner's* peak memory stays bounded by the in-flight
-    window throughout execution, and a finalize that dies on memory leaves
-    the checkpoint intact to finalize elsewhere.
+def finalize_checkpoint(
+    checkpoint: object, out: object, index: Optional[LineIndex] = None
+) -> Path:
+    """Merge a complete checkpoint into the canonical final snapshot.
+
+    A byte-offset merge: the checkpoint is read once and the line each
+    ``index`` entry points at is copied, in ``run_id`` order (a run
+    recorded twice — possible only if two resumes raced — keeps its first
+    line), to a temporary sibling that is atomically renamed onto ``out``;
+    the checkpoint is removed last, so a crash at any point leaves either
+    a resumable checkpoint or the finished file, never neither.  Lines are
+    copied verbatim — the sink only ever writes canonical ones — and no
+    row is parsed: memory is the checkpoint's bytes plus the index.
+
+    ``index`` is what the campaign's :class:`ResultSink` accumulated
+    (``sink.index``); without one it is rebuilt by scanning the
+    checkpoint, which then must not end in a torn line.  Every entry is
+    checked against the bytes before anything is written: an entry that is
+    not exactly one whole line recording its ``run_id`` raises
+    :class:`ValueError` and leaves the checkpoint in place.
     """
     source = Path(checkpoint)
     target = Path(out)
-    rows: Dict[int, Row] = {}
-    for row in iter_rows(source):
-        rows.setdefault(int(row["run_id"]), row)
-    ordered = [rows[run_id] for run_id in sorted(rows)]
+    if index is None:
+        scan = _scan(source)
+        if scan.intact != source.stat().st_size:
+            raise ValueError(
+                f"{source}: torn or corrupt final line; resume the "
+                "campaign to complete it"
+            )
+        index = scan.index
+    data = source.read_bytes()
+    lines = sorted(index.items())
+    for run_id, (offset, length) in lines:
+        if not _is_line_of(data, run_id, offset, length):
+            raise ValueError(
+                f"{source}: index entry for run {run_id} (offset {offset}, "
+                f"length {length}) is not that run's line in the file"
+            )
+    view = memoryview(data)
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(target.name + ".tmp")
-    scratch.write_text(rows_to_jsonl(ordered), encoding="utf-8")
+    with open(scratch, "wb") as handle:
+        handle.writelines(
+            view[offset:offset + length] for _, (offset, length) in lines
+        )
     os.replace(scratch, target)
     source.unlink()
     return target
@@ -232,23 +333,35 @@ class ResultSink:
     """A held-open, crash-safe append handle for streaming campaign rows.
 
     One file handle serves the whole campaign (O(1) ``open`` calls instead
-    of O(rows)); each :meth:`append` writes one canonical line and flushes,
-    so every appended row has reached the OS before the next run executes.
-    Use as a context manager::
+    of O(rows)); each :meth:`append` writes one canonical line — the one
+    :func:`attach_lines` left on the row, else serialized here — and
+    flushes, so every appended row has reached the OS before the next run
+    executes.  :attr:`index` records where each line went, for
+    :func:`finalize_checkpoint`; a resumed campaign passes the index
+    :func:`validate_resume` returned, and the sink continues it.  Use as a
+    context manager::
 
         with ResultStore(path).open_append() as sink:
             for row in iter_campaign(spec):
                 sink.append(row)
+        finalize_checkpoint(path, out, sink.index)
     """
 
-    def __init__(self, path: object) -> None:
+    def __init__(
+        self, path: object, index: Optional[LineIndex] = None
+    ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, "ab")
+        self.index: LineIndex = {} if index is None else index
+        self._offset = self._handle.tell()  # append mode opens at the end
 
     def append(self, row: Row) -> None:
-        self._handle.write(row_to_json(row) + "\n")
+        data = (row.get(LINE_KEY) or row_to_json(row)).encode("utf-8") + b"\n"
+        self._handle.write(data)
         self._handle.flush()
+        self.index.setdefault(row["run_id"], (self._offset, len(data)))
+        self._offset += len(data)
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -280,8 +393,8 @@ class ResultStore:
     def __init__(self, path: object) -> None:
         self.path = Path(path)
 
-    def open_append(self) -> ResultSink:
-        return ResultSink(self.path)
+    def open_append(self, index: Optional[LineIndex] = None) -> ResultSink:
+        return ResultSink(self.path, index)
 
     def append(self, row: Row) -> None:
         with self.open_append() as sink:

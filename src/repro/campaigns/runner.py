@@ -14,18 +14,29 @@ seed — the runner no longer hand-assembles any of them, and crash scripts
 execute on the timed engine too (only ``crashes > f`` stays inapplicable).
 
 :func:`iter_campaign` is the streaming primitive: it lazily draws runs from
-:meth:`CampaignSpec.iter_runs`, dispatches them inline (``workers=1``) or
-onto a :class:`~concurrent.futures.ProcessPoolExecutor` in **chunks of
-``chunk`` runs per future** (auto-sized from the grid when unset) under a
-**bounded in-flight window accounted in runs** (completed rows are yielded
-chunk by chunk as futures finish — blocking is bounded by one chunk, and
-peak row memory is O(window), not O(grid)), and skips any ``run_id`` in
-``skip_run_ids`` —
-which is how ``--resume`` completes an interrupted campaign.  Rows arrive
+:meth:`CampaignSpec.iter_runs`, cuts the stream into **chunks** — the unit
+of dispatch: one :func:`execute_chunk` call, one pool future, one pickle
+round-trip — executes them inline (``workers=1``) or on a
+:class:`~concurrent.futures.ProcessPoolExecutor` under a **bounded
+in-flight window accounted in runs** (completed rows are yielded chunk by
+chunk as futures finish — blocking is bounded by one chunk, and peak row
+memory is O(window), not O(grid)), and skips any ``run_id`` in
+``skip_run_ids`` — which is how ``--resume`` completes an interrupted
+campaign.  A chunk is ``chunk`` consecutive runs (auto-sized from the grid
+when unset), except that an auto-sized cut never falls inside a cell that
+executes as one unit — one the batch planner replicates or runs as one
+array program, or one the algorithm rejects outright: such a cell travels
+whole, up to :data:`CELL_CHUNK_CAP` runs, so its one representative
+executes once instead of once per fragment.  Rows arrive
 in completion order; because every run's seed is derived from its
 coordinates, sorting the stream by ``run_id`` reproduces the
 byte-identical canonical file at any worker count and any chunk size.
 :func:`run_campaign` is the collect-and-sort convenience wrapper over it.
+
+With ``lines=True`` the process that executes a chunk also serializes its
+rows (:func:`~repro.campaigns.results.attach_lines`): the canonical JSON
+line rides back on the row as a volatile field and the result sink writes
+it verbatim, so serialization parallelizes with the pool and happens once.
 
 Runs go straight through the unified execution kernel with
 ``observe="metrics"``: no :class:`~repro.analysis.trace.RoundRecord`, trace
@@ -60,6 +71,7 @@ from typing import (
     Tuple,
 )
 
+from repro.campaigns.results import attach_lines
 from repro.campaigns.spec import CampaignSpec, RunSpec, resolve_algorithm
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.types import FaultModel
@@ -268,12 +280,19 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
 
 
 #: Default in-flight chunks per worker before dispatch pauses (the window
-#: is accounted in runs: ``workers × WINDOW_PER_WORKER × chunk``).
+#: is accounted in runs: ``workers × WINDOW_PER_WORKER ×`` the largest
+#: chunk dispatched so far).
 WINDOW_PER_WORKER = 4
 
 #: Upper bound on the auto-sized chunk: one future never carries more rows
-#: than this, keeping per-future result latency and memory bounded.
+#: of per-run work than this, keeping per-future result latency and memory
+#: bounded.
 MAX_CHUNK = 32
+
+#: Upper bound on the runs of one cell that travel in one chunk when the
+#: cell travels whole (see :func:`_travels_whole`); a larger cell is cut
+#: into pieces of this many runs.
+CELL_CHUNK_CAP = 256
 
 #: Execution backends: ``auto`` batches cells at or above
 #: :data:`BATCH_FLOOR` runs, ``batch`` forces the batch kernel on every
@@ -339,6 +358,7 @@ def execute_chunk(
     runs: Sequence[RunSpec],
     timings: bool = False,
     backend: Optional[str] = None,
+    lines: bool = False,
 ) -> List[Row]:
     """Execute a batch of runs in one worker task (one dispatch round-trip).
 
@@ -351,19 +371,23 @@ def execute_chunk(
     kernel (:func:`repro.engine.batch.run_batch`); row contents are
     byte-identical to the scalar oracle at every backend, so the choice is
     purely a throughput knob.
+
+    ``lines=True`` serializes the rows here, where they were produced
+    (:func:`~repro.campaigns.results.attach_lines`).
     """
     backend = resolve_backend(backend)
     if backend == "scalar":
-        return [execute_run(run, timings=timings) for run in runs]
-    from repro.engine.batch import run_batch
+        rows = [execute_run(run, timings=timings) for run in runs]
+    else:
+        from repro.engine.batch import run_batch
 
-    rows: List[Row] = []
-    for group in _iter_cell_groups(runs):
-        if backend == "auto" and len(group) < BATCH_FLOOR:
-            rows.extend(execute_run(run, timings=timings) for run in group)
-        else:
-            rows.extend(run_batch(group, timings=timings))
-    return rows
+        rows = []
+        for group in _iter_cell_groups(runs):
+            if backend == "auto" and len(group) < BATCH_FLOOR:
+                rows.extend(execute_run(run, timings=timings) for run in group)
+            else:
+                rows.extend(run_batch(group, timings=timings))
+    return attach_lines(rows) if lines else rows
 
 
 def _auto_chunk(remaining: int, workers: int) -> int:
@@ -374,6 +398,59 @@ def _auto_chunk(remaining: int, workers: int) -> int:
     and progress granularity), capped at :data:`MAX_CHUNK`.
     """
     return max(1, min(MAX_CHUNK, remaining // (workers * 8)))
+
+
+def _travels_whole(run: RunSpec) -> bool:
+    """Does ``run``'s cell execute as one unit rather than run by run?
+
+    True for a cell the batch planner replicates (one representative
+    executes) or runs as one columnar-state array program, and for a cell
+    whose algorithm rejects the model (no kernel runs at all; every row is
+    the same verdict).  Fragmenting such a cell repeats its fixed cost per
+    fragment, so dispatch keeps it in one chunk; a scalar-planned cell
+    pays one kernel run per row and chunks by :func:`_auto_chunk`.
+    """
+    from repro.engine.batch import MODE_SCALAR, plan_for_run
+
+    try:
+        _resolve_algorithm_memo(run.algorithm, FaultModel(run.n, run.b, run.f))
+    except Exception:
+        return True
+    return plan_for_run(run).mode != MODE_SCALAR
+
+
+def _iter_chunks(
+    runs: Iterator[RunSpec], size: int, cell_cap: Optional[int]
+) -> Iterator[Tuple[RunSpec, ...]]:
+    """Cut the run stream into dispatch chunks of ``size`` runs.
+
+    With ``cell_cap`` set, a cut never falls inside a cell that
+    :func:`_travels_whole`: it waits for the cell's end, or for
+    ``cell_cap`` runs of the cell, whichever comes first.
+    """
+    if cell_cap is not None:
+        from repro.engine.batch import cell_key
+
+    chunk: List[RunSpec] = []
+    key = None
+    whole = False  # does the current cell travel whole?
+    held = 0  # runs of the current cell in ``chunk``
+    for run in runs:
+        if cell_cap is not None:
+            run_key = cell_key(run)
+            if run_key != key:
+                if len(chunk) >= size:  # the cut the last cell deferred
+                    yield tuple(chunk)
+                    chunk = []
+                key, held, whole = run_key, 0, _travels_whole(run)
+        chunk.append(run)
+        held += 1
+        if held >= cell_cap if whole else len(chunk) >= size:
+            yield tuple(chunk)
+            chunk = []
+            held = 0
+    if chunk:
+        yield tuple(chunk)
 
 
 def iter_campaign(
@@ -387,18 +464,22 @@ def iter_campaign(
     timings: bool = False,
     on_event: Optional[EventFn] = None,
     backend: Optional[str] = None,
+    lines: bool = False,
 ) -> Iterator[Row]:
     """Stream result rows as runs complete (completion order, not run_id).
 
     Runs are drawn lazily from :meth:`CampaignSpec.iter_runs`; any id in
     ``skip_run_ids`` (runs a checkpoint already recorded) is skipped without
-    executing.  With ``workers > 1``, runs are submitted ``chunk`` at a time
-    per future (auto-sized from the grid when ``None``) and at most
-    ``window`` *runs* (default ``4 × workers × chunk``) are in flight at
-    once: completed rows are yielded via :func:`concurrent.futures.wait` as
-    soon as their chunk finishes, so a slow cell delays at most its own
-    chunk-mates (``chunk=1`` restores per-run streaming) and memory stays
-    bounded by the window regardless of grid size.
+    executing.  The stream is cut into chunks of ``chunk`` runs; when
+    ``chunk`` is ``None`` it is auto-sized from the grid and a cell that
+    executes as one unit travels whole (see :func:`_travels_whole`), while
+    an explicit ``chunk`` means exactly that many runs per chunk.  With ``workers > 1`` each chunk is one future and
+    at most ``window`` *runs* (default ``4 × workers ×`` the largest chunk
+    dispatched so far) are in flight at once: completed rows are yielded
+    via :func:`concurrent.futures.wait` as soon as their chunk finishes, so
+    a slow cell delays at most its own chunk-mates (``chunk=1`` restores
+    per-run streaming) and memory stays bounded by the window regardless
+    of grid size.
     ``progress(completed, total)`` counts skipped runs as already
     completed.  Chunking changes only dispatch batching — row contents are
     byte-identical at any ``(workers, chunk)``.  Abandoning the iterator
@@ -408,8 +489,12 @@ def iter_campaign(
     ``timings=True`` adds the volatile ``_elapsed_ms`` / ``_pid`` fields to
     each row (see :func:`execute_run`); ``on_event(kind, fields)`` receives
     runner lifecycle events (a ``chunk_dispatched`` per submitted worker
-    task) for the CLI's events sidecar.  Both default off, so library
-    callers see exactly the historical row stream.
+    task) for the CLI's events sidecar; ``lines=True`` has whichever
+    process executes a chunk serialize its rows as well (the volatile
+    :data:`~repro.campaigns.results.LINE_KEY` field, which
+    :class:`~repro.campaigns.results.ResultSink` writes verbatim).  All
+    three default off, so library callers see exactly the historical row
+    stream.
 
     ``backend`` selects the execution backend (see :data:`BACKENDS`;
     ``None`` reads :data:`BACKEND_ENV`, else ``auto``): the batch kernel
@@ -446,42 +531,37 @@ def iter_campaign(
             progress(completed, total)
         return row
 
-    if workers == 1:
-        if backend == "scalar":
-            for run in runs:
-                yield advance(execute_run(run, timings=timings))
-            return
-        # Batching backends buffer consecutive same-cell runs so whole
-        # cells reach the batch kernel; ``chunk`` caps the buffer (default
-        # MAX_CHUNK), bounding the latency between a run finishing and its
-        # row streaming out.
-        from repro.engine.batch import cell_key
+    # Whole-cell chunks pay off only where the batch kernel can run: under
+    # ``auto`` that takes cells of at least BATCH_FLOOR repetitions, and a
+    # smaller grid is spared the planning altogether.
+    cell_cap = None
+    if chunk is None and (
+        backend == "batch"
+        or (backend == "auto" and spec.repetitions >= BATCH_FLOOR)
+    ):
+        cell_cap = CELL_CHUNK_CAP
 
-        limit = chunk if chunk is not None else MAX_CHUNK
-        buffer: List[RunSpec] = []
-        key = None
-        for run in runs:
-            run_key = cell_key(run)
-            if buffer and (run_key != key or len(buffer) >= limit):
-                for row in execute_chunk(tuple(buffer), timings, backend):
-                    yield advance(row)
-                buffer = []
-            buffer.append(run)
-            key = run_key
-        if buffer:
-            for row in execute_chunk(tuple(buffer), timings, backend):
+    if workers == 1:
+        # Inline, a chunk is what buffers before rows stream out: nothing
+        # when no cell can batch, else up to MAX_CHUNK runs (or a cell).
+        size = chunk or (1 if cell_cap is None else MAX_CHUNK)
+        for chunk_runs in _iter_chunks(runs, size, cell_cap):
+            for row in execute_chunk(chunk_runs, timings, backend, lines):
                 yield advance(row)
         return
 
-    if chunk is None:
-        chunk = _auto_chunk(total - len(skip), workers)
+    size = chunk or _auto_chunk(total - len(skip), workers)
     if window is not None:
         # A caller-fixed window caps in-flight *runs*; chunks bigger than
         # one worker's share of it would serialize the pool (the first
         # submit alone fills the window), so shrink them to fit.
-        chunk = min(chunk, max(1, window // workers))
+        share = max(1, window // workers)
+        size = min(size, share)
+        if cell_cap is not None:
+            cell_cap = min(cell_cap, share)
+        limit = window
     else:
-        window = workers * WINDOW_PER_WORKER * chunk
+        limit = workers * WINDOW_PER_WORKER * size
     pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
         max_workers=workers
     )
@@ -492,7 +572,6 @@ def iter_campaign(
         # recoverable: the chunk is simply dispatched again.
         pending: Dict[object, Tuple[Tuple[RunSpec, ...], int]] = {}
         inflight = 0
-        batch: List[RunSpec] = []
 
         def emit(kind: str, fields: Dict[str, object]) -> None:
             if on_event is not None:
@@ -524,7 +603,7 @@ def iter_campaign(
             if pool is not None and attempt <= CHUNK_RETRY_LIMIT:
                 try:
                     future = pool.submit(
-                        execute_chunk, chunk_runs, timings, backend
+                        execute_chunk, chunk_runs, timings, backend, lines
                     )
                 except BrokenProcessPool as exc:
                     # The pool died between drains; recover() re-enters
@@ -537,7 +616,7 @@ def iter_campaign(
                 if attempt == 0:
                     emit("chunk_dispatched", {"runs": len(chunk_runs)})
                 return
-            for row in execute_chunk(chunk_runs, timings, backend):
+            for row in execute_chunk(chunk_runs, timings, backend, lines):
                 yield advance(row)
 
         def recover(
@@ -602,15 +681,17 @@ def iter_campaign(
                 for row in rows:
                     yield advance(row)
 
-        for run in runs:
-            batch.append(run)
-            if len(batch) >= chunk:
-                yield from dispatch(tuple(batch), 0)
-                batch.clear()
-                while inflight >= window:
-                    yield from drain()
-        if batch:
-            yield from dispatch(tuple(batch), 0)
+        for chunk_runs in _iter_chunks(runs, size, cell_cap):
+            yield from dispatch(chunk_runs, 0)
+            if window is None:
+                # Sized from what is actually dispatched: whole cells are
+                # larger than ``size``, and the pool should still hold
+                # WINDOW_PER_WORKER of them per worker.
+                limit = max(
+                    limit, workers * WINDOW_PER_WORKER * len(chunk_runs)
+                )
+            while inflight >= limit:
+                yield from drain()
         while pending:
             yield from drain()
     finally:

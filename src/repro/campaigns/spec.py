@@ -29,7 +29,7 @@ import hashlib
 import inspect
 import itertools
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -119,16 +119,24 @@ class RunSpec:
         strings — identical to the legacy ``FaultSpec`` / ``NetworkSpec``
         output for converted specs, so seeds survive the axis migration.
         """
-        return "|".join(
-            (
-                self.algorithm,
-                f"n{self.n}b{self.b}f{self.f}",
-                self.engine,
-                self.scenario.describe_fault(),
-                self.scenario.describe_network(),
-                f"rep{self.rep}",
-            )
+        return _cell_key_prefix(
+            self.algorithm, self.n, self.b, self.f, self.engine, self.scenario
+        ) + f"rep{self.rep}"
+
+
+def _cell_key_prefix(
+    algorithm: str, n: int, b: int, f: int, engine: str, scenario: ScenarioSpec
+) -> str:
+    """The part of :meth:`RunSpec.key` a cell's repetitions share."""
+    return "|".join(
+        (
+            algorithm,
+            f"n{n}b{b}f{f}",
+            engine,
+            scenario.describe_fault(),
+            scenario.describe_network(),
         )
+    ) + "|"
 
 
 #: A scenarios-axis entry: a registered preset name or an inline spec.
@@ -223,30 +231,29 @@ class CampaignSpec:
         streaming runner hold memory at O(in-flight window) on grids of
         millions of cells.
         """
-        grid = itertools.product(
-            self.algorithms,
-            self.models,
-            self.engines,
-            self.scenario_axis(),
-            range(self.repetitions),
+        cells = itertools.product(
+            self.algorithms, self.models, self.engines, self.scenario_axis()
         )
-        for run_id, (algorithm, (n, b, f), engine, scenario, rep) in (
-            enumerate(grid)
-        ):
-            run = RunSpec(
-                campaign=self.name,
-                run_id=run_id,
-                algorithm=algorithm,
-                n=n,
-                b=b,
-                f=f,
-                engine=engine,
-                scenario=scenario,
-                rep=rep,
-                seed=0,
-                max_phases=self.max_phases,
-            )
-            yield replace(run, seed=derive_seed(self.seed, run.key()))
+        run_id = 0
+        for algorithm, (n, b, f), engine, scenario in cells:
+            # The describe strings are rendered once per cell, not once
+            # per repetition, and each run is built with its seed.
+            prefix = _cell_key_prefix(algorithm, n, b, f, engine, scenario)
+            for rep in range(self.repetitions):
+                yield RunSpec(
+                    campaign=self.name,
+                    run_id=run_id,
+                    algorithm=algorithm,
+                    n=n,
+                    b=b,
+                    f=f,
+                    engine=engine,
+                    scenario=scenario,
+                    rep=rep,
+                    seed=derive_seed(self.seed, f"{prefix}rep{rep}"),
+                    max_phases=self.max_phases,
+                )
+                run_id += 1
 
     def expand(self) -> List[RunSpec]:
         """The full grid as a list (see :meth:`iter_runs` for the lazy form)."""

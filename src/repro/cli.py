@@ -558,6 +558,24 @@ EXIT_INTERRUPTED = 3
 HEARTBEAT_EVERY = 20
 
 
+def _unwritable(path: Path) -> Optional[str]:
+    """Why ``path`` cannot be created or appended to (``None``: it can).
+
+    Creates the parent directories, as the run itself would, but leaves no
+    file behind that was not there before.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        with open(path, "ab"):
+            pass
+        if not existed:
+            path.unlink()
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    return None
+
+
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import os
     from dataclasses import replace as dc_replace
@@ -574,7 +592,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         ResultStore,
         checkpoint_path,
         finalize_checkpoint,
-        iter_rows,
         validate_resume,
     )
     from repro.observability import EventLog, ProgressLine
@@ -592,7 +609,28 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     out = Path(args.out or f"{spec.name}.results.jsonl")
     checkpoint = checkpoint_path(out)
 
-    skip: set = set()
+    # Error/violation counts and the per-cell report fold in the pass that
+    # first holds each row as a dict: the run loop for rows executed now,
+    # the resume validation scan for rows an earlier session recorded.
+    errors = 0
+    violations = 0
+    fold = SummaryFold() if not args.no_report else None
+
+    def absorb(row) -> None:
+        nonlocal errors, violations
+        if row.get("status") == "error":
+            errors += 1
+        if (
+            row.get("agreement") is False
+            or row.get("validity") is False
+            or row.get("unanimity") is False
+        ):
+            violations += 1
+        if fold is not None:
+            fold.add(row)
+
+    index = None  # where each recorded row's line sits in the checkpoint
+    intact = 0
     if args.resume:
         if not checkpoint.exists():
             hint = (
@@ -610,14 +648,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         # over).  Only then is a torn final line truncated so new appends
         # start on a clean row.
         try:
-            skip, intact = validate_resume(spec, checkpoint)
+            index, intact = validate_resume(spec, checkpoint, on_row=absorb)
         except ValueError as exc:
             print(
                 f"cannot resume: {exc}; delete the checkpoint to start over",
                 file=sys.stderr,
             )
             return 2
-        os.truncate(checkpoint, intact)
     elif checkpoint.exists():
         print(
             f"checkpoint {checkpoint} already exists; "
@@ -625,6 +662,18 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    skip = frozenset(index or ())
+
+    # Both output targets are probed before anything is truncated, created
+    # or executed: the checkpoint lives beside ``out``, so one probe covers
+    # the streaming appends and the final rename.
+    for target in [out] + ([Path(args.events)] if args.events else []):
+        reason = _unwritable(target)
+        if reason is not None:
+            print(f"cannot write {target}: {reason}", file=sys.stderr)
+            return 2
+    if args.resume:
+        os.truncate(checkpoint, intact)
 
     total = spec.total_runs
     step = max(1, total // 10)
@@ -639,6 +688,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         if args.progress
         else None
     )
+    # The per-status and per-backend tallies feed only the progress line
+    # and the events sidecar; a run with neither skips them.
+    watched = events is not None or progress_line is not None
     live = {"errors": 0, "inadmissible": 0}
 
     def progress(completed: int, _total: int) -> None:
@@ -656,28 +708,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         + f"backend {backend}",
         file=sys.stderr,
     )
-    # Error/violation counts and the per-cell report fold in the same pass
-    # that streams rows to the checkpoint.  Only a resumed campaign needs a
-    # post-finalize file pass instead: rows recorded by the earlier session
-    # never flow through this process's run loop.
-    errors = 0
-    violations = 0
-    fold = SummaryFold() if not args.no_report else None
-
-    def absorb(row) -> None:
-        nonlocal errors, violations
-        if row.get("status") == "error":
-            errors += 1
-        if any(
-            row.get(prop) is False
-            for prop in ("agreement", "validity", "unanimity")
-        ):
-            violations += 1
-        if fold is not None:
-            fold.add(row)
-
     executed = 0
     interrupted = False
+    stop_after = args.stop_after
     started_at = perf_counter()
     worker_rows: dict = {}
     backend_rows: dict = {}
@@ -702,7 +735,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             events.emit("resume_skipped", rows=len(skip))
     try:
         try:
-            with store.open_append() as sink:
+            with store.open_append(index) as sink:
                 for row in iter_campaign(
                     spec,
                     workers=args.workers,
@@ -712,50 +745,48 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                     timings=True,
                     on_event=on_event if events is not None else None,
                     backend=backend,
+                    lines=True,
                 ):
                     sink.append(row)
-                    status = row.get("status")
-                    row_backend = row.get("_backend", "scalar")
-                    backend_rows[row_backend] = (
-                        backend_rows.get(row_backend, 0) + 1
-                    )
-                    if status == "error":
-                        live["errors"] += 1
-                    elif status == "inadmissible":
-                        live["inadmissible"] += 1
-                    if not skip:
-                        absorb(row)
+                    absorb(row)
                     executed += 1
-                    if events is not None:
-                        events.emit(
-                            "row_completed",
-                            run_id=row.get("run_id"),
-                            status=status,
-                            backend=row_backend,
-                            duration_ms=row.get("_elapsed_ms"),
-                            pid=row.get("_pid"),
+                    if watched:
+                        status = row.get("status")
+                        row_backend = row.get("_backend", "scalar")
+                        backend_rows[row_backend] = (
+                            backend_rows.get(row_backend, 0) + 1
                         )
-                        pid = row.get("_pid")
-                        if isinstance(pid, int):
-                            rows = worker_rows[pid] = worker_rows.get(pid, 0) + 1
-                            if rows % HEARTBEAT_EVERY == 0:
-                                elapsed = perf_counter() - started_at
-                                events.emit(
-                                    "worker_heartbeat",
-                                    pid=pid,
-                                    rows=rows,
-                                    rows_per_s=(
-                                        round(rows / elapsed, 3)
-                                        if elapsed > 0
-                                        else None
-                                    ),
-                                )
-                        if executed % step == 0 or executed == total - len(skip):
-                            events.emit("checkpoint_flushed", rows=executed)
-                    if (
-                        args.stop_after is not None
-                        and executed >= args.stop_after
-                    ):
+                        if status == "error":
+                            live["errors"] += 1
+                        elif status == "inadmissible":
+                            live["inadmissible"] += 1
+                        if events is not None:
+                            events.emit(
+                                "row_completed",
+                                run_id=row.get("run_id"),
+                                status=status,
+                                backend=row_backend,
+                                duration_ms=row.get("_elapsed_ms"),
+                                pid=row.get("_pid"),
+                            )
+                            pid = row.get("_pid")
+                            if isinstance(pid, int):
+                                rows = worker_rows[pid] = worker_rows.get(pid, 0) + 1
+                                if rows % HEARTBEAT_EVERY == 0:
+                                    elapsed = perf_counter() - started_at
+                                    events.emit(
+                                        "worker_heartbeat",
+                                        pid=pid,
+                                        rows=rows,
+                                        rows_per_s=(
+                                            round(rows / elapsed, 3)
+                                            if elapsed > 0
+                                            else None
+                                        ),
+                                    )
+                            if executed % step == 0 or executed == total - len(skip):
+                                events.emit("checkpoint_flushed", rows=executed)
+                    if stop_after is not None and executed >= stop_after:
                         interrupted = True
                         break
         except KeyboardInterrupt:
@@ -791,7 +822,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             )
             events.close()
 
-    finalize_checkpoint(checkpoint, out)
+    finalize_checkpoint(checkpoint, out, sink.index)
     print(f"wrote {total} rows to {out}", file=sys.stderr)
     if args.resume:
         # Always reported, so a fully-recorded checkpoint resumes loudly
@@ -800,9 +831,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             f"resumed: {len(skip)} rows skipped, {executed} executed",
             file=sys.stderr,
         )
-    if skip:
-        for row in iter_rows(out):
-            absorb(row)
     if fold is not None:
         summaries = fold.summaries()
         print(format_report(summaries))

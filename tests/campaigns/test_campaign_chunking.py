@@ -4,15 +4,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaigns.results import rows_to_jsonl
 from repro.campaigns.runner import (
+    BATCH_FLOOR,
+    CELL_CHUNK_CAP,
     MAX_CHUNK,
     _auto_chunk,
+    _iter_cell_groups,
+    _iter_chunks,
     _resolve_algorithm_memo,
     execute_chunk,
+    execute_run,
     iter_campaign,
+    run_campaign,
 )
 from repro.campaigns.spec import CampaignSpec
 from repro.core.types import FaultModel
+from repro.engine.batch import (
+    MODE_COLUMNAR_STATE,
+    MODE_REPLICATE,
+    MODE_SCALAR,
+    plan_for_run,
+)
 
 
 def small_spec(**overrides):
@@ -102,3 +115,147 @@ def test_resolve_memo_shares_and_replays():
         _resolve_algorithm_memo("no-such-algorithm", model)
     with pytest.raises(KeyError):  # the memoized rejection replays too
         _resolve_algorithm_memo("no-such-algorithm", model)
+
+
+# --------------------------------------------------- cell-aligned dispatch
+
+
+def cell_spec(reps, scenarios=("fault-free", "lossy_channel", "async_then_sync")):
+    """class-2 at (9,1,1), both engines: per engine one replicate cell
+    (``fault-free``), one columnar-state cell (``lossy_channel``) and one
+    scalar cell (``async_then_sync``)."""
+    return CampaignSpec(
+        name="cells",
+        algorithms=("class-2",),
+        models=((9, 1, 1),),
+        engines=("lockstep", "timed"),
+        scenarios=scenarios,
+        repetitions=reps,
+        seed=5,
+        max_phases=12,
+    )
+
+
+def chunks_of(spec, size, cell_cap=CELL_CHUNK_CAP):
+    return list(_iter_chunks(spec.iter_runs(), size, cell_cap))
+
+
+def test_cell_spec_covers_all_three_tiers():
+    tiers = {}
+    for run in cell_spec(4).iter_runs():
+        tiers.setdefault(run.scenario.name, set()).add(plan_for_run(run).mode)
+    assert tiers == {
+        "fault-free": {MODE_REPLICATE},
+        "lossy_channel": {MODE_COLUMNAR_STATE},
+        "async_then_sync": {MODE_SCALAR},
+    }
+
+
+def test_batchable_cells_travel_whole_and_scalar_cells_chunk_as_before():
+    """reps 100 is not a multiple of the auto chunk (32): before, every
+    cell left a 4-run fragment and its representative ran four times."""
+    spec = cell_spec(100)
+    size = _auto_chunk(spec.total_runs, 2)
+    assert size == MAX_CHUNK
+    chunks = chunks_of(spec, size)
+    assert [run.run_id for chunk in chunks for run in chunk] == list(
+        range(spec.total_runs)
+    )
+    for chunk in chunks:
+        for group in _iter_cell_groups(chunk):
+            if group[0].scenario.name == "async_then_sync":
+                assert len(group) <= size
+            else:  # never split, so never below the batch floor at an edge
+                assert len(group) == 100 >= BATCH_FLOOR
+    # A grid of scalar cells alone is cut exactly as it was: every
+    # ``size`` runs, cell boundaries ignored.
+    scalar_only = cell_spec(100, scenarios=("async_then_sync",))
+    assert [len(chunk) for chunk in chunks_of(scalar_only, size)] == (
+        [32] * 6 + [8]
+    )
+    assert chunks_of(scalar_only, size) == chunks_of(scalar_only, size, None)
+
+
+def test_cell_above_the_cap_splits():
+    """After ``CELL_CHUNK_CAP`` runs of one cell the chunk is cut; the
+    10-run tail is below ``size`` and rides with the next cell's piece."""
+    spec = cell_spec(CELL_CHUNK_CAP + 10, scenarios=("fault-free",))
+    assert [len(chunk) for chunk in chunks_of(spec, 32)] == [
+        CELL_CHUNK_CAP, 10 + CELL_CHUNK_CAP, 10,
+    ]
+
+
+def test_rejected_cell_travels_whole():
+    """class-1 does not admit (7,1,1): no kernel ever runs, the planner
+    says scalar, and the cell still is one chunk."""
+    spec = CampaignSpec(
+        name="rejected", algorithms=("class-1",), models=((7, 1, 1),),
+        scenarios=("fault-free",), repetitions=100,
+    )
+    run = next(spec.iter_runs())
+    assert plan_for_run(run).mode == MODE_SCALAR
+    assert [len(chunk) for chunk in chunks_of(spec, 32)] == [100]
+
+
+def dispatched(spec, **options):
+    sizes = []
+    rows = list(
+        iter_campaign(
+            spec,
+            workers=2,
+            on_event=lambda kind, fields: (
+                sizes.append(fields["runs"])
+                if kind == "chunk_dispatched"
+                else None
+            ),
+            **options,
+        )
+    )
+    assert len(rows) == spec.total_runs
+    return sizes
+
+
+def test_explicit_chunk_means_exactly_that_many_runs():
+    spec = cell_spec(100, scenarios=("fault-free", "lossy_channel"))
+    assert dispatched(spec, chunk=7) == [7] * 57 + [1]
+
+
+def test_pool_dispatches_one_chunk_per_batchable_cell():
+    spec = cell_spec(100, scenarios=("fault-free", "lossy_channel"))
+    assert dispatched(spec) == [100] * 4
+    # Below the batch floor no cell can batch: nothing is planned in the
+    # parent and chunks are plain auto-sized slices.
+    small = cell_spec(2)
+    assert set(dispatched(small)) == {_auto_chunk(small.total_runs, 2)}
+    # The scalar backend never batches either.
+    assert max(dispatched(spec, backend="scalar")) == _auto_chunk(400, 2)
+
+
+def test_caller_fixed_window_still_caps_whole_cells():
+    spec = cell_spec(100, scenarios=("fault-free",))
+    assert max(dispatched(spec, window=40)) == 20
+
+
+@pytest.mark.parametrize("numpy", ["numpy", "pure-python"])
+def test_files_identical_at_every_workers_and_backend(numpy, monkeypatch):
+    if numpy == "pure-python":
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    spec = cell_spec(37)
+    reference = rows_to_jsonl(run_campaign(spec, workers=1, backend="scalar"))
+    for workers in (1, 2, 3):
+        for backend in ("auto", "scalar"):
+            rows = run_campaign(spec, workers=workers, backend=backend)
+            assert rows_to_jsonl(rows) == reference, (workers, backend)
+
+
+def test_plain_iter_campaign_yields_the_historical_dicts():
+    """Without the CLI's options a row carries the result columns and the
+    batch kernel's ``_backend`` tag — no timings, no pre-serialized line."""
+    spec = cell_spec(5)
+    oracle = {run.run_id: execute_run(run) for run in spec.iter_runs()}
+    for workers in (1, 2):
+        for row in iter_campaign(spec, workers=workers):
+            extra = set(row) - set(oracle[row["run_id"]])
+            assert extra <= {"_backend"}
+            row.pop("_backend", None)
+            assert row == oracle[row["run_id"]]

@@ -1,9 +1,11 @@
 """Result store round-trips, aggregation arithmetic, CLI integration."""
 
 import json
+import os
 
 import pytest
 
+from repro.campaigns import results
 from repro.campaigns.aggregate import (
     CellSummary,
     SummaryFold,
@@ -13,12 +15,19 @@ from repro.campaigns.aggregate import (
 )
 from repro.campaigns.presets import BUILTIN_CAMPAIGNS
 from repro.campaigns.results import (
+    LINE_KEY,
     ResultStore,
+    checkpoint_path,
+    finalize_checkpoint,
     iter_rows,
     read_rows,
+    row_to_json,
     rows_to_jsonl,
+    scan_checkpoint,
+    validate_resume,
     write_rows,
 )
+from repro.campaigns.runner import iter_campaign
 from repro.cli import main
 
 
@@ -84,6 +93,230 @@ class TestStore:
         stream = iter_rows(path)
         assert next(stream) == rows[0]
         assert list(stream) == rows[1:]
+
+
+class TestSerializeOnce:
+    def test_row_to_json_bytes_are_the_historical_ones(self):
+        row = make_row(_elapsed_ms=1.5, _pid=7, _backend="replicate")
+        row[LINE_KEY] = "stale"
+        assert row_to_json(row) == json.dumps(
+            make_row(), sort_keys=True, separators=(",", ":")
+        )
+        assert row_to_json({"": 1, "_": 2, "a_": 3}) == '{"":1,"a_":3}'
+
+    def test_worker_line_equals_parent_serialization(self, tmp_path, capsys):
+        """Every gauntlet row at --workers 2: the line the worker attached
+        is what ``row_to_json`` makes of the row, and the key carrying it
+        never reaches the file."""
+        gauntlet = BUILTIN_CAMPAIGNS["gauntlet"]
+        rows = list(
+            iter_campaign(gauntlet, workers=2, timings=True, lines=True)
+        )
+        assert len(rows) == gauntlet.total_runs
+        for row in rows:
+            assert row[LINE_KEY] == row_to_json(row)
+        out = tmp_path / "gauntlet.jsonl"
+        assert main(["campaign", "run", "gauntlet", "--workers", "2",
+                     "--quiet", "--no-report", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows.sort(key=lambda row: row["run_id"])
+        assert out.read_text() == rows_to_jsonl(rows)
+        assert LINE_KEY not in out.read_text()
+
+    def test_parse_dump_budget(self, tmp_path, capsys, monkeypatch):
+        """Single shot: one dump per row, no parse.  Resume: one parse per
+        recorded row, one dump per executed row, nothing else."""
+        calls = {"dump": 0, "loads": 0, "dumps": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(results, "_encode", counting("dump", results._encode))
+        monkeypatch.setattr(json, "loads", counting("loads", json.loads))
+        monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
+        total = BUILTIN_CAMPAIGNS["grid-demo"].total_runs
+        run = ["campaign", "run", "grid-demo", "--quiet"]
+
+        def table(stdout):
+            """The report minus its wall-clock columns and ranking."""
+            return [
+                "|".join(line.split("|")[:18]).rstrip(" -+")
+                for line in stdout.split("slowest cells")[0].splitlines()
+            ]
+
+        single = tmp_path / "single.jsonl"
+        assert main(run + ["--out", str(single)]) == 0
+        assert calls == {"dump": total, "loads": 0, "dumps": 0}
+        single_table = table(capsys.readouterr().out)
+
+        calls.update(dump=0)
+        out = tmp_path / "resumed.jsonl"
+        assert main(run + ["--out", str(out), "--stop-after", "40"]) == 3
+        assert calls == {"dump": 40, "loads": 0, "dumps": 0}
+        calls.update(dump=0)
+        assert main(run + ["--out", str(out), "--resume"]) == 0
+        assert calls == {"dump": total - 40, "loads": 40, "dumps": 0}
+        assert out.read_bytes() == single.read_bytes()
+        # The recorded rows were folded by the validation scan: the
+        # resumed report covers the whole grid without a second read.
+        assert table(capsys.readouterr().out) == single_table
+
+
+class TestIndexMerge:
+    def rows(self):
+        return [make_row(run_id=i, seed=10**i) for i in (3, 0, 2, 1)]
+
+    def checkpoint(self, tmp_path, rows):
+        store = ResultStore(tmp_path / "out.jsonl.partial")
+        with store.open_append() as sink:
+            for row in rows:
+                sink.append(row)
+        return store.path, sink.index
+
+    def test_sink_index_locates_every_line(self, tmp_path):
+        rows = self.rows()
+        path, index = self.checkpoint(tmp_path, rows)
+        data = path.read_bytes()
+        assert sorted(index) == [0, 1, 2, 3]
+        for row in rows:
+            offset, length = index[row["run_id"]]
+            assert data[offset:offset + length].decode() == (
+                row_to_json(row) + "\n"
+            )
+
+    def test_one_flush_per_appended_row(self, tmp_path):
+        with ResultStore(tmp_path / "flush.partial").open_append() as sink:
+            flushes = []
+            real = sink._handle
+
+            class Spy:
+                def write(self, data):
+                    return real.write(data)
+
+                def flush(self):
+                    # Durable as soon as flushed: the row is on disk now.
+                    flushes.append(sink.path.stat().st_size)
+                    return real.flush()
+
+            sink._handle = Spy()
+            for row in self.rows():
+                sink.append(row)
+            sink._handle = real
+        assert len(flushes) == 4
+        assert flushes == sorted(set(flushes))  # each flush found new bytes
+
+    def test_attached_line_is_written_verbatim(self, tmp_path):
+        row = make_row(run_id=5)
+        row[LINE_KEY] = '{"run_id":5,"verbatim":true}'
+        path, index = self.checkpoint(tmp_path, [row])
+        assert path.read_text() == '{"run_id":5,"verbatim":true}\n'
+        assert index == {5: (0, len(path.read_bytes()))}
+
+    def test_merge_orders_by_run_id_without_parsing(
+        self, tmp_path, monkeypatch
+    ):
+        rows = self.rows()
+        path, index = self.checkpoint(tmp_path, rows)
+        monkeypatch.setattr(json, "loads", None)  # any parse would raise
+        out = tmp_path / "out.jsonl"
+        assert finalize_checkpoint(path, out, index) == out
+        monkeypatch.undo()
+        assert out.read_text() == rows_to_jsonl(
+            sorted(rows, key=lambda row: row["run_id"])
+        )
+        assert not path.exists()
+        assert not out.with_name("out.jsonl.tmp").exists()
+
+    def test_duplicate_run_id_keeps_first_occurrence(self, tmp_path):
+        rows = [
+            make_row(run_id=2, error="late"),
+            make_row(run_id=0, error="first"),
+            make_row(run_id=2, error="duplicate"),
+        ]
+        path, index = self.checkpoint(tmp_path, rows)
+        copy = tmp_path / "copy.partial"
+        copy.write_bytes(path.read_bytes())
+        finalize_checkpoint(path, tmp_path / "indexed.jsonl", index)
+        finalize_checkpoint(copy, tmp_path / "scanned.jsonl")  # no index
+        for name in ("indexed.jsonl", "scanned.jsonl"):
+            merged = read_rows(tmp_path / name)
+            assert [row["error"] for row in merged] == ["first", "late"]
+
+    def test_without_an_index_the_scan_rebuilds_it(self, tmp_path):
+        rows = self.rows()
+        path, index = self.checkpoint(tmp_path, rows)
+        # Blank lines are skipped by the scan, as they always were.
+        path.write_bytes(b"\n" + path.read_bytes().replace(b"\n", b"\n\n"))
+        finalize_checkpoint(path, tmp_path / "scanned.jsonl")
+        assert (tmp_path / "scanned.jsonl").read_text() == rows_to_jsonl(
+            sorted(rows, key=lambda row: row["run_id"])
+        )
+        assert not path.exists()
+
+    def test_torn_tail_is_refused_by_finalize_and_healed_by_resume(
+        self, tmp_path
+    ):
+        rows = self.rows()
+        path, _ = self.checkpoint(tmp_path, rows)
+        intact = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b'{"run_id":9,"trunc')
+        with pytest.raises(ValueError, match="torn"):
+            finalize_checkpoint(path, tmp_path / "out.jsonl")
+        assert path.exists() and not (tmp_path / "out.jsonl").exists()
+        assert scan_checkpoint(path) == ({0, 1, 2, 3}, intact)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["offset", "length", "past-eof", "two-lines", "other-run", "negative"],
+    )
+    def test_index_disagreeing_with_the_bytes_is_refused(
+        self, tmp_path, damage
+    ):
+        rows = [make_row(run_id=i) for i in range(3)]  # equal-length lines
+        path, index = self.checkpoint(tmp_path, rows)
+        size = path.stat().st_size
+        offset, length = index[1]
+        index[1] = {
+            "offset": (offset + 1, length),  # not at a line start
+            "length": (offset, length - 1),  # slice does not end in \n
+            "past-eof": (offset, size),  # runs past the end of the file
+            "two-lines": (offset, 2 * length),  # swallows the next line
+            "other-run": index[2],  # a whole line, but run 2's
+            "negative": (-length, length),
+        }[damage]
+        before = path.read_bytes()
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="index entry for run 1"):
+            finalize_checkpoint(path, out, index)
+        assert path.read_bytes() == before  # checkpoint left in place
+        assert not out.exists()
+        assert not out.with_name("out.jsonl.tmp").exists()
+
+    def test_sink_continues_the_resume_index(self, tmp_path):
+        rows = self.rows()
+        path, _ = self.checkpoint(tmp_path, rows[:2])
+        with open(path, "ab") as handle:
+            handle.write(b'{"run_id":2,"torn')
+        spec = type("Spec", (), {"name": "unit", "total_runs": 4})()
+        spec.iter_runs = lambda: iter(
+            type("Run", (), {"run_id": row["run_id"], "seed": row["seed"]})()
+            for row in sorted(rows, key=lambda row: row["run_id"])
+        )
+        index, intact = validate_resume(spec, path)
+        assert sorted(index) == [0, 3]
+        os.truncate(path, intact)
+        with ResultStore(path).open_append(index) as sink:
+            for row in rows[2:]:
+                sink.append(row)
+        assert sink.index is index and sorted(index) == [0, 1, 2, 3]
+        finalize_checkpoint(path, tmp_path / "out.jsonl", index)
+        assert (tmp_path / "out.jsonl").read_text() == rows_to_jsonl(
+            sorted(rows, key=lambda row: row["run_id"])
+        )
 
 
 class TestAggregate:
@@ -234,6 +467,65 @@ class TestCli:
     def test_campaign_run_unknown_spec(self, tmp_path, capsys):
         assert main(["campaign", "run", str(tmp_path / "nope.json")]) == 2
         assert "no such campaign" in capsys.readouterr().err
+
+    def unwritable_targets(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory")
+        return {
+            "no-such-filesystem-entry": "/proc/nope/x.jsonl",
+            "parent-is-a-file": str(blocker / "x.jsonl"),
+            "is-a-directory": str(tmp_path),
+        }
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["no-such-filesystem-entry", "parent-is-a-file", "is-a-directory"],
+    )
+    @pytest.mark.parametrize("option", ["--out", "--events"])
+    def test_unwritable_target_is_one_line_and_exit_2(
+        self, tmp_path, capsys, shape, option
+    ):
+        """Probed before anything runs: no traceback, no checkpoint."""
+        target = self.unwritable_targets(tmp_path)[shape]
+        good = tmp_path / "good" / "results.jsonl"
+        argv = ["campaign", "run", "gauntlet", "--workers", "2", "--quiet"]
+        if option == "--out":
+            argv += ["--out", target]
+        else:
+            argv += ["--out", str(good), "--events", target]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot write {target}: ")
+        assert not good.exists() and not checkpoint_path(good).exists()
+        assert not checkpoint_path(target).exists()
+
+    @pytest.mark.skipif(
+        os.geteuid() == 0, reason="root writes to read-only directories"
+    )
+    def test_read_only_directory_is_refused(self, tmp_path, capsys):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o555)
+        try:
+            out = locked / "results.jsonl"
+            assert main(["campaign", "run", "gauntlet", "--quiet",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+            assert list(locked.iterdir()) == []
+        finally:
+            locked.chmod(0o755)
+
+    def test_writability_probe_leaves_existing_files_alone(
+        self, tmp_path, capsys
+    ):
+        """A previous result file is probed in append mode, not clobbered,
+        when the run then stops short of finalizing."""
+        out = tmp_path / "results.jsonl"
+        out.write_text("previous results\n")
+        assert main(["campaign", "run", "gauntlet", "--quiet", "--no-report",
+                     "--out", str(out), "--stop-after", "3"]) == 3
+        capsys.readouterr()
+        assert out.read_text() == "previous results\n"
 
     def test_campaign_report_missing_file(self, tmp_path, capsys):
         assert main(["campaign", "report", str(tmp_path / "nope.jsonl")]) == 2

@@ -102,6 +102,32 @@ class TestInterruptResume:
         capsys.readouterr()
         assert out.read_bytes() == reference
 
+    def test_resume_cut_inside_a_whole_travelling_cell(self, tmp_path, capsys):
+        """Cells of 200 repetitions dispatch as one chunk each; stopping
+        after 6,100 rows leaves cell 30 half-recorded, and the resume
+        (another worker count) batches only its remaining 100 runs."""
+        spec_path = tmp_path / "cells.json"
+        spec_path.write_text(json.dumps({
+            "name": "resume-cells",
+            "algorithms": ["class-2", "class-3"],
+            "models": [[7, 1, 1], [9, 1, 1]],
+            "engines": ["lockstep", "timed"],
+            "scenarios": ["fault-free", "worst_case", "partition_heal",
+                          "silent_minority"],
+            "repetitions": 200,
+            "seed": 11,
+        }))
+        single = tmp_path / "single.jsonl"
+        assert run_cli(spec_path, single, "--workers", "2") == 0
+        out = tmp_path / "cut.jsonl"
+        assert run_cli(spec_path, out, "--workers", "2",
+                       "--stop-after", "6100") == 3
+        recorded, _ = scan_checkpoint(checkpoint_path(out))
+        assert len(recorded) == 6100
+        assert run_cli(spec_path, out, "--resume") == 0
+        assert "6100 rows skipped, 300 executed" in capsys.readouterr().err
+        assert out.read_bytes() == single.read_bytes()
+
     def test_resume_without_checkpoint_fails(self, spec_path, tmp_path, capsys):
         out = tmp_path / "missing.jsonl"
         assert run_cli(spec_path, out, "--resume") == 2
@@ -196,14 +222,23 @@ class TestCheckpointScan:
 
     def test_validate_resume_is_the_shared_api_guard(self, tmp_path):
         """API callers get the same protection as the CLI: valid checkpoints
-        return their run_ids, foreign/reshaped/reseeded ones raise."""
+        return their line index (keyed by run_id), foreign/reshaped/reseeded
+        ones raise."""
         spec = CampaignSpec.from_mapping(SPEC)
         path = tmp_path / "api.partial"
         rows = list(itertools.islice(iter_campaign(spec), 4))
         path.write_text(rows_to_jsonl(rows))
-        run_ids, intact = validate_resume(spec, path)
-        assert run_ids == {0, 1, 2, 3}
+        folded = []
+        index, intact = validate_resume(spec, path, on_row=folded.append)
+        assert index.keys() == {0, 1, 2, 3}
         assert intact == path.stat().st_size
+        assert folded == rows  # the one parse pass hands every row over
+        data = path.read_bytes()
+        for row in rows:
+            offset, length = index[row["run_id"]]
+            assert data[offset:offset + length] == (
+                rows_to_jsonl([row]).encode()
+            )
 
         path.write_text(rows_to_jsonl([{**rows[0], "campaign": "other"}]))
         with pytest.raises(ValueError, match="belongs to campaign"):

@@ -1,9 +1,12 @@
 """Campaign spec expansion: grid size, seed derivation, (de)serialization."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.campaigns import BUILTIN_CAMPAIGNS, run_campaign
+from repro.campaigns.results import rows_to_jsonl
 from repro.campaigns.spec import (
     CampaignSpec,
     FaultSpec,
@@ -82,6 +85,47 @@ class TestSeedDerivation:
         assert derive_seed(7, "a|b") == derive_seed(7, "a|b")
         assert derive_seed(7, "a|b") != derive_seed(8, "a|b")
         assert derive_seed(7, "a|b") != derive_seed(7, "a|c")
+
+
+#: Per built-in preset: SHA-256 (first 16 hex digits) of its expansion —
+#: ``run_id:seed:key`` per run — and of its canonical result file.  Taken
+#: from the commit before ``iter_runs`` started building each run once
+#: with a per-cell key prefix; neither may ever move.
+PRESET_PINS = {
+    "fig1-flv-class1": ("7430e710fe1d3756", "52c959dc9e9af472"),
+    "fig2-flv-class2": ("7f6e2daca277e2ff", "bd0acc33a21b00ef"),
+    "fig3-flv-class3": ("a9267d4a6774859a", "692a5d581a5bc57f"),
+    "gauntlet": ("f97ebddb84469754", "efefaaaf2deb3254"),
+    "grid-demo": ("34dd0b449b2fae26", "dc5c23816beedfe6"),
+    "latency-gst": ("62ec859d54bb7bf0", "e6dc62dfa7d05050"),
+    "table1": ("8c20567b4e55ffdd", "b92f04e56280c9bf"),
+}
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPresetPins:
+    def test_every_preset_is_pinned(self):
+        assert set(PRESET_PINS) == set(BUILTIN_CAMPAIGNS)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_PINS))
+    def test_run_ids_seeds_and_result_bytes_do_not_move(self, name):
+        spec = BUILTIN_CAMPAIGNS[name]
+        expansion = "".join(
+            f"{run.run_id}:{run.seed}:{run.key()}\n" for run in spec.iter_runs()
+        )
+        results = rows_to_jsonl(run_campaign(spec))
+        assert (_sha16(expansion), _sha16(results)) == PRESET_PINS[name]
+
+    def test_run_seed_is_derived_from_its_own_key(self):
+        """The per-cell prefix ``iter_runs`` hashes is ``RunSpec.key()``
+        minus the repetition: each run's seed is still a function of its
+        key alone."""
+        spec = small_spec()
+        for run in spec.iter_runs():
+            assert run.seed == derive_seed(spec.seed, run.key())
 
 
 class TestSerialization:
