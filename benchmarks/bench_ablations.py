@@ -18,8 +18,8 @@ import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import GenericConsensusConfig
-from repro.core.run import run_consensus
 from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.rounds.policies import GoodBadPolicy
 from repro.rounds.schedule import GoodBadSchedule
 
@@ -31,13 +31,16 @@ def pbft_params():
 
 def test_skip_first_selection_saves_a_round(benchmark, pbft_params, report):
     values = {pid: "same" for pid in range(4)}
-    plain = run_consensus(pbft_params, values)
+    plain = run_instance(build_instance(pbft_params, values), LockstepScheduler())
 
     def run_skipped():
-        return run_consensus(
-            pbft_params,
-            values,
-            config=GenericConsensusConfig(skip_first_selection=True),
+        return run_instance(
+            build_instance(
+                pbft_params,
+                values,
+                config=GenericConsensusConfig(skip_first_selection=True),
+            ),
+            LockstepScheduler(),
         )
 
     skipped = benchmark(run_skipped)
@@ -54,17 +57,23 @@ def test_skip_first_selection_saves_a_round(benchmark, pbft_params, report):
 
 def test_static_selector_optimization_is_transparent(pbft_params):
     values = {pid: f"v{pid % 2}" for pid in range(3)}
-    with_opt = run_consensus(
-        pbft_params,
-        values,
-        byzantine={3: "equivocator"},
-        config=GenericConsensusConfig(static_selector_optimization=True),
+    with_opt = run_instance(
+        build_instance(
+            pbft_params,
+            values,
+            config=GenericConsensusConfig(static_selector_optimization=True),
+            byzantine={3: "equivocator"},
+        ),
+        LockstepScheduler(),
     )
-    without_opt = run_consensus(
-        pbft_params,
-        values,
-        byzantine={3: "equivocator"},
-        config=GenericConsensusConfig(static_selector_optimization=False),
+    without_opt = run_instance(
+        build_instance(
+            pbft_params,
+            values,
+            config=GenericConsensusConfig(static_selector_optimization=False),
+            byzantine={3: "equivocator"},
+        ),
+        LockstepScheduler(),
     )
     assert with_opt.decided_values == without_opt.decided_values
     assert (
@@ -80,23 +89,23 @@ def test_line26_history_variant_matches_paper_mode(pbft_params):
             policy = GoodBadPolicy(
                 GoodBadSchedule.good_after(7), rng=random.Random(seed)
             )
-            paper = run_consensus(
-                pbft_params,
-                values,
-                byzantine={3: strategy},
-                policy=policy,
+            paper = run_instance(
+                build_instance(pbft_params, values, byzantine={3: strategy}),
+                LockstepScheduler(policy),
                 max_phases=8,
             )
             policy = GoodBadPolicy(
                 GoodBadSchedule.good_after(7), rng=random.Random(seed)
             )
-            variant = run_consensus(
-                pbft_params,
-                values,
-                byzantine={3: strategy},
-                policy=policy,
+            variant = run_instance(
+                build_instance(
+                    pbft_params,
+                    values,
+                    config=GenericConsensusConfig(record_validation_in_history=True),
+                    byzantine={3: strategy},
+                ),
+                LockstepScheduler(policy),
                 max_phases=8,
-                config=GenericConsensusConfig(record_validation_in_history=True),
             )
             assert paper.agreement_holds and variant.agreement_holds
             assert paper.decided_values == variant.decided_values, (
@@ -108,21 +117,21 @@ def test_line26_history_variant_matches_paper_mode(pbft_params):
 def test_bounded_history_caps_state(pbft_params, report):
     values = {pid: f"v{pid % 2}" for pid in range(3)}
     policy = GoodBadPolicy(GoodBadSchedule.good_after(13), rng=random.Random(2))
-    unbounded = run_consensus(
-        pbft_params,
-        values,
-        byzantine={3: "equivocator"},
-        policy=policy,
+    unbounded = run_instance(
+        build_instance(pbft_params, values, byzantine={3: "equivocator"}),
+        LockstepScheduler(policy),
         max_phases=12,
     )
     policy = GoodBadPolicy(GoodBadSchedule.good_after(13), rng=random.Random(2))
-    bounded = run_consensus(
-        pbft_params,
-        values,
-        byzantine={3: "equivocator"},
-        policy=policy,
+    bounded = run_instance(
+        build_instance(
+            pbft_params,
+            values,
+            config=GenericConsensusConfig(max_history_size=2),
+            byzantine={3: "equivocator"},
+        ),
+        LockstepScheduler(policy),
         max_phases=12,
-        config=GenericConsensusConfig(max_history_size=2),
     )
     big = max(len(p.state.history) for p in unbounded.honest_processes.values())
     small = max(len(p.state.history) for p in bounded.honest_processes.values())

@@ -19,7 +19,7 @@ from repro.algorithms.one_third_rule import OriginalOneThirdRuleProcess
 from repro.core.flv_class1 import FLVClass1
 from repro.core.flv_variants import FaBPaxosFLV
 from repro.core.types import FaultModel, RoundInfo, RoundKind, SelectionMessage
-from repro.rounds.engine import SyncEngine
+from repro.engine import ExecutionKernel, LockstepScheduler
 from repro.rounds.policies import ReliablePolicy
 from repro.utils.sentinels import NULL_VALUE
 
@@ -61,10 +61,10 @@ def test_one_third_rule_original_matches_decisions(benchmark):
             pid: OriginalOneThirdRuleProcess(pid, values[pid], model)
             for pid in range(4)
         }
-        engine = SyncEngine(
+        engine = ExecutionKernel(
             model,
             processes,
-            ReliablePolicy(),
+            LockstepScheduler(ReliablePolicy()),
             lambda r: RoundInfo(r, r, RoundKind.SELECTION),
         )
         engine.run(3)

@@ -10,18 +10,21 @@ after stabilization suffices.
 import pytest
 
 from repro.algorithms import build_fab_paxos, build_mqb, build_paxos, build_pbft
-from repro.eventsim import (
-    PartialSynchronyNetwork,
-    UniformLatency,
-    run_timed_consensus,
-)
+from repro.engine import TimedScheduler, build_instance, run_instance
+from repro.eventsim import PartialSynchronyNetwork, UniformLatency
 
 ROUND = 2.5
 
 
-def sync_network(seed=7):
-    return PartialSynchronyNetwork(
-        UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=seed
+def run_synchronous(spec, values, byzantine=None):
+    """One metrics-mode timed run, synchronous from the start (GST 0)."""
+    network = PartialSynchronyNetwork(
+        UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=7
+    )
+    return run_instance(
+        build_instance(spec.parameters, values, byzantine=byzantine),
+        TimedScheduler(network, round_duration=ROUND),
+        observe="metrics",
     )
 
 
@@ -38,30 +41,15 @@ def test_latency_fault_free(benchmark, builder, n, expected_rounds):
     spec = builder(n)
     values = {pid: f"v{pid % 2}" for pid in range(n)}
 
-    def run():
-        return run_timed_consensus(
-            spec.parameters, values, sync_network(), round_duration=ROUND
-        )
-
-    outcome = benchmark(run)
-    assert outcome.agreement_holds and outcome.all_decided
+    outcome = benchmark(run_synchronous, spec, values)
+    assert outcome.agreement_holds and outcome.all_correct_decided
     assert outcome.rounds_executed == expected_rounds
     assert outcome.last_decision_time == pytest.approx(expected_rounds * ROUND)
 
 
 def test_class1_beats_class3_per_phase(report):
-    fab = run_timed_consensus(
-        build_fab_paxos(6).parameters,
-        {pid: "v" for pid in range(6)},
-        sync_network(),
-        round_duration=ROUND,
-    )
-    pbft = run_timed_consensus(
-        build_pbft(4).parameters,
-        {pid: "v" for pid in range(4)},
-        sync_network(),
-        round_duration=ROUND,
-    )
+    fab = run_synchronous(build_fab_paxos(6), {pid: "v" for pid in range(6)})
+    pbft = run_synchronous(build_pbft(4), {pid: "v" for pid in range(4)})
     report(
         f"time to decide, fault-free: FaB {fab.last_decision_time:.1f} vs "
         f"PBFT {pbft.last_decision_time:.1f} (simulated units)"
@@ -72,11 +60,11 @@ def test_class1_beats_class3_per_phase(report):
 def test_gst_sensitivity_curve(report):
     """Decision time tracks the GST: the curve the model predicts.
 
-    Runs as a campaign (networks axis = the GST values, repetitions = 5
-    seeds per point) so the curve is a mean over derived-seed runs instead
-    of a single trajectory.
+    Runs as a campaign (one scenario per GST value, repetitions = 5 seeds
+    per point) so the curve is a mean over derived-seed runs instead of a
+    single trajectory.
     """
-    from repro.campaigns import CampaignSpec, FaultSpec, NetworkSpec, run_campaign
+    from repro.campaigns import CampaignSpec, NetworkSpec, ScenarioSpec, run_campaign
     from repro.campaigns.aggregate import summarize
 
     gsts = (0.0, 15.0, 30.0)
@@ -85,9 +73,13 @@ def test_gst_sensitivity_curve(report):
         algorithms=("pbft",),
         models=((4, 1, 0),),
         engines=("timed",),
-        faults=(FaultSpec(byzantine="equivocator"),),
-        networks=tuple(
-            NetworkSpec(gst=gst, pre_gst_delay_prob=0.85, round_duration=ROUND)
+        scenarios=tuple(
+            ScenarioSpec(
+                byzantine=("equivocator",),
+                timing=NetworkSpec(
+                    gst=gst, pre_gst_delay_prob=0.85, round_duration=ROUND
+                ),
+            )
             for gst in gsts
         ),
         repetitions=5,
@@ -100,7 +92,8 @@ def test_gst_sensitivity_curve(report):
     summaries = summarize(rows, group_keys=("network",))
     by_network = {summary.key[0]: summary for summary in summaries}
     times = [
-        by_network[network.describe()].mean_latency for network in spec.networks
+        by_network[scenario.describe_network()].mean_latency
+        for scenario in spec.scenarios
     ]
     report(f"PBFT mean decision time vs GST {gsts}: {times}")
     assert times[0] < times[1] < times[2]
@@ -111,17 +104,10 @@ def test_gst_sensitivity_curve(report):
 def test_byzantine_attack_does_not_slow_good_phases(report):
     """Under synchrony a scripted adversary cannot delay decision."""
     spec = build_pbft(4)
-    clean = run_timed_consensus(
-        spec.parameters,
-        {pid: f"v{pid % 2}" for pid in range(4)},
-        sync_network(),
-        round_duration=ROUND,
-    )
-    attacked = run_timed_consensus(
-        spec.parameters,
+    clean = run_synchronous(spec, {pid: f"v{pid % 2}" for pid in range(4)})
+    attacked = run_synchronous(
+        spec,
         {pid: f"v{pid % 2}" for pid in range(3)},
-        sync_network(),
-        round_duration=ROUND,
         byzantine={3: "equivocator"},
     )
     report(

@@ -79,5 +79,5 @@ def test_mqb_messages_smaller_than_pbft_bytes(report):
 def test_per_round_accounting():
     spec = build_pbft(4)
     metrics, outcome = messages_for(spec)
-    per_round = [r.sent_count for r in outcome.result.trace.records]
+    per_round = [r.sent_count for r in outcome.trace.records]
     assert per_round == [16, 16, 16]

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.resilience import sweep_class
 from repro.campaigns import (
     CampaignSpec,
-    FaultSpec,
     format_report,
     run_campaign,
     summarize,
@@ -25,6 +24,7 @@ from repro.campaigns import (
 from repro.campaigns.presets import BYZANTINE_SCENARIOS
 from repro.core.classification import AlgorithmClass
 from repro.core.types import FaultModel
+from repro.scenarios import ScenarioSpec
 
 BOUND_FACTOR = {
     AlgorithmClass.CLASS_1: 5,
@@ -42,7 +42,9 @@ def sweep_campaign(cls: AlgorithmClass, b: int) -> CampaignSpec:
             (n, b, 0)
             for n in range(max(b + 1, factor * b - 1), factor * b + 3)
         ),
-        faults=tuple(FaultSpec(byzantine=name) for name in BYZANTINE_SCENARIOS),
+        scenarios=tuple(
+            ScenarioSpec(byzantine=(name,)) for name in BYZANTINE_SCENARIOS
+        ),
         max_phases=8,
     )
 

@@ -16,8 +16,8 @@ import pytest
 from repro.analysis.metrics import RunMetrics
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import ParameterError
-from repro.core.run import run_consensus
 from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
 
 B, F = 1, 0
 CASES = [
@@ -44,8 +44,13 @@ def test_table1_row(benchmark, cls, min_n, rounds, state):
     values = {pid: f"v{pid % 2}" for pid in range(min_n - 1)}
 
     def run():
-        return run_consensus(
-            params, values, byzantine={min_n - 1: "equivocator"}
+        return run_instance(
+            build_instance(
+                params,
+                values,
+                byzantine={min_n - 1: "equivocator"},
+            ),
+            LockstepScheduler(),
         )
 
     outcome = benchmark(run)
@@ -83,8 +88,8 @@ def test_benign_collapse_of_classes_2_and_3(benchmark):
 
     def run_both():
         return (
-            run_consensus(p2, values),
-            run_consensus(p3, values),
+            run_instance(build_instance(p2, values), LockstepScheduler()),
+            run_instance(build_instance(p3, values), LockstepScheduler()),
         )
 
     out2, out3 = benchmark(run_both)

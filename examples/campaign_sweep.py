@@ -7,9 +7,9 @@ Run:  PYTHONPATH=src python examples/campaign_sweep.py
 from repro.campaigns import (
     BUILTIN_CAMPAIGNS,
     CampaignSpec,
-    FaultSpec,
     NetworkSpec,
     ResultStore,
+    ScenarioSpec,
     SummaryFold,
     checkpoint_path,
     finalize_checkpoint,
@@ -19,14 +19,21 @@ from repro.campaigns import (
 
 
 def main():
-    # 1. Declare a sweep: every axis below is crossed into a grid.
+    # 1. Declare a sweep: every axis below is crossed into a grid.  A
+    #    scenario is one whole environment — fault script, communication
+    #    schedule and timed-network conditions together.
+    timing = NetworkSpec(gst=5.0, pre_gst_delay_prob=0.6)
     spec = CampaignSpec(
         name="frontier-tour",
         algorithms=("pbft", "mqb", "fab-paxos"),
         models=((4, 1, 0), (5, 1, 0), (6, 1, 0)),
         engines=("lockstep", "timed"),
-        faults=(FaultSpec(), FaultSpec(byzantine="equivocator")),
-        networks=(NetworkSpec(gst=5.0, pre_gst_delay_prob=0.6),),
+        scenarios=(
+            ScenarioSpec(name="clean", timing=timing),
+            ScenarioSpec(
+                name="equivocator", byzantine=("equivocator",), timing=timing
+            ),
+        ),
         repetitions=3,
         seed=2026,
     )

@@ -11,11 +11,8 @@ Run:  python examples/partial_synchrony_timeline.py
 """
 
 from repro.algorithms import build_pbft
-from repro.eventsim import (
-    PartialSynchronyNetwork,
-    UniformLatency,
-    run_timed_consensus,
-)
+from repro.engine import TimedScheduler, build_instance, run_instance
+from repro.eventsim import PartialSynchronyNetwork, UniformLatency
 from repro.network import (
     AuthenticatedCoordinatorEcho,
     SignatureFreeCoordinatorEcho,
@@ -38,13 +35,13 @@ def main():
             pre_gst_delay_prob=0.8,
             seed=42,
         )
-        outcome = run_timed_consensus(
-            spec.parameters,
-            values,
-            network,
-            round_duration=2.5,
-            byzantine={3: "equivocator"},
+        outcome = run_instance(
+            build_instance(
+                spec.parameters, values, byzantine={3: "equivocator"}
+            ),
+            TimedScheduler(network, round_duration=2.5),
             max_phases=40,
+            observe="metrics",
         )
         assert outcome.agreement_holds
         when = outcome.last_decision_time

@@ -10,12 +10,14 @@ quorum systems, discrete-event timing, state machine replication).
 
 Quickstart::
 
-    from repro import AlgorithmClass, FaultModel, build_class_parameters, run_consensus
+    from repro import AlgorithmClass, FaultModel, build_class_parameters
+    from repro.engine import LockstepScheduler, build_instance, run_instance
 
     model = FaultModel(n=4, b=1)                       # PBFT territory
     params = build_class_parameters(AlgorithmClass.CLASS_3, model)
-    outcome = run_consensus(params, {0: "A", 2: "B", 3: "A"},
-                            byzantine={1: "equivocator"})
+    instance = build_instance(params, {0: "A", 2: "B", 3: "A"},
+                              byzantine={1: "equivocator"})
+    outcome = run_instance(instance, LockstepScheduler())
     print(outcome.decisions)
 
 Execution kernel
@@ -28,8 +30,6 @@ Both timing disciplines run on one kernel (:mod:`repro.engine`):
 or a :class:`~repro.engine.TimedScheduler` (Δ-paced deadline delivery over
 partial synchrony), and ``observe="full" | "metrics"`` selects between a
 complete execution trace and the trace-free hot path campaign sweeps use.
-:func:`run_consensus` and :func:`repro.eventsim.run_timed_consensus` are
-thin compatibility wrappers over it.
 
 Scenarios
 ---------
@@ -41,8 +41,8 @@ reliable / good-bad with pluggable bad behaviour / partition / i.i.d. loss
 / silence / GST — and timed-network conditions) compiles onto **both**
 schedulers via :func:`~repro.scenarios.compile_scenario`.  Named presets
 live in :data:`~repro.scenarios.SCENARIO_REGISTRY` (``repro scenario
-list``); the adversary presets, the campaign ``scenarios`` axis and the
-``gauntlet`` campaign all resolve through it::
+list``); the campaign ``scenarios`` axis and the ``gauntlet`` campaign
+resolve through it::
 
     from repro.scenarios import run_scenario
 
@@ -66,7 +66,6 @@ grid-demo.results.jsonl``.
 from repro.core import (
     AlgorithmClass,
     AllProcessesSelector,
-    ConsensusOutcome,
     ConsensusParameters,
     ConsensusState,
     FLVClass1,
@@ -86,7 +85,6 @@ from repro.core import (
     Selector,
     build_class_parameters,
     classify,
-    run_consensus,
 )
 from repro.utils.sentinels import ANY_VALUE, NULL_VALUE
 
@@ -96,7 +94,6 @@ __all__ = [
     "ANY_VALUE",
     "AlgorithmClass",
     "AllProcessesSelector",
-    "ConsensusOutcome",
     "ConsensusParameters",
     "ConsensusState",
     "FLVClass1",
@@ -118,5 +115,4 @@ __all__ = [
     "__version__",
     "build_class_parameters",
     "classify",
-    "run_consensus",
 ]

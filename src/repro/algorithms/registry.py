@@ -7,10 +7,10 @@ from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.classification import AlgorithmClass, classify
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.run import ConsensusOutcome, outcome_from_kernel
 from repro.core.types import ProcessId, Value
 from repro.engine.assembly import build_instance
 from repro.engine.kernel import OBSERVE_FULL, run_instance
+from repro.engine.outcome import Outcome
 from repro.engine.scheduler import LockstepScheduler
 
 
@@ -41,15 +41,14 @@ class AlgorithmSpec:
         crash_schedule=None,
         max_phases: int = 30,
         record_snapshots: bool = False,
-    ) -> ConsensusOutcome:
+    ) -> Outcome:
         """Run one instance through the unified execution kernel.
 
         Assembles the instance with
         :func:`~repro.engine.assembly.build_instance` and drives it under a
         :class:`~repro.engine.scheduler.LockstepScheduler` with full
-        observation — the same path every other runner uses, rather than
-        the legacy :func:`~repro.core.run.run_consensus` wrapper.  The
-        spec's own config applies unless the caller overrides it.
+        observation.  The spec's own config applies unless the caller
+        overrides it.
         """
         instance = build_instance(
             self.parameters,
@@ -57,7 +56,7 @@ class AlgorithmSpec:
             config=self.config if config is None else config,
             byzantine=byzantine,
         )
-        outcome = run_instance(
+        return run_instance(
             instance,
             LockstepScheduler(policy),
             max_phases=max_phases,
@@ -65,7 +64,6 @@ class AlgorithmSpec:
             crash_schedule=crash_schedule,
             record_snapshots=record_snapshots,
         )
-        return outcome_from_kernel(instance, outcome)
 
     @property
     def classified_as(self) -> Optional[AlgorithmClass]:

@@ -112,9 +112,9 @@ def evaluate_properties(
 ) -> Mapping[str, bool]:
     """Boolean summary of the Section 2.3 properties for one finished run.
 
-    Engine-agnostic: both the lockstep ``ConsensusOutcome`` and the timed
-    ``TimedOutcome`` reduce to these four mappings, so campaign rows carry
-    identical property columns regardless of the engine that produced them.
+    Engine-agnostic: a lockstep and a timed run both reduce to these four
+    mappings, so campaign rows carry identical property columns regardless
+    of the engine that produced them.
     """
     values = set(decided_values.values())
     if byzantine:

@@ -1,10 +1,10 @@
 """Lemma-level checkers: the paper's proof obligations, verified on traces.
 
 Theorem 1's proof rests on four lemmas about honest-process state during
-execution.  Given a run recorded with state snapshots
-(``run_consensus(..., record_snapshots=True)``), these checkers verify the
-observable consequences of each lemma on every phase of the actual
-execution:
+execution.  Given a run recorded with state snapshots (``run_instance``
+under ``observe="full"``, which records them by default), these checkers
+verify the observable consequences of each lemma on every phase of the
+actual execution:
 
 * **Lemma 4 consequence** — in every phase, all honest processes that
   validated in that phase (``ts == φ`` at the end of its validation round)
@@ -26,18 +26,18 @@ from collections import defaultdict
 from typing import Dict, List
 
 from repro.analysis.invariants import InvariantViolation
-from repro.core.run import ConsensusOutcome
 from repro.core.types import RoundKind
+from repro.engine.outcome import Outcome
 
 
-def _validation_snapshots(outcome: ConsensusOutcome):
+def _validation_snapshots(outcome: Outcome):
     """Yield (phase, {pid: (vote, ts, history)}) at each validation round."""
-    for record in outcome.result.trace.records:
+    for record in outcome.trace.records:
         if record.info.kind is RoundKind.VALIDATION and record.snapshots:
             yield record.info.phase, record.snapshots
 
 
-def check_lemma4_unique_validated_value(outcome: ConsensusOutcome) -> None:
+def check_lemma4_unique_validated_value(outcome: Outcome) -> None:
     """No two honest processes validate different values in the same phase."""
     for phase, snapshots in _validation_snapshots(outcome):
         validated: Dict[object, List[int]] = defaultdict(list)
@@ -54,10 +54,10 @@ def check_lemma4_unique_validated_value(outcome: ConsensusOutcome) -> None:
             )
 
 
-def check_timestamp_monotonicity(outcome: ConsensusOutcome) -> None:
+def check_timestamp_monotonicity(outcome: Outcome) -> None:
     """Honest timestamps never decrease across the run."""
     last_ts: Dict[int, int] = {}
-    for record in outcome.result.trace.records:
+    for record in outcome.trace.records:
         for pid, snapshot in record.snapshots.items():
             if snapshot is None:
                 continue
@@ -70,7 +70,7 @@ def check_timestamp_monotonicity(outcome: ConsensusOutcome) -> None:
             last_ts[pid] = ts
 
 
-def check_validated_pair_was_selected(outcome: ConsensusOutcome) -> None:
+def check_validated_pair_was_selected(outcome: Outcome) -> None:
     """Lemma 2 consequence: a pair (v, φ) validated by an honest process was
     selected by some honest process in phase φ (its history contains it).
 
@@ -96,7 +96,7 @@ def check_validated_pair_was_selected(outcome: ConsensusOutcome) -> None:
                 )
 
 
-def check_decision_support(outcome: ConsensusOutcome) -> None:
+def check_decision_support(outcome: Outcome) -> None:
     """Each FLAG=φ decision has ≥ TD − b honest ts=φ supporters."""
     from repro.core.types import Flag
 
@@ -132,7 +132,7 @@ ALL_LEMMA_CHECKS = (
 )
 
 
-def check_all_lemmas(outcome: ConsensusOutcome) -> None:
+def check_all_lemmas(outcome: Outcome) -> None:
     """Run every lemma-level checker on a snapshot-recorded outcome."""
     for check in ALL_LEMMA_CHECKS:
         check(outcome)

@@ -2,19 +2,17 @@
 
 These power the latency and message-complexity benches (experiment ids X2,
 X3 in DESIGN.md) and the Table-1 bench's "rounds per phase" and "process
-state" columns.  :meth:`RunMetrics.from_outcome` accepts both the
-compatibility :class:`~repro.core.run.ConsensusOutcome` and the unified
-kernel :class:`~repro.engine.outcome.Outcome` (including metrics-only runs,
-which carry no trace — decision rounds come from the decisions themselves).
+state" columns.  :meth:`RunMetrics.from_outcome` reads a kernel
+:class:`~repro.engine.outcome.Outcome` (including metrics-only runs, which
+carry no trace — decision rounds come from the decisions themselves).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (run.py uses rounds)
-    from repro.core.run import ConsensusOutcome
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (outcome uses analysis)
     from repro.engine.outcome import Outcome
 
 
@@ -33,36 +31,19 @@ class RunMetrics:
     state_footprint: tuple
 
     @classmethod
-    def from_outcome(
-        cls, outcome: Union["ConsensusOutcome", "Outcome"]
-    ) -> "RunMetrics":
+    def from_outcome(cls, outcome: "Outcome") -> "RunMetrics":
         histories = [
             len(process.state.history)
             for process in outcome.honest_processes.values()
         ]
-        if hasattr(outcome, "result"):  # compatibility ConsensusOutcome
-            trace = outcome.result.trace
-            rounds_executed = trace.rounds_executed
-            first = trace.first_decision_round()
-            last = trace.last_decision_round()
-            sent = trace.total_messages_sent
-            delivered = trace.total_messages_delivered
-            decided = len(trace.decisions)
-        else:  # unified kernel Outcome (trace-free in metrics mode)
-            rounds_executed = outcome.rounds_executed
-            first = outcome.rounds_to_first_decision
-            last = outcome.rounds_to_last_decision
-            sent = outcome.messages_sent
-            delivered = outcome.messages_delivered
-            decided = len(outcome.decisions)
         return cls(
-            rounds_executed=rounds_executed,
-            rounds_to_first_decision=first,
-            rounds_to_last_decision=last,
+            rounds_executed=outcome.rounds_executed,
+            rounds_to_first_decision=outcome.rounds_to_first_decision,
+            rounds_to_last_decision=outcome.rounds_to_last_decision,
             phases_to_last_decision=outcome.phases_to_last_decision,
-            messages_sent=sent,
-            messages_delivered=delivered,
-            decided_count=decided,
+            messages_sent=outcome.messages_sent,
+            messages_delivered=outcome.messages_delivered,
+            decided_count=len(outcome.decisions),
             max_history_size=max(histories) if histories else 0,
             state_footprint=outcome.parameters.state_footprint,
         )

@@ -20,9 +20,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.classification import AlgorithmClass
 from repro.core.parameters import ConsensusParameters
-from repro.core.run import run_consensus
 from repro.core.selector import AllProcessesSelector, Selector
 from repro.core.types import FaultModel, Flag
+from repro.engine.assembly import build_instance
+from repro.engine.kernel import OBSERVE_METRICS, run_instance
+from repro.engine.scheduler import LockstepScheduler
 from repro.faults.crash import CrashSchedule
 
 
@@ -128,12 +130,12 @@ def _run_scenario(
         for pid in model.processes
         if pid not in byzantine
     }
-    outcome = run_consensus(
-        parameters,
-        initial_values,
-        byzantine=byzantine,
-        crash_schedule=crash_schedule,
+    outcome = run_instance(
+        build_instance(parameters, initial_values, byzantine=byzantine),
+        LockstepScheduler(),
         max_phases=max_phases,
+        observe=OBSERVE_METRICS,
+        crash_schedule=crash_schedule,
     )
     return ScenarioResult(
         n=model.n, b=model.b, f=model.f,

@@ -22,10 +22,7 @@ aggregates per-cell summaries::
     rows = run_campaign(spec, workers=4)
     print(format_report(summarize(rows)))
 
-The legacy ``faults`` × ``networks`` axes are still accepted and fold into
-equivalent scenarios with unchanged coordinate strings, so existing specs
-keep their derived seeds.  The same campaign seed yields byte-identical
-results at any worker count.
+The same campaign seed yields byte-identical results at any worker count.
 
 Execution is **streaming and resumable**: :func:`iter_campaign` yields rows
 as runs complete (runs dispatched in chunks — ``chunk`` per pool future,
@@ -77,7 +74,6 @@ from repro.campaigns.runner import (
 )
 from repro.campaigns.spec import (
     CampaignSpec,
-    FaultSpec,
     NetworkSpec,
     RunSpec,
     derive_seed,
@@ -94,7 +90,6 @@ __all__ = [
     "CampaignSpec",
     "CellSummary",
     "DEFAULT_GROUP_KEYS",
-    "FaultSpec",
     "NetworkSpec",
     "ResultSink",
     "ResultStore",

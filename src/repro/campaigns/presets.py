@@ -25,8 +25,9 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.analysis.resilience import DEFAULT_BYZANTINE_SCENARIOS
-from repro.campaigns.spec import CampaignSpec, FaultSpec, NetworkSpec
+from repro.campaigns.spec import CampaignSpec, NetworkSpec
 from repro.scenarios.registry import SCENARIO_REGISTRY
+from repro.scenarios.spec import ScenarioSpec
 
 #: The adversarial battery used by the per-class figure sweeps — the same
 #: battery :func:`repro.analysis.resilience.sweep_class` runs, so the two
@@ -34,8 +35,9 @@ from repro.scenarios.registry import SCENARIO_REGISTRY
 BYZANTINE_SCENARIOS: Tuple[str, ...] = tuple(DEFAULT_BYZANTINE_SCENARIOS)
 
 
-def _byz(*names: str) -> Tuple[FaultSpec, ...]:
-    return tuple(FaultSpec(byzantine=name) for name in names)
+def _byz(*names: str) -> Tuple[ScenarioSpec, ...]:
+    """One scenario per strategy, placed on all ``b`` slots."""
+    return tuple(ScenarioSpec(name=name, byzantine=(name,)) for name in names)
 
 
 BUILTIN_CAMPAIGNS: Dict[str, CampaignSpec] = {
@@ -46,29 +48,29 @@ BUILTIN_CAMPAIGNS: Dict[str, CampaignSpec] = {
             "paxos", "chandra-toueg", "pbft",
         ),
         models=((4, 0, 1), (6, 1, 0), (5, 1, 0), (3, 0, 1), (4, 1, 0)),
-        faults=(FaultSpec(), FaultSpec(byzantine="equivocator"),
-                FaultSpec(crashes=-1)),
+        scenarios=("fault-free", *_byz("equivocator"),
+                   ScenarioSpec(name="crash-f", crashes=-1)),
         max_phases=12,
     ),
     "fig1-flv-class1": CampaignSpec(
         name="fig1-flv-class1",
         algorithms=("class-1",),
         models=tuple((n, 1, 0) for n in range(4, 10)),
-        faults=_byz(*BYZANTINE_SCENARIOS),
+        scenarios=_byz(*BYZANTINE_SCENARIOS),
         max_phases=8,
     ),
     "fig2-flv-class2": CampaignSpec(
         name="fig2-flv-class2",
         algorithms=("class-2",),
         models=tuple((n, 1, 0) for n in range(3, 9)),
-        faults=_byz(*BYZANTINE_SCENARIOS),
+        scenarios=_byz(*BYZANTINE_SCENARIOS),
         max_phases=8,
     ),
     "fig3-flv-class3": CampaignSpec(
         name="fig3-flv-class3",
         algorithms=("class-3",),
         models=tuple((n, 1, 0) for n in range(2, 8)),
-        faults=_byz(*BYZANTINE_SCENARIOS),
+        scenarios=_byz(*BYZANTINE_SCENARIOS),
         max_phases=8,
     ),
     "latency-gst": CampaignSpec(
@@ -76,9 +78,12 @@ BUILTIN_CAMPAIGNS: Dict[str, CampaignSpec] = {
         algorithms=("pbft",),
         models=((4, 1, 0),),
         engines=("timed",),
-        faults=(FaultSpec(byzantine="equivocator"),),
-        networks=tuple(
-            NetworkSpec(gst=gst, pre_gst_delay_prob=0.85)
+        scenarios=tuple(
+            ScenarioSpec(
+                name=f"gst-{gst:g}",
+                byzantine=("equivocator",),
+                timing=NetworkSpec(gst=gst, pre_gst_delay_prob=0.85),
+            )
             for gst in (0.0, 10.0, 20.0, 30.0)
         ),
         repetitions=5,
@@ -101,8 +106,7 @@ BUILTIN_CAMPAIGNS: Dict[str, CampaignSpec] = {
         algorithms=("class-1", "class-2", "class-3"),
         models=((4, 1, 0), (5, 1, 0), (6, 1, 0)),
         engines=("lockstep", "timed"),
-        faults=(FaultSpec(), FaultSpec(byzantine="equivocator"),
-                FaultSpec(byzantine="silent")),
+        scenarios=("fault-free", *_byz("equivocator", "silent")),
         repetitions=2,
         max_phases=10,
     ),

@@ -11,12 +11,7 @@ derived deterministically from the campaign seed
 and the run's *coordinates* (not its position in the expansion), so results
 are reproducible regardless of worker count or axis ordering.
 
-The pre-scenario ``faults`` × ``networks`` axes are still accepted — both
-as constructor arguments and in mapping/JSON/TOML form — and fold into the
-``scenarios`` axis via :meth:`ScenarioSpec.from_legacy`; the converted
-specs ``describe()`` to the exact legacy coordinate strings, so existing
-campaigns keep their derived seeds (and fault-free rows stay
-byte-identical).
+An empty ``scenarios`` axis means the registered ``fault-free`` scenario.
 
 Specs round-trip through plain mappings (:meth:`CampaignSpec.to_mapping` /
 :meth:`CampaignSpec.from_mapping`) and load from ``.json`` or ``.toml``
@@ -29,9 +24,9 @@ import hashlib
 import inspect
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
@@ -61,42 +56,6 @@ def derive_seed(campaign_seed: int, key: str) -> int:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """One fault script applied uniformly to a run.
-
-    ``byzantine`` names a strategy given to the last ``b`` process ids (the
-    convention the CLI and sweeps already use).  ``crashes`` crashes the
-    first that-many processes in ``crash_round`` (``-1`` means "all f");
-    ``clean`` selects crash-after-send vs crash-before-send semantics.
-    """
-
-    byzantine: Optional[str] = None
-    crashes: int = 0
-    crash_round: int = 1
-    clean: bool = True
-
-    def __post_init__(self) -> None:
-        if self.crashes < -1:
-            raise ValueError(f"crashes must be ≥ -1, got {self.crashes}")
-        if self.crash_round < 1:
-            raise ValueError(f"crash_round must be ≥ 1, got {self.crash_round}")
-
-    def crash_count(self, model: FaultModel) -> int:
-        """The number of processes this script crashes under ``model``."""
-        return model.f if self.crashes == -1 else self.crashes
-
-    def describe(self) -> str:
-        parts = []
-        if self.byzantine:
-            parts.append(f"byz:{self.byzantine}")
-        if self.crashes:
-            count = "f" if self.crashes == -1 else str(self.crashes)
-            mode = "" if self.clean else "!"
-            parts.append(f"crash{mode}:{count}@{self.crash_round}")
-        return "+".join(parts) or "fault-free"
-
-
-@dataclass(frozen=True)
 class RunSpec:
     """One fully-resolved cell of the campaign grid."""
 
@@ -113,12 +72,8 @@ class RunSpec:
     max_phases: int
 
     def key(self) -> str:
-        """Stable coordinate string (the seed-derivation input).
-
-        The fault and network slots carry the scenario's two describe
-        strings — identical to the legacy ``FaultSpec`` / ``NetworkSpec``
-        output for converted specs, so seeds survive the axis migration.
-        """
+        """Stable coordinate string (the seed-derivation input); the fault
+        and network slots carry the scenario's two describe strings."""
         return _cell_key_prefix(
             self.algorithm, self.n, self.b, self.f, self.engine, self.scenario
         ) + f"rep{self.rep}"
@@ -142,15 +97,27 @@ def _cell_key_prefix(
 #: A scenarios-axis entry: a registered preset name or an inline spec.
 ScenarioRef = Union[str, ScenarioSpec]
 
+#: Spec-file keys of the retired fault-script × network axes, each with the
+#: ``scenarios`` spelling that replaces it.
+_REMOVED_AXES = {
+    "faults": (
+        'write scenarios = [{byzantine = ["equivocator"]}] — one entry per '
+        "fault script; crashes / crash_round / clean keep their names"
+    ),
+    "networks": (
+        "write scenarios = [{timing = {gst = 10.0}}] — one entry per "
+        "fault script × network, the network under the entry's timing key"
+    ),
+}
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
     """A declarative sweep: the cross product of every axis below.
 
     ``scenarios`` is the environment axis (preset names resolve through
-    :data:`~repro.scenarios.registry.SCENARIO_REGISTRY` at construction).
-    The legacy ``faults`` × ``networks`` axes are still accepted and fold
-    into equivalent scenarios — give one or the other, not both.
+    :data:`~repro.scenarios.registry.SCENARIO_REGISTRY` at construction);
+    left empty it is the ``fault-free`` scenario alone.
     """
 
     name: str
@@ -158,8 +125,6 @@ class CampaignSpec:
     models: Tuple[Tuple[int, int, int], ...]
     engines: Tuple[str, ...] = ("lockstep",)
     scenarios: Tuple[ScenarioRef, ...] = ()
-    faults: Optional[Tuple[FaultSpec, ...]] = None
-    networks: Optional[Tuple[NetworkSpec, ...]] = None
     repetitions: int = 1
     seed: int = 0
     max_phases: int = 15
@@ -170,25 +135,15 @@ class CampaignSpec:
         for axis in ("algorithms", "models", "engines"):
             if not getattr(self, axis):
                 raise ValueError(f"axis {axis!r} must be non-empty")
-        legacy = self.faults is not None or self.networks is not None
-        if legacy and self.scenarios:
-            raise ValueError(
-                "give either the scenarios axis or the legacy "
-                "faults/networks axes, not both"
-            )
-        for axis in ("faults", "networks"):
-            if getattr(self, axis) is not None and not getattr(self, axis):
-                raise ValueError(f"axis {axis!r} must be non-empty")
-        if self.scenarios:
-            # Resolve preset names once; expansion then works on pure specs.
-            object.__setattr__(
-                self,
-                "scenarios",
-                tuple(
-                    get_scenario(ref) if isinstance(ref, str) else ref
-                    for ref in self.scenarios
-                ),
-            )
+        # Resolve preset names once; expansion then works on pure specs.
+        object.__setattr__(
+            self,
+            "scenarios",
+            tuple(
+                get_scenario(ref) if isinstance(ref, str) else ref
+                for ref in self.scenarios or ("fault-free",)
+            ),
+        )
         for engine in self.engines:
             if engine not in ENGINES:
                 raise ValueError(
@@ -199,26 +154,13 @@ class CampaignSpec:
         if self.max_phases < 1:
             raise ValueError("max_phases must be ≥ 1")
 
-    def scenario_axis(self) -> Tuple[ScenarioSpec, ...]:
-        """The effective environment axis, legacy axes folded in."""
-        if self.scenarios:
-            return self.scenarios
-        faults = self.faults if self.faults is not None else (FaultSpec(),)
-        networks = (
-            self.networks if self.networks is not None else (NetworkSpec(),)
-        )
-        return tuple(
-            ScenarioSpec.from_legacy(fault, network)
-            for fault, network in itertools.product(faults, networks)
-        )
-
     @property
     def total_runs(self) -> int:
         return (
             len(self.algorithms)
             * len(self.models)
             * len(self.engines)
-            * len(self.scenario_axis())
+            * len(self.scenarios)
             * self.repetitions
         )
 
@@ -232,7 +174,7 @@ class CampaignSpec:
         millions of cells.
         """
         cells = itertools.product(
-            self.algorithms, self.models, self.engines, self.scenario_axis()
+            self.algorithms, self.models, self.engines, self.scenarios
         )
         run_id = 0
         for algorithm, (n, b, f), engine, scenario in cells:
@@ -261,7 +203,7 @@ class CampaignSpec:
 
     def to_mapping(self) -> Dict[str, object]:
         """A JSON/TOML-friendly mapping (inverse of :meth:`from_mapping`)."""
-        mapping: Dict[str, object] = {
+        return {
             "name": self.name,
             "algorithms": list(self.algorithms),
             "models": [list(model) for model in self.models],
@@ -269,25 +211,18 @@ class CampaignSpec:
             "repetitions": self.repetitions,
             "seed": self.seed,
             "max_phases": self.max_phases,
+            "scenarios": [spec.to_mapping() for spec in self.scenarios],
         }
-        if self.scenarios:
-            mapping["scenarios"] = [
-                spec.to_mapping() for spec in self.scenarios
-            ]
-        # Unset legacy axes are omitted (not materialized as defaults), so
-        # from_mapping(to_mapping(spec)) == spec for every construction.
-        if self.faults is not None:
-            mapping["faults"] = [asdict(fault) for fault in self.faults]
-        if self.networks is not None:
-            mapping["networks"] = [asdict(network) for network in self.networks]
-        return mapping
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "CampaignSpec":
         data = dict(mapping)
+        for axis, replacement in _REMOVED_AXES.items():
+            if axis in data:
+                raise ValueError(f"{axis!r} was removed: {replacement}")
         unknown = set(data) - {
             "name", "algorithms", "models", "engines", "scenarios",
-            "faults", "networks", "repetitions", "seed", "max_phases",
+            "repetitions", "seed", "max_phases",
         }
         if unknown:
             raise ValueError(f"unknown campaign keys: {sorted(unknown)}")
@@ -304,14 +239,6 @@ class CampaignSpec:
             kwargs["scenarios"] = tuple(
                 ref if isinstance(ref, str) else ScenarioSpec.from_mapping(ref)
                 for ref in data["scenarios"]
-            )
-        if "faults" in data:
-            kwargs["faults"] = tuple(
-                FaultSpec(**fault) for fault in data["faults"]
-            )
-        if "networks" in data:
-            kwargs["networks"] = tuple(
-                NetworkSpec(**network) for network in data["networks"]
             )
         for scalar in ("repetitions", "seed", "max_phases"):
             if scalar in data:

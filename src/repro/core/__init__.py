@@ -6,7 +6,6 @@ Public surface:
 * :class:`~repro.core.parameters.ConsensusParameters` — the four parameters
   (TD, FLAG, FLV, Selector) of Algorithm 1;
 * :class:`~repro.core.process.GenericConsensusProcess` — Algorithm 1 itself;
-* :func:`~repro.core.run.run_consensus` — one-call execution harness;
 * :class:`~repro.core.classification.AlgorithmClass` — Table 1 in code.
 """
 
@@ -25,7 +24,6 @@ from repro.core.parameters import (
     ParameterError,
 )
 from repro.core.process import GenericConsensusProcess, RoundStructure
-from repro.core.run import ConsensusOutcome, run_consensus
 from repro.core.selector import (
     AllProcessesSelector,
     FixedSelector,
@@ -40,7 +38,6 @@ from repro.core.types import FaultModel, Flag, RoundKind
 __all__ = [
     "AlgorithmClass",
     "AllProcessesSelector",
-    "ConsensusOutcome",
     "ConsensusParameters",
     "ConsensusState",
     "FLVClass1",
@@ -64,5 +61,4 @@ __all__ = [
     "build_class_parameters",
     "classify",
     "is_concrete",
-    "run_consensus",
 ]

@@ -24,8 +24,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.parameters import Coin, ConsensusParameters, GenericConsensusConfig
-from repro.core.run import ConsensusOutcome
 from repro.core.types import Phase, ProcessId, Value
+from repro.engine.assembly import build_instance
+from repro.engine.kernel import run_instance
+from repro.engine.outcome import Outcome
+from repro.engine.scheduler import LockstepScheduler
 from repro.rounds.policies import AsyncPrelPolicy
 from repro.utils.rng import SeededRng
 
@@ -66,7 +69,7 @@ def run_randomized_consensus(
     max_phases: int = 200,
     byzantine: Optional[dict] = None,
     coin_values: Sequence[Value] = (0, 1),
-) -> ConsensusOutcome:
+) -> Outcome:
     """Run the randomized adaptation under a ``Prel``-only adversary.
 
     Terminates with probability 1; ``max_phases`` bounds the simulation (the
@@ -81,42 +84,16 @@ def run_randomized_consensus(
     rng = SeededRng(seed)
 
     # Coins must be independent across processes, so each process gets its
-    # own config (run_consensus shares one config across all processes).
+    # own config instead of the one ``config=`` shares across all of them.
     def config_for(pid: ProcessId) -> GenericConsensusConfig:
         return GenericConsensusConfig(coin=make_coin(seed, pid, coin_values))
-
-    return _run_with_per_process_coins(
-        parameters,
-        initial_values,
-        config_for,
-        byzantine=byzantine,
-        max_phases=max_phases,
-        policy=AsyncPrelPolicy(rng.stream("prel-adversary")),
-    )
-
-
-def _run_with_per_process_coins(
-    parameters: ConsensusParameters,
-    initial_values: dict,
-    config_for,
-    *,
-    byzantine: Optional[dict],
-    max_phases: int,
-    policy,
-) -> ConsensusOutcome:
-    """Like :func:`run_consensus` but with a per-process config factory."""
-    from repro.core.run import outcome_from_kernel
-    from repro.engine.assembly import build_instance
-    from repro.engine.kernel import run_instance
-    from repro.engine.scheduler import LockstepScheduler
 
     instance = build_instance(
         parameters, initial_values, byzantine=byzantine, config_for=config_for
     )
-    outcome = run_instance(
+    return run_instance(
         instance,
-        LockstepScheduler(policy),
+        LockstepScheduler(AsyncPrelPolicy(rng.stream("prel-adversary"))),
         max_phases=max_phases,
         record_snapshots=False,
     )
-    return outcome_from_kernel(instance, outcome)

@@ -26,10 +26,6 @@ execution path into three orthogonal pieces:
   algorithm as one (runs × processes) array program over delivery masks,
   and everything else falls back to the per-run scalar oracle, byte for
   byte.
-
-``repro.core.run.run_consensus`` and
-``repro.eventsim.runtime.run_timed_consensus`` are thin compatibility
-wrappers over this kernel.
 """
 
 from repro.engine.assembly import Instance, build_instance

@@ -368,7 +368,7 @@ def run_instance(
     or after ``max_phases`` phases (override with ``stop_when``).
     ``record_snapshots`` defaults to the observation mode: full observation
     records per-round state snapshot dicts, metrics mode records nothing
-    per-round (the compatibility wrappers pass their own explicit flag).
+    per-round.
     ``observe="profile"`` instruments the run (a fresh
     :class:`~repro.observability.telemetry.Telemetry` is created when none
     is passed); any mode accepts an explicit ``telemetry`` registry, which

@@ -197,9 +197,7 @@ class TimedScheduler(RoundScheduler):
             use_heap = os.environ.get(SLOW_SCHEDULER_ENV, "") not in ("", "0")
         self._queue = None
         if use_heap:
-            # Imported here: repro.eventsim.runtime (pulled in by the
-            # eventsim package init) imports this module, so a module-level
-            # import of repro.eventsim.events would be circular.
+            # Imported here: only the reference path needs the event queue.
             from repro.eventsim.events import EventQueue
 
             self._queue = EventQueue()

@@ -8,9 +8,7 @@ asynchronous period of [7]), after GST they are bounded by δ < Δ, so rounds
 become good.  Execution goes through the unified kernel
 (:mod:`repro.engine`) under a
 :class:`~repro.engine.scheduler.TimedScheduler`; this package provides the
-network/latency models and the :func:`run_timed_consensus` compatibility
-wrapper, which with ``observe="full"`` now also reports the execution trace
-and invariant results.
+network/latency models.
 """
 
 from repro.eventsim.events import EventQueue, TimedEvent
@@ -20,7 +18,6 @@ from repro.eventsim.network import (
     PartialSynchronyNetwork,
     UniformLatency,
 )
-from repro.eventsim.runtime import TimedOutcome, run_timed_consensus
 
 __all__ = [
     "EventQueue",
@@ -28,7 +25,5 @@ __all__ = [
     "LatencyModel",
     "PartialSynchronyNetwork",
     "TimedEvent",
-    "TimedOutcome",
     "UniformLatency",
-    "run_timed_consensus",
 ]

@@ -1,15 +1,11 @@
 """The public home of named Byzantine strategies.
 
 :data:`STRATEGY_REGISTRY` maps the strategy names accepted throughout the
-library (``run_consensus(byzantine=...)``, campaign fault scripts, the CLI)
-to their factories, and :func:`build_byzantine` resolves one *spec* — a
-name, a ready instance, or a factory — into a live
-:class:`~repro.faults.byzantine.ByzantineStrategy`.
-
-Both used to live in :mod:`repro.core.run` (where the timed runtime and the
-network stack reached them through a private ``_build_byzantine`` import);
-they moved here so every execution path assembles adversaries through one
-public API.  :mod:`repro.core.run` keeps deprecated aliases.
+library (``build_instance(byzantine=...)``, scenario specs, the CLI) to
+their factories, and :func:`build_byzantine` resolves one *spec* — a name,
+a ready instance, or a factory — into a live
+:class:`~repro.faults.byzantine.ByzantineStrategy`, so every execution path
+assembles adversaries through one public API.
 """
 
 from __future__ import annotations

@@ -5,12 +5,10 @@ expressed in: processes exposing per-round send/transition functions,
 delivery policies realizing the communication predicates ``Pgood`` /
 ``Pcons`` / ``Prel``, predicate checkers, and good/bad period schedules
 modelling partial synchrony.  The round loop itself lives in the unified
-execution kernel (:mod:`repro.engine`); :class:`SyncEngine` remains here as
-a thin veneer over it for code that drives lockstep rounds step by step.
+execution kernel (:mod:`repro.engine`).
 """
 
 from repro.rounds.base import RoundProcess, RunContext
-from repro.rounds.engine import EngineResult, SyncEngine
 from repro.rounds.policies import (
     AsyncPrelPolicy,
     DeliveryPolicy,
@@ -25,7 +23,6 @@ from repro.rounds.schedule import GoodBadSchedule
 __all__ = [
     "AsyncPrelPolicy",
     "DeliveryPolicy",
-    "EngineResult",
     "GoodBadPolicy",
     "GoodBadSchedule",
     "LossyPolicy",
@@ -34,7 +31,6 @@ __all__ = [
     "RoundStructure",
     "RunContext",
     "SilentPolicy",
-    "SyncEngine",
     "check_pcons",
     "check_pgood",
     "check_prel",

@@ -13,10 +13,9 @@ and one timing discipline into the Byzantine map, crash schedule and
     outcome = run_scenario("partition_heal", params, engine="timed", rng=7)
     assert outcome.agreement_holds
 
-Named presets live in :data:`SCENARIO_REGISTRY`; the adversary presets of
-:mod:`repro.faults.adversary`, the campaign ``scenarios`` axis, the
-``gauntlet`` campaign and the ``repro scenario`` CLI all resolve through
-this one catalogue.
+Named presets live in :data:`SCENARIO_REGISTRY`; the campaign ``scenarios``
+axis, the ``gauntlet`` campaign and the ``repro scenario`` CLI all resolve
+through this one catalogue.
 """
 
 from repro.scenarios.compile import (

@@ -2,9 +2,8 @@
 
 Each entry is a model-agnostic :class:`~repro.scenarios.spec.ScenarioSpec`
 that compiles onto any resilience point and onto both engines (where
-admissible).  The adversary presets of :mod:`repro.faults.adversary`, the
-``gauntlet`` campaign, the CLI (``repro scenario list|run``) and the benches
-all resolve names through this one registry.
+admissible).  The ``gauntlet`` campaign, the CLI (``repro scenario
+list|run``) and the benches all resolve names through this one registry.
 
 ==================  ==========================================================
 preset              description

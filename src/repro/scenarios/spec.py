@@ -8,18 +8,10 @@ in plain data.  It is model-agnostic: the same spec compiles onto any
 lockstep oracle scheduler and the Δ-paced timed scheduler), via
 :func:`repro.scenarios.compile.compile_scenario`.
 
-Before this layer the same environments were described in four incompatible
-dialects (``FaultSpec``, ``AdversaryScenario``, raw ``DeliveryPolicy`` /
-``GoodBadSchedule`` objects, ``NetworkSpec``); all of them now either embed
-here or convert losslessly via :meth:`ScenarioSpec.from_legacy`.
-
 Specs round-trip through plain mappings (:meth:`ScenarioSpec.to_mapping` /
 :meth:`ScenarioSpec.from_mapping`), so campaigns can load them from JSON or
 TOML files, and :meth:`describe_fault` / :meth:`describe_network` emit the
-stable coordinate strings campaign seed derivation keys on — for specs
-converted from the legacy axes the strings are byte-identical to the old
-``FaultSpec.describe()`` / ``NetworkSpec.describe()`` output, so existing
-campaign seeds (and therefore rows) are unchanged.
+stable coordinate strings campaign seed derivation keys on.
 """
 
 from __future__ import annotations
@@ -173,6 +165,14 @@ class ScenarioSpec:
             )
         if self.byzantine_count > 0 and not self.byzantine:
             raise ValueError("byzantine_count > 0 needs at least one strategy")
+        # A bare string would otherwise freeze into one strategy per letter.
+        if not isinstance(self.byzantine, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.byzantine
+        ):
+            raise ValueError(
+                "byzantine must be a list of strategy names "
+                f'(["equivocator"], not "equivocator"), got {self.byzantine!r}'
+            )
         if not isinstance(self.byzantine, tuple):
             object.__setattr__(self, "byzantine", tuple(self.byzantine))
 
@@ -199,12 +199,8 @@ class ScenarioSpec:
     # ------------------------------------------------------------- describe
 
     def describe_fault(self) -> str:
-        """The fault/communication coordinate string.
-
-        For specs converted from the legacy ``FaultSpec`` axis this is
-        byte-identical to ``FaultSpec.describe()`` — the seed-stability
-        guarantee campaigns rely on.
-        """
+        """The fault/communication coordinate string (a seed-derivation
+        input: changing it moves every campaign seed)."""
         parts = []
         if self.byzantine:
             strategies = ",".join(self.byzantine)
@@ -224,7 +220,7 @@ class ScenarioSpec:
         return "+".join(parts) or "fault-free"
 
     def describe_network(self) -> str:
-        """The timed-network coordinate string (legacy ``NetworkSpec`` one)."""
+        """The timed-network coordinate string."""
         return self.timing.describe()
 
     def describe(self) -> str:
@@ -262,37 +258,15 @@ class ScenarioSpec:
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         kwargs: Dict[str, object] = {}
-        for key in ("name", "byzantine_count", "crashes", "crash_round",
-                    "clean", "max_phases"):
+        for key in ("name", "byzantine", "byzantine_count", "crashes",
+                    "crash_round", "clean", "max_phases"):
             if key in data:
                 kwargs[key] = data[key]
-        if "byzantine" in data:
-            kwargs["byzantine"] = tuple(data["byzantine"])
         if "comm" in data:
             kwargs["comm"] = CommSpec(**dict(data["comm"]))
         if "timing" in data:
             kwargs["timing"] = NetworkSpec(**dict(data["timing"]))
         return cls(**kwargs)
-
-    # ------------------------------------------------------------ converters
-
-    @classmethod
-    def from_legacy(cls, fault, network: Optional[NetworkSpec] = None) -> "ScenarioSpec":
-        """Convert one legacy ``(FaultSpec, NetworkSpec)`` cell losslessly.
-
-        The resulting spec places ``fault.byzantine`` on all ``b`` slots,
-        scripts the same crashes, keeps reliable lockstep communication and
-        carries ``network`` as the timed conditions — exactly what the
-        campaign runner hard-coded before the scenario layer existed.
-        """
-        return cls(
-            name="legacy",
-            byzantine=(fault.byzantine,) if fault.byzantine else (),
-            crashes=fault.crashes,
-            crash_round=fault.crash_round,
-            clean=fault.clean,
-            timing=network if network is not None else NetworkSpec(),
-        )
 
     def with_timing(self, timing: NetworkSpec) -> "ScenarioSpec":
         """The same scenario under different timed-network conditions."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.fab_paxos import build_fab_paxos
-from repro.core.run import STRATEGY_REGISTRY
+from repro.faults import STRATEGY_REGISTRY
 
 
 class TestBuilder:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.mqb import build_mqb
-from repro.core.run import STRATEGY_REGISTRY
+from repro.faults import STRATEGY_REGISTRY
 from repro.core.types import RoundInfo, RoundKind
 
 

@@ -10,7 +10,7 @@ from repro.algorithms.one_third_rule import (
 from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.core.flv_class1 import FLVClass1
 from repro.utils.sentinels import NULL_VALUE, ANY_VALUE
-from repro.rounds.engine import SyncEngine
+from repro.engine import ExecutionKernel, LockstepScheduler
 from repro.rounds.policies import ReliablePolicy
 from tests.conftest import sel_msg
 
@@ -43,10 +43,10 @@ class TestOriginalAlgorithm5:
             pid: OriginalOneThirdRuleProcess(pid, values[pid], model)
             for pid in range(n)
         }
-        engine = SyncEngine(
+        engine = ExecutionKernel(
             model,
             processes,
-            ReliablePolicy(),
+            LockstepScheduler(ReliablePolicy()),
             lambda r: RoundInfo(r, r, RoundKind.SELECTION),
         )
         engine.run(rounds)

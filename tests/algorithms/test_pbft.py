@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.pbft import build_pbft
-from repro.core.run import STRATEGY_REGISTRY
+from repro.faults import STRATEGY_REGISTRY
 
 
 class TestBuilder:

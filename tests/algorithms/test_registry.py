@@ -62,15 +62,13 @@ def test_describe_mentions_name_and_section():
     assert "MQB" in text and "5.2" in text
 
 
-def test_spec_run_matches_run_consensus():
-    """AlgorithmSpec.run drives the kernel directly, bytes unchanged.
-
-    The spec method assembles build_instance + run_instance itself; this
-    pins it to the legacy run_consensus wrapper outcome for outcome — same
-    decisions, same rounds, same invariant verdicts — including when the
-    caller supplies Byzantine strategies and a phase bound.
+def test_spec_run_matches_a_direct_kernel_run():
+    """AlgorithmSpec.run is build_instance + run_instance with the spec's
+    own config: same decisions, same rounds, same invariant verdicts as the
+    spelled-out call — including when the caller supplies Byzantine
+    strategies and a phase bound.
     """
-    from repro.core.run import run_consensus
+    from repro.engine import LockstepScheduler, build_instance, run_instance
 
     spec = ALGORITHM_BUILDERS["pbft"](4)
     for initial, byzantine, max_phases in (
@@ -81,21 +79,19 @@ def test_spec_run_matches_run_consensus():
         mine = spec.run(
             initial, byzantine=byzantine, max_phases=max_phases
         )
-        legacy = run_consensus(
-            spec.parameters,
-            initial,
-            config=spec.config,
-            byzantine=byzantine,
+        direct = run_instance(
+            build_instance(
+                spec.parameters,
+                initial,
+                config=spec.config,
+                byzantine=byzantine,
+            ),
+            LockstepScheduler(),
             max_phases=max_phases,
         )
-        assert mine.decisions.keys() == legacy.decisions.keys()
-        assert {
-            pid: decision.value for pid, decision in mine.decisions.items()
-        } == {
-            pid: decision.value for pid, decision in legacy.decisions.items()
-        }
-        assert mine.result.rounds_executed == legacy.result.rounds_executed
-        assert mine.decided_values == legacy.decided_values
+        assert mine.decisions == direct.decisions
+        assert mine.rounds_executed == direct.rounds_executed
+        assert mine.decided_values == direct.decided_values
         assert dict(mine.invariant_report()) == dict(
-            legacy.invariant_report()
+            direct.invariant_report()
         )

@@ -1,4 +1,5 @@
-"""Lemma-level checkers on snapshot-recorded runs."""
+"""Lemma-level checkers on snapshot-recorded runs (``observe="full"``
+records state snapshots by default)."""
 
 import random
 
@@ -13,8 +14,9 @@ from repro.analysis.lemmas import (
     check_validated_pair_was_selected,
 )
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import STRATEGY_REGISTRY, run_consensus
 from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
+from repro.faults import STRATEGY_REGISTRY
 from repro.rounds.policies import GoodBadPolicy
 from repro.rounds.schedule import GoodBadSchedule
 
@@ -30,12 +32,9 @@ def snapshot_run(cls, model, strategy=None, bad_prefix=0, seed=0):
         policy = GoodBadPolicy(
             GoodBadSchedule.good_after(bad_prefix + 1), rng=random.Random(seed)
         )
-    return run_consensus(
-        params,
-        values,
-        byzantine=byzantine,
-        policy=policy,
-        record_snapshots=True,
+    return run_instance(
+        build_instance(params, values, byzantine=byzantine),
+        LockstepScheduler(policy),
         max_phases=bad_prefix + 8,
     )
 
@@ -72,7 +71,7 @@ class TestCheckersDetectViolations:
     def test_lemma4_checker_fires_on_forged_trace(self):
         outcome = snapshot_run(AlgorithmClass.CLASS_3, FaultModel(4, 1, 0))
         # Corrupt the recorded snapshots: two validated values in phase 1.
-        for record in outcome.result.trace.records:
+        for record in outcome.trace.records:
             if record.snapshots:
                 pids = list(record.snapshots)
                 record.snapshots[pids[0]] = ("A", record.info.phase, frozenset())
@@ -82,7 +81,7 @@ class TestCheckersDetectViolations:
 
     def test_monotonicity_checker_fires(self):
         outcome = snapshot_run(AlgorithmClass.CLASS_3, FaultModel(4, 1, 0))
-        records = outcome.result.trace.records
+        records = outcome.trace.records
         # Inject a decreasing timestamp for process 0 in the last record.
         records[-1].snapshots[0] = ("x", -0, frozenset())
         records[-1].snapshots[0] = ("x", 0, frozenset())
@@ -93,7 +92,7 @@ class TestCheckersDetectViolations:
     def test_support_checker_fires(self):
         outcome = snapshot_run(AlgorithmClass.CLASS_3, FaultModel(4, 1, 0))
         # Erase all validation-round support.
-        for record in outcome.result.trace.records:
+        for record in outcome.trace.records:
             for pid in list(record.snapshots):
                 record.snapshots[pid] = ("never-decided", 0, frozenset())
         if outcome.decisions:

@@ -419,7 +419,7 @@ class TestCli:
             "name": "cli-unit",
             "algorithms": ["pbft"],
             "models": [[4, 1, 0]],
-            "faults": [{}, {"byzantine": "equivocator"}],
+            "scenarios": [{}, {"byzantine": ["equivocator"]}],
             "repetitions": 2,
             "seed": 5,
         }
@@ -543,6 +543,37 @@ class TestCli:
         path.write_text('{"name": "x", "algorithms": ["pbft"], "oops": 1}')
         assert main(["campaign", "run", str(path)]) == 2
         assert "cannot load campaign spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize(
+        "key,entry,message",
+        [
+            ("faults", {"byzantine": "equivocator"},
+             "'faults' was removed: write scenarios = "),
+            ("networks", {"gst": 10.0},
+             "'networks' was removed: write scenarios = "),
+            # The retired fault-script spelling inside the new axis: a bare
+            # string must not load as one strategy per letter.
+            ("scenarios", {"byzantine": "equivocator"},
+             "byzantine must be a list of strategy names"),
+        ],
+        ids=["faults", "networks", "bare-string-byzantine"],
+    )
+    def test_retired_spellings_exit_2_with_one_line(
+        self, tmp_path, capsys, command, key, entry, message
+    ):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "name": "old", "algorithms": ["pbft"], "models": [[4, 1, 0]],
+            key: [entry],
+        }))
+        assert main(["campaign", command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"cannot load campaign spec {path}: ")
+        assert message in line
+        assert not list(tmp_path.glob("*.partial"))
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)

@@ -4,18 +4,22 @@ import pytest
 
 from repro.campaigns.results import rows_to_jsonl
 from repro.campaigns.runner import execute_run, run_campaign
-from repro.campaigns.spec import CampaignSpec, FaultSpec, NetworkSpec
+from repro.campaigns.spec import CampaignSpec, NetworkSpec
+from repro.scenarios import ScenarioSpec
 
 
 def mixed_spec(**overrides):
     """A small grid crossing both engines and an adversarial fault."""
+    timing = NetworkSpec(gst=4.0, pre_gst_delay_prob=0.6)
     kwargs = dict(
         name="runner-unit",
         algorithms=("pbft", "class-2"),
         models=((4, 1, 0), (5, 1, 0)),
         engines=("lockstep", "timed"),
-        faults=(FaultSpec(), FaultSpec(byzantine="equivocator")),
-        networks=(NetworkSpec(gst=4.0, pre_gst_delay_prob=0.6),),
+        scenarios=(
+            ScenarioSpec(timing=timing),
+            ScenarioSpec(byzantine=("equivocator",), timing=timing),
+        ),
         repetitions=2,
         seed=21,
         max_phases=12,
@@ -68,7 +72,7 @@ class TestIsolation:
         rows = run_campaign(
             mixed_spec(
                 engines=("lockstep",),
-                faults=(FaultSpec(byzantine="no-such-strategy"),),
+                scenarios=(ScenarioSpec(byzantine=("no-such-strategy",)),),
             )
         )
         # class-2 at n=4 is rejected by its bound before the fault script
@@ -98,8 +102,8 @@ class TestIsolation:
                 name="envelope",
                 algorithms=("one-third-rule", "pbft"),
                 models=((6, 1, 0), (4, 0, 1)),
-                faults=(FaultSpec(byzantine="equivocator"),
-                        FaultSpec(crashes=-1)),
+                scenarios=(ScenarioSpec(byzantine=("equivocator",)),
+                           ScenarioSpec(crashes=-1)),
             )
         )
         statuses = {
@@ -119,7 +123,8 @@ class TestIsolation:
                 algorithms=("paxos",),
                 models=((3, 0, 1),),
                 engines=("lockstep", "timed"),
-                faults=(FaultSpec(byzantine="silent"), FaultSpec(crashes=-1)),
+                scenarios=(ScenarioSpec(byzantine=("silent",)),
+                           ScenarioSpec(crashes=-1)),
             )
         )
         statuses = {
@@ -140,7 +145,7 @@ class TestIsolation:
                 algorithms=("paxos",),
                 models=((3, 0, 1),),
                 engines=("lockstep", "timed"),
-                faults=(FaultSpec(crashes=2),),
+                scenarios=(ScenarioSpec(crashes=2),),
             )
         )
         assert {row["status"] for row in rows} == {"inapplicable"}

@@ -1,10 +1,10 @@
-"""The scenarios campaign axis and its legacy fold-in."""
+"""The scenarios campaign axis."""
 
 import pytest
 
 from repro.campaigns import BUILTIN_CAMPAIGNS
 from repro.campaigns.runner import run_campaign
-from repro.campaigns.spec import CampaignSpec, FaultSpec, NetworkSpec
+from repro.campaigns.spec import CampaignSpec
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.spec import CommSpec
 
@@ -47,9 +47,15 @@ class TestScenarioAxis:
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario_spec(scenarios=("no-such-scenario",))
 
-    def test_both_axes_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            scenario_spec(faults=(FaultSpec(),))
+    def test_empty_axis_is_the_fault_free_scenario(self):
+        spec = scenario_spec(scenarios=())
+        assert spec.scenarios == (get_scenario("fault-free"),)
+        assert spec == scenario_spec(scenarios=("fault-free",))
+
+    @pytest.mark.parametrize("axis", ["faults", "networks"])
+    def test_retired_axes_are_not_constructor_arguments(self, axis):
+        with pytest.raises(TypeError, match=axis):
+            scenario_spec(**{axis: ()})
 
     def test_rows_ok_across_engines(self):
         rows = run_campaign(scenario_spec(), workers=2)
@@ -63,7 +69,7 @@ class TestScenarioAxis:
 
     def test_default_axes_round_trip(self):
         """A spec built with every axis defaulted must survive
-        to_mapping/from_mapping unchanged (unset legacy axes stay unset)."""
+        to_mapping/from_mapping unchanged."""
         spec = CampaignSpec(
             name="defaults", algorithms=("pbft",), models=((4, 1, 0),)
         )
@@ -79,46 +85,6 @@ class TestScenarioAxis:
             }
         )
         assert spec.scenarios == (get_scenario("worst_case"),)
-
-
-class TestLegacyFoldIn:
-    def test_legacy_axes_fold_to_scenarios(self):
-        spec = CampaignSpec(
-            name="legacy",
-            algorithms=("pbft",),
-            models=((4, 1, 0),),
-            faults=(FaultSpec(), FaultSpec(byzantine="equivocator")),
-            networks=(NetworkSpec(), NetworkSpec(gst=5.0)),
-        )
-        axis = spec.scenario_axis()
-        assert len(axis) == 4
-        # product order: fault-major, network-minor (the legacy grid order).
-        assert axis[0].describe_fault() == "fault-free"
-        assert axis[1].timing.gst == 5.0
-        assert axis[2].describe_fault() == "byz:equivocator"
-
-    def test_legacy_axes_keep_seeds(self):
-        """Folding faults × networks into scenarios must not move any
-        derived seed: keys hash the identical coordinate strings."""
-        spec = CampaignSpec(
-            name="seeds",
-            algorithms=("pbft", "class-2"),
-            models=((4, 1, 0),),
-            engines=("lockstep", "timed"),
-            faults=(FaultSpec(), FaultSpec(byzantine="silent"),
-                    FaultSpec(crashes=-1)),
-            networks=(NetworkSpec(gst=4.0),),
-            seed=21,
-        )
-        for run in spec.expand():
-            assert (
-                run.scenario.describe_fault(),
-                run.scenario.describe_network(),
-            ) in {
-                (fault.describe(), network.describe())
-                for fault in spec.faults
-                for network in spec.networks
-            }
 
 
 class TestGauntlet:

@@ -9,7 +9,6 @@ from repro.campaigns import BUILTIN_CAMPAIGNS, run_campaign
 from repro.campaigns.results import rows_to_jsonl
 from repro.campaigns.spec import (
     CampaignSpec,
-    FaultSpec,
     NetworkSpec,
     derive_seed,
     load_spec,
@@ -17,6 +16,7 @@ from repro.campaigns.spec import (
 )
 from repro.core.parameters import ConsensusParameters
 from repro.core.types import FaultModel
+from repro.scenarios import ScenarioSpec
 
 
 def small_spec(**overrides):
@@ -25,8 +25,7 @@ def small_spec(**overrides):
         algorithms=("pbft", "class-2"),
         models=((4, 1, 0), (5, 1, 0)),
         engines=("lockstep", "timed"),
-        faults=(FaultSpec(), FaultSpec(byzantine="equivocator")),
-        networks=(NetworkSpec(),),
+        scenarios=("fault-free", ScenarioSpec(byzantine=("equivocator",))),
         repetitions=3,
         seed=7,
     )
@@ -38,7 +37,7 @@ class TestExpansion:
     def test_cross_product_size(self):
         spec = small_spec()
         runs = spec.expand()
-        assert len(runs) == 2 * 2 * 2 * 2 * 1 * 3 == spec.total_runs
+        assert len(runs) == 2 * 2 * 2 * 2 * 3 == spec.total_runs
 
     def test_run_ids_sequential(self):
         runs = small_spec().expand()
@@ -146,13 +145,31 @@ class TestSerialization:
             'algorithms = ["pbft"]\n'
             "models = [[4, 1, 0]]\n"
             "repetitions = 2\n"
-            "[[faults]]\n"
-            'byzantine = "silent"\n'
+            "[[scenarios]]\n"
+            'byzantine = ["silent"]\n'
         )
         spec = load_spec(path)
         assert spec.name == "toml-campaign"
-        assert spec.faults == (FaultSpec(byzantine="silent"),)
+        assert spec.scenarios == (ScenarioSpec(byzantine=("silent",)),)
         assert spec.total_runs == 2
+
+    @pytest.mark.parametrize(
+        "axis,replacement",
+        [
+            ("faults", 'scenarios = [{byzantine = ["equivocator"]}]'),
+            ("networks", "scenarios = [{timing = {gst = 10.0}}]"),
+        ],
+        ids=["faults", "networks"],
+    )
+    def test_retired_axis_names_its_replacement(self, axis, replacement):
+        with pytest.raises(ValueError) as excinfo:
+            CampaignSpec.from_mapping(
+                {"name": "x", "algorithms": ["pbft"], "models": [[4, 1, 0]],
+                 axis: [{}]}
+            )
+        message = str(excinfo.value)
+        assert message.startswith(f"'{axis}' was removed: write {replacement}")
+        assert "\n" not in message
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign keys"):
@@ -187,23 +204,6 @@ class TestResolveAlgorithm:
             resolve_algorithm("nope", FaultModel(4, 1, 0))
 
 
-class TestFaultSpec:
-    def test_describe(self):
-        assert FaultSpec().describe() == "fault-free"
-        assert FaultSpec(byzantine="silent").describe() == "byz:silent"
-        assert FaultSpec(crashes=-1).describe() == "crash:f@1"
-        assert (
-            FaultSpec(byzantine="noise", crashes=2, crash_round=3,
-                      clean=False).describe()
-            == "byz:noise+crash!:2@3"
-        )
-
-    def test_crash_count(self):
-        model = FaultModel(5, 0, 2)
-        assert FaultSpec(crashes=-1).crash_count(model) == 2
-        assert FaultSpec(crashes=1).crash_count(model) == 1
-
-
 class TestNetworkSpec:
     def test_describe_distinguishes_every_field(self):
         """Aliased describe() strings would alias derived seeds and cells."""
@@ -224,9 +224,9 @@ class TestNetworkSpec:
     def test_sweep_over_delay_prob_gets_distinct_seeds(self):
         spec = small_spec(
             engines=("timed",),
-            networks=(
-                NetworkSpec(pre_gst_delay_prob=0.1),
-                NetworkSpec(pre_gst_delay_prob=0.9),
+            scenarios=(
+                ScenarioSpec(timing=NetworkSpec(pre_gst_delay_prob=0.1)),
+                ScenarioSpec(timing=NetworkSpec(pre_gst_delay_prob=0.9)),
             ),
         )
         runs = spec.expand()

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import run_consensus
 from repro.core.selector import LeaderSelector
 from repro.core.types import FaultModel
 from repro.detectors.failure_detector import DiamondS, suspicion_driven_oracle
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults.crash import CrashEvent, CrashSchedule
 
 
@@ -51,11 +51,11 @@ class TestCtWithDetectorEndToEnd:
         detector = DiamondS(model, faulty={0}, accurate_from_round=1)
         params = build_ct_with_detector(model, detector)
         schedule = CrashSchedule(model, [CrashEvent(0, 1, frozenset())])
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid}" for pid in range(3)},
-            crash_schedule=schedule,
+        outcome = run_instance(
+            build_instance(params, {pid: f"v{pid}" for pid in range(3)}),
+            LockstepScheduler(),
             max_phases=5,
+            crash_schedule=schedule,
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided
@@ -88,11 +88,11 @@ class TestCtWithDetectorEndToEnd:
         )
         params = build_ct_with_detector(model, detector)
         schedule = CrashSchedule(model, [CrashEvent(0, 1, frozenset())])
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid}" for pid in range(5)},
-            crash_schedule=schedule,
+        outcome = run_instance(
+            build_instance(params, {pid: f"v{pid}" for pid in range(5)}),
+            LockstepScheduler(),
             max_phases=12,
+            crash_schedule=schedule,
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided

@@ -4,8 +4,6 @@ import pytest
 
 from repro.algorithms import build_pbft
 from repro.core.process import GenericConsensusProcess
-from repro.core.run import STRATEGY_REGISTRY as LEGACY_REGISTRY
-from repro.core.run import _build_byzantine
 from repro.engine.assembly import build_instance
 from repro.faults import STRATEGY_REGISTRY, build_byzantine
 from repro.faults.byzantine import ByzantineStrategy, SilentByzantine
@@ -83,11 +81,3 @@ class TestRegistry:
     def test_unknown_name(self, pbft4):
         with pytest.raises(ValueError, match="unknown Byzantine strategy"):
             build_byzantine(3, "no-such-strategy", pbft4.parameters)
-
-    def test_legacy_registry_is_the_same_object(self):
-        assert LEGACY_REGISTRY is STRATEGY_REGISTRY
-
-    def test_private_alias_is_deprecated(self, pbft4):
-        with pytest.warns(DeprecationWarning, match="build_byzantine"):
-            strategy = _build_byzantine(3, "silent", pbft4.parameters)
-        assert isinstance(strategy, SilentByzantine)

@@ -13,7 +13,6 @@ from repro.engine.kernel import (
 )
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
 from repro.eventsim.network import PartialSynchronyNetwork, UniformLatency
-from repro.eventsim.runtime import run_timed_consensus
 from repro.faults.crash import CrashEvent, CrashSchedule
 
 
@@ -82,7 +81,7 @@ class TestMetricsParity:
         # Full observation records per-round snapshot dicts by default.
         assert any(record.snapshots for record in outcome.trace.records)
 
-    def test_run_metrics_accepts_both_outcome_flavours(self):
+    def test_run_metrics_agree_across_observation_modes(self):
         full = run_cell(build_pbft(4), observe=OBSERVE_FULL)
         fast = run_cell(build_pbft(4), observe=OBSERVE_METRICS)
         assert RunMetrics.from_outcome(fast) == RunMetrics.from_outcome(full)
@@ -106,13 +105,14 @@ class TestMetricsParity:
 class TestTimedFullObservation:
     def test_timed_full_run_reports_trace_and_invariants(self):
         spec = build_pbft(4)
-        outcome = run_timed_consensus(
-            spec.parameters,
-            {0: "a", 1: "b", 2: "a"},
-            sync_network(),
-            round_duration=2.5,
-            byzantine={3: "equivocator"},
-            observe="full",
+        outcome = run_instance(
+            build_instance(
+                spec.parameters,
+                {0: "a", 1: "b", 2: "a"},
+                byzantine={3: "equivocator"},
+            ),
+            TimedScheduler(sync_network(), round_duration=2.5),
+            observe=OBSERVE_FULL,
         )
         assert outcome.trace is not None
         assert outcome.trace.rounds_executed == outcome.rounds_executed
@@ -125,20 +125,6 @@ class TestTimedFullObservation:
             "unanimity": True,
             "termination": True,
         }
-
-    def test_timed_metrics_run_matches_legacy_shape(self):
-        spec = build_pbft(4)
-        outcome = run_timed_consensus(
-            spec.parameters,
-            {0: "a", 1: "b", 2: "a"},
-            sync_network(),
-            round_duration=2.5,
-            byzantine={3: "equivocator"},
-        )
-        assert outcome.trace is None
-        assert outcome.agreement_holds
-        assert outcome.rounds_executed == 3
-        assert outcome.last_decision_time == pytest.approx(7.5)
 
     def test_timed_scheduler_is_safe_to_reuse_across_runs(self):
         """Binding a kernel resets the scheduler's clock and queue."""

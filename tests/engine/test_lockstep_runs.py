@@ -1,11 +1,13 @@
-"""run_consensus: the one-call harness."""
+"""``build_instance`` + ``run_instance`` under the lockstep scheduler:
+happy path, input validation, fault specs, crash/loss/bad-period runs."""
 
 import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import GenericConsensusConfig
-from repro.core.run import STRATEGY_REGISTRY, run_consensus
 from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
+from repro.faults import STRATEGY_REGISTRY
 from repro.faults.byzantine import SilentByzantine
 from repro.faults.crash import CrashSchedule
 from repro.rounds.policies import LossyPolicy
@@ -24,7 +26,7 @@ class TestHappyPath:
         for cls, model in cases:
             params = build_class_parameters(cls, model)
             values = {pid: f"v{pid % 2}" for pid in model.processes}
-            outcome = run_consensus(params, values)
+            outcome = run_instance(build_instance(params, values), LockstepScheduler())
             assert outcome.agreement_holds
             assert outcome.all_correct_decided
             assert outcome.phases_to_last_decision == 1
@@ -32,14 +34,17 @@ class TestHappyPath:
     def test_validity(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         values = {pid: "only" for pid in pbft_model.processes}
-        outcome = run_consensus(params, values)
+        outcome = run_instance(build_instance(params, values), LockstepScheduler())
         assert outcome.decided_values == {"only"}
         assert outcome.validity_holds()
 
     def test_unanimity_with_byzantine(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         values = {pid: "agreed" for pid in range(3)}
-        outcome = run_consensus(params, values, byzantine={3: "vote-flipper"})
+        outcome = run_instance(
+            build_instance(params, values, byzantine={3: "vote-flipper"}),
+            LockstepScheduler(),
+        )
         assert outcome.decided_values == {"agreed"}
         assert outcome.unanimity_holds()
 
@@ -48,22 +53,30 @@ class TestInputValidation:
     def test_missing_initial_value(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         with pytest.raises(ValueError, match="missing initial value"):
-            run_consensus(params, {0: "a"})
+            run_instance(build_instance(params, {0: "a"}), LockstepScheduler())
 
     def test_too_many_byzantine(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         with pytest.raises(ValueError, match="exceed b"):
-            run_consensus(
-                params,
-                {0: "a", 1: "a"},
-                byzantine={2: "silent", 3: "silent"},
+            run_instance(
+                build_instance(
+                    params,
+                    {0: "a", 1: "a"},
+                    byzantine={2: "silent", 3: "silent"},
+                ),
+                LockstepScheduler(),
             )
 
     def test_unknown_strategy_name(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         with pytest.raises(ValueError, match="unknown Byzantine strategy"):
-            run_consensus(
-                params, {0: "a", 1: "a", 2: "a"}, byzantine={3: "nonsense"}
+            run_instance(
+                build_instance(
+                    params,
+                    {0: "a", 1: "a", 2: "a"},
+                    byzantine={3: "nonsense"},
+                ),
+                LockstepScheduler(),
             )
 
 
@@ -72,24 +85,35 @@ class TestByzantineSpecs:
         params = build_class_parameters(AlgorithmClass.CLASS_2, mqb_model)
         values = {pid: f"v{pid % 2}" for pid in range(4)}
         for name in STRATEGY_REGISTRY:
-            outcome = run_consensus(params, values, byzantine={4: name})
+            outcome = run_instance(
+                build_instance(params, values, byzantine={4: name}),
+                LockstepScheduler(),
+            )
             assert outcome.agreement_holds, name
             assert outcome.all_correct_decided, name
 
     def test_instance_spec(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         strategy = SilentByzantine(3, params)
-        outcome = run_consensus(
-            params, {0: "a", 1: "a", 2: "b"}, byzantine={3: strategy}
+        outcome = run_instance(
+            build_instance(
+                params,
+                {0: "a", 1: "a", 2: "b"},
+                byzantine={3: strategy},
+            ),
+            LockstepScheduler(),
         )
         assert outcome.agreement_holds
 
     def test_factory_spec(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
-        outcome = run_consensus(
-            params,
-            {0: "a", 1: "a", 2: "b"},
-            byzantine={3: lambda pid, p: SilentByzantine(pid, p)},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {0: "a", 1: "a", 2: "b"},
+                byzantine={3: lambda pid, p: SilentByzantine(pid, p)},
+            ),
+            LockstepScheduler(),
         )
         assert outcome.agreement_holds
 
@@ -99,9 +123,12 @@ class TestCrashFaults:
         model = FaultModel(3, 0, 1)
         params = build_class_parameters(AlgorithmClass.CLASS_2, model)
         schedule = CrashSchedule.crash_first_f(model, round_number=1, clean=False)
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid}" for pid in model.processes},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid}" for pid in model.processes},
+            ),
+            LockstepScheduler(),
             crash_schedule=schedule,
         )
         assert outcome.agreement_holds
@@ -114,11 +141,9 @@ class TestSafetyUnderLoss:
         """Safety must hold even when no communication predicate does."""
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         values = {pid: f"v{pid % 2}" for pid in range(3)}
-        outcome = run_consensus(
-            params,
-            values,
-            byzantine={3: "equivocator"},
-            policy=LossyPolicy(random.Random(5), drop_prob=0.4),
+        outcome = run_instance(
+            build_instance(params, values, byzantine={3: "equivocator"}),
+            LockstepScheduler(LossyPolicy(random.Random(5), drop_prob=0.4)),
             max_phases=6,
         )
         assert outcome.agreement_holds  # termination is NOT guaranteed
@@ -130,11 +155,9 @@ class TestLivenessAfterBadPeriod:
         schedule = GoodBadSchedule.good_after(7)
         policy = GoodBadPolicy(schedule, rng=random.Random(3))
         values = {pid: f"v{pid % 2}" for pid in range(3)}
-        outcome = run_consensus(
-            params,
-            values,
-            byzantine={3: "equivocator"},
-            policy=policy,
+        outcome = run_instance(
+            build_instance(params, values, byzantine={3: "equivocator"}),
+            LockstepScheduler(policy),
             max_phases=10,
         )
         assert outcome.agreement_holds
@@ -147,9 +170,14 @@ class TestConfigIntegration:
     def test_skip_first_selection_decides_faster(self, fab_model):
         params = build_class_parameters(AlgorithmClass.CLASS_1, fab_model)
         values = {pid: "same" for pid in fab_model.processes}
-        plain = run_consensus(params, values)
-        skipped = run_consensus(
-            params, values, config=GenericConsensusConfig(skip_first_selection=True)
+        plain = run_instance(build_instance(params, values), LockstepScheduler())
+        skipped = run_instance(
+            build_instance(
+                params,
+                values,
+                config=GenericConsensusConfig(skip_first_selection=True),
+            ),
+            LockstepScheduler(),
         )
         assert skipped.agreement_holds and skipped.all_correct_decided
         assert (

@@ -1,11 +1,12 @@
-"""The lockstep engine: scheduling, crash handling, tracing."""
+"""The kernel round loop over hand-written round processes: scheduling,
+crash handling, tracing (``ExecutionKernel`` driven step by step)."""
 
 import pytest
 
 from repro.core.types import FaultModel, RoundInfo, RoundKind
+from repro.engine import ExecutionKernel, LockstepScheduler
 from repro.faults.crash import CrashEvent, CrashSchedule
-from repro.rounds.base import RoundProcess, RunContext
-from repro.rounds.engine import SyncEngine
+from repro.rounds.base import RoundProcess
 from repro.rounds.policies import ReliablePolicy
 
 
@@ -31,8 +32,12 @@ def round_info(r):
 def build_engine(n=3, **kwargs):
     model = FaultModel(n, 0, kwargs.pop("f", 1))
     processes = {pid: EchoProcess(pid, n) for pid in range(n)}
-    engine = SyncEngine(
-        model, processes, ReliablePolicy(), round_info, **kwargs
+    engine = ExecutionKernel(
+        model,
+        processes,
+        LockstepScheduler(ReliablePolicy()),
+        round_info,
+        **kwargs,
     )
     return engine, processes
 
@@ -56,22 +61,22 @@ class TestBasicExecution:
         engine, _ = build_engine()
         result = engine.run(3)
         assert result.rounds_executed == 3
-        assert result.trace.total_messages_sent == 3 * 9
+        assert result.messages_sent == result.trace.total_messages_sent == 3 * 9
         assert result.trace.records[0].pgood
 
     def test_process_coverage_validated(self):
         model = FaultModel(3, 0, 1)
         with pytest.raises(ValueError, match="cover exactly"):
-            SyncEngine(
+            ExecutionKernel(
                 model,
                 {0: EchoProcess(0, 3)},
-                ReliablePolicy(),
+                LockstepScheduler(ReliablePolicy()),
                 round_info,
             )
 
     def test_stop_when(self):
         engine, _ = build_engine()
-        result = engine.run(10, stop_when=lambda trace: trace.rounds_executed >= 4)
+        result = engine.run(10, stop_when=lambda k: k.rounds_executed >= 4)
         assert result.rounds_executed == 4
 
     def test_negative_max_rounds(self):
@@ -125,31 +130,3 @@ class TestCrashHandling:
         engine, _ = build_engine(crash_schedule=schedule)
         engine.run(2)
         assert 0 in engine.context.crashed
-
-
-class TestRunContext:
-    def test_byzantine_bounds(self):
-        model = FaultModel(4, 1, 0)
-        with pytest.raises(ValueError):
-            RunContext(model, byzantine=frozenset({0, 1}))
-
-    def test_out_of_range_byzantine(self):
-        model = FaultModel(4, 1, 0)
-        with pytest.raises(ValueError):
-            RunContext(model, byzantine=frozenset({7}))
-
-    def test_crash_cap(self):
-        model = FaultModel(4, 0, 1)
-        ctx = RunContext(model)
-        ctx.mark_crashed(0)
-        with pytest.raises(ValueError):
-            ctx.mark_crashed(1)
-
-    def test_correct_set(self):
-        model = FaultModel(4, 1, 1)
-        ctx = RunContext(model, byzantine=frozenset({3}))
-        ctx.mark_crashed(0)
-        assert ctx.correct == frozenset({1, 2})
-        assert ctx.honest == frozenset({0, 1, 2})
-        assert ctx.is_faulty(0) and ctx.is_faulty(3)
-        assert not ctx.is_faulty(1)

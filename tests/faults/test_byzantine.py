@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import run_consensus
 from repro.core.types import (
     FaultModel,
     RoundInfo,
@@ -11,6 +10,7 @@ from repro.core.types import (
     SelectionMessage,
     coerce_selection_message,
 )
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults.byzantine import (
     AdaptiveLiar,
     Equivocator,
@@ -118,8 +118,9 @@ class TestAttackContainment:
         params = build_class_parameters(cls, model)
         values = {pid: f"v{pid % 2}" for pid in range(model.n - 1)}
         strategy = strategy_cls(model.n - 1, params)
-        outcome = run_consensus(
-            params, values, byzantine={model.n - 1: strategy}
+        outcome = run_instance(
+            build_instance(params, values, byzantine={model.n - 1: strategy}),
+            LockstepScheduler(),
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided
@@ -131,8 +132,9 @@ class TestAttackContainment:
         all-honest case.)"""
         values = {0: "good", 1: "good", 2: "good"}
         for strategy_name in ("vote-flipper", "high-ts-liar", "fake-history-liar"):
-            outcome = run_consensus(
-                params, values, byzantine={3: strategy_name}
+            outcome = run_instance(
+                build_instance(params, values, byzantine={3: strategy_name}),
+                LockstepScheduler(),
             )
             assert outcome.decided_values == {"good"}, strategy_name
 
@@ -141,8 +143,9 @@ class TestAttackContainment:
         a Byzantine value sorting first in the deterministic choice can
         legitimately win (agreement still holds)."""
         values = {0: "x", 1: "y", 2: "x"}
-        outcome = run_consensus(
-            params, values, byzantine={3: "vote-flipper"}
+        outcome = run_instance(
+            build_instance(params, values, byzantine={3: "vote-flipper"}),
+            LockstepScheduler(),
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided

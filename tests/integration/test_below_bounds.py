@@ -11,8 +11,8 @@ import pytest
 from repro.analysis.resilience import force_parameters
 from repro.core.flv_class1 import FLVClass1
 from repro.core.flv_class2 import FLVClass2
-from repro.core.run import run_consensus
 from repro.core.types import FaultModel, Flag, RoundInfo, RoundKind
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.rounds.base import RunContext
 from repro.rounds.policies import DeliveryPolicy, faithful_delivery
 
@@ -48,8 +48,10 @@ class TestAgreementNeedsTdAboveHalf:
         td = 3  # ≤ (n + b)/2 = 3: forbidden by the paper, forced here
         params = force_parameters(model, td, Flag.ANY, FLVClass1(model, td))
         values = {pid: ("v1" if pid < 3 else "v2") for pid in range(6)}
-        outcome = run_consensus(
-            params, values, policy=SplitDecisionPolicy(), max_phases=1
+        outcome = run_instance(
+            build_instance(params, values),
+            LockstepScheduler(SplitDecisionPolicy()),
+            max_phases=1,
         )
         # Both halves reach their own TD: disagreement.
         assert not outcome.agreement_holds
@@ -60,8 +62,10 @@ class TestAgreementNeedsTdAboveHalf:
         td = 4  # > (n + b)/2: the smallest sound threshold
         params = force_parameters(model, td, Flag.ANY, FLVClass1(model, td))
         values = {pid: ("v1" if pid < 3 else "v2") for pid in range(6)}
-        outcome = run_consensus(
-            params, values, policy=SplitDecisionPolicy(), max_phases=1
+        outcome = run_instance(
+            build_instance(params, values),
+            LockstepScheduler(SplitDecisionPolicy()),
+            max_phases=1,
         )
         assert outcome.agreement_holds  # nobody can decide in a 3-3 split
         assert not outcome.decisions
@@ -77,8 +81,10 @@ class TestTerminationNeedsTdWithinCorrect:
             model, td, Flag.ANY, FLVClass1(model, td)
         )
         values = {pid: "v" for pid in range(3)}
-        outcome = run_consensus(
-            params, values, byzantine={3: "silent"}, max_phases=6
+        outcome = run_instance(
+            build_instance(params, values, byzantine={3: "silent"}),
+            LockstepScheduler(),
+            max_phases=6,
         )
         assert outcome.agreement_holds
         assert not outcome.decisions  # liveness gone forever
@@ -92,9 +98,13 @@ class TestTerminationNeedsTdWithinCorrect:
         from repro.core.classification import AlgorithmClass, build_class_parameters
 
         params = build_class_parameters(AlgorithmClass.CLASS_3, model)
-        outcome = run_consensus(
-            params, values := {pid: "v" for pid in range(3)},
-            byzantine={3: "silent"},
+        outcome = run_instance(
+            build_instance(
+                params,
+                values := {pid: "v" for pid in range(3)},
+                byzantine={3: "silent"},
+            ),
+            LockstepScheduler(),
         )
         assert outcome.all_correct_decided
 
@@ -131,8 +141,10 @@ class TestClass2BelowFourB:
             model, td, Flag.CURRENT_PHASE, FLVClass2(model, td)
         )
         values = {pid: f"v{pid}" for pid in range(3)}
-        outcome = run_consensus(
-            params, values, byzantine={3: "high-ts-liar"}, max_phases=8
+        outcome = run_instance(
+            build_instance(params, values, byzantine={3: "high-ts-liar"}),
+            LockstepScheduler(),
+            max_phases=8,
         )
         # Safety still holds (agreement is proven for TD > b)…
         assert outcome.agreement_holds

@@ -13,9 +13,9 @@ import pytest
 
 from repro.analysis.lemmas import check_all_lemmas
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import run_consensus
 from repro.core.selector import RotatingSubsetSelector
 from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults.crash import CrashEvent, CrashSchedule
 from repro.rounds.policies import GoodBadPolicy
 from repro.rounds.schedule import GoodBadSchedule
@@ -39,10 +39,13 @@ class TestRotatingSubsetSelectors:
     def test_decides_with_honest_selector_set(self):
         model = FaultModel(5, 1, 0)
         params = self.make_params(model)
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in range(4)},
-            byzantine={4: "equivocator"},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in range(4)},
+                byzantine={4: "equivocator"},
+            ),
+            LockstepScheduler(),
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided
@@ -53,10 +56,13 @@ class TestRotatingSubsetSelectors:
         params = self.make_params(model)
         # Process 1 sits in the phase-1 selector set {1, 2}: that phase
         # cannot validate (SL3 fails); phase 2's set {2, 3} succeeds.
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in (0, 2, 3, 4)},
-            byzantine={1: "equivocator"},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in (0, 2, 3, 4)},
+                byzantine={1: "equivocator"},
+            ),
+            LockstepScheduler(),
             max_phases=6,
         )
         assert outcome.agreement_holds
@@ -66,10 +72,13 @@ class TestRotatingSubsetSelectors:
     def test_silent_validator_phase_recovery(self):
         model = FaultModel(5, 1, 0)
         params = self.make_params(model)
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in (0, 2, 3, 4)},
-            byzantine={1: "silent"},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in (0, 2, 3, 4)},
+                byzantine={1: "silent"},
+            ),
+            LockstepScheduler(),
             max_phases=6,
         )
         assert outcome.all_correct_decided
@@ -77,11 +86,13 @@ class TestRotatingSubsetSelectors:
     def test_lemmas_hold_with_dynamic_selectors(self):
         model = FaultModel(5, 1, 0)
         params = self.make_params(model)
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in (0, 2, 3, 4)},
-            byzantine={1: "adaptive-liar"},
-            record_snapshots=True,
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in (0, 2, 3, 4)},
+                byzantine={1: "adaptive-liar"},
+            ),
+            LockstepScheduler(),
             max_phases=6,
         )
         assert outcome.all_correct_decided
@@ -94,12 +105,15 @@ class TestCombinedFaultLoads:
         model = FaultModel(6, 1, 1)
         params = build_class_parameters(AlgorithmClass.CLASS_3, model)
         schedule = CrashSchedule(model, [CrashEvent(0, 2, frozenset())])
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in range(5)},
-            byzantine={5: "equivocator"},
-            crash_schedule=schedule,
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in range(5)},
+                byzantine={5: "equivocator"},
+            ),
+            LockstepScheduler(),
             max_phases=6,
+            crash_schedule=schedule,
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided
@@ -110,10 +124,13 @@ class TestCombinedFaultLoads:
         model = FaultModel(8, 1, 1)
         params = build_class_parameters(AlgorithmClass.CLASS_2, model)
         schedule = CrashSchedule(model, [CrashEvent(0, 1)])
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in range(7)},
-            byzantine={7: "high-ts-liar"},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in range(7)},
+                byzantine={7: "high-ts-liar"},
+            ),
+            LockstepScheduler(),
             crash_schedule=schedule,
         )
         assert outcome.agreement_holds
@@ -124,10 +141,13 @@ class TestCombinedFaultLoads:
         model = FaultModel(9, 1, 1)
         params = build_class_parameters(AlgorithmClass.CLASS_1, model)
         schedule = CrashSchedule(model, [CrashEvent(2, 1, frozenset())])
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in range(8)},
-            byzantine={8: "equivocator"},
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in range(8)},
+                byzantine={8: "equivocator"},
+            ),
+            LockstepScheduler(),
             crash_schedule=schedule,
         )
         assert outcome.agreement_holds
@@ -157,11 +177,8 @@ class TestStackUnderPartialSynchrony:
 class TestTimedWithByzantine:
     def test_fab_timed_with_adversary_and_late_gst(self):
         from repro.algorithms import build_fab_paxos
-        from repro.eventsim import (
-            PartialSynchronyNetwork,
-            UniformLatency,
-            run_timed_consensus,
-        )
+        from repro.engine import TimedScheduler
+        from repro.eventsim import PartialSynchronyNetwork, UniformLatency
 
         spec = build_fab_paxos(6)
         network = PartialSynchronyNetwork(
@@ -171,16 +188,18 @@ class TestTimedWithByzantine:
             pre_gst_delay_prob=0.7,
             seed=9,
         )
-        outcome = run_timed_consensus(
-            spec.parameters,
-            {pid: f"v{pid % 2}" for pid in range(5)},
-            network,
-            round_duration=2.5,
-            byzantine={5: "adaptive-liar"},
+        outcome = run_instance(
+            build_instance(
+                spec.parameters,
+                {pid: f"v{pid % 2}" for pid in range(5)},
+                byzantine={5: "adaptive-liar"},
+            ),
+            TimedScheduler(network, round_duration=2.5),
             max_phases=30,
+            observe="metrics",
         )
         assert outcome.agreement_holds
-        assert outcome.all_decided
+        assert outcome.all_correct_decided
         assert outcome.last_decision_time > 12.0
 
 
@@ -193,11 +212,13 @@ class TestDeterminism:
         policy = GoodBadPolicy(
             GoodBadSchedule.good_after(5), rng=random.Random(seed)
         )
-        outcome = run_consensus(
-            params,
-            {pid: f"v{pid % 2}" for pid in range(3)},
-            byzantine={3: "equivocator"},
-            policy=policy,
+        outcome = run_instance(
+            build_instance(
+                params,
+                {pid: f"v{pid % 2}" for pid in range(3)},
+                byzantine={3: "equivocator"},
+            ),
+            LockstepScheduler(policy),
             max_phases=8,
         )
         return (
@@ -205,7 +226,7 @@ class TestDeterminism:
             outcome.rounds_to_last_decision,
             # Delivered counts expose the bad-period randomness (sent counts
             # are structural and identical across seeds).
-            outcome.result.trace.total_messages_delivered,
+            outcome.trace.total_messages_delivered,
         )
 
     def test_repeatable(self):

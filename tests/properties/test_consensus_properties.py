@@ -18,8 +18,9 @@ from repro.analysis.invariants import (
     holds,
 )
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import STRATEGY_REGISTRY, run_consensus
 from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
+from repro.faults import STRATEGY_REGISTRY
 from repro.faults.crash import CrashEvent, CrashSchedule
 from repro.rounds.policies import GoodBadPolicy, LossyPolicy
 from repro.rounds.schedule import GoodBadSchedule
@@ -53,11 +54,9 @@ def test_safety_never_violated_under_lossy_network(
         for pid in model.processes
         if pid != byz_pid
     }
-    outcome = run_consensus(
-        params,
-        values,
-        byzantine={byz_pid: strategy},
-        policy=LossyPolicy(random.Random(drop_seed), drop_prob),
+    outcome = run_instance(
+        build_instance(params, values, byzantine={byz_pid: strategy}),
+        LockstepScheduler(LossyPolicy(random.Random(drop_seed), drop_prob)),
         max_phases=5,
     )
     assert holds(check_agreement, outcome.decisions)
@@ -84,11 +83,9 @@ def test_liveness_with_good_suffix(case, strategy, bad_prefix, seed):
     policy = GoodBadPolicy(
         GoodBadSchedule.good_after(bad_prefix + 1), rng=random.Random(seed)
     )
-    outcome = run_consensus(
-        params,
-        values,
-        byzantine={byz_pid: strategy},
-        policy=policy,
+    outcome = run_instance(
+        build_instance(params, values, byzantine={byz_pid: strategy}),
+        LockstepScheduler(policy),
         max_phases=bad_prefix + 8,
     )
     assert holds(check_agreement, outcome.decisions)
@@ -117,7 +114,11 @@ def test_benign_crash_patterns(crash_round, clean, seed):
             CrashEvent(1, crash_round + 1),
         ],
     )
-    outcome = run_consensus(params, values, crash_schedule=schedule)
+    outcome = run_instance(
+        build_instance(params, values),
+        LockstepScheduler(),
+        crash_schedule=schedule,
+    )
     assert holds(check_agreement, outcome.decisions)
     assert holds(
         check_validity, outcome.decisions, outcome.initial_values, frozenset()
@@ -136,10 +137,13 @@ def test_two_byzantine_processes(seed, strategies):
     params = build_class_parameters(AlgorithmClass.CLASS_3, model)
     rng = random.Random(seed)
     values = {pid: rng.choice(["x", "y"]) for pid in range(5)}
-    outcome = run_consensus(
-        params,
-        values,
-        byzantine={5: strategies[0], 6: strategies[1]},
+    outcome = run_instance(
+        build_instance(
+            params,
+            values,
+            byzantine={5: strategies[0], 6: strategies[1]},
+        ),
+        LockstepScheduler(),
     )
     assert holds(check_agreement, outcome.decisions)
     assert holds(

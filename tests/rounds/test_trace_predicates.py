@@ -3,8 +3,8 @@
 import random
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import run_consensus
 from repro.core.types import FaultModel, RoundKind
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.rounds.policies import GoodBadPolicy, ReliablePolicy, SilentPolicy
 from repro.rounds.schedule import GoodBadSchedule
 
@@ -12,18 +12,20 @@ from repro.rounds.schedule import GoodBadSchedule
 def run_with(policy, max_phases=4, model=None):
     model = model or FaultModel(4, 1, 0)
     params = build_class_parameters(AlgorithmClass.CLASS_3, model)
-    return run_consensus(
-        params,
-        {pid: f"v{pid % 2}" for pid in range(3)},
-        byzantine={3: "equivocator"},
-        policy=policy,
+    return run_instance(
+        build_instance(
+            params,
+            {pid: f"v{pid % 2}" for pid in range(3)},
+            byzantine={3: "equivocator"},
+        ),
+        LockstepScheduler(policy),
         max_phases=max_phases,
     )
 
 
 def test_reliable_policy_records_pcons_on_selection_rounds():
     outcome = run_with(ReliablePolicy())
-    for record in outcome.result.trace.records:
+    for record in outcome.trace.records:
         assert record.pgood
         if record.info.kind is RoundKind.SELECTION:
             assert record.pcons
@@ -34,7 +36,7 @@ def test_good_bad_schedule_reflected_in_trace():
     outcome = run_with(
         GoodBadPolicy(schedule, rng=random.Random(0)), max_phases=6
     )
-    for record in outcome.result.trace.records:
+    for record in outcome.trace.records:
         if record.info.number >= 4:
             assert record.pgood, record.info
         if (
@@ -46,7 +48,7 @@ def test_good_bad_schedule_reflected_in_trace():
 
 def test_silent_policy_records_no_predicates():
     outcome = run_with(SilentPolicy(), max_phases=2)
-    for record in outcome.result.trace.records:
+    for record in outcome.trace.records:
         assert not record.pgood
         assert not record.prel
         assert record.delivered_count <= record.sent_count
@@ -62,7 +64,7 @@ def test_good_phase_detection_via_trace():
         GoodBadPolicy(schedule, rng=random.Random(1)), max_phases=8
     )
     assert outcome.all_correct_decided
-    records = outcome.result.trace.records
+    records = outcome.trace.records
     by_phase = {}
     for record in records:
         by_phase.setdefault(record.info.phase, []).append(record)
@@ -81,6 +83,6 @@ def test_good_phase_detection_via_trace():
 def test_prel_recorded_under_reliable_delivery():
     outcome = run_with(ReliablePolicy())
     # Full delivery trivially satisfies Prel in all-to-all rounds.
-    for record in outcome.result.trace.records:
+    for record in outcome.trace.records:
         if record.info.kind is not RoundKind.VALIDATION:
             assert record.prel

@@ -1,20 +1,20 @@
-"""Scenario-compilation parity: the new layer reproduces legacy outcomes.
+"""Scenario-compilation parity: a compiled preset ≡ the hand-built run.
 
-The pre-scenario ``AdversaryScenario`` factories assembled policies by hand
-and ran them through ``run_consensus``.  Each case below rebuilds that
-legacy execution verbatim (hand-built policy, same placement, same seed)
-and asserts the preset — now a thin ``ScenarioSpec`` lookup compiled
-through the unified kernel — produces the identical outcome.
+Each case assembles an execution by hand (explicit Byzantine placement,
+hand-built delivery policy over a seeded RNG, explicit crash schedule) and
+asserts that the registry preset, compiled by :func:`compile_scenario` and
+run by :func:`run_scenario` under the same seed, produces the identical
+outcome — placement, RNG-stream consumption and horizon included.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.run import run_consensus
 from repro.core.types import FaultModel
-from repro.faults.adversary import build_scenario
+from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults.crash import CrashSchedule
 from repro.rounds.policies import (
     GoodBadPolicy,
@@ -22,26 +22,42 @@ from repro.rounds.policies import (
     partition_behavior,
 )
 from repro.rounds.schedule import GoodBadSchedule
+from repro.scenarios import compile_scenario, get_scenario, run_scenario
 
 
 def outcome_signature(outcome):
-    """Everything the legacy sweeps ever read off a scenario outcome."""
+    """Everything the sweeps read off a scenario outcome."""
     return (
         {pid: d.value for pid, d in outcome.decisions.items()},
         {pid: d.round for pid, d in outcome.decisions.items()},
         outcome.agreement_holds,
         outcome.all_correct_decided,
         outcome.rounds_to_last_decision,
-        outcome.result.rounds_executed,
+        outcome.rounds_executed,
     )
 
 
-def legacy_values(model, byzantine):
-    return {
-        pid: f"v{pid % 2}"
-        for pid in model.processes
-        if pid not in byzantine
+def hand_built(params, byzantine, policy, max_phases, crash_schedule=None):
+    model = params.model
+    values = {
+        pid: f"v{pid % 2}" for pid in model.processes if pid not in byzantine
     }
+    return run_instance(
+        build_instance(params, values, byzantine=byzantine),
+        LockstepScheduler(policy),
+        max_phases=max_phases,
+        crash_schedule=crash_schedule,
+    )
+
+
+def bad_prefix(name, good_from):
+    """The preset with its bad prefix ending at ``good_from``."""
+    spec = get_scenario(name)
+    return replace(
+        spec,
+        comm=replace(spec.comm, good_from=good_from),
+        max_phases=good_from + 8,
+    )
 
 
 @pytest.fixture
@@ -59,15 +75,14 @@ class TestPresetParity:
             model.n - 1 - i: strategies[i % len(strategies)]
             for i in range(model.b)
         }
-        values = legacy_values(model, byzantine)
-        legacy = run_consensus(
-            params7, values, byzantine=byzantine, policy=ReliablePolicy(),
-            max_phases=15,
-        )
-        scenario = build_scenario("worst_case", model)
-        assert scenario.byzantine == byzantine
-        modern = scenario.run(params7, values)
-        assert outcome_signature(modern) == outcome_signature(legacy)
+        by_hand = hand_built(params7, byzantine, ReliablePolicy(), 15)
+        # Max-b placement, strongest strategy per slot.
+        compiled = compile_scenario(get_scenario("worst_case"), model)
+        assert compiled.byzantine == byzantine
+        modern = run_scenario("worst_case", params7)
+        assert outcome_signature(modern) == outcome_signature(by_hand)
+        assert modern.all_correct_decided
+        assert modern.phases_to_last_decision == 1
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("heal_round", [5, 7])
@@ -81,61 +96,60 @@ class TestPresetParity:
             ),
             rng=random.Random(seed),
         )
-        byzantine = {model.n - 1: "equivocator"}
-        values = legacy_values(model, byzantine)
-        legacy = run_consensus(
-            params7, values, byzantine=byzantine, policy=policy,
-            max_phases=heal_round + 8,
+        by_hand = hand_built(
+            params7, {model.n - 1: "equivocator"}, policy, heal_round + 8
         )
-        scenario = build_scenario(
-            "partition_heal", model, heal_round=heal_round, seed=seed
+        modern = run_scenario(
+            bad_prefix("partition_heal", heal_round), params7, rng=seed
         )
-        modern = scenario.run(params7, values)
-        assert outcome_signature(modern) == outcome_signature(legacy)
+        assert outcome_signature(modern) == outcome_signature(by_hand)
+        # The partition delays the decision past the heal round.
+        assert modern.all_correct_decided
+        assert modern.rounds_to_last_decision >= heal_round
 
     @pytest.mark.parametrize("seed", [0, 1, 4])
     def test_async_then_sync_random_loss_stream(self, params7, seed):
         """The bad-period drop draws must consume the seeded RNG exactly as
-        the legacy default behaviour did."""
+        a hand-built ``GoodBadPolicy`` over the same seed does."""
         model = params7.model
         gst_round = 9
         policy = GoodBadPolicy(
             GoodBadSchedule.good_after(gst_round), rng=random.Random(seed)
         )
-        byzantine = {model.n - 1: "adaptive-liar"}
-        values = legacy_values(model, byzantine)
-        legacy = run_consensus(
-            params7, values, byzantine=byzantine, policy=policy,
-            max_phases=gst_round + 8,
+        by_hand = hand_built(
+            params7, {model.n - 1: "adaptive-liar"}, policy, gst_round + 8
         )
-        scenario = build_scenario(
-            "async_then_sync", model, gst_round=gst_round, seed=seed
+        modern = run_scenario(
+            bad_prefix("async_then_sync", gst_round), params7, rng=seed
         )
-        modern = scenario.run(params7, values)
-        assert outcome_signature(modern) == outcome_signature(legacy)
+        assert outcome_signature(modern) == outcome_signature(by_hand)
+        assert modern.agreement_holds and modern.all_correct_decided
 
     def test_silent_minority(self):
         model = FaultModel(5, 1, 0)
         params = build_class_parameters(AlgorithmClass.CLASS_2, model)
         byzantine = {model.n - 1 - i: "silent" for i in range(model.b)}
-        values = legacy_values(model, byzantine)
-        legacy = run_consensus(
-            params, values, byzantine=byzantine, policy=ReliablePolicy(),
-            max_phases=15,
-        )
-        modern = build_scenario("silent_minority", model).run(params, values)
-        assert outcome_signature(modern) == outcome_signature(legacy)
+        by_hand = hand_built(params, byzantine, ReliablePolicy(), 15)
+        modern = run_scenario("silent_minority", params)
+        assert outcome_signature(modern) == outcome_signature(by_hand)
+        assert modern.all_correct_decided
 
     def test_crash_storm(self):
         model = FaultModel(5, 0, 2)
         params = build_class_parameters(AlgorithmClass.CLASS_2, model)
-        values = legacy_values(model, {})
-        legacy = run_consensus(
+        by_hand = hand_built(
             params,
-            values,
-            policy=ReliablePolicy(),
+            {},
+            ReliablePolicy(),
+            15,
             crash_schedule=CrashSchedule.crash_first_f(model, 1, clean=False),
-            max_phases=15,
         )
-        modern = build_scenario("crash_storm", model).run(params, values)
-        assert outcome_signature(modern) == outcome_signature(legacy)
+        modern = run_scenario("crash_storm", params)
+        assert outcome_signature(modern) == outcome_signature(by_hand)
+        assert modern.agreement_holds and modern.all_correct_decided
+        assert len(modern.decisions) == 3  # the two crashed never decide
+
+
+def test_unknown_preset_name():
+    with pytest.raises(ValueError, match="unknown scenario"):
+        get_scenario("nonsense")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.campaigns.spec import FaultSpec
 from repro.eventsim.network import NetworkSpec
 from repro.scenarios.spec import CommSpec, ScenarioSpec, split_values
 from repro.core.types import FaultModel
@@ -127,28 +126,46 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown scenario keys"):
             ScenarioSpec.from_mapping({"typo": 1})
 
-
-class TestLegacyDescribeStability:
-    """Converted legacy cells must keep their exact coordinate strings —
-    campaign seed derivation hashes them."""
-
     @pytest.mark.parametrize(
-        "fault",
-        [
-            FaultSpec(),
-            FaultSpec(byzantine="silent"),
-            FaultSpec(crashes=-1),
-            FaultSpec(byzantine="noise", crashes=2, crash_round=3, clean=False),
-        ],
+        "byzantine", ["equivocator", ["equivocator", 3], 3, {"silent": 1}]
     )
-    def test_fault_strings_identical(self, fault):
-        scenario = ScenarioSpec.from_legacy(fault)
-        assert scenario.describe_fault() == fault.describe()
+    def test_byzantine_must_be_a_list_of_names(self, byzantine):
+        """A bare string (the retired fault-script spelling) must not
+        freeze into one strategy per letter."""
+        with pytest.raises(ValueError, match="list of strategy names"):
+            ScenarioSpec.from_mapping({"byzantine": byzantine})
+        with pytest.raises(ValueError, match="list of strategy names"):
+            ScenarioSpec(byzantine=byzantine)
 
-    def test_network_string_identical(self):
+    def test_byzantine_list_frozen_to_tuple(self):
+        spec = ScenarioSpec.from_mapping({"byzantine": ["silent"]})
+        assert spec.byzantine == ("silent",)
+        hash(spec)
+
+
+class TestDescribeStability:
+    """The coordinate strings are seed-derivation inputs: campaign seeds
+    hash them, so they may never move."""
+
+    def test_fault_strings(self):
+        assert ScenarioSpec().describe_fault() == "fault-free"
+        assert ScenarioSpec(byzantine=("silent",)).describe_fault() == "byz:silent"
+        assert ScenarioSpec(crashes=-1).describe_fault() == "crash:f@1"
+        assert (
+            ScenarioSpec(byzantine=("noise",), crashes=2, crash_round=3,
+                         clean=False).describe_fault()
+            == "byz:noise+crash!:2@3"
+        )
+
+    def test_network_string_is_the_timing_one(self):
         network = NetworkSpec(gst=4.0, pre_gst_delay_prob=0.6)
-        scenario = ScenarioSpec.from_legacy(FaultSpec(), network)
+        scenario = ScenarioSpec(timing=network)
         assert scenario.describe_network() == network.describe()
+
+    def test_crash_count(self):
+        model = FaultModel(5, 0, 2)
+        assert ScenarioSpec(crashes=-1).crash_count(model) == 2
+        assert ScenarioSpec(crashes=1).crash_count(model) == 1
 
 
 def test_split_values_skips_byzantine():

@@ -57,27 +57,30 @@ class TestByzantineService:
             assert machine.get("k") == "v"
 
 
-class _LegacyService(ReplicatedService):
-    """The pre-migration slot driver: legacy ``run_consensus`` per slot.
+class _FullTraceService(ReplicatedService):
+    """A slot driver that runs every slot under full observation.
 
     Identical queue/gossip/commit logic (inherited); only the consensus
-    call differs — the deprecated full-trace wrapper instead of the
-    kernel's metrics-mode ``run_instance``.  The parity test below pins
-    that the migration changed *how* slots execute, not *what* they
-    decide or report.
+    call differs — a full-trace ``run_instance`` whose statistics are read
+    off the trace, instead of the service's metrics-mode run.  The parity
+    test below pins that the observation mode changes *how* slots execute,
+    not *what* they decide or report.
     """
 
     def run_slot(self):
-        from repro.core.run import run_consensus
+        from repro.engine import LockstepScheduler, build_instance, run_instance
         from repro.smr.log import LogEntry
 
         self._gossip()
         proposals = self._proposals()
-        outcome = run_consensus(
-            self._spec.parameters,
-            proposals,
-            config=self._spec.config,
-            byzantine=self._byzantine,
+        outcome = run_instance(
+            build_instance(
+                self._spec.parameters,
+                proposals,
+                config=self._spec.config,
+                byzantine=self._byzantine,
+            ),
+            LockstepScheduler(),
             max_phases=self._max_phases,
         )
         if not outcome.decisions:
@@ -97,15 +100,15 @@ class _LegacyService(ReplicatedService):
             queue = self._pending[pid]
             if command in queue:
                 queue.remove(command)
-        trace = outcome.result.trace
+        trace = outcome.trace
         self._stats["phases"] += outcome.phases_to_last_decision or 0
         self._stats["rounds"] += trace.rounds_executed
         self._stats["messages"] += trace.total_messages_sent
         return entry
 
 
-class TestLegacyParity:
-    """The kernel-path service matches a legacy run_consensus replay."""
+class TestFullTraceParity:
+    """The metrics-mode service matches a full-trace replay."""
 
     COMMANDS = [
         ("set", "x", 1),
@@ -136,14 +139,9 @@ class TestLegacyParity:
     )
     def test_reports_and_logs_identical(self, build):
         spec, byzantine = build()
-        new = ReplicatedService(spec, KeyValueStore, byzantine=byzantine)
-        old = _LegacyService(spec, KeyValueStore, byzantine=byzantine)
-        new_report, new_commands, new_phases, new_digest = self._drive(new)
-        old_report, old_commands, old_phases, old_digest = self._drive(old)
-        assert new_report == old_report
-        assert new_commands == old_commands
-        assert new_phases == old_phases
-        assert new_digest == old_digest
+        fast = ReplicatedService(spec, KeyValueStore, byzantine=byzantine)
+        traced = _FullTraceService(spec, KeyValueStore, byzantine=byzantine)
+        assert self._drive(fast) == self._drive(traced)
 
 
 class TestReport:
