@@ -113,11 +113,17 @@ COLUMNAR_STATE_CELLS = {
     "cstate-otr-n30-lossy": ("one-third-rule", (30, 0, 9), "lossy_channel", "timed"),
     "cstate-class2-n21-flaky": ("class-2", (21, 2, 2), "flaky_gst", "timed"),
     "cstate-class3-n21-lossy": ("class-3", (21, 2, 2), "lossy_channel", "timed"),
+    # The GST scenario: an adaptive liar whose per-run vote tally rides the
+    # array program as a (runs × values) count column.
+    "cstate-class2-n21-async": ("class-2", (21, 2, 2), "async_then_sync", "timed"),
     "cstate-lockstep-otr-n30-flaky": (
         "one-third-rule", (30, 0, 9), "flaky_gst", "lockstep",
     ),
     "cstate-lockstep-class2-n21-lossy": (
         "class-2", (21, 2, 2), "lossy_channel", "lockstep",
+    ),
+    "cstate-lockstep-class3-n21-async": (
+        "class-3", (21, 2, 2), "async_then_sync", "lockstep",
     ),
 }
 

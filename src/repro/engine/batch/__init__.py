@@ -16,8 +16,9 @@ The columnar-state tier rests on two cell-level encodings, both proven at
 template-build time and demoted (never fudged) when unprovable:
 
 * **Value encoding** — a cell's value alphabet is *closed*: honest initial
-  values plus every payload its (inbox-free, run-invariant) Byzantine
-  strategies can utter across the round horizon.
+  values plus every payload its run-invariant Byzantine strategies can
+  utter across the round horizon (an ``adaptive-liar`` only repeats what
+  it observed, or its fallback).
   :func:`repro.core.columnar.encode_alphabet` assigns each value a small
   int code in :func:`repro.utils.det._sort_key` order, so every
   ``deterministic_choice`` of the algorithm is a plain ``min`` over codes;
@@ -37,7 +38,10 @@ template-build time and demoted (never fudged) when unprovable:
   canonicalizes only in *good* rounds (to the payload addressed to the
   lowest-id audience member, possibly injecting deliveries the sender
   never addressed) and delivers an equivocator's per-destination payloads
-  raw in lossy/bad ones.
+  raw in lossy/bad ones.  The one piece of per-run adversary state is an
+  ``adaptive-liar``'s vote tally, a ``(B, V)`` count array fed by the
+  liar's own mask row: its template payloads name two placeholder codes
+  (its current minority / majority) that resolve per run.
 
 The per-run RNG-stream contract
 ===============================
@@ -80,7 +84,6 @@ on the scalar oracle — same bytes, oracle speed.
 
 from repro.engine.batch.kernel import cell_key, run_batch
 from repro.engine.batch.plan import (
-    COLUMNAR_STATE_STRATEGIES,
     DETERMINISTIC_STRATEGIES,
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
@@ -93,7 +96,6 @@ from repro.engine.batch.plan import (
 )
 
 __all__ = [
-    "COLUMNAR_STATE_STRATEGIES",
     "DETERMINISTIC_STRATEGIES",
     "MODE_COLUMNAR_STATE",
     "MODE_REPLICATE",

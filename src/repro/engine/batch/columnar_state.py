@@ -29,14 +29,22 @@ itself* into arrays for cells the planner proved eligible
 
 Everything that is *not* seed-dependent is a per-cell template, built the
 first time a run reaches the round: Byzantine outbound payloads (the
-eligible strategies are inbox-free, so each strategy instance is driven
-through rounds ``1..max_rounds`` once and its real dict/frozenset
-iteration orders recorded), per-round edge lists, selector suggestions
-and validator sets, and coercion verdicts.  Byzantine payloads overlay
-the honest state per ``(dest, sender)``: the timed scheduler pins an
-equivocator to one selection payload per round, the lockstep oracle does
-so only in good rounds — in lossy/bad rounds its per-destination payloads
-arrive raw.
+inbox-free strategies are each driven through rounds ``1..max_rounds``
+once and their real dict/frozenset iteration orders recorded), per-round
+edge lists, selector suggestions and validator sets, and coercion
+verdicts.  Byzantine payloads overlay the honest state per ``(dest,
+sender)``: the timed scheduler pins an equivocator to one selection
+payload per round, the lockstep oracle does so only in good rounds — in
+lossy/bad rounds its per-destination payloads arrive raw.
+
+The one strategy that reads its inbox, ``adaptive-liar``, keeps a single
+piece of per-run state: a vote tally, here one ``(B, V)`` count array per
+liar fed from the liar's *own row* of the delivery mask (raw traffic under
+lockstep, ``Pcons``-canonical and deadline-filtered when timed — whatever
+the mask and overlays say its row holds).  Its template payloads come
+from the real strategy holding a tally of two placeholder values, so the
+overlays name "liar *k*'s minority / majority" by code and each round
+resolves them per run to the argmin / argmax of ``(count, code)``.
 
 Any surprise while building or running the array program raises
 (:class:`Demote` with the reason, or whatever broke) and the whole cell
@@ -62,7 +70,9 @@ from repro.core.columnar import (
     threshold_pick,
 )
 from repro.core.types import (
+    DecisionMessage,
     RoundKind,
+    SelectionMessage,
     coerce_decision_message,
     coerce_selection_message,
     coerce_validation_message,
@@ -116,6 +126,9 @@ class _RoundTemplate:
         "dvote",
         "dts",
         "dok",
+        # What each adaptive liar tallies from its own inbox row: one
+        # ``(pid, counted senders (n,), their codes (1, n))`` per liar.
+        "heard",
         # Run-invariant delivery precomputation.  Lockstep: ``fixed`` is the
         # whole zero-draw round ``(mask, delivered, dropped)`` or ``None``
         # for a coin round, whose mask is ``base_flat`` with one coin per
@@ -250,27 +263,45 @@ class CellProgram:
         selector = parameters.selector
         max_phases = self.max_phases
 
-        # Drive each (inbox-free) strategy through every round once, in
+        strategies = {
+            pid: build_byzantine(pid, self.byzantine[pid], parameters)
+            for pid in self.byz_pids
+        }
+        # An adaptive liar's payloads depend on the run through two values
+        # only: its tally's current minority and majority.  Its template
+        # instance gets a tally ranking two placeholder values, so its real
+        # ``send`` utters *them* — which receiver is told which, with what
+        # timestamp and history, stays the strategy's own code — and the
+        # array program resolves the placeholders per run.  Being a pure
+        # function of the round, it is sent when a template needs it.
+        self.liars = {
+            pid: strategies.pop(pid)
+            for pid in self.byz_pids
+            if self.byzantine[pid] == "adaptive-liar"
+        }
+        placeholders: List[object] = []
+        for liar in self.liars.values():
+            minority, majority = object(), object()
+            liar._tally = {minority: 1, majority: 2}
+            placeholders += [minority, majority]
+        self.suggestions = {
+            phase: list(selector.select(0, phase))
+            for phase in range(1, max_phases + 1)
+        }
+        # Drive every inbox-free strategy through every round once, in
         # ascending order — exactly the rounds any run would execute — and
         # record the *actual* payloads and dict iteration orders.  RandomNoise
         # seeds its garbage stream from its pid, so the sequence of draws is
         # the same in every run of the cell; early-stopping runs consumed a
         # prefix of it, which recording rounds in ascending order preserves.
-        strategies = {
-            pid: build_byzantine(pid, name, parameters)
-            for pid, name in self.byzantine.items()
-        }
-        self.suggestions = {
-            phase: list(selector.select(0, phase))
-            for phase in range(1, max_phases + 1)
-        }
         self.outboxes = {}
         values = set(self.initial_values.values())
+        values.update(liar.fallback for liar in self.liars.values())
         for number in range(1, self.max_rounds + 1):
             info = self.structure.info(number)
             per_round = {}
-            for pid in self.byz_pids:
-                out = strategies[pid].send(info)
+            for pid, strategy in strategies.items():
+                out = strategy.send(info)
                 per_round[pid] = out
                 for payload in out.values():
                     _collect_values(info.kind, payload, values)
@@ -286,6 +317,14 @@ class CellProgram:
         )
         self.n_values = len(self.alphabet)
         self.code = {value: index for index, value in enumerate(self.alphabet)}
+        #: Placeholder codes follow the alphabet: ``V + 2k`` is liar ``k``'s
+        #: minority, ``V + 2k + 1`` its majority.
+        self.n_codes = self.n_values + len(placeholders)
+        self.code.update(zip(placeholders, range(self.n_values, self.n_codes)))
+        self.fallbacks = self.np.array(
+            [self.code[liar.fallback] for liar in self.liars.values()],
+            dtype=self.np.int64,
+        )
         self.initial_codes = {
             pid: self.code[value] for pid, value in self.initial_values.items()
         }
@@ -333,7 +372,9 @@ class CellProgram:
         # discipline ever reads a payload).
         outbound = {}
         for sender in range(n):
-            if sender in self.byzantine:
+            if sender in self.liars:
+                outbound[sender] = self.liars[sender].send(info)
+            elif sender in self.byzantine:
                 outbound[sender] = self.outboxes[number][sender]
             elif kind is RoundKind.SELECTION:
                 outbound[sender] = honest_out
@@ -366,11 +407,12 @@ class CellProgram:
             out = outbound[sender]
             if matrix is not None:
                 # Zero-draw lockstep round: the oracle already decided —
-                # canonical (and possibly injected) under Pcons, raw else.
+                # canonical (and possibly injected) under Pcons, raw else
+                # and on Byzantine rows (a liar reads its own).
                 seen = [
-                    (dest, matrix[dest][sender])
-                    for dest in self.honest_pids
-                    if sender in matrix.get(dest, ())
+                    (dest, inbox[sender])
+                    for dest, inbox in matrix.items()
+                    if sender in inbox
                 ]
             elif kind is RoundKind.SELECTION and out and not self.lockstep:
                 # Timed Pcons canonicalization: one payload per Byzantine
@@ -380,12 +422,24 @@ class CellProgram:
             else:
                 seen = out.items()  # raw, per destination
             for dest, payload in seen:
-                self._overlay(rt, dest, sender, payload, tables)
+                carried = self._overlay(rt, dest, sender, payload, tables)
+                # An adaptive liar tallies every Selection/Decision
+                # *instance* it is handed — unvalidated, in any round kind
+                # — where the overlays hold validated votes of the round's
+                # own kind; ``noise`` garbage tells the two apart.
+                _require(
+                    dest not in self.liars
+                    or carried
+                    == isinstance(payload, (SelectionMessage, DecisionMessage)),
+                    "adaptive-liar would tally a payload the overlays do not carry",
+                )
         # Where every honest receiver reads the same row, keep one: the
         # array program then broadcasts ``(B, 1, n)`` honest state instead
         # of materializing ``(B, n, n)`` per-receiver copies.
         honest = self.honest_pids
+        rt.heard = []
         if kind is RoundKind.SELECTION:
+            rt.heard = [(pid, rt.sok[pid], rt.svote[[pid]]) for pid in self.liars]
             rt.sok = _shared_row(rt.sok, honest)
             rt.svote = _shared_row(rt.svote, honest)
             rt.sts = _shared_row(rt.sts, honest)
@@ -396,17 +450,20 @@ class CellProgram:
         elif kind is RoundKind.VALIDATION:
             rt.vsel = _shared_row(rt.vsel, honest)
         else:
+            rt.heard = [(pid, rt.dok[pid], rt.dvote[[pid]]) for pid in self.liars]
             rt.dok = _shared_row(rt.dok, honest)
             rt.dvote = _shared_row(rt.dvote, honest)
             rt.dts = _shared_row(rt.dts, honest)
         return rt
 
-    def _overlay(self, rt, dest: int, sender: int, payload, tables) -> None:
+    def _overlay(self, rt, dest: int, sender: int, payload, tables) -> bool:
+        """Write one payload into the round's overlays; true when a *vote*
+        overlay (selection or decision) now carries it."""
         code = self.code
         if rt.kind is RoundKind.SELECTION:
             parsed = coerce_selection_message(payload)
             if parsed is None:
-                return
+                return False
             rt.sok[dest, sender] = True
             rt.svote[dest, sender] = _encode(code, parsed.vote)
             rt.sts[dest, sender] = parsed.ts
@@ -415,7 +472,7 @@ class CellProgram:
                 if table is None:
                     table = tables[id(payload)] = _history_table(
                         self.np, parsed.history, code,
-                        self.n_values, self.max_phases,
+                        self.n_codes, self.max_phases,
                     )
                 if sender not in rt.shist:
                     rt.shist[sender] = self.np.zeros(
@@ -426,12 +483,15 @@ class CellProgram:
             parsed = coerce_validation_message(payload)
             if parsed is not None and parsed.select is not NULL_VALUE:
                 rt.vsel[dest, sender] = _encode(code, parsed.select)
+            return False
         else:
             parsed = coerce_decision_message(payload)
-            if parsed is not None:
-                rt.dok[dest, sender] = True
-                rt.dvote[dest, sender] = _encode(code, parsed.vote)
-                rt.dts[dest, sender] = parsed.ts
+            if parsed is None:
+                return False
+            rt.dok[dest, sender] = True
+            rt.dvote[dest, sender] = _encode(code, parsed.vote)
+            rt.dts[dest, sender] = parsed.ts
+        return True
 
     def _precompute_lockstep(self, rt: _RoundTemplate, info, outbound):
         """Round ``rt`` under the oracle policy; returns its delivery matrix
@@ -653,6 +713,8 @@ class CellProgram:
         delivered = np.zeros(B, dtype=np.int64)
         dropped = np.zeros(B, dtype=np.int64)
         active = np.ones(B, dtype=bool)
+        #: Each adaptive liar's whole state: how often it saw each value.
+        tally = np.zeros((B, len(self.liars), V), dtype=np.int64)
 
         b_idx = np.arange(B)[:, None, None]
         b_idx2 = np.arange(B)[:, None]
@@ -669,10 +731,21 @@ class CellProgram:
 
             upd = active[:, None] & honest_col[None, :]
             phase = rt.phase
+            # Liars send on what they saw up to the previous round, then
+            # tally this round's inbox row — votes as sent, before any
+            # transition below rebinds ``vote``.
+            ranked = self._ranked(tally)
+            for k, (pid, counted, codes) in enumerate(rt.heard):
+                heard = np.where(
+                    self.byz_col, self._said(codes, ranked)[:, 0], vote
+                )
+                tally[:, k] += counts_by_value(
+                    np, deliv[:, pid] & counted, heard, V
+                )
             if rt.kind is RoundKind.SELECTION:
                 valid = deliv & rt.sok[None, :, :]
                 eff_vote = np.where(
-                    self.byz_col, rt.svote[None, :, :], vote[:, None, :]
+                    self.byz_col, self._said(rt.svote, ranked), vote[:, None, :]
                 )
                 if self.uses_ts:
                     eff_ts = np.where(
@@ -694,7 +767,7 @@ class CellProgram:
                     )
                 else:
                     hsup = self._history_support(
-                        rt, valid, eff_vote, eff_ts, hist, b_idx
+                        rt, valid, eff_vote, eff_ts, hist, b_idx, ranked
                     )
                     concrete, any_mask = flv_class3_columnar(
                         np, valid, eff_vote, eff_ts, hsup, V,
@@ -711,7 +784,7 @@ class CellProgram:
                 selected = np.where(upd, sel, selected)
             elif rt.kind is RoundKind.VALIDATION:
                 eff_sel = np.where(
-                    self.byz_col, rt.vsel[None, :, :], selected[:, None, :]
+                    self.byz_col, self._said(rt.vsel, ranked), selected[:, None, :]
                 )
                 valid = deliv & (eff_sel >= 0) & rt.val_mask[None, None, :]
                 counts = counts_by_value(np, valid, eff_sel, V)
@@ -727,7 +800,7 @@ class CellProgram:
                 vote = np.where(revert, reverted, vote)
             else:
                 eff_vote = np.where(
-                    self.byz_col, rt.dvote[None, :, :], vote[:, None, :]
+                    self.byz_col, self._said(rt.dvote, ranked), vote[:, None, :]
                 )
                 valid = deliv & rt.dok[None, :, :]
                 if self.phase_gated:
@@ -776,7 +849,40 @@ class CellProgram:
             )
         return results
 
-    def _history_support(self, rt, valid, eff_vote, eff_ts, hist, b_idx):
+    def _ranked(self, tally):
+        """``(B, 2K)`` codes, liar ``k``'s (minority, majority) at ``2k, 2k+1``:
+        the argmin / argmax of ``(count, code)`` over the values it has seen
+        (``AdaptiveLiar._split_values``), its fallback before it saw any.
+        ``None`` in a cell without liars."""
+        np = self.np
+        B, K, V = tally.shape
+        if not K:
+            return None
+        seen = tally > 0
+        key = tally * V + np.arange(V)
+        pair = np.stack(
+            [
+                np.where(seen, key, key.max() + 1).argmin(axis=-1),
+                np.where(seen, key, -1).argmax(axis=-1),
+            ],
+            axis=-1,
+        )
+        blank = ~seen.any(axis=-1)[:, :, None]
+        return np.where(blank, self.fallbacks[:, None], pair).reshape(B, 2 * K)
+
+    def _said(self, codes, ranked):
+        """A ``(dest, sender)`` code overlay per run, ``(B | 1, dest, sender)``:
+        placeholder codes become the run's ranked values."""
+        V = self.n_values
+        if ranked is None:
+            return codes[None, :, :]
+        return self.np.where(
+            codes >= V, ranked[:, self.np.maximum(codes - V, 0)], codes
+        )
+
+    def _history_support(
+        self, rt, valid, eff_vote, eff_ts, hist, b_idx, ranked
+    ):
         """``history_support[b, d, m]``: valid senders whose history holds
         the queried ``(vote_m, ts_m)`` pair (class-3 FLV, Algorithm 4 line 2).
         """
@@ -792,8 +898,17 @@ class CellProgram:
             support += np.where(valid[:, :, sender][:, :, None], contains, False)
         for sender, table in rt.shist.items():
             d_idx = np.arange(len(table))[None, :, None]
-            contains = in_range & table[d_idx, vote_q, ts_q]
-            support += np.where(valid[:, :, sender][:, :, None], contains, False)
+            contains = table[d_idx, vote_q, ts_q]
+            # A liar's history names placeholders: it holds the queried
+            # pair where the run's ranked value is the queried vote.
+            for j in range(self.n_codes - self.n_values):
+                contains = contains | (
+                    table[d_idx, self.n_values + j, ts_q]
+                    & (ranked[:, j, None, None] == eff_vote)
+                )
+            support += np.where(
+                valid[:, :, sender][:, :, None], in_range & contains, False
+            )
         return support
 
 

@@ -18,15 +18,17 @@ run executes, how much of that structure the batch kernel may exploit:
   program over ``(B runs × n processes)`` state: the value alphabet is
   closed and encodable as small ints, the FLV is one of the paper's
   classes 1–3, the Selector is pid-independent, Byzantine payloads are
-  run-invariant, and the per-run seed enters only through ``(B, n, n)``
-  delivery masks — deadline misses and filter coins on the timed engine,
-  the oracle policy's per-edge loss coins on the lockstep one.  One array
-  program advances every run's votes/timestamps/decisions at once
+  run-invariant (for ``adaptive-liar``: a function of a per-run vote
+  tally the program carries as a ``(B, V)`` count array), and the per-run
+  seed enters only through ``(B, n, n)`` delivery masks — deadline misses
+  and filter coins on the timed engine, the oracle policy's per-edge loss
+  coins on the lockstep one.  One array program advances every run's
+  votes/timestamps/decisions at once
   (:mod:`repro.engine.batch.columnar_state`); the scalar kernel remains
   the oracle it is checked against.
 * :data:`MODE_SCALAR` — everything else (``async-prel``, randomized coins,
-  crash scripts, inbox-reading or unknown Byzantine strategies,
-  coordinator-style selectors, the ``REPRO_SLOW_SCHEDULER`` escape hatch):
+  crash scripts, unknown Byzantine strategies, coordinator-style
+  selectors, the ``REPRO_SLOW_SCHEDULER`` escape hatch):
   the per-run scalar oracle, byte for byte.
 
 The classification is deliberately conservative: anything the rules cannot
@@ -49,7 +51,6 @@ from repro.eventsim.network import NetworkSpec
 from repro.scenarios.spec import CommSpec, ScenarioSpec
 
 __all__ = [
-    "COLUMNAR_STATE_STRATEGIES",
     "DETERMINISTIC_STRATEGIES",
     "MODE_COLUMNAR_STATE",
     "MODE_REPLICATE",
@@ -70,7 +71,10 @@ MODE_SCALAR = "scalar"
 #: today qualifies — even ``noise`` seeds its garbage stream from the
 #: process id, not the run seed — but the whitelist is explicit so a future
 #: seed-driven adversary degrades to the scalar tier instead of silently
-#: replicating one run's luck across a cell.
+#: replicating one run's luck across a cell.  The same set has an array
+#: form on the columnar-state tier: all but ``adaptive-liar`` are
+#: inbox-free (payloads precompute per cell), and the liar's inbox enters
+#: through its vote tally alone.
 DETERMINISTIC_STRATEGIES = frozenset(
     {
         "silent",
@@ -82,13 +86,6 @@ DETERMINISTIC_STRATEGIES = frozenset(
         "adaptive-liar",
     }
 )
-
-#: The strategies whose per-round payloads are additionally *inbox-free* —
-#: computable from ``(pid, round)`` alone, before any delivery happens.
-#: The columnar-state tier precomputes each strategy's outbound payloads
-#: once per cell, so an adversary that reads its inbox (``adaptive-liar``)
-#: stays on the scalar oracle.
-COLUMNAR_STATE_STRATEGIES = DETERMINISTIC_STRATEGIES - {"adaptive-liar"}
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,8 @@ def columnar_state_blockers(
     never bytes):
 
     * no crashes — the array program has no crash schedule;
-    * only inbox-free Byzantine strategies — payloads precompute per cell;
+    * only whitelisted Byzantine strategies — payloads precompute per
+      cell, ``adaptive-liar``'s up to its per-run tally;
     * a comm kind whose per-round delivery reduces to per-edge booleans
       (``async-prel`` samples per-receiver subsets);
     * an FLV that is exactly one of the paper's classes 1–3 — the columnar
@@ -176,9 +174,9 @@ def columnar_state_blockers(
     if scenario.crashes != 0:
         why.append("crash script (the array program has no crash schedule)")
     why.extend(
-        f"strategy {name!r} reads its inbox"
+        f"strategy {name!r} has no array form"
         for name in scenario.byzantine
-        if name not in COLUMNAR_STATE_STRATEGIES
+        if name not in DETERMINISTIC_STRATEGIES
     )
     if scenario.comm.kind not in ("reliable", "lossy", "silent", "good-bad"):
         why.append(f"comm kind {scenario.comm.kind!r} has no per-edge mask form")

@@ -31,7 +31,7 @@ implementations so the engine runs them exactly like honest code.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.parameters import ConsensusParameters
 from repro.core.types import (
@@ -43,6 +43,7 @@ from repro.core.types import (
     ValidationMessage,
 )
 from repro.rounds.base import Inbound, Outbound, RoundProcess
+from repro.utils.det import _sort_key
 
 
 class ByzantineStrategy(RoundProcess):
@@ -264,28 +265,28 @@ class AdaptiveLiar(ByzantineStrategy):
     ) -> None:
         super().__init__(pid, parameters)
         self.fallback = fallback
-        self._observed_votes: List[object] = []
+        #: value → times observed, in first-seen order (the stable sort
+        #: below keeps that order among equal keys).
+        self._tally: Dict[object, int] = {}
 
     def receive(self, info: RoundInfo, received: Inbound) -> None:
         super().receive(info, received)
+        tally = self._tally
         for payload in received.values():
-            if isinstance(payload, SelectionMessage):
-                self._observed_votes.append(payload.vote)
-            elif isinstance(payload, DecisionMessage):
-                self._observed_votes.append(payload.vote)
+            if isinstance(payload, (SelectionMessage, DecisionMessage)):
+                tally[payload.vote] = tally.get(payload.vote, 0) + 1
 
     def _split_values(self) -> tuple:
-        if not self._observed_votes:
+        if not self._tally:
             return (self.fallback, self.fallback)
-        counts: Dict[object, int] = {}
-        for vote in self._observed_votes:
-            counts[vote] = counts.get(vote, 0) + 1
+        # Ties break in the library's one value order (``_sort_key``), the
+        # order value codes are assigned in: the columnar-state tier's
+        # "least / greatest code among equal counts" is this same rule.
         ranked = sorted(
-            counts.items(), key=lambda item: (item[1], repr(item[0]))
+            self._tally.items(),
+            key=lambda item: (item[1], _sort_key(item[0])),
         )
-        minority = ranked[0][0]
-        majority = ranked[-1][0]
-        return (minority, majority)
+        return (ranked[0][0], ranked[-1][0])
 
     def send(self, info: RoundInfo) -> Outbound:
         minority, majority = self._split_values()

@@ -249,8 +249,14 @@ def _timed_filter(
         def bad_edge(info, sender, dest, ctx):
             return dest in ctx.byzantine or rng.random() >= drop_prob
 
+    # The scheduler asks once per edge; the schedule answers once per round.
+    last_number = last_good = None
+
     def good_bad(info, sender, dest, ctx):
-        return is_good(info.number) or bad_edge(info, sender, dest, ctx)
+        nonlocal last_number, last_good
+        if info.number != last_number:
+            last_number, last_good = info.number, is_good(info.number)
+        return last_good or bad_edge(info, sender, dest, ctx)
 
     return good_bad
 

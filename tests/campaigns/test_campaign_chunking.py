@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.campaigns.results import rows_to_jsonl
@@ -26,6 +28,7 @@ from repro.engine.batch import (
     MODE_SCALAR,
     plan_for_run,
 )
+from repro.scenarios.registry import get_scenario
 
 
 def small_spec(**overrides):
@@ -120,10 +123,17 @@ def test_resolve_memo_shares_and_replays():
 # --------------------------------------------------- cell-aligned dispatch
 
 
-def cell_spec(reps, scenarios=("fault-free", "lossy_channel", "async_then_sync")):
+#: Loss plus a crash script: seed-dependent, and the array program has no
+#: crash schedule — the one kind of class-2 cell here that plans scalar.
+LOSSY_CRASH = dataclasses.replace(
+    get_scenario("lossy_channel"), name="lossy_crash", crashes=1
+)
+
+
+def cell_spec(reps, scenarios=("fault-free", "lossy_channel", LOSSY_CRASH)):
     """class-2 at (9,1,1), both engines: per engine one replicate cell
     (``fault-free``), one columnar-state cell (``lossy_channel``) and one
-    scalar cell (``async_then_sync``)."""
+    scalar cell (``lossy_crash``)."""
     return CampaignSpec(
         name="cells",
         algorithms=("class-2",),
@@ -147,7 +157,7 @@ def test_cell_spec_covers_all_three_tiers():
     assert tiers == {
         "fault-free": {MODE_REPLICATE},
         "lossy_channel": {MODE_COLUMNAR_STATE},
-        "async_then_sync": {MODE_SCALAR},
+        "lossy_crash": {MODE_SCALAR},
     }
 
 
@@ -163,13 +173,13 @@ def test_batchable_cells_travel_whole_and_scalar_cells_chunk_as_before():
     )
     for chunk in chunks:
         for group in _iter_cell_groups(chunk):
-            if group[0].scenario.name == "async_then_sync":
+            if group[0].scenario.name == "lossy_crash":
                 assert len(group) <= size
             else:  # never split, so never below the batch floor at an edge
                 assert len(group) == 100 >= BATCH_FLOOR
     # A grid of scalar cells alone is cut exactly as it was: every
     # ``size`` runs, cell boundaries ignored.
-    scalar_only = cell_spec(100, scenarios=("async_then_sync",))
+    scalar_only = cell_spec(100, scenarios=(LOSSY_CRASH,))
     assert [len(chunk) for chunk in chunks_of(scalar_only, size)] == (
         [32] * 6 + [8]
     )

@@ -18,6 +18,7 @@ docstring).  This suite pins every layer of that claim:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from repro.engine.batch import (
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
     MODE_SCALAR,
+    BatchPlan,
     cell_key,
     columnar_state_blockers,
     plan_cell,
@@ -124,19 +126,24 @@ def test_plan_stochastic_cells_need_parameters_for_columnar_state():
 
 @pytest.mark.parametrize("engine", ["lockstep", "timed"])
 def test_plan_ineligible_stochastic_cells_fall_to_scalar(engine):
-    """adaptive-liar / crashes / async-prel / a coin: the oracle, and
-    ``columnar_state_blockers`` names every failed clause."""
+    """crashes / async-prel / an unlisted strategy / a coin: the oracle, and
+    ``columnar_state_blockers`` names every failed clause.  The inbox-reading
+    ``adaptive-liar`` is not among them: its tally has an array form."""
     parameters, config = _resolved()
     lossy = get_scenario("lossy_channel")
     liar = get_scenario("async_then_sync")
     crashing = dataclasses.replace(lossy, crashes=1)
     prel = dataclasses.replace(lossy, comm=CommSpec(kind="async-prel"))
-    both = dataclasses.replace(liar, crashes=1)
+    both = dataclasses.replace(
+        liar, crashes=1, byzantine=("adaptive-liar", "some-future-adversary")
+    )
+    assert columnar_state_blockers(liar, parameters, config) == []
+    plan = plan_cell(liar, engine, config, parameters=parameters)
+    assert plan.mode == MODE_COLUMNAR_STATE
     for scenario, fragments in (
-        (liar, ["'adaptive-liar' reads its inbox"]),
         (crashing, ["crash script"]),
         (prel, ["'async-prel'"]),
-        (both, ["crash script", "'adaptive-liar' reads its inbox"]),
+        (both, ["crash script", "'some-future-adversary' has no array form"]),
     ):
         plan = plan_cell(scenario, engine, config, parameters=parameters)
         assert plan.mode == MODE_SCALAR, scenario
@@ -152,13 +159,21 @@ def test_plan_ineligible_stochastic_cells_fall_to_scalar(engine):
 
 
 def test_gauntlet_tier_tally():
-    """Replicate 50 / columnar-state 20 / scalar 26 — and no fourth tier."""
+    """Replicate 50 / columnar-state 30 / scalar 16 — no fourth tier, and
+    the scalar cells are exactly the ones no tier could run: class-1 does
+    not admit (7,1,1)."""
     from collections import Counter
 
-    tally = Counter(plan_for_run(run).mode for run in GAUNTLET.iter_runs())
+    runs = list(GAUNTLET.iter_runs())
+    tally = Counter(plan_for_run(run).mode for run in runs)
     assert tally == {
-        MODE_REPLICATE: 50, MODE_COLUMNAR_STATE: 20, MODE_SCALAR: 26
+        MODE_REPLICATE: 50, MODE_COLUMNAR_STATE: 30, MODE_SCALAR: 16
     }
+    assert {
+        (run.algorithm, run.n, run.b, run.f)
+        for run in runs
+        if plan_for_run(run).mode == MODE_SCALAR
+    } == {("class-1", 7, 1, 1)}
 
 
 def test_plan_randomized_coin_forces_scalar():
@@ -224,9 +239,8 @@ def _assert_rows_match_oracle(runs, rows):
         ("lossy_channel", "timed", MODE_COLUMNAR_STATE),
         ("flaky_gst", "lockstep", MODE_COLUMNAR_STATE),
         ("lossy_channel", "lockstep", MODE_COLUMNAR_STATE),
-        # adaptive-liar reads its inbox, so the cell stays on the oracle.
-        ("async_then_sync", "timed", MODE_SCALAR),
-        ("async_then_sync", "lockstep", MODE_SCALAR),
+        ("async_then_sync", "timed", MODE_COLUMNAR_STATE),
+        ("async_then_sync", "lockstep", MODE_COLUMNAR_STATE),
     ],
 )
 def test_run_batch_matches_oracle(scenario, engine, expected_mode):
@@ -249,7 +263,9 @@ def test_run_batch_matches_oracle_without_numpy(
 
 
 @pytest.mark.parametrize("engine", ["timed", "lockstep"])
-@pytest.mark.parametrize("scenario", ["flaky_gst", "lossy_channel"])
+@pytest.mark.parametrize(
+    "scenario", ["flaky_gst", "lossy_channel", "async_then_sync"]
+)
 def test_run_batch_rows_independent_of_batch_composition(scenario, engine):
     """A run's row is the same at B = 1, 5 and 32: each run draws from its
     own streams only, however many neighbours share the array program."""
@@ -263,6 +279,148 @@ def test_run_batch_rows_independent_of_batch_composition(scenario, engine):
         assert row_to_json(alone) == full[index]
     subset = [runs[1], runs[4]]
     assert [row_to_json(r) for r in run_batch(subset)] == [full[1], full[4]]
+
+
+# ------------------------------------- the adaptive liar as an array program
+
+
+@functools.lru_cache(maxsize=None)
+def _liar_cell(engine, algorithm, model):
+    """One ``async_then_sync`` cell at reps 32 with its oracle lines; the
+    reps-4 cell is its first four runs (a run's seed derives from its
+    coordinate, not from how many repetitions the grid has)."""
+    runs = _cell_runs("async_then_sync", engine, 32, algorithm, model)
+    assert runs[:4] == _cell_runs("async_then_sync", engine, 4, algorithm, model)
+    return runs, [row_to_json(execute_run(run)) for run in runs]
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("model", [(9, 1, 1), (21, 2, 2)])
+@pytest.mark.parametrize("algorithm", ["class-1", "class-2", "class-3"])
+@pytest.mark.parametrize("engine", ["lockstep", "timed"])
+def test_adaptive_liar_cells_match_oracle(
+    monkeypatch, engine, algorithm, model, numpy
+):
+    """The GST scenario on the columnar-state tier, every class, both
+    engines, at the batch floor and at reps 32; demoted (same bytes)
+    without numpy."""
+    if not numpy:
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    runs, oracle = _liar_cell(engine, algorithm, model)
+    assert plan_for_run(runs[0]).mode == MODE_COLUMNAR_STATE
+    tier = "columnar-state" if numpy and HAVE_NUMPY else "scalar"
+    for batch in (runs[:4], runs):
+        rows = run_batch(batch)
+        assert {row["_backend"] for row in rows} == {tier}
+        assert [row_to_json(row) for row in rows] == oracle[: len(batch)]
+
+
+def _liar_scenario(name, byzantine=("adaptive-liar",), count=1, **comm):
+    return ScenarioSpec(
+        name=name, byzantine=byzantine, byzantine_count=count,
+        comm=CommSpec(**comm), max_phases=12,
+    )
+
+
+LIAR_MIXES = [
+    _liar_scenario("liar_lossy", kind="lossy", drop_prob=0.3),
+    _liar_scenario("liar_partition", kind="good-bad", schedule="after",
+                   good_from=7, bad="partition"),
+    _liar_scenario("liar_flaky", kind="good-bad", schedule="alternating",
+                   good_len=2, bad_len=1, bad="drop", drop_prob=0.5),
+    # Two liars: each tallies the other's (and its own) per-run payloads.
+    _liar_scenario("two_liars", count=2, kind="lossy", drop_prob=0.4),
+    # ``worst_case``'s strategy mix, one of each, under loss.
+    _liar_scenario(
+        "worst_mix_lossy",
+        byzantine=("equivocator", "high-ts-liar", "fake-history-liar",
+                   "adaptive-liar"),
+        count=4, kind="lossy", drop_prob=0.3,
+    ),
+]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("engine", ["lockstep", "timed"])
+@pytest.mark.parametrize("algorithm", ["class-1", "class-2", "class-3"])
+@pytest.mark.parametrize("scenario", LIAR_MIXES, ids=lambda spec: spec.name)
+def test_adaptive_liar_mixes_match_oracle(scenario, algorithm, engine):
+    """The liar under every mask producer and beside every other strategy
+    with an array form: columnar-state, no demotion, the oracle's bytes."""
+    from repro.observability import Telemetry
+
+    runs = _cell_runs(scenario, engine, 8, algorithm, (21, 4, 0))
+    telemetry = Telemetry()
+    rows = run_batch(
+        runs, telemetry=telemetry, plan=BatchPlan(MODE_COLUMNAR_STATE, "forced")
+    )
+    assert telemetry.counters["batch.columnar_state_rows"] == len(runs)
+    _assert_rows_match_oracle(runs, rows)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("engine", ["lockstep", "timed"])
+def test_adaptive_liar_under_reliable_comm_columnar_equals_replicate(engine):
+    """A reliable cell plans replicate; forced onto the array program it
+    yields the same rows — the tally form agrees with the run it clones."""
+    scenario = _liar_scenario("liar_reliable", kind="reliable")
+    runs = _cell_runs(scenario, engine, 4, "class-3", (9, 1, 1))
+    assert plan_for_run(runs[0]).mode == MODE_REPLICATE
+    replicated = run_batch(runs)
+    columnar = run_batch(runs, plan=BatchPlan(MODE_COLUMNAR_STATE, "forced"))
+    assert {row["_backend"] for row in columnar} == {"columnar-state"}
+    assert [row_to_json(r) for r in columnar] == [
+        row_to_json(r) for r in replicated
+    ]
+    _assert_rows_match_oracle(runs, columnar)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_adaptive_liar_ranking_matches_scalar_rule_on_ties():
+    """``CellProgram._ranked`` against ``AdaptiveLiar._split_values`` on
+    forced minority/majority count ties, whatever order values were seen in."""
+    from repro.engine.batch.columnar_state import CellProgram
+    from repro.engine.batch.kernel import compile_batch_scenario
+    from repro.faults.byzantine import AdaptiveLiar
+
+    np = get_numpy()
+    (run,) = _cell_runs("async_then_sync", "lockstep", 1, "class-2", (9, 1, 1))
+    parameters, _ = _resolved("class-2", (9, 1, 1))
+    program = CellProgram(
+        np, run, parameters, compile_batch_scenario(run, parameters.model)
+    )
+    alphabet = program.alphabet
+    assert len(alphabet) == 3  # two honest values and the liar's fallback
+    rng = random.Random(4)
+    tallies = [[0, 0, 0], [3, 3, 3], [0, 2, 2], [2, 2, 0], [1, 0, 1]]
+    tallies += [[rng.randrange(3) for _ in alphabet] for _ in range(40)]
+    ranked = program._ranked(np.array(tallies, dtype=np.int64)[:, None, :])
+    for counts, (low, high) in zip(tallies, ranked.tolist()):
+        liar = AdaptiveLiar(next(iter(program.liars)), parameters)
+        seen = [(v, c) for v, c in zip(alphabet, counts) if c]
+        rng.shuffle(seen)
+        liar._tally = dict(seen)
+        assert (alphabet[low], alphabet[high]) == liar._split_values(), counts
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_adaptive_liar_beside_noise_demotes_with_reason():
+    """``noise`` hands the liar malformed Selection/Decision instances it
+    would tally and no overlay carries: the cell names that and runs scalar."""
+    from repro.observability import Telemetry
+
+    scenario = _liar_scenario(
+        "liar_noise", byzantine=("adaptive-liar", "noise"), count=2,
+        kind="lossy", drop_prob=0.3,
+    )
+    runs = _cell_runs(scenario, "lockstep", 5, "class-2", (21, 2, 2))
+    assert plan_for_run(runs[0]).mode == MODE_COLUMNAR_STATE
+    telemetry = Telemetry()
+    rows = run_batch(runs, telemetry=telemetry)
+    reason = "adaptive-liar would tally a payload the overlays do not carry"
+    assert telemetry.counters[f"batch.demoted[{reason}]"] == len(runs)
+    assert {row["_backend"] for row in rows} == {"scalar"}
+    _assert_rows_match_oracle(runs, rows)
 
 
 def test_run_batch_tags_rows_with_backend():
@@ -292,8 +450,12 @@ def test_run_batch_counts_telemetry():
 
     # A planned-scalar cell falls back without counting as demoted.
     telemetry = Telemetry()
-    run_batch(_cell_runs("async_then_sync", "lockstep", repetitions=4),
-              telemetry=telemetry)
+    crashing = dataclasses.replace(
+        get_scenario("lossy_channel"), name="lossy_crash", crashes=1
+    )
+    runs = _cell_runs(crashing, "lockstep", repetitions=4)
+    assert plan_for_run(runs[0]).mode == MODE_SCALAR
+    run_batch(runs, telemetry=telemetry)
     assert telemetry.counters["batch.fallback_scalar"] == 4
     assert not any(k.startswith("batch.demoted") for k in telemetry.counters)
 

@@ -125,6 +125,44 @@ def test_exploding_mask_producer_demotes_to_scalar(
     assert telemetry.counters[f"batch.demoted[{reason}]"] == len(runs)
 
 
+@pytest.mark.parametrize("engine", ["timed", "lockstep"])
+def test_exploding_tally_producer_demotes_whole_cell(monkeypatch, engine):
+    """An adaptive liar's tally ranking blowing up mid-run — after rounds
+    already advanced every run's state — demotes the whole cell: no row of
+    the half-run program survives."""
+    spec = CampaignSpec(
+        name="liar-fault-injection",
+        algorithms=("class-2",),
+        models=((9, 1, 1),),
+        engines=(engine,),
+        scenarios=("async_then_sync",),
+        repetitions=6,
+        seed=13,
+    )
+    runs = tuple(spec.iter_runs())
+    assert all(plan_for_run(run).mode == MODE_COLUMNAR_STATE for run in runs)
+    oracle = canonical(execute_chunk(runs, False, "scalar"))
+    calls = []
+
+    def exploding(self, tally):
+        calls.append(None)
+        if len(calls) < 4:
+            return original(self, tally)
+        raise OverflowError("injected: tally ranking broke in round 4")
+
+    original = CellProgram._ranked
+    monkeypatch.setattr(CellProgram, "_ranked", exploding)
+    telemetry = Telemetry()
+    rows = run_batch(runs, telemetry=telemetry)
+    assert canonical(rows) == oracle
+    assert all(row["_backend"] == "scalar" for row in rows)
+    reason = (
+        "tier raised OverflowError" if get_numpy() is not None else "numpy absent"
+    )
+    assert telemetry.counters[f"batch.demoted[{reason}]"] == len(runs)
+    assert "batch.columnar_state_rows" not in telemetry.counters
+
+
 def test_template_demotion_carries_its_reason(monkeypatch, columnar_state_runs):
     """A ``Demote`` raised while building templates names itself."""
     if get_numpy() is None:

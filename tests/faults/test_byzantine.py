@@ -1,13 +1,17 @@
 """Byzantine strategy library: each attack is exercised and contained."""
 
+import random
+
 import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import (
+    DecisionMessage,
     FaultModel,
     RoundInfo,
     RoundKind,
     SelectionMessage,
+    ValidationMessage,
     coerce_selection_message,
 )
 from repro.engine import LockstepScheduler, build_instance, run_instance
@@ -20,6 +24,7 @@ from repro.faults.byzantine import (
     SilentByzantine,
     VoteFlipper,
 )
+from repro.utils.det import _sort_key, deterministic_choice
 
 
 @pytest.fixture
@@ -88,6 +93,51 @@ class TestStrategyMechanics:
         out = strategy.send(DEC)
         votes = {m.vote for m in out.values()}
         assert votes == {"pop", "rare"}
+
+
+    def test_adaptive_liar_breaks_ties_in_the_library_value_order(self, params):
+        """Equal counts rank by ``_sort_key`` (type name, then repr) — the
+        order value codes are assigned in — not by bare ``repr``, under which
+        ``'9'`` (repr ``"'9'"``) would sort before ``10``."""
+        strategy = AdaptiveLiar(3, params)
+        strategy.receive(
+            DEC, {0: DecisionMessage("9", 1), 1: DecisionMessage(10, 1)}
+        )
+        assert strategy._split_values() == (10, "9")
+        assert deterministic_choice(["9", 10]) == 10
+
+    def test_adaptive_liar_running_tally_equals_list_recount(self, params):
+        """300 rounds of mixed inboxes: the running tally ranks exactly as
+        re-counting the whole observation list on every send did."""
+        rng = random.Random(8)
+        strategy = AdaptiveLiar(3, params)
+        observed = []
+        for number in range(1, 301):
+            kind = (RoundKind.SELECTION, RoundKind.VALIDATION, RoundKind.DECISION)[
+                number % 3
+            ]
+            inbox = {}
+            for sender in rng.sample(range(4), rng.randrange(5)):
+                vote = rng.choice(["a", "b", "c", 7, "evil"])
+                if kind is RoundKind.VALIDATION:
+                    inbox[sender] = ValidationMessage(vote, frozenset())
+                    continue
+                if kind is RoundKind.SELECTION:
+                    inbox[sender] = SelectionMessage(vote, 0, frozenset(), frozenset())
+                else:
+                    inbox[sender] = DecisionMessage(vote, 0)
+                observed.append(vote)
+            strategy.receive(RoundInfo(number, (number + 2) // 3, kind), inbox)
+            counts = {}
+            for vote in observed:
+                counts[vote] = counts.get(vote, 0) + 1
+            ranked = sorted(
+                counts.items(), key=lambda item: (item[1], _sort_key(item[0]))
+            )
+            expected = (
+                (ranked[0][0], ranked[-1][0]) if ranked else ("evil", "evil")
+            )
+            assert strategy._split_values() == expected, number
 
 
 class TestAttackContainment:

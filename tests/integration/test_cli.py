@@ -1,5 +1,7 @@
 """The repro.cli entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -108,15 +110,15 @@ def test_campaign_plan_classifies_cells_without_executing(capsys):
     assert "campaign 'gauntlet':" in out
     assert "columnar-state" in out
     assert "replicate" in out
-    assert "seed-dependent timed delivery" in out
+    assert "algorithm/model resolution failed" in out
     assert "array program" in out
     # The classification is a plan, not an execution: tier counts cover
     # the whole grid.
-    assert "tiers: columnar-state 20  replicate 50  scalar 26" in out
-    assert "reads its inbox" not in out  # clause lists are opt-in
+    assert "tiers: columnar-state 30  replicate 50  scalar 16" in out
+    assert "requires n > 5b + 3f" not in out  # clause lists are opt-in
 
 
-def test_campaign_plan_explain_lists_every_failed_clause(capsys):
+def test_campaign_plan_explain_lists_every_failed_clause(capsys, tmp_path):
     assert main(["campaign", "plan", "gauntlet"]) == 0
     plain = capsys.readouterr().out.splitlines()
     assert main(["campaign", "plan", "gauntlet", "--explain"]) == 0
@@ -125,13 +127,27 @@ def test_campaign_plan_explain_lists_every_failed_clause(capsys):
     # --explain only adds clause lines under scalar cells.
     clauses = [line for line in explained if line.startswith("      - ")]
     assert [line for line in explained if line not in clauses] == plain
-    assert len(clauses) == 26
-    # 16 class-1 (7,1,1) resolution failures, 10 adaptive-liar cells.
-    assert sum("requires n > 5b + 3f" in line for line in clauses) == 16
-    assert sum(
-        line == "      - strategy 'adaptive-liar' reads its inbox"
-        for line in clauses
-    ) == 10
+    # The only scalar cells left: 16 class-1 (7,1,1) resolution failures.
+    assert len(clauses) == 16
+    assert all("requires n > 5b + 3f" in line for line in clauses)
+
+    # A seed-dependent cell that fails two clauses lists both.
+    mapping = {
+        "name": "two-clauses", "algorithms": ["class-2"], "models": [[9, 1, 1]],
+        "engines": ["lockstep"], "repetitions": 4,
+        "scenarios": [{"name": "prel_crash", "crashes": 1,
+                       "comm": {"kind": "async-prel"}}],
+    }
+    path = tmp_path / "two-clauses.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["campaign", "plan", str(path), "--explain"]) == 0
+    assert [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("      - ")
+    ] == [
+        "      - crash script (the array program has no crash schedule)",
+        "      - comm kind 'async-prel' has no per-edge mask form",
+    ]
 
 
 def test_profile_batch_surfaces_demotion_reason(capsys, monkeypatch):
