@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.core.classification import AlgorithmClass, classify
+from repro.core.classification import (
+    AlgorithmClass,
+    build_class_parameters,
+    classify,
+)
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.types import ProcessId, Value
+from repro.core.types import FaultModel, ProcessId, Value
 from repro.engine.assembly import build_instance
 from repro.engine.kernel import OBSERVE_FULL, run_instance
 from repro.engine.outcome import Outcome
@@ -91,3 +96,42 @@ def register(name: str):
         return builder
 
     return decorate
+
+
+#: FLV-class pseudo-algorithms accepted alongside builder names.
+CLASS_ALGORITHMS = ("class-1", "class-2", "class-3")
+
+
+def resolve_algorithm(
+    name: str, model: FaultModel
+) -> Tuple[ConsensusParameters, GenericConsensusConfig]:
+    """Parameters + per-process config for an algorithm name at ``model``.
+
+    ``class-N`` builds the canonical Table-1 class parameters; any other
+    name goes through :data:`ALGORITHM_BUILDERS` (passing the model's
+    ``b``/``f`` to builders that accept them).  Raises :class:`ValueError`
+    (or :class:`ParameterError`) when the model violates the algorithm's
+    resilience bound and :class:`KeyError` for an unknown name.  Cells go
+    through :func:`repro.engine.cell.admit`, which memoizes this and adds
+    the hosted-envelope check.
+    """
+    if name in CLASS_ALGORITHMS:
+        algorithm_class = AlgorithmClass(int(name[-1]))
+        return (
+            build_class_parameters(algorithm_class, model),
+            GenericConsensusConfig(),
+        )
+    builder = ALGORITHM_BUILDERS.get(name)
+    if builder is None:
+        raise KeyError(
+            f"unknown algorithm {name!r}; known: "
+            f"{sorted(ALGORITHM_BUILDERS) + list(CLASS_ALGORITHMS)}"
+        )
+    accepted = inspect.signature(builder).parameters
+    kwargs: Dict[str, int] = {}
+    if "b" in accepted:
+        kwargs["b"] = model.b
+    if "f" in accepted:
+        kwargs["f"] = model.f
+    spec = builder(model.n, **kwargs)
+    return spec.parameters, spec.config

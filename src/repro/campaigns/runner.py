@@ -1,10 +1,12 @@
 """Parallel campaign runner: expand, dispatch, isolate, collect.
 
-:func:`execute_run` turns one :class:`~repro.campaigns.spec.RunSpec` into a
+:func:`execute_run` turns one :class:`~repro.engine.cell.RunSpec` into a
 plain result-row dict and **never raises**: a crashing scenario produces a
 ``status="error"`` row (with the exception) instead of killing the campaign,
-a model outside the algorithm's resilience bound an ``inadmissible`` row,
-and a scenario the configuration cannot host an ``inapplicable`` row.
+a model outside the algorithm's resilience bound an ``inadmissible`` row
+(:func:`~repro.engine.cell.open_row` — the admission step every executor
+shares), and a scenario the configuration cannot host an ``inapplicable``
+row.
 
 The run's environment comes entirely from
 :func:`~repro.scenarios.compile.compile_scenario`: the Byzantine placement,
@@ -56,9 +58,9 @@ throughput optimization — its rows are byte-identical to the oracle's.
 from __future__ import annotations
 
 import os
-import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from itertools import groupby
 from time import perf_counter, sleep
 from typing import (
     AbstractSet,
@@ -72,17 +74,21 @@ from typing import (
 )
 
 from repro.campaigns.results import attach_lines
-from repro.campaigns.spec import CampaignSpec, RunSpec, resolve_algorithm
-from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.types import FaultModel
+from repro.campaigns.spec import CampaignSpec
 from repro.engine.assembly import build_instance
+from repro.engine.cell import (
+    STATUS_ERROR,
+    STATUS_INAPPLICABLE,
+    Row,
+    RunSpec,
+    admit,
+    cell_key,
+    describe_error,
+    open_row,
+)
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
 from repro.scenarios.compile import ScenarioInapplicable, compile_scenario
 from repro.scenarios.spec import split_values
-from repro.utils.memo import cached_outcome
-
-#: Result-row type: one flat JSON-serializable mapping per run.
-Row = Dict[str, object]
 
 #: Called after each completed run with ``(completed, total)``.
 ProgressFn = Callable[[int, int], None]
@@ -92,93 +98,6 @@ ProgressFn = Callable[[int, int], None]
 #: ``chunk_retried`` / ``pool_degraded``); the CLI forwards these to its
 #: :class:`~repro.observability.events.EventLog` sidecar.
 EventFn = Callable[[str, Dict[str, object]], None]
-
-STATUS_OK = "ok"
-STATUS_ERROR = "error"
-STATUS_INADMISSIBLE = "inadmissible"
-STATUS_INAPPLICABLE = "inapplicable"
-
-
-def _base_row(run: RunSpec) -> Row:
-    return {
-        "campaign": run.campaign,
-        "run_id": run.run_id,
-        "algorithm": run.algorithm,
-        "n": run.n,
-        "b": run.b,
-        "f": run.f,
-        "engine": run.engine,
-        "fault": run.scenario.describe_fault(),
-        "network": run.scenario.describe_network(),
-        "rep": run.rep,
-        "seed": run.seed,
-        "status": STATUS_OK,
-        "agreement": None,
-        "validity": None,
-        "unanimity": None,
-        "termination": None,
-        "decided": None,
-        "rounds": None,
-        "phases": None,
-        "time_to_decision": None,
-        "messages_sent": None,
-        "messages_delivered": None,
-        "messages_dropped": None,
-        "error": None,
-    }
-
-
-#: Bounds on the traceback tail embedded in error rows: enough context to
-#: diagnose a failure from the JSONL alone, small enough that a
-#: pathological cell cannot bloat the result file.
-TRACEBACK_TAIL_LINES = 12
-TRACEBACK_TAIL_CHARS = 2000
-
-
-def _describe_error(exc: BaseException) -> str:
-    """``TypeName: message`` plus a bounded traceback tail.
-
-    The traceback starts at :func:`execute_run`'s own ``try`` frame — the
-    dispatch stack above it (inline generator vs. pooled ``execute_chunk``)
-    never enters ``exc.__traceback__`` — so the text is identical at any
-    worker count and chunk size, keeping error rows byte-stable.
-    """
-    head = f"{type(exc).__name__}: {exc}"
-    tb = exc.__traceback__
-    if tb is None:
-        return head
-    lines = "".join(
-        traceback.format_exception(type(exc), exc, tb)
-    ).rstrip("\n").split("\n")
-    if len(lines) > TRACEBACK_TAIL_LINES:
-        lines = ["  ..."] + lines[-TRACEBACK_TAIL_LINES:]
-    tail = "\n".join(lines)
-    if len(tail) > TRACEBACK_TAIL_CHARS:
-        tail = "..." + tail[-TRACEBACK_TAIL_CHARS:]
-    return f"{head}\n{tail}"
-
-
-#: Worker-side memo for :func:`resolve_algorithm`: a 10k-run grid usually
-#: has a few dozen distinct ``(algorithm, model)`` cells, and parameters /
-#: config are frozen dataclasses safe to share across the runs of one
-#: worker process.  Rejections (the resolution exception) are memoized too,
-#: so inadmissible cells short-circuit on every repetition.
-_RESOLVE_MEMO: Dict[Tuple[str, FaultModel], Tuple[bool, object]] = {}
-
-
-def _resolve_algorithm_memo(
-    name: str, model: FaultModel
-) -> Tuple[ConsensusParameters, GenericConsensusConfig]:
-    # Only the deterministic rejections are cached (unknown name, bound
-    # violation); a transient failure (import hiccup, MemoryError) must
-    # not become the cell's sticky verdict for the worker's lifetime.
-    return cached_outcome(
-        _RESOLVE_MEMO,
-        (name, model),
-        lambda: resolve_algorithm(name, model),
-        cache_exceptions=(ValueError, KeyError),
-    )
-
 
 def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
     """Execute one grid cell, returning its result row (never raises).
@@ -196,38 +115,10 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
         row["_elapsed_ms"] = round((perf_counter() - started) * 1000, 3)
         row["_pid"] = os.getpid()
         return row
-    row = _base_row(run)
-    try:
-        model = FaultModel(run.n, run.b, run.f)
-    except ValueError as exc:
-        row.update(status=STATUS_INADMISSIBLE, error=str(exc))
+    row, admitted = open_row(run)
+    if admitted is None:
         return row
-    try:
-        parameters, config = _resolve_algorithm_memo(run.algorithm, model)
-    except ValueError as exc:
-        # ParameterError (a ValueError) ⇒ the bound rejects this model.
-        row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-        return row
-    except Exception as exc:
-        # Head only, no traceback tail: the memo replays a cached rejection
-        # with its traceback reset, so tail text would depend on which
-        # worker happened to resolve the cell first.
-        row.update(status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}")
-        return row
-
-    # Builders resolve their own envelope (benign ones ignore ``b``,
-    # Byzantine ones ignore ``f``): a grid point asking for more faults
-    # than the algorithm hosts is outside its Table-1 row.
-    hosted = parameters.model
-    if hosted.b < model.b or hosted.f < model.f:
-        row.update(
-            status=STATUS_INADMISSIBLE,
-            error=(
-                f"{run.algorithm} hosts (b={hosted.b}, f={hosted.f}), "
-                f"grid point wants (b={model.b}, f={model.f})"
-            ),
-        )
-        return row
+    model, parameters, config = admitted
 
     try:
         compiled = compile_scenario(run.scenario, model, run.engine, run.seed)
@@ -235,7 +126,7 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
         row.update(status=STATUS_INAPPLICABLE, error=str(exc))
         return row
     except Exception as exc:
-        row.update(status=STATUS_ERROR, error=_describe_error(exc))
+        row.update(status=STATUS_ERROR, error=describe_error(exc))
         return row
 
     initial_values = split_values(model, compiled.byzantine)
@@ -275,7 +166,7 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
             **outcome.invariant_report(),
         )
     except Exception as exc:
-        row.update(status=STATUS_ERROR, error=_describe_error(exc))
+        row.update(status=STATUS_ERROR, error=describe_error(exc))
     return row
 
 
@@ -339,19 +230,8 @@ def _iter_cell_groups(runs: Sequence[RunSpec]) -> Iterator[List[RunSpec]]:
     consecutively; grouping only adjacent runs therefore recovers whole
     cells (up to chunk boundaries) while trivially preserving row order.
     """
-    from repro.engine.batch import cell_key
-
-    group: List[RunSpec] = []
-    key = None
-    for run in runs:
-        run_key = cell_key(run)
-        if group and run_key != key:
-            yield group
-            group = []
-        group.append(run)
-        key = run_key
-    if group:
-        yield group
+    for _key, group in groupby(runs, key=cell_key):
+        yield list(group)
 
 
 def execute_chunk(
@@ -413,7 +293,7 @@ def _travels_whole(run: RunSpec) -> bool:
     from repro.engine.batch import MODE_SCALAR, plan_for_run
 
     try:
-        _resolve_algorithm_memo(run.algorithm, FaultModel(run.n, run.b, run.f))
+        admit(run.algorithm, run.n, run.b, run.f)
     except Exception:
         return True
     return plan_for_run(run).mode != MODE_SCALAR
@@ -428,9 +308,6 @@ def _iter_chunks(
     :func:`_travels_whole`: it waits for the cell's end, or for
     ``cell_cap`` runs of the cell, whichever comes first.
     """
-    if cell_cap is not None:
-        from repro.engine.batch import cell_key
-
     chunk: List[RunSpec] = []
     key = None
     whole = False  # does the current cell travel whole?

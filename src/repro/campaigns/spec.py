@@ -20,79 +20,31 @@ files via :func:`load_spec`.
 
 from __future__ import annotations
 
-import hashlib
-import inspect
 import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
-from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.types import FaultModel
-from repro.eventsim.network import NetworkSpec  # noqa: F401 - re-export
+from repro.algorithms.registry import resolve_algorithm
+from repro.engine.cell import RunSpec, cell_key_prefix, derive_seed
+from repro.eventsim.network import NetworkSpec
+from repro.scenarios.compile import ENGINES
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-#: Execution engines a campaign may select per run.
-ENGINES = ("lockstep", "timed")
-
-#: FLV-class pseudo-algorithms accepted alongside builder names.
-CLASS_ALGORITHMS = ("class-1", "class-2", "class-3")
-
-
-def derive_seed(campaign_seed: int, key: str) -> int:
-    """A 63-bit per-run seed from the campaign seed and a coordinate key.
-
-    Uses BLAKE2b (not :func:`hash`, which is salted per interpreter) so the
-    derivation is stable across processes, Python versions and worker
-    counts.
-    """
-    digest = hashlib.blake2b(
-        f"{campaign_seed}:{key}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") >> 1
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One fully-resolved cell of the campaign grid."""
-
-    campaign: str
-    run_id: int
-    algorithm: str
-    n: int
-    b: int
-    f: int
-    engine: str
-    scenario: ScenarioSpec
-    rep: int
-    seed: int
-    max_phases: int
-
-    def key(self) -> str:
-        """Stable coordinate string (the seed-derivation input); the fault
-        and network slots carry the scenario's two describe strings."""
-        return _cell_key_prefix(
-            self.algorithm, self.n, self.b, self.f, self.engine, self.scenario
-        ) + f"rep{self.rep}"
-
-
-def _cell_key_prefix(
-    algorithm: str, n: int, b: int, f: int, engine: str, scenario: ScenarioSpec
-) -> str:
-    """The part of :meth:`RunSpec.key` a cell's repetitions share."""
-    return "|".join(
-        (
-            algorithm,
-            f"n{n}b{b}f{f}",
-            engine,
-            scenario.describe_fault(),
-            scenario.describe_network(),
-        )
-    ) + "|"
-
+# ``RunSpec`` / ``derive_seed`` live in :mod:`repro.engine.cell`, below every
+# executor; they, ``resolve_algorithm`` and ``NetworkSpec`` stay public here.
+__all__ = [
+    "ENGINES",
+    "CampaignSpec",
+    "NetworkSpec",
+    "RunSpec",
+    "ScenarioRef",
+    "derive_seed",
+    "load_spec",
+    "resolve_algorithm",
+]
 
 #: A scenarios-axis entry: a registered preset name or an inline spec.
 ScenarioRef = Union[str, ScenarioSpec]
@@ -180,7 +132,7 @@ class CampaignSpec:
         for algorithm, (n, b, f), engine, scenario in cells:
             # The describe strings are rendered once per cell, not once
             # per repetition, and each run is built with its seed.
-            prefix = _cell_key_prefix(algorithm, n, b, f, engine, scenario)
+            prefix = cell_key_prefix(algorithm, n, b, f, engine, scenario)
             for rep in range(self.repetitions):
                 yield RunSpec(
                     campaign=self.name,
@@ -272,40 +224,3 @@ def load_spec(path: object) -> CampaignSpec:
             f"unsupported spec extension {spec_path.suffix!r} (want .json/.toml)"
         )
     return CampaignSpec.from_mapping(data)
-
-
-def resolve_algorithm(
-    name: str, model: FaultModel
-) -> Tuple[ConsensusParameters, GenericConsensusConfig]:
-    """Parameters + per-process config for an algorithm axis value.
-
-    ``class-N`` builds the canonical Table-1 class parameters; any other
-    name goes through :data:`~repro.algorithms.registry.ALGORITHM_BUILDERS`
-    (passing the model's ``b``/``f`` to builders that accept them).  Raises
-    :class:`ValueError` (or :class:`ParameterError`) when the model violates
-    the algorithm's resilience bound — the runner records those cells as
-    ``inadmissible`` rather than executing them.
-    """
-    import repro.algorithms  # noqa: F401 - populates ALGORITHM_BUILDERS
-    from repro.algorithms.registry import ALGORITHM_BUILDERS
-
-    if name in CLASS_ALGORITHMS:
-        algorithm_class = AlgorithmClass(int(name[-1]))
-        return (
-            build_class_parameters(algorithm_class, model),
-            GenericConsensusConfig(),
-        )
-    builder = ALGORITHM_BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(
-            f"unknown algorithm {name!r}; known: "
-            f"{sorted(ALGORITHM_BUILDERS) + list(CLASS_ALGORITHMS)}"
-        )
-    accepted = inspect.signature(builder).parameters
-    kwargs: Dict[str, int] = {}
-    if "b" in accepted:
-        kwargs["b"] = model.b
-    if "f" in accepted:
-        kwargs["f"] = model.f
-    spec = builder(model.n, **kwargs)
-    return spec.parameters, spec.config

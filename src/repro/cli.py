@@ -190,21 +190,37 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    from repro.campaigns.spec import resolve_algorithm
-    from repro.scenarios import ScenarioInapplicable, get_scenario, run_scenario
+def _admit_cell(args: argparse.Namespace, scenario: str):
+    """``(scenario spec, parameters, config)`` for a single-cell command,
+    or ``None`` after telling stderr why there is none."""
+    from repro.engine.cell import admit, rejection_message
+    from repro.scenarios import get_scenario
 
     try:
-        spec = get_scenario(args.name)
+        spec = get_scenario(scenario)
     except ValueError as exc:
         print(exc, file=sys.stderr)
-        return 2
+        return None
     try:
-        model = FaultModel(args.n, args.b, args.f)
-        parameters, config = resolve_algorithm(args.algorithm, model)
+        _model, parameters, config = admit(
+            args.algorithm, args.n, args.b, args.f
+        )
     except (KeyError, ValueError) as exc:
-        print(f"cannot build {args.algorithm}: {exc}", file=sys.stderr)
+        print(
+            f"cannot build {args.algorithm}: {rejection_message(exc)}",
+            file=sys.stderr,
+        )
+        return None
+    return spec, parameters, config
+
+
+def _cmd_scenario_run(args: argparse.Namespace) -> int:
+    from repro.scenarios import ScenarioInapplicable, run_scenario
+
+    cell = _admit_cell(args, args.name)
+    if cell is None:
         return 2
+    spec, parameters, config = cell
     try:
         outcome = run_scenario(
             spec,
@@ -319,9 +335,8 @@ def _cmd_profile_batch(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from time import perf_counter
 
-    from repro.campaigns.spec import resolve_algorithm
     from repro.observability import Telemetry, format_phase_table
-    from repro.scenarios import ScenarioInapplicable, get_scenario, run_scenario
+    from repro.scenarios import ScenarioInapplicable, run_scenario
 
     if args.batch is not None:
         return _cmd_profile_batch(args)
@@ -330,17 +345,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # Setup and analysis get spans of their own so the phase table accounts
     # for (nearly) the whole command wall, not just the engine's share.
     with telemetry.span("setup.resolve"):
-        try:
-            spec = get_scenario(args.scenario)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        try:
-            model = FaultModel(args.n, args.b, args.f)
-            parameters, config = resolve_algorithm(args.algorithm, model)
-        except (KeyError, ValueError) as exc:
-            print(f"cannot build {args.algorithm}: {exc}", file=sys.stderr)
-            return 2
+        cell = _admit_cell(args, args.scenario)
+    if cell is None:
+        return 2
+    spec, parameters, config = cell
     outcome = None
     for repeat in range(args.repeat):
         # engine.run wraps scenario compilation + instance build + the
@@ -409,6 +417,7 @@ def _serve_config(args: argparse.Namespace):
 def _cmd_smr_serve(args: argparse.Namespace) -> int:
     import json
 
+    from repro.engine.cell import rejection_message
     from repro.scenarios import ScenarioInapplicable
     from repro.smr import run_serve
 
@@ -419,7 +428,7 @@ def _cmd_smr_serve(args: argparse.Namespace) -> int:
         if isinstance(exc, ScenarioInapplicable):
             print(f"scenario inapplicable: {exc}", file=sys.stderr)
         else:
-            print(f"cannot serve: {exc}", file=sys.stderr)
+            print(f"cannot serve: {rejection_message(exc)}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report.to_row(), sort_keys=True))
@@ -467,6 +476,7 @@ def _cmd_smr_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_smr_sweep(args: argparse.Namespace) -> int:
+    from repro.campaigns.results import write_rows
     from repro.smr import sweep_serve
 
     config, workload = _serve_config(args)
@@ -476,9 +486,9 @@ def _cmd_smr_sweep(args: argparse.Namespace) -> int:
         if args.scenarios
         else None
     )
-    rows = sweep_serve(
-        config, workload, rates=rates, scenarios=scenarios, out=args.out
-    )
+    rows = sweep_serve(config, workload, rates=rates, scenarios=scenarios)
+    if args.out:
+        write_rows(args.out, rows)
     headers = [
         "cell", "status", "offered", "committed", "slots",
         "retries", "p50", "p99", "digests",
@@ -502,6 +512,9 @@ def _cmd_smr_sweep(args: argparse.Namespace) -> int:
             "ok" if row["digests_agree"] else "DIVERGED",
         ])
     print(format_table(headers, table_rows))
+    for row in rows:
+        if row["status"] == "inapplicable":
+            print(f"{row['cell']}: {row['detail']}", file=sys.stderr)
     if args.out:
         print(f"\nwrote {len(rows)} row(s) to {args.out}")
     bad = [

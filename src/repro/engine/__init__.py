@@ -44,10 +44,10 @@ from repro.engine.scheduler import (
     TimedScheduler,
 )
 
-#: Batch-backend names re-exported lazily (PEP 562): ``repro.engine.batch``
-#: imports campaign specs, which import algorithm builders, which import
-#: this package — an eager import here would close that cycle during
-#: interpreter start-up.
+#: Batch-backend names re-exported lazily (PEP 562): this package's core
+#: (assembly, kernel, schedulers) is what the algorithm builders are built
+#: on, while :mod:`repro.engine.cell` and :mod:`repro.engine.batch` resolve
+#: those builders — they load on first use, after the builders can.
 _BATCH_EXPORTS = frozenset(
     {
         "BatchPlan",

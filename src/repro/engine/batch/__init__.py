@@ -82,7 +82,7 @@ the array tier demotes (``batch.demoted[numpy absent]``) and the cell runs
 on the scalar oracle — same bytes, oracle speed.
 """
 
-from repro.engine.batch.kernel import cell_key, run_batch
+from repro.engine.batch.kernel import run_batch
 from repro.engine.batch.plan import (
     DETERMINISTIC_STRATEGIES,
     MODE_COLUMNAR_STATE,
@@ -94,6 +94,7 @@ from repro.engine.batch.plan import (
     plan_cell,
     plan_for_run,
 )
+from repro.engine.cell import cell_key
 
 __all__ = [
     "DETERMINISTIC_STRATEGIES",

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.campaigns.spec import RunSpec
 from repro.core.columnar import (
     NULL_CODE,
     counts_by_value,
@@ -77,6 +76,7 @@ from repro.core.types import (
     coerce_selection_message,
     coerce_validation_message,
 )
+from repro.engine.cell import RunSpec
 from repro.faults.registry import build_byzantine
 from repro.rounds.base import RunContext
 from repro.rounds.policies import count_edges

@@ -17,8 +17,7 @@ Demotion discipline: a tier that cannot hold its oracle-identity contract
 raises — :class:`~repro.engine.batch.columnar_state.Demote` with the
 reason (numpy absent, a template assumption failing at build time, a
 representative run that errored) or any other exception — and the whole
-cell re-executes on the scalar oracle; a tier may also hand back ``None``
-for single rows it leaves to the oracle.  Error tracebacks embed frame
+cell re-executes on the scalar oracle.  Error tracebacks embed frame
 names, and only the oracle's frames are byte-stable across backends, so
 ``error`` rows are never fabricated here.  Rows that carry no traceback
 (``inadmissible`` / ``inapplicable`` and resolution failures, whose text
@@ -34,9 +33,9 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.campaigns.spec import RunSpec
+from repro.analysis.invariants import evaluate_properties
 from repro.core.types import FaultModel
 
 # ``build_instance`` is not used here; it stays importable from this module
@@ -51,6 +50,13 @@ from repro.engine.batch.plan import (
     BatchPlan,
     plan_for_run,
 )
+from repro.engine.cell import (
+    STATUS_ERROR,
+    STATUS_INAPPLICABLE,
+    Row,
+    RunSpec,
+    open_row,
+)
 from repro.observability.telemetry import Telemetry
 from repro.scenarios.compile import (
     CompiledScenario,
@@ -59,18 +65,7 @@ from repro.scenarios.compile import (
 )
 from repro.utils.accel import get_numpy
 
-__all__ = ["cell_key", "run_batch"]
-
-Row = Dict[str, object]
-
-
-def cell_key(run: RunSpec) -> Tuple:
-    """The campaign-cell coordinate of a run: everything but (rep, seed).
-
-    Runs sharing this key differ only in repetition index and derived
-    seed — the precondition for batching them through :func:`run_batch`.
-    """
-    return (run.algorithm, run.n, run.b, run.f, run.engine, run.scenario)
+__all__ = ["run_batch"]
 
 
 def run_batch(
@@ -104,13 +99,13 @@ def run_batch(
     if telemetry is not None:
         telemetry.count("batch.rows", len(runs))
 
-    rows: List[Optional[Row]] = [None] * len(runs)
+    rows: Optional[List[Row]] = None
     tier = "batch.replicated_rows"
     # Tier production is demotion-safe: whichever way a tier fails — a
     # Demote with its reason or a broken template assumption surfacing as
     # any other exception — the cell re-executes on the per-run oracle, so
     # ``run_batch`` keeps its never-raises, byte-identical contract.
-    demoted = "tier left the row to the oracle"
+    demoted = None
     try:
         if plan.mode == MODE_REPLICATE:
             rows = _replicate_rows(runs)
@@ -126,27 +121,36 @@ def run_batch(
     except Exception as exc:
         demoted = f"tier raised {type(exc).__name__}"
 
-    # Scalar completion: the planner's scalar tier, a demoted cell, or
-    # single rows a tier left open — all re-execute through the oracle.
+    if rows is not None:
+        if telemetry is not None:
+            telemetry.count(tier, len(runs))
+        return rows
+    # The planner's scalar tier, or a demoted cell.
+    if telemetry is not None:
+        telemetry.count("batch.fallback_scalar", len(runs))
+        if demoted is not None:
+            telemetry.count(f"batch.demoted[{demoted}]", len(runs))
+    rows = [_oracle(run) for run in runs]
+    for row in rows:
+        row["_backend"] = "scalar"
+    return rows
+
+
+def _oracle(run: RunSpec) -> Row:
+    """One run through the scalar oracle.
+
+    The one name this package takes from above itself, looked up per call:
+    the end-to-end benchmark's tracer (``benchmarks/e2e/trace.py``) rebinds
+    ``execute_run`` in the runner's namespace and a module-level binding
+    here would escape it.  Goes away when the executors move below
+    ``campaigns/`` (ROADMAP).
+    """
     from repro.campaigns.runner import execute_run
 
-    pending = [index for index, row in enumerate(rows) if row is None]
-    if telemetry is not None:
-        produced = len(runs) - len(pending)
-        if pending:
-            telemetry.count("batch.fallback_scalar", len(pending))
-            if plan.mode != MODE_SCALAR:
-                telemetry.count(f"batch.demoted[{demoted}]", len(pending))
-        if produced:
-            telemetry.count(tier, produced)
-    for index in pending:
-        row = execute_run(runs[index])
-        row["_backend"] = "scalar"
-        rows[index] = row
-    return rows  # type: ignore[return-value]
+    return execute_run(run)
 
 
-def _replicate_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
+def _replicate_rows(runs: Sequence[RunSpec]) -> List[Row]:
     """One representative execution, cloned across the cell's runs.
 
     Valid only under the planner's seed-independence proof.  A
@@ -154,12 +158,10 @@ def _replicate_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
     transient, and their traceback text is only byte-stable when each run
     produces its own.
     """
-    from repro.campaigns.runner import STATUS_ERROR, execute_run
-
-    representative = execute_run(runs[0])
+    representative = _oracle(runs[0])
     if representative["status"] == STATUS_ERROR:
         raise Demote("replicate representative errored")
-    rows: List[Optional[Row]] = []
+    rows: List[Row] = []
     for run in runs:
         row = dict(representative)
         row["run_id"] = run.run_id
@@ -182,92 +184,47 @@ def compile_batch_scenario(run: RunSpec, model: FaultModel) -> CompiledScenario:
     return compile_scenario(run.scenario, model, run.engine, run.seed)
 
 
-def columnar_state_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
+def columnar_state_rows(runs: Sequence[RunSpec]) -> List[Row]:
     """Execute one cell's runs as a single array program.
 
-    The per-run prologue mirrors the scalar oracle's step for step (same
-    exception-to-status mapping, same messages); ``None`` entries mark
-    runs the caller must complete through the oracle.  Raises
-    :class:`Demote` when the whole cell must — numpy absent, or a
-    template assumption the planner could not see failing.
+    Every row opens with the oracle's own prologue
+    (:func:`~repro.engine.cell.open_row`), and one cell has one admission
+    and one compilation verdict, so a rejected or inapplicable cell
+    returns its verdict rows without running anything.  Raises
+    :class:`Demote` when the oracle must take the cell — numpy absent, or
+    a template assumption the planner could not see failing — and lets a
+    scenario that fails to compile raise through to the same effect:
+    traceback rows must be the oracle's own.
     """
     np = get_numpy()
     if np is None:
         raise Demote("numpy absent")
-    from repro.analysis.invariants import evaluate_properties
-    from repro.campaigns.runner import (
-        STATUS_ERROR,
-        STATUS_INADMISSIBLE,
-        STATUS_INAPPLICABLE,
-        _base_row,
-        _resolve_algorithm_memo,
-    )
-
-    rows: List[Optional[Row]] = [None] * len(runs)
-    viable: List[int] = []
-    program: Optional[CellProgram] = None
-    compiled_outcome = None
-    for index, run in enumerate(runs):
-        row = _base_row(run)
+    rows: List[Row] = []
+    for run in runs:
+        row, admitted = open_row(run)
         row["_backend"] = "columnar-state"
-        try:
-            model = FaultModel(run.n, run.b, run.f)
-            parameters, _config = _resolve_algorithm_memo(run.algorithm, model)
-        except ValueError as exc:
-            # ParameterError (a ValueError) ⇒ the bound rejects this model.
-            row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-            rows[index] = row
-            continue
-        except Exception as exc:
-            # Head only, exactly like the oracle: memoized rejections
-            # replay with their traceback reset.
-            row.update(status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}")
-            rows[index] = row
-            continue
-        hosted = parameters.model
-        if hosted.b < model.b or hosted.f < model.f:
-            row.update(
-                status=STATUS_INADMISSIBLE,
-                error=(
-                    f"{run.algorithm} hosts (b={hosted.b}, f={hosted.f}), "
-                    f"grid point wants (b={model.b}, f={model.f})"
-                ),
-            )
-            rows[index] = row
-            continue
-        if compiled_outcome is None:
-            try:
-                compiled_outcome = ("ok", compile_batch_scenario(run, model))
-            except ScenarioInapplicable as exc:
-                compiled_outcome = ("inapplicable", str(exc))
-            except Exception:
-                # Oracle fallback: traceback rows must be its own.
-                compiled_outcome = ("oracle", None)
-        verdict, compiled = compiled_outcome
-        if verdict == "inapplicable":
-            row.update(status=STATUS_INAPPLICABLE, error=compiled)
-            rows[index] = row
-            continue
-        if verdict == "oracle":
-            continue
-        if program is None:
-            # The planner proved crashes == 0; a schedule appearing anyway
-            # means the proof is stale — trust the oracle.
-            if compiled.crash_schedule is not None:
-                raise Demote("crash schedule")
-            program = CellProgram(np, run, parameters, compiled)
-        viable.append(index)
-        rows[index] = row
-
-    if program is None:
+        rows.append(row)
+    if admitted is None:
         return rows
-    results = program.execute([runs[index].seed for index in viable])
-    for index, result in zip(viable, results):
+    model, parameters, _config = admitted
+    try:
+        compiled = compile_batch_scenario(runs[0], model)
+    except ScenarioInapplicable as exc:
+        for row in rows:
+            row.update(status=STATUS_INAPPLICABLE, error=str(exc))
+        return rows
+    # The planner proved crashes == 0; a schedule appearing anyway means
+    # the proof is stale — trust the oracle.
+    if compiled.crash_schedule is not None:
+        raise Demote("crash schedule")
+    program = CellProgram(np, runs[0], parameters, compiled)
+    results = program.execute([run.seed for run in runs])
+    for row, result in zip(rows, results):
         report = evaluate_properties(
             decided_values=result.pop("decided_values"),
             initial_values=program.initial_values,
             byzantine=program.context.byzantine,
             correct=program.correct,
         )
-        rows[index].update(result, **report)
+        row.update(result, **report)
     return rows

@@ -1,7 +1,7 @@
 """Batch planning: classify a campaign cell's executions into one of three
 execution tiers.
 
-One :class:`~repro.campaigns.spec.CampaignSpec` cell is B runs of one
+One campaign cell is B runs of one
 ``(algorithm, model, engine, scenario)`` coordinate differing only in their
 repetition index and derived seed.  :func:`plan_cell` decides, *before* any
 run executes, how much of that structure the batch kernel may exploit:
@@ -45,7 +45,16 @@ import os
 from dataclasses import dataclass
 from typing import List
 
-from repro.campaigns.spec import RunSpec
+from repro.core.flv_class1 import FLVClass1
+from repro.core.flv_class2 import FLVClass2
+from repro.core.flv_class3 import FLVClass3
+from repro.core.selector import (
+    AllProcessesSelector,
+    FixedSelector,
+    RotatingCoordinatorSelector,
+    RotatingSubsetSelector,
+)
+from repro.engine.cell import RunSpec, admit
 from repro.engine.scheduler import SLOW_SCHEDULER_ENV
 from repro.eventsim.network import NetworkSpec
 from repro.scenarios.spec import CommSpec, ScenarioSpec
@@ -160,16 +169,6 @@ def columnar_state_blockers(
     * none of the config switches that grow or reshape state
       (``skip_first_selection``, history bounding, the line-26 ablation).
     """
-    from repro.core.flv_class1 import FLVClass1
-    from repro.core.flv_class2 import FLVClass2
-    from repro.core.flv_class3 import FLVClass3
-    from repro.core.selector import (
-        AllProcessesSelector,
-        FixedSelector,
-        RotatingCoordinatorSelector,
-        RotatingSubsetSelector,
-    )
-
     why: List[str] = []
     if scenario.crashes != 0:
         why.append("crash script (the array program has no crash schedule)")
@@ -260,26 +259,16 @@ def plan_cell(
     return BatchPlan(MODE_SCALAR, "stochastic lockstep policy")
 
 
-def _resolve(run: RunSpec):
-    """``(parameters, config)`` through the runner's worker memo."""
-    from repro.campaigns.runner import _resolve_algorithm_memo
-    from repro.core.types import FaultModel
-
-    return _resolve_algorithm_memo(
-        run.algorithm, FaultModel(run.n, run.b, run.f)
-    )
-
-
 def plan_for_run(run: RunSpec) -> BatchPlan:
     """The plan for a cell, keyed by one of its runs.
 
-    Resolves the algorithm (through the runner's worker memo, so campaign
-    chunks pay nothing extra) to inspect its config; any resolution or
-    model failure yields the scalar tier, whose per-run oracle produces
-    the proper ``inadmissible`` / ``error`` rows.
+    Admits the cell (:func:`~repro.engine.cell.admit` — the worker memo,
+    so campaign chunks pay nothing extra) to inspect its parameters and
+    config; a rejected cell yields the scalar tier, whose per-run oracle
+    produces the proper ``inadmissible`` / ``error`` rows.
     """
     try:
-        parameters, config = _resolve(run)
+        _model, parameters, config = admit(run.algorithm, run.n, run.b, run.f)
     except Exception:
         return BatchPlan(MODE_SCALAR, "algorithm/model resolution failed")
     return plan_cell(run.scenario, run.engine, config, parameters=parameters)
@@ -289,7 +278,7 @@ def explain_for_run(run: RunSpec) -> List[str]:
     """Everything keeping a cell off the columnar-state tier, clause by
     clause (``repro campaign plan --explain``); empty when nothing does."""
     try:
-        parameters, config = _resolve(run)
+        _model, parameters, config = admit(run.algorithm, run.n, run.b, run.f)
     except Exception as exc:
         return [f"{type(exc).__name__}: {exc}"]
     why = columnar_state_blockers(run.scenario, parameters, config)

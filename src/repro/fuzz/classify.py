@@ -1,9 +1,9 @@
 """Execute one fuzz candidate and classify the outcome.
 
-:func:`execute_candidate` mirrors the campaign runner's
-:func:`~repro.campaigns.runner.execute_run` — same kernel, same
-``observe="metrics"`` hot path, never raises — with one twist: when the
-algorithm's resilience bound rejects the candidate's model and the caller
+:func:`execute_candidate` runs a candidate the way the campaign runner
+runs a cell — the same admission step (:func:`~repro.engine.cell.admit`),
+the same kernel on the ``observe="metrics"`` hot path, never raises — with
+one twist: when admission rejects the candidate's model and the caller
 opted into ``over_bound`` execution, the cell runs anyway on *boundary
 parameters* (the algorithm's Table-1 class at a ``TD`` clamped into the
 termination bound but below the agreement bound, built through
@@ -28,14 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.campaigns.runner import (
-    STATUS_ERROR,
-    STATUS_INADMISSIBLE,
-    STATUS_INAPPLICABLE,
-    STATUS_OK,
-    _describe_error,
-)
-from repro.campaigns.spec import derive_seed, resolve_algorithm
 from repro.core.classification import AlgorithmClass
 from repro.core.parameters import (
     ConsensusParameters,
@@ -45,6 +37,16 @@ from repro.core.parameters import (
 from repro.core.selector import AllProcessesSelector
 from repro.core.types import FaultModel
 from repro.engine.assembly import build_instance
+from repro.engine.cell import (
+    STATUS_ERROR,
+    STATUS_INADMISSIBLE,
+    STATUS_INAPPLICABLE,
+    STATUS_OK,
+    admit,
+    derive_seed,
+    describe_error,
+    rejection_verdict,
+)
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
 from repro.fuzz.space import FuzzCandidate, suggest_phases
 from repro.scenarios.compile import ScenarioInapplicable, compile_scenario
@@ -146,37 +148,35 @@ def execute_candidate(
         )
     row = _base_row(candidate, seed)
     try:
-        model = FaultModel(candidate.n, candidate.b, candidate.f)
-    except ValueError as exc:
-        row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-        return row
-    try:
-        parameters, config = resolve_algorithm(candidate.algorithm, model)
-        hosted = parameters.model
-        if hosted.b < model.b or hosted.f < model.f:
-            raise ParameterError(
-                f"{candidate.algorithm} hosts (b={hosted.b}, f={hosted.f}), "
-                f"candidate wants (b={model.b}, f={model.f})"
-            )
+        model, parameters, config = admit(
+            candidate.algorithm, candidate.n, candidate.b, candidate.f
+        )
+    except Exception as exc:
+        # The resilience bound (or the builder's fault envelope) rejects
+        # this model: inadmissible under campaign semantics, the boundary
+        # regime under over-bound search.
+        status, error = rejection_verdict(exc)
+        if (
+            status != STATUS_INADMISSIBLE
+            or over_bound == "never"
+            or candidate.algorithm not in BOUNDARY_CLASSES
+        ):
+            row.update(status=status, error=error)
+            return row
+        try:
+            model = FaultModel(candidate.n, candidate.b, candidate.f)
+            parameters, config = boundary_parameters(candidate.algorithm, model)
+        except ValueError as exc2:
+            row.update(status=STATUS_INADMISSIBLE, error=str(exc2))
+            return row
+        row["over_bound"] = True
+    else:
         if over_bound == "only":
             row.update(
                 status=STATUS_SKIPPED,
                 error="in-bounds cell skipped (over_bound='only')",
             )
             return row
-    except (ValueError, KeyError) as exc:
-        # The resilience bound (or the builder's fault envelope) rejects
-        # this model: inadmissible under campaign semantics, the boundary
-        # regime under over-bound search.
-        if over_bound == "never" or candidate.algorithm not in BOUNDARY_CLASSES:
-            row.update(status=STATUS_INADMISSIBLE, error=str(exc))
-            return row
-        try:
-            parameters, config = boundary_parameters(candidate.algorithm, model)
-        except ValueError as exc2:
-            row.update(status=STATUS_INADMISSIBLE, error=str(exc2))
-            return row
-        row["over_bound"] = True
     row["randomized"] = config.coin is not None
 
     try:
@@ -187,7 +187,7 @@ def execute_candidate(
         row.update(status=STATUS_INAPPLICABLE, error=str(exc))
         return row
     except Exception as exc:
-        row.update(status=STATUS_ERROR, error=_describe_error(exc))
+        row.update(status=STATUS_ERROR, error=describe_error(exc))
         return row
 
     initial_values = split_values(model, compiled.byzantine)
@@ -214,7 +214,7 @@ def execute_candidate(
             **outcome.invariant_report(),
         )
     except Exception as exc:
-        row.update(status=STATUS_ERROR, error=_describe_error(exc))
+        row.update(status=STATUS_ERROR, error=describe_error(exc))
     return row
 
 

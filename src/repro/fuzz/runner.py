@@ -24,7 +24,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Optional
 
-from repro.campaigns.spec import derive_seed
+from repro.engine.cell import derive_seed
 from repro.fuzz.classify import (
     OVER_BOUND_MODES,
     Verdict,

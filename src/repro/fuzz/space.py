@@ -24,6 +24,7 @@ from random import Random
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.types import FaultModel
+from repro.engine.cell import cell_key_prefix
 from repro.eventsim.network import NetworkSpec
 from repro.scenarios.spec import CommSpec, ScenarioSpec
 
@@ -75,21 +76,14 @@ class FuzzCandidate:
     def key(self) -> str:
         """Stable coordinate string — the dedup key and seed-derivation input.
 
-        Same shape as :meth:`~repro.campaigns.spec.RunSpec.key` plus the
-        phase budget, so per-candidate seeds are content-derived: a shrunk
-        or replayed candidate reproduces with its own seed regardless of
-        where in the search it was discovered.
+        A :meth:`~repro.engine.cell.RunSpec.key` with the phase budget in
+        the repetition's place, so per-candidate seeds are content-derived:
+        a shrunk or replayed candidate reproduces with its own seed
+        regardless of where in the search it was discovered.
         """
-        return "|".join(
-            (
-                self.algorithm,
-                f"n{self.n}b{self.b}f{self.f}",
-                self.engine,
-                self.scenario.describe_fault(),
-                self.scenario.describe_network(),
-                f"ph{self.max_phases}",
-            )
-        )
+        return cell_key_prefix(
+            self.algorithm, self.n, self.b, self.f, self.engine, self.scenario
+        ) + f"ph{self.max_phases}"
 
     def to_mapping(self) -> Dict[str, object]:
         return {

@@ -40,12 +40,11 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.campaigns.spec import derive_seed, resolve_algorithm
-from repro.core.types import FaultModel
 from repro.engine.assembly import build_instance
+from repro.engine.cell import admit, derive_seed, rejection_message
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
 from repro.observability.telemetry import Telemetry
-from repro.scenarios.compile import ScenarioInapplicable, compile_scenario
+from repro.scenarios.compile import compile_scenario
 from repro.scenarios.registry import SCENARIO_REGISTRY, get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.smr.log import LogEntry, ReplicatedLog
@@ -281,23 +280,16 @@ class _SlotRunner:
         self._config = config
         self._telemetry = telemetry
         self._spec = config.scenario_spec()
-        self._model = FaultModel(config.n, config.b, config.f)
-        self._parameters, self._algo_config = resolve_algorithm(
-            config.algorithm, self._model
+        # The campaign runner's admission: a config outside the
+        # algorithm's resilience bound, or asking for more faults than its
+        # envelope hosts (crash faults under PBFT, say), is not servable.
+        self.model, self._parameters, self._algo_config = admit(
+            config.algorithm, config.n, config.b, config.f
         )
-        # Same admissibility rule as the campaign runner: a config asking
-        # for more faults than the algorithm's envelope hosts (crash
-        # faults under PBFT, say) is not servable.
-        hosted = self._parameters.model
-        if hosted.b < self._model.b or hosted.f < self._model.f:
-            raise ScenarioInapplicable(
-                f"{config.algorithm} hosts (b={hosted.b}, f={hosted.f}), "
-                f"serve config wants (b={self._model.b}, f={self._model.f})"
-            )
         # Placement is seed-independent — compile once up front so an
         # inapplicable scenario raises before any state is built.
         probe = compile_scenario(
-            self._spec, self._model, config.engine, 0
+            self._spec, self.model, config.engine, 0
         )
         self.byzantine = probe.byzantine
         self._max_phases = (
@@ -307,10 +299,6 @@ class _SlotRunner:
         )
         self.retries = 0
         self.rejected = 0
-
-    @property
-    def model(self) -> FaultModel:
-        return self._model
 
     def run(
         self, slot: int, batch: Command
@@ -329,11 +317,11 @@ class _SlotRunner:
         for attempt in range(config.max_attempts):
             run_seed = derive_seed(config.seed, f"slot{slot}attempt{attempt}")
             compiled = compile_scenario(
-                self._spec, self._model, config.engine, run_seed
+                self._spec, self.model, config.engine, run_seed
             )
             values = {
                 pid: batch
-                for pid in self._model.processes
+                for pid in self.model.processes
                 if pid not in compiled.byzantine
             }
             instance = build_instance(
@@ -382,7 +370,8 @@ def run_serve(
 
     ``arrivals`` overrides the generated workload with an explicit
     ``(arrival_time, command)`` stream (how the bench replays one fixed
-    command list through both serving modes).  Raises
+    command list through both serving modes).  Raises what
+    :func:`~repro.engine.cell.admit` raises for a cell it rejects, and
     :class:`~repro.scenarios.compile.ScenarioInapplicable` when the
     configured model cannot host the fault scenario.
     """
@@ -529,16 +518,15 @@ def sweep_serve(
     *,
     rates: Iterable[float] = DEFAULT_RATES,
     scenarios: Optional[Iterable[Union[str, ScenarioSpec]]] = None,
-    out: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """Campaign cells: serve the workload at every load × fault scenario.
 
     Each cell derives its own seeds from the base config/workload seeds and
     its coordinates (the campaign convention — rows are independent of
-    sweep order).  A scenario the model cannot host becomes an
-    ``"inapplicable"`` row; a stalled cell keeps its measurements under
-    status ``"stalled"``.  With ``out``, rows are also written as canonical
-    JSONL (volatile ``_``-prefixed columns stripped).
+    sweep order).  A cell that cannot be served — the algorithm rejects
+    the model, or the model cannot host the scenario — becomes an
+    ``"inapplicable"`` row carrying the reason; a stalled cell keeps its
+    measurements under status ``"stalled"``.
     """
     names = (
         list(scenarios)
@@ -567,13 +555,13 @@ def sweep_serve(
             base: Dict[str, object] = {"rate": rate, "cell": coordinate}
             try:
                 report = run_serve(cell_config, cell_workload)
-            except ScenarioInapplicable as exc:
+            except (ValueError, KeyError) as exc:
                 rows.append(
                     {
                         **base,
                         "status": "inapplicable",
                         "scenario": name,
-                        "detail": str(exc),
+                        "detail": rejection_message(exc),
                     }
                 )
                 continue
@@ -584,8 +572,4 @@ def sweep_serve(
                     **report.to_row(),
                 }
             )
-    if out is not None:
-        from repro.campaigns.results import write_rows
-
-        write_rows(out, rows)
     return rows

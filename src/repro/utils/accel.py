@@ -12,15 +12,15 @@ and produce exactly the same underlying Mersenne-Twister stream as
   ``random.Random``'s MT19937 state must reproduce that stream bit for bit
   (both generators implement the same ``genrand_res53`` double derivation).
   If the check fails on an exotic numpy build, numpy is treated as absent
-  and every consumer silently falls back to pure python.
+  and the array tier demotes.
 
-* :class:`BlockRng` — a drop-in ``random.Random``-alike exposing the scalar
-  ``random()`` / ``uniform()`` API plus a ``block(k)`` bulk-draw hook.  With
-  numpy available it owns a transplanted ``RandomState`` and serves both
-  APIs from one buffered ``random_sample`` stream; without numpy it wraps a
-  plain ``random.Random``.  Either way the draw sequence is identical to
-  calling ``random.Random(seed).random()`` repeatedly, so code that sampled
-  scalars yesterday can sample blocks today without moving a single draw.
+* :class:`BlockRng` — one run's ``random.Random(seed)`` stream as a
+  transplanted ``RandomState``, drawn in blocks: ``block(k)`` returns the
+  next *k* uniforms, identical to *k* successive
+  ``random.Random(seed).random()`` calls, so the array tier samples blocks
+  where the scalar oracle samples scalars without moving a single draw.
+  It needs numpy: its one caller, the columnar-state tier, demotes the
+  cell to the scalar oracle when :func:`get_numpy` returns ``None``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ import weakref
 from typing import Any, List, Optional, Sequence
 
 NUMPY_ENV = "REPRO_NO_NUMPY"
-
-# Buffered draws served per refill on the numpy path.  Large enough to
-# amortize the RandomState call overhead for scalar consumers, small enough
-# that an abandoned buffer costs nothing (unconsumed draws stay queued in
-# order; they are never discarded).
-_BUFFER = 512
 
 _NUMPY: Any = None
 _NUMPY_CHECKED = False
@@ -149,84 +143,22 @@ def get_numpy() -> Any:
 
 
 class BlockRng:
-    """``random.Random``-compatible stream with a bulk ``block(k)`` hook.
+    """The ``random.Random(seed)`` stream, drawn in blocks."""
 
-    Scalar consumers call ``random()`` / ``uniform()`` exactly as they would
-    on ``random.Random``; vectorized consumers call ``block(k)`` and get the
-    next *k* uniforms of the same stream as a numpy array (numpy path) or a
-    list of floats (fallback path).  Interleaving the two APIs is safe: the
-    numpy path serves scalars from a buffered prefix of the stream and
-    ``block`` drains that buffer before drawing fresh values, so stream
-    order is preserved draw for draw.
-    """
+    __slots__ = ("_state", "__weakref__")
 
-    __slots__ = ("_np", "_state", "_scalar", "_buf", "_pos", "__weakref__")
-
-    def __init__(self, seed: "int | random.Random") -> None:
+    def __init__(self, seed: int) -> None:
         np_module = get_numpy()
-        self._np = np_module
-        if np_module is not None:
-            state = _acquire_state(np_module)
-            if not isinstance(seed, random.Random) and _fast_seed_supported(
-                np_module
-            ):
-                state.seed(_mt_key(seed))
-            else:
-                rng = (
-                    seed
-                    if isinstance(seed, random.Random)
-                    else random.Random(seed)
-                )
-                _transplant(np_module, state, rng)
-            self._state = state
-            self._scalar = None
-            self._buf = np_module.empty(0)
-            self._pos = 0
-            weakref.finalize(self, _release_state, state)
+        if np_module is None:
+            raise RuntimeError("BlockRng needs numpy (see get_numpy)")
+        state = _acquire_state(np_module)
+        if _fast_seed_supported(np_module):
+            state.seed(_mt_key(seed))
         else:
-            self._state = None
-            self._scalar = (
-                seed
-                if isinstance(seed, random.Random)
-                else random.Random(seed)
-            )
-            self._buf = None
-            self._pos = 0
-
-    @property
-    def accelerated(self) -> bool:
-        """True when draws are served by numpy."""
-        return self._np is not None
-
-    def random(self) -> float:
-        """Next uniform in [0, 1), identical to ``random.Random.random``."""
-        scalar = self._scalar
-        if scalar is not None:
-            return scalar.random()
-        if self._pos >= len(self._buf):
-            self._buf = self._state.random_sample(_BUFFER)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return float(value)
-
-    def uniform(self, a: float, b: float) -> float:
-        """``a + (b - a) * random()`` — same float ops as ``random.Random``."""
-        return a + (b - a) * self.random()
+            _transplant(np_module, state, random.Random(seed))
+        self._state = state
+        weakref.finalize(self, _release_state, state)
 
     def block(self, k: int) -> Sequence[float]:
-        """The next *k* uniforms of the stream as an array (or list)."""
-        scalar = self._scalar
-        if scalar is not None:
-            return [scalar.random() for _ in range(k)]
-        buffered = len(self._buf) - self._pos
-        if buffered >= k:
-            out = self._buf[self._pos : self._pos + k]
-            self._pos += k
-            return out
-        head = self._buf[self._pos :]
-        self._pos = len(self._buf)
-        tail = self._state.random_sample(k - buffered)
-        if buffered == 0:
-            return tail
-        return self._np.concatenate((head, tail))
+        """The next *k* uniforms of the stream, as an array."""
+        return self._state.random_sample(k)

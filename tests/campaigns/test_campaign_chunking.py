@@ -14,20 +14,19 @@ from repro.campaigns.runner import (
     _auto_chunk,
     _iter_cell_groups,
     _iter_chunks,
-    _resolve_algorithm_memo,
     execute_chunk,
     execute_run,
     iter_campaign,
     run_campaign,
 )
 from repro.campaigns.spec import CampaignSpec
-from repro.core.types import FaultModel
 from repro.engine.batch import (
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
     MODE_SCALAR,
     plan_for_run,
 )
+from repro.engine.cell import admit
 from repro.scenarios.registry import get_scenario
 
 
@@ -111,13 +110,12 @@ def test_chunked_dispatch_respects_skip_and_progress():
 
 
 def test_resolve_memo_shares_and_replays():
-    model = FaultModel(4, 1, 0)
-    first = _resolve_algorithm_memo("pbft", model)
-    assert _resolve_algorithm_memo("pbft", model) is first
+    first = admit("pbft", 4, 1, 0)
+    assert admit("pbft", 4, 1, 0) is first
     with pytest.raises(KeyError):
-        _resolve_algorithm_memo("no-such-algorithm", model)
+        admit("no-such-algorithm", 4, 1, 0)
     with pytest.raises(KeyError):  # the memoized rejection replays too
-        _resolve_algorithm_memo("no-such-algorithm", model)
+        admit("no-such-algorithm", 4, 1, 0)
 
 
 # --------------------------------------------------- cell-aligned dispatch

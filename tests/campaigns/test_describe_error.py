@@ -1,9 +1,9 @@
 """Error rows carry a bounded, worker-stable traceback tail."""
 
-from repro.campaigns.runner import (
+from repro.engine.cell import (
     TRACEBACK_TAIL_CHARS,
     TRACEBACK_TAIL_LINES,
-    _describe_error,
+    describe_error,
 )
 
 
@@ -24,22 +24,22 @@ def capture(callable_):
 class TestDescribeError:
     def test_head_line_leads_the_description(self):
         exc = capture(lambda: raise_nested(1))
-        text = _describe_error(exc)
+        text = describe_error(exc)
         assert text.splitlines()[0] == "ValueError: innermost failure"
 
     def test_includes_traceback_frames(self):
         exc = capture(lambda: raise_nested(1))
-        text = _describe_error(exc)
+        text = describe_error(exc)
         assert "Traceback" in text or "raise_nested" in text
         assert "innermost failure" in text.splitlines()[-1]
 
     def test_exception_without_traceback_stays_head_only(self):
         exc = ValueError("bare")
-        assert _describe_error(exc) == "ValueError: bare"
+        assert describe_error(exc) == "ValueError: bare"
 
     def test_deep_stacks_are_truncated_to_the_tail(self):
         exc = capture(lambda: raise_nested(50))
-        text = _describe_error(exc)
+        text = describe_error(exc)
         head, _, tail = text.partition("\n")
         lines = tail.split("\n")
         # Bounded: the marker line plus at most TRACEBACK_TAIL_LINES.
@@ -59,6 +59,6 @@ class TestDescribeError:
         def indirect():
             return capture(boom)
 
-        first = _describe_error(capture(boom))
-        second = _describe_error(indirect())
+        first = describe_error(capture(boom))
+        second = describe_error(indirect())
         assert first == second

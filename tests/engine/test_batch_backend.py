@@ -4,9 +4,8 @@ Batch row *b* must consume exactly the streams of the scalar run with the
 same coordinate-derived seed (see :mod:`repro.engine.batch`'s package
 docstring).  This suite pins every layer of that claim:
 
-* :class:`~repro.utils.accel.BlockRng` continues a ``random.Random``
-  stream bit for bit — from a seed, mid-stream, under interleaved
-  scalar/block draws, and in the pure-python fallback;
+* :class:`~repro.utils.accel.BlockRng` reproduces a ``random.Random``
+  stream bit for bit, block after block;
 * the planner proves tiers conservatively (known cells land where the
   design says they land — three tiers, no fourth);
 * :func:`~repro.engine.batch.run_batch` reproduces the scalar oracle's
@@ -37,8 +36,7 @@ from repro.engine.batch import (
     plan_for_run,
     run_batch,
 )
-from repro.campaigns.runner import _resolve_algorithm_memo
-from repro.core.types import FaultModel
+from repro.engine.cell import admit
 from repro.scenarios import CommSpec, ScenarioSpec, register_scenario
 from repro.scenarios.registry import SCENARIO_REGISTRY, get_scenario
 from repro.utils.accel import BlockRng, get_numpy
@@ -51,50 +49,22 @@ GAUNTLET = BUILTIN_CAMPAIGNS["gauntlet"]
 # ------------------------------------------------------------ BlockRng
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 def test_block_rng_matches_scalar_stream_from_seed():
     reference = random.Random(99)
-    rng = BlockRng(99)
-    assert [rng.random() for _ in range(700)] == [
+    assert [float(v) for v in BlockRng(99).block(700)] == [
         reference.random() for _ in range(700)
     ]
 
 
-def test_block_rng_matches_scalar_stream_mid_stream():
-    reference = random.Random(5)
-    source = random.Random(5)
-    for _ in range(13):  # advance both to a mid-stream state
-        reference.random()
-        source.random()
-    rng = BlockRng(source)
-    assert list(rng.block(40)) == [reference.random() for _ in range(40)]
-
-
-def test_block_rng_interleaves_scalar_and_block_draws():
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_block_rng_consecutive_blocks_continue_one_stream():
     reference = random.Random(7)
     rng = BlockRng(7)
-    got = [rng.random(), rng.random()]
-    got.extend(rng.block(600))  # spans the internal buffer boundary
-    got.append(rng.uniform(2.0, 5.0))
-    got.extend(rng.block(3))
-    expected = [reference.random(), reference.random()]
-    expected.extend(reference.random() for _ in range(600))
-    expected.append(reference.uniform(2.0, 5.0))
-    expected.extend(reference.random() for _ in range(3))
-    assert [float(v) for v in got] == expected
-
-
-def test_block_rng_fallback_without_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    rng = BlockRng(31)
-    assert not rng.accelerated
-    reference = random.Random(31)
-    draws = [rng.random()] + list(rng.block(20)) + [rng.random()]
-    assert draws == [reference.random() for _ in range(22)]
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_block_rng_accelerated_when_numpy_present():
-    assert BlockRng(0).accelerated
+    got = []
+    for k in (2, 600, 1, 3):
+        got.extend(float(v) for v in rng.block(k))
+    assert got == [reference.random() for _ in range(606)]
 
 
 # ------------------------------------------------------------- the planner
@@ -110,7 +80,7 @@ def test_plan_deterministic_cells_replicate():
 
 
 def _resolved(algorithm="class-2", model=(7, 1, 1)):
-    return _resolve_algorithm_memo(algorithm, FaultModel(*model))
+    return admit(algorithm, *model)[1:]
 
 
 def test_plan_stochastic_cells_need_parameters_for_columnar_state():

@@ -44,6 +44,35 @@ def test_run_invalid_bound(capsys):
     assert "cannot build" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["scenario", "run", "fault-free", "--n", "4"], "cannot build nope: "),
+        (["profile", "fault-free", "--n", "4"], "cannot build nope: "),
+        (["smr", "serve"], "cannot serve: "),
+    ],
+)
+def test_unknown_algorithm_message_is_the_message_not_its_repr(
+    capsys, argv, prefix
+):
+    """``str(KeyError)`` is the repr of its argument; the CLI prints the
+    argument."""
+    assert main([*argv, "--algorithm", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "unknown algorithm 'nope'; known: ['")
+    assert '"' not in err and "\\" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_scenario_run_checks_the_hosted_envelope(capsys):
+    """A single run is admitted like a campaign cell: PBFT hosts no crash
+    faults, so asking for f = 2 is refused rather than silently dropped."""
+    argv = ["scenario", "run", "fault-free", "--algorithm", "pbft",
+            "--n", "7", "--b", "2", "--f", "2"]
+    assert main(argv) == 2
+    assert "cannot build pbft: pbft hosts (b=2, f=0)" in capsys.readouterr().err
+
+
 def test_sweep(capsys):
     assert main(["sweep", "--class", "3", "--b", "1", "--n-max", "5"]) == 0
     out = capsys.readouterr().out
@@ -87,7 +116,8 @@ def test_smr_serve_inapplicable(capsys):
         "--f", "2", "--rate", "10", "--duration", "0.2",
     ])
     assert code == 2
-    assert "inapplicable" in capsys.readouterr().err
+    # The admission step's verdict, worded as for any other rejected cell.
+    assert "cannot serve: pbft hosts (b=2, f=0)" in capsys.readouterr().err
 
 
 def test_smr_sweep(capsys, tmp_path):

@@ -9,7 +9,9 @@ import itertools
 
 import pytest
 
-from repro.scenarios import ScenarioInapplicable
+from repro.campaigns.results import read_rows
+from repro.cli import main
+from repro.core.parameters import ParameterError
 from repro.smr import (
     CounterMachine,
     ServeConfig,
@@ -81,7 +83,7 @@ class TestServeConfigValidation:
 
     def test_inadmissible_model_raises(self):
         # PBFT hosts no crash faults: f > 0 cannot be served.
-        with pytest.raises(ScenarioInapplicable):
+        with pytest.raises(ParameterError, match="pbft hosts"):
             run_serve(
                 ServeConfig(algorithm="pbft", n=7, b=2, f=2),
                 WorkloadSpec(rate=10.0, duration=0.1),
@@ -243,21 +245,21 @@ class TestServeReport:
 
 
 class TestSweep:
-    def test_rows_cover_the_grid(self, tmp_path):
+    def test_rows_cover_the_grid(self, tmp_path, capsys):
         out = tmp_path / "serve.jsonl"
-        rows = sweep_serve(
-            ServeConfig(n=4, b=1, batch=4, depth=2, seed=9),
-            WorkloadSpec(clients=2, rate=40.0, duration=0.5, seed=9),
-            rates=(20.0, 40.0),
-            scenarios=("fault-free", "worst_case"),
-            out=out,
-        )
+        argv = [
+            "smr", "sweep", "--n", "4", "--b", "1", "--batch", "4",
+            "--depth", "2", "--seed", "9", "--clients", "2",
+            "--duration", "0.5", "--rates", "20,40",
+            "--scenarios", "fault-free,worst_case", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert "wrote 4 row(s)" in capsys.readouterr().out
+        rows = read_rows(out)
         assert len(rows) == 4
         assert {row["status"] for row in rows} == {"ok"}
         assert all(row["digests_agree"] for row in rows)
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 4
-        assert "_wall_seconds" not in lines[0]
+        assert "_wall_seconds" not in out.read_text().splitlines()[0]
 
     def test_inapplicable_cells_become_rows(self):
         rows = sweep_serve(
@@ -267,6 +269,34 @@ class TestSweep:
             scenarios=("fault-free",),
         )
         assert rows[0]["status"] == "inapplicable"
+        assert set(rows[0]) == {"rate", "cell", "status", "scenario", "detail"}
+        assert rows[0]["detail"].startswith("pbft hosts (b=2, f=0)")
+
+    @pytest.mark.parametrize(
+        "cell, reason",
+        [
+            (["--algorithm", "pbft", "--n", "3", "--b", "1"], "n > 3b"),
+            (["--algorithm", "nope"], "unknown algorithm 'nope'; known: ["),
+        ],
+    )
+    def test_rejected_cells_are_rows_not_tracebacks(
+        self, tmp_path, capsys, cell, reason
+    ):
+        """Whatever admission refuses, the sweep records — like the
+        hosted-envelope cell above — instead of dying on the exception."""
+        out = tmp_path / "serve.jsonl"
+        argv = ["smr", "sweep", *cell, "--rates", "50",
+                "--scenarios", "fault-free", "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert reason in captured.err
+        assert "inapplicable" in captured.out
+        (row,) = read_rows(out)
+        assert row["status"] == "inapplicable"
+        assert reason in row["detail"]
+        # The message itself, not KeyError's repr of it.
+        assert not row["detail"].startswith(('"', "'"))
 
     def test_cells_are_order_independent(self):
         config = ServeConfig(n=4, b=1, batch=4, depth=2, seed=9)
