@@ -1050,6 +1050,11 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     out = Path(args.out)
+    # Probed before the run creates its sidecar beside ``out``.
+    reason = _unwritable(out)
+    if reason is not None:
+        print(f"cannot write {out}: {reason}", file=sys.stderr)
+        return 2
     step = max(1, config.budget // 10)
 
     def progress(done: int, budget: int, findings: int) -> None:
@@ -1085,6 +1090,14 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 130
+    if summary.resumed_at is not None:
+        # Always reported, like ``campaign run --resume``'s line.
+        print(
+            f"resumed: {summary.resumed_at} candidate(s) acknowledged, "
+            f"{summary.kept} finding(s) kept, {summary.dropped} "
+            "unacknowledged record(s) dropped",
+            file=sys.stderr,
+        )
     if summary.interrupted:
         print(
             f"stopped after {summary.executed + summary.duplicates} "

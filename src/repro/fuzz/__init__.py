@@ -10,7 +10,7 @@ The package turns the scenario layer into a violation-hunting instrument:
 * :mod:`repro.fuzz.shrink` — delta-debugging a finding to a minimal
   still-failing spec;
 * :mod:`repro.fuzz.corpus` — the crash-safe, resumable findings JSONL +
-  state sidecar;
+  state journal sidecar;
 * :mod:`repro.fuzz.runner` — the deterministic fuzz loop
   (``repro fuzz run|replay|shrink`` on the CLI).
 """
@@ -30,6 +30,7 @@ from repro.fuzz.classify import (
 from repro.fuzz.corpus import (
     FindingLog,
     finding_to_json,
+    open_journal,
     read_state,
     scan_findings,
     state_path,
@@ -79,6 +80,7 @@ __all__ = [
     "generate",
     "liveness_eligible",
     "mutate",
+    "open_journal",
     "read_state",
     "replay_finding",
     "run_fuzz",

@@ -12,9 +12,11 @@ mutation sources at any interruption point, and re-running the remaining
 indices produces byte-identical findings.
 
 Findings are shrunk immediately (:mod:`repro.fuzz.shrink`), appended to the
-JSONL corpus, and acknowledged in the state file *after* the append — the
-crash window between the two is healed on resume by truncating
-unacknowledged records (see :mod:`repro.fuzz.corpus`).
+JSONL corpus, and acknowledged *after* the append by one line appended to
+the state journal — the crash window between the two is healed on resume
+by truncating unacknowledged records (see :mod:`repro.fuzz.corpus`).  The
+journal's header is the only thing a session renames into place: once when
+it starts, fresh or resumed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.fuzz.classify import (
 from repro.fuzz.corpus import (
     STATE_VERSION,
     FindingLog,
+    open_journal,
     read_state,
     state_path,
     truncate_findings,
@@ -141,6 +144,11 @@ class FuzzSummary:
     by_kind: Dict[str, int] = field(default_factory=dict)
     interrupted: bool = False  # --stop-after tripped (checkpoint retained)
     next_index: int = 0
+    #: What a resume recovered: candidates the journal acknowledged
+    #: (``None``: a fresh run), findings kept, unacknowledged records dropped.
+    resumed_at: Optional[int] = None
+    kept: int = 0
+    dropped: int = 0
 
 
 def _fresh_state(config: FuzzConfig, next_index: int, findings: int) -> Dict[str, object]:
@@ -207,14 +215,14 @@ def run_fuzz(
 ) -> FuzzSummary:
     """Run (or resume) one fuzz session against the corpus at ``out``.
 
-    The state sidecar is updated after every candidate, so interrupting at
-    any point — including ``KeyboardInterrupt`` mid-execution, which this
-    function deliberately lets propagate — leaves a valid checkpoint.  On
-    natural completion the sidecar is removed and the findings file is the
-    run's canonical product.  ``stop_after`` bounds the number of
-    candidates *this session* executes (the ``--stop-after`` CLI contract);
-    when it trips, the summary says ``interrupted`` and the checkpoint
-    stays.
+    The state journal gains one acknowledgement per candidate, so
+    interrupting at any point — including ``KeyboardInterrupt``
+    mid-execution, which this function deliberately lets propagate — leaves
+    a valid checkpoint.  On natural completion the sidecar is removed and
+    the findings file is the run's canonical product.  ``stop_after``
+    bounds the number of candidates *this session* executes (the
+    ``--stop-after`` CLI contract); when it trips, the summary says
+    ``interrupted`` and the checkpoint stays.
 
     Raises ``FileExistsError`` when a state file exists and ``resume`` is
     unset, and ``ValueError`` when a resume is incompatible or impossible.
@@ -223,6 +231,8 @@ def run_fuzz(
     sidecar = state_path(out_path)
     summary = FuzzSummary()
     records: List[Dict[str, object]] = []
+    seen: set = set()
+    sources: List[FuzzCandidate] = []
     start = 0
 
     if resume:
@@ -235,20 +245,25 @@ def run_fuzz(
             raise ValueError(f"nothing to resume: no state at {sidecar}{hint}")
         state = read_state(sidecar)
         _validate_state(config, state)
-        start = int(state["next"])
-        records = truncate_findings(out_path, start)
+        start = state["next"]
+        records, summary.dropped = truncate_findings(
+            out_path, start, state["findings"]
+        )
+        summary.resumed_at, summary.kept = start, len(records)
         seen, sources = _rebuild_history(config, start, records)
     elif sidecar.exists():
         raise FileExistsError(
             f"fuzz state {sidecar} already exists; pass --resume to "
             f"complete it or delete it to start over"
         )
-    else:
-        seen, sources = set(), []
-        write_state(sidecar, _fresh_state(config, 0, 0))
 
     summary.next_index = start
-    with FindingLog(out_path, append=resume) as log:
+    # The corpus opens first: an unwritable ``out`` leaves no sidecar behind.
+    # A resume's header restarts the journal at the recovery point, which
+    # heals a torn tail and compacts the acknowledgements behind it.
+    with FindingLog(out_path, append=resume) as log, open_journal(
+        sidecar, _fresh_state(config, start, len(records))
+    ) as journal:
         for index in range(start, config.budget):
             candidate = candidate_at(config, index, sources)
             key = candidate.key()
@@ -293,9 +308,7 @@ def run_fuzz(
             # durably in the corpus: the crash window leaves at most one
             # unacknowledged record, healed by truncation on resume.
             summary.next_index = index + 1
-            write_state(
-                sidecar, _fresh_state(config, index + 1, len(records))
-            )
+            write_state(journal, index + 1, len(records))
             if progress is not None:
                 progress(index + 1, config.budget, len(records))
             if (

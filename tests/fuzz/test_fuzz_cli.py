@@ -117,3 +117,50 @@ def test_fail_on_finding_gates_ci(tmp_path, corpus):
         "--quiet", "--fail-on-finding",
     ])
     assert code == 0
+
+
+def test_unwritable_out_exits_2_and_leaves_nothing(tmp_path, capsys):
+    """Missing parent, parent is a file, target is a directory."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    directory = tmp_path / "dir.jsonl"
+    directory.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    for out in ("/proc/nope/x.jsonl", blocker / "x.jsonl", directory):
+        assert main(run_args(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    # No stale sidecar: the directory case does not poison the next run.
+    directory.rmdir()
+    assert main(run_args(directory)) == 0
+
+
+def test_resume_reports_the_recovery_point_even_when_quiet(tmp_path, capsys):
+    out = tmp_path / "findings.jsonl"
+    assert main(run_args(out, "--stop-after", "15")) == 3
+    (record,) = out.read_text().splitlines()  # seed 7 first finds at index 14
+    with out.open("a") as handle:  # the crash window: appended, never acked
+        handle.write(json.dumps(dict(json.loads(record), index=15)) + "\n")
+    capsys.readouterr()
+    assert main(run_args(out, "--resume")) == 0
+    assert (
+        "resumed: 15 candidate(s) acknowledged, 1 finding(s) kept, "
+        "1 unacknowledged record(s) dropped\n"
+    ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [999, "abc"])
+def test_resume_with_a_bad_next_exits_2_untouched(tmp_path, capsys, bad):
+    out = tmp_path / "findings.jsonl"
+    sidecar = tmp_path / "findings.jsonl.state"
+    assert main(run_args(out, "--stop-after", "4")) == 3
+    header = json.loads(sidecar.read_text().splitlines()[0])
+    sidecar.write_text(json.dumps(dict(header, next=bad)) + "\n")
+    corpus, state = out.read_bytes(), sidecar.read_bytes()
+    capsys.readouterr()
+    assert main(run_args(out, "--resume")) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("cannot resume: ")
+    assert str(sidecar) in err and "'next'" in err and repr(bad) in err
+    assert (out.read_bytes(), sidecar.read_bytes()) == (corpus, state)
