@@ -1,11 +1,13 @@
-"""Experiment X4 — ablations of the design choices called out in DESIGN.md.
+"""Experiment X4 — ablations of the design choices behind the config switches
+of :class:`~repro.core.parameters.GenericConsensusConfig`.
 
 * **skip-first-selection** (Section 3.1 optimization): saves one round when
   inputs already agree, harmless otherwise;
 * **static-selector optimization** (Section 3.1): suppresses the selector
   exchange (lines 15/21) — identical decisions, and required message fields
   stay empty;
-* **line-26 history variant** (DESIGN.md §4): recording validated pairs in
+* **line-26 history variant** (``record_validation_in_history``; see
+  ``ConsensusState.revert_vote``): recording validated pairs in
   the history does not change outcomes in any scenario the scripted
   adversaries produce, but removes the "no matching pair" revert ambiguity;
 * **bounded history** (footnote 5): truncation caps state while synchrony

@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Every bench module regenerates one experiment of DESIGN.md §5 (ids T1, F1-F3,
-A1-A6, X1-X6).  Benchmarks double as assertions: each records the paper's
-qualitative claim and fails if the measured behaviour stops matching it.
+Every bench module regenerates one experiment (ids T1, F1-F3, A1-A6, X1-X6;
+each module's docstring names its own).  Benchmarks double as assertions:
+each records the paper's qualitative claim and fails if the measured
+behaviour stops matching it.
 
 Run:  pytest benchmarks/ --benchmark-only
 """

@@ -1,8 +1,9 @@
 """Run metrics: rounds/phases to decision, message counts, state sizes.
 
-These power the latency and message-complexity benches (experiment ids X2,
-X3 in DESIGN.md) and the Table-1 bench's "rounds per phase" and "process
-state" columns.  :meth:`RunMetrics.from_outcome` reads a kernel
+These power the latency and message-complexity benches (experiments X2 and
+X3: ``benchmarks/bench_decision_latency.py``,
+``benchmarks/bench_message_complexity.py``) and the Table-1 bench's "rounds
+per phase" and "process state" columns.  :meth:`RunMetrics.from_outcome` reads a kernel
 :class:`~repro.engine.outcome.Outcome` (including metrics-only runs, which
 carry no trace — decision rounds come from the decisions themselves).
 """

@@ -1,16 +1,12 @@
 """Resilience sweeps: empirically mapping the Table-1 bounds.
 
-Two tools:
-
-* :func:`force_parameters` — construct a :class:`ConsensusParameters` object
-  *bypassing* the constraint validation, so below-bound configurations can
-  be executed to *demonstrate* the failures the theory predicts (safety
-  violations or permanent null-liveness);
-* :func:`sweep_class` — for a class and a grid of ``(n, b)`` / ``(n, f)``,
-  run a battery of adversarial scenarios and record whether agreement and
-  termination held, producing the raw data behind
-  ``benchmarks/bench_table1_classification.py`` and
-  ``benchmarks/bench_resilience_sweep.py``.
+:func:`sweep_class` — for a class and a grid of ``(n, b)`` / ``(n, f)``,
+run a battery of adversarial scenarios and record whether agreement and
+termination held, producing the raw data behind
+``benchmarks/bench_table1_classification.py`` and
+``benchmarks/bench_resilience_sweep.py``.  (To *execute* a below-bound
+configuration and exhibit the failure the theory predicts, build it with
+:meth:`~repro.core.parameters.ConsensusParameters.unchecked`.)
 """
 
 from __future__ import annotations
@@ -20,36 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.classification import AlgorithmClass
 from repro.core.parameters import ConsensusParameters
-from repro.core.selector import AllProcessesSelector, Selector
-from repro.core.types import FaultModel, Flag
+from repro.core.types import FaultModel
 from repro.engine.assembly import build_instance
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
 from repro.engine.scheduler import LockstepScheduler
 from repro.faults.crash import CrashSchedule
-
-
-def force_parameters(
-    model: FaultModel,
-    threshold: int,
-    flag: Flag,
-    flv,
-    selector: Optional[Selector] = None,
-) -> ConsensusParameters:
-    """Build parameters without constraint validation (experiments only).
-
-    Regular construction raises on configurations that violate Theorem 1's
-    conditions; this helper instantiates them anyway so that benches can
-    exhibit the resulting safety/liveness failures.
-    """
-    params = object.__new__(ConsensusParameters)
-    object.__setattr__(params, "model", model)
-    object.__setattr__(params, "threshold", threshold)
-    object.__setattr__(params, "flag", flag)
-    object.__setattr__(params, "flv", flv)
-    object.__setattr__(
-        params, "selector", selector or AllProcessesSelector(model)
-    )
-    return params
 
 
 @dataclass(frozen=True)

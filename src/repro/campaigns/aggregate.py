@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_float, format_rate, format_table
+from repro.observability import telemetry
 
 Row = Dict[str, object]
 
@@ -30,17 +31,7 @@ DEFAULT_GROUP_KEYS: Tuple[str, ...] = (
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
     """Linear-interpolation percentile (``q`` in [0, 1]); None when empty."""
-    if not values:
-        return None
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    position = (len(ordered) - 1) * q
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return ordered[lower]
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * (position - lower)
+    return telemetry.percentile(values, q) if values else None
 
 
 @dataclass(frozen=True)

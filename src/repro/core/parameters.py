@@ -152,7 +152,9 @@ class GenericConsensusConfig:
       exchange the set and suppress lines 15/21 (Section 3.1).  ``None``
       means "auto": enabled iff ``selector.is_static``.
     * ``record_validation_in_history`` — ablation for the line-26 subtlety
-      (see DESIGN.md §4): also log validated pairs into the history.
+      (validation does not log to the history, so line 26's revert may find
+      no pair; see :meth:`~repro.core.state.ConsensusState.revert_vote`):
+      also log validated pairs into the history.
     * ``coin`` — randomized adaptation: when set, line 11's deterministic
       choice is replaced by this coin (Section 6).
     * ``max_history_size`` — optional bound on the history log (footnote 5

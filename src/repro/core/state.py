@@ -48,8 +48,8 @@ class ConsensusState:
 
         The paper's pseudocode does *not* add the validated pair to the
         history (only selection-round updates are logged, line 14).  The
-        ``also_log_history`` switch enables the variant discussed in
-        DESIGN.md §4 ("line 26 subtlety") for ablation experiments.
+        ``also_log_history`` switch enables the logging variant for ablation
+        experiments (the "line 26 subtlety": see :meth:`revert_vote`).
         """
         self.vote = value
         self.ts = phase
@@ -61,7 +61,7 @@ class ConsensusState:
 
         The paper writes "vote_p ← v such that (v, ts_p) ∈ history_p".  If no
         pair matches (possible because validation does not log to the
-        history; see DESIGN.md) or several do, the vote is left unchanged —
+        history, lines 23-24) or several do, the vote is left unchanged —
         the only safe deterministic reading.
         """
         candidates = [value for (value, phase) in self.history if phase == self.ts]

@@ -53,13 +53,14 @@ re-partitioned one:
 * *timed*: the network stream of run *b* is seeded ``seed_b``, and the
   policy/filter stream of run *b* is an independent generator also seeded
   ``seed_b`` — precisely the two streams scalar compilation builds.  Per
-  round: scenario-filter coins first (policy stream), then latency
+  round: the bad-round rule's coins first (policy stream), then latency
   samples against the round deadline (network stream);
 * *lockstep*: one policy stream per run, seeded ``seed_b`` — no network
-  stream, no deadline.  A ``lossy`` round, or a bad round of
-  ``good-bad``/``drop``, draws one coin per edge whose receiver is not
-  Byzantine, in the template's sender-major, dest-minor order (the
-  iteration order of ``random_drop_behavior``); every other round —
+  stream, no deadline.  A bad round of a coin-drawing comm
+  (``CommSpec.draws_coins()``: ``lossy``, ``good-bad``/``drop``) draws one
+  coin per edge whose receiver is not Byzantine, in the template's
+  sender-major, dest-minor order (the order ``filtered_delivery`` asks
+  ``random_drop_behavior``'s rule); every other round —
   good ``Pcons``/``Pgood`` rounds, partitions, silence — draws **zero**
   and is delivered once per cell by the real compiled scheduler;
 * bulk draws (:meth:`~repro.utils.accel.BlockRng.block`) return the next

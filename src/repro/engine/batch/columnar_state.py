@@ -14,11 +14,12 @@ itself* into arrays for cells the planner proved eligible
   :class:`~repro.utils.accel.BlockRng` streams (nothing is drawn at
   compile time, so fresh streams are equal streams).  *Timed*: two streams
   per run mirror the fast sweep (:meth:`TimedScheduler._deliver_fast`),
-  the scenario delivery filters and the partial-synchrony sampling paths
-  draw for draw.  *Lockstep*: one policy stream per run mirrors
-  :func:`~repro.rounds.policies.random_drop_behavior` — one coin per edge
-  whose receiver is not Byzantine, in sender-major order, in ``lossy``
-  rounds and bad ``drop`` rounds; every other round draws nothing and its
+  the bad-round edge rule and the partial-synchrony sampling paths draw
+  for draw.  *Lockstep*: one policy stream per run mirrors
+  :func:`~repro.rounds.policies.random_drop_behavior` under
+  :func:`~repro.rounds.policies.filtered_delivery` — one coin per edge
+  whose receiver is not Byzantine, in sender-major order, in the bad
+  rounds of a coin-drawing comm; every other round draws nothing and its
   delivery is a run-invariant template obtained by driving the cell's
   *real* compiled scheduler (``Pcons`` canonicalization and injection,
   faithful ``Pgood`` delivery, the rescan drop count) over the round's
@@ -82,9 +83,8 @@ from repro.rounds.base import RunContext
 from repro.rounds.policies import count_edges
 from repro.scenarios.compile import (
     CompiledScenario,
+    _bad_rule,
     _memoized_schedule,
-    _partition_edges,
-    _partition_groups,
 )
 from repro.scenarios.spec import split_values
 from repro.utils.accel import BlockRng
@@ -208,37 +208,22 @@ class CellProgram:
         self.correct = frozenset(self.honest_pids)
         self.initial_values = split_values(model, self.byzantine)
 
-        self._compile_filter()
+        comm = self.comm
+        _require(comm.per_edge, "comm has no per-edge mask form")
+        self.drop_prob = comm.drop_prob
+        self.is_good = _memoized_schedule(comm).is_good
+        #: Bad rounds flip loss coins; any other bad behaviour is a
+        #: run-invariant edge rule.
+        self.coins = comm.draws_coins()
         if not self.lockstep:
             self._compile_timing()
         self._compile_payloads()
 
     # ------------------------------------------------------------ filters
 
-    def _compile_filter(self) -> None:
-        comm = self.comm
-        kind = comm.kind
-        _require(
-            kind in ("reliable", "lossy", "silent", "good-bad"),
-            f"comm kind {kind!r} has no mask form",
-        )
-        self.filter_kind = kind
-        self.drop_prob = comm.drop_prob
-        self.is_good = None
-        self.partition = None
-        if kind == "good-bad":
-            self.is_good = _memoized_schedule(comm).is_good
-            if comm.bad == "partition":
-                self.partition = _partition_edges(
-                    _partition_groups(comm, self.model)
-                )
-            self.bad = comm.bad
-
-    def _draws_coins(self, number: int) -> bool:
-        """One loss coin per honest-bound edge: lossy rounds, bad drop rounds."""
-        if self.filter_kind == "good-bad":
-            return self.bad == "drop" and not self.is_good(number)
-        return self.filter_kind == "lossy"
+    def _coin_round(self, number: int) -> bool:
+        """One loss coin per honest-bound edge: a coin comm's bad rounds."""
+        return self.coins and not self.is_good(number)
 
     def _compile_timing(self) -> None:
         t = self.timing
@@ -390,8 +375,8 @@ class CellProgram:
         rt.e_send = np.asarray(senders, dtype=np.intp)
         rt.e_dest = np.asarray(dests, dtype=np.intp)
         rt.sent = len(senders)
-        # Which edges consume one policy coin in a coin round: the loss
-        # test short-circuits on Byzantine receivers, which draw none.
+        # Which edges consume one policy coin in a coin round: the rule is
+        # never asked about Byzantine receivers, which draw none.
         rt.coin_idx = np.nonzero(~self.byz_col[rt.e_dest])[0]
 
         matrix = None
@@ -507,7 +492,7 @@ class CellProgram:
         """
         np = self.np
         n = self.n
-        if self._draws_coins(rt.number):
+        if self._coin_round(rt.number):
             rt.fixed = None
             flat = rt.e_dest * n + rt.e_send
             rt.base_flat = np.zeros(n * n, dtype=bool)
@@ -525,9 +510,9 @@ class CellProgram:
         """Everything about timed round ``rt`` that no per-run seed can change.
 
         The wall clock is run-invariant (every run accumulates the same
-        ``deadline = now + round_duration`` float sequence), and so is the
-        scenario filter's admission base — only the per-edge drop coins
-        differ between runs.  Hoisting both out of :meth:`_delivered_edges`
+        ``deadline = now + round_duration`` float sequence), and so is a
+        bad round's admission base — only the per-edge drop coins differ
+        between runs.  Hoisting both out of :meth:`_delivered_edges`
         leaves coin draws, latency draws and one deadline compare as the
         entire per-run round cost.
         """
@@ -552,30 +537,24 @@ class CellProgram:
         rt.all_idx = np.arange(rt.sent, dtype=np.intp)
         rt.none_idx = np.empty(0, dtype=np.intp)
 
-        kind = self.filter_kind
         byz_dest = self.byz_col[rt.e_dest]
         rt.use_coins = False
-        if kind == "reliable":
+        if self.is_good(rt.number):
             rt.admit_base = None  # filter-free: deadline decides alone
-        elif self._draws_coins(rt.number):
+        elif self.coins:
             # One coin per edge whose receiver is not Byzantine, in template
             # (sender-major) order, flips each edge of the base on or off.
             rt.admit_base = byz_dest
             rt.use_coins = rt.coin_idx.size > 0
-        elif kind == "good-bad" and self.is_good(rt.number):
-            rt.admit_base = np.ones(rt.sent, dtype=bool)
-        elif kind == "good-bad" and self.bad == "partition":
-            in_group = np.fromiter(
-                (
-                    (int(s), int(d)) in self.partition
-                    for s, d in zip(rt.e_send, rt.e_dest)
-                ),
+        else:
+            # Not a coin comm: its rule draws nothing, so it needs no rng
+            # and its verdict per template edge holds for every run.
+            rule = _bad_rule(self.comm, self.model, None)
+            rt.admit_base = byz_dest | np.fromiter(
+                (rule(int(s), int(d)) for s, d in zip(rt.e_send, rt.e_dest)),
                 dtype=bool,
                 count=rt.sent,
             )
-            rt.admit_base = in_group | byz_dest
-        else:
-            rt.admit_base = byz_dest  # silent, or a bad "silence" round
         rt.pending_idx = (
             None
             if rt.admit_base is None or rt.use_coins

@@ -21,7 +21,7 @@ run executes, how much of that structure the batch kernel may exploit:
   run-invariant (for ``adaptive-liar``: a function of a per-run vote
   tally the program carries as a ``(B, V)`` count array), and the per-run
   seed enters only through ``(B, n, n)`` delivery masks — deadline misses
-  and filter coins on the timed engine, the oracle policy's per-edge loss
+  and bad-round loss coins on the timed engine, the oracle policy's loss
   coins on the lockstep one.  One array program advances every run's
   votes/timestamps/decisions at once
   (:mod:`repro.engine.batch.columnar_state`); the scalar kernel remains
@@ -57,7 +57,7 @@ from repro.core.selector import (
 from repro.engine.cell import RunSpec, admit
 from repro.engine.scheduler import SLOW_SCHEDULER_ENV
 from repro.eventsim.network import NetworkSpec
-from repro.scenarios.spec import CommSpec, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "DETERMINISTIC_STRATEGIES",
@@ -103,31 +103,6 @@ class BatchPlan:
 
     mode: str
     reason: str
-
-
-def _never_bad(comm: CommSpec) -> bool:
-    """True when the good/bad schedule provably has no bad round ≥ 1."""
-    if comm.schedule == "always":
-        return True
-    if comm.schedule == "after":
-        # Rounds are 1-based: good from round ``good_from`` onwards means
-        # round 1 is already good whenever ``good_from <= 1``.
-        return comm.good_from <= 1
-    if comm.schedule == "alternating":
-        return comm.bad_len == 0
-    return False
-
-
-def _comm_deterministic(comm: CommSpec) -> bool:
-    """True when delivery under ``comm`` consumes no per-run randomness."""
-    if comm.kind in ("reliable", "silent"):
-        return True
-    if comm.kind == "good-bad":
-        if comm.bad in ("partition", "silence"):
-            return True
-        # bad="drop" draws a coin per edge in bad rounds only.
-        return _never_bad(comm)
-    return False  # lossy / async-prel draw per edge.
 
 
 def _timed_delivery_deterministic(timing: NetworkSpec) -> bool:
@@ -177,8 +152,8 @@ def columnar_state_blockers(
         for name in scenario.byzantine
         if name not in DETERMINISTIC_STRATEGIES
     )
-    if scenario.comm.kind not in ("reliable", "lossy", "silent", "good-bad"):
-        why.append(f"comm kind {scenario.comm.kind!r} has no per-edge mask form")
+    if not scenario.comm.per_edge:
+        why.append("comm kind 'async-prel' has no per-edge mask form")
     flv = getattr(parameters, "flv", None)
     if type(flv) not in (FLVClass1, FLVClass2, FLVClass3):
         why.append(f"FLV {type(flv).__name__} is not one of classes 1-3")
@@ -234,7 +209,8 @@ def plan_cell(
         return BatchPlan(
             MODE_SCALAR, f"strategy {unknown[0]!r} not proven seed-independent"
         )
-    comm_det = _comm_deterministic(scenario.comm)
+    # Per-edge delivery consumes per-run randomness through loss coins only.
+    comm_det = scenario.comm.per_edge and not scenario.comm.draws_coins()
     if comm_det and engine == "lockstep":
         return BatchPlan(MODE_REPLICATE, "deterministic lockstep delivery")
     if engine == "timed":

@@ -15,7 +15,12 @@ if rounds are timed, when does the round end?
   are discarded).  Byzantine equivocation in selection rounds is
   canonicalized to one payload per sender, as an implemented ``Pcons``
   would enforce; stretch ``selection_round_factor`` to model the extra
-  micro-rounds such an implementation costs.
+  micro-rounds such an implementation costs.  An optional ``good_bad``
+  pair — the same ``(schedule, edge rule)`` a
+  :class:`~repro.rounds.policies.GoodBadPolicy` takes — hosts a scenario's
+  communication schedule: the schedule is asked once per round, a good
+  round is an ordinary deadline round, and in a bad round the rule
+  withholds honest-bound edges before any latency is sampled.
 
 Within one round every ``(sender, dest)`` edge carries at most one message,
 so the delivery matrix is independent of arrival order: the timed scheduler
@@ -37,20 +42,15 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.types import ProcessId, RoundInfo, RoundKind
 from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
-from repro.rounds.policies import DeliveryPolicy, ReliablePolicy
+from repro.rounds.policies import BadBehavior, DeliveryPolicy, ReliablePolicy
+from repro.rounds.schedule import GoodBadSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.eventsim.network import PartialSynchronyNetwork
-
-#: Per-message admission test for timed rounds: ``(info, sender, dest, ctx)``
-#: → deliver?  Scenario compilation uses this to host round-schedule
-#: behaviours (partitions, loss, GST prefixes) on the timed engine; a
-#: rejected message counts as dropped before any latency is sampled.
-DeliveryFilter = Callable[[RoundInfo, ProcessId, ProcessId, RunContext], bool]
 
 #: Environment switch selecting the legacy heap-ordered timed delivery.
 SLOW_SCHEDULER_ENV = "REPRO_SLOW_SCHEDULER"
@@ -181,7 +181,7 @@ class TimedScheduler(RoundScheduler):
         *,
         round_duration: float = 2.5,
         selection_round_factor: float = 1.0,
-        delivery_filter: Optional[DeliveryFilter] = None,
+        good_bad: Optional[Tuple[GoodBadSchedule, BadBehavior]] = None,
         use_heap: Optional[bool] = None,
     ) -> None:
         if round_duration <= 0:
@@ -189,7 +189,7 @@ class TimedScheduler(RoundScheduler):
         self._network = network
         self._round_duration = round_duration
         self._selection_factor = selection_round_factor
-        self._filter = delivery_filter
+        self._good_bad = good_bad
         # ``use_heap`` selects the legacy EventQueue delivery; it defaults
         # to the REPRO_SLOW_SCHEDULER environment switch so the identity
         # suite (and worried users) can diff the two paths end to end.
@@ -221,20 +221,26 @@ class TimedScheduler(RoundScheduler):
         if info.kind is RoundKind.SELECTION:
             duration *= self._selection_factor
         deadline = self._now + duration
+        # The bad-round edge rule in force, or ``None`` in a good round.
+        rule = None
+        if self._good_bad is not None:
+            schedule, bad = self._good_bad
+            if not schedule.is_good(info.number):
+                rule = bad
         tel = self._telemetry
         if tel is None:
             if self._queue is not None:
-                return self._deliver_round_heap(info, outbound, ctx, deadline)
+                return self._deliver_round_heap(info, outbound, ctx, deadline, rule)
             return self._deliver_fast(
-                info, outbound, ctx, deadline, self._network
+                info, outbound, ctx, deadline, rule, self._network
             )
         with tel.span("scheduler.deliver"):
             if self._queue is not None:
                 # The heap path samples through transit_time message by
                 # message; attribution stays at the deliver-span level.
-                return self._deliver_round_heap(info, outbound, ctx, deadline)
+                return self._deliver_round_heap(info, outbound, ctx, deadline, rule)
             return self._deliver_fast(
-                info, outbound, ctx, deadline,
+                info, outbound, ctx, deadline, rule,
                 _SampleTimingNetwork(self._network, tel),
             )
 
@@ -244,6 +250,7 @@ class TimedScheduler(RoundScheduler):
         outbound: OutboundMatrix,
         ctx: RunContext,
         deadline: float,
+        rule: Optional[BadBehavior],
         network,
     ) -> RoundDelivery:
         """Heap-free deadline delivery; ``network`` may be a timing proxy."""
@@ -253,7 +260,6 @@ class TimedScheduler(RoundScheduler):
         setdefault = matrix.setdefault
         is_selection = info.kind is RoundKind.SELECTION
         byzantine = ctx.byzantine
-        flt = self._filter
 
         # Send and deliver in one sweep.  Within one round each edge
         # carries at most one message, so the matrix does not depend on
@@ -264,7 +270,7 @@ class TimedScheduler(RoundScheduler):
         # included: a message missing its deadline is dropped.
         constant = network.constant_transit(now)
         delivers_all = constant is not None and now + constant <= deadline
-        if flt is None:
+        if rule is None:
             for sender, messages in outbound.items():
                 if not messages:
                     continue
@@ -299,11 +305,12 @@ class TimedScheduler(RoundScheduler):
                         else:
                             dropped += 1
         else:
-            # Scenario runs: the filter admits edges *before* any latency
-            # is sampled (a suppressed edge draws nothing, as on the heap
-            # path).  The admitted (sender, dest, payload) records are
-            # collected round-wide in sampling order and batched through
-            # one sample_round call.
+            # A bad round: the rule admits edges *before* any latency is
+            # sampled (a suppressed edge draws nothing, as on the heap
+            # path); Byzantine receivers are always admitted, as under
+            # every lockstep behaviour.  The admitted (sender, dest,
+            # payload) records are collected round-wide in sampling order
+            # and batched through one sample_round call.
             canonical: Dict[ProcessId, object] = {}
             pending: List[Tuple[ProcessId, ProcessId, object]] = []
             admit = pending.append
@@ -311,12 +318,12 @@ class TimedScheduler(RoundScheduler):
                 canonicalize = is_selection and sender in byzantine
                 for dest, payload in messages.items():
                     if canonicalize:
-                        # Canonicalize *before* the delivery filter: the
-                        # payload an equivocator is pinned to must not
-                        # depend on which edge survives a partition, or the
-                        # filtered run diverges from the filter-free one.
+                        # Canonicalize *before* the rule: the payload an
+                        # equivocator is pinned to must not depend on which
+                        # edge survives a partition, or the filtered round
+                        # diverges from the filter-free one.
                         payload = canonical.setdefault(sender, payload)
-                    if flt(info, sender, dest, ctx):
+                    if dest in byzantine or rule(sender, dest):
                         admit((sender, dest, payload))
                     else:
                         # The scenario's communication schedule suppresses
@@ -345,44 +352,32 @@ class TimedScheduler(RoundScheduler):
         outbound: OutboundMatrix,
         ctx: RunContext,
         deadline: float,
+        rule: Optional[BadBehavior],
     ) -> RoundDelivery:
         """The legacy event-heap delivery (REPRO_SLOW_SCHEDULER=1).
 
         Samples one transit per message through
         :meth:`~repro.eventsim.network.PartialSynchronyNetwork.transit_time`
         and delivers through the :class:`~repro.eventsim.events.EventQueue`
-        in arrival order — O(m log m).  Kept verbatim as the oracle the
+        in arrival order — O(m log m).  Kept as the oracle the
         byte-identity suite diffs the fast path against.
         """
         canonical: Dict[ProcessId, object] = {}
         dropped = 0
-        flt = self._filter
-        if flt is None:
-            for sender, messages in outbound.items():
-                for dest, payload in messages.items():
-                    if info.kind is RoundKind.SELECTION and sender in ctx.byzantine:
-                        payload = canonical.setdefault(sender, payload)
-                    transit = self._network.transit_time(self._now, sender, dest)
-                    if self._now + transit <= deadline:
-                        self._queue.push(self._now + transit, (dest, sender, payload))
-                    else:
-                        dropped += 1
-        else:
-            for sender, messages in outbound.items():
-                canonicalize = (
-                    info.kind is RoundKind.SELECTION and sender in ctx.byzantine
-                )
-                for dest, payload in messages.items():
-                    if canonicalize:
-                        payload = canonical.setdefault(sender, payload)
-                    if not flt(info, sender, dest, ctx):
-                        dropped += 1
-                        continue
-                    transit = self._network.transit_time(self._now, sender, dest)
-                    if self._now + transit <= deadline:
-                        self._queue.push(self._now + transit, (dest, sender, payload))
-                    else:
-                        dropped += 1
+        byzantine = ctx.byzantine
+        for sender, messages in outbound.items():
+            canonicalize = info.kind is RoundKind.SELECTION and sender in byzantine
+            for dest, payload in messages.items():
+                if canonicalize:
+                    payload = canonical.setdefault(sender, payload)
+                if rule is not None and dest not in byzantine and not rule(sender, dest):
+                    dropped += 1
+                    continue
+                transit = self._network.transit_time(self._now, sender, dest)
+                if self._now + transit <= deadline:
+                    self._queue.push(self._now + transit, (dest, sender, payload))
+                else:
+                    dropped += 1
 
         matrix: DeliveryMatrix = {}
         while self._queue:

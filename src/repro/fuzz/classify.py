@@ -231,10 +231,7 @@ def liveness_eligible(candidate: FuzzCandidate, *, randomized: bool) -> bool:
         return False
     scenario = candidate.scenario
     comm = scenario.comm
-    if comm.kind == "good-bad":
-        if comm.schedule not in ("after", "always"):
-            return False
-    elif comm.kind != "reliable":
+    if not comm.eventually_good():
         return False
     if candidate.engine == "timed":
         timing = scenario.timing

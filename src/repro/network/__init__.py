@@ -8,13 +8,17 @@ The paper relies on [17] (Milosevic-Hutle-Schiper, WIC) and [2]
 * with plain **Byzantine** faults (no signatures): 3 extra rounds —
   :class:`~repro.network.wic.SignatureFreeCoordinatorEcho`.
 
-:mod:`repro.network.stack` runs the generic consensus algorithm on top of an
-expanded round schedule in which each selection round is realized by one of
-these sub-protocols instead of an oracle ``Pcons`` policy.
+:mod:`repro.network.stack` runs the generic consensus algorithm under a
+scheduler whose expanded round schedule realizes each selection round by one
+of these sub-protocols instead of an oracle ``Pcons`` policy.
 """
 
 from repro.network.signatures import Signature, SignatureError, SignatureService
-from repro.network.stack import PconsStackOutcome, run_with_pcons_stack
+from repro.network.stack import (
+    PconsStackOutcome,
+    PconsStackScheduler,
+    run_with_pcons_stack,
+)
 from repro.network.wic import (
     AuthenticatedCoordinatorEcho,
     PconsImplementation,
@@ -26,6 +30,7 @@ __all__ = [
     "AuthenticatedCoordinatorEcho",
     "PconsImplementation",
     "PconsStackOutcome",
+    "PconsStackScheduler",
     "Signature",
     "SignatureError",
     "SignatureService",

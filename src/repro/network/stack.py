@@ -1,19 +1,22 @@
 """Running the generic algorithm with *implemented* ``Pcons`` (Section 2.2).
 
-:func:`run_with_pcons_stack` executes Algorithm 1 where each selection round
-is realized by a :class:`~repro.network.wic.PconsImplementation` sub-protocol
-instead of an oracle policy: the authenticated variant costs 2 extra rounds
-per phase, the signature-free one 3 — exactly the tradeoff the paper quotes
-from [17].
+:class:`PconsStackScheduler` realizes each selection round by a
+:class:`~repro.network.wic.PconsImplementation` sub-protocol instead of an
+oracle policy: the authenticated variant costs 2 extra rounds per phase, the
+signature-free one 3 — exactly the tradeoff the paper quotes from [17].
+:func:`run_with_pcons_stack` runs an instance under it through the one
+kernel (``build_instance`` + ``run_instance``), like every other execution.
 
 The global micro-round clock is what the good/bad schedule applies to, so a
 phase succeeds only when its whole expanded footprint falls in a good period
-and its rotating coordinator is correct.  Validation and decision rounds go
-through plain ``Pgood`` delivery (they never needed ``Pcons``).
+and its rotating coordinator is correct.  Validation and decision rounds are
+one micro-round each of plain ``Pgood`` delivery (they never needed
+``Pcons``); a bad micro-round drops honest-bound messages i.i.d. through
+:func:`~repro.rounds.policies.filtered_delivery`, as the oracle policies do.
 
-Limitations (documented in DESIGN.md): the stack requires the Π selector
-(true for every Byzantine algorithm in the paper) and supports Byzantine but
-not crash faults (the paper's ``Pcons`` constructions target the Byzantine
+Limitations: the stack requires the Π (all-processes) selector — true for
+every Byzantine algorithm in the paper — and supports Byzantine but not
+crash faults (the paper's ``Pcons`` constructions target the Byzantine
 models; benign algorithms get ``Pcons`` for free from synchrony when no
 crash occurs in good periods).
 """
@@ -25,13 +28,101 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.process import GenericConsensusProcess, RoundStructure
-from repro.faults.registry import ByzantineSpec, build_byzantine
-from repro.core.types import Decision, ProcessId, RoundKind, Value
+from repro.core.types import Decision, ProcessId, RoundInfo, RoundKind, Value
+from repro.engine.assembly import build_instance
+from repro.engine.kernel import OBSERVE_METRICS, run_instance
+from repro.engine.scheduler import RoundDelivery, RoundScheduler
+from repro.faults.registry import ByzantineSpec
 from repro.network.wic import MicroOutbound, PconsImplementation
-from repro.rounds.base import DeliveryMatrix, RoundProcess, RunContext
-from repro.rounds.policies import deliver_to_byzantine, faithful_delivery
+from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
+from repro.rounds.policies import (
+    count_edges,
+    faithful_delivery,
+    filtered_delivery,
+    random_drop_behavior,
+)
 from repro.rounds.schedule import GoodBadSchedule
+
+
+class PconsStackScheduler(RoundScheduler):
+    """Untimed rounds over an implemented ``Pcons``.
+
+    A selection round runs ``wic.execute`` (2–3 micro-rounds), every other
+    round is one micro-round.  ``schedule`` applies to the micro-round
+    clock (default: permanently good); a bad micro-round drops each
+    honest-bound message i.i.d. with probability ``bad_drop_prob`` from a
+    stream :meth:`reset` rewinds to ``seed``.  The counters describe the
+    current (or last) run.
+    """
+
+    def __init__(
+        self,
+        wic: PconsImplementation,
+        schedule: Optional[GoodBadSchedule] = None,
+        *,
+        bad_drop_prob: float = 0.7,
+        seed: int = 0,
+    ) -> None:
+        self._wic = wic
+        self._schedule = schedule or GoodBadSchedule.always_good()
+        self._rng = random.Random(seed)
+        self._seed = seed
+        self._bad = random_drop_behavior(self._rng, bad_drop_prob)
+        self.reset()
+
+    def reset(self) -> None:
+        self._rng.seed(self._seed)
+        #: The global micro-round clock.
+        self.micro_rounds = 0
+        #: Messages put on the wire, sub-protocol traffic included.
+        self.micro_messages = 0
+        self.micro_dropped = 0
+        #: (phase, did all correct processes obtain identical vectors).
+        self.pcons_observations: List[Tuple[int, bool]] = []
+
+    def _micro_deliver(
+        self, outbound: MicroOutbound, ctx: RunContext
+    ) -> DeliveryMatrix:
+        self.micro_rounds += 1
+        self.micro_messages += count_edges(outbound)
+        if self._schedule.is_good(self.micro_rounds):
+            return faithful_delivery(outbound)
+        matrix, dropped = filtered_delivery(outbound, ctx.byzantine, self._bad)
+        self.micro_dropped += dropped
+        return matrix
+
+    def deliver_round(
+        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
+    ) -> RoundDelivery:
+        dropped_before = self.micro_dropped
+        if info.kind is RoundKind.SELECTION:
+            # One selection payload per sender; an equivocating sender
+            # contributes what it would have told the coordinator.
+            coordinator = self._wic.coordinator(info.phase)
+            inputs: Dict[ProcessId, object] = {}
+            for pid, raw in outbound.items():
+                if not raw:
+                    continue
+                payload = raw.get(coordinator)
+                inputs[pid] = raw[min(raw)] if payload is None else payload
+            matrix = self._wic.execute(
+                info.phase,
+                inputs,
+                lambda micro: self._micro_deliver(micro, ctx),
+                ctx,
+            )
+            vectors = [
+                tuple(sorted(matrix.get(pid, {}).items()))
+                for pid in sorted(ctx.correct)
+            ]
+            self.pcons_observations.append(
+                (info.phase, all(v == vectors[0] for v in vectors))
+            )
+        else:
+            matrix = self._micro_deliver(outbound, ctx)
+        return RoundDelivery(
+            matrix, dropped=self.micro_dropped - dropped_before
+        )
 
 
 @dataclass
@@ -76,9 +167,8 @@ def run_with_pcons_stack(
 ) -> PconsStackOutcome:
     """Run one consensus instance with an implemented ``Pcons``.
 
-    ``schedule`` applies to the expanded micro-round clock; default is a
-    permanently good period.  During bad micro-rounds each message is
-    dropped i.i.d. with probability ``bad_drop_prob``.
+    ``schedule``, ``bad_drop_prob`` and ``seed`` configure the
+    :class:`PconsStackScheduler` the instance runs under.
     """
     model = parameters.model
     if not parameters.selector.is_static or parameters.selector.select(
@@ -88,104 +178,23 @@ def run_with_pcons_stack(
     if model.f != 0:
         raise ValueError("the Pcons stack supports Byzantine faults only (f = 0)")
 
-    config = config or GenericConsensusConfig()
-    byzantine = dict(byzantine or {})
-    schedule = schedule or GoodBadSchedule.always_good()
-    rng = random.Random(seed)
-    structure = RoundStructure(
-        parameters.flag, skip_first_selection=config.skip_first_selection
+    scheduler = PconsStackScheduler(
+        wic, schedule, bad_drop_prob=bad_drop_prob, seed=seed
     )
-    ctx = RunContext(model, byzantine=frozenset(byzantine))
-
-    processes: Dict[ProcessId, RoundProcess] = {}
-    for pid in model.processes:
-        if pid in byzantine:
-            processes[pid] = build_byzantine(pid, byzantine[pid], parameters)
-        else:
-            if pid not in initial_values:
-                raise ValueError(f"missing initial value for honest process {pid}")
-            processes[pid] = GenericConsensusProcess(
-                pid, initial_values[pid], parameters, config
-            )
-
-    clock = 0  # global micro-round counter
-    messages_sent = 0
-    decisions: Dict[ProcessId, Decision] = {}
-    pcons_observations: List[Tuple[int, bool]] = []
-
-    def micro_deliver(outbound: MicroOutbound) -> DeliveryMatrix:
-        nonlocal clock, messages_sent
-        clock += 1
-        messages_sent += sum(len(messages) for messages in outbound.values())
-        if schedule.is_good(clock):
-            matrix = faithful_delivery(outbound)
-            deliver_to_byzantine(matrix, outbound, ctx)
-            return matrix
-        matrix = {}
-        for sender, messages in outbound.items():
-            for dest, payload in messages.items():
-                if dest in ctx.byzantine or rng.random() >= bad_drop_prob:
-                    matrix.setdefault(dest, {})[sender] = payload
-        return matrix
-
-    logical_round = 0
-    total_logical = structure.rounds_for_phases(max_phases)
-    while logical_round < total_logical:
-        logical_round += 1
-        info = structure.info(logical_round)
-
-        if info.kind is RoundKind.SELECTION:
-            # Collect each process's selection payload (one per sender; an
-            # equivocating sender contributes what it would have told the
-            # coordinator).
-            coordinator = wic.coordinator(info.phase)
-            inputs: Dict[ProcessId, object] = {}
-            for pid, process in processes.items():
-                raw = process.send(info)
-                if not raw:
-                    continue
-                payload = raw.get(coordinator)
-                if payload is None:
-                    payload = raw[min(raw)]
-                inputs[pid] = payload
-            vectors = wic.execute(info.phase, inputs, micro_deliver, ctx)
-            correct_vectors = [
-                tuple(sorted(vectors.get(pid, {}).items()))
-                for pid in sorted(ctx.correct)
-            ]
-            identical = all(v == correct_vectors[0] for v in correct_vectors)
-            pcons_observations.append((info.phase, identical))
-            for pid, process in processes.items():
-                process.receive(info, vectors.get(pid, {}))
-        else:
-            outbound: MicroOutbound = {
-                pid: dict(process.send(info)) for pid, process in processes.items()
-            }
-            matrix = micro_deliver(outbound)
-            for pid, process in processes.items():
-                process.receive(info, matrix.get(pid, {}))
-
-        for pid, process in processes.items():
-            if (
-                pid not in decisions
-                and isinstance(process, GenericConsensusProcess)
-                and process.has_decided
-            ):
-                decisions[pid] = Decision(
-                    process=pid,
-                    value=process.decided,
-                    round=logical_round,
-                    phase=info.phase,
-                )
-        if set(ctx.correct) <= set(decisions):
-            break
-
+    outcome = run_instance(
+        build_instance(
+            parameters, initial_values, config=config, byzantine=byzantine
+        ),
+        scheduler,
+        max_phases=max_phases,
+        observe=OBSERVE_METRICS,
+    )
     return PconsStackOutcome(
         parameters=parameters,
-        decisions=decisions,
-        pcons_observations=pcons_observations,
-        micro_rounds_used=clock,
-        logical_rounds_used=logical_round,
-        messages_sent=messages_sent,
-        context=ctx,
+        decisions=outcome.decisions,
+        pcons_observations=scheduler.pcons_observations,
+        micro_rounds_used=scheduler.micro_rounds,
+        logical_rounds_used=outcome.rounds_executed,
+        messages_sent=scheduler.micro_messages,
+        context=outcome.context,
     )

@@ -7,14 +7,17 @@ receives), subject to the communication predicate the policy realizes:
 * :class:`ReliablePolicy` — permanently good periods: ``Pgood`` in every
   round and ``Pcons`` in the round kinds that need it (selection rounds);
 * :class:`GoodBadPolicy` — a partially synchronous system driven by a
-  :class:`~repro.rounds.schedule.GoodBadSchedule`; bad-period delivery is
-  delegated to a pluggable behaviour (random loss, partition, silence, …);
+  :class:`~repro.rounds.schedule.GoodBadSchedule`; a bad round delivers
+  the edges a pluggable :data:`BadBehavior` *edge rule* admits (random
+  loss, partition, silence, …) through the one
+  :func:`filtered_delivery` loop — the same ``(schedule, rule)`` pair the
+  timed scheduler and the ``Pcons`` stack apply;
 * :class:`AsyncPrelPolicy` — the randomized-algorithm adversary: fully
   asynchronous but every correct process receives at least ``n − b − f``
   messages per round (``Prel``), the adversary picking which;
 * :class:`LossyPolicy` — i.i.d. message loss with no guarantee (for
-  robustness tests: safety must still hold);
-* :class:`SilentPolicy` — delivers nothing (extreme bad period).
+  robustness tests: safety must still hold): never good + random loss;
+* :class:`SilentPolicy` — delivers nothing: never good + silence.
 
 Two invariants hold in *every* policy, reflecting Section 2.1:
 
@@ -203,64 +206,48 @@ class ReliablePolicy(DeliveryPolicy):
 ReliablePolicy._counted_deliver = ReliablePolicy.deliver
 
 
-#: Bad-period behaviour: (info, outbound, ctx) → delivery matrix.  A
-#: behaviour whose matrix only ever omits sent edges (never injects new
-#: ones) may set ``exact_subset = True`` on itself; the wrapping policy then
-#: reports ``sent − delivered`` as the dropped count instead of making the
-#: scheduler rescan every edge.  Every behaviour in this module qualifies.
-BadBehavior = Callable[[RoundInfo, OutboundMatrix, RunContext], DeliveryMatrix]
+#: Bad-period behaviour as an edge rule: ``(sender, dest)`` → deliver?  It is
+#: asked only about honest-bound edges (Byzantine receivers get everything),
+#: sender-major and dest-minor, so a rule drawing from an rng consumes one
+#: draw per such edge in that order.  A rule can only withhold.
+BadBehavior = Callable[[ProcessId, ProcessId], bool]
+
+
+def filtered_delivery(
+    outbound: OutboundMatrix, byzantine: AbstractSet[ProcessId], rule: BadBehavior
+) -> Tuple[DeliveryMatrix, int]:
+    """``(matrix, dropped)``: every edge bound for a Byzantine receiver plus
+    the honest-bound edges ``rule`` admits; ``dropped`` counts the rest."""
+    matrix: DeliveryMatrix = {}
+    dropped = 0
+    for sender, messages in outbound.items():
+        for dest, payload in messages.items():
+            if dest in byzantine or rule(sender, dest):
+                matrix.setdefault(dest, {})[sender] = payload
+            else:
+                dropped += 1
+    return matrix, dropped
 
 
 def random_drop_behavior(rng: random.Random, drop_prob: float = 0.5) -> BadBehavior:
     """Each message is independently dropped with probability ``drop_prob``."""
-
-    def behave(
-        info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        matrix: DeliveryMatrix = {}
-        for sender, messages in outbound.items():
-            for dest, payload in messages.items():
-                if dest in ctx.byzantine or rng.random() >= drop_prob:
-                    matrix.setdefault(dest, {})[sender] = payload
-        return matrix
-
-    behave.exact_subset = True
-    return behave
+    return lambda sender, dest: rng.random() >= drop_prob
 
 
 def partition_behavior(groups: Iterable[Iterable[ProcessId]]) -> BadBehavior:
     """Messages only cross within the given groups (a network partition)."""
-    frozen = [frozenset(group) for group in groups]
-
-    def behave(
-        info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        matrix: DeliveryMatrix = {}
-        for sender, messages in outbound.items():
-            for dest, payload in messages.items():
-                same_side = any(
-                    sender in group and dest in group for group in frozen
-                )
-                if same_side or dest in ctx.byzantine:
-                    matrix.setdefault(dest, {})[sender] = payload
-        return matrix
-
-    behave.exact_subset = True
-    return behave
+    edges = frozenset(
+        (sender, dest)
+        for group in map(tuple, groups)
+        for sender in group
+        for dest in group
+    )
+    return lambda sender, dest: (sender, dest) in edges
 
 
 def silent_behavior() -> BadBehavior:
     """Nothing is delivered to honest processes during the bad period."""
-
-    def behave(
-        info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        matrix: DeliveryMatrix = {}
-        deliver_to_byzantine(matrix, outbound, ctx)
-        return matrix
-
-    behave.exact_subset = True
-    return behave
+    return lambda sender, dest: False
 
 
 class GoodBadPolicy(DeliveryPolicy):
@@ -268,10 +255,10 @@ class GoodBadPolicy(DeliveryPolicy):
 
     The random-loss default behaviour draws from a policy-owned ``rng``
     (never the module-level :mod:`random`), so runs are a pure function of
-    the rng threaded in — scenario compilation passes a fresh
-    ``random.Random(per_run_seed)`` per run, and callers reusing one policy
-    object across runs can :meth:`reseed` it instead.  A custom
-    ``bad_behavior`` owns its randomness; :meth:`reseed` cannot reach
+    the rng threaded in, and callers reusing one policy object across runs
+    can :meth:`reseed` it.  A custom ``bad_behavior`` owns its randomness
+    (scenario compilation builds the rule over a fresh
+    ``random.Random(per_run_seed)`` per run); :meth:`reseed` cannot reach
     inside it.
     """
 
@@ -303,16 +290,14 @@ class GoodBadPolicy(DeliveryPolicy):
             if info.kind in self._pcons_kinds:
                 return enforce_pcons(outbound, ctx)
             return enforce_pgood(outbound, ctx)
-        return self._bad(info, outbound, ctx)
+        return filtered_delivery(outbound, ctx.byzantine, self._bad)[0]
 
     def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
         if self._schedule.is_good(info.number):
             # Pcons may inject (rescan); Pgood delivers faithfully.
             return None if info.kind in self._pcons_kinds else 0
-        if getattr(self._bad, "exact_subset", False):
-            return count_edges(outbound) - count_edges(matrix)
-        # A custom behaviour may inject; leave counting to the scheduler.
-        return None
+        # A rule can only withhold: the matrix is a subset of the sent edges.
+        return count_edges(outbound) - count_edges(matrix)
 
 
 GoodBadPolicy._counted_deliver = GoodBadPolicy.deliver
@@ -362,7 +347,7 @@ class AsyncPrelPolicy(DeliveryPolicy):
 AsyncPrelPolicy._counted_deliver = AsyncPrelPolicy.deliver
 
 
-class LossyPolicy(DeliveryPolicy):
+class LossyPolicy(GoodBadPolicy):
     """Unconstrained i.i.d. loss — no predicate holds; safety must survive."""
 
     def __init__(
@@ -370,35 +355,13 @@ class LossyPolicy(DeliveryPolicy):
     ) -> None:
         if not 0.0 <= drop_prob <= 1.0:
             raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob}")
-        self._rng = rng if rng is not None else random.Random(0)
-        self._behavior = random_drop_behavior(self._rng, drop_prob)
-
-    def reseed(self, seed: int) -> None:
-        """Reset the loss stream to a per-run derivation."""
-        self._rng.seed(seed)
-
-    def deliver(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        return self._behavior(info, outbound, ctx)
-
-    def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
-        return count_edges(outbound) - count_edges(matrix)
+        super().__init__(
+            GoodBadSchedule.never_good(), rng=rng, drop_prob=drop_prob
+        )
 
 
-LossyPolicy._counted_deliver = LossyPolicy.deliver
-
-
-class SilentPolicy(DeliveryPolicy):
+class SilentPolicy(GoodBadPolicy):
     """Delivers nothing to honest processes (degenerate bad period)."""
 
-    def deliver(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        return silent_behavior()(info, outbound, ctx)
-
-    def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
-        return count_edges(outbound) - count_edges(matrix)
-
-
-SilentPolicy._counted_deliver = SilentPolicy.deliver
+    def __init__(self) -> None:
+        super().__init__(GoodBadSchedule.never_good(), silent_behavior())

@@ -3,21 +3,26 @@
 :func:`compile_scenario` turns a declarative
 :class:`~repro.scenarios.spec.ScenarioSpec` into the three concrete objects
 an execution needs — the Byzantine placement map, the crash schedule, and a
-ready :class:`~repro.engine.scheduler.RoundScheduler` — for either engine:
+ready :class:`~repro.engine.scheduler.RoundScheduler` — for either engine.
 
-* ``engine="lockstep"`` — the communication schedule becomes a
-  :class:`~repro.rounds.policies.DeliveryPolicy` (oracle predicates);
+A communication spec compiles to **one** ``(schedule, edge rule)`` pair
+(:func:`_good_bad`: the spec's normal form picks the schedule, the single
+:func:`_bad_rule` clause turns its bad behaviour into code), or to nothing
+when no round is ever bad, and both timing disciplines take that pair:
+
+* ``engine="lockstep"`` — a :class:`~repro.rounds.policies.GoodBadPolicy`
+  over the pair (oracle predicates in good rounds), ``ReliablePolicy`` when
+  never bad, ``AsyncPrelPolicy`` for the one kind that is not per-edge;
 * ``engine="timed"`` — the timing spec builds a
   :class:`~repro.eventsim.network.PartialSynchronyNetwork` and the
-  communication schedule becomes a per-message
-  :data:`~repro.engine.scheduler.DeliveryFilter` on the
-  :class:`~repro.engine.scheduler.TimedScheduler`, so partitions, loss
-  windows and GST prefixes run under Δ-paced deadline delivery too.
+  :class:`~repro.engine.scheduler.TimedScheduler` takes the same pair, so
+  partitions, loss windows and GST prefixes run under Δ-paced deadline
+  delivery too.
 
 Compilation pre-resolves per-round delivery behaviour: good/bad schedule
-lookups are memoized per round number and partition masks are flattened to
-one precomputed edge set, so the ``observe="metrics"`` hot path pays no
-repeated predicate evaluation inside the round loop.
+lookups are memoized per round number and a partition is one precomputed
+edge set shared by every run of its groups, so the ``observe="metrics"``
+hot path pays no repeated predicate evaluation inside the round loop.
 
 A scenario a configuration cannot host raises :class:`ScenarioInapplicable`
 (a ``ValueError``): Byzantine placement with ``b = 0``, more crashes than
@@ -32,23 +37,22 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.types import FaultModel, ProcessId, RoundInfo
+from repro.core.types import FaultModel, ProcessId
 from repro.engine.scheduler import (
-    DeliveryFilter,
     LockstepScheduler,
     RoundScheduler,
     TimedScheduler,
 )
 from repro.eventsim.network import PartialSynchronyNetwork
 from repro.faults.crash import CrashEvent, CrashSchedule
-from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
 from repro.rounds.policies import (
     AsyncPrelPolicy,
+    BadBehavior,
     DeliveryPolicy,
     GoodBadPolicy,
-    LossyPolicy,
     ReliablePolicy,
-    SilentPolicy,
+    partition_behavior,
+    random_drop_behavior,
     silent_behavior,
 )
 from repro.rounds.schedule import GoodBadSchedule
@@ -103,13 +107,14 @@ def _memoized_schedule(comm: CommSpec) -> GoodBadSchedule:
     cached per ``comm`` spec, so those per-round memo hits accumulate
     across every run of a campaign cell instead of starting cold each run.
     """
-    if comm.schedule == "after":
+    shape, _bad = comm.regime()
+    if shape == "after":
         base = GoodBadSchedule.good_after(comm.good_from)
-    elif comm.schedule == "windows":
+    elif shape == "windows":
         base = GoodBadSchedule.windows(comm.windows)
-    elif comm.schedule == "alternating":
+    elif shape == "alternating":
         base = GoodBadSchedule.alternating(comm.good_len, comm.bad_len)
-    elif comm.schedule == "never":
+    elif shape == "never":
         base = GoodBadSchedule.never_good()
     else:
         base = GoodBadSchedule.always_good()
@@ -125,140 +130,52 @@ def _memoized_schedule(comm: CommSpec) -> GoodBadSchedule:
     return GoodBadSchedule(is_good, base.description)
 
 
-def _partition_groups(
-    comm: CommSpec, model: FaultModel
-) -> Tuple[Tuple[ProcessId, ...], ...]:
-    """The partition sides: explicit groups, or the canonical halves split."""
-    if comm.groups is not None:
-        return comm.groups
-    half = model.n // 2
-    return (tuple(range(half)), tuple(range(half, model.n)))
-
-
 @functools.cache
-def _partition_edges(
-    groups: Tuple[Tuple[ProcessId, ...], ...]
-) -> frozenset:
-    """Flatten the group predicate to one (sender, dest) membership set."""
-    edges = set()
-    for group in groups:
-        for sender in group:
-            for dest in group:
-                edges.add((sender, dest))
-    return frozenset(edges)
+def _partition_rule(groups: Tuple[Tuple[ProcessId, ...], ...]) -> BadBehavior:
+    """One shared (stateless) partition rule per group tuple."""
+    return partition_behavior(groups)
 
 
-def _partition_behavior_fast(edges: frozenset):
-    """Same delivery as ``partition_behavior`` with O(1) edge lookups."""
+def _bad_rule(
+    comm: CommSpec, model: FaultModel, rng: random.Random
+) -> BadBehavior:
+    """The edge rule of ``comm``'s bad rounds — the one place a bad
+    behaviour's name becomes code."""
+    if not comm.per_edge:
+        raise ScenarioInapplicable(
+            "Prel-only delivery needs the per-receiver subset oracle; "
+            "it runs on the lockstep engine only"
+        )
+    _shape, bad = comm.regime()
+    if bad == "drop":
+        return random_drop_behavior(rng, comm.drop_prob)
+    if bad == "partition":
+        half = model.n // 2
+        return _partition_rule(
+            comm.groups
+            if comm.groups is not None
+            else (tuple(range(half)), tuple(range(half, model.n)))
+        )
+    return silent_behavior()  # "silence"
 
-    def behave(
-        info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        matrix: DeliveryMatrix = {}
-        byzantine = ctx.byzantine
-        for sender, messages in outbound.items():
-            for dest, payload in messages.items():
-                if (sender, dest) in edges or dest in byzantine:
-                    matrix.setdefault(dest, {})[sender] = payload
-        return matrix
 
-    # Only omits edges, never injects: the wrapping GoodBadPolicy may
-    # report drops as sent − delivered without the scheduler's rescan.
-    behave.exact_subset = True
-    return behave
-
-
-# ------------------------------------------------------- lockstep policies
+def _good_bad(
+    comm: CommSpec, model: FaultModel, rng: random.Random
+) -> Optional[Tuple[GoodBadSchedule, BadBehavior]]:
+    """``comm`` as the ``(schedule, bad-round edge rule)`` pair both
+    schedulers take; ``None`` when no round is ever bad."""
+    if comm.never_bad():
+        return None
+    return _memoized_schedule(comm), _bad_rule(comm, model, rng)
 
 
 def _lockstep_policy(
     comm: CommSpec, model: FaultModel, rng: random.Random
 ) -> DeliveryPolicy:
-    if comm.kind == "reliable":
-        return ReliablePolicy()
-    if comm.kind == "lossy":
-        return LossyPolicy(rng, comm.drop_prob)
-    if comm.kind == "async-prel":
+    if not comm.per_edge:
         return AsyncPrelPolicy(rng)
-    if comm.kind == "silent":
-        return SilentPolicy()
-    schedule = _memoized_schedule(comm)
-    if comm.bad == "partition":
-        behaviour = _partition_behavior_fast(
-            _partition_edges(_partition_groups(comm, model))
-        )
-    elif comm.bad == "silence":
-        behaviour = silent_behavior()
-    else:
-        behaviour = None  # GoodBadPolicy owns the rng-driven drop behaviour.
-    return GoodBadPolicy(
-        schedule, bad_behavior=behaviour, rng=rng, drop_prob=comm.drop_prob
-    )
-
-
-# --------------------------------------------------------- timed filters
-
-
-def _timed_filter(
-    comm: CommSpec, model: FaultModel, rng: random.Random
-) -> Optional[DeliveryFilter]:
-    """The per-message admission test hosting ``comm`` on the timed engine.
-
-    Byzantine receivers are always admitted (the adversary has maximal
-    information, as in every lockstep behaviour); everything else follows
-    the same schedule/behaviour semantics as the lockstep policy, applied
-    before latency sampling.
-    """
-    if comm.kind == "reliable":
-        return None
-    if comm.kind == "async-prel":
-        raise ScenarioInapplicable(
-            "Prel-only delivery needs the per-receiver subset oracle; "
-            "it runs on the lockstep engine only"
-        )
-    if comm.kind == "lossy":
-        drop_prob = comm.drop_prob
-
-        def lossy(info, sender, dest, ctx):
-            return dest in ctx.byzantine or rng.random() >= drop_prob
-
-        return lossy
-    if comm.kind == "silent":
-
-        def silent(info, sender, dest, ctx):
-            return dest in ctx.byzantine
-
-        return silent
-
-    schedule = _memoized_schedule(comm)
-    is_good = schedule.is_good
-    if comm.bad == "partition":
-        edges = _partition_edges(_partition_groups(comm, model))
-
-        def bad_edge(info, sender, dest, ctx):
-            return (sender, dest) in edges or dest in ctx.byzantine
-
-    elif comm.bad == "silence":
-
-        def bad_edge(info, sender, dest, ctx):
-            return dest in ctx.byzantine
-
-    else:
-        drop_prob = comm.drop_prob
-
-        def bad_edge(info, sender, dest, ctx):
-            return dest in ctx.byzantine or rng.random() >= drop_prob
-
-    # The scheduler asks once per edge; the schedule answers once per round.
-    last_number = last_good = None
-
-    def good_bad(info, sender, dest, ctx):
-        nonlocal last_number, last_good
-        if info.number != last_number:
-            last_number, last_good = info.number, is_good(info.number)
-        return last_good or bad_edge(info, sender, dest, ctx)
-
-    return good_bad
+    good_bad = _good_bad(comm, model, rng)
+    return ReliablePolicy() if good_bad is None else GoodBadPolicy(*good_bad)
 
 
 # ------------------------------------------------------------- compilation
@@ -371,11 +288,10 @@ def compile_scenario(
             _lockstep_policy(spec.comm, model, policy_rng)
         )
     else:
-        delivery_filter = _timed_filter(spec.comm, model, policy_rng)
         scheduler = TimedScheduler(
             network if network is not None else spec.timing.build(seed),
             round_duration=spec.timing.round_duration,
-            delivery_filter=delivery_filter,
+            good_bad=_good_bad(spec.comm, model, policy_rng),
         )
     return CompiledScenario(
         spec=spec,

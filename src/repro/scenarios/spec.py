@@ -31,6 +31,17 @@ SCHEDULE_KINDS = ("always", "after", "windows", "alternating", "never")
 #: Bad-period behaviours for ``kind="good-bad"``.
 BAD_BEHAVIORS = ("drop", "partition", "silence")
 
+#: The normal form ``(schedule, bad)`` of the kinds that are points of
+#: ``good-bad``: always good · never good + drop · never good + silence.
+#: ``async-prel`` is never good either, but its bad rounds pick per-receiver
+#: subsets — not an edge rule (``per_edge`` is false).
+_REGIMES = {
+    "reliable": ("always", "drop"),
+    "lossy": ("never", "drop"),
+    "silent": ("never", "silence"),
+    "async-prel": ("never", "prel"),
+}
+
 
 @dataclass(frozen=True)
 class CommSpec:
@@ -52,6 +63,12 @@ class CommSpec:
 
     ``groups`` fixes the partition sides explicitly; ``None`` splits the
     process set into halves at compile time.
+
+    Readers below the spec (compilation, planner, array tier, fuzz
+    classifier) ask the normal form — :meth:`regime` and the facts derived
+    from it — instead of switching on ``kind``.  ``describe()``, the mapping
+    form, equality and hash keep the spelling the user wrote: they key
+    seeds, rows and memos.
     """
 
     kind: str = "reliable"
@@ -81,17 +98,65 @@ class CommSpec:
             raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
         if self.good_from < 1:
             raise ValueError(f"good_from must be ≥ 1, got {self.good_from}")
-        # Mapping loaders hand in lists; freeze them so specs stay hashable.
-        # An *empty* list must freeze too — an unhashable spec would poison
-        # the compilation memo for any equal-looking tuple-built spec.
-        if not isinstance(self.windows, tuple):
-            object.__setattr__(
-                self, "windows", tuple(tuple(w) for w in self.windows)
+        if self.good_len < 1 or self.bad_len < 0:
+            raise ValueError(
+                "alternating needs good_len ≥ 1 and bad_len ≥ 0, got "
+                f"good_len={self.good_len}, bad_len={self.bad_len}"
             )
-        if self.groups is not None and not isinstance(self.groups, tuple):
-            object.__setattr__(
-                self, "groups", tuple(tuple(g) for g in self.groups)
+        if isinstance(self.windows, str) or not all(
+            isinstance(w, (list, tuple))
+            and len(w) == 2
+            and all(type(x) is int for x in w)
+            and 1 <= w[0] <= w[1]
+            for w in self.windows
+        ):
+            raise ValueError(
+                "windows must be [start, end] integer pairs with "
+                f"1 ≤ start ≤ end, got {self.windows!r}"
             )
+        # Mapping loaders hand in lists (also empty or nested in a tuple);
+        # freeze them all the way down so specs stay hashable — an unhashable
+        # spec would poison the compilation memo for its tuple-built equal.
+        object.__setattr__(self, "windows", tuple(tuple(w) for w in self.windows))
+        if self.groups is not None:
+            object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+
+    # ---------------------------------------------------------- normal form
+
+    @property
+    def per_edge(self) -> bool:
+        """True when a round's delivery is one boolean per edge — every
+        kind but ``async-prel``, so everything with an edge rule and a
+        delivery-mask form."""
+        return self.kind != "async-prel"
+
+    def regime(self) -> Tuple[str, str]:
+        """The normal form ``(schedule, bad)``: which rounds are good and
+        what the bad ones do."""
+        if self.kind == "good-bad":
+            return self.schedule, self.bad
+        return _REGIMES[self.kind]
+
+    def never_bad(self) -> bool:
+        """True when the schedule provably has no bad round ≥ 1."""
+        schedule, _bad = self.regime()
+        if schedule == "after":
+            # Rounds are 1-based: good from ``good_from`` onwards makes
+            # round 1 good whenever ``good_from <= 1``.
+            return self.good_from <= 1
+        if schedule == "alternating":
+            return self.bad_len == 0
+        return schedule == "always"
+
+    def draws_coins(self) -> bool:
+        """True when some round flips one seeded coin per honest-bound edge
+        (the only per-run randomness a per-edge kind consumes)."""
+        return self.regime()[1] == "drop" and not self.never_bad()
+
+    def eventually_good(self) -> bool:
+        """True when the schedule's shape ends in a permanently good
+        period (a stall past it is a liveness finding, not bad luck)."""
+        return self.regime()[0] in ("always", "after")
 
     def describe(self) -> str:
         """A compact, alias-free coordinate string (empty for reliable)."""

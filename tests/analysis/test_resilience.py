@@ -2,28 +2,31 @@
 
 import pytest
 
-from repro.analysis.resilience import (
-    ScenarioResult,
-    force_parameters,
-    sweep_class,
-)
+from repro.analysis.resilience import ScenarioResult, sweep_class
 from repro.core.classification import AlgorithmClass
 from repro.core.flv_class2 import FLVClass2
 from repro.core.parameters import ConsensusParameters
+from repro.core.selector import AllProcessesSelector
 from repro.core.types import FaultModel, Flag
 
 
-class TestForceParameters:
+class TestUncheckedParameters:
     def test_bypasses_validation(self):
         model = FaultModel(4, 1, 0)
         # TD = 4 > n − b: normal construction would raise.
-        params = force_parameters(model, 4, Flag.CURRENT_PHASE, FLVClass2(model, 4))
+        params = ConsensusParameters.unchecked(
+            model, 4, Flag.CURRENT_PHASE, FLVClass2(model, 4),
+            AllProcessesSelector(model),
+        )
         assert isinstance(params, ConsensusParameters)
         assert params.threshold == 4
 
     def test_product_is_usable(self):
         model = FaultModel(4, 1, 0)
-        params = force_parameters(model, 3, Flag.CURRENT_PHASE, FLVClass2(model, 3))
+        params = ConsensusParameters.unchecked(
+            model, 3, Flag.CURRENT_PHASE, FLVClass2(model, 3),
+            AllProcessesSelector(model),
+        )
         assert params.rounds_per_phase == 3
         assert params.state_footprint == ("vote", "ts")
 

@@ -575,6 +575,39 @@ class TestCli:
         assert message in line
         assert not list(tmp_path.glob("*.partial"))
 
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize(
+        "comm,message",
+        [
+            ({"schedule": "windows", "windows": [[5, 2]]}, "windows must be"),
+            ({"schedule": "alternating", "good_len": 0, "bad_len": 2},
+             "good_len"),
+        ],
+        ids=["reversed-window", "zero-good-len"],
+    )
+    def test_ill_formed_comm_schedule_exits_2_with_one_line(
+        self, tmp_path, capsys, command, comm, message
+    ):
+        """Used to load, then fail per run inside ``compile_scenario``: a
+        grid of ``error`` rows from ``run`` (exit 1), a clean plan from
+        ``plan`` (exit 0)."""
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps({
+            "name": "ill", "algorithms": ["class-2"], "models": [[9, 1, 1]],
+            "scenarios": [{"name": "s", "comm": {"kind": "good-bad", **comm}}],
+        }))
+        out = tmp_path / "ill.results.jsonl"
+        argv = ["campaign", command, str(path)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"cannot load campaign spec {path}: ")
+        assert message in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ill.json"]
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         spec_path = self.spec_file(tmp_path)
         base = tmp_path / "base.jsonl"

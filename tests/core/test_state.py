@@ -57,7 +57,7 @@ def test_revert_vote_no_matching_pair_keeps_vote():
     state.record_validation("w", 1)
     state.record_selection("x", 2)
     state.revert_vote()
-    # Ambiguity resolved by keeping the current vote (DESIGN.md §4).
+    # Ambiguity resolved by keeping the current vote (revert_vote docstring).
     assert state.vote == "x"
 
 

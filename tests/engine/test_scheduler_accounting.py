@@ -3,9 +3,9 @@
 Two properties pinned at the :meth:`deliver_round` level:
 
 * the payload an equivocator is canonicalized to in a selection round must
-  not depend on the delivery filter — which edge survives a partition must
-  never change *what* the survivors receive (cross-branch parity with the
-  filter-free fast path);
+  not depend on the bad-round edge rule — which edge survives a partition
+  must never change *what* the survivors receive (cross-branch parity with
+  the filter-free fast path);
 * ``sent == delivered + dropped`` holds on **both** scheduler branches: the
   lockstep scheduler reports messages its policy withheld as dropped, the
   timed scheduler reports deadline misses and filtered edges.
@@ -18,16 +18,20 @@ from repro.engine.scheduler import LockstepScheduler, TimedScheduler
 from repro.eventsim.network import FixedLatency, PartialSynchronyNetwork
 from repro.rounds.base import RunContext
 from repro.rounds.policies import DeliveryPolicy
+from repro.rounds.schedule import GoodBadSchedule
 
 SELECTION = RoundInfo(number=1, phase=1, kind=RoundKind.SELECTION)
 
 
-def make_timed(delivery_filter=None):
+def make_timed(bad_rule=None):
+    """A timed scheduler; ``bad_rule`` makes every round a bad one under it."""
     network = PartialSynchronyNetwork(
         FixedLatency(1.0), gst=0.0, delta=2.0, seed=0
     )
     scheduler = TimedScheduler(
-        network, round_duration=2.5, delivery_filter=delivery_filter
+        network,
+        round_duration=2.5,
+        good_bad=bad_rule and (GoodBadSchedule.never_good(), bad_rule),
     )
     scheduler.reset()
     return scheduler
@@ -61,7 +65,7 @@ class TestCanonicalizationBeforeFilter:
         }
         assert set(expected.values()) == {"alpha"}
 
-        def drop_byz_to_0(info, sender, dest, ctx):
+        def drop_byz_to_0(sender, dest):
             return not (sender == 3 and dest == 0)
 
         filtered = make_timed(drop_byz_to_0).deliver_round(
@@ -144,7 +148,7 @@ class TestDropAccounting:
 
     @pytest.mark.parametrize("use_filter", [False, True])
     def test_timed_accounting_closes(self, use_filter):
-        flt = (lambda info, s, d, ctx: d != 0) if use_filter else None
+        flt = (lambda s, d: d != 0) if use_filter else None
         outbound = equivocating_outbound()
         delivery = make_timed(flt).deliver_round(
             SELECTION, outbound, byz_context()

@@ -5,7 +5,7 @@ comparison per message.  These tests prove the replacement changes nothing
 observable: delivery matrices, drop counts, round end times and — crucially
 — the network RNG stream are identical, message for message and draw for
 draw, under every regime (pre/post GST, fixed/uniform latency, Byzantine
-canonicalization, scenario delivery filters).  The campaign-level suite in
+canonicalization, bad-round edge rules).  The campaign-level suite in
 ``tests/campaigns/test_campaign_identity.py`` extends the same claim to
 whole result files.
 """
@@ -24,6 +24,7 @@ from repro.eventsim.network import (
     UniformLatency,
 )
 from repro.rounds.base import RunContext
+from repro.rounds.schedule import GoodBadSchedule
 
 
 def make_network(latency, *, gst=0.0, seed=11):
@@ -104,18 +105,18 @@ def test_selection_round_canonicalizes_byzantine_payloads():
     assert len(seen) == 1
 
 
-def test_delivery_filter_matches_heap_and_skips_sampling():
-    """Filter-rejected edges drop identically and never draw a latency."""
+def test_bad_round_rule_matches_heap_and_skips_sampling():
+    """Rule-rejected edges drop identically and never draw a latency."""
     model = FaultModel(4, 0, 0)
 
-    def flt(info, sender, dest, ctx):
+    def rule(sender, dest):
         return (sender + dest) % 2 == 0
 
     def make(use_heap):
         return TimedScheduler(
             make_network(UniformLatency(0.5, 2.0), gst=0.0, seed=3),
             round_duration=2.5,
-            delivery_filter=flt,
+            good_bad=(GoodBadSchedule.never_good(), rule),
             use_heap=use_heap,
         )
 
@@ -128,7 +129,7 @@ def test_delivery_filter_matches_heap_and_skips_sampling():
     ]
     deliveries = run_both(make, rounds, model)
     for delivery in deliveries:
-        assert delivery.dropped >= 8  # half the 16 edges fail the filter
+        assert delivery.dropped >= 8  # half the 16 edges fail the rule
 
 
 def test_post_gst_fixed_latency_draws_nothing():

@@ -1,16 +1,17 @@
 """Constructive failures below the Table-1 bounds.
 
 The library refuses to build below-bound parameters; with
-``force_parameters`` we build them anyway and exhibit exactly the failures
+``ConsensusParameters.unchecked`` we build them anyway and exhibit exactly the failures
 Theorem 1 predicts — the empirical counterpart of the ``n`` and ``TD``
 columns of Table 1.
 """
 
 import pytest
 
-from repro.analysis.resilience import force_parameters
 from repro.core.flv_class1 import FLVClass1
 from repro.core.flv_class2 import FLVClass2
+from repro.core.parameters import ConsensusParameters
+from repro.core.selector import AllProcessesSelector
 from repro.core.types import FaultModel, Flag, RoundInfo, RoundKind
 from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.rounds.base import RunContext
@@ -46,7 +47,9 @@ class TestAgreementNeedsTdAboveHalf:
     def test_split_brain_decision(self):
         model = FaultModel(6, 0, 0)
         td = 3  # ≤ (n + b)/2 = 3: forbidden by the paper, forced here
-        params = force_parameters(model, td, Flag.ANY, FLVClass1(model, td))
+        params = ConsensusParameters.unchecked(
+            model, td, Flag.ANY, FLVClass1(model, td), AllProcessesSelector(model)
+        )
         values = {pid: ("v1" if pid < 3 else "v2") for pid in range(6)}
         outcome = run_instance(
             build_instance(params, values),
@@ -60,7 +63,9 @@ class TestAgreementNeedsTdAboveHalf:
     def test_valid_td_resists_the_same_adversary(self):
         model = FaultModel(6, 0, 0)
         td = 4  # > (n + b)/2: the smallest sound threshold
-        params = force_parameters(model, td, Flag.ANY, FLVClass1(model, td))
+        params = ConsensusParameters.unchecked(
+            model, td, Flag.ANY, FLVClass1(model, td), AllProcessesSelector(model)
+        )
         values = {pid: ("v1" if pid < 3 else "v2") for pid in range(6)}
         outcome = run_instance(
             build_instance(params, values),
@@ -77,8 +82,8 @@ class TestTerminationNeedsTdWithinCorrect:
     def test_silent_byzantine_starves_decision(self):
         model = FaultModel(4, 1, 0)
         td = 4  # > n − b = 3: forbidden (Theorem 1, iv), forced here
-        params = force_parameters(
-            model, td, Flag.ANY, FLVClass1(model, td)
+        params = ConsensusParameters.unchecked(
+            model, td, Flag.ANY, FLVClass1(model, td), AllProcessesSelector(model)
         )
         values = {pid: "v" for pid in range(3)}
         outcome = run_instance(
@@ -137,8 +142,12 @@ class TestClass2BelowFourB:
     def test_forced_run_may_never_decide(self):
         model = FaultModel(4, 1, 0)
         td = 3
-        params = force_parameters(
-            model, td, Flag.CURRENT_PHASE, FLVClass2(model, td)
+        params = ConsensusParameters.unchecked(
+            model,
+            td,
+            Flag.CURRENT_PHASE,
+            FLVClass2(model, td),
+            AllProcessesSelector(model),
         )
         values = {pid: f"v{pid}" for pid in range(3)}
         outcome = run_instance(

@@ -1,17 +1,26 @@
 """The full stack: consensus over implemented Pcons."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from repro.algorithms import build_fab_paxos, build_mqb, build_pbft
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.selector import RotatingSubsetSelector
 from repro.core.types import FaultModel
-from repro.network.stack import run_with_pcons_stack
+from repro.engine import build_instance, run_instance
+from repro.network.stack import PconsStackScheduler, run_with_pcons_stack
 from repro.network.wic import (
     AuthenticatedCoordinatorEcho,
     SignatureFreeCoordinatorEcho,
+    WicAdversaryMode,
 )
 from repro.rounds.schedule import GoodBadSchedule
+
+#: SHA-256 of the reduced differential grid below, recorded at e19de90.
+STACK_PIN = "58a5ea0182c64a8c3cedf503453068dfd00385caa422af6f8706065e2a3c6a87"
 
 
 def values_for(model):
@@ -109,3 +118,90 @@ def test_requires_f_zero():
             {pid: "v" for pid in model.processes},
             AuthenticatedCoordinatorEcho(model),
         )
+
+
+def _stack_signature(outcome):
+    return {
+        "decisions": {
+            str(pid): [repr(d.value), d.round, d.phase]
+            for pid, d in sorted(outcome.decisions.items())
+        },
+        "pcons": [[phase, bool(held)] for phase, held in outcome.pcons_observations],
+        "micro": outcome.micro_rounds_used,
+        "logical": outcome.logical_rounds_used,
+        "sent": outcome.messages_sent,
+    }
+
+
+def test_differential_pin_against_the_hand_rolled_loop():
+    """96 configurations, digest recorded at the last commit whose stack was
+    its own assembly + round loop beside the kernel: decisions (value, round,
+    phase), Pcons observations, micro/logical rounds and message counts."""
+    schedules = {
+        "after": lambda: GoodBadSchedule.good_after(8),
+        "alternating": lambda: GoodBadSchedule.alternating(5, 2),
+    }
+    digest = hashlib.sha256()
+    grid = itertools.product(
+        [(build_pbft, 4), (build_mqb, 5)],
+        [AuthenticatedCoordinatorEcho, SignatureFreeCoordinatorEcho],
+        list(WicAdversaryMode),
+        ["first", "last"],
+        ["equivocator", "adaptive-liar"],
+        sorted(schedules),
+    )
+    count = 0
+    for (builder, n), wic_cls, mode, position, strategy, schedule in grid:
+        spec = builder(n)
+        model = spec.parameters.model
+        liar = 0 if position == "first" else model.n - 1
+        outcome = run_with_pcons_stack(
+            spec.parameters,
+            {pid: f"v{pid % 2}" for pid in model.processes if pid != liar},
+            wic_cls(model, adversary_mode=mode),
+            config=spec.config,
+            byzantine={liar: strategy},
+            schedule=schedules[schedule](),
+            seed=4,
+            max_phases=10,
+        )
+        digest.update(
+            json.dumps(_stack_signature(outcome), sort_keys=True).encode()
+        )
+        count += 1
+    assert count == 96
+    assert digest.hexdigest() == STACK_PIN
+
+
+def test_one_scheduler_reused_for_two_runs():
+    """The kernel resets a scheduler it binds: clock, counters, observations
+    and the loss stream all start over."""
+    spec = build_pbft(4)
+    model = spec.parameters.model
+    scheduler = PconsStackScheduler(
+        SignatureFreeCoordinatorEcho(model),
+        GoodBadSchedule.good_after(8),
+        seed=4,
+    )
+
+    def run():
+        outcome = run_instance(
+            build_instance(
+                spec.parameters, values_for(model), byzantine={3: "equivocator"}
+            ),
+            scheduler,
+            max_phases=12,
+            observe="metrics",
+        )
+        return (
+            {pid: (d.value, d.round) for pid, d in outcome.decisions.items()},
+            outcome.rounds_executed,
+            outcome.messages_dropped,
+            scheduler.micro_rounds,
+            scheduler.micro_messages,
+            list(scheduler.pcons_observations),
+        )
+
+    first = run()
+    assert first == run()
+    assert first[2] > 0 and first[3] > 5  # bad micro-rounds really dropped

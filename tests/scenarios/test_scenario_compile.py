@@ -3,15 +3,9 @@
 import pytest
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.types import FaultModel
+from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
-from repro.rounds.policies import (
-    AsyncPrelPolicy,
-    GoodBadPolicy,
-    LossyPolicy,
-    ReliablePolicy,
-    SilentPolicy,
-)
+from repro.rounds.base import RunContext
 from repro.scenarios import (
     ScenarioInapplicable,
     ScenarioSpec,
@@ -28,23 +22,67 @@ def pbft_params(pbft_model):
     return build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
 
 
+ALL = {(s, d) for s in range(4) for d in range(4)}
+#: Process 3 is Byzantine: every kind delivers everything addressed to it.
+TO_BYZ = {(s, 3) for s in range(4)}
+HALVES = {(s, d) for s, d in ALL if (s < 2) == (d < 2)}
+
+
+def all_to_all():
+    return {s: {d: f"m{s}" for d in range(4)} for s in range(4)}
+
+
 class TestLockstepTargets:
     @pytest.mark.parametrize(
-        "comm,policy_type",
+        "comm,round_number,expected",
         [
-            (CommSpec(), ReliablePolicy),
-            (CommSpec(kind="good-bad", good_from=5), GoodBadPolicy),
-            (CommSpec(kind="lossy"), LossyPolicy),
-            (CommSpec(kind="async-prel"), AsyncPrelPolicy),
-            (CommSpec(kind="silent"), SilentPolicy),
+            (CommSpec(), 1, ALL),
+            (CommSpec(kind="good-bad", good_from=5, drop_prob=1.0), 4, TO_BYZ),
+            (CommSpec(kind="good-bad", good_from=5, drop_prob=1.0), 5, ALL),
+            (
+                CommSpec(kind="good-bad", schedule="never", bad="partition"),
+                1,
+                HALVES | TO_BYZ,
+            ),
+            (CommSpec(kind="lossy", drop_prob=1.0), 1, TO_BYZ),
+            (CommSpec(kind="silent"), 1, TO_BYZ),
         ],
     )
-    def test_comm_kind_maps_to_policy(self, pbft_model, comm, policy_type):
+    def test_comm_kind_delivered_edges(
+        self, pbft_model, comm, round_number, expected
+    ):
         compiled = compile_scenario(
-            ScenarioSpec(comm=comm), pbft_model, "lockstep", 1
+            ScenarioSpec(byzantine=("silent",), comm=comm),
+            pbft_model,
+            "lockstep",
+            1,
         )
         assert isinstance(compiled.scheduler, LockstepScheduler)
-        assert isinstance(compiled.scheduler.policy, policy_type)
+        delivery = compiled.scheduler.deliver_round(
+            RoundInfo(round_number, 1, RoundKind.DECISION),
+            all_to_all(),
+            RunContext(pbft_model, byzantine=frozenset(compiled.byzantine)),
+        )
+        delivered = {
+            (s, d) for d, inbox in delivery.matrix.items() for s in inbox
+        }
+        assert delivered == expected
+        assert delivery.dropped == len(ALL - expected)
+
+    def test_async_prel_keeps_a_quorum_per_receiver(self, pbft_model):
+        compiled = compile_scenario(
+            ScenarioSpec(comm=CommSpec(kind="async-prel")),
+            pbft_model,
+            "lockstep",
+            1,
+        )
+        delivery = compiled.scheduler.deliver_round(
+            RoundInfo(1, 1, RoundKind.DECISION),
+            all_to_all(),
+            RunContext(pbft_model),
+        )
+        # n − b − f = 3 of the 4 messages addressed to each receiver.
+        assert [len(delivery.matrix[d]) for d in range(4)] == [3] * 4
 
     def test_byzantine_and_crashes_resolved(self):
         model = FaultModel(7, 1, 2)
@@ -158,9 +196,14 @@ class TestMemoization:
         ]
         assert set(memo_dict) == {2}
 
-    def test_partition_edges_flattened(self):
-        from repro.scenarios.compile import _partition_edges
+    def test_partition_rule_memoized_per_groups(self, pbft_model):
+        from repro.scenarios.compile import _bad_rule, _partition_rule
 
-        edges = _partition_edges(((0, 1), (2, 3)))
-        assert (0, 1) in edges and (1, 0) in edges
-        assert (0, 2) not in edges and (2, 1) not in edges
+        rule = _partition_rule(((0, 1), (2, 3)))
+        assert rule(0, 1) and rule(1, 0) and rule(2, 2)
+        assert not rule(0, 2) and not rule(2, 1)
+        # The halves of n = 4 are those groups: every run of every such
+        # cell shares the one stateless rule (and its edge set).
+        comm = CommSpec(kind="good-bad", bad="partition", good_from=3)
+        assert _bad_rule(comm, pbft_model, None) is rule
+        assert _partition_rule(((0, 1), (2, 3))) is rule

@@ -73,6 +73,87 @@ class TestCommSpec:
         hash(comm)
 
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"windows": [[5, 2]]}, "windows must be"),
+            ({"windows": [[0, 3]]}, "windows must be"),
+            ({"windows": "ab"}, "windows must be"),
+            ({"windows": [[1, 2, 3]]}, "windows must be"),
+            ({"windows": [[1.5, 2]]}, "windows must be"),
+            ({"windows": [5]}, "windows must be"),
+            ({"good_len": 0}, "good_len"),
+            ({"bad_len": -1}, "bad_len"),
+        ],
+    )
+    def test_ill_formed_schedule_rejected_at_construction(self, fields, message):
+        """Not first inside ``compile_scenario``, where a campaign would turn
+        it into a grid of ``error`` rows."""
+        with pytest.raises(ValueError, match=message):
+            CommSpec(kind="good-bad", **fields)
+
+    def test_tuple_of_list_windows_frozen_too(self):
+        comm = CommSpec(kind="good-bad", schedule="windows", windows=([3, 5],))
+        assert comm.windows == ((3, 5),)
+        hash(comm)
+
+
+class TestNormalForm:
+    """``reliable`` / ``lossy`` / ``silent`` are points of ``good-bad``; the
+    facts every reader below the spec asks instead of switching on kind."""
+
+    def test_regime_of_each_kind(self):
+        assert CommSpec().regime()[0] == "always"
+        assert CommSpec(kind="lossy").regime() == ("never", "drop")
+        assert CommSpec(kind="silent").regime() == ("never", "silence")
+        assert CommSpec(
+            kind="good-bad", schedule="windows", windows=((2, 3),), bad="partition"
+        ).regime() == ("windows", "partition")
+
+    def test_only_async_prel_is_not_per_edge(self):
+        assert not CommSpec(kind="async-prel").per_edge
+        assert all(
+            CommSpec(kind=kind).per_edge
+            for kind in ("reliable", "good-bad", "lossy", "silent")
+        )
+
+    @pytest.mark.parametrize(
+        "comm,never_bad,draws_coins,eventually_good",
+        [
+            (CommSpec(), True, False, True),
+            (CommSpec(kind="lossy"), False, True, False),
+            (CommSpec(kind="silent"), False, False, False),
+            (CommSpec(kind="async-prel"), False, False, False),
+            (CommSpec(kind="good-bad", schedule="always"), True, False, True),
+            (CommSpec(kind="good-bad", good_from=1), True, False, True),
+            (CommSpec(kind="good-bad", good_from=2), False, True, True),
+            (CommSpec(kind="good-bad", good_from=2, bad="partition"),
+             False, False, True),
+            (CommSpec(kind="good-bad", good_from=2, bad="silence"),
+             False, False, True),
+            (CommSpec(kind="good-bad", schedule="alternating", good_len=2,
+                      bad_len=0), True, False, False),
+            (CommSpec(kind="good-bad", schedule="alternating", good_len=2,
+                      bad_len=1), False, True, False),
+            (CommSpec(kind="good-bad", schedule="windows", windows=((1, 9),)),
+             False, True, False),
+            (CommSpec(kind="good-bad", schedule="never", bad="silence"),
+             False, False, False),
+        ],
+    )
+    def test_facts(self, comm, never_bad, draws_coins, eventually_good):
+        assert comm.never_bad() is never_bad
+        assert comm.draws_coins() is draws_coins
+        assert comm.eventually_good() is eventually_good
+
+    def test_normal_form_does_not_alias_coordinates(self):
+        """Equal regimes stay distinct specs: ``describe`` keys seeds."""
+        lossy = CommSpec(kind="lossy", drop_prob=0.3)
+        never = CommSpec(kind="good-bad", schedule="never", drop_prob=0.3)
+        assert lossy.regime() == never.regime()
+        assert lossy != never and lossy.describe() != never.describe()
+
+
 class TestScenarioSpec:
     def test_byzantine_placement_cycles_strategies(self):
         spec = ScenarioSpec(byzantine=("a", "b"))

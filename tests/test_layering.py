@@ -6,6 +6,12 @@ built on may import it back — module-level or function-local — with one
 documented exception: the batch kernel's late lookup of the scalar oracle,
 which stays until the end-to-end benchmark's tracer stops rebinding
 ``execute_run`` in the runner's namespace (ROADMAP).
+
+The second half guards the *communication table*: what a comm kind means is
+decided in ``scenarios/spec.py`` (normal form + facts) and turned into code
+in one ``_bad_rule`` clause; schedulers, planner, array tier and fuzz
+classifier read those, never the kind strings — and the ``Pcons`` stack is
+a scheduler under the one kernel, not a run loop beside it.
 """
 
 from __future__ import annotations
@@ -81,3 +87,110 @@ def test_the_one_exception_is_still_exactly_one_line():
         if relative == "engine/batch/kernel.py"
     }
     assert len(lines) == 1, "the allow-list entry is stale or has grown"
+
+
+# ------------------------------------------------- one communication table
+
+#: Comm-kind and bad-behaviour names (the unambiguous ones: ``reliable`` and
+#: ``silent`` also name other things) and where code may *compare* against
+#: them: the spec itself, the one ``_bad_rule`` clause, the fuzz generators.
+COMM_LITERALS = {"good-bad", "lossy", "async-prel", "drop", "partition", "silence"}
+LITERAL_COMPARERS = {
+    "scenarios/spec.py": None,  # anywhere in the file
+    "scenarios/compile.py": {"_bad_rule"},
+    "fuzz/space.py": None,
+    "fuzz/shrink.py": None,
+}
+#: The only readers of ``comm.kind`` / ``.bad`` / ``.schedule`` outside the
+#: spec: generators and shrinkers, which write specs rather than run them.
+COMM_FIELD_READERS = {"fuzz/space.py", "fuzz/shrink.py"}
+
+
+def _strings(node: ast.AST) -> Iterator[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        for element in node.elts:
+            yield from _strings(element)
+
+
+def comm_literal_compares(source: str) -> Iterator[Tuple[int, str, str]]:
+    """``(line, enclosing function, literal)`` per comparison against a
+    comm-kind / bad-behaviour name."""
+
+    def walk(node: ast.AST, function: str) -> Iterator[Tuple[int, str, str]]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                for text in _strings(operand):
+                    if text in COMM_LITERALS:
+                        yield node.lineno, function, text
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    yield from walk(ast.parse(source), "<module>")
+
+
+def comm_field_reads(source: str) -> Iterator[int]:
+    """Lines reading ``comm.kind`` / ``comm.bad`` / ``comm.schedule`` (also
+    spelled ``<x>.comm.kind`` …)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in (
+            "kind", "bad", "schedule"
+        ):
+            owner = node.value
+            name = getattr(owner, "id", None) or getattr(owner, "attr", None)
+            if name == "comm":
+                yield node.lineno
+
+
+def test_comm_scanners_see_what_they_guard():
+    source = (
+        "def f(comm, scenario):\n"
+        "    if comm.kind == 'lossy' or scenario.comm.bad in ('drop', 'x'):\n"
+        "        return comm.drop_prob\n"
+    )
+    assert sorted(comm_literal_compares(source)) == [
+        (2, "f", "drop"), (2, "f", "lossy"),
+    ]
+    assert list(comm_field_reads(source)) == [2, 2]
+
+
+def test_comm_names_are_compared_only_where_a_kind_becomes_code():
+    offending = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        functions = LITERAL_COMPARERS.get(relative, set())
+        for line, function, text in comm_literal_compares(
+            path.read_text("utf-8")
+        ):
+            if functions is not None and function not in functions:
+                offending.append(f"{relative}:{line} compares {text!r}")
+    assert offending == []
+
+
+def test_comm_fields_are_read_only_by_the_spec_and_the_generators():
+    reads = [
+        (path.relative_to(SRC).as_posix(), line)
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() != "scenarios/spec.py"
+        for line in comm_field_reads(path.read_text("utf-8"))
+    ]
+    assert {relative for relative, _line in reads} <= COMM_FIELD_READERS, reads
+    assert len(reads) <= 13, "the census of comm-kind reads has grown"
+
+
+def test_the_pcons_stack_has_no_run_loop_of_its_own():
+    """It is a scheduler under the one kernel: it neither drives processes
+    (``.send`` / ``.receive``) nor assembles them."""
+    tree = ast.parse((SRC / "network" / "stack.py").read_text("utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr not in ("send", "receive"), node.lineno
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name != "GenericConsensusProcess", node.lineno
+        if isinstance(node, ast.ImportFrom):
+            assert "GenericConsensusProcess" not in {
+                alias.name for alias in node.names
+            }, node.lineno
