@@ -176,12 +176,11 @@ def test_pbft_optimal_resilience(benchmark):
 def test_pbft_and_paxos_share_the_class3_selection_rule():
     """§5.3: both selection rounds derive from the class-3 FLV — on benign
     vectors Paxos's FLV and PBFT's FLV agree whenever both are defined."""
-    from repro.core.flv_variants import PaxosFLV, PBFTFLV
+    from repro.core.flv_variants import PaxosFLV
 
     paxos_model = FaultModel(4, 0, 1)
-    pbft_model = FaultModel(4, 1, 0)
     paxos_flv = PaxosFLV(paxos_model)
-    pbft_flv = PBFTFLV(pbft_model)
+    pbft_flv = build_pbft(4).parameters.flv
     cert = frozenset({("x", 2)})
     vectors = [
         [SelectionMessage("x", 2, cert, frozenset())] * 3,

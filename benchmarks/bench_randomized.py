@@ -4,6 +4,10 @@ Measured claims: termination with probability 1 under a Prel-only adversary
 (no good periods ever), in both the benign (TD = f + 1, n > 2f) and the
 Byzantine (TD = 3b + 1, n > 4b) variants; agreement in every run; and the
 Section-6 statement that class-3 parameter sets cannot be randomized.
+
+Every run goes through :func:`repro.scenarios.run_scenario`: the ``Prel``
+adversary is the ``async-prel`` comm kind, the coins are seeded per process
+by ``build_instance`` from the run's seed.
 """
 
 import statistics
@@ -12,20 +16,30 @@ import pytest
 
 from repro.algorithms import build_ben_or
 from repro.core.classification import AlgorithmClass, build_class_parameters
-from repro.core.randomized import (
-    check_randomizable,
-    run_randomized_consensus,
-)
+from repro.core.randomized import check_randomizable
 from repro.core.types import FaultModel
+from repro.scenarios import CommSpec, ScenarioSpec, run_scenario
+
+PREL = CommSpec(kind="async-prel")
+
+
+def run_prel(spec, values, seed, *, byzantine=(), max_phases=200):
+    """One seeded run of ``spec`` under the ``Prel``-only adversary."""
+    return run_scenario(
+        ScenarioSpec(byzantine=byzantine, comm=PREL),
+        spec.parameters,
+        rng=seed,
+        initial_values=values,
+        config=spec.config,
+        max_phases=max_phases,
+    )
 
 
 def test_benign_ben_or_terminates(benchmark):
     spec = build_ben_or(3)
 
     def run(seed=0):
-        return run_randomized_consensus(
-            spec.parameters, {0: 1, 1: 0, 2: 1}, seed=seed, max_phases=400
-        )
+        return run_prel(spec, {0: 1, 1: 0, 2: 1}, seed, max_phases=400)
 
     outcome = benchmark(run)
     assert outcome.agreement_holds
@@ -37,12 +51,8 @@ def test_byzantine_ben_or_terminates(benchmark):
     values = {pid: pid % 2 for pid in range(7)}
 
     def run(seed=1):
-        return run_randomized_consensus(
-            spec.parameters,
-            values,
-            seed=seed,
-            byzantine={7: "equivocator"},
-            max_phases=400,
+        return run_prel(
+            spec, values, seed, byzantine=("equivocator",), max_phases=400
         )
 
     outcome = benchmark(run)
@@ -56,9 +66,7 @@ def test_phase_distribution_is_geometric_like(report):
     spec = build_ben_or(3)
     phases = []
     for seed in range(40):
-        outcome = run_randomized_consensus(
-            spec.parameters, {0: 1, 1: 0, 2: 1}, seed=seed, max_phases=400
-        )
+        outcome = run_prel(spec, {0: 1, 1: 0, 2: 1}, seed, max_phases=400)
         assert outcome.agreement_holds, seed
         assert outcome.all_correct_decided, seed
         phases.append(outcome.phases_to_last_decision)
@@ -75,9 +83,7 @@ def test_unanimous_inputs_decide_immediately():
     """Unanimity: all-same inputs decide in phase 1 regardless of the coin."""
     spec = build_ben_or(3)
     for seed in range(10):
-        outcome = run_randomized_consensus(
-            spec.parameters, {0: 1, 1: 1, 2: 1}, seed=seed
-        )
+        outcome = run_prel(spec, {0: 1, 1: 1, 2: 1}, seed)
         assert outcome.decided_values == {1}
         assert outcome.phases_to_last_decision == 1
 
@@ -88,8 +94,13 @@ def test_class3_cannot_be_randomized():
         AlgorithmClass.CLASS_3, FaultModel(4, 1, 0)
     )
     assert not check_randomizable(params)
-    with pytest.raises(ValueError):
-        run_randomized_consensus(params, {pid: 0 for pid in range(4)})
+    with pytest.raises(ValueError, match="FLV-liveness"):
+        run_scenario(
+            ScenarioSpec(comm=PREL),
+            params,
+            rng=0,
+            config=build_ben_or(3).config,
+        )
 
 
 def test_classes_1_and_2_can_be_randomized():

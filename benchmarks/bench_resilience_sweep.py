@@ -14,7 +14,6 @@ per-cell report.
 
 import pytest
 
-from repro.analysis.resilience import sweep_class
 from repro.campaigns import (
     CampaignSpec,
     format_report,
@@ -23,8 +22,10 @@ from repro.campaigns import (
 )
 from repro.campaigns.presets import BYZANTINE_SCENARIOS
 from repro.core.classification import AlgorithmClass
-from repro.core.types import FaultModel
 from repro.scenarios import ScenarioSpec
+
+#: One scenario per strategy of the battery, on all ``b`` slots.
+BATTERY = tuple(ScenarioSpec(byzantine=(name,)) for name in BYZANTINE_SCENARIOS)
 
 BOUND_FACTOR = {
     AlgorithmClass.CLASS_1: 5,
@@ -42,9 +43,7 @@ def sweep_campaign(cls: AlgorithmClass, b: int) -> CampaignSpec:
             (n, b, 0)
             for n in range(max(b + 1, factor * b - 1), factor * b + 3)
         ),
-        scenarios=tuple(
-            ScenarioSpec(byzantine=(name,)) for name in BYZANTINE_SCENARIOS
-        ),
+        scenarios=BATTERY,
         max_phases=8,
     )
 
@@ -70,31 +69,37 @@ def test_sweep(cls, b, report):
 
 def test_mqb_exists_exactly_in_the_gap(benchmark):
     """The paper's discovery: class 2 fills 4b < n ≤ 5b for f = 0."""
-
-    def sweep_gap():
-        b = 1
-        gap_rows = sweep_class(
-            AlgorithmClass.CLASS_2, [FaultModel(5, b, 0)], max_phases=8
-        )
-        fab_rows = sweep_class(
-            AlgorithmClass.CLASS_1, [FaultModel(5, b, 0)], max_phases=8
-        )
-        return gap_rows, fab_rows
-
-    gap_rows, fab_rows = benchmark(sweep_gap)
-    assert all(row.admitted and row.agreement and row.termination for row in gap_rows)
-    assert all(not row.admitted for row in fab_rows)
+    gap = CampaignSpec(
+        name="mqb-gap",
+        algorithms=("class-2", "class-1"),
+        models=((5, 1, 0),),
+        scenarios=BATTERY,
+        max_phases=8,
+    )
+    rows = benchmark(run_campaign, gap)
+    assert len(rows) == 2 * len(BATTERY)
+    for row in rows:
+        if row["algorithm"] == "class-2":
+            assert row["status"] == "ok"
+            assert row["agreement"] and row["termination"]
+        else:
+            assert row["status"] == "inadmissible"
 
 
 def test_benign_frontier():
     """b = 0: classes 2/3 at n > 2f, class 1 at n > 3f."""
-    rows2 = sweep_class(
-        AlgorithmClass.CLASS_2, [FaultModel(3, 0, 1), FaultModel(2, 0, 1)]
+    frontier = CampaignSpec(
+        name="benign-frontier",
+        algorithms=("class-2", "class-1"),
+        models=((4, 0, 1), (3, 0, 1), (2, 0, 1)),
+        scenarios=(ScenarioSpec(name="crash-f", crashes=-1),),
+        max_phases=12,
     )
-    assert rows2[0].admitted and rows2[0].termination
-    assert not rows2[1].admitted
-    rows1 = sweep_class(
-        AlgorithmClass.CLASS_1, [FaultModel(4, 0, 1), FaultModel(3, 0, 1)]
-    )
-    assert rows1[0].admitted and rows1[0].termination
-    assert not rows1[1].admitted
+    verdict = {
+        (row["algorithm"], row["n"]): (row["status"], row["termination"])
+        for row in run_campaign(frontier)
+    }
+    assert verdict["class-2", 3] == ("ok", True)
+    assert verdict["class-2", 2] == ("inadmissible", None)
+    assert verdict["class-1", 4] == ("ok", True)
+    assert verdict["class-1", 3] == ("inadmissible", None)

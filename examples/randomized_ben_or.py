@@ -7,23 +7,30 @@ each correct process.  Deterministic algorithms cannot terminate in this
 model (FLP); Ben-Or's coin makes the probability of perpetual disagreement
 zero.  We run many seeds and show the distribution of phases-to-decision.
 
+The adversary is the ``async-prel`` comm kind of an inline scenario; the
+coins are seeded per process by the one assembly step, from the run's seed.
+
 Run:  python examples/randomized_ben_or.py
 """
 
 from collections import Counter
 
 from repro.algorithms import build_ben_or
-from repro.core.randomized import run_randomized_consensus
+from repro.scenarios import CommSpec, ScenarioSpec, run_scenario
 
 
 def run_distribution(spec, values, byzantine, seeds, max_phases=300):
+    scenario = ScenarioSpec(
+        byzantine=byzantine, comm=CommSpec(kind="async-prel")
+    )
     phases = Counter()
     for seed in seeds:
-        outcome = run_randomized_consensus(
+        outcome = run_scenario(
+            scenario,
             spec.parameters,
-            values,
-            seed=seed,
-            byzantine=byzantine,
+            rng=seed,
+            initial_values=values,
+            config=spec.config,
             max_phases=max_phases,
         )
         assert outcome.agreement_holds, f"seed {seed}: agreement violated!"
@@ -49,7 +56,7 @@ def main():
     # phases genuinely split and the coin has to do its work.
     spec = build_ben_or(3)  # benign, n > 2f
     phases = run_distribution(
-        spec, {0: 1, 1: 0, 2: 1}, byzantine=None, seeds=seeds
+        spec, {0: 1, 1: 0, 2: 1}, byzantine=(), seeds=seeds
     )
     show("Benign Ben-Or, n=3, f=1, split inputs 1/0/1:", phases, len(seeds))
 
@@ -57,7 +64,7 @@ def main():
     phases = run_distribution(
         spec,
         {pid: pid % 2 for pid in range(7)},
-        byzantine={7: "equivocator"},
+        byzantine=("equivocator",),  # on the top process id, 7
         seeds=seeds,
     )
     show(

@@ -10,9 +10,13 @@ Instead of the partial-synchrony predicates, Ben-Or assumes reliable
 channels: ``Prel`` holds in *every* round (each correct process receives at
 least ``n − b − f`` messages).  Line 11's deterministic choice becomes a
 fair coin; repeated phases make all correct processes select the same value
-with probability 1.  Run specs produced here through
-:func:`repro.core.randomized.run_randomized_consensus`, which installs the
-coins and the ``Prel`` adversary.
+with probability 1.  The spec's config carries the
+:data:`~repro.core.randomized.RANDOMIZED` marker, so every executor that
+assembles it with the run's seed gets one independent coin per process; the
+``Prel`` adversary is the ``async-prel`` comm kind::
+
+    run_scenario(ScenarioSpec(comm=CommSpec(kind="async-prel")),
+                 spec.parameters, rng=seed, config=spec.config)
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Optional
 from repro.algorithms.registry import AlgorithmSpec, register
 from repro.core.classification import AlgorithmClass
 from repro.core.flv_variants import BenOrFLV
-from repro.core.parameters import ConsensusParameters
+from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
+from repro.core.randomized import RANDOMIZED
 from repro.core.selector import AllProcessesSelector
 from repro.core.types import FaultModel, Flag
 
@@ -64,5 +69,6 @@ def build_ben_or(
         algorithm_class=AlgorithmClass.CLASS_2,
         paper_section="6",
         notes=f"randomized binary consensus, {variant} variant, TD={td}; "
-        "run via run_randomized_consensus (Prel adversary + coins)",
+        "per-process coins seeded per run, Prel adversary = async-prel comm",
+        config=GenericConsensusConfig(coin=RANDOMIZED),
     )

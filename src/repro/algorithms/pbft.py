@@ -7,10 +7,12 @@ any ``n > 3b`` since Algorithm 8's conditions are expressed through
 
 PBFT reaches the optimal Byzantine resilience by paying with the unbounded
 ``history`` variable (dissemination-quorum certificates).  PBFT does not
-provide unanimity, hence Algorithm 8 omits lines 8-9 of the generic class-3
-FLV.  The original uses a coordinator-based signature-free ``Pcons``
-implementation; running under :mod:`repro.network.stack` with the echo
-implementation gives the coordinator-free variant the paper mentions.
+provide unanimity, hence Algorithm 8 is the generic class-3 FLV (Algorithm
+4) minus its lines 8-9 — ``FLVClass3(ensure_unanimity=False)``, which is
+what the batch planner and the columnar evaluators see.  The original uses
+a coordinator-based signature-free ``Pcons`` implementation; running under
+:mod:`repro.network.stack` with the echo implementation gives the
+coordinator-free variant the paper mentions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Optional
 
 from repro.algorithms.registry import AlgorithmSpec, register
 from repro.core.classification import AlgorithmClass
-from repro.core.flv_variants import PBFTFLV, pbft_threshold
+from repro.core.flv_class3 import FLVClass3
+from repro.core.flv_variants import pbft_threshold
 from repro.core.parameters import ConsensusParameters
 from repro.core.selector import AllProcessesSelector
 from repro.core.types import FaultModel, Flag
@@ -41,7 +44,7 @@ def build_pbft(n: int, b: Optional[int] = None) -> AlgorithmSpec:
         model=model,
         threshold=td,
         flag=Flag.CURRENT_PHASE,
-        flv=PBFTFLV(model, td),
+        flv=FLVClass3(model, td, ensure_unanimity=False),
         selector=AllProcessesSelector(model),
     )
     return AlgorithmSpec(

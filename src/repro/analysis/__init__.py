@@ -1,4 +1,4 @@
-"""Trace recording, invariant checking, metrics and sweep harnesses."""
+"""Trace recording, invariant checking and metrics."""
 
 from repro.analysis.invariants import (
     InvariantViolation,

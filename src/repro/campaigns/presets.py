@@ -8,8 +8,9 @@ Each preset is a :class:`~repro.campaigns.spec.CampaignSpec` runnable as
   elsewhere;
 * ``fig1-flv-class1`` / ``fig2-flv-class2`` / ``fig3-flv-class3`` — the
   per-class resilience sweeps over ``n`` for ``b = 1`` under the Byzantine
-  scenario battery (the constructive FaB ``n > 5b`` / MQB ``n > 4b`` /
-  PBFT ``n > 3b`` frontiers);
+  scenario battery :data:`BYZANTINE_SCENARIOS` (the constructive FaB
+  ``n > 5b`` / MQB ``n > 4b`` / PBFT ``n > 3b`` frontiers, below-bound
+  models as ``inadmissible`` rows);
 * ``latency-gst`` — the timed-engine GST sensitivity curve (decision time
   tracks the global stabilization time);
 * ``grid-demo`` — a fast ≥ 100-run mixed lockstep/timed grid used by the
@@ -24,15 +25,19 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.analysis.resilience import DEFAULT_BYZANTINE_SCENARIOS
 from repro.campaigns.spec import CampaignSpec, NetworkSpec
 from repro.scenarios.registry import SCENARIO_REGISTRY
 from repro.scenarios.spec import ScenarioSpec
 
-#: The adversarial battery used by the per-class figure sweeps — the same
-#: battery :func:`repro.analysis.resilience.sweep_class` runs, so the two
-#: sweep harnesses cannot drift apart.
-BYZANTINE_SCENARIOS: Tuple[str, ...] = tuple(DEFAULT_BYZANTINE_SCENARIOS)
+#: The adversarial battery of the per-class figure sweeps: one strategy
+#: name per scenario, placed on all ``b`` Byzantine slots.
+BYZANTINE_SCENARIOS: Tuple[str, ...] = (
+    "silent",
+    "equivocator",
+    "vote-flipper",
+    "high-ts-liar",
+    "fake-history-liar",
+)
 
 
 def _byz(*names: str) -> Tuple[ScenarioSpec, ...]:

@@ -140,6 +140,7 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
             initial_values,
             config=config,
             byzantine=compiled.byzantine,
+            seed=compiled.seed,
         )
         outcome = run_instance(
             instance,

@@ -3,17 +3,15 @@
 Usage examples::
 
     python -m repro.cli list
-    python -m repro.cli run --algorithm pbft --n 4 --byzantine equivocator
-    python -m repro.cli run --algorithm mqb --n 9 --b 2 --byzantine silent
     python -m repro.cli table1
-    python -m repro.cli sweep --class 2 --b 1 --n-max 8
-    python -m repro.cli ben-or --n 3 --seeds 20
     python -m repro.cli scenario list
     python -m repro.cli scenario run partition_heal --algorithm pbft --n 4
     python -m repro.cli scenario run worst_case --algorithm class-3 --n 7 --engine timed
+    python -m repro.cli scenario run fault-free --algorithm ben-or --n 5 --seed 3
     python -m repro.cli profile worst_case --algorithm pbft --n 4 --b 1
     python -m repro.cli campaign list
     python -m repro.cli campaign run grid-demo --workers 4
+    python -m repro.cli campaign run fig2-flv-class2
     python -m repro.cli campaign run myspec.json --out results.jsonl
     python -m repro.cli campaign run myspec.json --out results.jsonl --resume
     python -m repro.cli campaign run grid-demo --events events.jsonl --progress
@@ -34,11 +32,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.algorithms import ALGORITHM_BUILDERS
-from repro.analysis.metrics import RunMetrics
 from repro.analysis.reporting import format_table
-from repro.analysis.resilience import sweep_class
 from repro.core.classification import AlgorithmClass
-from repro.core.types import FaultModel
 from repro.faults.registry import STRATEGY_REGISTRY
 
 
@@ -50,56 +45,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(STRATEGY_REGISTRY):
         print(f"  {name}")
     return 0
-
-
-def _build_spec(args: argparse.Namespace):
-    builder = ALGORITHM_BUILDERS.get(args.algorithm)
-    if builder is None:
-        print(
-            f"unknown algorithm {args.algorithm!r}; try: "
-            f"{', '.join(sorted(ALGORITHM_BUILDERS))}",
-            file=sys.stderr,
-        )
-        return None
-    kwargs = {}
-    if args.b is not None:
-        kwargs["b"] = args.b
-    if args.f is not None:
-        kwargs["f"] = args.f
-    try:
-        return builder(args.n, **kwargs)
-    except (TypeError, ValueError) as exc:
-        print(f"cannot build {args.algorithm}: {exc}", file=sys.stderr)
-        return None
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    if spec is None:
-        return 2
-    model = spec.parameters.model
-    byzantine = {}
-    if args.byzantine:
-        if model.b == 0:
-            print("model has b = 0; --byzantine ignored", file=sys.stderr)
-        else:
-            byzantine = {
-                model.n - 1 - i: args.byzantine for i in range(model.b)
-            }
-    values = {
-        pid: f"v{pid % 2}" for pid in model.processes if pid not in byzantine
-    }
-    outcome = spec.run(values, byzantine=byzantine, max_phases=args.max_phases)
-    metrics = RunMetrics.from_outcome(outcome)
-    print(f"{spec.name}  [{spec.parameters.describe()}]")
-    decided = {pid: d.value for pid, d in sorted(outcome.decisions.items())}
-    print(f"  decided     : {decided}")
-    print(f"  agreement   : {outcome.agreement_holds}")
-    print(f"  termination : {outcome.all_correct_decided}")
-    print(f"  phases      : {metrics.phases_to_last_decision}")
-    print(f"  rounds      : {metrics.rounds_to_last_decision}")
-    print(f"  messages    : {metrics.messages_sent}")
-    return 0 if outcome.agreement_holds else 1
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -122,62 +67,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cls = AlgorithmClass(args.cls)
-    factor, _ = cls.row.n_bound
-    n_min = max(args.b + 1, factor * args.b - 1)
-    configurations = []
-    for n in range(n_min, args.n_max + 1):
-        try:
-            configurations.append(FaultModel(n, args.b, 0))
-        except ValueError:
-            continue
-    rows = sweep_class(cls, configurations, max_phases=args.max_phases)
-    print(
-        format_table(
-            ["n", "b", "scenario", "admitted", "agreement", "termination", "phases"],
-            [
-                [r.n, r.b, r.scenario, r.admitted, r.agreement, r.termination, r.phases]
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def _cmd_ben_or(args: argparse.Namespace) -> int:
-    from collections import Counter
-
-    from repro.algorithms.ben_or import build_ben_or
-    from repro.core.randomized import run_randomized_consensus
-
-    spec = build_ben_or(args.n, b=args.b or 0)
-    model = spec.parameters.model
-    values = {
-        pid: (pid + 1) % 2 for pid in range(model.n - (1 if args.b else 0))
-    }
-    byzantine = {model.n - 1: "equivocator"} if args.b else None
-    phases = Counter()
-    for seed in range(args.seeds):
-        outcome = run_randomized_consensus(
-            spec.parameters, values, seed=seed, byzantine=byzantine,
-            max_phases=args.max_phases,
-        )
-        if not outcome.agreement_holds:
-            print(f"seed {seed}: AGREEMENT VIOLATED", file=sys.stderr)
-            return 1
-        key = (
-            outcome.phases_to_last_decision
-            if outcome.all_correct_decided
-            else ">max"
-        )
-        phases[key] += 1
-    print(f"{spec.name} over {args.seeds} seeds (phases to decide):")
-    for key in sorted(phases, key=str):
-        print(f"  {key!s:>5}: {phases[key]}")
     return 0
 
 
@@ -1247,27 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list algorithms and strategies")
 
-    run = sub.add_parser("run", help="run one consensus instance")
-    run.add_argument("--algorithm", required=True)
-    run.add_argument("--n", type=int, required=True)
-    run.add_argument("--b", type=int, default=None)
-    run.add_argument("--f", type=int, default=None)
-    run.add_argument("--byzantine", default=None, help="strategy name")
-    run.add_argument("--max-phases", type=int, default=15)
-
     sub.add_parser("table1", help="print Table 1")
-
-    sweep = sub.add_parser("sweep", help="resilience sweep for one class")
-    sweep.add_argument("--class", dest="cls", type=int, required=True, choices=[1, 2, 3])
-    sweep.add_argument("--b", type=int, default=1)
-    sweep.add_argument("--n-max", type=int, default=8)
-    sweep.add_argument("--max-phases", type=int, default=8)
-
-    ben_or = sub.add_parser("ben-or", help="randomized Ben-Or seed study")
-    ben_or.add_argument("--n", type=int, default=3)
-    ben_or.add_argument("--b", type=int, default=None)
-    ben_or.add_argument("--seeds", type=int, default=20)
-    ben_or.add_argument("--max-phases", type=int, default=400)
 
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"
@@ -1630,10 +1499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "list": _cmd_list,
-        "run": _cmd_run,
         "table1": _cmd_table1,
-        "sweep": _cmd_sweep,
-        "ben-or": _cmd_ben_or,
         "scenario": _cmd_scenario,
         "profile": _cmd_profile,
         "smr": _cmd_smr,

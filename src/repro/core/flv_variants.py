@@ -1,11 +1,20 @@
 """Specialized FLV instantiations used by the named algorithms (Section 5-6).
 
-These are the paper's Algorithms 6 (FaB Paxos), 7 (Paxos), 8 (PBFT) and 9
-(Ben-Or).  Each is a simplification of one of the three generic class
-functions (Algorithms 2-4) under the specific parameters of the target
-algorithm; we implement them *literally* as printed so tests can compare them
-against the generic functions and confirm the paper's equivalence claims
-(including the "small improvement" remarks of Section 5.1).
+These are the paper's Algorithms 6 (FaB Paxos), 7 (Paxos) and 9 (Ben-Or),
+implemented *literally* as printed.  Algorithm 8 (PBFT) is not here: it is
+Algorithm 4 without the unanimity branch, line for line, so ``build_pbft``
+instantiates ``FLVClass3(ensure_unanimity=False)`` itself.  Algorithms 6
+and 7 stay literal because they are *not* quite their class functions — a
+small-scope census (``tests/core/test_flv_variants.py::TestCensus``) pins
+where:
+
+* ``FaBPaxosFLV`` ≡ ``FLVClass1`` at ``TD = ⌈(n + 3b + 1)/2⌉`` on every
+  vote multiset **except** ``|μ| = n − b − 1`` when ``n − b`` is even,
+  where the printing's ``|μ| > n − b − 1`` answers ``null`` and Algorithm
+  2's ``|μ| > 2(n − TD + b)`` answers ``?``;
+* ``PaxosFLV`` ≡ ``FLVClass2`` at ``TD = ⌈(n + 1)/2⌉`` for odd ``n`` and
+  differs for even ``n``: the printing's ``> n/2`` is one stricter than
+  Algorithm 3's ``> n − TD``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.flv import FLVFunction, FLVRequirements, FLVResult
-from repro.core.flv_class2 import survivors
 from repro.core.types import FaultModel, SelectionMessage, Value
 from repro.utils.det import value_counts
 from repro.utils.sentinels import ANY_VALUE, NULL_VALUE
@@ -115,53 +123,6 @@ class PaxosFLV(FLVFunction):
         if len(distinct_votes) == 1:
             return next(iter(distinct_votes))
         if 2 * len(messages) > self._n:
-            return ANY_VALUE
-        return NULL_VALUE
-
-
-class PBFTFLV(FLVFunction):
-    """Algorithm 8: FLV for class 3 with ``TD = 2b + 1`` and ``n = 3b + 1``.
-
-    PBFT drops the unanimity property, so lines 8-9 of Algorithm 4 disappear
-    and the ``ts = 0`` branch merges into the ``?`` condition::
-
-        1: possibleVotes ← {(vote, ts, −) ∈ μ : |{… vote = vote′ ∨ ts > ts′}| > 2b}
-        2: correctVotes ← {v : (v, ts) ∈ possibleVotes ∧ history support > b}
-        3: if |correctVotes| = 1 then return v
-        5: else if |correctVotes| > 1 or |{ts = 0 messages}| > 2b then return ?
-        7: else return null
-    """
-
-    name = "flv-pbft"
-
-    def __init__(self, model: FaultModel, threshold: int | None = None) -> None:
-        super().__init__(model, threshold or pbft_threshold(model))
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=True,
-            uses_history=True,
-            supports_prel_liveness=False,
-            needs_strong_selector_validity=True,
-        )
-
-    def evaluate(
-        self, messages: Sequence[SelectionMessage], phase: int = 0
-    ) -> FLVResult:
-        slack = self._slack  # n − TD + b = 2b when n = 3b + 1, TD = 2b + 1
-        possible = survivors(messages, slack)
-        correct_votes: set[Value] = set()
-        for message in possible:
-            support = sum(
-                1 for other in messages if (message.vote, message.ts) in other.history
-            )
-            if support > self._b:
-                correct_votes.add(message.vote)
-        if len(correct_votes) == 1:
-            return next(iter(correct_votes))
-        zero_ts = sum(1 for message in messages if message.ts == 0)
-        if len(correct_votes) > 1 or zero_ts > slack:
             return ANY_VALUE
         return NULL_VALUE
 

@@ -4,13 +4,16 @@ Two modifications turn Algorithm 1 into a randomized binary consensus
 algorithm:
 
 1. Line 11's deterministic choice is replaced by a coin flip: ``select_p :=
-   1 or 0 with probability 0.5``.  Implemented as a
-   :data:`~repro.core.parameters.Coin` installed in
-   :class:`~repro.core.parameters.GenericConsensusConfig`.
+   1 or 0 with probability 0.5``.  An algorithm says so by carrying the
+   :data:`RANDOMIZED` marker as its config's ``coin`` (what the ``ben-or``
+   registry entry does); :func:`~repro.engine.assembly.build_instance`
+   trades the marker for one :func:`make_coin` stream per honest process
+   (:func:`seeded_configs`), drawn from the run's seed over the run's own
+   two proposals.
 2. The communication assumption is ``Prel`` in *every* round (at least
    ``n − b − f`` messages per correct process per round) instead of the
-   eventual ``Pcons``/``Pgood`` predicates — realized by
-   :class:`~repro.rounds.policies.AsyncPrelPolicy`.
+   eventual ``Pcons``/``Pgood`` predicates — the ``async-prel`` comm kind
+   (:class:`~repro.rounds.policies.AsyncPrelPolicy`).
 
 Correspondingly, FLV must satisfy the stronger liveness variant: any vector
 of ``n − b − f`` messages yields a non-``null`` result.  Algorithms 2 and 3
@@ -21,15 +24,11 @@ conjectures class-3 algorithms cannot be randomized this way, and
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.parameters import Coin, ConsensusParameters, GenericConsensusConfig
 from repro.core.types import Phase, ProcessId, Value
-from repro.engine.assembly import build_instance
-from repro.engine.kernel import run_instance
-from repro.engine.outcome import Outcome
-from repro.engine.scheduler import LockstepScheduler
-from repro.rounds.policies import AsyncPrelPolicy
 from repro.utils.rng import SeededRng
 
 
@@ -61,39 +60,43 @@ def check_randomizable(parameters: ConsensusParameters) -> bool:
     return parameters.flv.requirements.supports_prel_liveness
 
 
-def run_randomized_consensus(
-    parameters: ConsensusParameters,
-    initial_values: dict,
-    *,
-    seed: int = 0,
-    max_phases: int = 200,
-    byzantine: Optional[dict] = None,
-    coin_values: Sequence[Value] = (0, 1),
-) -> Outcome:
-    """Run the randomized adaptation under a ``Prel``-only adversary.
+def RANDOMIZED(phase: Phase) -> Value:
+    """The marker coin: "line 11 is a coin flip", before any run has a seed.
 
-    Terminates with probability 1; ``max_phases`` bounds the simulation (the
-    expected number of phases is exponential in n in the worst case but tiny
-    for the adversaries implemented here).
+    Planners and gates read it as ``config.coin is not None``; assembly
+    replaces it per process, so flipping it means an instance was built
+    around :func:`~repro.engine.assembly.build_instance`.
+    """
+    raise ValueError("the RANDOMIZED marker was never seeded into a coin")
+
+
+def seeded_configs(
+    parameters: ConsensusParameters,
+    config: GenericConsensusConfig,
+    proposals: Iterable[Value],
+    seed: Optional[int],
+) -> Callable[[ProcessId], GenericConsensusConfig]:
+    """``pid → config`` for one run of a :data:`RANDOMIZED` ``config``.
+
+    Every process gets its own :func:`make_coin` stream of ``seed`` over
+    the honest ``proposals`` (binary consensus: at most two distinct ones).
     """
     if not check_randomizable(parameters):
         raise ValueError(
             f"{parameters.flv.name} does not satisfy the strengthened "
             "FLV-liveness required by randomized algorithms (Section 6)"
         )
-    rng = SeededRng(seed)
-
-    # Coins must be independent across processes, so each process gets its
-    # own config instead of the one ``config=`` shares across all of them.
-    def config_for(pid: ProcessId) -> GenericConsensusConfig:
-        return GenericConsensusConfig(coin=make_coin(seed, pid, coin_values))
-
-    instance = build_instance(
-        parameters, initial_values, byzantine=byzantine, config_for=config_for
-    )
-    return run_instance(
-        instance,
-        LockstepScheduler(AsyncPrelPolicy(rng.stream("prel-adversary"))),
-        max_phases=max_phases,
-        record_snapshots=False,
-    )
+    if seed is None:
+        raise ValueError(
+            "a randomized instance needs its run's seed: "
+            "build_instance(..., seed=...) or run_scenario(..., rng=...)"
+        )
+    pool = sorted(set(proposals), key=repr)
+    if len(pool) > 2:
+        raise ValueError(
+            f"randomized consensus is binary, got {len(pool)} distinct "
+            f"proposals: {pool}"
+        )
+    if len(pool) == 1:
+        pool *= 2  # unanimous: the coin's only outcome is the one proposal
+    return lambda pid: replace(config, coin=make_coin(seed, pid, pool))

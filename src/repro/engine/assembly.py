@@ -7,24 +7,23 @@ strategies, derive the :class:`~repro.core.process.RoundStructure`, and
 create the shared :class:`~repro.rounds.base.RunContext`.  The resulting
 :class:`Instance` also carries the canonical decision probe and state
 snapshot observer, so equivocation handling and decision detection are
-identical under every timing discipline.
+identical under every timing discipline.  A randomized config (Section 6)
+is seeded here: each honest process gets its own coin stream of the run's
+``seed``, so no execution path can run one coinless or on a shared coin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.process import GenericConsensusProcess, RoundStructure
+from repro.core.randomized import RANDOMIZED, seeded_configs
 from repro.core.types import Decision, Flag, ProcessId, RoundInfo, Value
 from repro.faults.registry import ByzantineSpec, build_byzantine
 from repro.rounds.base import RoundProcess, RunContext
-
-#: Per-process configuration factory (randomized runs give each process an
-#: independent coin, so they cannot share one config object).
-ConfigFactory = Callable[[ProcessId], GenericConsensusConfig]
 
 
 @lru_cache(maxsize=64)
@@ -84,14 +83,15 @@ def build_instance(
     *,
     config: Optional[GenericConsensusConfig] = None,
     byzantine: Optional[Mapping[ProcessId, ByzantineSpec]] = None,
-    config_for: Optional[ConfigFactory] = None,
+    seed: Optional[int] = None,
 ) -> Instance:
     """Assemble processes, strategies and context for one instance.
 
     ``initial_values`` must provide a proposal for every honest process;
     ``byzantine`` maps process ids to strategies (at most ``b`` entries).
-    ``config_for`` overrides ``config`` per honest process (``config`` still
-    determines the round structure).
+    ``seed`` is the run's seed; only a randomized ``config`` reads it (and
+    refuses to be assembled without it), to give every honest process an
+    independent coin over the instance's two proposals.
     """
     model = parameters.model
     config = config or GenericConsensusConfig()
@@ -102,6 +102,10 @@ def build_instance(
         )
 
     structure = _shared_structure(parameters.flag, config.skip_first_selection)
+    per_process = None
+    if config.coin is RANDOMIZED:
+        honest = (v for pid, v in initial_values.items() if pid not in byzantine)
+        per_process = seeded_configs(parameters, config, honest, seed)
 
     processes: Dict[ProcessId, RoundProcess] = {}
     initials: Dict[ProcessId, Value] = {}
@@ -116,7 +120,7 @@ def build_instance(
             pid,
             initial_values[pid],
             parameters,
-            config_for(pid) if config_for is not None else config,
+            per_process(pid) if per_process is not None else config,
         )
 
     context = RunContext(model, byzantine=frozenset(byzantine))

@@ -200,6 +200,7 @@ def execute_candidate(
             initial_values,
             config=config,
             byzantine=compiled.byzantine,
+            seed=compiled.seed,
         )
         outcome = run_instance(
             instance,

@@ -317,7 +317,12 @@ class SignatureFreeCoordinatorEcho(PconsImplementation):
                 for entry in echo.entries:
                     if not (isinstance(entry, tuple) and len(entry) == 2):
                         continue
-                    if entry in seen:
+                    try:
+                        if entry in seen:
+                            continue
+                    except TypeError:
+                        # An unhashable (Byzantine) payload cannot be
+                        # counted: the entry matches nothing.
                         continue
                     seen.add(entry)
                     counts[entry] = counts.get(entry, 0) + 1

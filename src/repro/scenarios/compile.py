@@ -192,6 +192,9 @@ class CompiledScenario:
     byzantine: Dict[ProcessId, str]
     crash_schedule: Optional[CrashSchedule]
     scheduler: RoundScheduler
+    #: The run's seed — what ``build_instance(seed=...)`` turns into the
+    #: per-process coins of a randomized algorithm.
+    seed: int
 
     def honest_values(self, split: bool = True) -> Dict[ProcessId, str]:
         """Standard proposals for the scenario's honest processes."""
@@ -300,6 +303,7 @@ def compile_scenario(
         byzantine=byzantine,
         crash_schedule=crash_schedule,
         scheduler=scheduler,
+        seed=seed,
     )
 
 
@@ -337,7 +341,11 @@ def run_scenario(
         else compiled.honest_values()
     )
     instance = build_instance(
-        parameters, values, config=config, byzantine=compiled.byzantine
+        parameters,
+        values,
+        config=config,
+        byzantine=compiled.byzantine,
+        seed=compiled.seed,
     )
     return run_instance(
         instance,

@@ -329,6 +329,7 @@ class _SlotRunner:
                 values,
                 config=self._algo_config,
                 byzantine=compiled.byzantine,
+                seed=compiled.seed,
             )
             outcome = run_instance(
                 instance,

@@ -1,7 +1,10 @@
 """Algorithms 6-9: the specialized FLV functions of Sections 5-6."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
+from repro.algorithms import build_pbft
 from repro.core.flv_class1 import FLVClass1
 from repro.core.flv_class2 import FLVClass2
 from repro.core.flv_class3 import FLVClass3
@@ -9,7 +12,6 @@ from repro.core.flv_variants import (
     BenOrFLV,
     FaBPaxosFLV,
     PaxosFLV,
-    PBFTFLV,
     fab_paxos_threshold,
     paxos_threshold,
     pbft_threshold,
@@ -130,11 +132,18 @@ class TestPaxosFLV:
             )
 
 
-class TestPBFTFLV:
-    """Algorithm 8: class 3 without the unanimity branch."""
+class TestPbftFlv:
+    """Algorithm 8 is class 3 without the unanimity branch: ``build_pbft``
+    instantiates exactly that."""
 
-    def test_certified_value_returned(self, pbft_model):
-        flv = PBFTFLV(pbft_model)
+    def test_is_the_class_flv_without_unanimity(self, pbft_model):
+        flv = build_pbft(4).parameters.flv
+        assert type(flv) is FLVClass3
+        assert not flv.ensure_unanimity
+        assert flv.threshold == pbft_threshold(pbft_model)
+
+    def test_certified_value_returned(self):
+        flv = build_pbft(4).parameters.flv
         cert = frozenset({("v", 2)})
         messages = [
             sel_msg("v", ts=2, history=cert),
@@ -143,28 +152,75 @@ class TestPBFTFLV:
         ]
         assert flv.evaluate(messages) == "v"
 
-    def test_fresh_system_returns_any(self, pbft_model):
-        flv = PBFTFLV(pbft_model)
+    def test_fresh_system_returns_any(self):
+        flv = build_pbft(4).parameters.flv
         messages = [sel_msg(f"v{i}", ts=0, history=frozenset()) for i in range(3)]
         assert flv.evaluate(messages) is ANY_VALUE
 
     def test_no_unanimity_guarantee(self, pbft_model):
-        # All honest propose v, but PBFT's FLV may return ? regardless.
-        flv = PBFTFLV(pbft_model)
+        # All honest propose v, but PBFT's FLV may return ? regardless —
+        # where the full class function answers v.
+        flv = build_pbft(4).parameters.flv
         messages = [sel_msg("v", ts=0, history=frozenset())] * 3
         assert flv.evaluate(messages) is ANY_VALUE
+        assert FLVClass3(pbft_model, 3).evaluate(messages) == "v"
 
-    def test_matches_class3_without_unanimity(self, pbft_model):
-        literal = PBFTFLV(pbft_model)
-        generic = FLVClass3(pbft_model, 3, ensure_unanimity=False)
-        cert = frozenset({("v", 1)})
-        vectors = [
-            [sel_msg("v", ts=1, history=cert)] * 2 + [sel_msg("w", ts=0)],
-            [sel_msg(f"u{i}", ts=0) for i in range(3)],
-            [sel_msg("v", ts=1, history=cert)],
-        ]
-        for vector in vectors:
-            assert literal.evaluate(vector) == generic.evaluate(vector)
+
+def _multisets(alphabet, largest):
+    for size in range(largest + 1):
+        yield from combinations_with_replacement(alphabet, size)
+
+
+class TestCensus:
+    """Exactly where the printed Algorithms 6 and 7 are the class FLVs — a
+    small-scope census over every message multiset, not hand-picked
+    vectors.  The divergence sets are why both stay literal."""
+
+    @pytest.mark.parametrize(
+        "n, b", [(6, 1), (7, 1), (8, 1), (9, 1), (11, 2), (12, 2)]
+    )
+    def test_fab_paxos_is_class1_except_one_vector_size(self, n, b):
+        """Equal on every vote multiset over three values, except
+        ``|μ| = n − b − 1`` when ``n − b`` is even: the printing's
+        ``|μ| > n − b − 1`` says ``null``, Algorithm 2 says ``?``."""
+        model = FaultModel(n, b, 0)
+        literal = FaBPaxosFLV(model)
+        generic = FLVClass1(model, fab_paxos_threshold(model))
+        divergent_sizes = set()
+        for votes in _multisets("abc", n):
+            messages = [sel_msg(vote) for vote in votes]
+            printed, classed = literal.evaluate(messages), generic.evaluate(messages)
+            if printed != classed:
+                assert (printed, classed) == (NULL_VALUE, ANY_VALUE), votes
+                divergent_sizes.add(len(votes))
+        assert divergent_sizes == ({n - b - 1} if (n - b) % 2 == 0 else set())
+
+    #: n → {|μ|: number of divergent (vote, ts) multisets} over
+    #: {a, b} × {0, 1, 2}; empty for odd n.
+    PAXOS_DIVERGENCE = {
+        3: {},
+        4: {2: 21, 3: 16, 4: 34},
+        5: {},
+        6: {3: 56, 4: 34, 5: 66, 6: 92},
+        7: {},
+    }
+
+    @pytest.mark.parametrize("n", sorted(PAXOS_DIVERGENCE))
+    def test_paxos_is_class2_for_odd_n_only(self, n):
+        """Equal for odd ``n``; for even ``n`` the printing's ``> n/2`` is
+        one stricter than Algorithm 3's ``> n − TD``, from ``|μ| = n/2``
+        up."""
+        model = FaultModel(n, 0, (n - 1) // 2)
+        literal = PaxosFLV(model)
+        generic = FLVClass2(model, paxos_threshold(model))
+        alphabet = [(vote, ts) for vote in "ab" for ts in (0, 1, 2)]
+        divergent = {}
+        for pairs in _multisets(alphabet, n):
+            messages = [sel_msg(vote, ts=ts) for vote, ts in pairs]
+            if literal.evaluate(messages) != generic.evaluate(messages):
+                divergent[len(pairs)] = divergent.get(len(pairs), 0) + 1
+        assert divergent == self.PAXOS_DIVERGENCE[n]
+        assert all(size >= n / 2 for size in divergent)
 
 
 class TestBenOrFLV:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.flv_class1 import FLVClass1
+from repro.core.flv_class2 import FLVClass2
 from repro.core.flv_class3 import FLVClass3
 from repro.core.parameters import (
     ConsensusParameters,
@@ -78,6 +79,27 @@ class TestConstraints:
                 flv=FLVClass3(pbft_model, 3),
                 selector=AllProcessesSelector(mqb_model),
             )
+
+
+class TestUncheckedParameters:
+    def test_bypasses_validation(self):
+        model = FaultModel(4, 1, 0)
+        # TD = 4 > n − b: normal construction would raise.
+        params = ConsensusParameters.unchecked(
+            model, 4, Flag.CURRENT_PHASE, FLVClass2(model, 4),
+            AllProcessesSelector(model),
+        )
+        assert isinstance(params, ConsensusParameters)
+        assert params.threshold == 4
+
+    def test_product_is_usable(self):
+        model = FaultModel(4, 1, 0)
+        params = ConsensusParameters.unchecked(
+            model, 3, Flag.CURRENT_PHASE, FLVClass2(model, 3),
+            AllProcessesSelector(model),
+        )
+        assert params.rounds_per_phase == 3
+        assert params.state_footprint == ("vote", "ts")
 
 
 class TestDerivedProperties:

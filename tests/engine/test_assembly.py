@@ -1,5 +1,7 @@
 """Instance assembly and the public Byzantine-strategy registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms import build_pbft
@@ -39,23 +41,35 @@ class TestBuildInstance:
                 byzantine={2: "silent", 3: "silent"},
             )
 
-    def test_config_factory_gives_distinct_configs(self, pbft4):
-        from repro.core.parameters import GenericConsensusConfig
+    def test_randomized_config_gets_one_stream_per_honest_process(self):
+        """A randomized config is never shared: every honest process holds
+        its own config whose coin is its own stream of the run's seed."""
+        from repro.algorithms import build_ben_or
+        from repro.core.randomized import RANDOMIZED
 
-        configs = {}
-
-        def config_for(pid):
-            configs[pid] = GenericConsensusConfig()
-            return configs[pid]
-
+        spec = build_ben_or(5, b=1)
         instance = build_instance(
-            pbft4.parameters,
-            {pid: "v" for pid in range(4)},
-            config_for=config_for,
+            spec.parameters,
+            {0: "x", 1: "y", 2: "x", 3: "y"},
+            config=spec.config,
+            byzantine={4: "equivocator"},
+            seed=21,
         )
-        assert set(configs) == {0, 1, 2, 3}
-        for pid, process in instance.honest_processes.items():
-            assert process.config is configs[pid]
+        assert instance.config is spec.config
+        configs = [p.config for p in instance.honest_processes.values()]
+        assert len({id(config) for config in configs}) == 4
+        flips = set()
+        for config in configs:
+            assert config.coin is not RANDOMIZED
+            assert config == dataclasses.replace(spec.config, coin=config.coin)
+            flips.add(tuple(config.coin(phase) for phase in range(24)))
+        assert len(flips) == 4
+
+    def test_deterministic_config_is_shared_and_ignores_the_seed(self, pbft4):
+        values = {pid: "v" for pid in range(4)}
+        instance = build_instance(pbft4.parameters, values, seed=21)
+        for process in instance.honest_processes.values():
+            assert process.config is instance.config
 
     def test_shared_structure_is_reused(self, pbft4):
         values = {pid: "v" for pid in range(4)}

@@ -19,29 +19,44 @@ def test_table1(capsys):
     assert "n>5b+3f" in out and "MQB" in out
 
 
-def test_run_pbft(capsys):
-    code = main(
-        ["run", "--algorithm", "pbft", "--n", "4", "--byzantine", "equivocator"]
-    )
-    assert code == 0
+def test_retired_commands_are_invalid_choices(capsys):
+    """``run`` / ``sweep`` / ``ben-or`` went with the private assembly paths
+    behind them; ``scenario run`` / ``campaign run`` are the one door."""
+    for argv in (
+        ["run", "--algorithm", "pbft", "--n", "4"],
+        ["sweep", "--class", "3"],
+        ["ben-or", "--n", "3"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+
+def test_scenario_run_quick_start(capsys):
+    """The README quick-start line: PBFT at n = 4 under the worst-case
+    scenario (an equivocator on the one Byzantine slot)."""
+    argv = ["scenario", "run", "worst_case", "--algorithm", "pbft",
+            "--n", "4", "--b", "1"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "agreement   : True" in out
-    assert "phases      : 1" in out
+    assert "termination : True" in out
 
 
-def test_run_benign(capsys):
-    assert main(["run", "--algorithm", "paxos", "--n", "3"]) == 0
-    assert "termination : True" in capsys.readouterr().out
+def test_scenario_run_ben_or_is_seeded(capsys):
+    """``ben-or`` through the front door runs with coins: same seed, same
+    output; and it is admitted as a randomized cell."""
+    from repro.engine.cell import admit
 
-
-def test_run_unknown_algorithm(capsys):
-    assert main(["run", "--algorithm", "nope", "--n", "4"]) == 2
-    assert "unknown algorithm" in capsys.readouterr().err
-
-
-def test_run_invalid_bound(capsys):
-    assert main(["run", "--algorithm", "pbft", "--n", "3", "--b", "1"]) == 2
-    assert "cannot build" in capsys.readouterr().err
+    assert admit("ben-or", 5, 0, 2)[2].coin is not None
+    argv = ["scenario", "run", "fault-free", "--algorithm", "ben-or",
+            "--n", "5", "--f", "2", "--seed", "9"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "agreement   : True" in first
 
 
 @pytest.mark.parametrize(
@@ -71,18 +86,6 @@ def test_scenario_run_checks_the_hosted_envelope(capsys):
             "--n", "7", "--b", "2", "--f", "2"]
     assert main(argv) == 2
     assert "cannot build pbft: pbft hosts (b=2, f=0)" in capsys.readouterr().err
-
-
-def test_sweep(capsys):
-    assert main(["sweep", "--class", "3", "--b", "1", "--n-max", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "admitted" in out
-
-
-def test_ben_or(capsys):
-    assert main(["ben-or", "--n", "3", "--seeds", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "phases to decide" in out
 
 
 def test_smr_serve(capsys):

@@ -11,6 +11,7 @@ from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.selector import RotatingSubsetSelector
 from repro.core.types import FaultModel
 from repro.engine import build_instance, run_instance
+from repro.faults import STRATEGY_REGISTRY
 from repro.network.stack import PconsStackScheduler, run_with_pcons_stack
 from repro.network.wic import (
     AuthenticatedCoordinatorEcho,
@@ -45,6 +46,28 @@ def test_algorithms_decide_over_implemented_pcons(builder, n, wic_cls):
     assert outcome.agreement_holds
     assert outcome.all_correct_decided
     assert outcome.pcons_held_in_phase(1)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_REGISTRY))
+@pytest.mark.parametrize(
+    "wic_cls", [AuthenticatedCoordinatorEcho, SignatureFreeCoordinatorEcho]
+)
+@pytest.mark.parametrize("position", [0, 3])
+def test_no_byzantine_payload_crashes_honest_echo_logic(
+    strategy, wic_cls, position
+):
+    """Whatever a Byzantine sender puts on the wire — ``noise`` sends
+    unhashable dicts — honest relay/echo code treats it as an unmatched
+    entry: no exception, and agreement holds."""
+    parameters = build_pbft(4).parameters
+    values = {pid: f"v{pid % 2}" for pid in range(4) if pid != position}
+    outcome = run_with_pcons_stack(
+        parameters,
+        values,
+        wic_cls(parameters.model),
+        byzantine={position: strategy},
+    )
+    assert outcome.agreement_holds
 
 
 def test_round_cost_difference():

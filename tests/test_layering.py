@@ -7,6 +7,12 @@ documented exception: the batch kernel's late lookup of the scalar oracle,
 which stays until the end-to-end benchmark's tracer stops rebinding
 ``execute_run`` in the runner's namespace (ROADMAP).
 
+``core/`` sits lower still: it imports nothing from ``repro.engine`` (the
+randomized adaptation hands assembly a marker and a seeding helper, it does
+not assemble), and the *census of ways to run an instance* pins which files
+call ``build_instance`` / ``run_instance`` at all — a new private assembly
+path fails the test and has to argue for its entry.
+
 The second half guards the *communication table*: what a comm kind means is
 decided in ``scenarios/spec.py`` (normal form + facts) and turned into code
 in one ``_bad_rule`` clause; schedulers, planner, array tier and fuzz
@@ -87,6 +93,67 @@ def test_the_one_exception_is_still_exactly_one_line():
         if relative == "engine/batch/kernel.py"
     }
     assert len(lines) == 1, "the allow-list entry is stale or has grown"
+
+
+# ------------------------------------------------ one way to run an instance
+
+#: Every file under ``src/repro`` (outside ``engine/``, which defines them)
+#: that calls ``build_instance`` / ``run_instance``: the scenario layer, the
+#: three executors that hold a compiled scenario, and three library
+#: conveniences (``AlgorithmSpec.run``, the single-decree SMR replica, the
+#: Pcons-stack wrapper).
+ASSEMBLY_CALLERS = {
+    "scenarios/compile.py",
+    "campaigns/runner.py",
+    "fuzz/classify.py",
+    "smr/serve.py",
+    "smr/replica.py",
+    "algorithms/registry.py",
+    "network/stack.py",
+}
+
+
+def assembly_calls(source: str) -> Iterator[Tuple[int, str]]:
+    """``(line, name)`` per call of ``build_instance`` / ``run_instance``,
+    bare or attribute-qualified."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("build_instance", "run_instance"):
+                yield node.lineno, name
+
+
+def test_assembly_scanner_sees_bare_and_qualified_calls():
+    source = (
+        "from repro.engine import assembly\n"
+        "def f(p, v):\n"
+        "    return run_instance(assembly.build_instance(p, v), s)\n"
+    )
+    assert sorted(assembly_calls(source)) == [
+        (3, "build_instance"), (3, "run_instance"),
+    ]
+
+
+def test_census_of_ways_to_run_an_instance():
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith("engine/"):
+            continue
+        if any(assembly_calls(path.read_text("utf-8"))):
+            callers.add(relative)
+    assert callers == ASSEMBLY_CALLERS
+
+
+def test_core_imports_nothing_from_the_engine():
+    offending = [
+        f"{path.relative_to(SRC).as_posix()}:{line} imports {module}"
+        for path in sorted((SRC / "core").rglob("*.py"))
+        for line, module in imported_modules(path.read_text("utf-8"))
+        if module == "repro.engine" or module.startswith("repro.engine.")
+    ]
+    assert offending == []
 
 
 # ------------------------------------------------- one communication table
