@@ -17,6 +17,15 @@ allowed to change what the service commits), and the pipelined arm must
 sustain at least :data:`ACCEPTANCE_SPEEDUP` x the slot arm's command
 throughput on the acceptance cell.
 
+The gate measures "16x fewer kernel instances", so its cell must be one
+where every slot still runs the kernel: the seed-dependent
+``smr-pbft-n4-lossy``.  The two reliable cells are ones the planner
+classes ``replicate`` — ``run_serve`` decides one instance per serve in
+*both* arms there, so their wall-clock ratio only compares loop
+bookkeeping (≈ 1.5x) and is reported, not gated, next to the exact
+simulated figures that do not depend on the host: slots, instances run,
+messages per command.
+
 The report is *merged into* ``BENCH_engine.json`` as its ``smr`` section —
 other sections (the engine-throughput cells) are preserved.  ``--check``
 diffs every measured arm's commands/sec against the committed report
@@ -47,6 +56,7 @@ BACKLOG = 64
 CELLS = [
     ("smr-pbft-n4", "pbft", 4, 1, "fault-free"),
     ("smr-pbft-n4-byz", "pbft", 4, 1, "worst_case"),
+    ("smr-pbft-n4-lossy", "pbft", 4, 1, "lossy_channel"),
 ]
 
 ARMS = {
@@ -54,7 +64,7 @@ ARMS = {
     "pipelined": {"batch": BATCH, "depth": DEPTH},
 }
 
-ACCEPTANCE_CELL = "smr-pbft-n4"
+ACCEPTANCE_CELL = "smr-pbft-n4-lossy"
 ACCEPTANCE_SPEEDUP = 5.0
 
 
@@ -104,6 +114,7 @@ def measure(name: str, algorithm: str, n: int, b: int, scenario: str,
                 best = (rate, runs, elapsed)
     rate, runs, elapsed = best
     reference = serve_once(name, algorithm, n, b, scenario, arm)
+    counters = reference.telemetry.counters
     return {
         "cell": name,
         "arm": arm,
@@ -114,6 +125,8 @@ def measure(name: str, algorithm: str, n: int, b: int, scenario: str,
         "seconds": round(elapsed, 4),
         "commands_per_sec": round(rate, 2),
         "slots": reference.slots_committed,
+        "instances_run": counters["smr.instances_run"],
+        "messages_per_command": round(counters["smr.messages"] / BACKLOG, 2),
         "retries": reference.retries,
         "log_digest": reference.log_digest,
         "digest": reference.digest,
@@ -242,6 +255,13 @@ def main(argv=None) -> int:
                 f"pipelined={rates['pipelined']:9.1f} cmd/s "
                 f"speedup={speedup:.2f}x digests-equal=True"
             )
+            for arm in ARMS:
+                sample = best[(name, arm)]
+                print(
+                    f"{'':18s} {arm:9s} {sample['slots']} slots, "
+                    f"{sample['instances_run']} instance(s) run, "
+                    f"{sample['messages_per_command']:g} messages/command"
+                )
 
     acceptance = {
         "cell": ACCEPTANCE_CELL,

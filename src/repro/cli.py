@@ -346,6 +346,13 @@ def _cmd_smr_serve(args: argparse.Namespace) -> int:
         f"{report.rejected} rejected"
         + ("  ** STALLED **" if report.stalled else "")
     )
+    ran = report.telemetry.counters.get("smr.instances_run", 0)
+    cloned = report.telemetry.counters.get("smr.slots_replicated", 0)
+    print(
+        f"  tier        : {report.tier} "
+        f"({ran:,} instance{'s' * (ran != 1)} run"
+        + (f", {cloned:,} slots replicated)" if cloned else ")")
+    )
     print(
         f"  state       : digests agree {report.digests_agree} "
         f"(log {report.log_digest[:16]})"
@@ -361,6 +368,13 @@ def _cmd_smr_serve(args: argparse.Namespace) -> int:
             f"p99 {lat['p99']:.3f}  mean {lat['mean']:.3f}  "
             f"max {lat['max']:.3f} (simulated units)"
         )
+        split = []
+        for part in ("queue wait", "consensus", "apply wait"):
+            stats = report.telemetry.histogram_stats(
+                "smr.latency." + part.replace(" ", "_")
+            )
+            split.append(f"{part} {stats['p50']:.3f}/{stats['p99']:.3f}")
+        print("  latency split: " + "  ".join(split) + " (p50/p99)")
     return 0 if report.digests_agree and not report.stalled else 1
 
 
@@ -369,13 +383,12 @@ def _cmd_smr_sweep(args: argparse.Namespace) -> int:
     from repro.smr import sweep_serve
 
     config, workload = _serve_config(args)
-    rates = [float(rate) for rate in args.rates.split(",") if rate]
     scenarios = (
         [name for name in args.scenarios.split(",") if name]
         if args.scenarios
         else None
     )
-    rows = sweep_serve(config, workload, rates=rates, scenarios=scenarios)
+    rows = sweep_serve(config, workload, rates=args.rates, scenarios=scenarios)
     if args.out:
         write_rows(args.out, rows)
     headers = [
@@ -1163,6 +1176,15 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be ≥ 1, got {value}")
         return value
 
+    def positive_float(text: str) -> float:
+        value = float(text)
+        if not 0 < value < float("inf"):  # nan fails both comparisons
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return value
+
+    def rate_list(text: str) -> list:
+        return [positive_float(rate) for rate in text.split(",") if rate]
+
     profile = sub.add_parser(
         "profile",
         help="run one scenario under phase-level profiling and print the "
@@ -1223,10 +1245,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pipeline window: slots in flight "
                             "(default 2)")
         target.add_argument("--clients", type=positive_int, default=4)
-        target.add_argument("--rate", type=float, default=200.0,
+        target.add_argument("--rate", type=positive_float, default=200.0,
                             help="aggregate arrival rate per simulated "
                             "time unit (default 200)")
-        target.add_argument("--duration", type=float, default=1.0,
+        target.add_argument("--duration", type=positive_float, default=1.0,
                             help="workload length in simulated time units")
         target.add_argument("--arrival", choices=["poisson", "fixed"],
                             default="poisson")
@@ -1252,6 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_serve_arguments(ssweep)
     ssweep.add_argument(
         "--rates",
+        type=rate_list,
         default="50,200,800",
         help="comma-separated load axis (default 50,200,800)",
     )

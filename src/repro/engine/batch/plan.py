@@ -12,7 +12,13 @@ run executes, how much of that structure the batch kernel may exploit:
   miss a deadline).  One representative run executes; its row is cloned
   per repetition with only ``run_id`` / ``rep`` / ``seed`` patched.  This
   is the dominant tier for the paper's Table-1 sweeps and delivers the
-  order-of-magnitude batch speedup.
+  order-of-magnitude batch speedup.  A caller that supplies its own
+  *unanimous* proposal (every honest process proposes one ``tuple`` —
+  :mod:`repro.smr.serve`'s batches) is promised more: the execution is the
+  same under any such proposal, up to renaming that one value, because
+  everything else in the run is a ``str`` a whitelisted strategy utters
+  and the value order (``_sort_key``: type name, then ``repr``) ranks every
+  ``str`` before every ``tuple``.
 * :data:`MODE_COLUMNAR_STATE` — seed-dependent cells, on either engine,
   whose *entire generic algorithm* is provably expressible as an array
   program over ``(B runs × n processes)`` state: the value alphabet is
@@ -75,8 +81,12 @@ MODE_REPLICATE = "replicate"
 MODE_COLUMNAR_STATE = "columnar-state"
 MODE_SCALAR = "scalar"
 
-#: Registered Byzantine strategies whose payloads do not depend on the
-#: per-run seed.  Every strategy in :data:`repro.faults.STRATEGY_REGISTRY`
+#: Registered Byzantine strategies with seed-independent payloads, an array
+#: form, *and* own utterances of type ``str`` only (any other value a member
+#: sends is an echo of a vote it was shown) — the last clause is what lets
+#: the serve loop reuse one slot's outcome under another batch, and
+#: ``tests/smr/test_serve_tiers.py`` drives every member to check it.
+#: Every strategy in :data:`repro.faults.STRATEGY_REGISTRY`
 #: today qualifies — even ``noise`` seeds its garbage stream from the
 #: process id, not the run seed — but the whitelist is explicit so a future
 #: seed-driven adversary degrades to the scalar tier instead of silently

@@ -26,6 +26,18 @@ committed command sequence FIFO-equal to the arrival order at **every**
 ``(batch, depth)`` setting — the digest-equivalence oracle the test suite
 sweeps.
 
+**Slot outcomes and replication.**  Deciding a slot yields a *slot
+outcome* ``(duration, phases, ok, messages, rounds, retries, rejected)``
+and one epilogue accounts it (counters, retry totals) whether it was just
+run or is being reused.  The serve cell is classified once by the campaign
+planner (:func:`~repro.engine.batch.plan.plan_cell`): under
+``MODE_REPLICATE`` the outcome is seed-independent, and because every
+honest replica proposes the same batch — always a ``tuple``, which the
+value order ranks after every ``str`` a whitelisted Byzantine strategy
+utters — it is batch-independent too, so the first slot's outcome stands
+for every later slot and one instance runs per serve.  Any other verdict
+runs one instance per attempt.
+
 The workload generator is lazy end to end (per-client arrival streams
 merged on the fly), so a million-request run holds O(clients) state.
 """
@@ -37,10 +49,12 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from math import inf
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.engine.assembly import build_instance
+from repro.engine.batch.plan import MODE_REPLICATE, MODE_SCALAR, plan_cell
 from repro.engine.cell import admit, derive_seed, rejection_message
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
 from repro.observability.telemetry import Telemetry
@@ -91,10 +105,14 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.clients < 1:
             raise ValueError(f"clients must be ≥ 1, got {self.clients}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        # ``not 0 < x < inf`` also rejects nan; an infinite rate or a nan
+        # duration would never end the arrival stream.
+        if not 0 < self.rate < inf:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        if not 0 < self.duration < inf:
+            raise ValueError(
+                f"duration must be finite and > 0, got {self.duration}"
+            )
         if self.arrival not in ARRIVALS:
             raise ValueError(
                 f"unknown arrival discipline {self.arrival!r}; known: {ARRIVALS}"
@@ -178,8 +196,10 @@ class ServeConfig:
             raise ValueError(f"depth must be ≥ 1, got {self.depth}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be ≥ 1, got {self.max_attempts}")
-        if self.round_cost <= 0:
-            raise ValueError(f"round_cost must be > 0, got {self.round_cost}")
+        if not 0 < self.round_cost < inf:
+            raise ValueError(
+                f"round_cost must be finite and > 0, got {self.round_cost}"
+            )
 
     def scenario_spec(self) -> ScenarioSpec:
         if isinstance(self.scenario, ScenarioSpec):
@@ -223,6 +243,8 @@ class ServeReport:
     log_digest: str
     #: The run's instrument registry (counters + latency histogram).
     telemetry: Optional[Telemetry] = field(default=None, repr=False)
+    #: ``"<tier> — <why>"``: how slots were served (never part of a row).
+    tier: str = field(default="", repr=False)
 
     @property
     def mean_batch_size(self) -> float:
@@ -261,16 +283,32 @@ class ServeReport:
         return row
 
 
-def _log_digest(log: ReplicatedLog) -> str:
-    """SHA-256 over the committed prefix's flattened command sequence."""
+def _log_digest(entries: Iterable[LogEntry]) -> str:
+    """SHA-256 over the entries' flattened command sequence."""
     digest = hashlib.sha256()
-    for entry in log.committed_prefix():
+    for entry in entries:
         for command in entry.command:
             digest.update(repr(command).encode("utf-8"))
     return digest.hexdigest()
 
 
+def _common_log_digest(logs: Iterable[ReplicatedLog]) -> str:
+    """The committed-prefix digest all ``logs`` share, else ``"diverged"``.
+
+    Prefixes equal to the first (the serve loop commits the same entries
+    everywhere, so equality is an identity scan) need no second hash.
+    """
+    first, *rest = (list(log.committed_prefix()) for log in logs)
+    digests = {_log_digest(first)}
+    digests.update(_log_digest(other) for other in rest if other != first)
+    return digests.pop() if len(digests) == 1 else "diverged"
+
+
 # ------------------------------------------------------------------ serve
+
+
+#: One decided slot: (duration, phases, ok, messages, rounds, retries, rejected).
+SlotOutcome = Tuple[float, Optional[int], bool, int, int, int, int]
 
 
 class _SlotRunner:
@@ -297,6 +335,19 @@ class _SlotRunner:
             if config.max_phases is not None
             else probe.max_phases()
         )
+        # The campaign planner's verdict on this cell, asked once: only
+        # ``replicate`` has a serve form, every other tier runs per slot.
+        plan = plan_cell(
+            self._spec, config.engine, self._algo_config,
+            parameters=self._parameters,
+        )
+        self._replicate = plan.mode == MODE_REPLICATE
+        self.tier = (
+            f"{plan.mode} — {plan.reason}"
+            if plan.mode in (MODE_REPLICATE, MODE_SCALAR)
+            else f"{MODE_SCALAR} — planner's {plan.mode} tier has no serve form"
+        )
+        self._first: Optional[SlotOutcome] = None
         self.retries = 0
         self.rejected = 0
 
@@ -305,14 +356,43 @@ class _SlotRunner:
     ) -> Tuple[float, Optional[int], bool]:
         """Decide ``batch`` in ``slot``; returns (duration, phases, ok).
 
+        A replicating cell decides its first slot and reuses that outcome;
+        fresh or reused, the outcome is accounted here and only here.
+        ``ok=False`` means the slot exhausted its attempt budget — the
+        service reports itself stalled.
+        """
+        count = self._telemetry.count
+        outcome = self._first
+        if outcome is None:
+            outcome = self._decide(slot, batch)
+            if self._replicate:
+                self._first = outcome
+        else:
+            count("smr.slots_replicated")
+        duration, phases, ok, messages, rounds, retries, rejected = outcome
+        count("smr.messages", messages)
+        count("smr.rounds", rounds)
+        self.retries += retries
+        self.rejected += rejected
+        for name, value in (
+            ("smr.retries", retries),
+            ("smr.rejected", rejected),
+            ("smr.retries.undecided", retries - rejected),
+        ):
+            if value:
+                count(name, value)
+        return duration, phases, ok
+
+    def _decide(self, slot: int, batch: Command) -> SlotOutcome:
+        """Run ``slot``'s consensus attempts; accounts nothing but instances.
+
         Each attempt is one consensus instance under an attempt-derived
         seed; the duration of *every* attempt accumulates into the slot's
-        commit latency.  ``ok=False`` means the slot exhausted its attempt
-        budget — the service reports itself stalled.
+        commit latency.
         """
         config = self._config
-        telemetry = self._telemetry
         duration = 0.0
+        messages = rounds = retries = rejected = 0
         phases: Optional[int] = None
         for attempt in range(config.max_attempts):
             run_seed = derive_seed(config.seed, f"slot{slot}attempt{attempt}")
@@ -338,25 +418,25 @@ class _SlotRunner:
                 observe=OBSERVE_METRICS,
                 crash_schedule=compiled.crash_schedule,
             )
-            telemetry.count("smr.messages", outcome.messages_sent)
-            telemetry.count("smr.rounds", outcome.rounds_executed)
+            self._telemetry.count("smr.instances_run")
+            messages += outcome.messages_sent
+            rounds += outcome.rounds_executed
             if config.engine == "timed" and outcome.simulated_time is not None:
                 duration += outcome.simulated_time
             else:
                 duration += outcome.rounds_executed * config.round_cost
+            phases = outcome.phases_to_last_decision
             decided = outcome.decided_value
             if decided == batch:
-                return duration, outcome.phases_to_last_decision, True
+                break
             if decided is not None:
                 # All honest replicas proposed the batch, so a different
                 # decided value is Byzantine-injected; a real service
                 # validates commands before applying and skips the slot.
-                self.rejected += 1
-                telemetry.count("smr.rejected")
-            self.retries += 1
-            telemetry.count("smr.retries")
-            phases = outcome.phases_to_last_decision
-        return duration, phases, False
+                rejected += 1
+            retries += 1
+        ok = retries < config.max_attempts
+        return duration, phases, ok, messages, rounds, retries, rejected
 
 
 def run_serve(
@@ -387,8 +467,9 @@ def run_serve(
     logs: Dict[int, ReplicatedLog] = {pid: ReplicatedLog() for pid in honest}
 
     pending: deque = deque()  # arrived, not yet batched: (arrival, command)
-    in_flight: Dict[int, Tuple[float, Command, List[float], Optional[int]]] = {}
-    decided: Dict[int, Tuple[Command, List[float], Optional[int]]] = {}
+    # slot → (commit time, proposal time, batch, arrival times, phases)
+    in_flight: Dict[int, tuple] = {}
+    decided: Dict[int, tuple] = {}
     clock = 0.0
     next_slot = 0
     apply_slot = 0  # in-order apply watermark (first slot not yet applied)
@@ -396,6 +477,7 @@ def run_serve(
     committed_commands = 0
     slots_committed = 0
     stalled = False
+    observe = telemetry.observe
     wall_start = perf_counter()
     next_arrival = next(stream, None)
 
@@ -407,17 +489,13 @@ def run_serve(
             size = 0
             while pending and len(commands) < config.batch:
                 arrived, command = pending[0]
-                cost = len(repr(command))
-                if (
-                    commands
-                    and config.batch_bytes is not None
-                    and size + cost > config.batch_bytes
-                ):
-                    break
+                if config.batch_bytes is not None:
+                    size += len(repr(command))
+                    if commands and size > config.batch_bytes:
+                        break
                 pending.popleft()
                 commands.append(command)
                 arrival_times.append(arrived)
-                size += cost
             batch = tuple(commands)
             duration, phases, ok = runner.run(next_slot, batch)
             if not ok:
@@ -426,22 +504,23 @@ def run_serve(
                 break
             telemetry.count("smr.slots")
             telemetry.count("smr.commands", len(batch))
-            telemetry.observe("smr.batch_size", float(len(batch)))
-            in_flight[next_slot] = (clock + duration, batch, arrival_times, phases)
+            observe("smr.batch_size", float(len(batch)))
+            in_flight[next_slot] = (
+                clock + duration, clock, batch, arrival_times, phases
+            )
             next_slot += 1
 
+        # Earliest commit; slots sit in insertion (= index) order, so the
+        # strict comparison breaks ties toward the lowest slot.
         commit_slot: Optional[int] = None
-        if in_flight:
-            commit_slot = min(
-                in_flight, key=lambda slot: (in_flight[slot][0], slot)
-            )
+        commit_time = inf
+        for slot, flight in in_flight.items():
+            if flight[0] < commit_time:
+                commit_slot, commit_time = slot, flight[0]
         arrival_due = (
             next_arrival is not None
             and not stalled
-            and (
-                commit_slot is None
-                or next_arrival[0] <= in_flight[commit_slot][0]
-            )
+            and next_arrival[0] <= commit_time
         )
         if arrival_due:
             when, command = next_arrival  # type: ignore[misc]
@@ -455,28 +534,33 @@ def run_serve(
         # Commit: pop the earliest completion; decide order may be
         # out-of-order in the slot index, so buffer and apply the
         # contiguous prefix only.
-        commit_time, batch, arrival_times, phases = in_flight.pop(commit_slot)
+        decided[commit_slot] = in_flight.pop(commit_slot)
         clock = max(clock, commit_time)
-        decided[commit_slot] = (batch, arrival_times, phases)
         while apply_slot in decided:
-            applied_batch, applied_arrivals, applied_phases = decided.pop(
-                apply_slot
-            )
+            (
+                committed_at, proposed_at, applied_batch, applied_arrivals,
+                applied_phases,
+            ) = decided.pop(apply_slot)
             entry = LogEntry(apply_slot, applied_batch, phases=applied_phases)
             for pid in honest:
                 logs[pid].commit(entry)
                 machine = machines[pid]
                 for command in applied_batch:
                     machine.apply(command)
+            # Where each request's latency went; the three parts sum to it.
+            consensus = committed_at - proposed_at
+            apply_wait = clock - committed_at
             for arrived in applied_arrivals:
-                telemetry.observe(LATENCY_HISTOGRAM, clock - arrived)
+                observe(LATENCY_HISTOGRAM, clock - arrived)
+                observe("smr.latency.queue_wait", proposed_at - arrived)
+                observe("smr.latency.consensus", consensus)
+                observe("smr.latency.apply_wait", apply_wait)
             committed_commands += len(applied_batch)
             slots_committed += 1
             apply_slot += 1
 
     wall_seconds = perf_counter() - wall_start
     digests = {machine.digest() for machine in machines.values()}
-    log_digests = {_log_digest(log) for log in logs.values()}
     latency: Dict[str, float] = {}
     if LATENCY_HISTOGRAM in telemetry.histogram_names:
         latency = telemetry.histogram_stats(LATENCY_HISTOGRAM)
@@ -499,10 +583,9 @@ def run_serve(
         latency=latency,
         digests_agree=len(digests) == 1,
         digest=next(iter(digests)) if len(digests) == 1 else None,
-        log_digest=(
-            next(iter(log_digests)) if len(log_digests) == 1 else "diverged"
-        ),
+        log_digest=_common_log_digest(logs.values()),
         telemetry=telemetry,
+        tier=runner.tier,
     )
 
 

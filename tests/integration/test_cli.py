@@ -1,9 +1,13 @@
 """The repro.cli entry point."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -121,6 +125,57 @@ def test_smr_serve_inapplicable(capsys):
     assert code == 2
     # The admission step's verdict, worded as for any other rejected cell.
     assert "cannot serve: pbft hosts (b=2, f=0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["serve", "--rate", "0"], "--rate"),
+        (["serve", "--rate", "-3"], "--rate"),
+        (["serve", "--duration", "0"], "--duration"),
+        (["sweep", "--rates", "0"], "--rates"),
+        (["sweep", "--rates", "50,nan"], "--rates"),
+        (["sweep", "--duration", "0"], "--duration"),
+    ],
+)
+def test_smr_rejects_non_positive_load(capsys, argv, flag):
+    # Each died with a ValueError traceback out of WorkloadSpec.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smr"] + argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite and > 0" in err
+    assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--duration", "nan"],  # ``now > nan`` is never true
+        ["serve", "--rate", "inf", "--duration", "1"],  # clock never advances
+    ],
+)
+def test_smr_non_finite_load_exits_instead_of_hanging(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "smr"] + argv,
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "must be finite and > 0" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_smr_serve_says_which_tier_served(capsys):
+    common = ["--rate", "80", "--duration", "1", "--seed", "3"]
+    assert main(["smr", "serve", "--scenario", "worst_case"] + common) == 0
+    out = capsys.readouterr().out
+    assert "  tier        : replicate — deterministic lockstep delivery (1 instance run, " in out
+    assert "slots replicated)" in out
+    assert "latency split: queue wait " in out and "apply wait " in out
+    assert main(["smr", "serve", "--scenario", "lossy_channel"] + common) == 0
+    out = capsys.readouterr().out
+    assert "  tier        : scalar — " in out and "replicated" not in out
 
 
 def test_smr_sweep(capsys, tmp_path):

@@ -69,6 +69,16 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(arrival="bursty")
 
+    @pytest.mark.parametrize("bad", [0.0, -3.0, float("inf"), float("nan")])
+    def test_rate_and_duration_must_be_finite_and_positive(self, bad):
+        # inf / nan used to construct and then never end the stream.
+        with pytest.raises(ValueError, match="rate must be finite and > 0"):
+            WorkloadSpec(rate=bad)
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+            WorkloadSpec(duration=bad)
+        with pytest.raises(ValueError, match="round_cost must be finite and > 0"):
+            ServeConfig(round_cost=bad)
+
 
 class TestServeConfigValidation:
     def test_rejects_bad_knobs(self):
