@@ -14,7 +14,7 @@ from repro.campaigns import (
     checkpoint_path,
     finalize_checkpoint,
     format_report,
-    iter_campaign,
+    iter_groups,
 )
 
 
@@ -39,13 +39,16 @@ def main():
     )
     print(f"campaign {spec.name!r}: {spec.total_runs} runs")
 
-    # 2. Stream the grid through a process pool: rows are yielded as they
-    #    complete (bounded in-flight window, memory O(window) not O(grid))
-    #    and appended to a crash-safe checkpoint one flush at a time
-    #    (`lines=True`: the worker that ran a row also serialized it, the
-    #    sink writes that line verbatim and notes where it went, and the
-    #    finalize merge copies lines by that index — no row is dumped or
-    #    parsed twice).  The per-cell report folds in the same pass.
+    # 2. Stream the grid through a process pool: `iter_groups` yields
+    #    `(row, coords)` parts as chunks complete (bounded in-flight
+    #    window, memory O(window) not O(grid)) — `coords` is None for one
+    #    row, or lists every run a seed-independent cell's one row stands
+    #    for — and each part is appended to a crash-safe checkpoint with
+    #    one flush (`lines=True`: the worker that ran a part also
+    #    serialized it, the sink writes from that and notes where each
+    #    line went, and the finalize merge copies lines by that index — no
+    #    row is dumped or parsed twice).  The per-cell report folds in the
+    #    same pass (`iter_campaign` is the same stream flattened to rows).
     #    Per-run seeds are derived
     #    from the campaign seed and each run's coordinates, so any worker
     #    count produces a byte-identical final file — and an interrupted
@@ -60,9 +63,9 @@ def main():
     # what `repro campaign run --resume` does.
     checkpoint_path(out).unlink(missing_ok=True)
     with ResultStore(checkpoint_path(out)).open_append() as sink:
-        for row in iter_campaign(spec, workers=4, lines=True):
-            sink.append(row)
-            fold.add(row)
+        for row, coords in iter_groups(spec, workers=4, lines=True):
+            sink.append(row, coords)
+            fold.add(row, 1 if coords is None else len(coords))
     path = finalize_checkpoint(checkpoint_path(out), out, sink.index)
     print(f"wrote {spec.total_runs} rows to {path}\n")
 

@@ -24,19 +24,17 @@ aggregates per-cell summaries::
 
 The same campaign seed yields byte-identical results at any worker count.
 
-Execution is **streaming and resumable**: :func:`iter_campaign` yields rows
-as runs complete (runs dispatched in chunks — ``chunk`` per pool future,
-auto-sized from the grid, a cell that replicates or runs as one array
-program travelling whole — under a bounded in-flight window accounted in
-runs: memory O(window), not O(grid)), each row lands in a crash-safe
-``<out>.partial`` checkpoint as its chunk completes (a crash re-executes at
-most the in-flight window of runs on ``--resume``; pass ``chunk=1`` for
-per-run checkpoint granularity), and ``repro campaign run --resume`` skips
-the recorded ``run_id``\\ s and completes the file; the finalized snapshot
-is byte-identical to a single-shot run at any ``(workers, chunk)``.  Each
-row is serialized once, by the process that executed it, and the finalize
-step merges checkpoint lines by byte offset instead of re-reading rows
-(see :mod:`repro.campaigns.results`).
+Execution is **streaming and resumable**: :func:`iter_groups` yields
+``(row, coords)`` parts as dispatch chunks complete — a cell proven
+seed-independent crosses the pool as one row plus its runs' coordinates —
+under a bounded in-flight window (memory O(window), not O(grid));
+:func:`iter_campaign` is that stream flattened to rows.  Each part lands in
+a crash-safe ``<out>.partial`` checkpoint as its chunk completes, and
+``repro campaign run --resume`` skips the recorded ``run_id``\\ s and
+completes the file; the finalized snapshot is byte-identical to a
+single-shot run at any ``(workers, chunk)`` (see
+:mod:`repro.campaigns.runner` for dispatch, :mod:`repro.campaigns.results`
+for the serialize-once / byte-offset-merge results path).
 """
 
 from repro.campaigns.aggregate import (
@@ -69,6 +67,7 @@ from repro.campaigns.runner import (
     execute_chunk,
     execute_run,
     iter_campaign,
+    iter_groups,
     resolve_backend,
     run_campaign,
 )
@@ -104,6 +103,7 @@ __all__ = [
     "format_report",
     "format_slowest_cells",
     "iter_campaign",
+    "iter_groups",
     "iter_rows",
     "load_spec",
     "percentile",

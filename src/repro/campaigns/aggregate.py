@@ -104,43 +104,44 @@ class _CellAccumulator:
         self.wall_count = 0
         self.wall_max = 0.0
 
-    def add(self, row: Row) -> None:
-        self.runs += 1
+    def add(self, row: Row, count: int = 1) -> None:
+        """Fold ``count`` rows equal to ``row`` (a group's row, once)."""
+        self.runs += count
         wall = row.get("_elapsed_ms")
         if wall is not None:
             wall = float(wall)
-            self.wall_sum += wall
-            self.wall_count += 1
+            self.wall_sum += wall * count
+            self.wall_count += count
             if wall > self.wall_max:
                 self.wall_max = wall
         status = row.get("status")
         if status == "error":
-            self.errors += 1
+            self.errors += count
         elif status == "inadmissible":
-            self.inadmissible += 1
+            self.inadmissible += count
         elif status == "inapplicable":
-            self.inapplicable += 1
+            self.inapplicable += count
         elif status == "ok":
-            self.ok += 1
+            self.ok += count
             if row.get("agreement") is False:
-                self.agreement_violations += 1
+                self.agreement_violations += count
             if row.get("validity") is False:
-                self.validity_violations += 1
+                self.validity_violations += count
             if row.get("unanimity") is False:
-                self.unanimity_violations += 1
+                self.unanimity_violations += count
             if row.get("termination") is False:
-                self.termination_failures += 1
+                self.termination_failures += count
             phases = row.get("phases")
             if phases is not None:
-                self.phase_sum += float(phases)
-                self.phase_count += 1
+                self.phase_sum += float(phases) * count
+                self.phase_count += count
             messages = row.get("messages_sent")
             if messages is not None:
-                self.message_sum += float(messages)
-                self.message_count += 1
+                self.message_sum += float(messages) * count
+                self.message_count += count
             latency = row.get("time_to_decision")
             if latency is not None:
-                self.latencies.append(float(latency))
+                self.latencies.extend([float(latency)] * count)
 
     def summary(self) -> CellSummary:
         latencies = self.latencies
@@ -192,12 +193,12 @@ class SummaryFold:
         self._group_keys = tuple(group_keys)
         self._cells: Dict[Tuple[object, ...], _CellAccumulator] = {}
 
-    def add(self, row: Row) -> None:
+    def add(self, row: Row, count: int = 1) -> None:
         key = tuple(row.get(field) for field in self._group_keys)
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = _CellAccumulator(key)
-        cell.add(row)
+        cell.add(row, count)
 
     def summaries(self) -> List[CellSummary]:
         """Per-cell summaries, ordered by group key."""

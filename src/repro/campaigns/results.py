@@ -7,10 +7,12 @@ campaign writes is *byte-identical* for equal row lists — the property the
 Two file shapes exist:
 
 * the **checkpoint** (``<out>.partial``) — rows appended in *completion*
-  order as the campaign streams, one ``flush()`` per row, so every
-  completed run survives an interrupted campaign.  :func:`scan_checkpoint`
-  recovers the recorded ``run_id``\\ s (tolerating one torn final line from
-  a crash mid-write) and ``repro campaign run --resume`` skips them;
+  order as the campaign streams, one ``write`` + ``flush()`` per
+  :meth:`ResultSink.append`, so every completed run has reached the OS
+  before the next chunk is consumed and survives an interrupted campaign.
+  :func:`scan_checkpoint` recovers the recorded ``run_id``\\ s (tolerating
+  one torn final line from a crash mid-write) and ``repro campaign run
+  --resume`` skips them;
 * the **final snapshot** (``<out>``) — the checkpoint's lines in ``run_id``
   order (atomic rename), byte-identical to what a single uninterrupted
   run would have produced.
@@ -25,6 +27,19 @@ resume scan records the same for the lines it parses), and finalize copies
 those slices of the checkpoint in ``run_id`` order.  No row is parsed or
 dumped a second time and finalize never builds a row dict; what it holds
 is the checkpoint's bytes and two integers per row.
+
+**The group contract.**  What streams through here is
+:data:`~repro.engine.cell.RowPart`\\ s: ``(row, None)`` is one row;
+``(row, coords)`` is a row a batch tier *proved* equal, but for ``(rep,
+run_id, seed)``, across every run listed in ``coords``.  A group is
+encoded once: :func:`attach_lines` leaves a ``%d``-template of the row's
+line under :data:`TEMPLATE_KEY` — checked, where it is made, against
+:func:`row_to_json` of the group's first and last row, and left out (so
+every line is encoded on its own) on any mismatch — and
+:meth:`ResultSink.append` renders the group's lines from it, writes them
+with one ``write`` and one ``flush`` and indexes each line on its own.  A
+torn group is therefore whole lines plus at most one torn line, which the
+resume scan heals like any other torn tail.
 
 :class:`ResultStore` binds one path; :meth:`ResultStore.open_append`
 returns the held-open :class:`ResultSink` the streaming runner writes
@@ -45,12 +60,13 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Type,
 )
 
-Row = Dict[str, object]
+from repro.engine.cell import Coords, Row, RowPart, expand_part
 
 #: ``run_id → (byte offset, byte length)`` of the checkpoint line recording
 #: that run, newline included; a run recorded twice keeps its first line.
@@ -59,6 +75,13 @@ LineIndex = Dict[int, Tuple[int, int]]
 #: Volatile row key under which :func:`attach_lines` stores the row's
 #: canonical line for :meth:`ResultSink.append` to write verbatim.
 LINE_KEY = "_line"
+
+#: Volatile key of a group's row: its canonical line with ``%d`` where the
+#: group's ``(rep, run_id, seed)`` coordinates go (literal ``%`` doubled).
+TEMPLATE_KEY = "_line_template"
+
+#: Stands in for the three coordinates in the one encoding of a group's row.
+_MARK = "\x00coordinate"
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -76,16 +99,36 @@ def row_to_json(row: Row) -> str:
     )
 
 
-def attach_lines(rows: List[Row]) -> List[Row]:
-    """Store each row's canonical line on the row, under :data:`LINE_KEY`.
+def _line_template(row: Row, coords: Sequence[Coords]) -> Optional[str]:
+    """One encoding of ``row`` that renders every line of its group, or
+    ``None`` unless it reproduces the first and last of them exactly."""
+    marked = row_to_json(dict(row, rep=_MARK, run_id=_MARK, seed=_MARK))
+    template = marked.replace("%", "%%").replace(_encode(_MARK), "%d")
+    try:
+        for rep, run_id, seed in (coords[0], coords[-1]):
+            line = row_to_json(dict(row, rep=rep, run_id=run_id, seed=seed))
+            if template % (rep, run_id, seed) != line:
+                return None
+    except TypeError:  # the mark is not exactly the three coordinates
+        return None
+    return template
 
-    Called by the process that produced ``rows`` once they are final, so
+
+def attach_lines(parts: List[RowPart]) -> List[RowPart]:
+    """Store each part's canonical line(s) on its row.
+
+    Called by the process that produced ``parts`` once they are final, so
     serialization happens there (a pool worker, when there is one) and
-    exactly once; the key is volatile, so it never reaches a result file.
+    exactly once: a single row gets its line under :data:`LINE_KEY`, a
+    group its :func:`_line_template` under :data:`TEMPLATE_KEY`.  Both keys
+    are volatile, so neither ever reaches a result file.
     """
-    for row in rows:
-        row[LINE_KEY] = row_to_json(row)
-    return rows
+    for row, coords in parts:
+        if coords is None:
+            row[LINE_KEY] = row_to_json(row)
+        else:
+            row[TEMPLATE_KEY] = _line_template(row, coords)
+    return parts
 
 
 def rows_to_jsonl(rows: Iterable[Row]) -> str:
@@ -208,11 +251,11 @@ def validate_resume(
 ) -> Tuple[LineIndex, int]:
     """Scan ``checkpoint`` and validate that ``spec`` may resume from it.
 
-    ``spec`` is any object with ``name``, ``total_runs`` and ``iter_runs()``
-    — a :class:`~repro.campaigns.spec.CampaignSpec` (duck-typed so this
-    module needs no spec import).  Returns ``(line index, intact byte
-    length)``: the index's keys are the recorded run_ids (what
-    :func:`~repro.campaigns.runner.iter_campaign` takes as
+    ``spec`` is any object with ``name``, ``total_runs`` and
+    ``run_at(run_id)`` — a :class:`~repro.campaigns.spec.CampaignSpec`
+    (duck-typed so this module needs no spec import).  Returns ``(line
+    index, intact byte length)``: the index's keys are the recorded
+    run_ids (what :func:`~repro.campaigns.runner.iter_groups` takes as
     ``skip_run_ids``); truncate the file to the length before appending,
     and hand the index to :meth:`ResultStore.open_append` so the sink
     continues it for :func:`finalize_checkpoint`.
@@ -229,7 +272,7 @@ def validate_resume(
     catches a ``--seed`` override or an edited axis order — resuming past
     any of these would finalize a mixed file no single-shot run matches.
     Both the CLI's ``--resume`` and API callers building on
-    :func:`~repro.campaigns.runner.iter_campaign`'s ``skip_run_ids``
+    :func:`~repro.campaigns.runner.iter_groups`'s ``skip_run_ids``
     should gate on this.
     """
     path = Path(checkpoint)
@@ -242,24 +285,19 @@ def validate_resume(
             f"checkpoint {path} belongs to campaign "
             f"{next(iter(foreign))!r}, not {spec.name!r}"
         )
-    if max(scan.index) >= spec.total_runs:
-        raise ValueError(
-            f"checkpoint {path} records run {max(scan.index)} but this "
-            f"grid has only {spec.total_runs} runs (spec changed?)"
-        )
-    expected = {
-        row["run_id"]: row.get("seed") for row in (scan.first, scan.last)
-    }
-    for run in spec.iter_runs():
-        if run.run_id in expected:
-            if expected.pop(run.run_id) != run.seed:
-                raise ValueError(
-                    f"checkpoint {path} was recorded with a different "
-                    f"campaign seed or grid (run {run.run_id} seed "
-                    "mismatch)"
-                )
-            if not expected:
-                break
+    for run_id in (min(scan.index), max(scan.index)):
+        if not 0 <= run_id < spec.total_runs:
+            raise ValueError(
+                f"checkpoint {path} records run {run_id} but this "
+                f"grid has only {spec.total_runs} runs (spec changed?)"
+            )
+    for row in (scan.first, scan.last):
+        if row.get("seed") != spec.run_at(row["run_id"]).seed:
+            raise ValueError(
+                f"checkpoint {path} was recorded with a different "
+                f"campaign seed or grid (run {row['run_id']} seed "
+                "mismatch)"
+            )
     return scan.index, scan.intact
 
 
@@ -333,17 +371,17 @@ class ResultSink:
     """A held-open, crash-safe append handle for streaming campaign rows.
 
     One file handle serves the whole campaign (O(1) ``open`` calls instead
-    of O(rows)); each :meth:`append` writes one canonical line — the one
-    :func:`attach_lines` left on the row, else serialized here — and
-    flushes, so every appended row has reached the OS before the next run
-    executes.  :attr:`index` records where each line went, for
-    :func:`finalize_checkpoint`; a resumed campaign passes the index
-    :func:`validate_resume` returned, and the sink continues it.  Use as a
-    context manager::
+    of O(rows)); each :meth:`append` writes one part's canonical line(s) —
+    what :func:`attach_lines` left on the row, else serialized here — in
+    one ``write`` and flushes, so every appended row has reached the OS
+    before the next one is consumed.  :attr:`index` records where each
+    line went, for :func:`finalize_checkpoint`; a resumed campaign passes
+    the index :func:`validate_resume` returned, and the sink continues it.
+    Use as a context manager::
 
         with ResultStore(path).open_append() as sink:
-            for row in iter_campaign(spec):
-                sink.append(row)
+            for row, coords in iter_groups(spec, lines=True):
+                sink.append(row, coords)
         finalize_checkpoint(path, out, sink.index)
     """
 
@@ -356,12 +394,26 @@ class ResultSink:
         self.index: LineIndex = {} if index is None else index
         self._offset = self._handle.tell()  # append mode opens at the end
 
-    def append(self, row: Row) -> None:
-        data = (row.get(LINE_KEY) or row_to_json(row)).encode("utf-8") + b"\n"
-        self._handle.write(data)
+    def append(
+        self, row: Row, coords: Optional[Sequence[Coords]] = None
+    ) -> None:
+        if coords is None:
+            run_ids = [row["run_id"]]
+            lines = [row.get(LINE_KEY) or row_to_json(row)]
+        else:
+            run_ids = [coord[1] for coord in coords]
+            template = row.get(TEMPLATE_KEY)
+            lines = (
+                [template % coord for coord in coords]
+                if template
+                else [row_to_json(each) for each in expand_part(row, coords)]
+            )
+        blobs = [line.encode("utf-8") + b"\n" for line in lines]
+        self._handle.write(b"".join(blobs))
         self._handle.flush()
-        self.index.setdefault(row["run_id"], (self._offset, len(data)))
-        self._offset += len(data)
+        for run_id, blob in zip(run_ids, blobs):
+            self.index.setdefault(run_id, (self._offset, len(blob)))
+            self._offset += len(blob)
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -15,30 +15,31 @@ run's :class:`~repro.scenarios.spec.ScenarioSpec` with the per-run derived
 seed — the runner no longer hand-assembles any of them, and crash scripts
 execute on the timed engine too (only ``crashes > f`` stays inapplicable).
 
-:func:`iter_campaign` is the streaming primitive: it lazily draws runs from
-:meth:`CampaignSpec.iter_runs`, cuts the stream into **chunks** — the unit
-of dispatch: one :func:`execute_chunk` call, one pool future, one pickle
-round-trip — executes them inline (``workers=1``) or on a
-:class:`~concurrent.futures.ProcessPoolExecutor` under a **bounded
-in-flight window accounted in runs** (completed rows are yielded chunk by
-chunk as futures finish — blocking is bounded by one chunk, and peak row
-memory is O(window), not O(grid)), and skips any ``run_id`` in
-``skip_run_ids`` — which is how ``--resume`` completes an interrupted
-campaign.  A chunk is ``chunk`` consecutive runs (auto-sized from the grid
-when unset), except that an auto-sized cut never falls inside a cell that
-executes as one unit — one the batch planner replicates or runs as one
-array program, or one the algorithm rejects outright: such a cell travels
-whole, up to :data:`CELL_CHUNK_CAP` runs, so its one representative
-executes once instead of once per fragment.  Rows arrive
-in completion order; because every run's seed is derived from its
-coordinates, sorting the stream by ``run_id`` reproduces the
-byte-identical canonical file at any worker count and any chunk size.
-:func:`run_campaign` is the collect-and-sort convenience wrapper over it.
+:func:`iter_groups` is the streaming primitive and its one dispatch loop,
+and **the cell is the unit that travels**.  Down: whole cells are drawn from
+:meth:`CampaignSpec.iter_cells` and cut into **chunks** — the unit of
+dispatch: one :func:`execute_chunk` call, one pool future, one pickle
+round-trip — of :class:`~repro.engine.cell.CellSlice`\\ s (a cell's
+coordinates plus repetition indices: a chunk's bytes do not grow with
+``repetitions``, and each ``RunSpec`` is built by the process that executes
+it).  Up: a chunk comes back as :class:`~repro.engine.cell.GroupedRows` and
+the stream yields its parts ``(row, coords)`` — ``coords`` ``None`` for one
+row, else every ``(rep, run_id, seed)`` of a cell the batch kernel proved
+seed-independent (or the algorithm rejects), whose row exists once.
+:func:`iter_campaign` is that stream flattened to plain rows — what library
+callers and :func:`run_campaign` (collect and sort) consume.  Because every
+run's seed is derived from its coordinates, sorting either stream by
+``run_id`` reproduces the byte-identical canonical file at any worker count
+and any chunk size.
 
-With ``lines=True`` the process that executes a chunk also serializes its
-rows (:func:`~repro.campaigns.results.attach_lines`): the canonical JSON
-line rides back on the row as a volatile field and the result sink writes
-it verbatim, so serialization parallelizes with the pool and happens once.
+With ``lines=True`` the process that executes a chunk also serializes it
+(:func:`~repro.campaigns.results.attach_lines`): a row's canonical line —
+for a group, one encoding of its row that renders every line — rides back
+as a volatile field and the result sink writes from it, so serialization
+parallelizes with the pool and happens once per row or group.  The flush
+rule: the sink flushes each part before the next is consumed, so a group
+reaches the OS in one ``write`` where its rows took one each, and nothing
+else about durability changes.
 
 Runs go straight through the unified execution kernel with
 ``observe="metrics"``: no :class:`~repro.analysis.trace.RoundRecord`, trace
@@ -60,12 +61,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
+from dataclasses import replace
 from itertools import groupby
 from time import perf_counter, sleep
 from typing import (
     AbstractSet,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -79,11 +83,15 @@ from repro.engine.assembly import build_instance
 from repro.engine.cell import (
     STATUS_ERROR,
     STATUS_INAPPLICABLE,
+    CellSlice,
+    GroupedRows,
     Row,
+    RowPart,
     RunSpec,
     admit,
     cell_key,
     describe_error,
+    expand_part,
     open_row,
 )
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
@@ -224,23 +232,28 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     return backend
 
 
-def _iter_cell_groups(runs: Sequence[RunSpec]) -> Iterator[List[RunSpec]]:
+def _iter_cell_groups(runs: Sequence) -> Iterator[Sequence[RunSpec]]:
     """Split a chunk into maximal groups of consecutive same-cell runs.
 
-    Repetitions are the innermost grid axis, so a cell's runs arrive
-    consecutively; grouping only adjacent runs therefore recovers whole
-    cells (up to chunk boundaries) while trivially preserving row order.
+    A chunk is cell slices (the dispatch loop's) or loose runs (a library
+    caller's); slices are such groups already.  Among runs, repetitions
+    are the innermost grid axis, so a cell's runs arrive consecutively;
+    grouping only adjacent runs therefore recovers whole cells (up to
+    chunk boundaries) while trivially preserving row order.
     """
-    for _key, group in groupby(runs, key=cell_key):
-        yield list(group)
+    if runs and isinstance(runs[0], CellSlice):
+        yield from runs
+    else:
+        for _key, group in groupby(runs, key=cell_key):
+            yield list(group)
 
 
 def execute_chunk(
-    runs: Sequence[RunSpec],
+    runs: Sequence,
     timings: bool = False,
     backend: Optional[str] = None,
     lines: bool = False,
-) -> List[Row]:
+) -> GroupedRows:
     """Execute a batch of runs in one worker task (one dispatch round-trip).
 
     Chunking amortizes the per-future submit/pickle/wakeup overhead of the
@@ -253,22 +266,23 @@ def execute_chunk(
     byte-identical to the scalar oracle at every backend, so the choice is
     purely a throughput knob.
 
-    ``lines=True`` serializes the rows here, where they were produced
+    ``lines=True`` serializes the parts here, where they were produced
     (:func:`~repro.campaigns.results.attach_lines`).
     """
     backend = resolve_backend(backend)
-    if backend == "scalar":
-        rows = [execute_run(run, timings=timings) for run in runs]
-    else:
+    if backend != "scalar":
         from repro.engine.batch import run_batch
-
-        rows = []
-        for group in _iter_cell_groups(runs):
-            if backend == "auto" and len(group) < BATCH_FLOOR:
-                rows.extend(execute_run(run, timings=timings) for run in group)
-            else:
-                rows.extend(run_batch(group, timings=timings))
-    return attach_lines(rows) if lines else rows
+    parts: List[RowPart] = []
+    for group in _iter_cell_groups(runs):
+        if backend == "scalar" or (
+            backend == "auto" and len(group) < BATCH_FLOOR
+        ):
+            parts.extend(
+                (execute_run(run, timings=timings), None) for run in group
+            )
+        else:
+            parts.extend(run_batch(group, timings=timings).parts)
+    return GroupedRows(attach_lines(parts) if lines else parts)
 
 
 def _auto_chunk(remaining: int, workers: int) -> int:
@@ -301,41 +315,53 @@ def _travels_whole(run: RunSpec) -> bool:
 
 
 def _iter_chunks(
-    runs: Iterator[RunSpec], size: int, cell_cap: Optional[int]
-) -> Iterator[Tuple[RunSpec, ...]]:
-    """Cut the run stream into dispatch chunks of ``size`` runs.
+    cells: Iterable[CellSlice],
+    size: int,
+    cell_cap: Optional[int],
+    skip: AbstractSet[int] = frozenset(),
+) -> Iterator[Tuple[CellSlice, ...]]:
+    """Cut the grid's cells into dispatch chunks of ``size`` runs.
 
-    With ``cell_cap`` set, a cut never falls inside a cell that
+    Runs in ``skip`` are dropped from their slice first.  With
+    ``cell_cap`` set, a cut never falls inside a cell that
     :func:`_travels_whole`: it waits for the cell's end, or for
     ``cell_cap`` runs of the cell, whichever comes first.
     """
-    chunk: List[RunSpec] = []
-    key = None
-    whole = False  # does the current cell travel whole?
-    held = 0  # runs of the current cell in ``chunk``
-    for run in runs:
+    chunk: List[CellSlice] = []
+    held = 0  # runs in ``chunk``
+    for cell in cells:
+        if skip:
+            kept = [r for r in cell.reps if cell.first.run_id + r not in skip]
+            if len(kept) < len(cell):
+                cell = replace(cell, reps=kept)
+        if not cell:
+            continue
+        whole = False
         if cell_cap is not None:
-            run_key = cell_key(run)
-            if run_key != key:
-                if len(chunk) >= size:  # the cut the last cell deferred
-                    yield tuple(chunk)
-                    chunk = []
-                key, held, whole = run_key, 0, _travels_whole(run)
-        chunk.append(run)
-        held += 1
-        if held >= cell_cap if whole else len(chunk) >= size:
-            yield tuple(chunk)
-            chunk = []
-            held = 0
+            if held >= size:  # the cut the last cell deferred
+                yield tuple(chunk)
+                chunk, held = [], 0
+            whole = _travels_whole(cell.first)
+        while cell:
+            room = cell_cap if whole else size - held
+            piece, cell = cell[:room], cell[room:]
+            chunk.append(piece)
+            held += len(piece)
+            if len(piece) == room:
+                yield tuple(chunk)
+                chunk, held = [], 0
     if chunk:
         yield tuple(chunk)
 
 
-def iter_campaign(
+def _chunk_runs(chunk: Tuple[CellSlice, ...]) -> int:
+    return sum(map(len, chunk))
+
+
+def iter_groups(
     spec: CampaignSpec,
     *,
     workers: int = 1,
-    progress: Optional[ProgressFn] = None,
     skip_run_ids: Optional[AbstractSet[int]] = None,
     window: Optional[int] = None,
     chunk: Optional[int] = None,
@@ -343,36 +369,37 @@ def iter_campaign(
     on_event: Optional[EventFn] = None,
     backend: Optional[str] = None,
     lines: bool = False,
-) -> Iterator[Row]:
-    """Stream result rows as runs complete (completion order, not run_id).
+) -> Iterator[RowPart]:
+    """Stream result parts ``(row, coords)`` as chunks complete.
 
-    Runs are drawn lazily from :meth:`CampaignSpec.iter_runs`; any id in
-    ``skip_run_ids`` (runs a checkpoint already recorded) is skipped without
-    executing.  The stream is cut into chunks of ``chunk`` runs; when
-    ``chunk`` is ``None`` it is auto-sized from the grid and a cell that
-    executes as one unit travels whole (see :func:`_travels_whole`), while
-    an explicit ``chunk`` means exactly that many runs per chunk.  With ``workers > 1`` each chunk is one future and
-    at most ``window`` *runs* (default ``4 × workers ×`` the largest chunk
-    dispatched so far) are in flight at once: completed rows are yielded
-    via :func:`concurrent.futures.wait` as soon as their chunk finishes, so
-    a slow cell delays at most its own chunk-mates (``chunk=1`` restores
-    per-run streaming) and memory stays bounded by the window regardless
-    of grid size.
-    ``progress(completed, total)`` counts skipped runs as already
-    completed.  Chunking changes only dispatch batching — row contents are
-    byte-identical at any ``(workers, chunk)``.  Abandoning the iterator
-    mid-stream shuts the pool down (queued runs are cancelled, in-flight
-    runs finish and are discarded).
+    ``coords`` is ``None`` for a single row, else the ``(rep, run_id,
+    seed)`` of every run the row stands for (see the module docstring).
+    Parts arrive in completion order, not ``run_id`` order.
+
+    Any id in ``skip_run_ids`` (runs a checkpoint already recorded — how
+    ``--resume`` completes a campaign) is dropped from its slice without
+    executing.  The grid is cut into chunks of ``chunk`` runs; when
+    ``chunk`` is ``None`` it is auto-sized and a cell that executes as one
+    unit travels whole, up to :data:`CELL_CHUNK_CAP` runs (see
+    :func:`_travels_whole`), while an explicit ``chunk`` means exactly that
+    many runs per chunk.  Chunks execute inline (``workers=1``) or one per
+    future with at most ``window`` *runs* (default ``4 × workers ×`` the
+    largest chunk dispatched so far) in flight at once: completed parts
+    are yielded via :func:`concurrent.futures.wait` as soon as their chunk
+    finishes, so a slow cell delays at most its own chunk-mates
+    (``chunk=1`` restores per-run streaming) and memory stays O(window)
+    regardless of grid size.  Abandoning the iterator mid-stream shuts the
+    pool down (queued runs are cancelled, in-flight runs finish and are
+    discarded).
 
     ``timings=True`` adds the volatile ``_elapsed_ms`` / ``_pid`` fields to
     each row (see :func:`execute_run`); ``on_event(kind, fields)`` receives
     runner lifecycle events (a ``chunk_dispatched`` per submitted worker
     task) for the CLI's events sidecar; ``lines=True`` has whichever
-    process executes a chunk serialize its rows as well (the volatile
-    :data:`~repro.campaigns.results.LINE_KEY` field, which
-    :class:`~repro.campaigns.results.ResultSink` writes verbatim).  All
-    three default off, so library callers see exactly the historical row
-    stream.
+    process executes a chunk serialize it as well (the volatile
+    :data:`~repro.campaigns.results.LINE_KEY` /
+    :data:`~repro.campaigns.results.TEMPLATE_KEY` fields, which
+    :class:`~repro.campaigns.results.ResultSink` writes from).
 
     ``backend`` selects the execution backend (see :data:`BACKENDS`;
     ``None`` reads :data:`BACKEND_ENV`, else ``auto``): the batch kernel
@@ -398,16 +425,7 @@ def iter_campaign(
         raise ValueError(f"chunk must be ≥ 1, got {chunk}")
     backend = resolve_backend(backend)
     skip = frozenset(skip_run_ids or ())
-    total = spec.total_runs
-    completed = len(skip)
-    runs = (run for run in spec.iter_runs() if run.run_id not in skip)
-
-    def advance(row: Row) -> Row:
-        nonlocal completed
-        completed += 1
-        if progress is not None:
-            progress(completed, total)
-        return row
+    cells = spec.iter_cells()
 
     # Whole-cell chunks pay off only where the batch kernel can run: under
     # ``auto`` that takes cells of at least BATCH_FLOOR repetitions, and a
@@ -423,12 +441,11 @@ def iter_campaign(
         # Inline, a chunk is what buffers before rows stream out: nothing
         # when no cell can batch, else up to MAX_CHUNK runs (or a cell).
         size = chunk or (1 if cell_cap is None else MAX_CHUNK)
-        for chunk_runs in _iter_chunks(runs, size, cell_cap):
-            for row in execute_chunk(chunk_runs, timings, backend, lines):
-                yield advance(row)
+        for chunk_runs in _iter_chunks(cells, size, cell_cap, skip):
+            yield from execute_chunk(chunk_runs, timings, backend, lines).parts
         return
 
-    size = chunk or _auto_chunk(total - len(skip), workers)
+    size = chunk or _auto_chunk(spec.total_runs - len(skip), workers)
     if window is not None:
         # A caller-fixed window caps in-flight *runs*; chunks bigger than
         # one worker's share of it would serialize the pool (the first
@@ -448,7 +465,7 @@ def iter_campaign(
         # future → (the chunk's runs, crash-retry attempt).  Keeping the
         # runs alongside the future is what makes a worker crash
         # recoverable: the chunk is simply dispatched again.
-        pending: Dict[object, Tuple[Tuple[RunSpec, ...], int]] = {}
+        pending: Dict[object, Tuple[Tuple[CellSlice, ...], int]] = {}
         inflight = 0
 
         def emit(kind: str, fields: Dict[str, object]) -> None:
@@ -456,19 +473,19 @@ def iter_campaign(
                 on_event(kind, fields)
 
         def dispatch(
-            chunk_runs: Tuple[RunSpec, ...], attempt: int
-        ) -> Iterator[Row]:
-            """Hand one chunk to the pool (rows come back through
+            chunk_runs: Tuple[CellSlice, ...], attempt: int
+        ) -> Iterator[RowPart]:
+            """Hand one chunk to the pool (parts come back through
             :func:`drain`), or — once the pool is degraded or the chunk
             has exhausted its crash retries — execute it in-process and
-            yield its rows directly.  Row contents are identical on
+            yield its parts directly.  Row contents are identical on
             either path: runs are seeded by their coordinates."""
             nonlocal inflight
             if attempt > 0:
                 emit(
                     "chunk_retried",
                     {
-                        "runs": len(chunk_runs),
+                        "runs": _chunk_runs(chunk_runs),
                         "attempt": attempt,
                         "mode": (
                             "pool"
@@ -490,16 +507,15 @@ def iter_campaign(
                     yield from recover(exc, (chunk_runs, attempt))
                     return
                 pending[future] = (chunk_runs, attempt)
-                inflight += len(chunk_runs)
+                inflight += _chunk_runs(chunk_runs)
                 if attempt == 0:
-                    emit("chunk_dispatched", {"runs": len(chunk_runs)})
+                    emit("chunk_dispatched", {"runs": _chunk_runs(chunk_runs)})
                 return
-            for row in execute_chunk(chunk_runs, timings, backend, lines):
-                yield advance(row)
+            yield from execute_chunk(chunk_runs, timings, backend, lines).parts
 
         def recover(
-            exc: BaseException, *extra: Tuple[Tuple[RunSpec, ...], int]
-        ) -> Iterator[Row]:
+            exc: BaseException, *extra: Tuple[Tuple[CellSlice, ...], int]
+        ) -> Iterator[RowPart]:
             """A worker process died.  Salvage every in-flight chunk,
             rebuild the pool (bounded retries with backoff, then degrade
             to in-process execution) and re-dispatch the survivors —
@@ -512,11 +528,11 @@ def iter_campaign(
             if pending:
                 wait(list(pending))
             salvaged = list(extra)
-            finished: List[Row] = []
+            finished: List[RowPart] = []
             for future, (chunk_runs, attempt) in pending.items():
-                inflight -= len(chunk_runs)
+                inflight -= _chunk_runs(chunk_runs)
                 try:
-                    finished.extend(future.result())
+                    finished.extend(future.result().parts)
                 except BaseException:
                     salvaged.append((chunk_runs, attempt))
             pending.clear()
@@ -524,7 +540,7 @@ def iter_campaign(
                 "worker_crashed",
                 {
                     "chunks": len(salvaged),
-                    "runs": sum(len(c) for c, _ in salvaged),
+                    "runs": sum(_chunk_runs(c) for c, _ in salvaged),
                     "error": str(exc).split("\n")[0],
                     "rebuilds": rebuilds,
                 },
@@ -538,35 +554,33 @@ def iter_campaign(
             else:
                 pool = None
                 emit("pool_degraded", {"rebuilds": rebuilds})
-            for row in finished:
-                yield advance(row)
+            yield from finished
             for chunk_runs, attempt in salvaged:
                 yield from dispatch(chunk_runs, attempt + 1)
 
-        def drain() -> Iterator[Row]:
+        def drain() -> Iterator[RowPart]:
             nonlocal inflight
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 if future not in pending:
                     continue  # salvaged by an earlier recover() this loop
                 chunk_runs, attempt = pending.pop(future)
-                inflight -= len(chunk_runs)
+                inflight -= _chunk_runs(chunk_runs)
                 try:
                     rows = future.result()
                 except BrokenProcessPool as exc:
                     yield from recover(exc, (chunk_runs, attempt))
                     continue
-                for row in rows:
-                    yield advance(row)
+                yield from rows.parts
 
-        for chunk_runs in _iter_chunks(runs, size, cell_cap):
+        for chunk_runs in _iter_chunks(cells, size, cell_cap, skip):
             yield from dispatch(chunk_runs, 0)
             if window is None:
                 # Sized from what is actually dispatched: whole cells are
                 # larger than ``size``, and the pool should still hold
                 # WINDOW_PER_WORKER of them per worker.
                 limit = max(
-                    limit, workers * WINDOW_PER_WORKER * len(chunk_runs)
+                    limit, workers * WINDOW_PER_WORKER * _chunk_runs(chunk_runs)
                 )
             while inflight >= limit:
                 yield from drain()
@@ -575,6 +589,30 @@ def iter_campaign(
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def iter_campaign(
+    spec: CampaignSpec,
+    *,
+    progress: Optional[ProgressFn] = None,
+    skip_run_ids: Optional[AbstractSet[int]] = None,
+    **options: object,
+) -> Iterator[Row]:
+    """Stream result rows as runs complete (completion order, not run_id).
+
+    The flatten of :func:`iter_groups`, whose ``options`` it forwards: a
+    group arrives as the rows it stands for.  ``progress(completed,
+    total)`` is called per row and counts skipped runs as completed.
+    """
+    completed = len(skip_run_ids or ())
+    groups = iter_groups(spec, skip_run_ids=skip_run_ids, **options)
+    with closing(groups):
+        for part in groups:
+            for row in expand_part(*part):
+                completed += 1
+                if progress is not None:
+                    progress(completed, spec.total_runs)
+                yield row
 
 
 def run_campaign(

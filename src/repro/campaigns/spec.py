@@ -4,9 +4,11 @@ A :class:`CampaignSpec` names the axes of an experiment — algorithms (builder
 names or ``class-N`` FLV classes), ``(n, b, f)`` resilience points,
 *scenarios* (declarative :class:`~repro.scenarios.spec.ScenarioSpec`
 environments or registered preset names), engines, repetitions — and
-expands them into fully-resolved :class:`RunSpec` objects, one per run:
-lazily via :meth:`CampaignSpec.iter_runs` (what the streaming runner
-consumes) or as a list via :meth:`CampaignSpec.expand`.  Each run's seed is
+expands them cell by cell (:meth:`CampaignSpec.iter_cells`, what the
+streaming runner cuts into chunks: a :class:`~repro.engine.cell.CellSlice`
+is a lazy sequence of its runs) into fully-resolved :class:`RunSpec`
+objects, one per run: lazily via :meth:`CampaignSpec.iter_runs` or as a
+list via :meth:`CampaignSpec.expand`.  Each run's seed is
 derived deterministically from the campaign seed
 and the run's *coordinates* (not its position in the expansion), so results
 are reproducible regardless of worker count or axis ordering.
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
 from repro.algorithms.registry import resolve_algorithm
-from repro.engine.cell import RunSpec, cell_key_prefix, derive_seed
+from repro.engine.cell import CellSlice, RunSpec, cell_key_prefix, derive_seed
 from repro.eventsim.network import NetworkSpec
 from repro.scenarios.compile import ENGINES
 from repro.scenarios.registry import get_scenario
@@ -116,38 +118,40 @@ class CampaignSpec:
             * self.repetitions
         )
 
-    def iter_runs(self) -> Iterator[RunSpec]:
-        """Lazily yield the grid in deterministic axis order.
+    def iter_cells(self) -> Iterator[CellSlice]:
+        """Lazily yield the grid's cells, whole, in deterministic axis order.
 
-        Run ids follow the axis order and seeds derive from coordinates,
-        so the stream is identical to ``expand()`` — but nothing beyond the
-        run being yielded is ever materialized, which is what lets the
-        streaming runner hold memory at O(in-flight window) on grids of
-        millions of cells.
+        Repetitions are the innermost axis, so cell ``k`` owns run ids
+        ``k × repetitions`` onward; a slice holds the cell's first run and
+        a ``range``, never its runs.
         """
         cells = itertools.product(
             self.algorithms, self.models, self.engines, self.scenarios
         )
-        run_id = 0
-        for algorithm, (n, b, f), engine, scenario in cells:
-            # The describe strings are rendered once per cell, not once
-            # per repetition, and each run is built with its seed.
+        reps = range(self.repetitions)
+        for index, (algorithm, (n, b, f), engine, scenario) in enumerate(cells):
             prefix = cell_key_prefix(algorithm, n, b, f, engine, scenario)
-            for rep in range(self.repetitions):
-                yield RunSpec(
-                    campaign=self.name,
-                    run_id=run_id,
-                    algorithm=algorithm,
-                    n=n,
-                    b=b,
-                    f=f,
-                    engine=engine,
-                    scenario=scenario,
-                    rep=rep,
-                    seed=derive_seed(self.seed, f"{prefix}rep{rep}"),
-                    max_phases=self.max_phases,
-                )
-                run_id += 1
+            first = RunSpec(
+                self.name, index * len(reps), algorithm, n, b, f, engine,
+                scenario, 0, derive_seed(self.seed, f"{prefix}rep0"),
+                self.max_phases,
+            )
+            yield CellSlice(first, self.seed, reps)
+
+    def iter_runs(self) -> Iterator[RunSpec]:
+        """Lazily yield the grid, run by run: the flatten of :meth:`iter_cells`.
+
+        Run ids follow the axis order and seeds derive from coordinates,
+        so the stream is identical to ``expand()`` — but nothing beyond the
+        run being yielded is ever materialized.
+        """
+        for cell in self.iter_cells():
+            yield from cell
+
+    def run_at(self, run_id: int) -> RunSpec:
+        """The run with this id, addressed without drawing the grid's runs."""
+        cell, rep = divmod(run_id, self.repetitions)
+        return next(itertools.islice(self.iter_cells(), cell, None))[rep]
 
     def expand(self) -> List[RunSpec]:
         """The full grid as a list (see :meth:`iter_runs` for the lazy form)."""
@@ -178,26 +182,36 @@ class CampaignSpec:
         }
         if unknown:
             raise ValueError(f"unknown campaign keys: {sorted(unknown)}")
-        kwargs: Dict[str, object] = {
-            "name": data.get("name", "campaign"),
-            "algorithms": tuple(data.get("algorithms", ())),
-            "models": tuple(
-                tuple(int(x) for x in model) for model in data.get("models", ())
-            ),
-        }
-        if "engines" in data:
-            kwargs["engines"] = tuple(data["engines"])
-        if "scenarios" in data:
+        def expect(ok: bool, key: str, want: str, got: object) -> None:
+            if not ok:
+                raise ValueError(f"{key!r} {want}, got {got!r}")
+
+        kwargs: Dict[str, object] = {"name": data.get("name", "campaign")}
+        # A bare string would iterate as one-letter entries: shape first.
+        for axis in ("algorithms", "models", "engines", "scenarios"):
+            if axis in data or axis in ("algorithms", "models"):
+                value = data.get(axis, ())
+                expect(isinstance(value, (list, tuple)), axis, "must be a list", value)
+                kwargs[axis] = tuple(value)
+        for axis in ("algorithms", "engines"):
+            for name in kwargs.get(axis, ()):
+                expect(isinstance(name, str), axis, "entries must be names", name)
+        for model in kwargs["models"]:
+            expect(
+                isinstance(model, (list, tuple))
+                and [type(x) for x in model] == [int, int, int],
+                "models", "entries must be (n, b, f) integers", model,
+            )
+        kwargs["models"] = tuple(map(tuple, kwargs["models"]))
+        if "scenarios" in kwargs:
             kwargs["scenarios"] = tuple(
                 ref if isinstance(ref, str) else ScenarioSpec.from_mapping(ref)
-                for ref in data["scenarios"]
+                for ref in kwargs["scenarios"]
             )
         for scalar in ("repetitions", "seed", "max_phases"):
             if scalar in data:
-                kwargs[scalar] = int(data[scalar])
-        for model in kwargs["models"]:
-            if len(model) != 3:
-                raise ValueError(f"models entries must be (n, b, f), got {model}")
+                value = kwargs[scalar] = data[scalar]
+                expect(type(value) is int, scalar, "must be an integer", value)
         return cls(**kwargs)
 
 

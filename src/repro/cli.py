@@ -499,7 +499,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaigns import (
         format_report,
         format_slowest_cells,
-        iter_campaign,
+        iter_groups,
         resolve_backend,
     )
     from repro.campaigns.aggregate import SummaryFold
@@ -531,18 +531,18 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     violations = 0
     fold = SummaryFold() if not args.no_report else None
 
-    def absorb(row) -> None:
+    def absorb(row, count: int = 1) -> None:
         nonlocal errors, violations
         if row.get("status") == "error":
-            errors += 1
+            errors += count
         if (
             row.get("agreement") is False
             or row.get("validity") is False
             or row.get("unanimity") is False
         ):
-            violations += 1
+            violations += count
         if fold is not None:
-            fold.add(row)
+            fold.add(row, count)
 
     index = None  # where each recorded row's line sits in the checkpoint
     intact = 0
@@ -604,8 +604,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         else None
     )
     # The per-status and per-backend tallies feed only the progress line
-    # and the events sidecar; a run with neither skips them.
+    # and the events sidecar; a run with neither skips them, and a quiet
+    # one touches a group once, never its rows.
     watched = events is not None or progress_line is not None
+    per_row = watched or not args.quiet
     live = {"errors": 0, "inadmissible": 0}
 
     def progress(completed: int, _total: int) -> None:
@@ -651,10 +653,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     try:
         try:
             with store.open_append(index) as sink:
-                for row in iter_campaign(
+                for row, coords in iter_groups(
                     spec,
                     workers=args.workers,
-                    progress=progress,
                     skip_run_ids=skip,
                     chunk=args.chunk,
                     timings=True,
@@ -662,23 +663,37 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                     backend=backend,
                     lines=True,
                 ):
-                    sink.append(row)
-                    absorb(row)
-                    executed += 1
+                    if coords is not None and stop_after is not None:
+                        # A stop inside a group cuts it at exactly N rows.
+                        coords = coords[: stop_after - executed]
+                    count = 1 if coords is None else len(coords)
+                    sink.append(row, coords)
+                    absorb(row, count)
                     if watched:
                         status = row.get("status")
                         row_backend = row.get("_backend", "scalar")
                         backend_rows[row_backend] = (
-                            backend_rows.get(row_backend, 0) + 1
+                            backend_rows.get(row_backend, 0) + count
                         )
                         if status == "error":
-                            live["errors"] += 1
+                            live["errors"] += count
                         elif status == "inadmissible":
-                            live["inadmissible"] += 1
+                            live["inadmissible"] += count
+                    if not per_row:
+                        executed += count
+                        run_ids = ()
+                    elif coords is None:
+                        run_ids = (row.get("run_id"),)
+                    else:
+                        run_ids = [coord[1] for coord in coords]
+                    # What is per row by contract: row_completed events,
+                    # heartbeats and the progress display.
+                    for run_id in run_ids:
+                        executed += 1
                         if events is not None:
                             events.emit(
                                 "row_completed",
-                                run_id=row.get("run_id"),
+                                run_id=run_id,
                                 status=status,
                                 backend=row_backend,
                                 duration_ms=row.get("_elapsed_ms"),
@@ -701,6 +716,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                                     )
                             if executed % step == 0 or executed == total - len(skip):
                                 events.emit("checkpoint_flushed", rows=executed)
+                        progress(len(skip) + executed, total)
                     if stop_after is not None and executed >= stop_after:
                         interrupted = True
                         break
@@ -784,12 +800,8 @@ def _cmd_campaign_plan(args: argparse.Namespace) -> int:
     if spec is None:
         return 2
     cells = {}  # cell key -> (representative run, reps)
-    for run in spec.iter_runs():
-        key = cell_key(run)
-        if key in cells:
-            cells[key][1] += 1
-        else:
-            cells[key] = [run, 1]
+    for cell in spec.iter_cells():
+        cells.setdefault(cell_key(cell.first), [cell.first, 0])[1] += len(cell)
     print(f"campaign {spec.name!r}: {spec.total_runs} runs, {len(cells)} cells")
     tier_counts: Counter = Counter()
     header = (

@@ -3,10 +3,12 @@
 :func:`run_batch` takes B runs of **one cell** (same algorithm, model,
 engine and scenario — differing only in repetition and derived seed) and
 produces exactly the rows the scalar oracle
-(:func:`~repro.campaigns.runner.execute_run`) would, in input order:
+(:func:`~repro.campaigns.runner.execute_run`) would, in input order, as
+:class:`~repro.engine.cell.GroupedRows`:
 
-* replicate tier — execute one representative, clone its row per run with
-  only the per-run coordinates (``run_id``, ``rep``, ``seed``) patched;
+* replicate tier — execute one representative and return its row *once*,
+  as a group carrying every run's ``(rep, run_id, seed)`` coordinates (a
+  cell the algorithm rejects returns its verdict row the same way);
 * columnar-state tier — execute the whole cell as one array program over
   ``(B runs × n processes)`` state (:mod:`repro.engine.batch
   .columnar_state`), the per-run seed entering only through delivery
@@ -53,8 +55,12 @@ from repro.engine.batch.plan import (
 from repro.engine.cell import (
     STATUS_ERROR,
     STATUS_INAPPLICABLE,
+    GroupedRows,
     Row,
+    RowPart,
     RunSpec,
+    admit,
+    cell_coords,
     open_row,
 )
 from repro.observability.telemetry import Telemetry
@@ -74,32 +80,34 @@ def run_batch(
     timings: bool = False,
     telemetry: Optional[Telemetry] = None,
     plan: Optional[BatchPlan] = None,
-) -> List[Row]:
+) -> GroupedRows:
     """Execute one cell's runs through the planned batch tier (never raises).
 
     Returns one row per run, in input order, byte-identical (after
-    volatile-field stripping) to mapping the scalar oracle over ``runs``.
+    volatile-field stripping) to mapping the scalar oracle over ``runs`` —
+    a group where the tier proved the rows equal but for their coordinates.
     ``plan`` defaults to :func:`~repro.engine.batch.plan.plan_for_run` on
     the first run; ``timings=True`` stamps each row with the batch's
     equal-share wall time (volatile, like the oracle's own timing fields).
     """
     if not runs:
-        return []
+        return GroupedRows([])
     if timings:
         started = perf_counter()
         rows = run_batch(runs, telemetry=telemetry, plan=plan)
-        share = round((perf_counter() - started) * 1000 / len(rows), 3)
+        share = round((perf_counter() - started) * 1000 / len(runs), 3)
         pid = os.getpid()
-        for row in rows:
+        for row, _coords in rows.parts:
             row["_elapsed_ms"] = share
             row["_pid"] = pid
         return rows
+    first = runs[0]
     if plan is None:
-        plan = plan_for_run(runs[0])
+        plan = plan_for_run(first)
     if telemetry is not None:
         telemetry.count("batch.rows", len(runs))
 
-    rows: Optional[List[Row]] = None
+    parts: Optional[List[RowPart]] = None
     tier = "batch.replicated_rows"
     # Tier production is demotion-safe: whichever way a tier fails — a
     # Demote with its reason or a broken template assumption surfacing as
@@ -108,7 +116,7 @@ def run_batch(
     demoted = None
     try:
         if plan.mode == MODE_REPLICATE:
-            rows = _replicate_rows(runs)
+            parts = _replicate_rows(runs)
         elif plan.mode == MODE_COLUMNAR_STATE:
             tier = "batch.columnar_state_rows"
             if telemetry is not None:
@@ -116,24 +124,35 @@ def run_batch(
                     rows = columnar_state_rows(runs)
             else:
                 rows = columnar_state_rows(runs)
+            parts = [(row, None) for row in rows]
     except Demote as exc:
         demoted = str(exc)
     except Exception as exc:
         demoted = f"tier raised {type(exc).__name__}"
 
-    if rows is not None:
+    if parts is not None:
         if telemetry is not None:
             telemetry.count(tier, len(runs))
-        return rows
+        return GroupedRows(parts)
     # The planner's scalar tier, or a demoted cell.
     if telemetry is not None:
         telemetry.count("batch.fallback_scalar", len(runs))
         if demoted is not None:
             telemetry.count(f"batch.demoted[{demoted}]", len(runs))
-    rows = [_oracle(run) for run in runs]
-    for row in rows:
+    try:
+        admit(first.algorithm, first.n, first.b, first.f)
+        rejected = False
+    except (ValueError, KeyError):
+        rejected = True  # a pure function of the cell, memoized as such
+    except Exception:
+        rejected = False  # possibly transient: every run asks for itself
+    if rejected:
+        parts = [(open_row(first)[0], cell_coords(runs))]
+    else:
+        parts = [(_oracle(run), None) for run in runs]
+    for row, _coords in parts:
         row["_backend"] = "scalar"
-    return rows
+    return GroupedRows(parts)
 
 
 def _oracle(run: RunSpec) -> Row:
@@ -150,8 +169,8 @@ def _oracle(run: RunSpec) -> Row:
     return execute_run(run)
 
 
-def _replicate_rows(runs: Sequence[RunSpec]) -> List[Row]:
-    """One representative execution, cloned across the cell's runs.
+def _replicate_rows(runs: Sequence[RunSpec]) -> List[RowPart]:
+    """One representative execution standing for all the cell's runs.
 
     Valid only under the planner's seed-independence proof.  A
     representative ``error`` row demotes the cell: errors may be
@@ -161,15 +180,8 @@ def _replicate_rows(runs: Sequence[RunSpec]) -> List[Row]:
     representative = _oracle(runs[0])
     if representative["status"] == STATUS_ERROR:
         raise Demote("replicate representative errored")
-    rows: List[Row] = []
-    for run in runs:
-        row = dict(representative)
-        row["run_id"] = run.run_id
-        row["rep"] = run.rep
-        row["seed"] = run.seed
-        row["_backend"] = "replicate"
-        rows.append(row)
-    return rows
+    representative["_backend"] = "replicate"
+    return [(representative, cell_coords(runs))]
 
 
 def compile_batch_scenario(run: RunSpec, model: FaultModel) -> CompiledScenario:
@@ -199,6 +211,7 @@ def columnar_state_rows(runs: Sequence[RunSpec]) -> List[Row]:
     np = get_numpy()
     if np is None:
         raise Demote("numpy absent")
+    runs = list(runs)  # a cell slice builds its runs (and seeds) per pass
     rows: List[Row] = []
     for run in runs:
         row, admitted = open_row(run)

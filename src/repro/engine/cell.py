@@ -11,6 +11,9 @@ on what its rejection says:
 
 * :class:`RunSpec` / :func:`derive_seed` / :func:`cell_key` — a run, its
   coordinate-derived seed, and the cell it belongs to;
+* :class:`CellSlice` / :class:`GroupedRows` — how a cell crosses a process
+  boundary as a cell: its coordinates once plus repetition indices on the
+  way down, one row plus ``(rep, run_id, seed)`` coordinates on the way up;
 * :func:`admit` — ``FaultModel`` construction → algorithm resolution →
   hosted-envelope check, memoized per worker process;
 * :func:`open_row` — the result row every execution starts from, already
@@ -23,8 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import traceback
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import resolve_algorithm
 from repro.core.parameters import (
@@ -38,6 +42,14 @@ from repro.utils.memo import cached_outcome
 
 #: Result-row type: one flat JSON-serializable mapping per run.
 Row = Dict[str, object]
+
+#: ``(rep, run_id, seed)``: the three row fields that tell a cell's runs
+#: apart, in the order the canonical (sorted-key) JSON line carries them.
+Coords = Tuple[int, int, int]
+
+#: One entry of :class:`GroupedRows`: a row alone (``None``), or the row
+#: standing for every run whose coordinates are listed.
+RowPart = Tuple[Row, Optional[Sequence[Coords]]]
 
 #: What :func:`admit` hands back for an admissible cell.
 Admitted = Tuple[FaultModel, ConsensusParameters, GenericConsensusConfig]
@@ -98,6 +110,87 @@ def cell_key_prefix(
             scenario.describe_network(),
         )
     ) + "|"
+
+
+@dataclass(frozen=True)
+class CellSlice(SequenceABC):
+    """Some repetitions of one campaign cell: a lazy ``Sequence[RunSpec]``.
+
+    This is what a dispatch chunk pickles — one run for the cell's
+    coordinates plus repetition indices (a ``range``, or what ``--resume``
+    left of one) — so a chunk's size does not grow with ``repetitions``, and
+    each :class:`RunSpec` with its derived seed is built by whoever iterates.
+    """
+
+    first: RunSpec  # the cell's repetition 0
+    campaign_seed: int
+    reps: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, reps=self.reps[index])
+        return next(iter(replace(self, reps=(self.reps[index],))))
+
+    def coords(self) -> Iterator[Coords]:
+        """Each run's ``(rep, run_id, seed)``, no :class:`RunSpec` built."""
+        prefix = cell_key_prefix(*cell_key(self.first))
+        for rep in self.reps:
+            seed = derive_seed(self.campaign_seed, f"{prefix}rep{rep}")
+            yield rep, self.first.run_id + rep, seed
+
+    def __iter__(self) -> Iterator[RunSpec]:
+        first = self.first
+        for rep, run_id, seed in self.coords():
+            yield RunSpec(
+                first.campaign, run_id, *cell_key(first), rep, seed,
+                first.max_phases,
+            )
+
+
+def cell_coords(runs: Sequence[RunSpec]) -> List[Coords]:
+    """The ``(rep, run_id, seed)`` of each of one cell's runs."""
+    if isinstance(runs, CellSlice):
+        return list(runs.coords())
+    return [(run.rep, run.run_id, run.seed) for run in runs]
+
+
+def expand_part(row: Row, coords: Optional[Sequence[Coords]]) -> Iterator[Row]:
+    """The rows one :data:`RowPart` stands for, in run order."""
+    if coords is None:
+        yield row
+    else:
+        for rep, run_id, seed in coords:
+            yield dict(row, rep=rep, run_id=run_id, seed=seed)
+
+
+@dataclass
+class GroupedRows(SequenceABC):
+    """Result rows in run order, stored by group: a ``Sequence[Row]``.
+
+    ``parts`` holds one ``(row, coords)`` per group.  A tier that has
+    *proved* a cell's rows equal but for ``(rep, run_id, seed)`` (the
+    planner's seed-independence proof, or a rejection memoized per cell)
+    emits the row once with every run's coordinates; any other row is its
+    own part, ``coords`` ``None``.  Length, indexing and iteration are the
+    flattened row list's; the campaign's loop, sink and fold move ``parts``.
+    """
+
+    parts: List[RowPart]
+
+    def __len__(self) -> int:
+        return sum(
+            1 if coords is None else len(coords) for _row, coords in self.parts
+        )
+
+    def __iter__(self) -> Iterator[Row]:
+        for row, coords in self.parts:
+            yield from expand_part(row, coords)
+
+    def __getitem__(self, index):
+        return list(self)[index]
 
 
 def cell_key(run: RunSpec) -> Tuple:

@@ -145,7 +145,11 @@ def cell_spec(reps, scenarios=("fault-free", "lossy_channel", LOSSY_CRASH)):
 
 
 def chunks_of(spec, size, cell_cap=CELL_CHUNK_CAP):
-    return list(_iter_chunks(spec.iter_runs(), size, cell_cap))
+    """The dispatch chunks, each flattened from cell slices to its runs."""
+    return [
+        [run for piece in chunk for run in piece]
+        for chunk in _iter_chunks(spec.iter_cells(), size, cell_cap)
+    ]
 
 
 def test_cell_spec_covers_all_three_tiers():

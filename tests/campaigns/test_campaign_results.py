@@ -27,7 +27,7 @@ from repro.campaigns.results import (
     validate_resume,
     write_rows,
 )
-from repro.campaigns.runner import iter_campaign
+from repro.campaigns.runner import iter_groups
 from repro.cli import main
 
 
@@ -109,9 +109,12 @@ class TestSerializeOnce:
         is what ``row_to_json`` makes of the row, and the key carrying it
         never reaches the file."""
         gauntlet = BUILTIN_CAMPAIGNS["gauntlet"]
-        rows = list(
-            iter_campaign(gauntlet, workers=2, timings=True, lines=True)
+        parts = list(
+            iter_groups(gauntlet, workers=2, timings=True, lines=True)
         )
+        # One repetition a cell: below the batch floor, so no groups.
+        assert {coords for _row, coords in parts} == {None}
+        rows = [row for row, _coords in parts]
         assert len(rows) == gauntlet.total_runs
         for row in rows:
             assert row[LINE_KEY] == row_to_json(row)
@@ -302,10 +305,8 @@ class TestIndexMerge:
         with open(path, "ab") as handle:
             handle.write(b'{"run_id":2,"torn')
         spec = type("Spec", (), {"name": "unit", "total_runs": 4})()
-        spec.iter_runs = lambda: iter(
-            type("Run", (), {"run_id": row["run_id"], "seed": row["seed"]})()
-            for row in sorted(rows, key=lambda row: row["run_id"])
-        )
+        seeds = {row["run_id"]: row["seed"] for row in rows}
+        spec.run_at = lambda run_id: type("Run", (), {"seed": seeds[run_id]})()
         index, intact = validate_resume(spec, path)
         assert sorted(index) == [0, 3]
         os.truncate(path, intact)

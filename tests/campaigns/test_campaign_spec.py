@@ -178,6 +178,44 @@ class TestSerialization:
                  "typo": 1}
             )
 
+    @pytest.mark.parametrize(
+        "key,value,says",
+        [
+            # Was split into seven one-letter algorithms: 7 error rows, exit 1.
+            ("algorithms", "class-1", "'algorithms' must be a list, got 'class-1'"),
+            # Was "unknown engine 't'".
+            ("engines", "timed", "'engines' must be a list, got 'timed'"),
+            # Was a TypeError traceback out of cell_key_prefix, mid-run.
+            ("algorithms", [1], "'algorithms' entries must be names, got 1"),
+            # Silently ran 2.
+            ("repetitions", 2.5, "'repetitions' must be an integer, got 2.5"),
+            # Was "'int' object is not iterable".
+            ("models", [4, 1, 0],
+             "'models' entries must be (n, b, f) integers, got 4"),
+        ],
+        ids=["algorithms-str", "engines-str", "algorithms-int",
+             "repetitions-float", "models-flat"],
+    )
+    def test_misshapen_value_names_its_key(
+        self, tmp_path, capsys, key, value, says
+    ):
+        from repro.cli import main
+
+        mapping = {"name": "x", "algorithms": ["pbft"], "models": [[4, 1, 0]]}
+        mapping[key] = value
+        with pytest.raises(ValueError) as excinfo:
+            CampaignSpec.from_mapping(mapping)
+        assert str(excinfo.value) == says
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(mapping))
+        out = tmp_path / "out.jsonl"
+        for command in (["run", str(path), "--out", str(out)], ["plan", str(path)]):
+            assert main(["campaign", *command]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"cannot load campaign spec {path}: {says}\n"
+            assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]  # nothing was written
+
     def test_unknown_extension_rejected(self, tmp_path):
         path = tmp_path / "campaign.yaml"
         path.write_text("name: x\n")
