@@ -10,7 +10,8 @@ phase ``φ`` contains a selection round (``3φ−2``), a validation round
 Messages are immutable dataclasses.  Byzantine processes may send arbitrary
 payloads, so every transition function parses messages defensively via the
 ``coerce_*`` helpers below, dropping anything malformed — this mirrors the
-fact that a real implementation ignores unparseable bytes.
+fact that a real implementation ignores unparseable bytes.  A parse lives
+as long as its round (:func:`clear_payload_caches`).
 """
 
 from __future__ import annotations
@@ -182,13 +183,24 @@ def _validate_decision_message(raw: object) -> Optional[DecisionMessage]:
     return raw
 
 
+#: The validators' identity caches, emptied by :func:`clear_payload_caches`.
+_PAYLOAD_CACHES: Tuple[dict, ...] = ()
+
+
 def _identity_cached(validate, exact_type: type, maxsize: int = 4096):
-    """Memoize a payload validator by object identity.
+    """Memoize a payload validator by object identity, for one round.
 
     Rounds hand the same broadcast payload object to every receiver, so
     each of the n receivers would otherwise re-validate an identical
     message; this collapses that to one validation per payload object —
     one of the hot-path optimizations behind the kernel's metrics mode.
+
+    A cached entry lives as long as the round that delivered its payload:
+    the execution kernel calls :func:`clear_payload_caches` once the
+    round's transitions have run, because a message of round ``r`` is
+    never read again (communication-closed rounds).  ``maxsize`` is only a
+    backstop for callers outside the kernel (the array tier's template
+    compile, tests), which get a full flush when the cache fills.
 
     Identity keying (rather than value keying) keeps the validators exact:
     the cached result is precisely what ``validate`` returned for *this*
@@ -198,14 +210,12 @@ def _identity_cached(validate, exact_type: type, maxsize: int = 4096):
     lookup.  Only instances of exactly ``exact_type`` — a frozen dataclass,
     so field rebinding is impossible — are ever cached; every other payload
     (arbitrary garbage, user-defined subclasses with who-knows-what
-    mutability) is re-validated on every delivery, as before.  A sender
-    that mutates a frozen message's *container field* in place between
-    rounds at worst replays its earlier payload — behaviour any Byzantine
-    sender may exhibit anyway.
+    mutability) is re-validated on every delivery, as before.
     """
-
+    global _PAYLOAD_CACHES
     cache: dict = {}
     cache_get = cache.get
+    _PAYLOAD_CACHES += (cache,)
 
     def wrapper(raw: object):
         hit = cache_get(id(raw))
@@ -214,11 +224,17 @@ def _identity_cached(validate, exact_type: type, maxsize: int = 4096):
         result = validate(raw)
         if type(raw) is exact_type:
             if len(cache) >= maxsize:
-                cache.clear()  # rare full flush; the next round re-warms it
+                cache.clear()
             cache[id(raw)] = (raw, result)
         return result
 
     return wrapper
+
+
+def clear_payload_caches() -> None:
+    """End a round: drop every cached validation, and the payloads it pins."""
+    for cache in _PAYLOAD_CACHES:
+        cache.clear()
 
 
 coerce_selection_message = _identity_cached(

@@ -251,7 +251,7 @@ def rejection_verdict(exc: BaseException) -> Tuple[str, str]:
 
     A :class:`ValueError` is the bound (or the envelope) rejecting the
     model.  Anything else keeps its type name but no traceback tail: the
-    memo replays a cached rejection with its traceback reset, so tail text
+    memo replays a traceback-free copy of a cached rejection, so tail text
     would depend on which worker happened to resolve the cell first.
     """
     if isinstance(exc, ValueError):

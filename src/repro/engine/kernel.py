@@ -19,6 +19,11 @@ run on.
 The kernel guarantees *no impersonation*: a payload delivered as coming from
 ``q`` was produced by ``q`` in this round (Byzantine senders choose payloads
 freely but cannot relabel them).
+
+A delivered message lives as long as its round: once step 4's transitions
+have run, the kernel clears the payload validators' caches
+(:func:`~repro.core.types.clear_payload_caches`), so nothing it delivered in
+round ``r`` stays reachable from the kernel after the round.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Mapping, Optional
 
 from repro.analysis.trace import ExecutionTrace, RoundRecord
-from repro.core.types import Decision, FaultModel, ProcessId, Round, RoundInfo
+from repro.core.types import (
+    Decision, FaultModel, ProcessId, Round, RoundInfo, clear_payload_caches,
+)
 from repro.engine.outcome import Outcome
 from repro.engine.scheduler import RoundScheduler
 from repro.faults.crash import CrashSchedule
@@ -262,6 +269,7 @@ class ExecutionKernel:
             self._apply_transitions(info, matrix)
         else:
             self._apply_transitions_fast(info, matrix)
+        clear_payload_caches()
         fired = self._probe_decisions(info, delivery.end_time)
         return self._account(info, outbound, delivery, fired)
 
@@ -286,6 +294,7 @@ class ExecutionKernel:
                 self._apply_transitions(info, matrix)
             else:
                 self._apply_transitions_fast(info, matrix)
+            clear_payload_caches()
         with tel.span("kernel.probe"):
             fired = self._probe_decisions(info, delivery.end_time)
         with tel.span("kernel.observe"):

@@ -7,6 +7,7 @@ functions of the key, so either is cached and replayed.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Hashable, Tuple, Type, TypeVar
 
 T = TypeVar("T")
@@ -26,21 +27,23 @@ def cached_outcome(
     A raise from ``compute`` matching ``cache_exceptions`` is cached and
     re-raised on every later call with the same key.  The first raise
     propagates with its original traceback (so a genuine bug surfaces with
-    the failing frames intact); cached *replays* are re-raised with the
-    traceback reset, since each raise appends frames to ``__traceback__``
-    and replaying one rejection thousands of times would otherwise grow
-    the chain (and its live frame references) without bound.
+    the failing frames intact); the cache keeps a copy — ``copy.copy``
+    carries ``args`` and attributes but no traceback, cause or context —
+    and every replay raises a fresh copy of that.  A replayed object is
+    the caller's alone: its traceback (and the caller frames it references)
+    dies with the caller's handler instead of living on in the cache.
     """
     hit = cache.get(key)
     if hit is None:
         try:
             value = compute()
         except cache_exceptions as exc:
-            cache[key] = (False, exc)
+            cache[key] = (False, copy.copy(exc))
             raise
         cache[key] = (True, value)
         return value
     ok, value = hit
     if not ok:
-        raise value.with_traceback(None)  # type: ignore[union-attr]
+        raise copy.copy(value)  # type: ignore[misc]
     return value  # type: ignore[return-value]
+

@@ -104,13 +104,19 @@ def test_memo_replays_the_identical_outcome(algorithm, model, status, fragment):
         assert admit(algorithm, *model) is admit(algorithm, *model)
         return
     raised = []
-    for _ in range(2):
+    for _ in range(3):
         with pytest.raises((ValueError, KeyError)) as info:
             admit(algorithm, *model)
         raised.append(info.value)
-    # The deterministic rejection is the memoized exception object itself.
-    assert raised[0] is raised[1]
-    assert _RESOLVE_MEMO[(algorithm, *model)] == (False, raised[0])
+    # The deterministic rejection is replayed as a fresh copy of the memoized
+    # exception — same type, same arguments — so no replay's traceback (and
+    # the caller frames it holds) outlives its caller inside the memo.
+    ok, cached = _RESOLVE_MEMO[(algorithm, *model)]
+    assert ok is False and cached.__traceback__ is None
+    for exc in raised:
+        assert (type(exc), exc.args) == (type(cached), cached.args)
+        assert exc is not cached
+    assert raised[1] is not raised[2]
     assert fragment in rejection_message(raised[0])
 
 

@@ -1,13 +1,27 @@
-"""Kernel observation modes: metrics parity with full, trace-free hot path."""
+"""Kernel observation modes: metrics parity with full, trace-free hot path;
+and the round lifetime of delivered messages."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.algorithms import build_mqb, build_one_third_rule, build_pbft
 from repro.analysis.metrics import RunMetrics
+from repro.core.types import (
+    _PAYLOAD_CACHES,
+    DecisionMessage,
+    SelectionMessage,
+    ValidationMessage,
+    clear_payload_caches,
+)
+from repro.engine import kernel as kernel_module
+from repro.engine.cell import admit
 from repro.engine.assembly import build_instance
 from repro.engine.kernel import (
     OBSERVE_FULL,
     OBSERVE_METRICS,
+    OBSERVE_PROFILE,
     ExecutionKernel,
     run_instance,
 )
@@ -153,3 +167,87 @@ class TestTimedFullObservation:
         assert outcome.agreement_holds
         # The surviving correct processes still decide.
         assert outcome.all_correct_decided
+
+
+MESSAGE_TYPES = (SelectionMessage, ValidationMessage, DecisionMessage)
+
+
+def delivered_refs_after_step(observe=OBSERVE_METRICS):
+    """Step one pbft round; weak references to every message it delivered."""
+    spec = build_pbft(4)
+    values = {pid: f"v{pid % 2}" for pid in range(4)}
+    instance = build_instance(spec.parameters, values)
+    scheduler = LockstepScheduler()
+    refs = []
+    deliver_round = scheduler.deliver_round
+
+    def spy(info, outbound, context):
+        delivery = deliver_round(info, outbound, context)
+        refs.extend(
+            weakref.ref(payload)
+            for row in delivery.matrix.values()
+            for payload in row.values()
+            if type(payload) in MESSAGE_TYPES
+        )
+        return delivery
+
+    scheduler.deliver_round = spy
+    kernel = ExecutionKernel(
+        spec.parameters.model,
+        instance.processes,
+        scheduler,
+        instance.structure.info,
+        context=instance.context,
+        observe=observe,
+    )
+    kernel.step()
+    gc.collect()
+    assert refs, "the round must deliver protocol messages"
+    return kernel, refs
+
+
+class TestRoundLifetime:
+    """A message sent in round r is read in round r and never again, so the
+    payload validators' caches hold nothing once the round has run."""
+
+    @pytest.mark.parametrize("observe", [OBSERVE_METRICS, OBSERVE_PROFILE])
+    def test_delivered_payload_is_unreachable_after_its_round(self, observe):
+        kernel, refs = delivered_refs_after_step(observe)
+        assert all(ref() is None for ref in refs)
+        assert not any(_PAYLOAD_CACHES)
+        assert kernel.rounds_executed == 1
+
+    def test_negative_control_without_the_round_end_clear(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "clear_payload_caches", lambda: None)
+        try:
+            _kernel, refs = delivered_refs_after_step()
+            assert any(ref() is not None for ref in refs)
+            assert any(_PAYLOAD_CACHES)
+        finally:
+            clear_payload_caches()
+
+    def test_caches_are_empty_after_run_instance(self):
+        outcome = run_cell(build_pbft(4), byzantine={3: "equivocator"},
+                           observe=OBSERVE_METRICS)
+        assert outcome.decisions
+        assert not any(_PAYLOAD_CACHES)
+
+    def test_replayed_rejection_keeps_no_caller_frame_alive(self):
+        class Marker:
+            pass
+
+        refs = []
+
+        def caller():
+            marker = Marker()
+            refs.append(weakref.ref(marker))
+            try:
+                admit("class-1", 7, 1, 1)
+            except ValueError:
+                pass
+
+        for _ in range(100):
+            caller()
+        gc.collect()
+        assert len(refs) == 100
+        assert all(ref() is None for ref in refs)
