@@ -5,7 +5,11 @@ each module's docstring names its own).  Benchmarks double as assertions:
 each records the paper's qualitative claim and fails if the measured
 behaviour stops matching it.
 
-Run:  pytest benchmarks/ --benchmark-only
+Run:  python -m pytest -q --benchmark-disable benchmarks/bench_*.py
+
+The modules are named on the command line because pytest's default
+``python_files`` pattern (``test_*.py``) does not collect ``bench_*.py``;
+``--benchmark-disable`` runs each timed body once, as a plain assertion.
 """
 
 from __future__ import annotations

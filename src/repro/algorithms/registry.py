@@ -6,11 +6,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.core.classification import (
-    AlgorithmClass,
-    build_class_parameters,
-    classify,
-)
+from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.types import FaultModel, ProcessId, Value
 from repro.engine.assembly import build_instance
@@ -69,11 +65,6 @@ class AlgorithmSpec:
             crash_schedule=crash_schedule,
             record_snapshots=record_snapshots,
         )
-
-    @property
-    def classified_as(self) -> Optional[AlgorithmClass]:
-        """The class derived from the parameters (should match the paper's)."""
-        return classify(self.parameters)
 
     def describe(self) -> str:
         return (

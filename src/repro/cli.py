@@ -1163,6 +1163,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print Table 1")
 
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be ≥ 1, got {value}")
+        return value
+
+    def positive_float(text: str) -> float:
+        value = float(text)
+        if not 0 < value < float("inf"):  # nan fails both comparisons
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return value
+
+    def rate_list(text: str) -> list:
+        return [positive_float(rate) for rate in text.split(",") if rate]
+
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"
     )
@@ -1180,22 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--engine", choices=["lockstep", "timed"],
                       default="lockstep")
     srun.add_argument("--seed", type=int, default=0)
-    srun.add_argument("--max-phases", type=int, default=None)
-
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be ≥ 1, got {value}")
-        return value
-
-    def positive_float(text: str) -> float:
-        value = float(text)
-        if not 0 < value < float("inf"):  # nan fails both comparisons
-            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-        return value
-
-    def rate_list(text: str) -> list:
-        return [positive_float(rate) for rate in text.split(",") if rate]
+    srun.add_argument("--max-phases", type=positive_int, default=None)
 
     profile = sub.add_parser(
         "profile",
@@ -1218,7 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="aggregate spans over N runs (seeds seed..seed+N-1)",
     )
-    profile.add_argument("--max-phases", type=int, default=None)
+    profile.add_argument("--max-phases", type=positive_int, default=None)
     profile.add_argument(
         "--batch",
         type=positive_int,
@@ -1265,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--arrival", choices=["poisson", "fixed"],
                             default="poisson")
         target.add_argument("--seed", type=int, default=0)
-        target.add_argument("--max-phases", type=int, default=None)
+        target.add_argument("--max-phases", type=positive_int, default=None)
 
     serve = smrsub.add_parser(
         "serve",

@@ -304,16 +304,6 @@ class FaultModel:
         return f"n={self.n}, b={self.b}, f={self.f}"
 
 
-@dataclass(frozen=True)
-class MessageRecord:
-    """One delivered message, as recorded in execution traces."""
-
-    round: Round
-    sender: ProcessId
-    receiver: ProcessId
-    payload: object
-
-
 ReceivedVector = Mapping[ProcessId, object]
 """The vector ``μ_p^r`` of messages received by one process in one round.
 

@@ -105,10 +105,6 @@ class Outcome:
     # -- timing ------------------------------------------------------------
 
     @property
-    def first_decision_time(self) -> Optional[float]:
-        return min(self.decision_times.values()) if self.decision_times else None
-
-    @property
     def last_decision_time(self) -> Optional[float]:
         return max(self.decision_times.values()) if self.decision_times else None
 

@@ -138,10 +138,6 @@ class AuthenticatedCoordinatorEcho(PconsImplementation):
             pid: self._service.issue_key(pid) for pid in model.processes
         }
 
-    @property
-    def signature_service(self) -> SignatureService:
-        return self._service
-
     def execute(
         self,
         phase: Phase,

@@ -16,7 +16,7 @@ stable coordinate strings campaign seed derivation keys on.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.types import FaultModel
@@ -332,10 +332,6 @@ class ScenarioSpec:
         if "timing" in data:
             kwargs["timing"] = NetworkSpec(**dict(data["timing"]))
         return cls(**kwargs)
-
-    def with_timing(self, timing: NetworkSpec) -> "ScenarioSpec":
-        """The same scenario under different timed-network conditions."""
-        return replace(self, timing=timing)
 
 
 def split_values(model: FaultModel, byzantine: Mapping[int, object],

@@ -8,7 +8,6 @@ log order.
 
 from repro.smr.log import LogEntry, ReplicatedLog
 from repro.smr.machine import Command, CounterMachine, KeyValueStore, StateMachine
-from repro.smr.replica import ReplicatedService, SmrReport
 from repro.smr.serve import (
     ServeConfig,
     ServeReport,
@@ -23,10 +22,8 @@ __all__ = [
     "KeyValueStore",
     "LogEntry",
     "ReplicatedLog",
-    "ReplicatedService",
     "ServeConfig",
     "ServeReport",
-    "SmrReport",
     "StateMachine",
     "WorkloadSpec",
     "run_serve",

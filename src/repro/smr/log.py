@@ -1,9 +1,9 @@
-"""The replicated log: one consensus-decided entry per slot."""
+"""The replicated log: one consensus-decided entry per slot, in slot order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Iterator, List, Optional
 
 from repro.smr.machine import Command
 
@@ -19,62 +19,39 @@ class LogEntry:
 
 
 class ReplicatedLog:
-    """An append-only log with a contiguous committed prefix.
+    """An append-only log committed in slot order from slot 0.
 
-    Slots are numbered from 0.  Entries may only be committed once; a
-    conflicting commit raises — it would mean consensus agreement was
-    violated upstream.
-
-    Both watermarks are maintained incrementally on :meth:`commit`, so
-    ``next_slot`` and ``prefix_length`` are O(1) however many slots have
-    been committed (service loops read them once per slot; a ``max()``
-    scan here made long runs quadratic in committed slots).
+    The next commit is slot ``len(log)``; re-committing an earlier slot with
+    the same command is a no-op.  A conflicting commit raises — it would
+    mean consensus agreement was violated upstream — and so does a commit
+    past the end, which would leave a gap in the applied sequence (a driver
+    buffers out-of-order decides itself and commits in order).
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, LogEntry] = {}
-        # Highest committed slot (next_slot = _max_slot + 1).
-        self._max_slot = -1
-        # Length of the gap-free prefix starting at slot 0 — the in-order
-        # apply watermark pipelined commits advance through.
-        self._prefix = 0
+        self._entries: List[LogEntry] = []
 
     def commit(self, entry: LogEntry) -> None:
-        existing = self._entries.get(entry.slot)
-        if existing is not None:
+        entries = self._entries
+        slot = entry.slot
+        if slot == len(entries):
+            entries.append(entry)
+        elif 0 <= slot < len(entries):
+            existing = entries[slot]
             if existing.command != entry.command:
                 raise ValueError(
-                    f"slot {entry.slot} already committed with "
+                    f"slot {slot} already committed with "
                     f"{existing.command!r}, refusing {entry.command!r}"
                 )
-            return  # idempotent re-commit: watermarks already account for it
-        self._entries[entry.slot] = entry
-        if entry.slot > self._max_slot:
-            self._max_slot = entry.slot
-        # An out-of-order commit lands beyond the prefix and advances
-        # nothing; the commit that fills the gap walks across every
-        # already-buffered slot, so the total walk is O(1) amortized.
-        while self._prefix in self._entries:
-            self._prefix += 1
-
-    def entry(self, slot: int) -> Optional[LogEntry]:
-        return self._entries.get(slot)
-
-    @property
-    def next_slot(self) -> int:
-        """First unused slot index."""
-        return self._max_slot + 1
-
-    @property
-    def prefix_length(self) -> int:
-        """Slots committed gap-free from 0 — the in-order apply watermark."""
-        return self._prefix
+        else:
+            raise ValueError(
+                f"slot {slot} committed out of order: the next slot is "
+                f"{len(entries)}"
+            )
 
     def committed_prefix(self) -> Iterator[LogEntry]:
-        """Entries from slot 0 up to the first gap, in order."""
-        entries = self._entries
-        for slot in range(self._prefix):
-            yield entries[slot]
+        """Every committed entry, from slot 0 in order."""
+        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

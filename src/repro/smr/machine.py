@@ -9,19 +9,10 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 #: Commands are immutable tuples ``(op, *args)`` — hashable by construction.
 Command = Tuple
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    """Outcome of applying one command."""
-
-    command: Command
-    output: Any
 
 
 class StateMachine(abc.ABC):

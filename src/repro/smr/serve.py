@@ -11,8 +11,8 @@ decided by one instance of the generic algorithm on the unified kernel's
   formed deterministically in arrival order;
 * **leader pipelining** — up to ``depth`` slots are in flight at once
   (slot ``k+1`` proposed while slot ``k`` is still deciding), with
-  out-of-order decide buffered and applied *in order* through the
-  replicated log's contiguous prefix watermark.
+  out-of-order decides buffered by the serve loop and committed to the
+  replicated log and applied *in order*.
 
 Time is simulated: slot ``s`` proposed at clock ``t`` commits at ``t + d``
 where ``d`` is the deciding instance's duration (simulated time on the
@@ -196,6 +196,8 @@ class ServeConfig:
             raise ValueError(f"depth must be ≥ 1, got {self.depth}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be ≥ 1, got {self.max_attempts}")
+        if self.max_phases is not None and self.max_phases < 1:
+            raise ValueError(f"max_phases must be ≥ 1, got {self.max_phases}")
         if not 0 < self.round_cost < inf:
             raise ValueError(
                 f"round_cost must be finite and > 0, got {self.round_cost}"

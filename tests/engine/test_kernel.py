@@ -6,7 +6,12 @@ import weakref
 
 import pytest
 
-from repro.algorithms import build_mqb, build_one_third_rule, build_pbft
+from repro.algorithms import (
+    build_mqb,
+    build_one_third_rule,
+    build_paxos,
+    build_pbft,
+)
 from repro.analysis.metrics import RunMetrics
 from repro.core.types import (
     _PAYLOAD_CACHES,
@@ -62,6 +67,8 @@ def run_cell(spec, *, byzantine=None, engine="lockstep", observe=OBSERVE_FULL,
 CELLS = [
     (build_pbft(4), {3: "equivocator"}),
     (build_pbft(4), {}),
+    (build_pbft(4), {3: "silent"}),
+    (build_paxos(3), {}),
     (build_mqb(5), {4: "vote-flipper"}),
     (build_one_third_rule(4), {}),
 ]

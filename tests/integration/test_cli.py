@@ -148,6 +148,29 @@ def test_smr_rejects_non_positive_load(capsys, argv, flag):
     assert "usage:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scenario", "run", "fault-free", "--algorithm", "pbft", "--n", "4",
+         "--b", "1"],
+        ["profile", "fault-free", "--algorithm", "pbft", "--n", "4", "--b", "1"],
+        ["smr", "serve"],
+        ["smr", "sweep"],
+    ],
+    ids=["scenario-run", "profile", "smr-serve", "smr-sweep"],
+)
+def test_max_phases_must_be_positive(capsys, command, value):
+    # A negative horizon died in a kernel ValueError traceback (or was
+    # reported as a bad ``max_rounds``); zero ran undecidable instances.
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--max-phases", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --max-phases: must be ≥ 1, got {value}" in err
+    assert "usage:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,15 +1,18 @@
-"""Replicated log semantics."""
+"""Replicated log semantics: in-order commits only."""
 
 import pytest
 
 from repro.smr.log import LogEntry, ReplicatedLog
 
 
-def test_commit_and_read():
+def test_commit_in_order_and_read():
     log = ReplicatedLog()
-    log.commit(LogEntry(0, ("set", "x", 1)))
-    assert log.entry(0).command == ("set", "x", 1)
-    assert log.entry(1) is None
+    for slot, command in enumerate([("a",), ("b",), ("c",)]):
+        log.commit(LogEntry(slot, command))
+    assert len(log) == 3
+    assert [entry.command for entry in log.committed_prefix()] == [
+        ("a",), ("b",), ("c",),
+    ]
 
 
 def test_conflicting_commit_rejected():
@@ -22,87 +25,20 @@ def test_conflicting_commit_rejected():
 def test_idempotent_commit_ok():
     log = ReplicatedLog()
     log.commit(LogEntry(0, ("a",)))
-    log.commit(LogEntry(0, ("a",)))  # same command: fine
-    assert len(log) == 1
-
-
-def test_next_slot():
-    log = ReplicatedLog()
-    assert log.next_slot == 0
-    log.commit(LogEntry(0, ("a",)))
-    assert log.next_slot == 1
-    log.commit(LogEntry(5, ("f",)))
-    assert log.next_slot == 6
-
-
-def test_committed_prefix_stops_at_gap():
-    log = ReplicatedLog()
-    log.commit(LogEntry(0, ("a",)))
     log.commit(LogEntry(1, ("b",)))
-    log.commit(LogEntry(3, ("d",)))  # gap at 2
-    prefix = [entry.command for entry in log.committed_prefix()]
-    assert prefix == [("a",), ("b",)]
+    log.commit(LogEntry(0, ("a",)))  # same command: fine
+    assert len(log) == 2
+
+
+@pytest.mark.parametrize("slot", [1, 5, -1])
+def test_skipped_slot_rejected(slot):
+    # The driver buffers out-of-order decides; a gap reaching the log is a bug.
+    log = ReplicatedLog()
+    with pytest.raises(ValueError, match="out of order: the next slot is 0"):
+        log.commit(LogEntry(slot, ("a",)))
+    assert len(log) == 0
 
 
 def test_phases_metadata():
     entry = LogEntry(0, ("a",), phases=2)
     assert entry.phases == 2
-
-
-class TestOutOfOrderCommit:
-    """Regression: both watermarks stay correct under pipelined commits.
-
-    ``next_slot`` used to re-scan ``max(slots)`` on every read, which made
-    service loops quadratic in committed slots; the incremental watermarks
-    must agree with the scan under any commit order.
-    """
-
-    def test_gap_then_fill_advances_prefix(self):
-        log = ReplicatedLog()
-        log.commit(LogEntry(2, ("c",)))
-        log.commit(LogEntry(1, ("b",)))
-        assert log.prefix_length == 0  # slot 0 still missing
-        assert log.next_slot == 3
-        log.commit(LogEntry(0, ("a",)))
-        # Filling the gap walks across the buffered slots in one step.
-        assert log.prefix_length == 3
-        assert [e.command for e in log.committed_prefix()] == [
-            ("a",), ("b",), ("c",),
-        ]
-
-    def test_reverse_order_commit(self):
-        log = ReplicatedLog()
-        for slot in reversed(range(50)):
-            log.commit(LogEntry(slot, (slot,)))
-            assert log.next_slot == 50
-        assert log.prefix_length == 50
-
-    def test_interleaved_order_matches_scan(self):
-        import random
-
-        rng = random.Random(7)
-        slots = list(range(200))
-        rng.shuffle(slots)
-        log = ReplicatedLog()
-        committed = set()
-        for slot in slots:
-            log.commit(LogEntry(slot, (slot,)))
-            committed.add(slot)
-            # The incremental watermarks equal the O(n) definitions.
-            assert log.next_slot == max(committed) + 1
-            prefix = 0
-            while prefix in committed:
-                prefix += 1
-            assert log.prefix_length == prefix
-        assert [e.command for e in log.committed_prefix()] == [
-            (slot,) for slot in range(200)
-        ]
-
-    def test_idempotent_recommit_does_not_move_watermarks(self):
-        log = ReplicatedLog()
-        log.commit(LogEntry(0, ("a",)))
-        log.commit(LogEntry(2, ("c",)))
-        before = (log.next_slot, log.prefix_length, len(log))
-        log.commit(LogEntry(0, ("a",)))
-        log.commit(LogEntry(2, ("c",)))
-        assert (log.next_slot, log.prefix_length, len(log)) == before

@@ -9,11 +9,13 @@ import itertools
 
 import pytest
 
+from repro.algorithms import build_pbft
 from repro.campaigns.results import read_rows
 from repro.cli import main
 from repro.core.parameters import ParameterError
 from repro.smr import (
     CounterMachine,
+    KeyValueStore,
     ServeConfig,
     WorkloadSpec,
     run_serve,
@@ -90,6 +92,9 @@ class TestServeConfigValidation:
             ServeConfig(batch_bytes=0)
         with pytest.raises(ValueError):
             ServeConfig(max_attempts=0)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_phases must be ≥ 1"):
+                ServeConfig(max_phases=bad)
 
     def test_inadmissible_model_raises(self):
         # PBFT hosts no crash faults: f > 0 cannot be served.
@@ -161,16 +166,60 @@ class TestDigestEquivalence:
         assert not report.stalled
         assert report.log_digest == baseline.log_digest
 
-    def test_counter_machine_replicates(self):
-        arrivals = [(0.1 * i, ("add", i)) for i in range(1, 13)]
-        config = ServeConfig(n=4, b=1, batch=4, depth=3, seed=2)
-        report = run_serve(
-            config,
-            arrivals=arrivals,
-            machine_factory=CounterMachine,
-        )
-        assert report.committed_commands == 12
+    @pytest.mark.parametrize(
+        "config, machine, arrivals, read, expected",
+        [
+            pytest.param(
+                ServeConfig(n=4, b=1, batch=4, depth=3, seed=2),
+                CounterMachine,
+                [(0.1 * i, ("add", i)) for i in range(1, 13)],
+                lambda replica: replica.value, 78,
+                id="counter",
+            ),
+            pytest.param(
+                ServeConfig(algorithm="paxos", n=3, b=0, batch=1, depth=1),
+                KeyValueStore,
+                [(0.1, ("set", "x", 1)), (0.2, ("set", "y", 2)),
+                 (0.3, ("del", "x"))],
+                lambda replica: (replica.get("x"), replica.get("y")),
+                (None, 2),
+                id="paxos-kv",
+            ),
+            pytest.param(
+                ServeConfig(n=4, b=1, scenario="worst_case", batch=1, depth=1),
+                KeyValueStore,
+                [(0.1, ("set", "k", "v")), (0.2, ("set", "k2", "v2")),
+                 (0.3, ("set", "k", "v3"))],
+                lambda replica: (replica.get("k"), replica.get("k2")),
+                ("v3", "v2"),
+                id="pbft-worst-case-kv",
+            ),
+            pytest.param(
+                ServeConfig(n=4, b=1, batch=1, depth=1), KeyValueStore, [],
+                len, 0,
+                id="no-arrivals",
+            ),
+        ],
+    )
+    def test_explicit_arrivals_replicate(
+        self, config, machine, arrivals, read, expected
+    ):
+        replicas = []
+
+        def build():
+            replicas.append(machine())
+            return replicas[-1]
+
+        report = run_serve(config, arrivals=arrivals, machine_factory=build)
+        assert not report.stalled
+        assert report.committed_commands == len(arrivals)
+        assert (report.slots_committed == 0) == (not arrivals)
         assert report.digests_agree
+        assert report.log_digest != "diverged"
+        # Every honest replica reads the last write of every key.
+        assert [read(replica) for replica in replicas] == [expected] * len(
+            replicas
+        )
 
 
 class TestBatching:
@@ -240,7 +289,11 @@ class TestServeReport:
         assert counters["smr.slots"] == report.slots_committed
         assert counters["smr.commands"] == report.committed_commands
         assert counters["smr.messages"] > 0
-        assert counters["smr.rounds"] > 0
+        # Every slot runs at least one whole phase of the algorithm.
+        assert (
+            counters["smr.rounds"] / counters["smr.slots"]
+            >= build_pbft(4).parameters.rounds_per_phase
+        )
 
     def test_stall_reported_not_raised(self):
         # One attempt under heavy loss with a tiny horizon cannot decide.

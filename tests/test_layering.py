@@ -99,15 +99,13 @@ def test_the_one_exception_is_still_exactly_one_line():
 
 #: Every file under ``src/repro`` (outside ``engine/``, which defines them)
 #: that calls ``build_instance`` / ``run_instance``: the scenario layer, the
-#: three executors that hold a compiled scenario, and three library
-#: conveniences (``AlgorithmSpec.run``, the single-decree SMR replica, the
-#: Pcons-stack wrapper).
+#: three executors that hold a compiled scenario, and two library
+#: conveniences (``AlgorithmSpec.run``, the Pcons-stack wrapper).
 ASSEMBLY_CALLERS = {
     "scenarios/compile.py",
     "campaigns/runner.py",
     "fuzz/classify.py",
     "smr/serve.py",
-    "smr/replica.py",
     "algorithms/registry.py",
     "network/stack.py",
 }
