@@ -8,7 +8,7 @@ from repro.campaigns import (
     BUILTIN_CAMPAIGNS,
     CampaignSpec,
     NetworkSpec,
-    ResultStore,
+    ResultSink,
     ScenarioSpec,
     SummaryFold,
     checkpoint_path,
@@ -59,10 +59,10 @@ def main():
     # interrupted run left behind (appending to it would let its stale
     # rows win at finalize).  A real resuming caller instead gates on
     # `validate_resume(spec, checkpoint)`, passes the returned index's
-    # run_ids as `skip_run_ids` and the index itself to `open_append` —
+    # run_ids as `skip_run_ids` and the index itself to `ResultSink` —
     # what `repro campaign run --resume` does.
     checkpoint_path(out).unlink(missing_ok=True)
-    with ResultStore(checkpoint_path(out)).open_append() as sink:
+    with ResultSink(checkpoint_path(out)) as sink:
         for row, coords in iter_groups(spec, workers=4, lines=True):
             sink.append(row, coords)
             fold.add(row, 1 if coords is None else len(coords))

@@ -49,7 +49,6 @@ from repro.campaigns.aggregate import (
 from repro.campaigns.presets import BUILTIN_CAMPAIGNS
 from repro.campaigns.results import (
     ResultSink,
-    ResultStore,
     checkpoint_path,
     finalize_checkpoint,
     iter_rows,
@@ -91,7 +90,6 @@ __all__ = [
     "DEFAULT_GROUP_KEYS",
     "NetworkSpec",
     "ResultSink",
-    "ResultStore",
     "RunSpec",
     "ScenarioSpec",
     "SummaryFold",

@@ -41,18 +41,15 @@ with one ``write`` and one ``flush`` and indexes each line on its own.  A
 torn group is therefore whole lines plus at most one torn line, which the
 resume scan heals like any other torn tail.
 
-:class:`ResultStore` binds one path; :meth:`ResultStore.open_append`
-returns the held-open :class:`ResultSink` the streaming runner writes
-through (one handle for the whole campaign, not one ``open``/``close``
-syscall pair per row).
+Every file here is made of :mod:`repro.utils.jsonl`'s pieces: its
+canonical encoder, its torn-tail scan, its held-open appender
+(:class:`ResultSink` is one) and its write-temp-then-rename.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from types import TracebackType
 from typing import (
     Callable,
     Dict,
@@ -63,10 +60,10 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Type,
 )
 
 from repro.engine.cell import Coords, Row, RowPart, expand_part
+from repro.utils.jsonl import Appender, canonical, replace, scan
 
 #: ``run_id → (byte offset, byte length)`` of the checkpoint line recording
 #: that run, newline included; a run recorded twice keeps its first line.
@@ -83,8 +80,6 @@ TEMPLATE_KEY = "_line_template"
 #: Stands in for the three coordinates in the one encoding of a group's row.
 _MARK = "\x00coordinate"
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
 
 def row_to_json(row: Row) -> str:
     """Canonical single-line JSON for one row.
@@ -94,7 +89,7 @@ def row_to_json(row: Row) -> str:
     are stripped here, so canonical result files stay byte-identical
     across worker counts, chunk sizes and instrumentation settings.
     """
-    return _encode(
+    return canonical(
         {key: value for key, value in row.items() if key[:1] != "_"}
     )
 
@@ -103,7 +98,7 @@ def _line_template(row: Row, coords: Sequence[Coords]) -> Optional[str]:
     """One encoding of ``row`` that renders every line of its group, or
     ``None`` unless it reproduces the first and last of them exactly."""
     marked = row_to_json(dict(row, rep=_MARK, run_id=_MARK, seed=_MARK))
-    template = marked.replace("%", "%%").replace(_encode(_MARK), "%d")
+    template = marked.replace("%", "%%").replace(canonical(_MARK), "%d")
     try:
         for rep, run_id, seed in (coords[0], coords[-1]):
             line = row_to_json(dict(row, rep=rep, run_id=run_id, seed=seed))
@@ -138,11 +133,9 @@ def rows_to_jsonl(rows: Iterable[Row]) -> str:
 
 
 def write_rows(path: object, rows: Iterable[Row]) -> Path:
-    """Write rows as canonical JSONL, creating parent directories."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(rows_to_jsonl(rows), encoding="utf-8")
-    return target
+    """Replace ``path`` with rows as canonical JSONL, atomically (temp +
+    rename), creating parent directories."""
+    return replace(path, (row_to_json(row).encode() + b"\n" for row in rows))
 
 
 def iter_rows(path: object) -> Iterator[Row]:
@@ -191,57 +184,39 @@ class _CheckpointScan:
 def _scan(
     path: object, on_row: Optional[Callable[[Row], None]] = None
 ) -> _CheckpointScan:
-    scan = _CheckpointScan()
-    # A parse failure is tolerated only on the *final* line; remember it
-    # and raise retroactively if any further line proves it was mid-file.
-    deferred: Optional[str] = None
-    with open(path, "rb") as handle:
-        for number, raw in enumerate(iter(handle.readline, b""), start=1):
-            if deferred is not None:
-                raise ValueError(deferred)
-            if not raw.endswith(b"\n"):
-                break  # torn tail: crash before the newline was written
-            line = raw[:-1].strip()
-            if not line:
-                scan.intact += len(raw)
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                # Torn final line whose newline made it to disk.
-                deferred = f"{path}: corrupt checkpoint line {number} ({exc})"
-                continue
-            run_id = row.get("run_id") if isinstance(row, dict) else None
-            if not isinstance(run_id, int):
-                raise ValueError(
-                    f"{path}: checkpoint line {number} has no integer run_id"
-                )
-            if run_id not in scan.index:
-                # ``intact`` is this line's offset: every earlier line
-                # has been added to it.
-                scan.index[run_id] = (scan.intact, len(raw))
-                if on_row is not None:
-                    on_row(row)
-            scan.campaigns.add(row.get("campaign"))
-            if scan.first is None:
-                scan.first = row
-            scan.last = row
-            scan.intact += len(raw)
-    return scan
+    found = _CheckpointScan()
+    for offset, length, row in scan(path, "checkpoint"):
+        run_id = row.get("run_id") if isinstance(row, dict) else None
+        if not isinstance(run_id, int):
+            raise ValueError(
+                f"{path}: checkpoint line at byte {offset} has no integer "
+                "run_id"
+            )
+        if run_id not in found.index:
+            found.index[run_id] = (offset, length)
+            if on_row is not None:
+                on_row(row)
+        found.campaigns.add(row.get("campaign"))
+        if found.first is None:
+            found.first = row
+        found.last = row
+        found.intact = offset + length
+    return found
 
 
 def scan_checkpoint(path: object) -> Tuple[Set[int], int]:
     """Recover ``(recorded run_ids, intact byte length)`` from a checkpoint.
 
     A campaign killed mid-``write`` can leave one torn trailing line; it is
-    excluded from the id set and from the returned byte offset, so resuming
-    truncates it and re-executes that run.  Corruption anywhere *before*
-    the final line raises ``ValueError`` — that file is not a checkpoint
-    this code ever wrote.  The scan streams line by line: memory stays
-    O(one line) plus two integers per recorded run.
+    excluded from the id set and from the returned byte offset (the end of
+    the last recorded line), so resuming truncates it and re-executes that
+    run.  Corruption anywhere *before* the final line raises
+    ``ValueError`` — that file is not a checkpoint this code ever wrote.
+    The scan streams line by line: memory stays O(one line) plus two
+    integers per recorded run.
     """
-    scan = _scan(path)
-    return set(scan.index), scan.intact
+    found = _scan(path)
+    return set(found.index), found.intact
 
 
 def validate_resume(
@@ -257,7 +232,7 @@ def validate_resume(
     index, intact byte length)``: the index's keys are the recorded
     run_ids (what :func:`~repro.campaigns.runner.iter_groups` takes as
     ``skip_run_ids``); truncate the file to the length before appending,
-    and hand the index to :meth:`ResultStore.open_append` so the sink
+    and hand the index to :class:`ResultSink` so the sink
     continues it for :func:`finalize_checkpoint`.
 
     This is the one pass that parses the recorded rows, so ``on_row`` —
@@ -276,29 +251,29 @@ def validate_resume(
     should gate on this.
     """
     path = Path(checkpoint)
-    scan = _scan(path, on_row)  # single parse pass: index, endpoint rows
-    if not scan.index:
-        return scan.index, scan.intact
-    foreign = scan.campaigns - {spec.name}
+    found = _scan(path, on_row)  # single parse pass: index, endpoint rows
+    if not found.index:
+        return found.index, found.intact
+    foreign = found.campaigns - {spec.name}
     if foreign:
         raise ValueError(
             f"checkpoint {path} belongs to campaign "
             f"{next(iter(foreign))!r}, not {spec.name!r}"
         )
-    for run_id in (min(scan.index), max(scan.index)):
+    for run_id in (min(found.index), max(found.index)):
         if not 0 <= run_id < spec.total_runs:
             raise ValueError(
                 f"checkpoint {path} records run {run_id} but this "
                 f"grid has only {spec.total_runs} runs (spec changed?)"
             )
-    for row in (scan.first, scan.last):
+    for row in (found.first, found.last):
         if row.get("seed") != spec.run_at(row["run_id"]).seed:
             raise ValueError(
                 f"checkpoint {path} was recorded with a different "
                 f"campaign seed or grid (run {row['run_id']} seed "
                 "mismatch)"
             )
-    return scan.index, scan.intact
+    return found.index, found.intact
 
 
 def _is_line_of(data: bytes, run_id: int, offset: int, length: int) -> bool:
@@ -338,16 +313,15 @@ def finalize_checkpoint(
     :class:`ValueError` and leaves the checkpoint in place.
     """
     source = Path(checkpoint)
-    target = Path(out)
+    data = source.read_bytes()
     if index is None:
-        scan = _scan(source)
-        if scan.intact != source.stat().st_size:
+        found = _scan(source)
+        if data[found.intact:].strip():
             raise ValueError(
                 f"{source}: torn or corrupt final line; resume the "
                 "campaign to complete it"
             )
-        index = scan.index
-    data = source.read_bytes()
+        index = found.index
     lines = sorted(index.items())
     for run_id, (offset, length) in lines:
         if not _is_line_of(data, run_id, offset, length):
@@ -356,43 +330,36 @@ def finalize_checkpoint(
                 f"length {length}) is not that run's line in the file"
             )
     view = memoryview(data)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    scratch = target.with_name(target.name + ".tmp")
-    with open(scratch, "wb") as handle:
-        handle.writelines(
-            view[offset:offset + length] for _, (offset, length) in lines
-        )
-    os.replace(scratch, target)
+    target = replace(
+        out, (view[offset:offset + length] for _, (offset, length) in lines)
+    )
     source.unlink()
     return target
 
 
-class ResultSink:
-    """A held-open, crash-safe append handle for streaming campaign rows.
+class ResultSink(Appender):
+    """The crash-safe :class:`~repro.utils.jsonl.Appender` a campaign
+    streams its rows through.
 
-    One file handle serves the whole campaign (O(1) ``open`` calls instead
-    of O(rows)); each :meth:`append` writes one part's canonical line(s) —
-    what :func:`attach_lines` left on the row, else serialized here — in
-    one ``write`` and flushes, so every appended row has reached the OS
-    before the next one is consumed.  :attr:`index` records where each
-    line went, for :func:`finalize_checkpoint`; a resumed campaign passes
-    the index :func:`validate_resume` returned, and the sink continues it.
-    Use as a context manager::
+    One file handle serves the whole campaign; each :meth:`append` writes
+    one part's canonical line(s) — what :func:`attach_lines` left on the
+    row, else serialized here — in one ``write`` + ``flush``.
+    :attr:`index` records where each line went, for
+    :func:`finalize_checkpoint`; a resumed campaign passes the index
+    :func:`validate_resume` returned, and the sink continues it.  Use as a
+    context manager::
 
-        with ResultStore(path).open_append() as sink:
+        with ResultSink(checkpoint_path(out)) as sink:
             for row, coords in iter_groups(spec, lines=True):
                 sink.append(row, coords)
-        finalize_checkpoint(path, out, sink.index)
+        finalize_checkpoint(checkpoint_path(out), out, sink.index)
     """
 
     def __init__(
         self, path: object, index: Optional[LineIndex] = None
     ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "ab")
+        super().__init__(path)
         self.index: LineIndex = {} if index is None else index
-        self._offset = self._handle.tell()  # append mode opens at the end
 
     def append(
         self, row: Row, coords: Optional[Sequence[Coords]] = None
@@ -409,58 +376,8 @@ class ResultSink:
                 else [row_to_json(each) for each in expand_part(row, coords)]
             )
         blobs = [line.encode("utf-8") + b"\n" for line in lines]
-        self._handle.write(b"".join(blobs))
-        self._handle.flush()
+        offset = self.offset
+        self.write(b"".join(blobs))
         for run_id, blob in zip(run_ids, blobs):
-            self.index.setdefault(run_id, (self._offset, len(blob)))
-            self._offset += len(blob)
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "ResultSink":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
-
-
-class ResultStore:
-    """An append-friendly JSONL store bound to one path.
-
-    :meth:`open_append` is the streaming path: a held-open
-    :class:`ResultSink` the campaign loop appends through as runs complete.
-    :meth:`append` is the one-shot convenience (open, write one row,
-    close); :meth:`write` replaces the file with a canonical snapshot;
-    :meth:`recorded_run_ids` reads back which runs a checkpoint already
-    holds.
-    """
-
-    def __init__(self, path: object) -> None:
-        self.path = Path(path)
-
-    def open_append(self, index: Optional[LineIndex] = None) -> ResultSink:
-        return ResultSink(self.path, index)
-
-    def append(self, row: Row) -> None:
-        with self.open_append() as sink:
-            sink.append(row)
-
-    def recorded_run_ids(self) -> Set[int]:
-        """Run ids with an intact row in the file (empty if it is absent)."""
-        if not self.path.exists():
-            return set()
-        run_ids, _ = scan_checkpoint(self.path)
-        return run_ids
-
-    def write(self, rows: Iterable[Row]) -> Path:
-        return write_rows(self.path, rows)
-
-    def load(self) -> List[Row]:
-        return read_rows(self.path)
+            self.index.setdefault(run_id, (offset, len(blob)))
+            offset += len(blob)

@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.algorithms import ALGORITHM_BUILDERS
 from repro.analysis.reporting import format_table
@@ -465,7 +465,7 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``campaign run`` exit code when ``--stop-after`` leaves a checkpoint.
+#: Exit code of a resumable command whose ``--stop-after`` kept its state.
 EXIT_INTERRUPTED = 3
 
 
@@ -473,22 +473,49 @@ EXIT_INTERRUPTED = 3
 HEARTBEAT_EVERY = 20
 
 
-def _unwritable(path: Path) -> Optional[str]:
-    """Why ``path`` cannot be created or appended to (``None``: it can).
+class _Resumable(NamedTuple):
+    """The resume / stop / interrupt contract ``campaign run`` and ``fuzz
+    run`` share: one message shape per outcome, and exit 2 (refused), 3
+    (``--stop-after``) or 130 (Ctrl-C), the last two keeping the state."""
 
-    Creates the parent directories, as the run itself would, but leaves no
-    file behind that was not there before.
-    """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        existed = path.exists()
-        with open(path, "ab"):
-            pass
-        if not existed:
-            path.unlink()
-    except OSError as exc:
-        return exc.strerror or str(exc)
-    return None
+    out: Path
+    state: Path  # the file ``--resume`` continues from
+    noun: str  # what ``state`` is called
+    unit: str  # what one session executes
+
+    def refusal(self, resume: bool) -> Optional[int]:
+        """Exit 2 with one line when ``--resume`` and the state file
+        disagree (else ``None``); asked before anything is printed."""
+        if resume and not self.state.exists():
+            reason = f"nothing to resume: no {self.noun} at {self.state}"
+            if self.out.exists():
+                reason += f" ({self.out} exists — already complete?)"
+        elif not resume and self.state.exists():
+            reason = (
+                f"{self.noun} {self.state} already exists; pass --resume to "
+                "complete it or delete it to start over"
+            )
+        else:
+            return None
+        print(reason, file=sys.stderr)
+        return 2
+
+    def invalid(self, exc: Exception) -> int:
+        print(
+            f"cannot resume: {exc}; delete the {self.noun} to start over",
+            file=sys.stderr,
+        )
+        return 2
+
+    def ended(self, done: int, stopped: bool) -> int:
+        """Report a session cut short, its state kept for ``--resume``."""
+        print(
+            ("stopped" if stopped else "\ninterrupted")
+            + f" after {done} {self.unit}(s); {self.noun} retained at "
+            f"{self.state} — rerun with --resume to complete",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED if stopped else 130
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -504,12 +531,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     from repro.campaigns.aggregate import SummaryFold
     from repro.campaigns.results import (
-        ResultStore,
+        ResultSink,
         checkpoint_path,
         finalize_checkpoint,
         validate_resume,
     )
     from repro.observability import EventLog, ProgressLine
+    from repro.utils.jsonl import unwritable
 
     spec = _load_campaign(args.spec)
     if spec is None:
@@ -523,6 +551,17 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         spec = dc_replace(spec, seed=args.seed)
     out = Path(args.out or f"{spec.name}.results.jsonl")
     checkpoint = checkpoint_path(out)
+    session = _Resumable(out, checkpoint, "checkpoint", "run")
+    if args.events and Path(args.events).resolve() in (
+        out.resolve(),
+        checkpoint.resolve(),
+    ):
+        print(
+            f"cannot write {args.events}: --events must not name the "
+            f"result file {out} or its checkpoint",
+            file=sys.stderr,
+        )
+        return 2
 
     # Error/violation counts and the per-cell report fold in the pass that
     # first holds each row as a dict: the run loop for rows executed now,
@@ -544,20 +583,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         if fold is not None:
             fold.add(row, count)
 
+    refused = session.refusal(args.resume)
+    if refused is not None:
+        return refused
     index = None  # where each recorded row's line sits in the checkpoint
     intact = 0
     if args.resume:
-        if not checkpoint.exists():
-            hint = (
-                f" ({out} exists — campaign already finalized?)"
-                if out.exists()
-                else ""
-            )
-            print(
-                f"nothing to resume: no checkpoint at {checkpoint}{hint}",
-                file=sys.stderr,
-            )
-            return 2
         # Validation before any mutation: a corrupt, foreign, reseeded or
         # reshaped checkpoint is refused untouched (delete it to start
         # over).  Only then is a torn final line truncated so new appends
@@ -565,25 +596,14 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         try:
             index, intact = validate_resume(spec, checkpoint, on_row=absorb)
         except ValueError as exc:
-            print(
-                f"cannot resume: {exc}; delete the checkpoint to start over",
-                file=sys.stderr,
-            )
-            return 2
-    elif checkpoint.exists():
-        print(
-            f"checkpoint {checkpoint} already exists; "
-            "pass --resume to complete it or delete it to start over",
-            file=sys.stderr,
-        )
-        return 2
+            return session.invalid(exc)
     skip = frozenset(index or ())
 
     # Both output targets are probed before anything is truncated, created
     # or executed: the checkpoint lives beside ``out``, so one probe covers
     # the streaming appends and the final rename.
     for target in [out] + ([Path(args.events)] if args.events else []):
-        reason = _unwritable(target)
+        reason = unwritable(target)
         if reason is not None:
             print(f"cannot write {target}: {reason}", file=sys.stderr)
             return 2
@@ -631,7 +651,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     started_at = perf_counter()
     worker_rows: dict = {}
     backend_rows: dict = {}
-    store = ResultStore(checkpoint)
 
     def on_event(kind: str, fields: dict) -> None:
         events.emit(kind, **fields)
@@ -652,7 +671,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             events.emit("resume_skipped", rows=len(skip))
     try:
         try:
-            with store.open_append(index) as sink:
+            with ResultSink(checkpoint, index) as sink:
                 for row, coords in iter_groups(
                     spec,
                     workers=args.workers,
@@ -722,19 +741,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                         break
         except KeyboardInterrupt:
             interrupted = True
-            print(
-                f"\ninterrupted after {executed} run(s); checkpoint retained "
-                f"at {checkpoint} — rerun with --resume to complete",
-                file=sys.stderr,
-            )
-            return 130
+            return session.ended(executed, stopped=False)
         if interrupted:
-            print(
-                f"stopped after {executed} run(s); checkpoint retained at "
-                f"{checkpoint} — rerun with --resume to complete",
-                file=sys.stderr,
-            )
-            return EXIT_INTERRUPTED
+            return session.ended(executed, stopped=True)
     finally:
         if progress_line is not None and not interrupted:
             progress_line.finish(
@@ -945,7 +954,8 @@ def _fuzz_space(args: argparse.Namespace):
 
 
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
-    from repro.fuzz import FuzzConfig, run_fuzz
+    from repro.fuzz import FuzzConfig, run_fuzz, state_path
+    from repro.utils.jsonl import unwritable
 
     space = _fuzz_space(args)
     if space is None:
@@ -964,14 +974,21 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     out = Path(args.out)
+    session = _Resumable(out, state_path(out), "fuzz state", "candidate")
+    refused = session.refusal(args.resume)
+    if refused is not None:
+        return refused
     # Probed before the run creates its sidecar beside ``out``.
-    reason = _unwritable(out)
+    reason = unwritable(out)
     if reason is not None:
         print(f"cannot write {out}: {reason}", file=sys.stderr)
         return 2
     step = max(1, config.budget // 10)
+    ran = 0  # candidates this session, for the Ctrl-C line
 
     def progress(done: int, budget: int, findings: int) -> None:
+        nonlocal ran
+        ran += 1
         if not args.quiet and (done % step == 0 or done == budget):
             print(
                 f"  {done}/{budget} candidates, {findings} finding(s)",
@@ -991,19 +1008,10 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             stop_after=args.stop_after,
             progress=progress,
         )
-    except FileExistsError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return 2
+        return session.invalid(exc)
     except KeyboardInterrupt:
-        print(
-            f"\ninterrupted; fuzz state retained next to {out} — "
-            "rerun with --resume to complete",
-            file=sys.stderr,
-        )
-        return 130
+        return session.ended(ran, stopped=False)
     if summary.resumed_at is not None:
         # Always reported, like ``campaign run --resume``'s line.
         print(
@@ -1013,13 +1021,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if summary.interrupted:
-        print(
-            f"stopped after {summary.executed + summary.duplicates} "
-            f"candidate(s); fuzz state retained next to {out} — rerun "
-            "with --resume to complete",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
+        return session.ended(ran, stopped=True)
     kinds = ", ".join(
         f"{kind}: {count}" for kind, count in sorted(summary.by_kind.items())
     )

@@ -28,8 +28,6 @@ from repro.fuzz.classify import (
     liveness_eligible,
 )
 from repro.fuzz.corpus import (
-    FindingLog,
-    finding_to_json,
     open_journal,
     read_state,
     scan_findings,
@@ -61,7 +59,6 @@ __all__ = [
     "DEFAULT_ALGORITHMS",
     "DEFAULT_STRATEGIES",
     "FINDING_KINDS",
-    "FindingLog",
     "FuzzCandidate",
     "FuzzConfig",
     "FuzzSpace",
@@ -76,7 +73,6 @@ __all__ = [
     "classify_candidate",
     "classify_row",
     "execute_candidate",
-    "finding_to_json",
     "generate",
     "liveness_eligible",
     "mutate",

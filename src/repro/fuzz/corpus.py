@@ -1,9 +1,10 @@
 """Crash-safe findings corpus: JSONL records plus a resumable state journal.
 
-The corpus mirrors the campaign checkpoint protocol
-(:mod:`repro.campaigns.results`): one canonical JSON line per finding,
-flushed as written so a kill loses at most the line being written; a
-torn final line is tolerated on scan and truncated on resume.
+The corpus is a :mod:`repro.utils.jsonl` file, like the campaign
+checkpoint: one canonical JSON line per finding, appended, flushed and
+fsynced before its candidate is acknowledged, so a kill loses at most the
+line being written; a torn final line is tolerated on scan and dropped on
+resume.
 
 Alongside the findings file lives ``<out>.state`` — a header plus an
 append-only acknowledgement journal.  Line 1 is a canonical JSON document
@@ -11,7 +12,7 @@ append-only acknowledgement journal.  Line 1 is a canonical JSON document
 ``findings`` the session started from), written **once** per session by
 write-temp + rename, so a header is never torn.  After every candidate the
 loop appends one ``"<next> <findings>\n"`` line in a single ``write(2)``
-through a held-open unbuffered handle (:func:`write_state`).  The recovery
+through a held-open appender (:func:`write_state`).  The recovery
 point is the last newline-terminated acknowledgement — or the header's own
 ``next`` / ``findings`` when there is none, which is also how a sidecar
 left by the one-document-per-candidate format reads.  An unterminated tail
@@ -29,10 +30,11 @@ re-execution regenerates them byte-identically.
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Tuple
+from typing import Dict, List, Tuple
+
+from repro.utils.jsonl import Appender, canonical, replace, scan
 
 #: Bumped when the record/state layout changes incompatibly.
 STATE_VERSION = 1
@@ -41,35 +43,24 @@ STATE_VERSION = 1
 _ACK = re.compile(r"(\d+) (\d+)")
 
 
-def finding_to_json(record: Dict[str, object]) -> str:
-    """Canonical serialization: sorted keys, no whitespace.
-
-    Canonicalization is what makes "byte-identical findings file" a
-    meaningful determinism check across reruns and kill/resume cycles.
-    """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def state_path(out: object) -> Path:
     """The sidecar state file of a findings corpus."""
     return Path(f"{out}.state")
 
 
-def open_journal(path: Path, header: Dict[str, object]) -> BinaryIO:
+def open_journal(path: Path, header: Dict[str, object]) -> Appender:
     """Start a session's journal: a fresh header, then the append handle.
 
     The header replaces whatever was there atomically (write-temp +
-    rename) — the only rename a session makes on the sidecar — and the
-    returned handle is unbuffered, so each :func:`write_state` is one
-    ``write(2)``.  The caller closes it.
+    rename) — the only rename a session makes on the sidecar — and each
+    :func:`write_state` through the returned appender is one ``write(2)``.
+    The caller closes it.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(finding_to_json(header) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return open(path, "ab", buffering=0)
+    replace(path, [canonical(header).encode() + b"\n"])
+    return Appender(path)
 
 
-def write_state(journal: BinaryIO, next_index: int, findings: int) -> None:
+def write_state(journal: Appender, next_index: int, findings: int) -> None:
     """Acknowledge one candidate: append ``"<next> <findings>\\n"``.
 
     No fsync — a process death keeps what the kernel already has, the same
@@ -125,35 +116,20 @@ def read_state(path: Path) -> Dict[str, object]:
 
 
 def scan_findings(path: Path) -> List[Dict[str, object]]:
-    """Parse a findings file, tolerating a torn final line.
-
-    A malformed line anywhere *except* the end is corruption and raises —
-    exactly the checkpoint scanner's posture: crashes tear tails, they do
-    not rewrite middles.
-    """
-    records: List[Dict[str, object]] = []
+    """Parse a findings corpus under the torn-tail rule of
+    :mod:`repro.utils.jsonl` (a missing file holds none)."""
     if not path.exists():
-        return records
-    deferred: Tuple[int, str] = (0, "")
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if deferred[1]:
-                raise ValueError(
-                    f"corrupt findings line {deferred[0]} in {path}: "
-                    f"{deferred[1]}"
-                )
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-                if not isinstance(record, dict) or "index" not in record:
-                    raise ValueError("not a finding record")
-            except ValueError as exc:
-                # Only fatal if another line follows (then it's mid-file).
-                deferred = (lineno, str(exc))
-                continue
-            records.append(record)
+        return []
+    records: List[Dict[str, object]] = []
+    for offset, _length, record in scan(path, "findings"):
+        if not isinstance(record, dict) or not isinstance(
+            record.get("index"), int
+        ):
+            raise ValueError(
+                f"{path}: findings line at byte {offset} is not a finding "
+                "record"
+            )
+        records.append(record)
     return records
 
 
@@ -171,41 +147,11 @@ def truncate_findings(
     untouched when they are not.  The rewrite is atomic (temp + rename).
     """
     scanned = scan_findings(path)
-    records = [
-        record for record in scanned if int(record["index"]) < next_index
-    ]
+    records = [record for record in scanned if record["index"] < next_index]
     if len(records) != findings:
         raise ValueError(
             f"corpus holds {len(records)} of the {findings} acknowledged "
             "findings"
         )
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(finding_to_json(record) + "\n")
-    os.replace(tmp, path)
+    replace(path, (canonical(record).encode() + b"\n" for record in records))
     return records, len(scanned) - len(records)
-
-
-class FindingLog:
-    """Append-only findings writer, flushed per record (crash loses ≤1 line)."""
-
-    def __init__(self, path: object, *, append: bool = False) -> None:
-        self.path = Path(path)
-        self._handle = self.path.open(
-            "a" if append else "w", encoding="utf-8"
-        )
-
-    def append(self, record: Dict[str, object]) -> None:
-        self._handle.write(finding_to_json(record) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "FindingLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -14,9 +14,10 @@ indices produces byte-identical findings.
 Findings are shrunk immediately (:mod:`repro.fuzz.shrink`), appended to the
 JSONL corpus, and acknowledged *after* the append by one line appended to
 the state journal — the crash window between the two is healed on resume
-by truncating unacknowledged records (see :mod:`repro.fuzz.corpus`).  The
-journal's header is the only thing a session renames into place: once when
-it starts, fresh or resumed.
+by truncating unacknowledged records (see :mod:`repro.fuzz.corpus`).  A
+session renames two files into place, once each when it starts: the
+corpus (empty, or the acknowledged findings on a resume) and the journal's
+header.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.fuzz.classify import (
 )
 from repro.fuzz.corpus import (
     STATE_VERSION,
-    FindingLog,
     open_journal,
     read_state,
     state_path,
@@ -44,6 +44,7 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, shrink_candidate
 from repro.fuzz.space import FuzzCandidate, FuzzSpace, generate, mutate
+from repro.utils.jsonl import Appender, canonical, replace
 
 #: Called after each candidate with ``(index, budget, findings_so_far)``.
 ProgressFn = Callable[[int, int, int], None]
@@ -237,12 +238,7 @@ def run_fuzz(
 
     if resume:
         if not sidecar.exists():
-            hint = (
-                f" ({out_path} exists — fuzz run already completed?)"
-                if out_path.exists()
-                else ""
-            )
-            raise ValueError(f"nothing to resume: no state at {sidecar}{hint}")
+            raise ValueError(f"nothing to resume: no state at {sidecar}")
         state = read_state(sidecar)
         _validate_state(config, state)
         start = state["next"]
@@ -256,12 +252,14 @@ def run_fuzz(
             f"fuzz state {sidecar} already exists; pass --resume to "
             f"complete it or delete it to start over"
         )
+    else:
+        replace(out_path, ())  # a fresh session starts an empty corpus
 
     summary.next_index = start
-    # The corpus opens first: an unwritable ``out`` leaves no sidecar behind.
+    # The corpus is written first: an unwritable ``out`` leaves no sidecar.
     # A resume's header restarts the journal at the recovery point, which
     # heals a torn tail and compacts the acknowledgements behind it.
-    with FindingLog(out_path, append=resume) as log, open_journal(
+    with Appender(out_path) as corpus, open_journal(
         sidecar, _fresh_state(config, start, len(records))
     ) as journal:
         for index in range(start, config.budget):
@@ -294,7 +292,8 @@ def run_fuzz(
                         )
                         record["shrink_ops"] = list(shrunk.ops)
                         record["shrink_attempts"] = shrunk.attempts
-                    log.append(record)
+                    corpus.write(canonical(record).encode() + b"\n")
+                    corpus.sync()
                     records.append(record)
                     sources.append(candidate)
                     summary.findings += 1

@@ -5,8 +5,7 @@ runner report what they are doing instead of running as black boxes:
 
 * :mod:`repro.observability.telemetry` — a per-run :class:`Telemetry`
   registry of counters, gauges and histograms plus a :meth:`Telemetry.span`
-  phase timer with parent/child (self-time) attribution.  The disabled
-  path is a shared :data:`NULL_TELEMETRY` no-op object, and the kernel and
+  phase timer with parent/child (self-time) attribution.  The kernel and
   schedulers skip instrumentation entirely when no telemetry is bound, so
   the campaign hot path (``observe="metrics"``) is unaffected.
 * :mod:`repro.observability.events` — an append-only JSONL
@@ -28,8 +27,6 @@ as a phase-breakdown table via :func:`format_phase_table`.
 from repro.observability.events import EventLog, load_row_durations, read_events
 from repro.observability.progress import ProgressLine
 from repro.observability.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
     Telemetry,
     format_phase_table,
     percentile,
@@ -37,8 +34,6 @@ from repro.observability.telemetry import (
 
 __all__ = [
     "EventLog",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
     "ProgressLine",
     "Telemetry",
     "format_phase_table",

@@ -28,81 +28,42 @@ source of truth, the canonical JSONL is byte-identical with and without an
 event log attached (the inertness test pins this), and readers must ignore
 kinds they do not know.
 
-Each ``emit`` writes and flushes one line, mirroring the crash-safety
-discipline of :class:`~repro.campaigns.results.ResultSink`: an interrupted
-campaign's event file is complete up to the crash (modulo one torn tail,
-which :func:`read_events` tolerates exactly like the checkpoint scanner).
+The file is a :mod:`repro.utils.jsonl` file, like the campaign checkpoint:
+each ``emit`` writes and flushes one canonical line, so an interrupted
+campaign's event file is complete up to the crash but for one torn tail,
+which :func:`read_events` skips and a resumed campaign's log cuts before it
+appends.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
-from types import TracebackType
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Optional
+
+from repro.utils.jsonl import Appender, canonical, scan
 
 __all__ = ["EventLog", "load_row_durations", "read_events"]
 
 Event = Dict[str, object]
 
 
-class EventLog:
+class EventLog(Appender):
     """A held-open, flush-per-event JSONL writer for lifecycle events."""
-
-    def __init__(self, path: object) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
 
     def emit(self, kind: str, **fields: object) -> None:
         """Append one event; ``ts`` and ``kind`` lead every object."""
         event: Event = {"ts": round(time.time(), 6), "kind": kind}
         event.update(fields)
-        self._handle.write(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
+        self.write(canonical(event).encode() + b"\n")
 
 
 def iter_events(path: object) -> Iterator[Event]:
-    """Lazily yield events; one torn final line (crash mid-write) is skipped.
-
-    Corruption anywhere before the final line raises ``ValueError`` — this
-    writer flushes line-atomically, so a mid-file garble means the file is
-    not an event log it produced.
-    """
-    deferred: Optional[str] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if deferred is not None:
-                raise ValueError(deferred)
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                event = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                deferred = f"{path}:{number}: corrupt event line ({exc})"
-                continue
-            if not isinstance(event, dict) or "kind" not in event:
-                raise ValueError(f"{path}:{number}: event without a kind")
-            yield event
+    """Lazily yield events under the torn-tail rule of
+    :mod:`repro.utils.jsonl`; an event must carry a ``kind``."""
+    for offset, _length, event in scan(path, "event"):
+        if not isinstance(event, dict) or "kind" not in event:
+            raise ValueError(f"{path}: event without a kind at byte {offset}")
+        yield event
 
 
 def read_events(path: object, kind: Optional[str] = None) -> List[Event]:

@@ -5,12 +5,10 @@ registry is not thread-aware; give each kernel its own instance the way the
 campaign runner gives each run its own RNG stream).  Everything is a plain
 dict of plain numbers, so a snapshot is JSON-serializable as-is.
 
-The off path costs nothing.  Code that may run un-instrumented either holds
+The off path costs nothing.  Code that may run un-instrumented holds
 ``telemetry = None`` and branches once per round (what the kernel and the
 schedulers do — the disabled hot path executes the exact pre-instrumentation
-code), or holds :data:`NULL_TELEMETRY`, whose methods are allocation-free
-no-ops and whose :meth:`~NullTelemetry.span` returns one shared reusable
-context manager.
+code).
 
 Spans nest.  Each ``with telemetry.span(name):`` block accumulates into its
 name's ``(calls, total, self)`` record; the *self* time excludes any nested
@@ -27,8 +25,6 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
-    "NULL_TELEMETRY",
-    "NullTelemetry",
     "Telemetry",
     "format_phase_table",
     "percentile",
@@ -90,9 +86,6 @@ class _SpanTimer:
 
 class Telemetry:
     """A per-run registry of counters, gauges, histograms and span timers."""
-
-    #: Instrumented call sites test this instead of ``isinstance``.
-    enabled = True
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
@@ -213,65 +206,6 @@ class Telemetry:
             record[0] += calls
             record[1] += total
             record[2] += self_time
-
-
-class _NullSpan:
-    """The shared, reusable no-op context manager of the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTelemetry:
-    """Allocation-free no-op telemetry for unconditionally instrumented code.
-
-    Every method discards its arguments; :meth:`span` hands back one shared
-    context manager, so a disabled call site allocates nothing and mutates
-    nothing (the inertness test pins this).  Use the :data:`NULL_TELEMETRY`
-    singleton rather than constructing instances.
-    """
-
-    enabled = False
-
-    def count(self, name: str, value: int = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def span(self, name: str) -> _NullSpan:
-        return _NULL_SPAN
-
-    def add_time(self, name: str, seconds: float, calls: int = 1) -> None:
-        pass
-
-    @property
-    def span_names(self) -> List[str]:
-        return []
-
-    @property
-    def histogram_names(self) -> List[str]:
-        return []
-
-    def total_span_seconds(self) -> float:
-        return 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}}
-
-
-NULL_TELEMETRY = NullTelemetry()
 
 
 def format_phase_table(

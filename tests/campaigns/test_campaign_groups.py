@@ -20,7 +20,7 @@ import pytest
 from repro.campaigns.aggregate import SummaryFold, format_report
 from repro.campaigns.results import (
     TEMPLATE_KEY,
-    ResultStore,
+    ResultSink,
     attach_lines,
     checkpoint_path,
     finalize_checkpoint,
@@ -68,7 +68,7 @@ def grid(reps=REPS, **overrides):
 def stream_to_file(spec, out, skip=None, index=None, **options):
     """What ``campaign run`` does with the group stream, minus the CLI."""
     checkpoint = checkpoint_path(out)
-    with ResultStore(checkpoint).open_append(index) as sink:
+    with ResultSink(checkpoint, index) as sink:
         for row, coords in iter_groups(
             spec, skip_run_ids=skip, lines=True, **options
         ):
@@ -181,7 +181,7 @@ def test_a_tear_at_every_byte_of_a_group_resumes_to_the_same_file(tmp_path):
     reference = stream_to_file(spec, tmp_path / "reference.jsonl")
     out = tmp_path / "out.jsonl"
     checkpoint = checkpoint_path(out)
-    with ResultStore(checkpoint).open_append() as sink:
+    with ResultSink(checkpoint) as sink:
         parts = iter_groups(spec, lines=True)
         sink.append(*next(parts))
         start = checkpoint.stat().st_size

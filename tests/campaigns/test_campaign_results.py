@@ -16,7 +16,7 @@ from repro.campaigns.aggregate import (
 from repro.campaigns.presets import BUILTIN_CAMPAIGNS
 from repro.campaigns.results import (
     LINE_KEY,
-    ResultStore,
+    ResultSink,
     checkpoint_path,
     finalize_checkpoint,
     iter_rows,
@@ -60,31 +60,19 @@ class TestStore:
         write_rows(second, [dict(reversed(list(row.items()))) for row in rows])
         assert first.read_bytes() == second.read_bytes()
 
-    def test_append_matches_write(self, tmp_path):
-        rows = [make_row(run_id=i) for i in range(4)]
-        store = ResultStore(tmp_path / "append.jsonl")
-        for row in rows:
-            store.append(row)
-        assert store.path.read_text() == rows_to_jsonl(rows)
-        assert store.load() == rows
-
     def test_read_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ok":1}\nnot json\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_rows(path)
 
-    def test_open_append_streams_through_one_handle(self, tmp_path):
+    def test_sink_streams_through_one_handle(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(6)]
-        store = ResultStore(tmp_path / "stream" / "sink.jsonl")
-        with store.open_append() as sink:
+        with ResultSink(tmp_path / "stream" / "sink.jsonl") as sink:
             for row in rows:
                 sink.append(row)
-        assert store.path.read_text() == rows_to_jsonl(rows)
-        assert store.recorded_run_ids() == set(range(6))
-
-    def test_recorded_run_ids_of_missing_file_is_empty(self, tmp_path):
-        assert ResultStore(tmp_path / "nope.jsonl").recorded_run_ids() == set()
+        assert sink.path.read_text() == rows_to_jsonl(rows)
+        assert scan_checkpoint(sink.path)[0] == set(range(6))
 
     def test_iter_rows_is_lazy_and_matches_read(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(3)]
@@ -137,7 +125,9 @@ class TestSerializeOnce:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(results, "_encode", counting("dump", results._encode))
+        monkeypatch.setattr(
+            results, "canonical", counting("dump", results.canonical)
+        )
         monkeypatch.setattr(json, "loads", counting("loads", json.loads))
         monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
         total = BUILTIN_CAMPAIGNS["grid-demo"].total_runs
@@ -173,11 +163,10 @@ class TestIndexMerge:
         return [make_row(run_id=i, seed=10**i) for i in (3, 0, 2, 1)]
 
     def checkpoint(self, tmp_path, rows):
-        store = ResultStore(tmp_path / "out.jsonl.partial")
-        with store.open_append() as sink:
+        with ResultSink(tmp_path / "out.jsonl.partial") as sink:
             for row in rows:
                 sink.append(row)
-        return store.path, sink.index
+        return sink.path, sink.index
 
     def test_sink_index_locates_every_line(self, tmp_path):
         rows = self.rows()
@@ -191,7 +180,7 @@ class TestIndexMerge:
             )
 
     def test_one_flush_per_appended_row(self, tmp_path):
-        with ResultStore(tmp_path / "flush.partial").open_append() as sink:
+        with ResultSink(tmp_path / "flush.partial") as sink:
             flushes = []
             real = sink._handle
 
@@ -310,7 +299,7 @@ class TestIndexMerge:
         index, intact = validate_resume(spec, path)
         assert sorted(index) == [0, 3]
         os.truncate(path, intact)
-        with ResultStore(path).open_append(index) as sink:
+        with ResultSink(path, index) as sink:
             for row in rows[2:]:
                 sink.append(row)
         assert sink.index is index and sorted(index) == [0, 1, 2, 3]

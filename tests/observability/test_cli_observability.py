@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro.campaigns.results import checkpoint_path
 from repro.cli import main
+from repro.fuzz import state_path
 from repro.observability import read_events
 
 SPEC = {
@@ -110,8 +112,58 @@ class TestEventsSidecar:
         stream = read_events(events)
         assert sum(e["kind"] == "campaign_started" for e in stream) == 1
 
+    @pytest.mark.parametrize("names", ["out", "checkpoint"])
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_events_may_not_name_a_result_file(
+        self, spec_path, tmp_path, capsys, names, resume
+    ):
+        """Used to exit 0 with the sidecar renamed away (``--out``) or to
+        interleave events into the checkpoint and die in finalize."""
+        out = tmp_path / "same.jsonl"
+        events = out if names == "out" else checkpoint_path(out)
+        if resume:
+            assert run_cli(spec_path, out, "--stop-after", "4") == 3
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        extra = ["--resume"] if resume else []
+        assert run_cli(spec_path, out, "--events", str(events), *extra) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"cannot write {events}: ")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
 
 class TestResumeReporting:
+    @pytest.mark.parametrize("command", ["campaign", "fuzz"])
+    def test_one_resume_and_stop_contract(
+        self, spec_path, tmp_path, capsys, command
+    ):
+        """``campaign run`` and ``fuzz run`` refuse, stop and retain with
+        the same one-line shapes; a refusal prints nothing before it."""
+        out = tmp_path / "out.jsonl"
+        if command == "campaign":
+            argv = ["campaign", "run", str(spec_path), "--no-report"]
+            state, noun, unit = checkpoint_path(out), "checkpoint", "run"
+        else:
+            argv = ["fuzz", "run", "--budget", "6"]
+            state, noun, unit = state_path(out), "fuzz state", "candidate"
+        argv += ["--out", str(out), "--quiet"]
+        assert main(argv + ["--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"nothing to resume: no {noun} at {state}\n"
+        )
+        assert main(argv + ["--stop-after", "2"]) == 3
+        assert capsys.readouterr().err.endswith(
+            f"stopped after 2 {unit}(s); {noun} retained at {state} — "
+            "rerun with --resume to complete\n"
+        )
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"{noun} {state} already exists; pass --resume to complete it "
+            "or delete it to start over\n"
+        )
+        assert main(argv + ["--resume"]) == 0
+        assert not state.exists()
+
     def test_interrupted_then_resumed_events_accumulate(
         self, spec_path, tmp_path, capsys
     ):

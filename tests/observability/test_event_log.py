@@ -1,4 +1,5 @@
-"""Event sidecar round-trips: schema, torn tails, duration join-back."""
+"""Event sidecar round-trips: schema, duration join-back.  Torn tails are
+``tests/utils/test_jsonl.py``'s, shared with the other durable files."""
 
 import json
 
@@ -55,21 +56,7 @@ class TestEventLogRoundTrip:
         assert len(read_events(log_path)) == 2
 
 
-class TestTornAndCorruptFiles:
-    def test_torn_final_line_is_skipped(self, log_path):
-        with EventLog(log_path) as log:
-            log.emit("row_completed", run_id=0, status="ok",
-                     duration_ms=1.0, pid=1)
-        with open(log_path, "a", encoding="utf-8") as fh:
-            fh.write('{"ts": 1.0, "kind": "row_comp')  # crash mid-write
-        events = read_events(log_path)
-        assert len(events) == 1
-
-    def test_midfile_corruption_raises(self, log_path):
-        log_path.write_text('not json\n{"ts": 1.0, "kind": "x"}\n')
-        with pytest.raises(ValueError, match="corrupt event line"):
-            list(iter_events(log_path))
-
+class TestCorruptFiles:
     def test_event_without_kind_raises(self, log_path):
         log_path.write_text('{"ts": 1.0}\n')
         with pytest.raises(ValueError, match="without a kind"):

@@ -1,12 +1,10 @@
-"""The instrumentation core: spans, scalar instruments, and the null path."""
+"""The instrumentation core: spans and scalar instruments."""
 
 import json
 
 import pytest
 
 from repro.observability import (
-    NULL_TELEMETRY,
-    NullTelemetry,
     Telemetry,
     format_phase_table,
     percentile,
@@ -76,7 +74,6 @@ class TestScalarInstruments:
         tel.observe("a", 1.0)
         tel.observe("b", 2.0)
         assert tel.histogram_names == ["a", "b"]
-        assert NULL_TELEMETRY.histogram_names == []
 
     def test_snapshot_is_json_serializable(self):
         tel = Telemetry()
@@ -178,46 +175,6 @@ class TestMerge:
         assert a.span_stats("s")["calls"] == 4
         assert a.span_stats("s")["total_s"] == pytest.approx(3.0)
         assert a.histogram_stats("h")["count"] == 1
-
-
-class TestNullTelemetry:
-    def test_disabled_flag(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert Telemetry().enabled is True
-
-    def test_span_is_one_shared_reusable_object(self):
-        # The whole point of the null path: a disabled call site allocates
-        # nothing — every span() call hands back the same context manager.
-        first = NULL_TELEMETRY.span("a")
-        second = NULL_TELEMETRY.span("b")
-        assert first is second
-        with first:
-            pass
-
-    def test_instruments_record_nothing(self):
-        tel = NullTelemetry()
-        tel.count("c")
-        tel.gauge("g", 1)
-        tel.observe("h", 2)
-        tel.add_time("s", 3.0)
-        with tel.span("s"):
-            pass
-        assert tel.span_names == []
-        assert tel.total_span_seconds() == 0.0
-        assert tel.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "spans": {},
-        }
-
-    def test_null_instance_holds_no_mutable_state(self):
-        before = vars(NULL_TELEMETRY).copy() if hasattr(
-            NULL_TELEMETRY, "__dict__"
-        ) else {}
-        NULL_TELEMETRY.count("x")
-        NULL_TELEMETRY.observe("y", 1.0)
-        after = vars(NULL_TELEMETRY).copy() if hasattr(
-            NULL_TELEMETRY, "__dict__"
-        ) else {}
-        assert before == after == {}
 
 
 class TestFormatPhaseTable:

@@ -259,3 +259,60 @@ def test_the_pcons_stack_has_no_run_loop_of_its_own():
             assert "GenericConsensusProcess" not in {
                 alias.name for alias in node.names
             }, node.lineno
+
+
+# ------------------------------------------------ one crash-safe file layer
+
+#: The one module that renames, fsyncs or appends to a file: every durable
+#: file (checkpoint, findings corpus and journal, events sidecar) is built
+#: on it.
+DURABLE_FILE_LAYER = {"utils/jsonl.py"}
+
+
+def durable_file_calls(source: str) -> Iterator[Tuple[int, str]]:
+    """``(line, call)`` per ``os.replace`` / ``os.fsync`` call and per
+    ``open`` (builtin or ``Path.open``) whose mode may be an append mode."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if owner == "os" and name in ("replace", "fsync"):
+            yield node.lineno, f"os.{name}"
+        elif name == "open" and owner != "os":
+            # ``open(path, mode)`` or ``path.open(mode)``
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+            texts = [
+                text for mode in modes for sub in ast.walk(mode)
+                for text in _strings(sub)
+            ]
+            if any("a" in text for text in texts):
+                yield node.lineno, "open(append)"
+
+
+def test_durable_file_scanner_sees_what_it_guards():
+    source = (
+        "import os\n"
+        "def f(p, append):\n"
+        "    os.replace(p, p)\n"
+        "    os.fsync(3)\n"
+        "    open(p, 'ab')\n"
+        "    p.open('a' if append else 'w', encoding='utf-8')\n"
+        "    open(p, mode='a+b')\n"
+        "    open(p, 'rb'), p.open('w'), open(p)\n"
+    )
+    assert sorted(durable_file_calls(source)) == [
+        (3, "os.replace"), (4, "os.fsync"), (5, "open(append)"),
+        (6, "open(append)"), (7, "open(append)"),
+    ]
+
+
+def test_census_of_durable_file_writers():
+    callers = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if any(durable_file_calls(path.read_text("utf-8")))
+    }
+    assert callers == DURABLE_FILE_LAYER

@@ -75,19 +75,24 @@ def test_docstring_quickstart_in_package():
 
 
 #: The retired compatibility surface: parallel entry points, their private
-#: outcome types and the second campaign dialect.  None may come back.
+#: outcome types, the second campaign dialect, the unused null telemetry and
+#: the wrappers over the one crash-safe JSONL layer.  None may come back.
 DELETED_NAMES = [
     "run_consensus", "ConsensusOutcome", "outcome_from_kernel",
     "_build_byzantine", "run_timed_consensus", "TimedOutcome",
     "SyncEngine", "EngineResult", "AdversaryScenario", "SCENARIO_PRESETS",
     "build_scenario", "FaultSpec",
+    "NullTelemetry", "_NullSpan", "NULL_TELEMETRY",
+    "ResultStore", "FindingLog", "finding_to_json",
 ]
 
 
 @pytest.mark.parametrize(
     "module_name",
     ["repro", "repro.core", "repro.rounds", "repro.eventsim", "repro.faults",
-     "repro.campaigns"],
+     "repro.campaigns", "repro.campaigns.results", "repro.fuzz",
+     "repro.fuzz.corpus", "repro.observability",
+     "repro.observability.telemetry"],
 )
 def test_deleted_names_stay_deleted(module_name):
     module = importlib.import_module(module_name)
