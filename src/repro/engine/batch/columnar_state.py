@@ -13,9 +13,10 @@ itself* into arrays for cells the planner proved eligible
   built by one of two producers on fresh
   :class:`~repro.utils.accel.BlockRng` streams (nothing is drawn at
   compile time, so fresh streams are equal streams).  *Timed*: two streams
-  per run mirror the fast sweep (:meth:`TimedScheduler._deliver_fast`),
-  the bad-round edge rule and the partial-synchrony sampling paths draw
-  for draw.  *Lockstep*: one policy stream per run mirrors
+  per run mirror the one timed sweep
+  (:meth:`TimedScheduler._deliver_fast`) — the round's edge rule, then one
+  batched latency draw over the admitted edges — draw for draw.
+  *Lockstep*: one policy stream per run mirrors
   :func:`~repro.rounds.policies.random_drop_behavior` under
   :func:`~repro.rounds.policies.filtered_delivery` — one coin per edge
   whose receiver is not Byzantine, in sender-major order, in the bad
@@ -133,8 +134,9 @@ class _RoundTemplate:
         # whole zero-draw round ``(mask, delivered, dropped)`` or ``None``
         # for a coin round, whose mask is ``base_flat`` with one coin per
         # ``coin_flat`` cell.  Timed: the wall-clock window, the zero-draw
-        # constant-latency verdict, the admission base of the scenario
-        # filter and — when no coin is drawn — its nonzero edges.
+        # constant-latency verdict, the admission base of the round's edge
+        # rule (all edges in a good round) and — when no coin is drawn —
+        # its nonzero edges.
         "fixed",
         "base_flat",
         "coin_flat",
@@ -146,7 +148,6 @@ class _RoundTemplate:
         "admit_base",
         "use_coins",
         "pending_idx",
-        "all_idx",
         "none_idx",
     )
 
@@ -534,13 +535,13 @@ class CellProgram:
         rt.delivers_all = (
             rt.constant is not None and now + rt.constant <= rt.deadline
         )
-        rt.all_idx = np.arange(rt.sent, dtype=np.intp)
         rt.none_idx = np.empty(0, dtype=np.intp)
 
         byz_dest = self.byz_col[rt.e_dest]
         rt.use_coins = False
         if self.is_good(rt.number):
-            rt.admit_base = None  # filter-free: deadline decides alone
+            # A good round's rule admits every edge: the deadline decides.
+            rt.admit_base = np.ones(rt.sent, dtype=bool)
         elif self.coins:
             # One coin per edge whose receiver is not Byzantine, in template
             # (sender-major) order, flips each edge of the base on or off.
@@ -555,11 +556,7 @@ class CellProgram:
                 dtype=bool,
                 count=rt.sent,
             )
-        rt.pending_idx = (
-            None
-            if rt.admit_base is None or rt.use_coins
-            else np.nonzero(rt.admit_base)[0]
-        )
+        rt.pending_idx = None if rt.use_coins else np.nonzero(rt.admit_base)[0]
 
     # ----------------------------------------------------- mask producers
 
@@ -567,10 +564,9 @@ class CellProgram:
         """The next ``count`` transit times of one run's network stream.
 
         Op-for-op the per-message draws of
-        :meth:`PartialSynchronyNetwork.sample_round` / ``sample_fan`` —
-        per-sender fan calls concatenate into one round-wide block because
-        consecutive draws continue one stream, and pre-GST the uniform
-        model interleaves (base, chaos coin) pairs.
+        :meth:`PartialSynchronyNetwork.sample_round` — one round-wide
+        block, as the scheduler's one call per round draws it; pre-GST the
+        uniform model interleaves (base, chaos coin) pairs.
         """
         np = self.np
         if not rt.pre_gst:
@@ -605,13 +601,6 @@ class CellProgram:
             admitted = rt.admit_base.copy()
             admitted[rt.coin_idx] = coins >= self.drop_prob
             pending = np.nonzero(admitted)[0]
-        elif rt.admit_base is None:
-            # Filter-free: every edge samples (unless the zero-draw constant
-            # branch applies); admissions are decided by the deadline only.
-            if rt.constant is not None:
-                return rt.all_idx if rt.delivers_all else rt.none_idx
-            transits = self._transits(net, rt, rt.sent)
-            return np.nonzero(rt.now + transits <= rt.deadline)[0]
         else:
             pending = rt.pending_idx
         if rt.constant is not None:

@@ -14,20 +14,21 @@ if rounds are timed, when does the round end?
   they meet the round deadline (communication-closed rounds — late messages
   are discarded).  Byzantine equivocation in selection rounds is
   canonicalized to one payload per sender, as an implemented ``Pcons``
-  would enforce; stretch ``selection_round_factor`` to model the extra
-  micro-rounds such an implementation costs.  An optional ``good_bad``
-  pair — the same ``(schedule, edge rule)`` a
+  would enforce (the micro-rounds such an implementation costs are
+  :class:`~repro.network.stack.PconsStackScheduler`'s to measure).  An
+  optional ``good_bad`` pair — the same ``(schedule, edge rule)`` a
   :class:`~repro.rounds.policies.GoodBadPolicy` takes — hosts a scenario's
-  communication schedule: the schedule is asked once per round, a good
-  round is an ordinary deadline round, and in a bad round the rule
-  withholds honest-bound edges before any latency is sampled.
+  communication schedule: the schedule is asked once per round, and in a
+  bad round the rule withholds honest-bound edges before any latency is
+  sampled.  A good round is a bad round whose rule admits every edge.
 
 Within one round every ``(sender, dest)`` edge carries at most one message,
 so the delivery matrix is independent of arrival order: the timed scheduler
-therefore compares each sampled transit against the deadline directly —
-O(m) per round, no event heap — while drawing latencies in exactly the
-sender-major, dest-minor order the historical heap path used, so seeded
-runs are unchanged.  Set ``REPRO_SLOW_SCHEDULER=1`` to force the legacy
+therefore delivers a round in one sweep — collect the admitted edges, draw
+their latencies in one batched call in exactly the sender-major, dest-minor
+order the historical heap path used (so seeded runs are unchanged), compare
+each against the deadline — O(m) per round, no event heap.  Set
+``REPRO_SLOW_SCHEDULER=1`` to force the legacy
 :class:`~repro.eventsim.events.EventQueue` push/pop path (the identity
 suite diffs the two); ``eventsim`` users that genuinely need ordered
 arrival keep using :class:`EventQueue` directly.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import abc
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -54,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 #: Environment switch selecting the legacy heap-ordered timed delivery.
 SLOW_SCHEDULER_ENV = "REPRO_SLOW_SCHEDULER"
+
+#: Stands in for the ``network.sample`` span when no telemetry is bound.
+_NO_SPAN = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -142,36 +147,6 @@ class LockstepScheduler(RoundScheduler):
         return RoundDelivery(matrix, dropped=dropped)
 
 
-class _SampleTimingNetwork:
-    """A timing proxy over :class:`PartialSynchronyNetwork` sampling calls.
-
-    Instrumented timed rounds route latency sampling through this wrapper,
-    which accounts each batched draw into a ``network.sample`` span (nested
-    inside the scheduler's ``scheduler.deliver`` span).  The network object
-    itself stays untouched, so the un-instrumented path pays nothing.
-    ``constant_transit`` passes through un-timed: it is the zero-draw
-    post-GST short-circuit, and timing it would misreport the phase it
-    exists to skip.
-    """
-
-    __slots__ = ("_network", "_telemetry")
-
-    def __init__(self, network, telemetry) -> None:
-        self._network = network
-        self._telemetry = telemetry
-
-    def constant_transit(self, send_time: float):
-        return self._network.constant_transit(send_time)
-
-    def sample_fan(self, send_time: float, sender: ProcessId, dests):
-        with self._telemetry.span("network.sample"):
-            return self._network.sample_fan(send_time, sender, dests)
-
-    def sample_round(self, send_time: float, edges):
-        with self._telemetry.span("network.sample"):
-            return self._network.sample_round(send_time, edges)
-
-
 class TimedScheduler(RoundScheduler):
     """Δ-paced rounds with deadline delivery over a timed network."""
 
@@ -180,15 +155,13 @@ class TimedScheduler(RoundScheduler):
         network: "PartialSynchronyNetwork",
         *,
         round_duration: float = 2.5,
-        selection_round_factor: float = 1.0,
         good_bad: Optional[Tuple[GoodBadSchedule, BadBehavior]] = None,
         use_heap: Optional[bool] = None,
     ) -> None:
-        if round_duration <= 0:
+        if not round_duration > 0:  # nan fails the comparison too
             raise ValueError(f"round_duration must be positive, got {round_duration}")
         self._network = network
         self._round_duration = round_duration
-        self._selection_factor = selection_round_factor
         self._good_bad = good_bad
         # ``use_heap`` selects the legacy EventQueue delivery; it defaults
         # to the REPRO_SLOW_SCHEDULER environment switch so the identity
@@ -217,32 +190,21 @@ class TimedScheduler(RoundScheduler):
     def deliver_round(
         self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
     ) -> RoundDelivery:
-        duration = self._round_duration
-        if info.kind is RoundKind.SELECTION:
-            duration *= self._selection_factor
-        deadline = self._now + duration
+        deadline = self._now + self._round_duration
         # The bad-round edge rule in force, or ``None`` in a good round.
         rule = None
         if self._good_bad is not None:
             schedule, bad = self._good_bad
             if not schedule.is_good(info.number):
                 rule = bad
+        deliver = (
+            self._deliver_fast if self._queue is None else self._deliver_round_heap
+        )
         tel = self._telemetry
         if tel is None:
-            if self._queue is not None:
-                return self._deliver_round_heap(info, outbound, ctx, deadline, rule)
-            return self._deliver_fast(
-                info, outbound, ctx, deadline, rule, self._network
-            )
+            return deliver(info, outbound, ctx, deadline, rule)
         with tel.span("scheduler.deliver"):
-            if self._queue is not None:
-                # The heap path samples through transit_time message by
-                # message; attribution stays at the deliver-span level.
-                return self._deliver_round_heap(info, outbound, ctx, deadline, rule)
-            return self._deliver_fast(
-                info, outbound, ctx, deadline, rule,
-                _SampleTimingNetwork(self._network, tel),
-            )
+            return deliver(info, outbound, ctx, deadline, rule)
 
     def _deliver_fast(
         self,
@@ -251,97 +213,62 @@ class TimedScheduler(RoundScheduler):
         ctx: RunContext,
         deadline: float,
         rule: Optional[BadBehavior],
-        network,
     ) -> RoundDelivery:
-        """Heap-free deadline delivery; ``network`` may be a timing proxy."""
+        """Heap-free deadline delivery: one sweep over the round's edges.
+
+        A good round is a bad round whose rule (``None``) admits every
+        edge.  The rule admits edges *before* any latency is sampled (a
+        suppressed edge draws nothing, as on the heap path); Byzantine
+        receivers are always admitted, as under every lockstep behaviour.
+        Within one round each edge carries at most one message, so the
+        matrix does not depend on arrival order and the deadline test
+        decides delivery directly — no heap.  The admitted ``(sender, dest,
+        payload)`` records are collected in sender-major, dest-minor order
+        and batched through one ``sample_round`` call: draw for draw the
+        order of the heap path.  Communication closure applies to every
+        receiver, Byzantine included: a message missing its deadline is
+        dropped.
+        """
         now = self._now
         dropped = 0
+        byzantine = ctx.byzantine
+        is_selection = info.kind is RoundKind.SELECTION
+        pending: List[Tuple[ProcessId, ProcessId, object]] = []
+        admit = pending.append
+        for sender, messages in outbound.items():
+            if is_selection and messages and sender in byzantine:
+                # Pcons canonicalization, *before* the rule: the payload an
+                # equivocator is pinned to must not depend on which edge
+                # survives a partition, or the filtered round diverges from
+                # the filter-free one.
+                messages = dict.fromkeys(messages, next(iter(messages.values())))
+            for dest, payload in messages.items():
+                if rule is None or dest in byzantine or rule(sender, dest):
+                    admit((sender, dest, payload))
+                else:
+                    # The scenario's communication schedule suppresses
+                    # this edge (partition side, bad-period loss, …).
+                    dropped += 1
+
         matrix: DeliveryMatrix = {}
         setdefault = matrix.setdefault
-        is_selection = info.kind is RoundKind.SELECTION
-        byzantine = ctx.byzantine
-
-        # Send and deliver in one sweep.  Within one round each edge
-        # carries at most one message, so the matrix does not depend on
-        # arrival order and the deadline test decides delivery directly —
-        # no heap.  Latencies are drawn per sender fan-out in sender-major,
-        # dest-minor order: draw-for-draw the order of the heap path.
-        # Communication closure applies to every receiver, Byzantine
-        # included: a message missing its deadline is dropped.
-        constant = network.constant_transit(now)
-        delivers_all = constant is not None and now + constant <= deadline
-        if rule is None:
-            for sender, messages in outbound.items():
-                if not messages:
-                    continue
-                canonicalize = is_selection and sender in byzantine
-                if constant is not None:
-                    # Post-GST fixed latency: zero RNG draws, one test.
-                    if not delivers_all:
-                        dropped += len(messages)
-                        continue
-                    if canonicalize:
-                        # Pcons canonicalization: one payload per
-                        # Byzantine sender within a selection round.
-                        payload = next(iter(messages.values()))
-                        for dest in messages:
-                            setdefault(dest, {})[sender] = payload
-                    else:
-                        for dest, payload in messages.items():
-                            setdefault(dest, {})[sender] = payload
-                    continue
-                transits = network.sample_fan(now, sender, messages)
-                if canonicalize:
-                    payload = next(iter(messages.values()))
-                    for dest, transit in zip(messages, transits):
-                        if now + transit <= deadline:
-                            setdefault(dest, {})[sender] = payload
-                        else:
-                            dropped += 1
+        constant = self._network.constant_transit(now)
+        if constant is not None:
+            # Post-GST fixed latency: zero RNG draws, one test.
+            if now + constant <= deadline:
+                for sender, dest, payload in pending:
+                    setdefault(dest, {})[sender] = payload
+            else:
+                dropped += len(pending)
+        elif pending:
+            tel = self._telemetry
+            with _NO_SPAN if tel is None else tel.span("network.sample"):
+                transits = self._network.sample_round(now, pending)
+            for (sender, dest, payload), transit in zip(pending, transits):
+                if now + transit <= deadline:
+                    setdefault(dest, {})[sender] = payload
                 else:
-                    for (dest, payload), transit in zip(messages.items(), transits):
-                        if now + transit <= deadline:
-                            setdefault(dest, {})[sender] = payload
-                        else:
-                            dropped += 1
-        else:
-            # A bad round: the rule admits edges *before* any latency is
-            # sampled (a suppressed edge draws nothing, as on the heap
-            # path); Byzantine receivers are always admitted, as under
-            # every lockstep behaviour.  The admitted (sender, dest,
-            # payload) records are collected round-wide in sampling order
-            # and batched through one sample_round call.
-            canonical: Dict[ProcessId, object] = {}
-            pending: List[Tuple[ProcessId, ProcessId, object]] = []
-            admit = pending.append
-            for sender, messages in outbound.items():
-                canonicalize = is_selection and sender in byzantine
-                for dest, payload in messages.items():
-                    if canonicalize:
-                        # Canonicalize *before* the rule: the payload an
-                        # equivocator is pinned to must not depend on which
-                        # edge survives a partition, or the filtered round
-                        # diverges from the filter-free one.
-                        payload = canonical.setdefault(sender, payload)
-                    if dest in byzantine or rule(sender, dest):
-                        admit((sender, dest, payload))
-                    else:
-                        # The scenario's communication schedule suppresses
-                        # this edge (partition side, bad-period loss, …).
-                        dropped += 1
-            if constant is not None:
-                if delivers_all:
-                    for sender, dest, payload in pending:
-                        setdefault(dest, {})[sender] = payload
-                else:
-                    dropped += len(pending)
-            elif pending:
-                transits = network.sample_round(now, pending)
-                for (sender, dest, payload), transit in zip(pending, transits):
-                    if now + transit <= deadline:
-                        setdefault(dest, {})[sender] = payload
-                    else:
-                        dropped += 1
+                    dropped += 1
 
         self._now = deadline
         return RoundDelivery(matrix, dropped=dropped, end_time=deadline)

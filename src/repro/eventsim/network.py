@@ -10,8 +10,9 @@ paper's model (good/bad periods) abstracts.
 from __future__ import annotations
 
 import abc
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.types import ProcessId
@@ -51,18 +52,6 @@ class LatencyModel(abc.ABC):
         sample = self.sample
         return [sample(rng, edge[0], edge[1]) for edge in edges]
 
-    def sample_fan(
-        self, rng: random.Random, sender: ProcessId, dests: Sequence[ProcessId]
-    ) -> List[float]:
-        """One latency per destination of a single sender's fan-out.
-
-        Same RNG-stream contract as :meth:`sample_many`; ``dests`` may be
-        any sized iterable of destination ids (a dict of outbound messages
-        iterates its keys, so schedulers pass it directly).
-        """
-        sample = self.sample
-        return [sample(rng, sender, dest) for dest in dests]
-
     def max_latency(self) -> Optional[float]:
         """An upper bound on every sample, or ``None`` if unbounded.
 
@@ -92,11 +81,6 @@ class FixedLatency(LatencyModel):
     ) -> List[float]:
         return [self.latency] * len(edges)
 
-    def sample_fan(
-        self, rng: random.Random, sender: ProcessId, dests: Sequence[ProcessId]
-    ) -> List[float]:
-        return [self.latency] * len(dests)
-
     def max_latency(self) -> float:
         return self.latency
 
@@ -115,7 +99,7 @@ class UniformLatency(LatencyModel):
     def sample(self, rng: random.Random, sender: ProcessId, dest: ProcessId) -> float:
         return rng.uniform(self.low, self.high)
 
-    # The batched draws inline ``Random.uniform``'s exact expression
+    # The batched draw inlines ``Random.uniform``'s exact expression
     # ``a + (b - a) * random()`` — bit-identical results, one Python call
     # fewer per message (test_sample_round_matches_per_message_stream pins
     # the equivalence draw for draw).
@@ -126,13 +110,6 @@ class UniformLatency(LatencyModel):
         low, span = self.low, self.high - self.low
         rand = rng.random
         return [low + span * rand() for _ in edges]
-
-    def sample_fan(
-        self, rng: random.Random, sender: ProcessId, dests: Sequence[ProcessId]
-    ) -> List[float]:
-        low, span = self.low, self.high - self.low
-        rand = rng.random
-        return [low + span * rand() for _ in dests]
 
     def max_latency(self) -> float:
         return self.high
@@ -159,8 +136,10 @@ class PartialSynchronyNetwork:
         seed: int = 0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not delta > 0:  # nan fails the comparison too
+            raise ValueError(f"delta must be positive, got {delta}")
+        if gst != gst:
+            raise ValueError("gst must be a number, got nan")
         if not 0.0 <= pre_gst_delay_prob <= 1.0:
             raise ValueError("pre_gst_delay_prob must be in [0, 1]")
         self._latency = latency_model
@@ -244,34 +223,6 @@ class PartialSynchronyNetwork:
             append(base * chaos if rand() < prob else base)
         return transits
 
-    def sample_fan(
-        self, send_time: float, sender: ProcessId, dests: Sequence[ProcessId]
-    ) -> List[float]:
-        """Transit times for one sender's fan-out, batched over ``dests``.
-
-        The per-sender sibling of :meth:`sample_round`, with the same
-        stream contract; the timed scheduler's filter-free hot loop calls
-        it with each sender's outbound message dict (iterating a dict
-        yields its destination keys), avoiding any intermediate edge list.
-        """
-        if send_time >= self.gst:
-            samples = self._latency.sample_fan(self._rng, sender, dests)
-            if self._clamp_free:
-                return samples
-            delta = self.delta
-            return [base if base <= delta else delta for base in samples]
-        rng = self._rng
-        sample = self._latency.sample
-        rand = rng.random
-        prob = self._delay_prob
-        chaos = self._chaos
-        transits = []
-        append = transits.append
-        for dest in dests:
-            base = sample(rng, sender, dest)
-            append(base * chaos if rand() < prob else base)
-        return transits
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -296,6 +247,20 @@ class NetworkSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "fixed"):
             raise ValueError(f"unknown latency kind {self.kind!r}")
+        # Reject at load what would otherwise run silently (a nan Δ drops
+        # every message) or fail once per run at build().
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value != value:
+                raise ValueError(f"{field.name} must be a number, got nan")
+        for name in ("round_duration", "delta", "chaos_factor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.pre_gst_delay_prob <= 1.0:
+            raise ValueError(
+                f"pre_gst_delay_prob must be in [0, 1], got {self.pre_gst_delay_prob}"
+            )
         # Validate the latency parameters up front, exactly as building the
         # model would: LatencyModel.sample promises positive latencies.
         if self.kind == "fixed":
@@ -307,8 +272,6 @@ class NetworkSpec:
             raise ValueError(
                 f"need 0 < low ≤ high, got [{self.low}, {self.high}]"
             )
-        if self.round_duration <= 0:
-            raise ValueError("round_duration must be positive")
 
     def build(self, seed: int) -> PartialSynchronyNetwork:
         """Instantiate the timed network with a per-run RNG stream."""

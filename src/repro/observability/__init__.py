@@ -4,7 +4,7 @@ Three small, dependency-free layers that make the engine and the campaign
 runner report what they are doing instead of running as black boxes:
 
 * :mod:`repro.observability.telemetry` — a per-run :class:`Telemetry`
-  registry of counters, gauges and histograms plus a :meth:`Telemetry.span`
+  registry of counters and histograms plus a :meth:`Telemetry.span`
   phase timer with parent/child (self-time) attribution.  The kernel and
   schedulers skip instrumentation entirely when no telemetry is bound, so
   the campaign hot path (``observe="metrics"``) is unaffected.

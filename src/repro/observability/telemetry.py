@@ -1,9 +1,8 @@
-"""The instrumentation core: counters, gauges, histograms, phase spans.
+"""The instrumentation core: counters, histograms, phase spans.
 
 One :class:`Telemetry` object instruments one run (or one CLI session — the
 registry is not thread-aware; give each kernel its own instance the way the
-campaign runner gives each run its own RNG stream).  Everything is a plain
-dict of plain numbers, so a snapshot is JSON-serializable as-is.
+campaign runner gives each run its own RNG stream).
 
 The off path costs nothing.  Code that may run un-instrumented holds
 ``telemetry = None`` and branches once per round (what the kernel and the
@@ -85,11 +84,10 @@ class _SpanTimer:
 
 
 class Telemetry:
-    """A per-run registry of counters, gauges, histograms and span timers."""
+    """A per-run registry of counters, histograms and span timers."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self._histograms: Dict[str, List[float]] = {}
         #: name → [calls, total_seconds, self_seconds].
         self._spans: Dict[str, List[float]] = {}
@@ -100,10 +98,6 @@ class Telemetry:
     def count(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the named monotonic counter."""
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge to its latest observed value."""
-        self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into the named histogram."""
@@ -117,15 +111,6 @@ class Telemetry:
     def span(self, name: str) -> _SpanTimer:
         """A context manager timing one phase; nests and self-attributes."""
         return _SpanTimer(self, name)
-
-    def add_time(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Fold externally measured time into a span record directly."""
-        record = self._spans.get(name)
-        if record is None:
-            record = self._spans[name] = [0, 0.0, 0.0]
-        record[0] += calls
-        record[1] += seconds
-        record[2] += seconds
 
     # -- read-out ------------------------------------------------------------
 
@@ -169,43 +154,6 @@ class Telemetry:
             "p95": percentile(ordered, 0.95),
             "p99": percentile(ordered, 0.99),
         }
-
-    def snapshot(self) -> Dict[str, object]:
-        """A JSON-serializable dump of every instrument."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: self.histogram_stats(name) for name in self._histograms
-            },
-            "spans": {
-                name: self.span_stats(name) for name in self._spans
-            },
-        }
-
-    def merge(self, other: "Telemetry") -> None:
-        """Fold another run's instruments into this registry (sums/extends).
-
-        Gauges keep the *other* run's latest value — merging is meant for
-        aggregating repeated runs of one cell, where last-write-wins
-        matches re-running the instrument in sequence.
-        """
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, value in other.gauges.items():
-            self.gauges[name] = value
-        for name, samples in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = []
-            mine.extend(samples)
-        for name, (calls, total, self_time) in other._spans.items():
-            record = self._spans.get(name)
-            if record is None:
-                record = self._spans[name] = [0, 0.0, 0.0]
-            record[0] += calls
-            record[1] += total
-            record[2] += self_time
 
 
 def format_phase_table(

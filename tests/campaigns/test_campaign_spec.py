@@ -273,3 +273,46 @@ class TestNetworkSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown latency kind"):
             NetworkSpec(kind="warp")
+
+    @pytest.mark.parametrize(
+        "field,value,says",
+        [
+            (name, float("nan"), f"{name} must be a number, got nan")
+            for name in ("low", "high", "gst", "delta", "pre_gst_delay_prob",
+                         "chaos_factor", "round_duration")
+        ] + [
+            (name, value, f"{name} must be finite and positive, got {value}")
+            for name in ("round_duration", "delta", "chaos_factor")
+            for value in (0.0, -1.0, float("inf"))
+        ] + [
+            ("pre_gst_delay_prob", value,
+             f"pre_gst_delay_prob must be in [0, 1], got {value}")
+            for value in (-0.1, 1.5)
+        ],
+    )
+    def test_ill_formed_timing_rejected_at_construction(self, field, value, says):
+        """Used to load: a nan Δ dropped every message and the run still
+        exited 0; an out-of-range probability failed once per run."""
+        for kind in ("uniform", "fixed"):
+            with pytest.raises(ValueError) as excinfo:
+                NetworkSpec(kind=kind, **{field: value})
+            assert str(excinfo.value) == says
+
+    def test_nan_timing_campaign_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"name": "nan", "algorithms": ["pbft"], "models": [[4, 1, 0]],'
+            ' "engines": ["timed"], "scenarios": [{"name": "fault-free",'
+            ' "timing": {"round_duration": NaN}}]}'
+        )
+        out = tmp_path / "out.jsonl"
+        assert main(["campaign", "run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"cannot load campaign spec {path}: "
+            "round_duration must be a number, got nan\n"
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]  # nothing was written

@@ -13,9 +13,11 @@ whole result files.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.engine.scheduler import TimedScheduler
 from repro.eventsim.network import (
@@ -25,6 +27,7 @@ from repro.eventsim.network import (
 )
 from repro.rounds.base import RunContext
 from repro.rounds.schedule import GoodBadSchedule
+from repro.scenarios import SCENARIO_REGISTRY, run_scenario
 
 
 def make_network(latency, *, gst=0.0, seed=11):
@@ -172,6 +175,46 @@ def test_pre_gst_fixed_latency_still_draws_the_chaos_coin():
     deliveries = run_both(make, rounds, model)
     # With p=0.5 and chaos x50 across 27 messages, some must miss.
     assert sum(d.dropped for d in deliveries) > 0
+
+
+def _run_summary(outcome):
+    return (
+        {
+            pid: (d.value, d.round, outcome.decision_times.get(pid))
+            for pid, d in outcome.decisions.items()
+        },
+        outcome.rounds_executed,
+        outcome.messages_sent,
+        outcome.messages_delivered,
+        outcome.messages_dropped,
+        outcome.simulated_time,
+    )
+
+
+@pytest.mark.parametrize("observe", ["metrics", "profile"])
+@pytest.mark.parametrize("gst", [0.0, 10.0])
+@pytest.mark.parametrize("kind", ["uniform", "fixed"])
+@pytest.mark.parametrize("name", sorted(SCENARIO_REGISTRY))
+def test_every_scenario_runs_the_same_on_fast_sweep_and_heap(
+    monkeypatch, name, kind, gst, observe
+):
+    """Whole runs, good and bad rounds alike, instrumented or not.
+
+    ``observe="profile"`` binds telemetry, so the sweep opens its
+    ``network.sample`` span; that must change nothing either.
+    """
+    model = FaultModel(7, 1, 1)
+    params = build_class_parameters(AlgorithmClass.CLASS_3, model)
+    base = SCENARIO_REGISTRY[name]
+    spec = replace(base, timing=replace(base.timing, kind=kind, gst=gst))
+    summaries = []
+    for slow in ("0", "1"):  # compile_scenario builds its scheduler from the env
+        monkeypatch.setenv("REPRO_SLOW_SCHEDULER", slow)
+        outcome = run_scenario(spec, params, engine="timed", rng=17, observe=observe)
+        summaries.append(_run_summary(outcome))
+    fast, heap = summaries
+    assert fast == heap
+    assert fast[2] > 0  # messages were sent
 
 
 def test_slow_scheduler_env_switch(monkeypatch):

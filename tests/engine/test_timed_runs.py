@@ -17,11 +17,11 @@ def synchronous_net(seed=0):
     return PartialSynchronyNetwork(UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=seed)
 
 
-def uniform_run(spec, n, **scheduler_kwargs):
+def uniform_run(spec, n):
     """Everyone proposes ``"v"`` under a synchronous network."""
     return run_instance(
         build_instance(spec.parameters, {pid: "v" for pid in range(n)}),
-        TimedScheduler(synchronous_net(), **scheduler_kwargs),
+        TimedScheduler(synchronous_net()),
         observe="metrics",
     )
 
@@ -106,13 +106,18 @@ class TestPartialSynchrony:
         )
         assert outcome.agreement_holds  # may or may not decide
 
-
-class TestSelectionRoundFactor:
-    def test_stretched_selection_rounds_cost_time(self):
-        plain = uniform_run(build_pbft(4), 4)
-        # Models the 3-round Pcons implementation.
-        stretched = uniform_run(build_pbft(4), 4, selection_round_factor=3.0)
-        assert stretched.last_decision_time > plain.last_decision_time
+    @pytest.mark.parametrize(
+        "kwargs,says",
+        [
+            ({"delta": float("nan")}, "delta must be positive, got nan"),
+            ({"gst": float("nan")}, "gst must be a number, got nan"),
+        ],
+        ids=["delta", "gst"],
+    )
+    def test_nan_delta_or_gst_rejected(self, kwargs, says):
+        with pytest.raises(ValueError) as excinfo:
+            PartialSynchronyNetwork(FixedLatency(1.0), **kwargs)
+        assert str(excinfo.value) == says
 
 
 class TestSeedThreading:

@@ -1,7 +1,5 @@
 """The instrumentation core: spans and scalar instruments."""
 
-import json
-
 import pytest
 
 from repro.observability import (
@@ -47,12 +45,6 @@ class TestScalarInstruments:
         tel.count("messages", 4)
         assert tel.counters == {"messages": 5}
 
-    def test_gauges_keep_latest_value(self):
-        tel = Telemetry()
-        tel.gauge("round", 3)
-        tel.gauge("round", 7)
-        assert tel.gauges == {"round": 7}
-
     def test_histogram_stats(self):
         tel = Telemetry()
         for value in (1.0, 2.0, 3.0):
@@ -74,17 +66,6 @@ class TestScalarInstruments:
         tel.observe("a", 1.0)
         tel.observe("b", 2.0)
         assert tel.histogram_names == ["a", "b"]
-
-    def test_snapshot_is_json_serializable(self):
-        tel = Telemetry()
-        tel.count("c")
-        tel.gauge("g", 1.5)
-        tel.observe("h", 2.0)
-        with tel.span("s"):
-            pass
-        parsed = json.loads(json.dumps(tel.snapshot()))
-        assert parsed["counters"] == {"c": 1}
-        assert parsed["spans"]["s"]["calls"] == 1
 
 
 class TestSpans:
@@ -150,38 +131,13 @@ class TestSpans:
         assert tel.span_stats("failing")["calls"] == 1
         assert not tel._stack  # the stack unwound cleanly
 
-    def test_add_time_folds_external_measurements(self):
-        tel = Telemetry()
-        tel.add_time("setup", 0.25, calls=2)
-        tel.add_time("setup", 0.75)
-        stats = tel.span_stats("setup")
-        assert stats["calls"] == 3
-        assert stats["total_s"] == pytest.approx(1.0)
-        assert stats["self_s"] == pytest.approx(1.0)
-
-
-class TestMerge:
-    def test_merge_sums_counters_and_spans(self):
-        a, b = Telemetry(), Telemetry()
-        a.count("c", 1)
-        b.count("c", 2)
-        a.add_time("s", 1.0)
-        b.add_time("s", 2.0, calls=3)
-        b.observe("h", 5.0)
-        b.gauge("g", 9)
-        a.merge(b)
-        assert a.counters == {"c": 3}
-        assert a.gauges == {"g": 9}
-        assert a.span_stats("s")["calls"] == 4
-        assert a.span_stats("s")["total_s"] == pytest.approx(3.0)
-        assert a.histogram_stats("h")["count"] == 1
-
 
 class TestFormatPhaseTable:
     def _telemetry(self):
         tel = Telemetry()
-        tel.add_time("kernel.apply", 0.004, calls=8)
-        tel.add_time("kernel.send", 0.002, calls=8)
+        # Fixed span records: [calls, total_seconds, self_seconds].
+        tel._spans["kernel.apply"] = [8, 0.004, 0.004]
+        tel._spans["kernel.send"] = [8, 0.002, 0.002]
         return tel
 
     def test_orders_by_descending_self_time(self):
