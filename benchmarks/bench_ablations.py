@@ -22,8 +22,19 @@ from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import GenericConsensusConfig
 from repro.core.types import FaultModel
 from repro.engine import LockstepScheduler, build_instance, run_instance
-from repro.rounds.policies import GoodBadPolicy
+from repro.rounds.policies import random_drop_behavior
 from repro.rounds.schedule import GoodBadSchedule
+
+
+def lossy_until(good_from, seed):
+    """Bad rounds drop each honest-bound message with probability ½ until
+    round ``good_from``; a fresh loss stream per run."""
+    return LockstepScheduler(
+        (
+            GoodBadSchedule.good_after(good_from),
+            random_drop_behavior(random.Random(seed)),
+        )
+    )
 
 
 @pytest.fixture
@@ -88,16 +99,10 @@ def test_line26_history_variant_matches_paper_mode(pbft_params):
     for strategy in ("equivocator", "high-ts-liar", "fake-history-liar"):
         for seed in range(3):
             values = {pid: f"v{pid % 2}" for pid in range(3)}
-            policy = GoodBadPolicy(
-                GoodBadSchedule.good_after(7), rng=random.Random(seed)
-            )
             paper = run_instance(
                 build_instance(pbft_params, values, byzantine={3: strategy}),
-                LockstepScheduler(policy),
+                lossy_until(7, seed),
                 max_phases=8,
-            )
-            policy = GoodBadPolicy(
-                GoodBadSchedule.good_after(7), rng=random.Random(seed)
             )
             variant = run_instance(
                 build_instance(
@@ -106,7 +111,7 @@ def test_line26_history_variant_matches_paper_mode(pbft_params):
                     config=GenericConsensusConfig(record_validation_in_history=True),
                     byzantine={3: strategy},
                 ),
-                LockstepScheduler(policy),
+                lossy_until(7, seed),
                 max_phases=8,
             )
             assert paper.agreement_holds and variant.agreement_holds
@@ -118,13 +123,11 @@ def test_line26_history_variant_matches_paper_mode(pbft_params):
 
 def test_bounded_history_caps_state(pbft_params, report):
     values = {pid: f"v{pid % 2}" for pid in range(3)}
-    policy = GoodBadPolicy(GoodBadSchedule.good_after(13), rng=random.Random(2))
     unbounded = run_instance(
         build_instance(pbft_params, values, byzantine={3: "equivocator"}),
-        LockstepScheduler(policy),
+        lossy_until(13, 2),
         max_phases=12,
     )
-    policy = GoodBadPolicy(GoodBadSchedule.good_after(13), rng=random.Random(2))
     bounded = run_instance(
         build_instance(
             pbft_params,
@@ -132,7 +135,7 @@ def test_bounded_history_caps_state(pbft_params, report):
             config=GenericConsensusConfig(max_history_size=2),
             byzantine={3: "equivocator"},
         ),
-        LockstepScheduler(policy),
+        lossy_until(13, 2),
         max_phases=12,
     )
     big = max(len(p.state.history) for p in unbounded.honest_processes.values())

@@ -20,7 +20,6 @@ from repro.core.flv_class1 import FLVClass1
 from repro.core.flv_variants import FaBPaxosFLV
 from repro.core.types import FaultModel, RoundInfo, RoundKind, SelectionMessage
 from repro.engine import ExecutionKernel, LockstepScheduler
-from repro.rounds.policies import ReliablePolicy
 from repro.utils.sentinels import NULL_VALUE
 
 
@@ -64,7 +63,7 @@ def test_one_third_rule_original_matches_decisions(benchmark):
         engine = ExecutionKernel(
             model,
             processes,
-            LockstepScheduler(ReliablePolicy()),
+            LockstepScheduler(),
             lambda r: RoundInfo(r, r, RoundKind.SELECTION),
         )
         engine.run(3)
@@ -120,21 +119,18 @@ def test_mqb_message_size_advantage_over_pbft():
     grow with the phase count."""
     import random
 
-    from repro.rounds.policies import GoodBadPolicy
+    from repro.rounds.policies import random_drop_behavior
     from repro.rounds.schedule import GoodBadSchedule
 
-    policy_args = dict(
-        bad_behavior=None,
-    )
     for builder, n, expect_history in ((build_mqb, 5, False), (build_pbft, 4, True)):
         spec = builder(n)
-        policy = GoodBadPolicy(
-            GoodBadSchedule.good_after(10), rng=random.Random(0)
-        )
         outcome = spec.run(
             {pid: f"v{pid % 2}" for pid in range(n - 1)},
             byzantine={n - 1: "equivocator"},
-            policy=policy,
+            good_bad=(
+                GoodBadSchedule.good_after(10),
+                random_drop_behavior(random.Random(0)),
+            ),
             max_phases=10,
         )
         process = next(iter(outcome.honest_processes.values()))

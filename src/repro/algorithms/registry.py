@@ -38,7 +38,7 @@ class AlgorithmSpec:
         *,
         config: Optional[GenericConsensusConfig] = None,
         byzantine=None,
-        policy=None,
+        good_bad=None,
         crash_schedule=None,
         max_phases: int = 30,
         record_snapshots: bool = False,
@@ -47,7 +47,8 @@ class AlgorithmSpec:
 
         Assembles the instance with
         :func:`~repro.engine.assembly.build_instance` and drives it under a
-        :class:`~repro.engine.scheduler.LockstepScheduler` with full
+        :class:`~repro.engine.scheduler.LockstepScheduler` — over the
+        optional ``good_bad`` ``(schedule, edge rule)`` pair — with full
         observation.  The spec's own config applies unless the caller
         overrides it.
         """
@@ -59,7 +60,7 @@ class AlgorithmSpec:
         )
         return run_instance(
             instance,
-            LockstepScheduler(policy),
+            LockstepScheduler(good_bad),
             max_phases=max_phases,
             observe=OBSERVE_FULL,
             crash_schedule=crash_schedule,

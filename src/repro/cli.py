@@ -380,6 +380,8 @@ def _cmd_smr_serve(args: argparse.Namespace) -> int:
 
 def _cmd_smr_sweep(args: argparse.Namespace) -> int:
     from repro.campaigns.results import write_rows
+    from repro.engine.cell import admit, rejection_message
+    from repro.scenarios import get_scenario
     from repro.smr import sweep_serve
 
     config, workload = _serve_config(args)
@@ -388,6 +390,21 @@ def _cmd_smr_sweep(args: argparse.Namespace) -> int:
         if args.scenarios
         else None
     )
+    # A typo is a usage error, not a table of inapplicable cells; a model
+    # that cannot host the algorithm or a scenario still makes its rows.
+    try:
+        for name in scenarios or ():
+            get_scenario(name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    try:
+        admit(config.algorithm, config.n, config.b, config.f)
+    except KeyError as exc:
+        print(f"cannot serve: {rejection_message(exc)}", file=sys.stderr)
+        return 2
+    except ValueError:
+        pass  # the model's verdict: every cell reports it in its row
     rows = sweep_serve(config, workload, rates=args.rates, scenarios=scenarios)
     if args.out:
         write_rows(args.out, rows)

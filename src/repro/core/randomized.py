@@ -13,7 +13,7 @@ algorithm:
 2. The communication assumption is ``Prel`` in *every* round (at least
    ``n − b − f`` messages per correct process per round) instead of the
    eventual ``Pcons``/``Pgood`` predicates — the ``async-prel`` comm kind
-   (:class:`~repro.rounds.policies.AsyncPrelPolicy`).
+   (:class:`~repro.engine.scheduler.PrelScheduler`).
 
 Correspondingly, FLV must satisfy the stronger liveness variant: any vector
 of ``n − b − f`` messages yields a non-``null`` result.  Algorithms 2 and 3

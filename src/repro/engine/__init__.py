@@ -9,9 +9,9 @@ execution path into three orthogonal pieces:
   into an :class:`Instance`, exactly once, for every discipline.
 * **Scheduling** (:mod:`repro.engine.scheduler`) — a
   :class:`RoundScheduler` decides what each round's send step puts into
-  each receiver's inbox: :class:`LockstepScheduler` applies a delivery
-  policy (the oracle communication predicates of Section 2.1);
-  :class:`TimedScheduler` paces rounds with a duration Δ and delivers only
+  each receiver's inbox: :class:`LockstepScheduler` applies the oracle
+  communication predicates of Section 2.1 (:class:`PrelScheduler` the
+  ``Prel`` adversary of Section 6); :class:`TimedScheduler` paces rounds with a duration Δ and delivers only
   the messages whose sampled latency meets the round deadline
   (communication-closed rounds over partial synchrony).
 * **Observation** (:mod:`repro.engine.kernel` /
@@ -39,6 +39,7 @@ from repro.engine.kernel import (
 from repro.engine.outcome import Outcome
 from repro.engine.scheduler import (
     LockstepScheduler,
+    PrelScheduler,
     RoundDelivery,
     RoundScheduler,
     TimedScheduler,
@@ -76,6 +77,7 @@ __all__ = [
     "OBSERVE_METRICS",
     "OBSERVE_PROFILE",
     "Outcome",
+    "PrelScheduler",
     "RoundDelivery",
     "RoundScheduler",
     "TimedScheduler",

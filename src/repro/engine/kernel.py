@@ -276,18 +276,20 @@ class ExecutionKernel:
     def _step_profiled(self, tel: Telemetry) -> Optional[RoundRecord]:
         """The instrumented round: each phase wall-timed into a span.
 
-        The scheduler opens its own ``scheduler.deliver`` span (with a
-        nested ``network.sample`` span on the timed engine), so the round's
-        phase attribution is: ``kernel.send`` (collect the outbound
-        matrix), ``scheduler.deliver``, ``kernel.apply`` (transition
-        functions), ``kernel.probe`` (decision probes) and
-        ``kernel.observe`` (message accounting plus — in full mode —
-        predicate evaluation and trace recording).
+        The round's phase attribution is: ``kernel.send`` (collect the
+        outbound matrix), ``scheduler.deliver`` (whatever scheduler is
+        bound; the timed one nests a ``network.sample`` span inside it),
+        ``kernel.apply`` (transition functions), ``kernel.probe`` (decision
+        probes) and ``kernel.observe`` (message accounting plus — in full
+        mode — predicate evaluation and trace recording).
         """
         info = self._round_info_fn(self._next_round)
         with tel.span("kernel.send"):
             outbound = self._collect_outbound(info)
-        delivery = self._scheduler.deliver_round(info, outbound, self._context)
+        with tel.span("scheduler.deliver"):
+            delivery = self._scheduler.deliver_round(
+                info, outbound, self._context
+            )
         matrix = delivery.matrix
         with tel.span("kernel.apply"):
             if self._has_crashes:

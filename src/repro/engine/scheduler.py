@@ -4,10 +4,19 @@ A :class:`RoundScheduler` answers one question per round: given what every
 live process put on the wire, what does each receiver's inbox contain — and,
 if rounds are timed, when does the round end?
 
-* :class:`LockstepScheduler` wraps a
-  :class:`~repro.rounds.policies.DeliveryPolicy`: rounds are untimed and an
-  oracle realizes the communication predicate in force (``Pgood``/``Pcons``
-  in good periods, adversarial behaviours in bad ones).
+Both per-edge schedulers take a scenario's communication schedule as one
+optional ``good_bad`` pair — a
+:class:`~repro.rounds.schedule.GoodBadSchedule` asked once per round and a
+:data:`~repro.rounds.policies.BadBehavior` edge rule that, in a bad round,
+withholds honest-bound edges.  A good round is a bad round whose rule
+admits every edge.
+
+* :class:`LockstepScheduler` — untimed rounds: an oracle realizes the
+  predicate in force, ``Pcons`` in good selection rounds, ``Pgood`` in the
+  other good rounds and the rule's
+  :func:`~repro.rounds.policies.filtered_delivery` in bad ones.
+* :class:`PrelScheduler` — untimed rounds under ``Prel`` only (Section 6),
+  the one communication kind that is not per-edge.
 * :class:`TimedScheduler` paces rounds with a common duration Δ over a
   :class:`~repro.eventsim.network.PartialSynchronyNetwork`: messages sent at
   the round's start arrive after a sampled latency and are delivered only if
@@ -15,12 +24,8 @@ if rounds are timed, when does the round end?
   are discarded).  Byzantine equivocation in selection rounds is
   canonicalized to one payload per sender, as an implemented ``Pcons``
   would enforce (the micro-rounds such an implementation costs are
-  :class:`~repro.network.stack.PconsStackScheduler`'s to measure).  An
-  optional ``good_bad`` pair — the same ``(schedule, edge rule)`` a
-  :class:`~repro.rounds.policies.GoodBadPolicy` takes — hosts a scenario's
-  communication schedule: the schedule is asked once per round, and in a
-  bad round the rule withholds honest-bound edges before any latency is
-  sampled.  A good round is a bad round whose rule admits every edge.
+  :class:`~repro.network.stack.PconsStackScheduler`'s to measure).  In a
+  bad round the rule withholds edges before any latency is sampled.
 
 Within one round every ``(sender, dest)`` edge carries at most one message,
 so the delivery matrix is independent of arrival order: the timed scheduler
@@ -33,8 +38,8 @@ each against the deadline — O(m) per round, no event heap.  Set
 suite diffs the two); ``eventsim`` users that genuinely need ordered
 arrival keep using :class:`EventQueue` directly.
 
-Both schedulers inherit the no-impersonation guarantee from the outbound
-matrix they receive: a payload delivered as coming from ``q`` was produced
+Every scheduler inherits the no-impersonation guarantee from the outbound
+matrix it receives: a payload delivered as coming from ``q`` was produced
 by ``q`` in this round.
 """
 
@@ -42,13 +47,21 @@ from __future__ import annotations
 
 import abc
 import os
+import random
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.types import ProcessId, RoundInfo, RoundKind
 from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
-from repro.rounds.policies import BadBehavior, DeliveryPolicy, ReliablePolicy
+from repro.rounds.policies import (
+    BadBehavior,
+    count_edges,
+    enforce_pcons,
+    faithful_delivery,
+    filtered_delivery,
+    prel_delivery,
+)
 from repro.rounds.schedule import GoodBadSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -83,8 +96,8 @@ class RoundScheduler(abc.ABC):
     """
 
     #: Bound instrumentation registry, or ``None`` (the un-instrumented hot
-    #: path — subclasses branch once per round on this, so the disabled
-    #: path executes the exact pre-instrumentation code).
+    #: path).  The kernel times each ``deliver_round`` call itself; a
+    #: scheduler reads this only to open spans nested inside it.
     _telemetry = None
 
     def set_telemetry(self, telemetry) -> None:
@@ -105,46 +118,56 @@ class RoundScheduler(abc.ABC):
         """Turn the round's outbound matrix into its delivery outcome."""
 
 
+#: A scenario's communication schedule: which rounds are good, and the edge
+#: rule in force in the bad ones.
+GoodBad = Tuple[GoodBadSchedule, BadBehavior]
+
+
 class LockstepScheduler(RoundScheduler):
-    """Untimed rounds delegated to a delivery policy (oracle predicates)."""
+    """Untimed rounds delivered by the oracle of the predicate in force."""
 
-    def __init__(self, policy: Optional[DeliveryPolicy] = None) -> None:
-        self._policy = policy or ReliablePolicy()
-
-    @property
-    def policy(self) -> DeliveryPolicy:
-        return self._policy
+    def __init__(self, good_bad: Optional[GoodBad] = None) -> None:
+        self._good_bad = good_bad
 
     def deliver_round(
         self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
     ) -> RoundDelivery:
-        tel = self._telemetry
-        if tel is None:
-            return self._deliver(info, outbound, ctx)
-        with tel.span("scheduler.deliver"):
-            return self._deliver(info, outbound, ctx)
+        if self._good_bad is not None:
+            schedule, bad = self._good_bad
+            if not schedule.is_good(info.number):
+                matrix, dropped = filtered_delivery(outbound, ctx.byzantine, bad)
+                return RoundDelivery(matrix, dropped=dropped)
+        if info.kind is not RoundKind.SELECTION:
+            return RoundDelivery(faithful_delivery(outbound))
+        # The Pcons oracle may withhold *and* inject — fan a sender's
+        # canonical payload to audience members it never addressed — so each
+        # sent edge missing from the matrix is counted, edge-exactly, and an
+        # injection never offsets a withheld edge.
+        matrix = enforce_pcons(outbound, ctx)
+        dropped = 0
+        get = matrix.get
+        empty: Dict[ProcessId, object] = {}
+        for sender, messages in outbound.items():
+            for dest in messages:
+                if sender not in get(dest, empty):
+                    dropped += 1
+        return RoundDelivery(matrix, dropped=dropped)
 
-    def _deliver(
+
+class PrelScheduler(RoundScheduler):
+    """Untimed rounds under ``Prel`` only: ``rng`` picks each inbox."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+
+    def deliver_round(
         self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
     ) -> RoundDelivery:
-        # A policy withholds by omission; each sent edge that did not reach
-        # its destination counts as dropped, so sent == delivered + dropped
-        # holds on both scheduler branches.  Exact-delivery policies report
-        # the count themselves (deliver_counted); only policies that cannot
-        # — an oracle enforcing Pcons may also *inject* deliveries, fanning
-        # a sender's canonical payload to audience members it never
-        # addressed — leave it to the edge-exact rescan below, which never
-        # goes negative from such injections.
-        matrix, dropped = self._policy.deliver_counted(info, outbound, ctx)
-        if dropped is None:
-            dropped = 0
-            get = matrix.get
-            empty: Dict[ProcessId, object] = {}
-            for sender, messages in outbound.items():
-                for dest in messages:
-                    if sender not in get(dest, empty):
-                        dropped += 1
-        return RoundDelivery(matrix, dropped=dropped)
+        matrix = prel_delivery(outbound, ctx, self._rng)
+        # Each inbox is a subset of the faithful one.
+        return RoundDelivery(
+            matrix, dropped=count_edges(outbound) - count_edges(matrix)
+        )
 
 
 class TimedScheduler(RoundScheduler):
@@ -155,7 +178,7 @@ class TimedScheduler(RoundScheduler):
         network: "PartialSynchronyNetwork",
         *,
         round_duration: float = 2.5,
-        good_bad: Optional[Tuple[GoodBadSchedule, BadBehavior]] = None,
+        good_bad: Optional[GoodBad] = None,
         use_heap: Optional[bool] = None,
     ) -> None:
         if not round_duration > 0:  # nan fails the comparison too
@@ -197,14 +220,9 @@ class TimedScheduler(RoundScheduler):
             schedule, bad = self._good_bad
             if not schedule.is_good(info.number):
                 rule = bad
-        deliver = (
-            self._deliver_fast if self._queue is None else self._deliver_round_heap
-        )
-        tel = self._telemetry
-        if tel is None:
-            return deliver(info, outbound, ctx, deadline, rule)
-        with tel.span("scheduler.deliver"):
-            return deliver(info, outbound, ctx, deadline, rule)
+        if self._queue is None:
+            return self._deliver_fast(info, outbound, ctx, deadline, rule)
+        return self._deliver_round_heap(info, outbound, ctx, deadline, rule)
 
     def _deliver_fast(
         self,

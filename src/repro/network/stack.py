@@ -2,7 +2,7 @@
 
 :class:`PconsStackScheduler` realizes each selection round by a
 :class:`~repro.network.wic.PconsImplementation` sub-protocol instead of an
-oracle policy: the authenticated variant costs 2 extra rounds per phase, the
+oracle: the authenticated variant costs 2 extra rounds per phase, the
 signature-free one 3 — exactly the tradeoff the paper quotes from [17].
 :func:`run_with_pcons_stack` runs an instance under it through the one
 kernel (``build_instance`` + ``run_instance``), like every other execution.
@@ -12,7 +12,7 @@ phase succeeds only when its whole expanded footprint falls in a good period
 and its rotating coordinator is correct.  Validation and decision rounds are
 one micro-round each of plain ``Pgood`` delivery (they never needed
 ``Pcons``); a bad micro-round drops honest-bound messages i.i.d. through
-:func:`~repro.rounds.policies.filtered_delivery`, as the oracle policies do.
+:func:`~repro.rounds.policies.filtered_delivery`, as the lockstep oracle does.
 
 Limitations: the stack requires the Π (all-processes) selector — true for
 every Byzantine algorithm in the paper — and supports Byzantine but not

@@ -2,35 +2,22 @@
 
 This package provides the execution vocabulary the paper's algorithms are
 expressed in: processes exposing per-round send/transition functions,
-delivery policies realizing the communication predicates ``Pgood`` /
-``Pcons`` / ``Prel``, predicate checkers, and good/bad period schedules
-modelling partial synchrony.  The round loop itself lives in the unified
-execution kernel (:mod:`repro.engine`).
+delivery oracles realizing the communication predicates ``Pgood`` /
+``Pcons`` / ``Prel`` (:mod:`repro.rounds.policies`), predicate checkers,
+and good/bad period schedules modelling partial synchrony.  The round loop
+and the schedulers that apply the oracles live in the unified execution
+kernel (:mod:`repro.engine`).
 """
 
 from repro.rounds.base import RoundProcess, RunContext
-from repro.rounds.policies import (
-    AsyncPrelPolicy,
-    DeliveryPolicy,
-    GoodBadPolicy,
-    LossyPolicy,
-    ReliablePolicy,
-    SilentPolicy,
-)
 from repro.rounds.predicates import check_pcons, check_pgood, check_prel
 from repro.rounds.schedule import GoodBadSchedule
 
 __all__ = [
-    "AsyncPrelPolicy",
-    "DeliveryPolicy",
-    "GoodBadPolicy",
     "GoodBadSchedule",
-    "LossyPolicy",
-    "ReliablePolicy",
     "RoundProcess",
     "RoundStructure",
     "RunContext",
-    "SilentPolicy",
     "check_pcons",
     "check_pgood",
     "check_prel",

@@ -1,25 +1,21 @@
-"""Delivery policies: who receives what in each round.
+"""Delivery oracles: who receives what in each round.
 
-A :class:`DeliveryPolicy` turns the outbound matrix of a round (what every
-process put on the wire) into a delivery matrix (what every process
-receives), subject to the communication predicate the policy realizes:
+A round turns the outbound matrix (what every process put on the wire)
+into a delivery matrix (what every process receives).  This module holds
+the delivery functions the schedulers of :mod:`repro.engine.scheduler`
+compose, one per communication predicate of Section 2.1:
 
-* :class:`ReliablePolicy` — permanently good periods: ``Pgood`` in every
-  round and ``Pcons`` in the round kinds that need it (selection rounds);
-* :class:`GoodBadPolicy` — a partially synchronous system driven by a
-  :class:`~repro.rounds.schedule.GoodBadSchedule`; a bad round delivers
-  the edges a pluggable :data:`BadBehavior` *edge rule* admits (random
-  loss, partition, silence, …) through the one
-  :func:`filtered_delivery` loop — the same ``(schedule, rule)`` pair the
-  timed scheduler and the ``Pcons`` stack apply;
-* :class:`AsyncPrelPolicy` — the randomized-algorithm adversary: fully
+* :func:`faithful_delivery` — ``Pgood``: every message as addressed;
+* :func:`enforce_pcons` — ``Pcons`` for the good selection rounds;
+* :func:`filtered_delivery` — a bad round: a :data:`BadBehavior` *edge
+  rule* (random loss, partition, silence, …) withholds honest-bound
+  edges — the rule of the same ``(schedule, rule)`` pair the lockstep
+  scheduler, the timed scheduler and the ``Pcons`` stack apply;
+* :func:`prel_delivery` — the randomized-algorithm adversary: fully
   asynchronous but every correct process receives at least ``n − b − f``
-  messages per round (``Prel``), the adversary picking which;
-* :class:`LossyPolicy` — i.i.d. message loss with no guarantee (for
-  robustness tests: safety must still hold): never good + random loss;
-* :class:`SilentPolicy` — delivers nothing: never good + silence.
+  messages per round (``Prel``), the adversary picking which.
 
-Two invariants hold in *every* policy, reflecting Section 2.1:
+Two invariants hold in *every* oracle, reflecting Section 2.1:
 
 1. No impersonation: a delivered payload is always one the recorded sender
    actually produced this round.
@@ -35,16 +31,11 @@ achieve; the implementations themselves live in ``repro.network.wic``.
 
 from __future__ import annotations
 
-import abc
 import random
-from typing import AbstractSet, Callable, Iterable, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Iterable, Set, Tuple
 
-from repro.core.types import ProcessId, RoundInfo, RoundKind
+from repro.core.types import ProcessId
 from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
-from repro.rounds.schedule import GoodBadSchedule
-
-#: Default round kinds in which Pcons is enforced during good periods.
-DEFAULT_PCONS_KINDS = frozenset({RoundKind.SELECTION})
 
 
 def count_edges(matrix: DeliveryMatrix) -> int:
@@ -113,99 +104,6 @@ def enforce_pcons(outbound: OutboundMatrix, ctx: RunContext) -> DeliveryMatrix:
     return matrix
 
 
-def enforce_pgood(outbound: OutboundMatrix, ctx: RunContext) -> DeliveryMatrix:
-    """Faithful delivery — trivially satisfies ``Pgood``.
-
-    Faithful delivery already hands Byzantine receivers everything
-    addressed to them, so no extra ``deliver_to_byzantine`` pass is needed.
-    """
-    return faithful_delivery(outbound)
-
-
-class DeliveryPolicy(abc.ABC):
-    """Strategy deciding the delivery matrix of each round.
-
-    ``deliver`` is the single source of delivery logic; subclasses override
-    it freely (including via ``super().deliver()``).  Counting is a
-    separate, optional contract: a policy whose delivery is fully described
-    by its own ``deliver`` declares so by pointing ``_counted_deliver`` at
-    that function and implementing :meth:`_count_dropped`; the moment a
-    subclass replaces ``deliver``, the identity check in
-    :meth:`deliver_counted` fails closed and the scheduler rescans.
-    """
-
-    #: The ``deliver`` implementation :meth:`_count_dropped`'s contract
-    #: describes.  Counting policies set this right after their class body
-    #: (``MyPolicy._counted_deliver = MyPolicy.deliver``); it is compared
-    #: by identity against ``type(self).deliver`` so an override anywhere
-    #: in the MRO silently falls back to the scheduler's edge-exact rescan
-    #: instead of miscounting.
-    _counted_deliver: Optional[Callable] = None
-
-    @abc.abstractmethod
-    def deliver(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        """Compute what every process receives in round ``info``."""
-
-    def deliver_counted(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> Tuple[DeliveryMatrix, Optional[int]]:
-        """``(matrix, dropped)``: the delivery plus a withheld-edge count.
-
-        ``dropped`` is the number of sent edges absent from the matrix, or
-        ``None`` when it cannot be counted here — the lockstep scheduler
-        then falls back to an edge-exact O(edges) rescan of the outbound
-        matrix.  Policies whose matrix is an exact subset of the sent
-        edges (no injection — only an oracle enforcing ``Pcons`` ever
-        injects deliveries) count ``sent − delivered`` in O(n) instead,
-        via :meth:`_count_dropped`.
-        """
-        matrix = self.deliver(info, outbound, ctx)
-        # Class-level access on both sides: instance access would bind the
-        # stored function into a method object and never compare equal.
-        if type(self).deliver is not type(self)._counted_deliver:
-            return matrix, None
-        return matrix, self._count_dropped(info, outbound, matrix, ctx)
-
-    def _count_dropped(
-        self,
-        info: RoundInfo,
-        outbound: OutboundMatrix,
-        matrix: DeliveryMatrix,
-        ctx: RunContext,
-    ) -> Optional[int]:
-        """Withheld-edge count for this class's own ``deliver`` output."""
-        return None
-
-
-class ReliablePolicy(DeliveryPolicy):
-    """Permanently synchronous: ``Pgood`` always, ``Pcons`` where needed."""
-
-    def __init__(
-        self, pcons_kinds: AbstractSet[RoundKind] = DEFAULT_PCONS_KINDS
-    ) -> None:
-        self._pcons_kinds = frozenset(pcons_kinds)
-
-    def deliver(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        if info.kind in self._pcons_kinds:
-            return enforce_pcons(outbound, ctx)
-        return enforce_pgood(outbound, ctx)
-
-    def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
-        if info.kind in self._pcons_kinds:
-            # The Pcons oracle may withhold *and* inject; edge-exact
-            # accounting needs the scheduler's rescan.
-            return None
-        # Pgood rounds deliver faithfully: every sent edge arrives.
-        return 0
-
-
-ReliablePolicy._counted_deliver = ReliablePolicy.deliver
-
-
 #: Bad-period behaviour as an edge rule: ``(sender, dest)`` → deliver?  It is
 #: asked only about honest-bound edges (Byzantine receivers get everything),
 #: sender-major and dest-minor, so a rule drawing from an rng consumes one
@@ -231,6 +129,8 @@ def filtered_delivery(
 
 def random_drop_behavior(rng: random.Random, drop_prob: float = 0.5) -> BadBehavior:
     """Each message is independently dropped with probability ``drop_prob``."""
+    if not 0.0 <= drop_prob <= 1.0:  # nan fails the comparison too
+        raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob}")
     return lambda sender, dest: rng.random() >= drop_prob
 
 
@@ -250,118 +150,24 @@ def silent_behavior() -> BadBehavior:
     return lambda sender, dest: False
 
 
-class GoodBadPolicy(DeliveryPolicy):
-    """Partial synchrony: a schedule chooses good rounds, a behaviour bad ones.
-
-    The random-loss default behaviour draws from a policy-owned ``rng``
-    (never the module-level :mod:`random`), so runs are a pure function of
-    the rng threaded in, and callers reusing one policy object across runs
-    can :meth:`reseed` it.  A custom ``bad_behavior`` owns its randomness
-    (scenario compilation builds the rule over a fresh
-    ``random.Random(per_run_seed)`` per run); :meth:`reseed` cannot reach
-    inside it.
-    """
-
-    def __init__(
-        self,
-        schedule: GoodBadSchedule,
-        bad_behavior: Optional[BadBehavior] = None,
-        pcons_kinds: AbstractSet[RoundKind] = DEFAULT_PCONS_KINDS,
-        rng: Optional[random.Random] = None,
-        drop_prob: float = 0.5,
-    ) -> None:
-        self._schedule = schedule
-        self._rng = rng if rng is not None else random.Random(0)
-        self._bad = bad_behavior or random_drop_behavior(self._rng, drop_prob)
-        self._pcons_kinds = frozenset(pcons_kinds)
-
-    def reseed(self, seed: int) -> None:
-        """Reset the random-loss stream to a fresh per-run derivation."""
-        self._rng.seed(seed)
-
-    @property
-    def schedule(self) -> GoodBadSchedule:
-        return self._schedule
-
-    def deliver(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        if self._schedule.is_good(info.number):
-            if info.kind in self._pcons_kinds:
-                return enforce_pcons(outbound, ctx)
-            return enforce_pgood(outbound, ctx)
-        return filtered_delivery(outbound, ctx.byzantine, self._bad)[0]
-
-    def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
-        if self._schedule.is_good(info.number):
-            # Pcons may inject (rescan); Pgood delivers faithfully.
-            return None if info.kind in self._pcons_kinds else 0
-        # A rule can only withhold: the matrix is a subset of the sent edges.
-        return count_edges(outbound) - count_edges(matrix)
-
-
-GoodBadPolicy._counted_deliver = GoodBadPolicy.deliver
-
-
-class AsyncPrelPolicy(DeliveryPolicy):
+def prel_delivery(
+    outbound: OutboundMatrix, ctx: RunContext, rng: random.Random
+) -> DeliveryMatrix:
     """Fully asynchronous delivery guaranteeing only ``Prel`` (Section 6).
 
-    Every correct process receives at least ``n − b − f`` of the messages
-    addressed to it each round; the adversary (here: a seeded RNG) chooses
-    which subset, independently per receiver — so different correct processes
-    may see disjoint subsets, the scenario randomized algorithms must beat.
+    Every correct process receives ``n − b − f`` of the messages addressed
+    to it (all of them if fewer were sent); the adversary — ``rng`` —
+    chooses which, independently per receiver, so different correct
+    processes may see disjoint subsets, the scenario randomized algorithms
+    must beat.  Each inbox is a subset of the faithful one.
     """
-
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self._rng = rng if rng is not None else random.Random(0)
-
-    def reseed(self, seed: int) -> None:
-        """Reset the adversary's choice stream to a per-run derivation."""
-        self._rng.seed(seed)
-
-    def deliver(
-        self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
-    ) -> DeliveryMatrix:
-        model = ctx.model
-        minimum = model.n - model.b - model.f
-        inboxes = faithful_delivery(outbound)
-        matrix: DeliveryMatrix = {}
-        for receiver, inbox in inboxes.items():
-            if receiver in ctx.byzantine:
-                matrix[receiver] = dict(inbox)
-                continue
-            senders = sorted(inbox)
-            keep = max(minimum, 0)
-            if len(senders) <= keep:
-                matrix[receiver] = dict(inbox)
-            else:
-                chosen = self._rng.sample(senders, keep)
-                matrix[receiver] = {s: inbox[s] for s in chosen}
-        return matrix
-
-    def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
-        # Each inbox is a subset of the faithful one: exact-subset delivery.
-        return count_edges(outbound) - count_edges(matrix)
-
-
-AsyncPrelPolicy._counted_deliver = AsyncPrelPolicy.deliver
-
-
-class LossyPolicy(GoodBadPolicy):
-    """Unconstrained i.i.d. loss — no predicate holds; safety must survive."""
-
-    def __init__(
-        self, rng: Optional[random.Random] = None, drop_prob: float = 0.3
-    ) -> None:
-        if not 0.0 <= drop_prob <= 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob}")
-        super().__init__(
-            GoodBadSchedule.never_good(), rng=rng, drop_prob=drop_prob
-        )
-
-
-class SilentPolicy(GoodBadPolicy):
-    """Delivers nothing to honest processes (degenerate bad period)."""
-
-    def __init__(self) -> None:
-        super().__init__(GoodBadSchedule.never_good(), silent_behavior())
+    model = ctx.model
+    keep = max(model.n - model.b - model.f, 0)
+    matrix: DeliveryMatrix = {}
+    for receiver, inbox in faithful_delivery(outbound).items():
+        if receiver in ctx.byzantine or len(inbox) <= keep:
+            matrix[receiver] = inbox
+        else:
+            chosen = rng.sample(sorted(inbox), keep)
+            matrix[receiver] = {s: inbox[s] for s in chosen}
+    return matrix

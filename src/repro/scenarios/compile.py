@@ -10,9 +10,10 @@ A communication spec compiles to **one** ``(schedule, edge rule)`` pair
 :func:`_bad_rule` clause turns its bad behaviour into code), or to nothing
 when no round is ever bad, and both timing disciplines take that pair:
 
-* ``engine="lockstep"`` — a :class:`~repro.rounds.policies.GoodBadPolicy`
-  over the pair (oracle predicates in good rounds), ``ReliablePolicy`` when
-  never bad, ``AsyncPrelPolicy`` for the one kind that is not per-edge;
+* ``engine="lockstep"`` — a :class:`~repro.engine.scheduler.LockstepScheduler`
+  over the pair (oracle predicates in good rounds), or a
+  :class:`~repro.engine.scheduler.PrelScheduler` for the one kind that is
+  not per-edge;
 * ``engine="timed"`` — the timing spec builds a
   :class:`~repro.eventsim.network.PartialSynchronyNetwork` and the
   :class:`~repro.engine.scheduler.TimedScheduler` takes the same pair, so
@@ -39,18 +40,16 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.types import FaultModel, ProcessId
 from repro.engine.scheduler import (
+    GoodBad,
     LockstepScheduler,
+    PrelScheduler,
     RoundScheduler,
     TimedScheduler,
 )
 from repro.eventsim.network import PartialSynchronyNetwork
 from repro.faults.crash import CrashEvent, CrashSchedule
 from repro.rounds.policies import (
-    AsyncPrelPolicy,
     BadBehavior,
-    DeliveryPolicy,
-    GoodBadPolicy,
-    ReliablePolicy,
     partition_behavior,
     random_drop_behavior,
     silent_behavior,
@@ -71,12 +70,12 @@ class ScenarioInapplicable(ValueError):
 
 
 def _coerce_rng(rng: RngLike) -> Tuple[int, random.Random]:
-    """Normalize to ``(network_seed, policy_rng)``.
+    """Normalize to ``(network_seed, delivery_rng)``.
 
     Campaigns pass the per-run derived seed (an ``int``), which seeds both
-    the lockstep policy stream and the timed network identically to the
+    the lockstep delivery stream and the timed network identically to the
     pre-scenario runner.  A ready :class:`random.Random` is honoured as the
-    policy stream, with the network seed drawn from it.
+    delivery stream, with the network seed drawn from it.
     """
     if rng is None:
         return 0, random.Random(0)
@@ -161,21 +160,12 @@ def _bad_rule(
 
 def _good_bad(
     comm: CommSpec, model: FaultModel, rng: random.Random
-) -> Optional[Tuple[GoodBadSchedule, BadBehavior]]:
+) -> Optional[GoodBad]:
     """``comm`` as the ``(schedule, bad-round edge rule)`` pair both
     schedulers take; ``None`` when no round is ever bad."""
     if comm.never_bad():
         return None
     return _memoized_schedule(comm), _bad_rule(comm, model, rng)
-
-
-def _lockstep_policy(
-    comm: CommSpec, model: FaultModel, rng: random.Random
-) -> DeliveryPolicy:
-    if not comm.per_edge:
-        return AsyncPrelPolicy(rng)
-    good_bad = _good_bad(comm, model, rng)
-    return ReliablePolicy() if good_bad is None else GoodBadPolicy(*good_bad)
 
 
 # ------------------------------------------------------------- compilation
@@ -284,17 +274,18 @@ def compile_scenario(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    seed, policy_rng = _coerce_rng(rng)
+    seed, delivery_rng = _coerce_rng(rng)
     byzantine, crash_schedule = _scenario_template(spec, model)
-    if engine == "lockstep":
-        scheduler: RoundScheduler = LockstepScheduler(
-            _lockstep_policy(spec.comm, model, policy_rng)
-        )
+    scheduler: RoundScheduler
+    if engine == "lockstep" and not spec.comm.per_edge:
+        scheduler = PrelScheduler(delivery_rng)
+    elif engine == "lockstep":
+        scheduler = LockstepScheduler(_good_bad(spec.comm, model, delivery_rng))
     else:
         scheduler = TimedScheduler(
             network if network is not None else spec.timing.build(seed),
             round_duration=spec.timing.round_duration,
-            good_bad=_good_bad(spec.comm, model, policy_rng),
+            good_bad=_good_bad(spec.comm, model, delivery_rng),
         )
     return CompiledScenario(
         spec=spec,

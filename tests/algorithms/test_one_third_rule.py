@@ -11,7 +11,6 @@ from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.core.flv_class1 import FLVClass1
 from repro.utils.sentinels import NULL_VALUE, ANY_VALUE
 from repro.engine import ExecutionKernel, LockstepScheduler
-from repro.rounds.policies import ReliablePolicy
 from tests.conftest import sel_msg
 
 
@@ -46,7 +45,7 @@ class TestOriginalAlgorithm5:
         engine = ExecutionKernel(
             model,
             processes,
-            LockstepScheduler(ReliablePolicy()),
+            LockstepScheduler(),
             lambda r: RoundInfo(r, r, RoundKind.SELECTION),
         )
         engine.run(rounds)

@@ -60,17 +60,17 @@ class TestExecution:
         """PBFT's price for n > 3b: the unbounded history variable."""
         import random
 
-        from repro.rounds.policies import GoodBadPolicy
+        from repro.rounds.policies import random_drop_behavior
         from repro.rounds.schedule import GoodBadSchedule
 
         spec = build_pbft(4)
-        policy = GoodBadPolicy(
-            GoodBadSchedule.good_after(10), rng=random.Random(1)
-        )
         outcome = spec.run(
             {pid: f"v{pid % 2}" for pid in range(3)},
             byzantine={3: "equivocator"},
-            policy=policy,
+            good_bad=(
+                GoodBadSchedule.good_after(10),
+                random_drop_behavior(random.Random(1)),
+            ),
             max_phases=10,
         )
         assert outcome.agreement_holds and outcome.all_correct_decided

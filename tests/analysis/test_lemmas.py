@@ -17,7 +17,7 @@ from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel
 from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults import STRATEGY_REGISTRY
-from repro.rounds.policies import GoodBadPolicy
+from repro.rounds.policies import random_drop_behavior
 from repro.rounds.schedule import GoodBadSchedule
 
 
@@ -27,14 +27,15 @@ def snapshot_run(cls, model, strategy=None, bad_prefix=0, seed=0):
     values = {
         pid: f"v{pid % 2}" for pid in model.processes if pid not in byzantine
     }
-    policy = None
+    good_bad = None
     if bad_prefix:
-        policy = GoodBadPolicy(
-            GoodBadSchedule.good_after(bad_prefix + 1), rng=random.Random(seed)
+        good_bad = (
+            GoodBadSchedule.good_after(bad_prefix + 1),
+            random_drop_behavior(random.Random(seed)),
         )
     return run_instance(
         build_instance(params, values, byzantine=byzantine),
-        LockstepScheduler(policy),
+        LockstepScheduler(good_bad),
         max_phases=bad_prefix + 8,
     )
 

@@ -1,7 +1,7 @@
 """Campaign rows are byte-identical across every fast-path configuration.
 
 The PR-5 optimizations (heap-free timed delivery, batched latency sampling,
-policy-reported drops, chunked dispatch, worker-side memos) and the batch
+scheduler-reported drops, chunked dispatch, worker-side memos) and the batch
 backend (replicate / columnar-state / scalar execution tiers, the middle
 one on both engines) all promise the same thing: not one byte of any result row changes.  This suite pins
 that down end to end on the ``gauntlet`` campaign — every registered
@@ -15,11 +15,14 @@ switches backends mid-campaign.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.campaigns import BUILTIN_CAMPAIGNS, run_campaign
+from repro.campaigns import BUILTIN_CAMPAIGNS, load_spec, run_campaign
+from repro.campaigns.results import write_rows
 
 GAUNTLET = BUILTIN_CAMPAIGNS["gauntlet"]
 
@@ -313,3 +316,24 @@ def test_forced_byzantine_lockstep_cells_match_scalar_oracle(byz_scenarios, name
     if name == "equivocator-gst":
         # The cells must actually reach the good (Pcons) rounds.
         assert any(row["rounds"] >= 4 for row in rows)
+
+
+#: SHA-256 of the result file of each campaign, as ``campaign run --out``
+#: writes it.  Every arm the comm-matrix cells diff (default / scalar /
+#: batch / heap scheduler) shares the lockstep oracle, so a drift there
+#: moves them together and only an absolute pin sees it.
+RESULT_PINS = {
+    "gauntlet": "efefaaaf2deb3254798e5aaa7cf2b7492fe15a3749d553da133ea0be3f0b950e",
+    "comm-matrix.json": "bfbc12929a4eed26cac058e9571c110e64c0786c90375c06062c868581f63057",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_PINS))
+def test_lockstep_oracle_result_files_are_pinned(tmp_path, name):
+    spec = (
+        BUILTIN_CAMPAIGNS[name]
+        if name in BUILTIN_CAMPAIGNS
+        else load_spec(Path(__file__).parent.parent / "data" / name)
+    )
+    out = write_rows(tmp_path / "results.jsonl", run_campaign(spec, workers=1))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RESULT_PINS[name]

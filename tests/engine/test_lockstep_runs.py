@@ -10,9 +10,8 @@ from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults import STRATEGY_REGISTRY
 from repro.faults.byzantine import SilentByzantine
 from repro.faults.crash import CrashSchedule
-from repro.rounds.policies import LossyPolicy
+from repro.rounds.policies import random_drop_behavior
 from repro.rounds.schedule import GoodBadSchedule
-from repro.rounds.policies import GoodBadPolicy
 import random
 
 
@@ -143,7 +142,12 @@ class TestSafetyUnderLoss:
         values = {pid: f"v{pid % 2}" for pid in range(3)}
         outcome = run_instance(
             build_instance(params, values, byzantine={3: "equivocator"}),
-            LockstepScheduler(LossyPolicy(random.Random(5), drop_prob=0.4)),
+            LockstepScheduler(
+                (
+                    GoodBadSchedule.never_good(),
+                    random_drop_behavior(random.Random(5), 0.4),
+                )
+            ),
             max_phases=6,
         )
         assert outcome.agreement_holds  # termination is NOT guaranteed
@@ -153,11 +157,11 @@ class TestLivenessAfterBadPeriod:
     def test_decides_once_good_period_starts(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
         schedule = GoodBadSchedule.good_after(7)
-        policy = GoodBadPolicy(schedule, rng=random.Random(3))
+        bad = random_drop_behavior(random.Random(3))
         values = {pid: f"v{pid % 2}" for pid in range(3)}
         outcome = run_instance(
             build_instance(params, values, byzantine={3: "equivocator"}),
-            LockstepScheduler(policy),
+            LockstepScheduler((schedule, bad)),
             max_phases=10,
         )
         assert outcome.agreement_holds

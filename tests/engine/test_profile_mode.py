@@ -12,6 +12,8 @@ from repro.engine.kernel import (
 )
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
 from repro.eventsim.network import PartialSynchronyNetwork, UniformLatency
+from repro.network.stack import PconsStackScheduler
+from repro.network.wic import AuthenticatedCoordinatorEcho
 from repro.observability import Telemetry
 
 KERNEL_SPANS = {"kernel.send", "scheduler.deliver", "kernel.apply",
@@ -30,6 +32,8 @@ def run_cell(spec, *, engine="lockstep", observe=OBSERVE_METRICS,
     )
     if engine == "lockstep":
         scheduler = LockstepScheduler()
+    elif engine == "stack":
+        scheduler = PconsStackScheduler(AuthenticatedCoordinatorEcho(model))
     else:
         scheduler = TimedScheduler(
             PartialSynchronyNetwork(
@@ -44,8 +48,10 @@ def run_cell(spec, *, engine="lockstep", observe=OBSERVE_METRICS,
 
 
 class TestProfileMode:
-    @pytest.mark.parametrize("engine", ["lockstep", "timed"])
+    @pytest.mark.parametrize("engine", ["lockstep", "timed", "stack"])
     def test_profile_attaches_telemetry_without_trace(self, engine):
+        """Every kernel span — delivery included, whichever scheduler is
+        bound — is opened once per round."""
         outcome = run_cell(
             build_pbft(4), engine=engine, observe=OBSERVE_PROFILE,
             byzantine={3: "equivocator"},

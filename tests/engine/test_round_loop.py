@@ -7,7 +7,6 @@ from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.engine import ExecutionKernel, LockstepScheduler
 from repro.faults.crash import CrashEvent, CrashSchedule
 from repro.rounds.base import RoundProcess
-from repro.rounds.policies import ReliablePolicy
 
 
 class EchoProcess(RoundProcess):
@@ -35,7 +34,7 @@ def build_engine(n=3, **kwargs):
     engine = ExecutionKernel(
         model,
         processes,
-        LockstepScheduler(ReliablePolicy()),
+        LockstepScheduler(),
         round_info,
         **kwargs,
     )
@@ -70,7 +69,7 @@ class TestBasicExecution:
             ExecutionKernel(
                 model,
                 {0: EchoProcess(0, 3)},
-                LockstepScheduler(ReliablePolicy()),
+                LockstepScheduler(),
                 round_info,
             )
 

@@ -7,17 +7,23 @@ Two properties pinned at the :meth:`deliver_round` level:
   must never change *what* the survivors receive (cross-branch parity with
   the filter-free fast path);
 * ``sent == delivered + dropped`` holds on **both** scheduler branches: the
-  lockstep scheduler reports messages its policy withheld as dropped, the
+  lockstep scheduler reports messages its oracle withheld as dropped, the
   timed scheduler reports deadline misses and filtered edges.
 """
 
 import pytest
 
+from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, RoundInfo, RoundKind
-from repro.engine.scheduler import LockstepScheduler, TimedScheduler
+from repro.engine import build_instance, run_instance
+from repro.engine.scheduler import (
+    LockstepScheduler,
+    RoundDelivery,
+    RoundScheduler,
+    TimedScheduler,
+)
 from repro.eventsim.network import FixedLatency, PartialSynchronyNetwork
 from repro.rounds.base import RunContext
-from repro.rounds.policies import DeliveryPolicy
 from repro.rounds.schedule import GoodBadSchedule
 
 SELECTION = RoundInfo(number=1, phase=1, kind=RoundKind.SELECTION)
@@ -89,17 +95,19 @@ class TestCanonicalizationBeforeFilter:
         assert filtered.dropped == reference.dropped
 
 
-class _DropReceiverZero(DeliveryPolicy):
+class _DropReceiverZero(RoundScheduler):
     """Withholds every message addressed to process 0."""
 
-    def deliver(self, info, outbound, ctx):
+    def deliver_round(self, info, outbound, ctx):
         matrix = {}
+        dropped = 0
         for sender, messages in outbound.items():
             for dest, payload in messages.items():
                 if dest == 0:
+                    dropped += 1
                     continue
                 matrix.setdefault(dest, {})[sender] = payload
-        return matrix
+        return RoundDelivery(matrix, dropped=dropped)
 
 
 class TestDropAccounting:
@@ -111,11 +119,28 @@ class TestDropAccounting:
 
     def test_lockstep_reports_withheld_messages_as_dropped(self):
         outbound = equivocating_outbound()
-        delivery = LockstepScheduler(_DropReceiverZero()).deliver_round(
-            SELECTION, outbound, byz_context()
+        scheduler = LockstepScheduler(
+            (GoodBadSchedule.never_good(), lambda sender, dest: dest != 0)
         )
+        delivery = scheduler.deliver_round(SELECTION, outbound, byz_context())
         sent, delivered = self._counts(delivery, outbound)
         assert delivery.dropped == sent - delivered > 0
+
+    def test_kernel_accounts_a_custom_schedulers_drops(self):
+        """A test fake is a :class:`RoundScheduler`; the kernel folds its
+        drop count into the outcome like any built-in scheduler's."""
+        model = FaultModel(4, 1, 0)
+        params = build_class_parameters(AlgorithmClass.CLASS_3, model)
+        outcome = run_instance(
+            build_instance(params, {pid: "v" for pid in range(4)}),
+            _DropReceiverZero(),
+            max_phases=2,
+            observe="metrics",
+        )
+        assert outcome.messages_dropped > 0
+        assert outcome.messages_sent == (
+            outcome.messages_delivered + outcome.messages_dropped
+        )
 
     def test_lockstep_injected_deliveries_never_go_negative(self):
         """A Pcons oracle fans a partial sender's canonical payload to

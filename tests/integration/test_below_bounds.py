@@ -14,11 +14,12 @@ from repro.core.parameters import ConsensusParameters
 from repro.core.selector import AllProcessesSelector
 from repro.core.types import FaultModel, Flag, RoundInfo, RoundKind
 from repro.engine import LockstepScheduler, build_instance, run_instance
+from repro.engine.scheduler import RoundDelivery, RoundScheduler
 from repro.rounds.base import RunContext
-from repro.rounds.policies import DeliveryPolicy, faithful_delivery
+from repro.rounds.policies import count_edges
 
 
-class SplitDecisionPolicy(DeliveryPolicy):
+class SplitDecisionScheduler(RoundScheduler):
     """An adversarial schedule splitting the decision round.
 
     Selection rounds deliver nothing (votes stay at their initial values);
@@ -27,18 +28,18 @@ class SplitDecisionPolicy(DeliveryPolicy):
     communication predicate is promised.
     """
 
-    def deliver(self, info, outbound, ctx):
-        if info.kind is not RoundKind.DECISION:
-            return {}
-        n = ctx.model.n
-        half = n // 2
+    def deliver_round(self, info, outbound, ctx):
         matrix = {}
-        for sender, messages in outbound.items():
-            for dest, payload in messages.items():
-                same_half = (sender < half) == (dest < half)
-                if same_half:
-                    matrix.setdefault(dest, {})[sender] = payload
-        return matrix
+        if info.kind is RoundKind.DECISION:
+            half = ctx.model.n // 2
+            for sender, messages in outbound.items():
+                for dest, payload in messages.items():
+                    same_half = (sender < half) == (dest < half)
+                    if same_half:
+                        matrix.setdefault(dest, {})[sender] = payload
+        return RoundDelivery(
+            matrix, dropped=count_edges(outbound) - count_edges(matrix)
+        )
 
 
 class TestAgreementNeedsTdAboveHalf:
@@ -53,7 +54,7 @@ class TestAgreementNeedsTdAboveHalf:
         values = {pid: ("v1" if pid < 3 else "v2") for pid in range(6)}
         outcome = run_instance(
             build_instance(params, values),
-            LockstepScheduler(SplitDecisionPolicy()),
+            SplitDecisionScheduler(),
             max_phases=1,
         )
         # Both halves reach their own TD: disagreement.
@@ -69,7 +70,7 @@ class TestAgreementNeedsTdAboveHalf:
         values = {pid: ("v1" if pid < 3 else "v2") for pid in range(6)}
         outcome = run_instance(
             build_instance(params, values),
-            LockstepScheduler(SplitDecisionPolicy()),
+            SplitDecisionScheduler(),
             max_phases=1,
         )
         assert outcome.agreement_holds  # nobody can decide in a 3-3 split

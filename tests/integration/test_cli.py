@@ -201,6 +201,28 @@ def test_smr_serve_says_which_tier_served(capsys):
     assert "  tier        : scalar — " in out and "replicated" not in out
 
 
+@pytest.mark.parametrize(
+    "typo, message",
+    [
+        (["--scenarios", "fault-free,nope"], "unknown scenario 'nope'; known: ['"),
+        (["--algorithm", "nope"], "cannot serve: unknown algorithm 'nope'; known: ['"),
+    ],
+    ids=["scenario", "algorithm"],
+)
+def test_smr_sweep_typo_is_a_usage_error(capsys, tmp_path, typo, message):
+    """A misspelt name exits 2 before any cell runs, as ``smr serve`` does;
+    it used to print every cell as ``inapplicable`` and exit 0."""
+    out_path = tmp_path / "serve.jsonl"
+    argv = ["smr", "sweep", "--duration", "0.5", "--rates", "20",
+            "--out", str(out_path), *typo]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert len(captured.err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_smr_sweep(capsys, tmp_path):
     out_path = tmp_path / "serve.jsonl"
     code = main([

@@ -17,7 +17,7 @@ from repro.core.selector import RotatingSubsetSelector
 from repro.core.types import FaultModel
 from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults.crash import CrashEvent, CrashSchedule
-from repro.rounds.policies import GoodBadPolicy
+from repro.rounds.policies import random_drop_behavior
 from repro.rounds.schedule import GoodBadSchedule
 
 
@@ -209,8 +209,9 @@ class TestDeterminism:
     def run_once(self, seed):
         model = FaultModel(4, 1, 0)
         params = build_class_parameters(AlgorithmClass.CLASS_3, model)
-        policy = GoodBadPolicy(
-            GoodBadSchedule.good_after(5), rng=random.Random(seed)
+        good_bad = (
+            GoodBadSchedule.good_after(5),
+            random_drop_behavior(random.Random(seed)),
         )
         outcome = run_instance(
             build_instance(
@@ -218,7 +219,7 @@ class TestDeterminism:
                 {pid: f"v{pid % 2}" for pid in range(3)},
                 byzantine={3: "equivocator"},
             ),
-            LockstepScheduler(policy),
+            LockstepScheduler(good_bad),
             max_phases=8,
         )
         return (

@@ -22,7 +22,7 @@ from repro.core.types import FaultModel
 from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults import STRATEGY_REGISTRY
 from repro.faults.crash import CrashEvent, CrashSchedule
-from repro.rounds.policies import GoodBadPolicy, LossyPolicy
+from repro.rounds.policies import random_drop_behavior
 from repro.rounds.schedule import GoodBadSchedule
 
 CLASS_MODELS = [
@@ -56,7 +56,12 @@ def test_safety_never_violated_under_lossy_network(
     }
     outcome = run_instance(
         build_instance(params, values, byzantine={byz_pid: strategy}),
-        LockstepScheduler(LossyPolicy(random.Random(drop_seed), drop_prob)),
+        LockstepScheduler(
+            (
+                GoodBadSchedule.never_good(),
+                random_drop_behavior(random.Random(drop_seed), drop_prob),
+            )
+        ),
         max_phases=5,
     )
     assert holds(check_agreement, outcome.decisions)
@@ -80,12 +85,13 @@ def test_liveness_with_good_suffix(case, strategy, bad_prefix, seed):
         for pid in model.processes
         if pid != byz_pid
     }
-    policy = GoodBadPolicy(
-        GoodBadSchedule.good_after(bad_prefix + 1), rng=random.Random(seed)
+    good_bad = (
+        GoodBadSchedule.good_after(bad_prefix + 1),
+        random_drop_behavior(random.Random(seed)),
     )
     outcome = run_instance(
         build_instance(params, values, byzantine={byz_pid: strategy}),
-        LockstepScheduler(policy),
+        LockstepScheduler(good_bad),
         max_phases=bad_prefix + 8,
     )
     assert holds(check_agreement, outcome.decisions)

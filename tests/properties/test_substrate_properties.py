@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.process import RoundStructure
 from repro.core.types import FaultModel, Flag, RoundKind
+from repro.engine.scheduler import LockstepScheduler, PrelScheduler
 from repro.network.wic import (
     AuthenticatedCoordinatorEcho,
     SignatureFreeCoordinatorEcho,
@@ -14,13 +15,15 @@ from repro.network.wic import (
 )
 from repro.rounds.base import RunContext
 from repro.rounds.policies import (
-    AsyncPrelPolicy,
     deliver_to_byzantine,
     enforce_pcons,
-    enforce_pgood,
     faithful_delivery,
+    partition_behavior,
+    random_drop_behavior,
+    silent_behavior,
 )
 from repro.rounds.predicates import check_pcons, check_pgood, check_prel
+from repro.rounds.schedule import GoodBadSchedule
 from repro.core.types import RoundInfo
 
 
@@ -61,7 +64,7 @@ def test_rounds_for_phases_matches_enumeration(flag, skip, phases):
     assert structure.info(total + 1).phase == phases + 1
 
 
-# ------------------------------------------------------------- policies
+# ------------------------------------------------------------- oracles
 
 
 @st.composite
@@ -100,26 +103,84 @@ def test_enforce_pcons_always_satisfies_pcons(data):
 
 @settings(max_examples=100)
 @given(st.data())
-def test_enforce_pgood_always_satisfies_pgood(data):
+def test_faithful_delivery_always_satisfies_pgood(data):
     n = data.draw(st.integers(min_value=2, max_value=6), label="n")
     ctx = RunContext(FaultModel(n, 0, 0))
     outbound = data.draw(outbound_matrix(n), label="outbound")
-    matrix = enforce_pgood(outbound, ctx)
+    matrix = faithful_delivery(outbound)
     assert check_pgood(outbound, matrix, ctx.correct)
 
 
 @settings(max_examples=50)
 @given(seed=st.integers(0, 10**6))
-def test_prel_policy_always_satisfies_prel(seed):
+def test_prel_scheduler_always_satisfies_prel(seed):
     model = FaultModel(6, 1, 1)
     ctx = RunContext(model, byzantine=frozenset({5}))
-    policy = AsyncPrelPolicy(random.Random(seed))
     outbound = {
         s: {d: f"m{s}" for d in range(6)} for s in range(6)
     }
     info = RoundInfo(1, 1, RoundKind.DECISION)
-    matrix = policy.deliver(info, outbound, ctx)
-    assert check_prel(matrix, ctx.correct, model.n - model.b - model.f)
+    delivery = PrelScheduler(random.Random(seed)).deliver_round(
+        info, outbound, ctx
+    )
+    assert check_prel(delivery.matrix, ctx.correct, model.n - model.b - model.f)
+
+
+#: Every bad-round edge rule a scenario compiles to, over a per-example seed.
+BAD_RULES = {
+    "drop": lambda n, seed: random_drop_behavior(random.Random(seed), 0.5),
+    "partition": lambda n, seed: partition_behavior(
+        [range(n // 2), range(n // 2, n)]
+    ),
+    "silence": lambda n, seed: silent_behavior(),
+}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_dropped_is_the_edge_exact_count_of_missing_sent_edges(data):
+    """Every lockstep oracle — good / bad round × selection / other round ×
+    each edge rule, and ``Prel`` — reports as dropped exactly the sent
+    edges its matrix lacks, even where ``Pcons`` injects deliveries."""
+    n = data.draw(st.integers(min_value=2, max_value=6), label="n")
+    b = data.draw(st.integers(min_value=0, max_value=min(1, n - 1)), label="b")
+    f = data.draw(st.integers(min_value=0, max_value=n - 1 - b), label="f")
+    byz = frozenset({n - 1}) if b else frozenset()
+    model = FaultModel(n, b, f)
+    ctx = RunContext(model, byzantine=byz)
+    outbound = data.draw(outbound_matrix(n, byzantine=byz), label="outbound")
+    kind = data.draw(
+        st.sampled_from([RoundKind.SELECTION, RoundKind.DECISION]), label="kind"
+    )
+    info = RoundInfo(1, 1, kind)
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    oracle = data.draw(
+        st.sampled_from(["good", "prel", *sorted(BAD_RULES)]), label="oracle"
+    )
+    if oracle == "prel":
+        scheduler = PrelScheduler(random.Random(seed))
+    elif oracle == "good":
+        scheduler = LockstepScheduler()
+    else:
+        rule = BAD_RULES[oracle](n, seed)
+        scheduler = LockstepScheduler((GoodBadSchedule.never_good(), rule))
+    delivery = scheduler.deliver_round(info, outbound, ctx)
+    matrix = delivery.matrix
+    missing = sum(
+        1
+        for sender, messages in outbound.items()
+        for dest in messages
+        if sender not in matrix.get(dest, {})
+    )
+    assert delivery.dropped == missing
+    if oracle == "good":
+        predicate = check_pcons if kind is RoundKind.SELECTION else check_pgood
+        assert predicate(outbound, matrix, ctx.correct)
+    if oracle == "prel":
+        keep = n - b - f
+        for pid in ctx.correct:
+            addressed = sum(1 for m in outbound.values() if pid in m)
+            assert len(matrix.get(pid, {})) == min(keep, addressed)
 
 
 @settings(max_examples=100)

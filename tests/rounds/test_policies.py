@@ -1,21 +1,22 @@
-"""Delivery policies: predicate enforcement and adversarial delivery."""
+"""Delivery oracles: predicate enforcement and adversarial delivery."""
 
+import math
 import random
 
 import pytest
 
+from repro.algorithms import build_pbft
 from repro.core.types import FaultModel, RoundInfo, RoundKind
+from repro.engine.scheduler import LockstepScheduler, PrelScheduler
+from repro.network.stack import PconsStackScheduler, run_with_pcons_stack
+from repro.network.wic import AuthenticatedCoordinatorEcho
 from repro.rounds.base import RunContext
 from repro.rounds.policies import (
-    AsyncPrelPolicy,
-    GoodBadPolicy,
-    LossyPolicy,
-    ReliablePolicy,
-    SilentPolicy,
     enforce_pcons,
-    enforce_pgood,
+    faithful_delivery,
     partition_behavior,
     random_drop_behavior,
+    silent_behavior,
 )
 from repro.rounds.predicates import check_pcons, check_pgood, check_prel
 from repro.rounds.schedule import GoodBadSchedule
@@ -36,7 +37,7 @@ class TestEnforcement:
     def test_pgood_is_faithful(self):
         ctx = ctx_for()
         outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix = enforce_pgood(outbound, ctx)
+        matrix = faithful_delivery(outbound)
         assert check_pgood(outbound, matrix, ctx.correct)
         assert matrix[2][3] == "m3"
 
@@ -66,203 +67,139 @@ class TestEnforcement:
         assert matrix[0] == matrix[1]
 
 
-class TestReliablePolicy:
+def never_good(rule):
+    """A lockstep scheduler whose every round is bad under ``rule``."""
+    return LockstepScheduler((GoodBadSchedule.never_good(), rule))
+
+
+class TestLockstepGoodRounds:
     def test_pcons_on_selection_rounds(self):
         ctx = ctx_for(n=4, b=1, byz=[3])
-        policy = ReliablePolicy()
         outbound = all_to_all(4, lambda s: f"m{s}")
         outbound[3] = {d: f"lie{d}" for d in range(4)}
-        matrix = policy.deliver(SEL, outbound, ctx)
+        matrix = LockstepScheduler().deliver_round(SEL, outbound, ctx).matrix
         assert check_pcons(outbound, matrix, ctx.correct)
 
     def test_pgood_only_on_other_rounds(self):
         ctx = ctx_for(n=4, b=1, byz=[3])
-        policy = ReliablePolicy()
         outbound = all_to_all(4, lambda s: f"m{s}")
         outbound[3] = {d: f"lie{d}" for d in range(4)}
-        matrix = policy.deliver(DEC, outbound, ctx)
-        assert check_pgood(outbound, matrix, ctx.correct)
+        delivery = LockstepScheduler().deliver_round(DEC, outbound, ctx)
+        assert check_pgood(outbound, delivery.matrix, ctx.correct)
+        assert delivery.dropped == 0
         # Equivocation survives outside selection rounds.
-        assert matrix[0][3] != matrix[1][3]
+        assert delivery.matrix[0][3] != delivery.matrix[1][3]
 
 
-class TestGoodBadPolicy:
+class TestLockstepBadRounds:
     def test_good_round_enforces(self):
         ctx = ctx_for()
-        policy = GoodBadPolicy(GoodBadSchedule.good_after(2))
+        scheduler = LockstepScheduler(
+            (GoodBadSchedule.good_after(2), silent_behavior())
+        )
         outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix = policy.deliver(RoundInfo(2, 1, RoundKind.DECISION), outbound, ctx)
-        assert check_pgood(outbound, matrix, ctx.correct)
+        delivery = scheduler.deliver_round(
+            RoundInfo(2, 1, RoundKind.DECISION), outbound, ctx
+        )
+        assert check_pgood(outbound, delivery.matrix, ctx.correct)
 
     def test_bad_round_may_drop(self):
         ctx = ctx_for()
-        policy = GoodBadPolicy(
-            GoodBadSchedule.never_good(),
-            bad_behavior=random_drop_behavior(random.Random(1), drop_prob=1.0),
-        )
+        scheduler = never_good(random_drop_behavior(random.Random(1), 1.0))
         outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix = policy.deliver(DEC, outbound, ctx)
-        assert all(not inbox for inbox in matrix.values())
+        delivery = scheduler.deliver_round(DEC, outbound, ctx)
+        assert all(not inbox for inbox in delivery.matrix.values())
+        assert delivery.dropped == 16
 
     def test_partition_behavior(self):
         ctx = ctx_for()
-        policy = GoodBadPolicy(
-            GoodBadSchedule.never_good(),
-            bad_behavior=partition_behavior([[0, 1], [2, 3]]),
-        )
+        scheduler = never_good(partition_behavior([[0, 1], [2, 3]]))
         outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix = policy.deliver(DEC, outbound, ctx)
+        matrix = scheduler.deliver_round(DEC, outbound, ctx).matrix
         assert 0 in matrix[1] and 1 in matrix[0]
         assert 2 not in matrix[0] and 0 not in matrix[2]
 
+    def test_bad_selection_round_is_not_canonicalized(self):
+        """A bad round grants no predicate: Pcons is a good-round oracle."""
+        ctx = ctx_for(n=4, b=1, byz=[3])
+        outbound = all_to_all(4, lambda s: f"m{s}")
+        outbound[3] = {d: f"lie{d}" for d in range(4)}
+        matrix = never_good(lambda s, d: True).deliver_round(
+            SEL, outbound, ctx
+        ).matrix
+        assert matrix == faithful_delivery(outbound)
 
-class TestAsyncPrelPolicy:
+
+class TestPrelScheduler:
     def test_prel_holds(self):
         model = FaultModel(5, 1, 0)
         ctx = RunContext(model, byzantine=frozenset({4}))
-        policy = AsyncPrelPolicy(random.Random(2))
         outbound = all_to_all(5, lambda s: f"m{s}")
-        matrix = policy.deliver(DEC, outbound, ctx)
-        assert check_prel(matrix, ctx.correct, model.n - model.b - model.f)
+        delivery = PrelScheduler(random.Random(2)).deliver_round(
+            DEC, outbound, ctx
+        )
+        assert check_prel(delivery.matrix, ctx.correct, model.n - model.b - model.f)
+        assert delivery.dropped == 25 - sum(map(len, delivery.matrix.values()))
 
     def test_byzantine_receiver_gets_everything(self):
         model = FaultModel(5, 1, 0)
         ctx = RunContext(model, byzantine=frozenset({4}))
-        policy = AsyncPrelPolicy(random.Random(2))
         outbound = all_to_all(5, lambda s: f"m{s}")
-        matrix = policy.deliver(DEC, outbound, ctx)
+        matrix = PrelScheduler(random.Random(2)).deliver_round(
+            DEC, outbound, ctx
+        ).matrix
         assert len(matrix[4]) == 5
 
     def test_subsets_can_differ_between_receivers(self):
         model = FaultModel(6, 1, 1)  # minimum 4 of 6
         ctx = RunContext(model)
-        policy = AsyncPrelPolicy(random.Random(0))
+        scheduler = PrelScheduler(random.Random(0))
         outbound = all_to_all(6, lambda s: f"m{s}")
         seen = set()
         for _ in range(20):
-            matrix = policy.deliver(DEC, outbound, ctx)
+            matrix = scheduler.deliver_round(DEC, outbound, ctx).matrix
             seen.add(frozenset(matrix[0]))
         assert len(seen) > 1  # the adversary varies the chosen subsets
 
 
-class TestLossyAndSilent:
-    def test_lossy_bounds_probability(self):
-        with pytest.raises(ValueError):
-            LossyPolicy(random.Random(0), drop_prob=1.5)
-
-    def test_lossy_zero_drop_is_faithful(self):
+class TestDropAndSilence:
+    def test_zero_drop_is_faithful(self):
         ctx = ctx_for()
-        policy = LossyPolicy(random.Random(0), drop_prob=0.0)
+        scheduler = never_good(random_drop_behavior(random.Random(0), 0.0))
         outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix = policy.deliver(DEC, outbound, ctx)
+        matrix = scheduler.deliver_round(DEC, outbound, ctx).matrix
         assert check_pgood(outbound, matrix, ctx.correct)
 
     def test_silent_delivers_nothing_to_honest(self):
         ctx = ctx_for(n=4, b=1, byz=[3])
-        policy = SilentPolicy()
         outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix = policy.deliver(DEC, outbound, ctx)
+        matrix = never_good(silent_behavior()).deliver_round(
+            DEC, outbound, ctx
+        ).matrix
         assert all(pid == 3 for pid in matrix)
 
 
-class TestRngThreading:
-    """Per-run rng: policies own their stream and reseed deterministically."""
+class TestDropProbabilityBounds:
+    """A drop probability outside [0, 1] is refused wherever a drop rule is
+    built — NaN included, which used to drop every message."""
 
-    BAD = RoundInfo(number=1, phase=1, kind=RoundKind.DECISION)
+    BUILDERS = {
+        "rule": lambda p: random_drop_behavior(random.Random(0), p),
+        "stack scheduler": lambda p: PconsStackScheduler(
+            AuthenticatedCoordinatorEcho(FaultModel(4, 1, 0)), bad_drop_prob=p
+        ),
+        "stack run": lambda p: run_with_pcons_stack(
+            build_pbft(4).parameters,
+            {pid: "v" for pid in range(3)},
+            AuthenticatedCoordinatorEcho(FaultModel(4, 1, 0)),
+            byzantine={3: "equivocator"},
+            schedule=GoodBadSchedule.good_after(4),
+            bad_drop_prob=p,
+        ),
+    }
 
-    def matrix_sizes(self, policy):
-        outbound = all_to_all(6, lambda s: f"m{s}")
-        ctx = ctx_for(n=6)
-        return [
-            sorted(
-                (dest, sorted(inbox))
-                for dest, inbox in policy.deliver(
-                    self.BAD, outbound, ctx
-                ).items()
-            )
-            for _ in range(5)
-        ]
-
-    def test_goodbad_reseed_replays_loss_stream(self):
-        policy = GoodBadPolicy(
-            GoodBadSchedule.never_good(), rng=random.Random(3)
-        )
-        first = self.matrix_sizes(policy)
-        policy.reseed(3)
-        assert self.matrix_sizes(policy) == first
-
-    def test_lossy_reseed_replays_loss_stream(self):
-        policy = LossyPolicy(random.Random(5), drop_prob=0.4)
-        first = self.matrix_sizes(policy)
-        policy.reseed(5)
-        assert self.matrix_sizes(policy) == first
-
-    def test_async_prel_reseed_replays_choices(self):
-        policy = AsyncPrelPolicy(random.Random(7))
-        first = self.matrix_sizes(policy)
-        policy.reseed(7)
-        assert self.matrix_sizes(policy) == first
-
-    def test_policies_default_to_owned_rng(self):
-        """No-rng construction must still be deterministic (seed 0), not
-        draw from the module-level random."""
-        assert self.matrix_sizes(LossyPolicy()) == self.matrix_sizes(
-            LossyPolicy()
-        )
-        assert self.matrix_sizes(AsyncPrelPolicy()) == self.matrix_sizes(
-            AsyncPrelPolicy()
-        )
-
-
-class TestDeliverCounted:
-    """The counting contract: exact counts for declared delivery, fail-closed
-    rescan for subclass overrides (which may do anything)."""
-
-    def test_reliable_pgood_counts_zero(self):
-        matrix, dropped = ReliablePolicy().deliver_counted(
-            DEC, all_to_all(4, lambda s: f"m{s}"), ctx_for()
-        )
-        assert dropped == 0
-        assert sum(map(len, matrix.values())) == 16
-
-    def test_reliable_pcons_defers_to_rescan(self):
-        _, dropped = ReliablePolicy().deliver_counted(
-            SEL, all_to_all(4, lambda s: f"m{s}"), ctx_for()
-        )
-        assert dropped is None
-
-    def test_exact_subset_policies_count_sent_minus_delivered(self):
-        outbound = all_to_all(4, lambda s: f"m{s}")
-        for policy in (
-            LossyPolicy(random.Random(1), drop_prob=0.5),
-            SilentPolicy(),
-            AsyncPrelPolicy(random.Random(2)),
-            GoodBadPolicy(GoodBadSchedule.never_good(), rng=random.Random(3)),
-        ):
-            matrix, dropped = policy.deliver_counted(DEC, outbound, ctx_for())
-            assert dropped == 16 - sum(map(len, matrix.values()))
-            assert dropped >= 0
-
-    def test_subclass_override_is_honoured_and_rescanned(self):
-        class Withholding(ReliablePolicy):
-            def deliver(self, info, outbound, ctx):
-                matrix = super().deliver(info, outbound, ctx)  # must not recurse
-                matrix.pop(0, None)  # withhold process 0's whole inbox
-                return matrix
-
-        outbound = all_to_all(4, lambda s: f"m{s}")
-        matrix, dropped = Withholding().deliver_counted(DEC, outbound, ctx_for())
-        assert 0 not in matrix
-        # The override voids the counting contract: fall back to the rescan.
-        assert dropped is None
-
-    def test_subclass_can_redeclare_the_counting_contract(self):
-        class Faithful(ReliablePolicy):
-            def deliver(self, info, outbound, ctx):
-                return super().deliver(info, outbound, ctx)
-
-        Faithful._counted_deliver = Faithful.deliver
-        _, dropped = Faithful().deliver_counted(
-            DEC, all_to_all(4, lambda s: f"m{s}"), ctx_for()
-        )
-        assert dropped == 0
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("drop_prob", [math.nan, 1.5, -0.2])
+    def test_out_of_range_is_refused(self, builder, drop_prob):
+        with pytest.raises(ValueError, match=r"drop_prob must be in \[0, 1\]"):
+            self.BUILDERS[builder](drop_prob)

@@ -1,15 +1,15 @@
-"""Trace-level predicate recording: the engine observes what policies do."""
+"""Trace-level predicate recording: the engine observes what oracles do."""
 
 import random
 
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, RoundKind
 from repro.engine import LockstepScheduler, build_instance, run_instance
-from repro.rounds.policies import GoodBadPolicy, ReliablePolicy, SilentPolicy
+from repro.rounds.policies import random_drop_behavior, silent_behavior
 from repro.rounds.schedule import GoodBadSchedule
 
 
-def run_with(policy, max_phases=4, model=None):
+def run_with(good_bad=None, max_phases=4, model=None):
     model = model or FaultModel(4, 1, 0)
     params = build_class_parameters(AlgorithmClass.CLASS_3, model)
     return run_instance(
@@ -18,13 +18,13 @@ def run_with(policy, max_phases=4, model=None):
             {pid: f"v{pid % 2}" for pid in range(3)},
             byzantine={3: "equivocator"},
         ),
-        LockstepScheduler(policy),
+        LockstepScheduler(good_bad),
         max_phases=max_phases,
     )
 
 
 def test_reliable_policy_records_pcons_on_selection_rounds():
-    outcome = run_with(ReliablePolicy())
+    outcome = run_with()
     for record in outcome.trace.records:
         assert record.pgood
         if record.info.kind is RoundKind.SELECTION:
@@ -34,7 +34,7 @@ def test_reliable_policy_records_pcons_on_selection_rounds():
 def test_good_bad_schedule_reflected_in_trace():
     schedule = GoodBadSchedule.good_after(4)
     outcome = run_with(
-        GoodBadPolicy(schedule, rng=random.Random(0)), max_phases=6
+        (schedule, random_drop_behavior(random.Random(0))), max_phases=6
     )
     for record in outcome.trace.records:
         if record.info.number >= 4:
@@ -47,7 +47,9 @@ def test_good_bad_schedule_reflected_in_trace():
 
 
 def test_silent_policy_records_no_predicates():
-    outcome = run_with(SilentPolicy(), max_phases=2)
+    outcome = run_with(
+        (GoodBadSchedule.never_good(), silent_behavior()), max_phases=2
+    )
     for record in outcome.trace.records:
         assert not record.pgood
         assert not record.prel
@@ -61,7 +63,7 @@ def test_good_phase_detection_via_trace():
     where the run decides."""
     schedule = GoodBadSchedule.good_after(7)
     outcome = run_with(
-        GoodBadPolicy(schedule, rng=random.Random(1)), max_phases=8
+        (schedule, random_drop_behavior(random.Random(1))), max_phases=8
     )
     assert outcome.all_correct_decided
     records = outcome.trace.records
@@ -81,7 +83,7 @@ def test_good_phase_detection_via_trace():
 
 
 def test_prel_recorded_under_reliable_delivery():
-    outcome = run_with(ReliablePolicy())
+    outcome = run_with()
     # Full delivery trivially satisfies Prel in all-to-all rounds.
     for record in outcome.trace.records:
         if record.info.kind is not RoundKind.VALIDATION:

@@ -1,7 +1,7 @@
 """Scenario-compilation parity: a compiled preset ≡ the hand-built run.
 
 Each case assembles an execution by hand (explicit Byzantine placement,
-hand-built delivery policy over a seeded RNG, explicit crash schedule) and
+hand-built ``(schedule, edge rule)`` pair over a seeded RNG, explicit crash schedule) and
 asserts that the registry preset, compiled by :func:`compile_scenario` and
 run by :func:`run_scenario` under the same seed, produces the identical
 outcome — placement, RNG-stream consumption and horizon included.
@@ -16,11 +16,7 @@ from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel
 from repro.engine import LockstepScheduler, build_instance, run_instance
 from repro.faults.crash import CrashSchedule
-from repro.rounds.policies import (
-    GoodBadPolicy,
-    ReliablePolicy,
-    partition_behavior,
-)
+from repro.rounds.policies import partition_behavior, random_drop_behavior
 from repro.rounds.schedule import GoodBadSchedule
 from repro.scenarios import compile_scenario, get_scenario, run_scenario
 
@@ -37,14 +33,14 @@ def outcome_signature(outcome):
     )
 
 
-def hand_built(params, byzantine, policy, max_phases, crash_schedule=None):
+def hand_built(params, byzantine, good_bad, max_phases, crash_schedule=None):
     model = params.model
     values = {
         pid: f"v{pid % 2}" for pid in model.processes if pid not in byzantine
     }
     return run_instance(
         build_instance(params, values, byzantine=byzantine),
-        LockstepScheduler(policy),
+        LockstepScheduler(good_bad),
         max_phases=max_phases,
         crash_schedule=crash_schedule,
     )
@@ -75,7 +71,7 @@ class TestPresetParity:
             model.n - 1 - i: strategies[i % len(strategies)]
             for i in range(model.b)
         }
-        by_hand = hand_built(params7, byzantine, ReliablePolicy(), 15)
+        by_hand = hand_built(params7, byzantine, None, 15)
         # Max-b placement, strongest strategy per slot.
         compiled = compile_scenario(get_scenario("worst_case"), model)
         assert compiled.byzantine == byzantine
@@ -89,15 +85,12 @@ class TestPresetParity:
     def test_partition_heal(self, params7, heal_round, seed):
         model = params7.model
         half = model.n // 2
-        policy = GoodBadPolicy(
+        good_bad = (
             GoodBadSchedule.good_after(heal_round),
-            bad_behavior=partition_behavior(
-                [range(half), range(half, model.n)]
-            ),
-            rng=random.Random(seed),
+            partition_behavior([range(half), range(half, model.n)]),
         )
         by_hand = hand_built(
-            params7, {model.n - 1: "equivocator"}, policy, heal_round + 8
+            params7, {model.n - 1: "equivocator"}, good_bad, heal_round + 8
         )
         modern = run_scenario(
             bad_prefix("partition_heal", heal_round), params7, rng=seed
@@ -110,14 +103,15 @@ class TestPresetParity:
     @pytest.mark.parametrize("seed", [0, 1, 4])
     def test_async_then_sync_random_loss_stream(self, params7, seed):
         """The bad-period drop draws must consume the seeded RNG exactly as
-        a hand-built ``GoodBadPolicy`` over the same seed does."""
+        a hand-built drop rule over the same seed does."""
         model = params7.model
         gst_round = 9
-        policy = GoodBadPolicy(
-            GoodBadSchedule.good_after(gst_round), rng=random.Random(seed)
+        good_bad = (
+            GoodBadSchedule.good_after(gst_round),
+            random_drop_behavior(random.Random(seed)),
         )
         by_hand = hand_built(
-            params7, {model.n - 1: "adaptive-liar"}, policy, gst_round + 8
+            params7, {model.n - 1: "adaptive-liar"}, good_bad, gst_round + 8
         )
         modern = run_scenario(
             bad_prefix("async_then_sync", gst_round), params7, rng=seed
@@ -129,7 +123,7 @@ class TestPresetParity:
         model = FaultModel(5, 1, 0)
         params = build_class_parameters(AlgorithmClass.CLASS_2, model)
         byzantine = {model.n - 1 - i: "silent" for i in range(model.b)}
-        by_hand = hand_built(params, byzantine, ReliablePolicy(), 15)
+        by_hand = hand_built(params, byzantine, None, 15)
         modern = run_scenario("silent_minority", params)
         assert outcome_signature(modern) == outcome_signature(by_hand)
         assert modern.all_correct_decided
@@ -140,7 +134,7 @@ class TestPresetParity:
         by_hand = hand_built(
             params,
             {},
-            ReliablePolicy(),
+            None,
             15,
             crash_schedule=CrashSchedule.crash_first_f(model, 1, clean=False),
         )

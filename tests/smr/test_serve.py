@@ -339,14 +339,14 @@ class TestSweep:
         "cell, reason",
         [
             (["--algorithm", "pbft", "--n", "3", "--b", "1"], "n > 3b"),
-            (["--algorithm", "nope"], "unknown algorithm 'nope'; known: ["),
         ],
     )
     def test_rejected_cells_are_rows_not_tracebacks(
         self, tmp_path, capsys, cell, reason
     ):
-        """Whatever admission refuses, the sweep records — like the
-        hosted-envelope cell above — instead of dying on the exception."""
+        """Whatever admission refuses of a model, the sweep records — like
+        the hosted-envelope cell above — instead of dying on the exception.
+        (A misspelt name is a usage error instead: ``test_cli``.)"""
         out = tmp_path / "serve.jsonl"
         argv = ["smr", "sweep", *cell, "--rates", "50",
                 "--scenarios", "fault-free", "--out", str(out)]
