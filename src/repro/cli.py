@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -168,6 +170,8 @@ def _cmd_profile_batch(args: argparse.Namespace) -> int:
     from repro.engine.batch import plan_for_run, run_batch
     from repro.observability import Telemetry, format_phase_table
 
+    if _admit_cell(args, args.scenario) is None:
+        return 2
     try:
         spec = CampaignSpec(
             name=f"profile-{args.scenario}",
@@ -535,8 +539,31 @@ class _Resumable(NamedTuple):
         return EXIT_INTERRUPTED if stopped else 130
 
 
+def _sigterm_interrupts(command):
+    """``command`` with SIGTERM raising ``KeyboardInterrupt``, so a killed
+    run ends like a Ctrl-C'd one (exit 130, state kept, pool shut down); a
+    forked pool worker inheriting the handler still dies of the signal."""
+
+    def run(args: argparse.Namespace) -> int:
+        parent = os.getpid()
+
+        def interrupt(signum, _frame):
+            if os.getpid() != parent:
+                signal.signal(signum, signal.SIG_DFL)
+                os.kill(os.getpid(), signum)
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGTERM, interrupt)
+        try:
+            return command(args)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    return run
+
+
+@_sigterm_interrupts
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    import os
     from dataclasses import replace as dc_replace
     from time import perf_counter
 
@@ -970,6 +997,7 @@ def _fuzz_space(args: argparse.Namespace):
         return None
 
 
+@_sigterm_interrupts
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     from repro.fuzz import FuzzConfig, run_fuzz, state_path
     from repro.utils.jsonl import unwritable
@@ -1195,7 +1223,10 @@ def build_parser() -> argparse.ArgumentParser:
         return value
 
     def rate_list(text: str) -> list:
-        return [positive_float(rate) for rate in text.split(",") if rate]
+        rates = [positive_float(rate) for rate in text.split(",") if rate]
+        if not rates:
+            raise argparse.ArgumentTypeError("needs at least one rate")
+        return rates
 
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"

@@ -23,9 +23,11 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.algorithms.registry import ALGORITHM_BUILDERS, CLASS_ALGORITHMS
 from repro.core.types import FaultModel
 from repro.engine.cell import cell_key_prefix
 from repro.eventsim.network import NetworkSpec
+from repro.faults.registry import STRATEGY_REGISTRY
 from repro.scenarios.spec import CommSpec, ScenarioSpec
 
 #: Builder / class names the default space searches over.  ``ben-or`` is
@@ -135,9 +137,14 @@ class FuzzSpace:
         for axis in ("algorithms", "engines", "strategies"):
             if not getattr(self, axis):
                 raise ValueError(f"axis {axis!r} must be non-empty")
-        for engine in self.engines:
-            if engine not in ("lockstep", "timed"):
-                raise ValueError(f"unknown engine {engine!r}")
+        for noun, names, known in (
+            ("engine", self.engines, ("lockstep", "timed")),
+            ("algorithm", self.algorithms, (*ALGORITHM_BUILDERS, *CLASS_ALGORITHMS)),
+            ("strategy", self.strategies, STRATEGY_REGISTRY),
+        ):
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {noun} {name!r}; known: {sorted(known)}")
         if self.models is not None:
             if not self.models:
                 raise ValueError("explicit models pool must be non-empty")

@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from repro.campaigns.results import rows_to_jsonl
 from repro.campaigns.runner import (
     BATCH_FLOOR,
     CELL_CHUNK_CAP,
@@ -17,7 +16,6 @@ from repro.campaigns.runner import (
     execute_chunk,
     execute_run,
     iter_campaign,
-    run_campaign,
 )
 from repro.campaigns.spec import CampaignSpec
 from repro.engine.batch import (
@@ -60,19 +58,6 @@ def test_execute_chunk_preserves_run_order():
     runs = spec.expand()[:4]
     rows = execute_chunk(runs)
     assert [row["run_id"] for row in rows] == [run.run_id for run in runs]
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 100])
-def test_chunked_rows_match_inline(chunk):
-    spec = small_spec()
-    inline = sorted(
-        iter_campaign(spec, workers=1), key=lambda row: row["run_id"]
-    )
-    chunked = sorted(
-        iter_campaign(spec, workers=2, chunk=chunk),
-        key=lambda row: row["run_id"],
-    )
-    assert chunked == inline
 
 
 def test_small_window_shrinks_chunk_not_parallelism():
@@ -246,18 +231,6 @@ def test_pool_dispatches_one_chunk_per_batchable_cell():
 def test_caller_fixed_window_still_caps_whole_cells():
     spec = cell_spec(100, scenarios=("fault-free",))
     assert max(dispatched(spec, window=40)) == 20
-
-
-@pytest.mark.parametrize("numpy", ["numpy", "pure-python"])
-def test_files_identical_at_every_workers_and_backend(numpy, monkeypatch):
-    if numpy == "pure-python":
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    spec = cell_spec(37)
-    reference = rows_to_jsonl(run_campaign(spec, workers=1, backend="scalar"))
-    for workers in (1, 2, 3):
-        for backend in ("auto", "scalar"):
-            rows = run_campaign(spec, workers=workers, backend=backend)
-            assert rows_to_jsonl(rows) == reference, (workers, backend)
 
 
 def test_plain_iter_campaign_yields_the_historical_dicts():

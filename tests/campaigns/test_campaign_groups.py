@@ -1,12 +1,13 @@
 """The cell crosses the pool as a cell: slices down, one row + coordinates up.
 
-Differentials over a grid with one cell of every kind — replicate, rejected
-(both travel up as groups), columnar-state and scalar (row by row) — pin
-that grouping changes nothing observable: the group stream, its flatten and
-the scalar backend write the same bytes at any ``(workers, chunk)``; a stop
-or a tear inside a group resumes to the single-shot file; events, progress
-and the report see every row.  A negative control shows the scalar
-differential catches a tier that groups a cell it has no proof for.
+Over a grid with one cell of every kind — replicate, rejected (both travel
+up as groups), columnar-state and scalar (row by row) — grouping changes
+nothing observable: a stop or a tear inside a group resumes to the
+single-shot file; events, progress and the report see every row.  (That the
+group stream writes the scalar backend's bytes at any ``(workers, chunk)``
+is the equivalence table's ``tiers`` and ``workers`` entries, on this grid.)
+A negative control shows the scalar differential catches a tier that groups
+a cell it has no proof for.
 """
 
 import dataclasses
@@ -31,7 +32,6 @@ from repro.campaigns.results import (
 from repro.campaigns.runner import (
     _iter_chunks,
     execute_chunk,
-    iter_campaign,
     iter_groups,
     run_campaign,
 )
@@ -97,22 +97,6 @@ def test_the_grid_has_a_cell_of_every_kind():
         LOSSY_CRASH.describe_fault(),
         get_scenario("lossy_channel").describe_fault(),
     }
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 8])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_group_stream_equals_its_flatten_equals_scalar(
-    tmp_path, scalar_bytes, workers, chunk
-):
-    spec = grid()
-    grouped = stream_to_file(
-        spec, tmp_path / "grouped.jsonl", workers=workers, chunk=chunk
-    )
-    flat = sorted(
-        iter_campaign(spec, workers=workers, chunk=chunk),
-        key=lambda row: row["run_id"],
-    )
-    assert grouped == rows_to_jsonl(flat).encode() == scalar_bytes
 
 
 def test_flatten_of_a_group_is_the_oracle_rows():

@@ -497,16 +497,6 @@ def test_run_batch_inapplicable_cell_matches_oracle(byz_lossy_scenario, engine):
     _assert_rows_match_oracle(runs, rows)
 
 
-def test_execute_chunk_groups_cells_and_matches_scalar():
-    from repro.campaigns.runner import execute_chunk
-
-    spec = dataclasses.replace(GAUNTLET, repetitions=2)
-    runs = list(spec.iter_runs())[:24]
-    scalar = execute_chunk(tuple(runs), False, "scalar")
-    batch = execute_chunk(tuple(runs), False, "batch")
-    assert [row_to_json(r) for r in batch] == [row_to_json(r) for r in scalar]
-
-
 def test_resolve_backend_env_and_validation(monkeypatch):
     from repro.campaigns.runner import resolve_backend
 

@@ -5,9 +5,9 @@ comparison per message.  These tests prove the replacement changes nothing
 observable: delivery matrices, drop counts, round end times and — crucially
 — the network RNG stream are identical, message for message and draw for
 draw, under every regime (pre/post GST, fixed/uniform latency, Byzantine
-canonicalization, bad-round edge rules).  The campaign-level suite in
-``tests/campaigns/test_campaign_identity.py`` extends the same claim to
-whole result files.
+canonicalization, bad-round edge rules).  The ``heap`` entry of the
+equivalence table (``tests/equivalences.py``) extends the same claim to
+whole result files and fuzz verdict streams.
 """
 
 from __future__ import annotations

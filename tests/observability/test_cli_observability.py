@@ -39,20 +39,6 @@ def run_cli(spec_path, out, *extra):
 
 
 class TestEventsSidecar:
-    def test_results_byte_identical_with_and_without_events(
-        self, spec_path, tmp_path, capsys
-    ):
-        plain = tmp_path / "plain.jsonl"
-        assert run_cli(spec_path, plain) == 0
-        instrumented = tmp_path / "instrumented.jsonl"
-        events = tmp_path / "events.jsonl"
-        assert run_cli(
-            spec_path, instrumented,
-            "--events", str(events), "--workers", "2",
-        ) == 0
-        capsys.readouterr()
-        assert plain.read_bytes() == instrumented.read_bytes()
-
     def test_event_stream_covers_the_campaign_lifecycle(
         self, spec_path, tmp_path, capsys
     ):
