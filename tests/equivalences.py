@@ -6,7 +6,7 @@ bytes on every grid it lists.  An arm is one ``repro.cli.main(argv)`` call
 directory, so the CLI, the worker pool and the result files stay covered.
 The two contracts that live below the CLI — the engines' round model and
 the comm-kind normal form — run their arms through ``run_instance`` /
-``run_scenario``.  A :class:`Grid` pins the last line ``campaign plan``
+``run_scenario``, one named case at a time.  A :class:`Grid` pins the last line ``campaign plan``
 prints for it and the SHA-256 of each output, so a drift every arm shares
 is caught too.  Each equivalence carries one test-only mutation of the code
 under test that it must catch.
@@ -17,8 +17,9 @@ printed per output and the exit status is 1 on the first difference::
     PYTHONPATH=src python tests/equivalences.py [NAME ...]
     PYTHONPATH=src python tests/equivalences.py --spec kill-cmp  # a grid's spec
 
-``tests/test_equivalences.py`` runs each equivalence on its small grids in
-tier-1, and each mutation on its control grid.
+``tests/test_equivalences.py`` runs each arm of each equivalence against
+the first on its small grids in tier-1, and each mutation on its control
+grid.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ if __name__ == "__main__":
 from repro.campaigns import BUILTIN_CAMPAIGNS  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.scenarios import get_scenario  # noqa: E402
+from repro.scenarios.spec import CommSpec  # noqa: E402
 
 #: What one arm leaves behind: ``out`` (the result file, or the digests a
 #: serve prints) and, for a recorded fuzz run, ``verdicts``.
@@ -70,7 +72,10 @@ class Grid:
     sha: Mapping[str, str] = field(default_factory=dict)
     cut: Optional[int] = None  # where a resumed arm stops
     record: bool = False  # also record the fuzz verdict stream
-    call: Optional[Callable[[Arm], bytes]] = None  # a below-CLI grid
+    #: A below-CLI grid: ``call(arm, case)`` is one line per case, and the
+    #: grid's output is its cases' lines in order.
+    call: Optional[Callable[[Arm, str], str]] = None
+    cases: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -132,48 +137,51 @@ def _byzantine_scenario(name, byzantine, **comm) -> dict:
     return {"name": name, "byzantine": list(byzantine), "comm": comm, "max_phases": 15}
 
 
-def _lockstep_vs_timed(arm: Arm) -> bytes:
-    """Every algorithm fault-free, and pbft / mqb / fab-paxos under each
-    scripted adversary, on a network synchronous from time 0 with latency
-    1 ≤ Δ = 2."""
+_SIZED = {"one-third-rule": 4, "fab-paxos": 6, "mqb": 5, "paxos": 3,
+          "chandra-toueg": 3, "pbft": 4}
+#: case → (algorithm, n, scripted adversary): every algorithm fault-free,
+#: then pbft / mqb / fab-paxos under each scripted adversary.
+LOCKSTEP_TIMED_CASES = {
+    **{name: (name, n, None) for name, n in _SIZED.items()},
+    **{
+        f"{name}-{strategy}": (name, _SIZED[name], strategy)
+        for name in ("pbft", "mqb", "fab-paxos")
+        for strategy in ("silent", "equivocator", "vote-flipper",
+                         "high-ts-liar", "fake-history-liar")
+    },
+}
+
+
+def _lockstep_vs_timed(arm: Arm, case: str) -> str:
+    """One case on ``arm``'s engine, on a network synchronous from time 0
+    with latency 1 ≤ Δ = 2."""
     from repro.algorithms import ALGORITHM_BUILDERS
     from repro.engine.assembly import build_instance
     from repro.engine.kernel import OBSERVE_METRICS, run_instance
     from repro.engine.scheduler import LockstepScheduler, TimedScheduler
     from repro.eventsim.network import FixedLatency, PartialSynchronyNetwork
 
-    sized = {"one-third-rule": 4, "fab-paxos": 6, "mqb": 5, "paxos": 3,
-             "chandra-toueg": 3, "pbft": 4}
-    cases = [(name, n, None) for name, n in sized.items()] + [
-        (name, sized[name], strategy)
-        for name in ("pbft", "mqb", "fab-paxos")
-        for strategy in ("silent", "equivocator", "vote-flipper",
-                         "high-ts-liar", "fake-history-liar")
-    ]
-    lines = []
-    for name, n, strategy in cases:
-        spec = ALGORITHM_BUILDERS[name](n)
-        byzantine = {} if strategy is None else {n - 1: strategy}
-        values = {pid: f"v{pid % 2}" for pid in range(n) if pid not in byzantine}
-        scheduler = (
-            LockstepScheduler()
-            if arm.flags == ("lockstep",)
-            else TimedScheduler(
-                PartialSynchronyNetwork(FixedLatency(1.0), gst=0.0, delta=2.0, seed=0),
-                round_duration=2.5,
-            )
+    name, n, strategy = LOCKSTEP_TIMED_CASES[case]
+    spec = ALGORITHM_BUILDERS[name](n)
+    byzantine = {} if strategy is None else {n - 1: strategy}
+    values = {pid: f"v{pid % 2}" for pid in range(n) if pid not in byzantine}
+    scheduler = (
+        LockstepScheduler()
+        if arm.flags == ("lockstep",)
+        else TimedScheduler(
+            PartialSynchronyNetwork(FixedLatency(1.0), gst=0.0, delta=2.0, seed=0),
+            round_duration=2.5,
         )
-        outcome = run_instance(
-            build_instance(spec.parameters, values, config=spec.config,
-                           byzantine=byzantine),
-            scheduler, max_phases=12, observe=OBSERVE_METRICS,
-        )
-        if not outcome.agreement_holds or (
-            strategy is None and not outcome.all_correct_decided
-        ):
-            raise Divergence(f"{name} {strategy}: {arm.label} run is unsafe or stuck")
-        lines.append(_signature(outcome))
-    return "\n".join(lines).encode()
+    )
+    outcome = run_instance(
+        build_instance(spec.parameters, values, config=spec.config, byzantine=byzantine),
+        scheduler, max_phases=12, observe=OBSERVE_METRICS,
+    )
+    if not outcome.agreement_holds or (
+        strategy is None and not outcome.all_correct_decided
+    ):
+        raise Divergence(f"{case}: {arm.label} run is unsafe or stuck")
+    return _signature(outcome)
 
 
 def _signature(outcome) -> str:
@@ -183,42 +191,45 @@ def _signature(outcome) -> str:
                        outcome.messages_delivered, outcome.messages_dropped])
 
 
-def _comm_spellings(arm: Arm) -> bytes:
-    """Each comm kind in ``arm``'s spelling (its kind or its ``regime()``
-    normal form) on ``arm``'s engine, every transit meeting the deadline,
-    at one explicit seed."""
+def _good_bad(schedule, bad, **fields) -> CommSpec:
+    return CommSpec(kind="good-bad", schedule=schedule, bad=bad, **fields)
+
+
+#: case → (comm kind, its ``regime()`` normal form).
+COMM_SPELLINGS = {
+    "lossy": (CommSpec(kind="lossy", drop_prob=0.3),
+              _good_bad("never", "drop", drop_prob=0.3)),
+    "silent": (CommSpec(kind="silent"), _good_bad("never", "silence")),
+    "reliable": (CommSpec(), CommSpec(kind="good-bad", schedule="always")),
+    "partition-halves": (_good_bad("after", "partition", good_from=3),) * 2,
+    "partition-groups": (_good_bad("after", "partition", good_from=3,
+                                   groups=((0, 2, 4, 6, 8), (1, 3, 5))),) * 2,
+    "alternating-drop": (_good_bad("alternating", "drop", good_len=2, bad_len=2,
+                                   drop_prob=0.4),) * 2,
+}
+
+
+def _comm_spellings(arm: Arm, case: str) -> str:
+    """One comm kind in ``arm``'s spelling (its kind or its normal form) on
+    ``arm``'s engine, every transit meeting the deadline, at one explicit
+    seed."""
     from repro.core.classification import AlgorithmClass, build_class_parameters
     from repro.core.types import FaultModel
     from repro.eventsim.network import NetworkSpec
     from repro.scenarios import ScenarioSpec, run_scenario
-    from repro.scenarios.spec import CommSpec
 
-    def good_bad(schedule, bad, **fields):
-        return CommSpec(kind="good-bad", schedule=schedule, bad=bad, **fields)
-
-    spellings = [
-        (CommSpec(kind="lossy", drop_prob=0.3), good_bad("never", "drop", drop_prob=0.3)),
-        (CommSpec(kind="silent"), good_bad("never", "silence")),
-        (CommSpec(), CommSpec(kind="good-bad", schedule="always")),
-        (good_bad("after", "partition", good_from=3),) * 2,
-        (good_bad("after", "partition", good_from=3,
-                  groups=((0, 2, 4, 6, 8), (1, 3, 5))),) * 2,
-        (good_bad("alternating", "drop", good_len=2, bad_len=2, drop_prob=0.4),) * 2,
-    ]
+    kind, normal_form = COMM_SPELLINGS[case]
+    if kind.regime() != normal_form.regime():
+        raise Divergence(f"{kind.describe()} is not its normal form")
     spelling, engine = arm.flags
-    parameters = build_class_parameters(AlgorithmClass.CLASS_2, FaultModel(9, 1, 1))
-    lines = []
-    for kind, normal_form in spellings:
-        if kind.regime() != normal_form.regime():
-            raise Divergence(f"{kind.describe()} is not its normal form")
-        comm = kind if spelling == "kind" else normal_form
-        outcome = run_scenario(
-            ScenarioSpec(byzantine=("adaptive-liar",), comm=comm,
-                         timing=NetworkSpec(kind="fixed", low=1.0)),
-            parameters, engine=engine, rng=5, observe="metrics", max_phases=8,
-        )
-        lines.append(_signature(outcome))
-    return "\n".join(lines).encode()
+    outcome = run_scenario(
+        ScenarioSpec(byzantine=("adaptive-liar",),
+                     comm=kind if spelling == "kind" else normal_form,
+                     timing=NetworkSpec(kind="fixed", low=1.0)),
+        build_class_parameters(AlgorithmClass.CLASS_2, FaultModel(9, 1, 1)),
+        engine=engine, rng=5, observe="metrics", max_phases=8,
+    )
+    return _signature(outcome)
 
 
 _GRIDS = [
@@ -315,10 +326,10 @@ _GRIDS = [
     _serve("flaky_gst", "2"),
     _serve("partition_heal", "2", "--engine", "timed"),
     _serve("async_then_sync", "2", "--engine", "timed"),
-    Grid("lockstep-timed", call=_lockstep_vs_timed, sha={
+    Grid("lockstep-timed", call=_lockstep_vs_timed, cases=tuple(LOCKSTEP_TIMED_CASES), sha={
         "out": "c53bce53cd2646bfc54b6957001657e010a47bd81dcf4d569968b98bc964a611",
     }),
-    Grid("comm-spellings", call=_comm_spellings, sha={
+    Grid("comm-spellings", call=_comm_spellings, cases=tuple(COMM_SPELLINGS), sha={
         "out": "64100995b9c51491ba2e19c9f60a058f32f4f5ba2e475f3c8eb7bd29f5c07f4a",
     }),
 ]
@@ -558,11 +569,16 @@ def _verdict_stream(lines):
         yield
 
 
-def run_arm(grid: Grid, arm: Arm, directory: Path, workers: Optional[int] = None) -> Output:
+def run_arm(
+    grid: Grid, arm: Arm, directory: Path, workers: Optional[int] = None,
+    case: Optional[str] = None,
+) -> Output:
     """What ``arm`` produces on ``grid`` (``workers`` overrides every
-    ``--workers``), run inside ``directory``."""
+    ``--workers``; ``case`` runs one case of a below-CLI grid), run inside
+    ``directory``."""
     if grid.call is not None:
-        return {"out": grid.call(arm)}
+        cases = grid.cases if case is None else (case,)
+        return {"out": "\n".join(grid.call(arm, each) for each in cases).encode()}
     directory.mkdir(parents=True, exist_ok=True)
     out = directory / f"{grid.name}.{arm.label}.jsonl"
     argv = [part.format(spec=spec_argument(grid, directory)) for part in grid.argv]
@@ -608,37 +624,44 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def outputs(entry: Equivalence, grid: Grid, directory: Path, workers=None, memo=None):
-    """``[(arm, output)]`` of every arm of ``entry`` on ``grid``; ``memo``
-    shares outputs between entries whose arms coincide."""
+def outputs(
+    entry: Equivalence, grid: Grid, directory: Path, workers=None, memo=None,
+    arms=None, case=None,
+):
+    """``[(arm, output)]`` of each of ``arms`` (default: every arm of
+    ``entry``) on ``grid``, or on one ``case`` of it; ``memo`` shares
+    outputs between calls whose arms coincide."""
     memo = {} if memo is None else memo
     found = []
-    for arm in entry.arms:
-        key = (grid.name, arm, workers)
+    for arm in entry.arms if arms is None else arms:
+        key = (grid.name, arm, workers, case)
         if key not in memo:
-            memo[key] = run_arm(grid, arm, directory / entry.name, workers)
+            memo[key] = run_arm(grid, arm, directory / entry.name, workers, case)
         found.append((arm, memo[key]))
     return found
 
 
-def check(entry: Equivalence, grid: Grid, directory: Path, memo=None):
-    """Every arm of ``entry`` on ``grid`` against the first and the pins;
+def check(entry: Equivalence, grid: Grid, directory: Path, memo=None, arm=None, case=None):
+    """Every arm of ``entry`` (or ``arm`` alone) on ``grid``, or on one
+    ``case`` of it, against the first arm and, for a whole grid, the pins;
     yields ``(arm, output name, SHA-256)`` as each output passes."""
-    found = outputs(entry, grid, directory, memo=memo)
-    (first, expected), *_ = found
-    for arm, output in found:
+    first = entry.arms[0]
+    arms = None if arm is None else (first, arm)
+    found = outputs(entry, grid, directory, memo=memo, arms=arms, case=case)
+    expected = found[0][1]
+    for each, output in found:
         for name, data in sorted(output.items()):
             digest = sha256(data)
             if data != expected[name]:
                 raise Divergence(
-                    f"{entry.name} on {grid.name}: {arm.label} {name} differs from "
-                    f"{first.label}"
+                    f"{entry.name} on {grid.name}{'' if case is None else ' ' + case}: "
+                    f"{each.label} {name} differs from {first.label}"
                 )
-            if grid.sha.get(name, digest) != digest:
+            if case is None and grid.sha.get(name, digest) != digest:
                 raise Divergence(
                     f"{grid.name} {name} is {digest}, pinned {grid.sha[name]}"
                 )
-            yield arm, name, digest
+            yield each, name, digest
 
 
 def planned(grid: Grid, directory: Path) -> str:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
+from repro.eventsim.network import NetworkSpec
 from repro.rounds.base import RunContext
 from repro.scenarios import (
     ScenarioInapplicable,
@@ -123,6 +124,38 @@ class TestTimedTargets:
                 "timed",
                 1,
             )
+
+
+@pytest.mark.parametrize(
+    "comm",
+    [
+        CommSpec(kind="good-bad", good_from=3, bad="partition"),
+        CommSpec(kind="good-bad", good_from=3, bad="partition",
+                 groups=((0, 2, 4, 6, 8), (1, 3, 5))),
+        CommSpec(kind="good-bad", good_from=3, bad="silence"),
+    ],
+    ids=["partition-halves", "partition-groups", "silence"],
+)
+def test_one_rule_two_schedulers(comm):
+    """A bad round whose every transit (1.0 ≤ Δ) meets the deadline: the
+    lockstep and the timed matrix hold the edges the compiled rule keeps."""
+    model = FaultModel(9, 1, 1)
+    spec = ScenarioSpec(byzantine=("silent",), comm=comm,
+                        timing=NetworkSpec(kind="fixed", low=1.0))
+    outbound = {s: {d: (s, d) for d in model.processes} for s in model.processes}
+    deliveries = []
+    for engine in ("lockstep", "timed"):
+        compiled = compile_scenario(spec, model, engine, 7)
+        compiled.scheduler.reset()
+        deliveries.append(compiled.scheduler.deliver_round(
+            RoundInfo(1, 1, RoundKind.DECISION), outbound,
+            RunContext(model, byzantine=frozenset(compiled.byzantine)),
+        ))
+    lockstep, timed = deliveries
+    assert lockstep.matrix == timed.matrix
+    assert lockstep.dropped == timed.dropped > 0
+    # Byzantine process 8 hears everyone, whichever side it is on.
+    assert set(timed.matrix[8]) == set(model.processes)
 
 
 class TestInapplicability:

@@ -1,6 +1,7 @@
-"""The equivalence table (``equivalences.py``) in tier-1: every equivalence
-on its small grids, every mutation caught on its control grid, every plan
-line and every pin of a grid no small run covers."""
+"""The equivalence table (``equivalences.py``) in tier-1: each arm of every
+equivalence against its first arm on the small grids (one case at a time on
+a below-CLI grid), every mutation caught on its control grid, every plan
+line and every pin of a grid no small run covers whole."""
 
 import pytest
 
@@ -8,16 +9,24 @@ import equivalences as table
 from repro.utils.accel import get_numpy
 
 SMALL = [
-    pytest.param(entry, grid, id=f"{entry.name}-{grid}")
+    pytest.param(
+        entry, grid, arm, case,
+        id="-".join([entry.name, grid, arm.label] + ([case] if case else [])),
+    )
     for entry in table.EQUIVALENCES
     for grid in entry.small
+    for case in table.GRIDS[grid].cases or (None,)
+    for arm in entry.arms[1:]
 ]
-COVERED = {grid for entry in table.EQUIVALENCES for grid in entry.small}
+COVERED = {grid for entry in table.EQUIVALENCES for grid in entry.small
+           if not table.GRIDS[grid].cases}
+#: Arm outputs shared between the tests, so each first arm runs once.
+MEMO: dict = {}
 
 
-@pytest.mark.parametrize("entry, grid", SMALL)
-def test_equivalence_holds_on_its_small_grid(entry, grid, tmp_path):
-    assert list(table.check(entry, table.GRIDS[grid], tmp_path))
+@pytest.mark.parametrize("entry, grid, arm, case", SMALL)
+def test_equivalence_holds_on_its_small_grid(entry, grid, arm, case, tmp_path):
+    assert list(table.check(entry, table.GRIDS[grid], tmp_path, MEMO, arm, case))
 
 
 @pytest.mark.parametrize("entry", table.EQUIVALENCES, ids=lambda entry: entry.name)
@@ -56,5 +65,10 @@ def test_gauntlet_puts_columnar_state_cells_on_both_engines():
     ids=lambda grid: grid.name,
 )
 def test_grid_output_is_pinned(grid, tmp_path):
-    output = table.run_arm(grid, table.DEFAULT, tmp_path)
+    # A below-CLI grid is pinned on the first arm of its equivalence.
+    arm = next(
+        (entry.arms[0] for entry in table.EQUIVALENCES if grid.call and grid.name in entry.grids),
+        table.DEFAULT,
+    )
+    output = table.run_arm(grid, arm, tmp_path)
     assert {name: table.sha256(output[name]) for name in grid.sha} == dict(grid.sha)
