@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark suite.
 
-Every bench module regenerates one experiment (ids T1, F1-F3, A1-A6, X1-X6;
+Every bench module regenerates one experiment (ids T1, F1-F3, A1-A6, X1-X4;
 each module's docstring names its own).  Benchmarks double as assertions:
 each records the paper's qualitative claim and fails if the measured
 behaviour stops matching it.

@@ -6,7 +6,7 @@ round-based consensus algorithm, its three classes of instantiations
 (OneThirdRule, FaB Paxos / Paxos, Chandra-Toueg, MQB / PBFT), the randomized
 adaptation (Ben-Or), and the simulation substrates they run on (round model,
 partial synchrony with communication predicates, Byzantine adversaries,
-quorum systems, discrete-event timing, state machine replication).
+discrete-event timing, state machine replication).
 
 Quickstart::
 

@@ -54,11 +54,3 @@ def format_rate(numerator: int, denominator: int) -> str:
     ('3/4', '0/0')
     """
     return f"{numerator}/{denominator}"
-
-
-def format_kv_block(title: str, pairs: Iterable[tuple]) -> str:
-    """A titled key/value block used in bench stdout summaries."""
-    lines = [title, "=" * len(title)]
-    for key, value in pairs:
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines)

@@ -52,15 +52,11 @@ from repro.campaigns.results import (
     checkpoint_path,
     finalize_checkpoint,
     iter_rows,
-    read_rows,
     row_to_json,
-    rows_to_jsonl,
-    scan_checkpoint,
     validate_resume,
     write_rows,
 )
 from repro.campaigns.runner import (
-    BACKEND_ENV,
     BACKENDS,
     BATCH_FLOOR,
     execute_chunk,
@@ -81,7 +77,6 @@ from repro.campaigns.spec import (
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
     "BATCH_FLOOR",
     "BUILTIN_CAMPAIGNS",
@@ -105,13 +100,10 @@ __all__ = [
     "iter_rows",
     "load_spec",
     "percentile",
-    "read_rows",
     "resolve_algorithm",
     "resolve_backend",
     "row_to_json",
-    "rows_to_jsonl",
     "run_campaign",
-    "scan_checkpoint",
     "summarize",
     "validate_resume",
     "write_rows",

@@ -10,7 +10,7 @@ Two file shapes exist:
   order as the campaign streams, one ``write`` + ``flush()`` per
   :meth:`ResultSink.append`, so every completed run has reached the OS
   before the next chunk is consumed and survives an interrupted campaign.
-  :func:`scan_checkpoint` recovers the recorded ``run_id``\\ s (tolerating
+  :func:`validate_resume` recovers the recorded ``run_id``\\ s (tolerating
   one torn final line from a crash mid-write) and ``repro campaign run
   --resume`` skips them;
 * the **final snapshot** (``<out>``) — the checkpoint's lines in ``run_id``
@@ -126,12 +126,6 @@ def attach_lines(parts: List[RowPart]) -> List[RowPart]:
     return parts
 
 
-def rows_to_jsonl(rows: Iterable[Row]) -> str:
-    """Canonical JSONL document (trailing newline, empty for no rows)."""
-    lines = [row_to_json(row) for row in rows]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def write_rows(path: object, rows: Iterable[Row]) -> Path:
     """Replace ``path`` with rows as canonical JSONL, atomically (temp +
     rename), creating parent directories."""
@@ -141,8 +135,8 @@ def write_rows(path: object, rows: Iterable[Row]) -> Path:
 def iter_rows(path: object) -> Iterator[Row]:
     """Lazily yield rows from a JSONL file (blank lines are ignored).
 
-    The streaming counterpart of :func:`read_rows`: reports and fold-based
-    summaries consume this without ever holding the full row list.
+    Reports and fold-based summaries consume this without ever holding
+    the full row list.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -155,11 +149,6 @@ def iter_rows(path: object) -> Iterator[Row]:
                 raise ValueError(
                     f"{path}:{line_number}: not valid JSONL ({exc})"
                 ) from exc
-
-
-def read_rows(path: object) -> List[Row]:
-    """Load a JSONL result file (blank lines are ignored)."""
-    return list(iter_rows(path))
 
 
 def checkpoint_path(out: object) -> Path:
@@ -202,21 +191,6 @@ def _scan(
         found.last = row
         found.intact = offset + length
     return found
-
-
-def scan_checkpoint(path: object) -> Tuple[Set[int], int]:
-    """Recover ``(recorded run_ids, intact byte length)`` from a checkpoint.
-
-    A campaign killed mid-``write`` can leave one torn trailing line; it is
-    excluded from the id set and from the returned byte offset (the end of
-    the last recorded line), so resuming truncates it and re-executes that
-    run.  Corruption anywhere *before* the final line raises
-    ``ValueError`` — that file is not a checkpoint this code ever wrote.
-    The scan streams line by line: memory stays O(one line) plus two
-    integers per recorded run.
-    """
-    found = _scan(path)
-    return set(found.index), found.intact
 
 
 def validate_resume(

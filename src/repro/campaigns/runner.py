@@ -51,8 +51,8 @@ both schedulers.
 Metrics-mode rows may additionally route through the **batch kernel**
 (:mod:`repro.engine.batch`): chunks are grouped by campaign cell and each
 group of at least :data:`BATCH_FLOOR` runs executes as a unit (``backend=
-"auto"``; ``"batch"`` forces it at any size, ``"scalar"`` disables it, the
-:data:`BACKEND_ENV` env var sets the default).  The batch kernel is a pure
+"auto"``, the default; ``"batch"`` forces it at any size, ``"scalar"``
+disables it).  The batch kernel is a pure
 throughput optimization — its rows are byte-identical to the oracle's.
 """
 
@@ -199,9 +199,6 @@ CELL_CHUNK_CAP = 256
 #: cell group, ``scalar`` forces the per-run oracle.
 BACKENDS = ("auto", "batch", "scalar")
 
-#: Environment default for the backend (CLI ``--backend`` wins).
-BACKEND_ENV = "REPRO_BACKEND"
-
 #: Smallest cell group the ``auto`` backend routes through the batch
 #: kernel: below this, per-cell planning overhead outweighs the batching
 #: win (single-repetition campaigns stay on the oracle path entirely).
@@ -224,9 +221,9 @@ POOL_BACKOFF_S = 0.05
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend choice: explicit arg, else env, else ``auto``."""
+    """Normalize a backend choice: ``None`` is ``auto``."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "auto"
+        backend = "auto"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     return backend
@@ -363,7 +360,6 @@ def iter_groups(
     *,
     workers: int = 1,
     skip_run_ids: Optional[AbstractSet[int]] = None,
-    window: Optional[int] = None,
     chunk: Optional[int] = None,
     timings: bool = False,
     on_event: Optional[EventFn] = None,
@@ -383,14 +379,14 @@ def iter_groups(
     unit travels whole, up to :data:`CELL_CHUNK_CAP` runs (see
     :func:`_travels_whole`), while an explicit ``chunk`` means exactly that
     many runs per chunk.  Chunks execute inline (``workers=1``) or one per
-    future with at most ``window`` *runs* (default ``4 × workers ×`` the
-    largest chunk dispatched so far) in flight at once: completed parts
-    are yielded via :func:`concurrent.futures.wait` as soon as their chunk
-    finishes, so a slow cell delays at most its own chunk-mates
-    (``chunk=1`` restores per-run streaming) and memory stays O(window)
-    regardless of grid size.  Abandoning the iterator mid-stream shuts the
-    pool down (queued runs are cancelled, in-flight runs finish and are
-    discarded).
+    future with at most ``workers ×`` :data:`WINDOW_PER_WORKER` ``×`` the
+    largest chunk dispatched so far *runs* in flight at once (the window):
+    completed parts are yielded via :func:`concurrent.futures.wait` as soon
+    as their chunk finishes, so a slow cell delays at most its own
+    chunk-mates (``chunk=1`` restores per-run streaming) and memory stays
+    O(window) regardless of grid size.  Abandoning the iterator mid-stream
+    shuts the pool down (queued runs are cancelled, in-flight runs finish
+    and are discarded).
 
     ``timings=True`` adds the volatile ``_elapsed_ms`` / ``_pid`` fields to
     each row (see :func:`execute_run`); ``on_event(kind, fields)`` receives
@@ -402,7 +398,7 @@ def iter_groups(
     :class:`~repro.campaigns.results.ResultSink` writes from).
 
     ``backend`` selects the execution backend (see :data:`BACKENDS`;
-    ``None`` reads :data:`BACKEND_ENV`, else ``auto``): the batch kernel
+    ``None`` is ``auto``): the batch kernel
     changes only throughput, never row bytes.
 
     Dispatch survives worker-process death: a killed worker surfaces as
@@ -419,8 +415,6 @@ def iter_groups(
     """
     if workers < 1:
         raise ValueError(f"workers must be ≥ 1, got {workers}")
-    if window is not None and window < 1:
-        raise ValueError(f"window must be ≥ 1, got {window}")
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be ≥ 1, got {chunk}")
     backend = resolve_backend(backend)
@@ -446,17 +440,7 @@ def iter_groups(
         return
 
     size = chunk or _auto_chunk(spec.total_runs - len(skip), workers)
-    if window is not None:
-        # A caller-fixed window caps in-flight *runs*; chunks bigger than
-        # one worker's share of it would serialize the pool (the first
-        # submit alone fills the window), so shrink them to fit.
-        share = max(1, window // workers)
-        size = min(size, share)
-        if cell_cap is not None:
-            cell_cap = min(cell_cap, share)
-        limit = window
-    else:
-        limit = workers * WINDOW_PER_WORKER * size
+    limit = workers * WINDOW_PER_WORKER * size
     pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
         max_workers=workers
     )
@@ -575,13 +559,12 @@ def iter_groups(
 
         for chunk_runs in _iter_chunks(cells, size, cell_cap, skip):
             yield from dispatch(chunk_runs, 0)
-            if window is None:
-                # Sized from what is actually dispatched: whole cells are
-                # larger than ``size``, and the pool should still hold
-                # WINDOW_PER_WORKER of them per worker.
-                limit = max(
-                    limit, workers * WINDOW_PER_WORKER * _chunk_runs(chunk_runs)
-                )
+            # Sized from what is actually dispatched: whole cells are
+            # larger than ``size``, and the pool should still hold
+            # WINDOW_PER_WORKER of them per worker.
+            limit = max(
+                limit, workers * WINDOW_PER_WORKER * _chunk_runs(chunk_runs)
+            )
             while inflight >= limit:
                 yield from drain()
         while pending:

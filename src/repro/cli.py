@@ -387,13 +387,10 @@ def _cmd_smr_sweep(args: argparse.Namespace) -> int:
     from repro.engine.cell import admit, rejection_message
     from repro.scenarios import get_scenario
     from repro.smr import sweep_serve
+    from repro.utils.jsonl import unwritable
 
     config, workload = _serve_config(args)
-    scenarios = (
-        [name for name in args.scenarios.split(",") if name]
-        if args.scenarios
-        else None
-    )
+    scenarios = args.scenarios
     # A typo is a usage error, not a table of inapplicable cells; a model
     # that cannot host the algorithm or a scenario still makes its rows.
     try:
@@ -409,6 +406,11 @@ def _cmd_smr_sweep(args: argparse.Namespace) -> int:
         return 2
     except ValueError:
         pass  # the model's verdict: every cell reports it in its row
+    # Probed before the first cell runs, not after the last.
+    reason = unwritable(Path(args.out)) if args.out else None
+    if reason is not None:
+        print(f"cannot write {args.out}: {reason}", file=sys.stderr)
+        return 2
     rows = sweep_serve(config, workload, rates=args.rates, scenarios=scenarios)
     if args.out:
         write_rows(args.out, rows)
@@ -571,7 +573,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         format_report,
         format_slowest_cells,
         iter_groups,
-        resolve_backend,
     )
     from repro.campaigns.aggregate import SummaryFold
     from repro.campaigns.results import (
@@ -586,11 +587,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     spec = _load_campaign(args.spec)
     if spec is None:
         return 2
-    try:
-        backend = resolve_backend(args.backend)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)  # a bad REPRO_BACKEND value
-        return 2
+    backend = args.backend
     if args.seed is not None:
         spec = dc_replace(spec, seed=args.seed)
     out = Path(args.out or f"{spec.name}.results.jsonl")
@@ -1087,6 +1084,9 @@ def _load_finding(path: str, index: Optional[int]):
     """One record from a findings corpus (by index, default the first)."""
     from repro.fuzz import scan_findings
 
+    if not Path(path).exists():  # resume reads a missing corpus as empty
+        print(f"cannot read findings {path}: no such file", file=sys.stderr)
+        return None
     try:
         records = scan_findings(Path(path))
     except (OSError, ValueError) as exc:
@@ -1228,6 +1228,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("needs at least one rate")
         return rates
 
+    def scenario_list(text: str) -> list:
+        names = [name for name in text.split(",") if name]
+        if not names:
+            raise argparse.ArgumentTypeError("needs at least one scenario name")
+        return names
+
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"
     )
@@ -1342,6 +1348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssweep.add_argument(
         "--scenarios",
+        type=scenario_list,
         default=None,
         help="comma-separated scenario names (default: every registered "
         "scenario)",
@@ -1402,11 +1409,11 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--backend",
         choices=["auto", "batch", "scalar"],
-        default=None,
-        help="execution backend: auto batches campaign cells of ≥ 4 runs "
-        "through the batch kernel, batch forces it on every cell, scalar "
-        "forces the per-run oracle (default: the REPRO_BACKEND env var, "
-        "else auto); result rows are byte-identical at every backend",
+        default="auto",
+        help="execution backend: auto (the default) batches campaign cells "
+        "of ≥ 4 runs through the batch kernel, batch forces it on every "
+        "cell, scalar forces the per-run oracle; result rows are "
+        "byte-identical at every backend",
     )
 
     cplan = csub.add_parser(

@@ -14,7 +14,7 @@ from repro.core.classification import (
     build_class_parameters,
     classify,
 )
-from repro.core.flv import FLVFunction, FLVRequirements, FLVResult, is_concrete
+from repro.core.flv import FLVFunction, FLVRequirements, FLVResult
 from repro.core.flv_class1 import FLVClass1
 from repro.core.flv_class2 import FLVClass2
 from repro.core.flv_class3 import FLVClass3
@@ -60,5 +60,4 @@ __all__ = [
     "Selector",
     "build_class_parameters",
     "classify",
-    "is_concrete",
 ]

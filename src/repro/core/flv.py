@@ -31,15 +31,10 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from repro.core.types import FaultModel, SelectionMessage, Value
-from repro.utils.sentinels import ANY_VALUE, NULL_VALUE, Sentinel
+from repro.utils.sentinels import Sentinel
 
 #: The result type of an FLV evaluation.
 FLVResult = Union[Value, Sentinel]
-
-
-def is_concrete(result: FLVResult) -> bool:
-    """True iff ``result`` is a concrete value (not ``?`` and not ``null``)."""
-    return result is not ANY_VALUE and result is not NULL_VALUE
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,6 @@ def class1_min_threshold(model: FaultModel) -> int:
     return (model.n + 3 * model.b + model.f) // 2 + 1
 
 
-def class1_min_processes(b: int, f: int) -> int:
-    """Smallest ``n`` satisfying the class-1 bound ``n > 5b + 3f``."""
-    return 5 * b + 3 * f + 1
-
-
 class FLVClass1(FLVFunction):
     """Algorithm 2: vote-only locked-value detection."""
 

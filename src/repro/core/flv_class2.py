@@ -37,11 +37,6 @@ def class2_min_threshold(model: FaultModel) -> int:
     return 3 * model.b + model.f + 1
 
 
-def class2_min_processes(b: int, f: int) -> int:
-    """Smallest ``n`` satisfying the class-2 bound ``n > 4b + 2f``."""
-    return 4 * b + 2 * f + 1
-
-
 def mqb_threshold(model: FaultModel) -> int:
     """The MQB threshold ``TD = ⌈(n + 2b + 1)/2⌉`` (Section 5.2).
 

@@ -45,11 +45,6 @@ def class3_min_threshold(model: FaultModel) -> int:
     return 2 * model.b + model.f + 1
 
 
-def class3_min_processes(b: int, f: int) -> int:
-    """Smallest ``n`` satisfying the class-3 bound ``n > 3b + 2f``."""
-    return 3 * b + 2 * f + 1
-
-
 class FLVClass3(FLVFunction):
     """Algorithm 4: vote + timestamp + history locked-value detection."""
 

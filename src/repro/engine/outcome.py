@@ -120,25 +120,6 @@ class Outcome:
         """Every correct (honest, never-crashing) process decided."""
         return all(pid in self.decisions for pid in self.correct)
 
-    def validity_holds(self) -> bool:
-        """If all processes are honest, decisions come from initial values."""
-        if self.context.byzantine:
-            return True
-        initials = set(self.initial_values.values())
-        return all(value in initials for value in self.decided_values)
-
-    def unanimity_holds(self) -> bool:
-        """If all honest processes proposed the same v, only v is decided."""
-        honest = [
-            value
-            for pid, value in self.initial_values.items()
-            if pid not in self.context.byzantine
-        ]
-        if len(set(honest)) != 1:
-            return True
-        (common,) = set(honest)
-        return all(value == common for value in self.decided_values)
-
     def invariant_report(self) -> Mapping[str, bool]:
         """Boolean summary of agreement/validity/unanimity/termination.
 

@@ -7,7 +7,7 @@ log order.
 """
 
 from repro.smr.log import LogEntry, ReplicatedLog
-from repro.smr.machine import Command, CounterMachine, KeyValueStore, StateMachine
+from repro.smr.machine import Command, KeyValueStore, StateMachine
 from repro.smr.serve import (
     ServeConfig,
     ServeReport,
@@ -18,7 +18,6 @@ from repro.smr.serve import (
 
 __all__ = [
     "Command",
-    "CounterMachine",
     "KeyValueStore",
     "LogEntry",
     "ReplicatedLog",

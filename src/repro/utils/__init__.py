@@ -3,7 +3,6 @@
 from repro.utils.det import (
     deterministic_choice,
     majority_value,
-    strict_majority,
     value_counts,
 )
 from repro.utils.rng import SeededRng
@@ -16,6 +15,5 @@ __all__ = [
     "SeededRng",
     "deterministic_choice",
     "majority_value",
-    "strict_majority",
     "value_counts",
 ]

@@ -69,11 +69,6 @@ def majority_value(values: Iterable[Hashable]) -> Optional[Hashable]:
     return None
 
 
-def strict_majority(count: int, total: int) -> bool:
-    """True iff ``count`` is a strict majority of ``total``."""
-    return 2 * count > total
-
-
 def most_often_smallest(values: Iterable[Hashable]) -> Any:
     """The "smallest most often received value" rule of OneThirdRule (Alg. 5).
 

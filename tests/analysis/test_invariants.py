@@ -1,95 +1,60 @@
-"""Invariant checkers."""
+"""The Section 2.3 properties: hand-built cases of ``evaluate_properties``."""
 
 import pytest
 
-from repro.analysis.invariants import (
-    InvariantViolation,
-    check_agreement,
-    check_integrity,
-    check_termination,
-    check_unanimity,
-    check_validity,
-    holds,
-)
-from repro.core.types import Decision
+from repro.analysis.invariants import evaluate_properties
+from repro.core.classification import AlgorithmClass, build_class_parameters
+from repro.core.types import FaultModel
+from repro.engine import LockstepScheduler, build_instance, run_instance
+
+NONE = frozenset()
 
 
-def decision(pid, value):
-    return Decision(pid, value, 3, 1)
-
-
-class TestAgreement:
-    def test_passes_on_common_value(self):
-        check_agreement({0: decision(0, "v"), 1: decision(1, "v")})
-
-    def test_fails_on_conflict(self):
-        with pytest.raises(InvariantViolation, match="agreement"):
-            check_agreement({0: decision(0, "v"), 1: decision(1, "w")})
-
-    def test_empty_ok(self):
-        check_agreement({})
-
-
-class TestValidity:
-    def test_passes_on_proposal(self):
-        check_validity(
-            {0: decision(0, "a")}, {0: "a", 1: "b"}, byzantine=frozenset()
-        )
-
-    def test_fails_on_invented_value(self):
-        with pytest.raises(InvariantViolation, match="validity"):
-            check_validity(
-                {0: decision(0, "z")}, {0: "a", 1: "b"}, byzantine=frozenset()
-            )
-
-    def test_vacuous_with_byzantine(self):
-        check_validity(
-            {0: decision(0, "z")}, {0: "a"}, byzantine=frozenset({3})
-        )
-
-
-class TestUnanimity:
-    def test_fails_when_common_proposal_ignored(self):
-        with pytest.raises(InvariantViolation, match="unanimity"):
-            check_unanimity(
-                {0: decision(0, "z")},
-                {0: "a", 1: "a"},
-                byzantine=frozenset(),
-            )
-
-    def test_vacuous_on_split_proposals(self):
-        check_unanimity(
-            {0: decision(0, "z")}, {0: "a", 1: "b"}, byzantine=frozenset()
-        )
-
-    def test_byzantine_proposals_ignored(self):
-        check_unanimity(
-            {0: decision(0, "a")},
-            {0: "a", 1: "a", 2: "poison"},
-            byzantine=frozenset({2}),
-        )
-
-
-class TestTermination:
-    def test_passes_when_all_correct_decided(self):
-        check_termination({0: decision(0, "v"), 1: decision(1, "v")}, {0, 1})
-
-    def test_fails_on_missing(self):
-        with pytest.raises(InvariantViolation, match="termination"):
-            check_termination({0: decision(0, "v")}, {0, 1})
-
-
-class TestIntegrity:
-    def test_passes_unique(self):
-        check_integrity([decision(0, "v"), decision(1, "v")])
-
-    def test_fails_on_double_decide(self):
-        with pytest.raises(InvariantViolation, match="integrity"):
-            check_integrity([decision(0, "v"), decision(0, "v")])
-
-
-def test_holds_wrapper():
-    assert holds(check_agreement, {0: decision(0, "v")})
-    assert not holds(
-        check_agreement, {0: decision(0, "v"), 1: decision(1, "w")}
+def verdict(decided, initial, byzantine=NONE, correct=None):
+    return evaluate_properties(
+        decided_values=decided,
+        initial_values=initial,
+        byzantine=byzantine,
+        correct=set(decided) if correct is None else correct,
     )
+
+
+@pytest.mark.parametrize(
+    "prop, holds, decided, initial, byzantine, correct",
+    [
+        ("agreement", True, {0: "v", 1: "v"}, {0: "v", 1: "w"}, NONE, None),
+        ("agreement", False, {0: "v", 1: "w"}, {0: "v", 1: "w"}, NONE, None),
+        ("agreement", True, {}, {0: "v"}, NONE, None),
+        ("validity", True, {0: "a"}, {0: "a", 1: "b"}, NONE, None),
+        ("validity", False, {0: "z"}, {0: "a", 1: "b"}, NONE, None),
+        # vacuous with a Byzantine process
+        ("validity", True, {0: "z"}, {0: "a"}, frozenset({3}), None),
+        ("unanimity", False, {0: "z"}, {0: "a", 1: "a"}, NONE, None),
+        # vacuous on split proposals
+        ("unanimity", True, {0: "z"}, {0: "a", 1: "b"}, NONE, None),
+        # Byzantine proposals are ignored
+        ("unanimity", True, {0: "a"}, {0: "a", 1: "a", 2: "poison"},
+         frozenset({2}), None),
+        ("termination", True, {0: "v", 1: "v"}, {0: "v", 1: "v"}, NONE, {0, 1}),
+        ("termination", False, {0: "v"}, {0: "v", 1: "v"}, NONE, {0, 1}),
+    ],
+)
+def test_property(prop, holds, decided, initial, byzantine, correct):
+    assert verdict(decided, initial, byzantine, correct)[prop] is holds
+
+
+def test_integrity_each_process_decides_at_most_once():
+    """Processes keep running (and re-receiving decision messages) for
+    phases after they decide; the decision stream names each one once."""
+    model = FaultModel(4, 1, 0)
+    params = build_class_parameters(AlgorithmClass.CLASS_3, model)
+    outcome = run_instance(
+        build_instance(params, {pid: f"v{pid % 2}" for pid in model.processes}),
+        LockstepScheduler(),
+        max_phases=4,
+        stop_when=lambda kernel: False,
+    )
+    fired = [d.process for r in outcome.trace.records for d in r.decisions]
+    assert sorted(fired) == list(model.processes)
+    assert outcome.phases_to_last_decision == 1
+    assert outcome.rounds_executed == outcome.structure.rounds_for_phases(4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import format_kv_block, format_table
+from repro.analysis.reporting import format_table
 
 
 def test_alignment():
@@ -22,12 +22,6 @@ def test_width_from_headers():
 def test_row_length_validation():
     with pytest.raises(ValueError, match="cells"):
         format_table(["a", "b"], [[1]])
-
-
-def test_kv_block():
-    block = format_kv_block("Title", [("key", "value")])
-    assert block.splitlines()[0] == "Title"
-    assert "key: value" in block
 
 
 def test_empty_rows_ok():

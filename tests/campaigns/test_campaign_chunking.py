@@ -60,21 +60,6 @@ def test_execute_chunk_preserves_run_order():
     assert [row["run_id"] for row in rows] == [run.run_id for run in runs]
 
 
-def test_small_window_shrinks_chunk_not_parallelism():
-    """A caller-fixed window smaller than the chunk still fills the pool:
-    chunks are clamped to the per-worker share of the window instead of one
-    oversized future monopolizing it."""
-    spec = small_spec()
-    rows = sorted(
-        iter_campaign(spec, workers=2, window=2, chunk=100),
-        key=lambda row: row["run_id"],
-    )
-    inline = sorted(
-        iter_campaign(spec, workers=1), key=lambda row: row["run_id"]
-    )
-    assert rows == inline
-
-
 def test_chunked_dispatch_respects_skip_and_progress():
     spec = small_spec()
     skip = {0, 3, 5}
@@ -226,11 +211,6 @@ def test_pool_dispatches_one_chunk_per_batchable_cell():
     assert set(dispatched(small)) == {_auto_chunk(small.total_runs, 2)}
     # The scalar backend never batches either.
     assert max(dispatched(spec, backend="scalar")) == _auto_chunk(400, 2)
-
-
-def test_caller_fixed_window_still_caps_whole_cells():
-    spec = cell_spec(100, scenarios=("fault-free",))
-    assert max(dispatched(spec, window=40)) == 20
 
 
 def test_plain_iter_campaign_yields_the_historical_dicts():

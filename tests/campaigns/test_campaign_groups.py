@@ -26,7 +26,6 @@ from repro.campaigns.results import (
     checkpoint_path,
     finalize_checkpoint,
     row_to_json,
-    rows_to_jsonl,
     validate_resume,
 )
 from repro.campaigns.runner import (
@@ -41,6 +40,7 @@ from repro.engine.batch import MODE_REPLICATE, BatchPlan
 from repro.engine.cell import expand_part
 from repro.observability import read_events
 from repro.scenarios.registry import get_scenario
+from tests.conftest import jsonl
 
 REPS = 6
 LOSSY_CRASH = dataclasses.replace(
@@ -78,7 +78,7 @@ def stream_to_file(spec, out, skip=None, index=None, **options):
 
 @pytest.fixture(scope="module")
 def scalar_bytes():
-    return rows_to_jsonl(run_campaign(grid(), backend="scalar")).encode()
+    return jsonl(run_campaign(grid(), backend="scalar")).encode()
 
 
 def test_the_grid_has_a_cell_of_every_kind():
@@ -257,12 +257,12 @@ def test_negative_control_grouping_without_a_proof_is_caught(monkeypatch):
     """A tier that returns a group for a seed-dependent cell: the scalar
     differential — the check every test above leans on — must see it."""
     spec = grid(algorithms=("class-2",), scenarios=("lossy_channel",))
-    oracle = rows_to_jsonl(run_campaign(spec, backend="scalar"))
-    assert rows_to_jsonl(run_campaign(spec)) == oracle
+    oracle = jsonl(run_campaign(spec, backend="scalar"))
+    assert jsonl(run_campaign(spec)) == oracle
     monkeypatch.setattr(
         "repro.engine.batch.kernel.plan_for_run",
         lambda run: BatchPlan(MODE_REPLICATE, "test-only: no such proof"),
     )
     forged = run_campaign(spec)
     assert {row["_backend"] for row in forged} == {"replicate"}
-    assert rows_to_jsonl(forged) != oracle
+    assert jsonl(forged) != oracle

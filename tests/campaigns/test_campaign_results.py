@@ -20,15 +20,13 @@ from repro.campaigns.results import (
     checkpoint_path,
     finalize_checkpoint,
     iter_rows,
-    read_rows,
     row_to_json,
-    rows_to_jsonl,
-    scan_checkpoint,
     validate_resume,
     write_rows,
 )
 from repro.campaigns.runner import iter_groups
 from repro.cli import main
+from tests.conftest import jsonl, recorded_runs
 
 
 def make_row(**overrides):
@@ -50,7 +48,7 @@ class TestStore:
         rows = [make_row(run_id=i, seed=i) for i in range(5)]
         path = tmp_path / "out" / "results.jsonl"
         write_rows(path, rows)
-        assert read_rows(path) == rows
+        assert list(iter_rows(path)) == rows
 
     def test_canonical_bytes_are_stable(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(3)]
@@ -64,15 +62,15 @@ class TestStore:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ok":1}\nnot json\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
-            read_rows(path)
+            list(iter_rows(path))
 
     def test_sink_streams_through_one_handle(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(6)]
         with ResultSink(tmp_path / "stream" / "sink.jsonl") as sink:
             for row in rows:
                 sink.append(row)
-        assert sink.path.read_text() == rows_to_jsonl(rows)
-        assert scan_checkpoint(sink.path)[0] == set(range(6))
+        assert sink.path.read_text() == jsonl(rows)
+        assert recorded_runs(sink.path, "unit", lambda _: 1)[0] == set(range(6))
 
     def test_iter_rows_is_lazy_and_matches_read(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(3)]
@@ -111,7 +109,7 @@ class TestSerializeOnce:
                      "--quiet", "--no-report", "--out", str(out)]) == 0
         capsys.readouterr()
         rows.sort(key=lambda row: row["run_id"])
-        assert out.read_text() == rows_to_jsonl(rows)
+        assert out.read_text() == jsonl(rows)
         assert LINE_KEY not in out.read_text()
 
     def test_parse_dump_budget(self, tmp_path, capsys, monkeypatch):
@@ -216,7 +214,7 @@ class TestIndexMerge:
         out = tmp_path / "out.jsonl"
         assert finalize_checkpoint(path, out, index) == out
         monkeypatch.undo()
-        assert out.read_text() == rows_to_jsonl(
+        assert out.read_text() == jsonl(
             sorted(rows, key=lambda row: row["run_id"])
         )
         assert not path.exists()
@@ -234,7 +232,7 @@ class TestIndexMerge:
         finalize_checkpoint(path, tmp_path / "indexed.jsonl", index)
         finalize_checkpoint(copy, tmp_path / "scanned.jsonl")  # no index
         for name in ("indexed.jsonl", "scanned.jsonl"):
-            merged = read_rows(tmp_path / name)
+            merged = list(iter_rows(tmp_path / name))
             assert [row["error"] for row in merged] == ["first", "late"]
 
     def test_without_an_index_the_scan_rebuilds_it(self, tmp_path):
@@ -243,7 +241,7 @@ class TestIndexMerge:
         # Blank lines are skipped by the scan, as they always were.
         path.write_bytes(b"\n" + path.read_bytes().replace(b"\n", b"\n\n"))
         finalize_checkpoint(path, tmp_path / "scanned.jsonl")
-        assert (tmp_path / "scanned.jsonl").read_text() == rows_to_jsonl(
+        assert (tmp_path / "scanned.jsonl").read_text() == jsonl(
             sorted(rows, key=lambda row: row["run_id"])
         )
         assert not path.exists()
@@ -259,7 +257,9 @@ class TestIndexMerge:
         with pytest.raises(ValueError, match="torn"):
             finalize_checkpoint(path, tmp_path / "out.jsonl")
         assert path.exists() and not (tmp_path / "out.jsonl").exists()
-        assert scan_checkpoint(path) == ({0, 1, 2, 3}, intact)
+        assert recorded_runs(path, "unit", lambda i: 10**i) == (
+            {0, 1, 2, 3}, intact
+        )
 
     @pytest.mark.parametrize(
         "damage",
@@ -304,7 +304,7 @@ class TestIndexMerge:
                 sink.append(row)
         assert sink.index is index and sorted(index) == [0, 1, 2, 3]
         finalize_checkpoint(path, tmp_path / "out.jsonl", index)
-        assert (tmp_path / "out.jsonl").read_text() == rows_to_jsonl(
+        assert (tmp_path / "out.jsonl").read_text() == jsonl(
             sorted(rows, key=lambda row: row["run_id"])
         )
 
@@ -424,7 +424,7 @@ class TestCli:
             ["campaign", "run", str(spec_path), "--out", str(out), "--quiet"]
         )
         assert code == 0
-        assert len(read_rows(out)) == 4
+        assert len(list(iter_rows(out))) == 4
         capsys.readouterr()
 
         assert main(["campaign", "report", str(out)]) == 0
@@ -607,7 +607,7 @@ class TestCli:
         main(["campaign", "run", str(spec_path), "--out", str(moved),
               "--quiet", "--no-report", "--seed", "6"])
         capsys.readouterr()
-        seeds = lambda path: [row["seed"] for row in read_rows(path)]  # noqa: E731
+        seeds = lambda path: [row["seed"] for row in iter_rows(path)]  # noqa: E731
         assert seeds(base) != seeds(moved)
 
 

@@ -15,14 +15,13 @@ import pytest
 from repro.campaigns.results import (
     checkpoint_path,
     finalize_checkpoint,
-    read_rows,
-    rows_to_jsonl,
-    scan_checkpoint,
+    iter_rows,
     validate_resume,
 )
 from repro.campaigns.runner import iter_campaign, run_campaign
 from repro.campaigns.spec import CampaignSpec
 from repro.cli import main
+from tests.conftest import jsonl, recorded_runs
 
 SPEC = {
     "name": "resume-unit",
@@ -148,7 +147,7 @@ class TestInterruptResume:
         done = {row["run_id"] for row in first}
         rest = list(iter_campaign(spec, skip_run_ids=done))
         merged = sorted(first + rest, key=lambda row: row["run_id"])
-        assert rows_to_jsonl(merged) == rows_to_jsonl(run_campaign(spec))
+        assert jsonl(merged) == jsonl(run_campaign(spec))
 
 
 class TestCheckpointScan:
@@ -156,7 +155,7 @@ class TestCheckpointScan:
         path = tmp_path / "ckpt.partial"
         intact = '{"run_id":0}\n{"run_id":4}\n'
         path.write_text(intact + '{"run_id":9,"to')
-        ids, offset = scan_checkpoint(path)
+        ids, offset = recorded_runs(path, None, lambda _: None)
         assert ids == {0, 4}
         assert offset == len(intact.encode())
 
@@ -164,7 +163,7 @@ class TestCheckpointScan:
         path = tmp_path / "alien.partial"
         path.write_text('{"status":"ok"}\n')
         with pytest.raises(ValueError, match="run_id"):
-            scan_checkpoint(path)
+            recorded_runs(path, None)
 
     def test_validate_resume_is_the_shared_api_guard(self, tmp_path):
         """API callers get the same protection as the CLI: valid checkpoints
@@ -173,7 +172,7 @@ class TestCheckpointScan:
         spec = CampaignSpec.from_mapping(SPEC)
         path = tmp_path / "api.partial"
         rows = list(itertools.islice(iter_campaign(spec), 4))
-        path.write_text(rows_to_jsonl(rows))
+        path.write_text(jsonl(rows))
         folded = []
         index, intact = validate_resume(spec, path, on_row=folded.append)
         assert index.keys() == {0, 1, 2, 3}
@@ -183,18 +182,18 @@ class TestCheckpointScan:
         for row in rows:
             offset, length = index[row["run_id"]]
             assert data[offset:offset + length] == (
-                rows_to_jsonl([row]).encode()
+                jsonl([row]).encode()
             )
 
-        path.write_text(rows_to_jsonl([{**rows[0], "campaign": "other"}]))
+        path.write_text(jsonl([{**rows[0], "campaign": "other"}]))
         with pytest.raises(ValueError, match="belongs to campaign"):
             validate_resume(spec, path)
 
-        path.write_text(rows_to_jsonl([{**rows[0], "run_id": 10_000}]))
+        path.write_text(jsonl([{**rows[0], "run_id": 10_000}]))
         with pytest.raises(ValueError, match="spec changed"):
             validate_resume(spec, path)
 
-        path.write_text(rows_to_jsonl([{**rows[0], "seed": rows[0]["seed"] ^ 1}]))
+        path.write_text(jsonl([{**rows[0], "seed": rows[0]["seed"] ^ 1}]))
         with pytest.raises(ValueError, match="seed mismatch"):
             validate_resume(spec, path)
 
@@ -206,11 +205,12 @@ class TestCheckpointScan:
             {"run_id": 2, "x": "duplicate"},
             {"run_id": 1, "x": "mid"},
         ]
-        checkpoint.write_text(rows_to_jsonl(rows))
+        checkpoint.write_text(jsonl(rows))
         out = tmp_path / "out.jsonl"
         finalize_checkpoint(checkpoint, out)
-        assert [row["run_id"] for row in read_rows(out)] == [0, 1, 2]
-        assert read_rows(out)[2]["x"] == "late"  # first occurrence wins
+        merged = list(iter_rows(out))
+        assert [row["run_id"] for row in merged] == [0, 1, 2]
+        assert merged[2]["x"] == "late"  # first occurrence wins
         assert not checkpoint.exists()
 
 
@@ -243,11 +243,6 @@ class TestStreamingProperties:
             )
         )
         assert seen == [(i, total) for i in range(len(skip) + 1, total + 1)]
-
-    def test_window_must_be_positive(self):
-        spec = CampaignSpec.from_mapping(SPEC)
-        with pytest.raises(ValueError, match="window"):
-            list(iter_campaign(spec, workers=2, window=0))
 
 
 class TestAccountingInvariant:

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.campaigns import BUILTIN_CAMPAIGNS, run_campaign
-from repro.campaigns.results import rows_to_jsonl
 from repro.campaigns.spec import (
     CampaignSpec,
     NetworkSpec,
@@ -17,6 +16,7 @@ from repro.campaigns.spec import (
 from repro.core.parameters import ConsensusParameters
 from repro.core.types import FaultModel
 from repro.scenarios import ScenarioSpec
+from tests.conftest import jsonl
 
 
 def small_spec(**overrides):
@@ -115,7 +115,7 @@ class TestPresetPins:
         expansion = "".join(
             f"{run.run_id}:{run.seed}:{run.key()}\n" for run in spec.iter_runs()
         )
-        results = rows_to_jsonl(run_campaign(spec))
+        results = jsonl(run_campaign(spec))
         assert (_sha16(expansion), _sha16(results)) == PRESET_PINS[name]
 
     def test_run_seed_is_derived_from_its_own_key(self):

@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.campaigns.results import row_to_json, validate_resume
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, SelectionMessage
+
+
+def jsonl(rows) -> str:
+    """Rows as the canonical JSONL text a result file holds."""
+    return "".join(row_to_json(row) + "\n" for row in rows)
+
+
+def recorded_runs(path, campaign, seed=lambda run_id: run_id):
+    """``(recorded run_ids, intact byte length)`` of a checkpoint, read the
+    way ``--resume`` reads it: through ``validate_resume``, against a
+    stand-in spec named ``campaign`` whose run ``i`` has seed ``seed(i)``."""
+    spec = SimpleNamespace(
+        name=campaign,
+        total_runs=2**63,
+        run_at=lambda run_id: SimpleNamespace(seed=seed(run_id)),
+    )
+    index, intact = validate_resume(spec, path)
+    return set(index), intact
 
 
 @pytest.fixture

@@ -27,17 +27,24 @@ class TestTableOneRows:
         assert AlgorithmClass.CLASS_2.state == ("vote", "ts")
         assert AlgorithmClass.CLASS_3.state == ("vote", "ts", "history")
 
-    def test_n_column(self):
-        # n > 5b + 3f, n > 4b + 2f, n > 3b + 2f.
-        assert AlgorithmClass.CLASS_1.min_processes(1, 0) == 6
-        assert AlgorithmClass.CLASS_2.min_processes(1, 0) == 5
-        assert AlgorithmClass.CLASS_3.min_processes(1, 0) == 4
-        assert AlgorithmClass.CLASS_1.min_processes(0, 1) == 4
-        assert AlgorithmClass.CLASS_2.min_processes(0, 1) == 3
-        assert AlgorithmClass.CLASS_3.min_processes(0, 1) == 3
-        assert AlgorithmClass.CLASS_1.min_processes(2, 1) == 14
-        assert AlgorithmClass.CLASS_2.min_processes(2, 1) == 11
-        assert AlgorithmClass.CLASS_3.min_processes(2, 1) == 9
+    @pytest.mark.parametrize(
+        "cls, b, f, n",
+        [
+            # n > 5b + 3f, n > 4b + 2f, n > 3b + 2f.
+            (AlgorithmClass.CLASS_1, 1, 0, 6),
+            (AlgorithmClass.CLASS_2, 1, 0, 5),
+            (AlgorithmClass.CLASS_3, 1, 0, 4),
+            (AlgorithmClass.CLASS_1, 0, 1, 4),
+            (AlgorithmClass.CLASS_2, 0, 1, 3),
+            (AlgorithmClass.CLASS_3, 0, 1, 3),
+            (AlgorithmClass.CLASS_1, 2, 1, 14),
+            (AlgorithmClass.CLASS_2, 2, 1, 11),
+            (AlgorithmClass.CLASS_3, 2, 1, 9),
+            (AlgorithmClass.CLASS_3, 2, 2, 11),
+        ],
+    )
+    def test_n_column(self, cls, b, f, n):
+        assert cls.min_processes(b, f) == n
 
     def test_td_column(self):
         model = FaultModel(10, 1, 1)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.flv_class1 import (
     FLVClass1,
-    class1_min_processes,
     class1_min_threshold,
 )
 from repro.core.types import FaultModel
@@ -49,11 +48,6 @@ class TestBounds:
         model = FaultModel(n=6, b=1, f=0)
         # TD > (6 + 3)/2 = 4.5 → 5.
         assert class1_min_threshold(model) == 5
-
-    def test_min_processes(self):
-        assert class1_min_processes(b=1, f=0) == 6
-        assert class1_min_processes(b=0, f=1) == 4
-        assert class1_min_processes(b=2, f=1) == 14
 
     def test_liveness_bound_check(self):
         model = FaultModel(n=6, b=1, f=0)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.flv_class2 import (
     FLVClass2,
-    class2_min_processes,
     class2_min_threshold,
     mqb_threshold,
     survivors,
@@ -81,11 +80,6 @@ class TestBounds:
     def test_min_threshold(self):
         assert class2_min_threshold(FaultModel(5, 1, 0)) == 4
         assert class2_min_threshold(FaultModel(3, 0, 1)) == 2
-
-    def test_min_processes(self):
-        assert class2_min_processes(b=1, f=0) == 5
-        assert class2_min_processes(b=0, f=1) == 3
-        assert class2_min_processes(b=2, f=1) == 11
 
     def test_mqb_threshold(self):
         # ⌈(n + 2b + 1)/2⌉ for n=5, b=1 → ⌈8/2⌉ = 4.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.flv_class3 import (
     FLVClass3,
-    class3_min_processes,
     class3_min_threshold,
 )
 from repro.core.types import FaultModel
@@ -102,11 +101,6 @@ class TestBounds:
     def test_min_threshold(self):
         assert class3_min_threshold(FaultModel(4, 1, 0)) == 3
         assert class3_min_threshold(FaultModel(3, 0, 1)) == 2
-
-    def test_min_processes(self):
-        assert class3_min_processes(b=1, f=0) == 4
-        assert class3_min_processes(b=0, f=1) == 3
-        assert class3_min_processes(b=2, f=2) == 11
 
     def test_liveness_bound(self):
         model = FaultModel(4, 1, 0)

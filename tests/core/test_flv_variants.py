@@ -1,12 +1,13 @@
 """Algorithms 6-9: the specialized FLV functions of Sections 5-6."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from repro.algorithms import build_pbft
+from repro.core.classification import AlgorithmClass
 from repro.core.flv_class1 import FLVClass1
-from repro.core.flv_class2 import FLVClass2
+from repro.core.flv_class2 import FLVClass2, mqb_threshold
 from repro.core.flv_class3 import FLVClass3
 from repro.core.flv_variants import (
     BenOrFLV,
@@ -221,6 +222,93 @@ class TestCensus:
                 divergent[len(pairs)] = divergent.get(len(pairs), 0) + 1
         assert divergent == self.PAXOS_DIVERGENCE[n]
         assert all(size >= n / 2 for size in divergent)
+
+
+#: Footnote 10's reading of the classes as Malkhi-Reiter quorum families
+#: over the threshold fail-prone system ``{S ⊆ Π : |S| ≤ b}``: family →
+#: (class, its algorithm's TD, minimal quorum size ``q``, intersection
+#: property).  Two quorums of size ``q`` meet in at least ``2q − n``.
+#: ``majority`` is the crash-only (``b = 0``) case, read by Paxos.
+FAMILIES = {
+    "opaque": (  # the correct part of an intersection outvotes the rest
+        AlgorithmClass.CLASS_1, fab_paxos_threshold,
+        lambda n, b: 2 * (n + b) // 3 + 1,
+        lambda q, n, b: 2 * q - n - b > n - q + b,
+    ),
+    "masking": (  # correct members of an intersection outnumber faulty ones
+        AlgorithmClass.CLASS_2, mqb_threshold,
+        lambda n, b: (n + 2 * b) // 2 + 1,
+        lambda q, n, b: 2 * q - n >= 2 * b + 1,
+    ),
+    "dissemination": (  # every intersection holds a correct process
+        AlgorithmClass.CLASS_3, pbft_threshold,
+        lambda n, b: (n + b) // 2 + 1,
+        lambda q, n, b: 2 * q - n >= b + 1,
+    ),
+    "majority": (
+        AlgorithmClass.CLASS_2, paxos_threshold,
+        lambda n, b: n // 2 + 1,
+        lambda q, n, b: 2 * q - n >= 1,
+    ),
+}
+
+
+class TestFootnote10:
+    """Each class's ``TD`` is the minimal quorum size of its family."""
+
+    @pytest.mark.parametrize(
+        "family, n, b, f",
+        [(family, factor * b + 1, b, 0)
+         for family, factor in (("opaque", 5), ("masking", 4), ("dissemination", 3))
+         for b in (1, 2, 3)]
+        + [("majority", 3, 0, 1), ("majority", 4, 0, 1), ("majority", 5, 0, 2)],
+    )
+    def test_td_is_the_minimal_quorum_size(self, family, n, b, f):
+        _cls, threshold, size, _intersects = FAMILIES[family]
+        assert threshold(FaultModel(n, b, f)) == size(n, b)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("family", ["opaque", "masking", "dissemination"])
+    def test_availability_frontier_is_table1s_n_bound(self, family, b):
+        """A quorum fits among the ``n − b`` possibly-correct processes
+        from exactly the class's smallest admissible ``n`` on."""
+        cls, _threshold, size, _intersects = FAMILIES[family]
+        n = cls.min_processes(b, 0)
+        assert size(n, b) <= n - b
+        assert size(n - 1, b) > n - 1 - b
+
+    @pytest.mark.parametrize(
+        "family, n, b, other, holds",
+        [
+            # opaque ⊂ masking ⊂ dissemination at the minimal sizes
+            ("opaque", 6, 1, "opaque", True),
+            ("opaque", 6, 1, "masking", True),
+            ("masking", 5, 1, "masking", True),
+            ("masking", 5, 1, "opaque", False),
+            ("dissemination", 4, 1, "dissemination", True),
+            ("dissemination", 4, 1, "masking", False),
+        ],
+    )
+    def test_intersection_ladder(self, family, n, b, other, holds):
+        q = FAMILIES[family][2](n, b)
+        assert FAMILIES[other][3](q, n, b) is holds
+
+    @pytest.mark.parametrize(
+        "family, n, b",
+        [("dissemination", 4, 1), ("masking", 5, 1), ("opaque", 6, 1),
+         ("majority", 5, 0)],
+    )
+    def test_brute_force_intersection(self, family, n, b):
+        """Every pair of minimal quorums meets in exactly the ``2q − n``
+        processes the arithmetic assumes, and that satisfies the family."""
+        _cls, _threshold, size, intersects = FAMILIES[family]
+        q = size(n, b)
+        worst = min(
+            len(set(one) & set(two))
+            for one, two in combinations(combinations(range(n), q), 2)
+        )
+        assert worst == 2 * q - n
+        assert intersects(q, n, b)
 
 
 class TestBenOrFLV:

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.algorithms.ben_or import build_ben_or
-from repro.campaigns import CampaignSpec, rows_to_jsonl, run_campaign
+from repro.campaigns import CampaignSpec, run_campaign
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.randomized import RANDOMIZED, check_randomizable, make_coin
 from repro.core.types import FaultModel
 from repro.engine import build_instance
 from repro.engine.batch import MODE_SCALAR, plan_for_run
 from repro.scenarios import CommSpec, ScenarioSpec, run_scenario
+from tests.conftest import jsonl
 
 #: ``Prel`` in every round and nothing better, ever (Section 6's model).
 PREL = CommSpec(kind="async-prel")
@@ -214,12 +215,9 @@ class TestRandomizedCell:
         inline = run_campaign(self.SPEC, workers=1)
         assert {row["status"] for row in inline} == {"ok", "inapplicable"}
         assert all(row["agreement"] for row in inline if row["status"] == "ok")
-        reference = rows_to_jsonl(inline)
-        assert rows_to_jsonl(run_campaign(self.SPEC, workers=2)) == reference
-        assert (
-            rows_to_jsonl(run_campaign(self.SPEC, workers=1, backend="scalar"))
-            == reference
-        )
+        reference = jsonl(inline)
+        assert jsonl(run_campaign(self.SPEC, workers=2)) == reference
+        assert jsonl(run_campaign(self.SPEC, workers=1, backend="scalar")) == reference
 
 
 class TestVariantBounds:

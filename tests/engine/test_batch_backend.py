@@ -497,13 +497,10 @@ def test_run_batch_inapplicable_cell_matches_oracle(byz_lossy_scenario, engine):
     _assert_rows_match_oracle(runs, rows)
 
 
-def test_resolve_backend_env_and_validation(monkeypatch):
+def test_resolve_backend_validation():
     from repro.campaigns.runner import resolve_backend
 
     assert resolve_backend() == "auto"
     assert resolve_backend("scalar") == "scalar"
-    monkeypatch.setenv("REPRO_BACKEND", "batch")
-    assert resolve_backend() == "batch"
-    assert resolve_backend("scalar") == "scalar"  # explicit arg wins
     with pytest.raises(ValueError):
         resolve_backend("vectorized")

@@ -35,7 +35,7 @@ class TestHappyPath:
         values = {pid: "only" for pid in pbft_model.processes}
         outcome = run_instance(build_instance(params, values), LockstepScheduler())
         assert outcome.decided_values == {"only"}
-        assert outcome.validity_holds()
+        assert outcome.invariant_report()["validity"]
 
     def test_unanimity_with_byzantine(self, pbft_model):
         params = build_class_parameters(AlgorithmClass.CLASS_3, pbft_model)
@@ -45,7 +45,7 @@ class TestHappyPath:
             LockstepScheduler(),
         )
         assert outcome.decided_values == {"agreed"}
-        assert outcome.unanimity_holds()
+        assert outcome.invariant_report()["unanimity"]
 
 
 class TestInputValidation:

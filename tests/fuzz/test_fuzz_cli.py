@@ -107,6 +107,16 @@ def test_replay_missing_index_exits_2(corpus, capsys):
     assert "no finding with index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["replay", "shrink"])
+def test_a_missing_corpus_is_not_an_empty_one(tmp_path, capsys, command):
+    """A mistyped path used to print ``no findings in <path>``."""
+    missing = tmp_path / "typo.jsonl"
+    assert main(["fuzz", command, str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot read findings {missing}: no such file\n"
+    )
+
+
 def test_shrink_command_prints_minimal_candidate(corpus, capsys):
     assert main(["fuzz", "shrink", str(corpus)]) == 0
     out = capsys.readouterr().out

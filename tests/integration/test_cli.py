@@ -152,6 +152,29 @@ def test_smr_sweep_rejects_an_empty_rate_list(capsys):
     assert "argument --rates: needs at least one rate" in capsys.readouterr().err
 
 
+def test_smr_sweep_rejects_an_empty_scenario_list(capsys):
+    """``--scenarios ,,`` used to print a header-only table and exit 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smr", "sweep", "--scenarios", ",,"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scenarios: needs at least one scenario name" in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-root"])
+def test_smr_sweep_probes_out_before_the_first_cell(tmp_path, capsys, where):
+    """An unwritable ``--out`` used to run every cell, then die in the
+    final write with a traceback."""
+    out = tmp_path if where == "directory" else "/proc/nope/x.jsonl"
+    code = main(["smr", "sweep", "--n", "4", "--b", "1", "--algorithm",
+                 "pbft", "--duration", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no cell ran
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"cannot write {out}: ")
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize(
     "command",

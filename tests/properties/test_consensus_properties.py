@@ -11,12 +11,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.invariants import (
-    check_agreement,
-    check_unanimity,
-    check_validity,
-    holds,
-)
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel
 from repro.engine import LockstepScheduler, build_instance, run_instance
@@ -64,8 +58,8 @@ def test_safety_never_violated_under_lossy_network(
         ),
         max_phases=5,
     )
-    assert holds(check_agreement, outcome.decisions)
-    assert outcome.unanimity_holds()
+    report = outcome.invariant_report()
+    assert report["agreement"] and report["unanimity"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,7 +88,7 @@ def test_liveness_with_good_suffix(case, strategy, bad_prefix, seed):
         LockstepScheduler(good_bad),
         max_phases=bad_prefix + 8,
     )
-    assert holds(check_agreement, outcome.decisions)
+    assert outcome.invariant_report()["agreement"]
     assert outcome.all_correct_decided, (
         f"{cls} with {strategy} failed to decide after the good period"
     )
@@ -125,10 +119,8 @@ def test_benign_crash_patterns(crash_round, clean, seed):
         LockstepScheduler(),
         crash_schedule=schedule,
     )
-    assert holds(check_agreement, outcome.decisions)
-    assert holds(
-        check_validity, outcome.decisions, outcome.initial_values, frozenset()
-    )
+    report = outcome.invariant_report()
+    assert report["agreement"] and report["validity"]
     assert outcome.all_correct_decided
 
 
@@ -151,11 +143,6 @@ def test_two_byzantine_processes(seed, strategies):
         ),
         LockstepScheduler(),
     )
-    assert holds(check_agreement, outcome.decisions)
-    assert holds(
-        check_unanimity,
-        outcome.decisions,
-        outcome.initial_values,
-        frozenset({5, 6}),
-    )
+    report = outcome.invariant_report()
+    assert report["agreement"] and report["unanimity"]
     assert outcome.all_correct_decided

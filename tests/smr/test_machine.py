@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.smr.machine import CounterMachine, KeyValueStore
+from repro.smr.machine import KeyValueStore
+from tests.smr.counter import CounterMachine
 
 
 class TestKeyValueStore:

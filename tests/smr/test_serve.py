@@ -10,17 +10,17 @@ import itertools
 import pytest
 
 from repro.algorithms import build_pbft
-from repro.campaigns.results import read_rows
+from repro.campaigns.results import iter_rows
 from repro.cli import main
 from repro.core.parameters import ParameterError
 from repro.smr import (
-    CounterMachine,
     KeyValueStore,
     ServeConfig,
     WorkloadSpec,
     run_serve,
     sweep_serve,
 )
+from tests.smr.counter import CounterMachine
 
 
 class TestWorkloadSpec:
@@ -273,7 +273,7 @@ class TestSweep:
         ]
         assert main(argv) == 0
         assert "wrote 4 row(s)" in capsys.readouterr().out
-        rows = read_rows(out)
+        rows = list(iter_rows(out))
         assert len(rows) == 4
         assert {row["status"] for row in rows} == {"ok"}
         assert all(row["digests_agree"] for row in rows)
@@ -310,7 +310,7 @@ class TestSweep:
         assert "Traceback" not in captured.err
         assert reason in captured.err
         assert "inapplicable" in captured.out
-        (row,) = read_rows(out)
+        (row,) = iter_rows(out)
         assert row["status"] == "inapplicable"
         assert reason in row["detail"]
         # The message itself, not KeyError's repr of it.

@@ -18,13 +18,22 @@ decided in ``scenarios/spec.py`` (normal form + facts) and turned into code
 in one ``_bad_rule`` clause; schedulers, planner, array tier and fuzz
 classifier read those, never the kind strings — and the ``Pcons`` stack is
 a scheduler under the one kernel, not a run loop beside it.
+
+The last half is the *reachability census*: every ``src/repro`` module is
+imported from ``repro.cli`` or the algorithm registry, and every public
+top-level name has a reader that is not a test.  Its two allow-lists may
+only shrink.  ``PYTHONPATH=src python tests/test_layering.py`` prints it:
+reached and unreached lines per module, and every test-only name's size.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import shutil
+import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -316,3 +325,287 @@ def test_census_of_durable_file_writers():
         if any(durable_file_calls(path.read_text("utf-8")))
     }
     assert callers == DURABLE_FILE_LAYER
+
+
+# ------------------------------------------------------ reachability census
+
+#: Where a command starts: the CLI, and the algorithm registry every
+#: library entry point resolves names through.
+ROOTS = ("repro.cli", "repro.algorithms.registry")
+
+#: Modules (and their submodules) no command reaches yet, each with the
+#: ROADMAP item that wires it.  This set may only shrink.
+UNREACHABLE = {
+    "repro.network": "ROADMAP item 2: the implemented-Pcons engines",
+    "repro.analysis.lemmas": "ROADMAP item 16: the sampled observe='full' check",
+}
+
+#: Public names in reached modules that only tests read, each with the
+#: ROADMAP item that gives it a caller.  This set may only shrink.
+TEST_ONLY = {
+    ("repro.detectors.failure_detector", name): "ROADMAP item 15: leader fact"
+    for name in ("DiamondS", "SuspicionSample", "suspicion_driven_oracle")
+} | {
+    ("repro.detectors.leader", name): "ROADMAP item 15: leader fact"
+    for name in ("StabilizingLeaderOracle", "rotating_oracle")
+}
+
+REPO = SRC.parent.parent
+#: Outside ``src/``, what counts as a reader: the paper benches and the
+#: end-to-end ruler, the examples, CI, the README's python blocks.
+READER_DIRS = ("benchmarks", "examples")
+
+
+def module_files(src: Path = SRC) -> Dict[str, Path]:
+    """Dotted module name → file, for every module under ``src``."""
+    modules = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = (src.name, *path.relative_to(src).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def reached_modules(modules: Dict[str, Path], roots=ROOTS) -> Set[str]:
+    """The static import closure of ``roots``.  Importing ``a.b.c`` runs
+    ``a`` and ``a.b`` too, and ``from a import b`` imports module ``a.b``
+    when there is one; ``src/`` has no relative or dynamic imports."""
+    seen: Set[str] = set()
+    stack = list(roots)
+    while stack:
+        name = stack.pop()
+        if name in seen or name not in modules:
+            continue
+        seen.add(name)
+        parts = name.split(".")
+        stack += [".".join(parts[:i]) for i in range(1, len(parts))]
+        source = modules[name].read_text("utf-8")
+        stack += [module for _line, module in imported_modules(source)]
+        stack += [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names
+        ]
+    return seen
+
+
+def _referenced(node: ast.AST) -> Iterator[str]:
+    """Every name ``node`` reads: a bare name, an attribute, an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for alias in sub.names:
+                yield alias.name.rsplit(".", 1)[-1]
+
+
+def module_references(source: str) -> Iterator[Tuple[Optional[str], str]]:
+    """``(owner, name)`` per name read in a module: ``owner`` is the
+    top-level ``def`` / ``class`` the read sits in, ``None`` for code that
+    runs on import.  A module-level import is not a read (its use is), so an
+    ``__init__`` re-export reads nothing; decorators and base classes run on
+    import.  ``import x as y`` makes a read of ``y`` a read of ``x``."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname: alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            eager = [*stmt.decorator_list, *getattr(stmt, "bases", ())]
+            owned = [n for n in ast.iter_child_nodes(stmt) if n not in eager]
+            pairs = [(None, n) for n in eager] + [(stmt.name, n) for n in owned]
+        else:
+            pairs = [(None, stmt)]
+        for owner, node in pairs:
+            for name in _referenced(node):
+                yield owner, name
+                if name in aliases:
+                    yield owner, aliases[name]
+
+
+def definitions(source: str) -> Dict[str, int]:
+    """Top-level ``def`` / ``class`` name → its length in lines."""
+    return {
+        stmt.name: stmt.end_lineno - stmt.lineno + 1
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def outside_readers(repo: Path = REPO) -> Set[str]:
+    """Names read by what is not a test: benches, examples, CI, the
+    README's python blocks and the console script."""
+    names: Set[str] = set()
+    for directory in READER_DIRS:
+        for path in sorted((repo / directory).rglob("*.py")):
+            names.update(_referenced(ast.parse(path.read_text("utf-8"))))
+    ci = repo / ".github" / "workflows" / "ci.yml"
+    if ci.exists():
+        names.update(re.findall(r"[A-Za-z_]\w*", ci.read_text("utf-8")))
+    readme = (repo / "README.md").read_text("utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        names.update(_referenced(ast.parse(block)))
+    pyproject = (repo / "pyproject.toml").read_text("utf-8")
+    names.update(re.findall(r'^\w+ = "[\w.]+:(\w+)"', pyproject, re.M))
+    return names
+
+
+def unread_names(
+    sources: Dict[str, str], reached: Set[str], outside: Set[str]
+) -> Dict[Tuple[str, str], int]:
+    """``(module, name) → lines`` for every public top-level name of a
+    reached module that no non-test code reads.  A read from inside a name
+    counts once that name is read itself (a fixed point), so a helper only
+    test-only names read is test-only too; a name does not read itself."""
+    defined = {m: definitions(sources[m]) for m in sorted(reached)}
+    owners_of: Dict[str, List[Tuple[str, str]]] = {}
+    for module, names in defined.items():
+        for name in names:
+            owners_of.setdefault(name, []).append((module, name))
+    edges: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
+    live: Set[Tuple[str, str]] = set()
+    for module in defined:
+        for owner, name in module_references(sources[module]):
+            for target in owners_of.get(name, ()):
+                if owner is None:
+                    live.add(target)
+                elif target != (module, owner):
+                    edges.setdefault((module, owner), set()).add(target)
+    live.update(t for name in outside for t in owners_of.get(name, ()))
+    frontier = list(live)
+    while frontier:
+        for target in edges.get(frontier.pop(), ()):
+            if target not in live:
+                live.add(target)
+                frontier.append(target)
+    return {
+        (module, name): lines
+        for module, names in defined.items()
+        for name, lines in names.items()
+        if not name.startswith("_") and (module, name) not in live
+    }
+
+
+def _within(module: str, packages) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+def census(
+    src: Path = SRC,
+) -> Tuple[Dict[str, str], Set[str], Dict[Tuple[str, str], int]]:
+    """``(every module's source, the reached modules, test-only names)``.
+    A module on the ``UNREACHABLE`` list is waiting to be wired, so what it
+    reads counts as read: wiring it must not find its helpers deleted."""
+    files = module_files(src)
+    sources = {m: path.read_text("utf-8") for m, path in files.items()}
+    reached = reached_modules(files)
+    outside = outside_readers()
+    for module, source in sources.items():
+        if module not in reached and _within(module, UNREACHABLE):
+            outside.update(_referenced(ast.parse(source)))
+    return sources, reached, unread_names(sources, reached, outside)
+
+
+def test_census_scanners_see_what_they_guard(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "sub" / "__init__.py").write_text("")
+    (package / "main.py").write_text(
+        "def run():\n"
+        "    from pkg.sub import leaf\n"
+        "    return leaf\n"
+    )
+    (package / "sub" / "leaf.py").write_text("")
+    (package / "via.py").write_text("from pkg import sub\n")
+    (package / "orphan.py").write_text("")
+    modules = module_files(package)
+    # a function-local import and ``from pkg.sub import leaf`` reach ``leaf``
+    assert reached_modules(modules, ("pkg.main",)) == {
+        "pkg", "pkg.main", "pkg.sub", "pkg.sub.leaf",
+    }
+    # ``from pkg import sub`` reaches the subpackage; the planted module is not
+    assert reached_modules(modules, ("pkg.via",)) == {"pkg", "pkg.via", "pkg.sub"}
+    assert "pkg.orphan" not in reached_modules(modules, ("pkg.main", "pkg.via"))
+
+    sources = {
+        "pkg": "from pkg.lib import exported\n__all__ = ['exported']\n",
+        "pkg.lib": (
+            "def exported():\n    '''helper() in a docstring is no read.'''\n"
+            "def helper():\n    return helper()\n"
+            "def caller():\n    return helper()\n"
+            "def used_here():\n    pass\n"
+            "TABLE = {'x': used_here}\n"
+            "def local():\n    pass\n"
+            "def planted():\n    return chained()\n"
+            "def chained():\n    pass\n"
+        ),
+        "pkg.app": (
+            "def main():\n"
+            "    from pkg.lib import caller, local as renamed\n"
+            "    return caller(), renamed()\n"
+        ),
+    }
+    found = unread_names(sources, set(sources), outside={"main"})
+    # a re-export, ``__all__``, a docstring and a self-call are no readers;
+    # a name only a test-only name reads is test-only too
+    assert set(found) == {
+        ("pkg.lib", "exported"), ("pkg.lib", "planted"), ("pkg.lib", "chained"),
+    }
+    # a function-local import (renamed or not) and a same-module use read;
+    # a name's size is its length in lines
+    assert found[("pkg.lib", "planted")] == 2
+
+
+def test_census_reports_a_planted_module_and_name(tmp_path):
+    src = tmp_path / "repro"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "planted.py").write_text("def orphan():\n    pass\n")
+    with open(src / "smr" / "log.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef planted():\n    return 1\n")
+    sources, reached, names = census(src)
+    assert set(sources) - reached == {
+        "repro.planted", *(m for m in sources if _within(m, UNREACHABLE))
+    }
+    assert set(names) == set(TEST_ONLY) | {("repro.smr.log", "planted")}
+
+
+def test_every_module_is_reachable():
+    sources, reached, _names = census()
+    unreached = set(sources) - reached
+    assert {m for m in unreached if not _within(m, UNREACHABLE)} == set()
+    # the allow-list only shrinks: an entry whose modules are wired leaves it
+    assert all(any(_within(m, {entry}) for m in unreached) for entry in UNREACHABLE)
+
+
+def test_every_public_name_has_a_reader():
+    _sources, _reached, names = census()
+    assert set(names) == set(TEST_ONLY)
+
+
+def main() -> int:
+    sources, reached, names = census()
+    lines = {m: len(source.splitlines()) for m, source in sources.items()}
+    for module in sorted(sources):
+        state = "reached" if module in reached else "UNREACHED"
+        print(f"{state:9} {lines[module]:5}  {module}")
+    cut = sum(lines[m] for m in sources if m not in reached)
+    print(f"{sum(lines.values()) - cut} lines reached, {cut} unreached")
+    for (module, name), size in sorted(names.items()):
+        print(f"test-only {size:5}  {module}.{name}")
+    print(f"{sum(names.values())} lines in test-only names")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

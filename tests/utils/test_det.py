@@ -8,7 +8,6 @@ from repro.utils.det import (
     deterministic_choice,
     majority_value,
     most_often_smallest,
-    strict_majority,
     value_counts,
 )
 
@@ -56,12 +55,6 @@ def test_majority_value_absent_on_tie():
 
 def test_majority_value_empty():
     assert majority_value([]) is None
-
-
-def test_strict_majority_boundaries():
-    assert strict_majority(3, 5)
-    assert not strict_majority(2, 4)
-    assert strict_majority(3, 4)
 
 
 def test_value_counts_multiset():

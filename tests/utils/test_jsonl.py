@@ -10,16 +10,16 @@ import re
 
 import pytest
 
-from repro.campaigns.results import scan_checkpoint
 from repro.fuzz import scan_findings
 from repro.observability import read_events
 from repro.utils.jsonl import Appender, canonical, replace
+from tests.conftest import recorded_runs
 
 #: Each durable file's reader, reduced to the ids of the lines it counted,
 #: and the record its lines hold.
 FILES = {
     "checkpoint": (
-        lambda path: sorted(scan_checkpoint(path)[0]),
+        lambda path: sorted(recorded_runs(path, "c")[0]),
         lambda i: {"campaign": "c", "run_id": i, "seed": i},
     ),
     "corpus": (
