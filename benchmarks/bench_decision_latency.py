@@ -11,19 +11,16 @@ import pytest
 
 from repro.algorithms import build_fab_paxos, build_mqb, build_paxos, build_pbft
 from repro.engine import TimedScheduler, build_instance, run_instance
-from repro.eventsim import PartialSynchronyNetwork, UniformLatency
+from repro.eventsim import NetworkSpec
 
 ROUND = 2.5
 
 
 def run_synchronous(spec, values, byzantine=None):
     """One metrics-mode timed run, synchronous from the start (GST 0)."""
-    network = PartialSynchronyNetwork(
-        UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=7
-    )
     return run_instance(
         build_instance(spec.parameters, values, byzantine=byzantine),
-        TimedScheduler(network, round_duration=ROUND),
+        TimedScheduler(NetworkSpec(round_duration=ROUND).build(7)),
         observe="metrics",
     )
 
@@ -64,7 +61,7 @@ def test_gst_sensitivity_curve(report):
     per point) so the curve is a mean over derived-seed runs instead of a
     single trajectory.
     """
-    from repro.campaigns import CampaignSpec, NetworkSpec, ScenarioSpec, run_campaign
+    from repro.campaigns import CampaignSpec, ScenarioSpec, run_campaign
     from repro.campaigns.aggregate import summarize
 
     gsts = (0.0, 15.0, 30.0)

@@ -66,7 +66,7 @@ from repro.algorithms import build_fab_paxos, build_one_third_rule, build_pbft
 from repro.engine.assembly import build_instance
 from repro.engine.kernel import OBSERVE_FULL, OBSERVE_METRICS, run_instance
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
-from repro.eventsim.network import PartialSynchronyNetwork, UniformLatency
+from repro.eventsim.network import NetworkSpec
 from repro.scenarios import compile_scenario, get_scenario
 
 #: The acceptance cell: metrics mode must be ≥ 2x full observation here.
@@ -181,12 +181,7 @@ def make_runner(
         if engine == "lockstep":
             scheduler = LockstepScheduler()
         else:
-            scheduler = TimedScheduler(
-                PartialSynchronyNetwork(
-                    UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=7
-                ),
-                round_duration=2.5,
-            )
+            scheduler = TimedScheduler(NetworkSpec().build(7))
         outcome = run_instance(
             instance, scheduler, max_phases=12, observe=observe,
             telemetry=telemetry,

@@ -12,7 +12,7 @@ Run:  python examples/partial_synchrony_timeline.py
 
 from repro.algorithms import build_pbft
 from repro.engine import TimedScheduler, build_instance, run_instance
-from repro.eventsim import PartialSynchronyNetwork, UniformLatency
+from repro.eventsim import NetworkSpec
 from repro.network import (
     AuthenticatedCoordinatorEcho,
     SignatureFreeCoordinatorEcho,
@@ -28,18 +28,12 @@ def main():
     print("  GST   | time to decision")
     print("  ------+-----------------")
     for gst in (0.0, 10.0, 25.0, 50.0):
-        network = PartialSynchronyNetwork(
-            UniformLatency(0.5, 2.0),
-            gst=gst,
-            delta=2.0,
-            pre_gst_delay_prob=0.8,
-            seed=42,
-        )
+        network = NetworkSpec(gst=gst, pre_gst_delay_prob=0.8).build(42)
         outcome = run_instance(
             build_instance(
                 spec.parameters, values, byzantine={3: "equivocator"}
             ),
-            TimedScheduler(network, round_duration=2.5),
+            TimedScheduler(network),
             max_phases=40,
             observe="metrics",
         )

@@ -49,13 +49,6 @@ class RunMetrics:
             state_footprint=outcome.parameters.state_footprint,
         )
 
-    @property
-    def messages_per_round(self) -> float:
-        """Average sent messages per executed round."""
-        if self.rounds_executed == 0:
-            return 0.0
-        return self.messages_sent / self.rounds_executed
-
     def describe(self) -> str:
         return (
             f"rounds={self.rounds_executed}, "

@@ -10,7 +10,7 @@ which a predicate held or a decision fired).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.types import Decision, ProcessId, RoundInfo
 
@@ -47,33 +47,6 @@ class ExecutionTrace:
     @property
     def rounds_executed(self) -> int:
         return len(self.records)
-
-    @property
-    def total_messages_sent(self) -> int:
-        return sum(record.sent_count for record in self.records)
-
-    @property
-    def total_messages_delivered(self) -> int:
-        return sum(record.delivered_count for record in self.records)
-
-    def first_decision_round(self) -> Optional[int]:
-        """Round number of the earliest decision, or ``None``."""
-        rounds = [decision.round for decision in self.decisions.values()]
-        return min(rounds) if rounds else None
-
-    def last_decision_round(self) -> Optional[int]:
-        """Round number of the latest (first-per-process) decision."""
-        rounds = [decision.round for decision in self.decisions.values()]
-        return max(rounds) if rounds else None
-
-    def rounds_where(self, *, pcons: Optional[bool] = None) -> List[RoundRecord]:
-        """Filter records by predicate outcome."""
-        out = []
-        for record in self.records:
-            if pcons is not None and record.pcons != pcons:
-                continue
-            out.append(record)
-        return out
 
     def decided_values(self) -> set:
         """The set of values decided by any process in this trace."""

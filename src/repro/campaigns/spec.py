@@ -26,7 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from repro.algorithms.registry import resolve_algorithm
 from repro.engine.cell import CellSlice, RunSpec, cell_key_prefix, derive_seed
@@ -152,10 +152,6 @@ class CampaignSpec:
         """The run with this id, addressed without drawing the grid's runs."""
         cell, rep = divmod(run_id, self.repetitions)
         return next(itertools.islice(self.iter_cells(), cell, None))[rep]
-
-    def expand(self) -> List[RunSpec]:
-        """The full grid as a list (see :meth:`iter_runs` for the lazy form)."""
-        return list(self.iter_runs())
 
     def to_mapping(self) -> Dict[str, object]:
         """A JSON/TOML-friendly mapping (inverse of :meth:`from_mapping`)."""

@@ -888,11 +888,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     from repro.campaigns.aggregate import SummaryFold
     from repro.campaigns.results import iter_rows
 
-    keys = (
-        tuple(key.strip() for key in args.group_by.split(",") if key.strip())
-        if args.group_by
-        else DEFAULT_GROUP_KEYS
-    )
+    keys = args.group_by or DEFAULT_GROUP_KEYS
     # Wall durations never enter the canonical JSONL (they are volatile
     # and nondeterministic); --events joins them back from the sidecar's
     # row_completed events so the report can grow its timing columns.
@@ -1234,6 +1230,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("needs at least one scenario name")
         return names
 
+    def field_list(text: str) -> tuple:
+        keys = tuple(key.strip() for key in text.split(",") if key.strip())
+        if not keys:
+            raise argparse.ArgumentTypeError("needs at least one field")
+        return keys
+
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"
     )
@@ -1573,6 +1575,7 @@ def build_parser() -> argparse.ArgumentParser:
     creport.add_argument("results", help="path to a results .jsonl file")
     creport.add_argument(
         "--group-by",
+        type=field_list,
         default=None,
         help="comma-separated row fields (default algorithm,n,b,f,engine,fault)",
     )

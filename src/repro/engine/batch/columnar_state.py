@@ -228,7 +228,6 @@ class CellProgram:
 
     def _compile_timing(self) -> None:
         t = self.timing
-        _require(t.kind in ("uniform", "fixed"), f"latency kind {t.kind!r}")
         self.gst = t.gst
         self.delta = t.delta
         self.pre_prob = t.pre_gst_delay_prob
@@ -237,9 +236,9 @@ class CellProgram:
         self.low = t.low
         self.high = t.high
         self.fixed_latency = t.kind == "fixed"
-        # Mirrors PartialSynchronyNetwork._clamp_free for the uniform model;
-        # the fixed model's post-GST path is the zero-draw constant branch.
-        self.clamp_free = (self.low if self.fixed_latency else self.high) <= t.delta
+        self.post_gst_transit = t.post_gst_transit
+        # As in PartialSynchronyNetwork: every sample is already ≤ δ.
+        self.clamp_free = t.max_latency <= t.delta
 
     # ---------------------------------------------------------- templates
 
@@ -527,11 +526,7 @@ class CellProgram:
         rt.now = now
         rt.deadline = now + self.round_duration
         rt.pre_gst = now < self.gst
-        rt.constant = (
-            min(self.low, self.delta)
-            if self.fixed_latency and not rt.pre_gst
-            else None
-        )
+        rt.constant = None if rt.pre_gst else self.post_gst_transit
         rt.delivers_all = (
             rt.constant is not None and now + rt.constant <= rt.deadline
         )

@@ -125,8 +125,7 @@ def _timed_delivery_deterministic(timing: NetworkSpec) -> bool:
     """
     if timing.gst > 0:
         return False
-    max_latency = timing.low if timing.kind == "fixed" else timing.high
-    return min(max_latency, timing.delta) <= timing.round_duration
+    return min(timing.max_latency, timing.delta) <= timing.round_duration
 
 
 def columnar_state_blockers(

@@ -17,11 +17,11 @@ admits every edge.
   :func:`~repro.rounds.policies.filtered_delivery` in bad ones.
 * :class:`PrelScheduler` — untimed rounds under ``Prel`` only (Section 6),
   the one communication kind that is not per-edge.
-* :class:`TimedScheduler` paces rounds with a common duration Δ over a
-  :class:`~repro.eventsim.network.PartialSynchronyNetwork`: messages sent at
-  the round's start arrive after a sampled latency and are delivered only if
-  they meet the round deadline (communication-closed rounds — late messages
-  are discarded).  Byzantine equivocation in selection rounds is
+* :class:`TimedScheduler` paces rounds with its network spec's duration Δ
+  over a :class:`~repro.eventsim.network.PartialSynchronyNetwork`: messages
+  sent at the round's start arrive after a sampled latency and are delivered
+  only if they meet the round deadline (communication-closed rounds — late
+  messages are discarded).  Byzantine equivocation in selection rounds is
   canonicalized to one payload per sender, as an implemented ``Pcons``
   would enforce (the micro-rounds such an implementation costs are
   :class:`~repro.network.stack.PconsStackScheduler`'s to measure).  In a
@@ -171,20 +171,18 @@ class PrelScheduler(RoundScheduler):
 
 
 class TimedScheduler(RoundScheduler):
-    """Δ-paced rounds with deadline delivery over a timed network."""
+    """Δ-paced rounds with deadline delivery over a timed network; Δ is
+    the network spec's ``round_duration``."""
 
     def __init__(
         self,
         network: "PartialSynchronyNetwork",
         *,
-        round_duration: float = 2.5,
         good_bad: Optional[GoodBad] = None,
         use_heap: Optional[bool] = None,
     ) -> None:
-        if not round_duration > 0:  # nan fails the comparison too
-            raise ValueError(f"round_duration must be positive, got {round_duration}")
         self._network = network
-        self._round_duration = round_duration
+        self._round_duration = network.spec.round_duration
         self._good_bad = good_bad
         # ``use_heap`` selects the legacy EventQueue delivery; it defaults
         # to the REPRO_SLOW_SCHEDULER environment switch so the identity

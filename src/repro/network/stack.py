@@ -11,8 +11,9 @@ The global micro-round clock is what the good/bad schedule applies to, so a
 phase succeeds only when its whole expanded footprint falls in a good period
 and its rotating coordinator is correct.  Validation and decision rounds are
 one micro-round each of plain ``Pgood`` delivery (they never needed
-``Pcons``); a bad micro-round drops honest-bound messages i.i.d. through
-:func:`~repro.rounds.policies.filtered_delivery`, as the lockstep oracle does.
+``Pcons``); a bad micro-round withholds honest-bound messages through
+:func:`~repro.rounds.policies.filtered_delivery` under the scenario's edge
+rule, as the lockstep oracle does.
 
 Limitations: the stack requires the Π (all-processes) selector — true for
 every Byzantine algorithm in the paper — and supports Byzantine but not
@@ -23,7 +24,6 @@ crash occurs in good periods).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -31,47 +31,32 @@ from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.types import Decision, ProcessId, RoundInfo, RoundKind, Value
 from repro.engine.assembly import build_instance
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
-from repro.engine.scheduler import RoundDelivery, RoundScheduler
+from repro.engine.scheduler import GoodBad, RoundDelivery, RoundScheduler
 from repro.faults.registry import ByzantineSpec
 from repro.network.wic import MicroOutbound, PconsImplementation
 from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
-from repro.rounds.policies import (
-    count_edges,
-    faithful_delivery,
-    filtered_delivery,
-    random_drop_behavior,
-)
-from repro.rounds.schedule import GoodBadSchedule
+from repro.rounds.policies import count_edges, faithful_delivery, filtered_delivery
 
 
 class PconsStackScheduler(RoundScheduler):
     """Untimed rounds over an implemented ``Pcons``.
 
     A selection round runs ``wic.execute`` (2–3 micro-rounds), every other
-    round is one micro-round.  ``schedule`` applies to the micro-round
-    clock (default: permanently good); a bad micro-round drops each
-    honest-bound message i.i.d. with probability ``bad_drop_prob`` from a
-    stream :meth:`reset` rewinds to ``seed``.  The counters describe the
-    current (or last) run.
+    round is one micro-round.  ``good_bad`` is the optional ``(schedule,
+    edge rule)`` pair :class:`~repro.engine.scheduler.LockstepScheduler`
+    takes; its schedule applies to the micro-round clock (without it every
+    micro-round is good) and a bad micro-round is ``filtered_delivery``
+    under its rule.  The counters describe the current (or last) run.
     """
 
     def __init__(
-        self,
-        wic: PconsImplementation,
-        schedule: Optional[GoodBadSchedule] = None,
-        *,
-        bad_drop_prob: float = 0.7,
-        seed: int = 0,
+        self, wic: PconsImplementation, good_bad: Optional[GoodBad] = None
     ) -> None:
         self._wic = wic
-        self._schedule = schedule or GoodBadSchedule.always_good()
-        self._rng = random.Random(seed)
-        self._seed = seed
-        self._bad = random_drop_behavior(self._rng, bad_drop_prob)
+        self._good_bad = good_bad
         self.reset()
 
     def reset(self) -> None:
-        self._rng.seed(self._seed)
         #: The global micro-round clock.
         self.micro_rounds = 0
         #: Messages put on the wire, sub-protocol traffic included.
@@ -85,11 +70,13 @@ class PconsStackScheduler(RoundScheduler):
     ) -> DeliveryMatrix:
         self.micro_rounds += 1
         self.micro_messages += count_edges(outbound)
-        if self._schedule.is_good(self.micro_rounds):
-            return faithful_delivery(outbound)
-        matrix, dropped = filtered_delivery(outbound, ctx.byzantine, self._bad)
-        self.micro_dropped += dropped
-        return matrix
+        if self._good_bad is not None:
+            schedule, bad = self._good_bad
+            if not schedule.is_good(self.micro_rounds):
+                matrix, dropped = filtered_delivery(outbound, ctx.byzantine, bad)
+                self.micro_dropped += dropped
+                return matrix
+        return faithful_delivery(outbound)
 
     def deliver_round(
         self, info: RoundInfo, outbound: OutboundMatrix, ctx: RunContext
@@ -160,16 +147,11 @@ def run_with_pcons_stack(
     *,
     config: Optional[GenericConsensusConfig] = None,
     byzantine: Optional[Mapping[ProcessId, ByzantineSpec]] = None,
-    schedule: Optional[GoodBadSchedule] = None,
-    bad_drop_prob: float = 0.7,
-    seed: int = 0,
+    good_bad: Optional[GoodBad] = None,
     max_phases: int = 20,
 ) -> PconsStackOutcome:
-    """Run one consensus instance with an implemented ``Pcons``.
-
-    ``schedule``, ``bad_drop_prob`` and ``seed`` configure the
-    :class:`PconsStackScheduler` the instance runs under.
-    """
+    """Run one consensus instance with an implemented ``Pcons`` under a
+    :class:`PconsStackScheduler` over ``good_bad``."""
     model = parameters.model
     if not parameters.selector.is_static or parameters.selector.select(
         0, 1
@@ -178,9 +160,7 @@ def run_with_pcons_stack(
     if model.f != 0:
         raise ValueError("the Pcons stack supports Byzantine faults only (f = 0)")
 
-    scheduler = PconsStackScheduler(
-        wic, schedule, bad_drop_prob=bad_drop_prob, seed=seed
-    )
+    scheduler = PconsStackScheduler(wic, good_bad)
     outcome = run_instance(
         build_instance(
             parameters, initial_values, config=config, byzantine=byzantine

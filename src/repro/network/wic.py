@@ -67,11 +67,15 @@ class WicAdversaryMode(enum.Enum):
     SILENT = "silent"
 
 
+#: One relayed entry: ``(sender, payload, signature or None)``.
+_Entry = Tuple[ProcessId, object, Optional[Signature]]
+
+
 @dataclass(frozen=True)
 class _Relay:
     """The coordinator's relay message: a vector of (sender, payload[, sig])."""
 
-    entries: Tuple[Tuple[ProcessId, object, Optional[Signature]], ...]
+    entries: Tuple[_Entry, ...]
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,13 @@ class _Echo:
 
 
 class PconsImplementation(abc.ABC):
-    """A sub-protocol turning per-sender payloads into consistent vectors."""
+    """A sub-protocol turning per-sender payloads into consistent vectors.
+
+    Both variants open with the same coordinator relay (:meth:`_relay`,
+    micro-rounds 1–2); the authenticated one seals what it sends the
+    coordinator with a signature, the signature-free one adds an echo
+    round.
+    """
 
     #: Number of micro-rounds one invocation consumes.
     rounds: int
@@ -120,6 +130,62 @@ class PconsImplementation(abc.ABC):
         micro-round of network delivery under the ambient policy.
         """
 
+    def _seal(self, pid: ProcessId, payload: object) -> object:
+        """What ``pid`` sends the coordinator in micro-round 1."""
+        return payload
+
+    def _unseal(self, sender: ProcessId, item: object) -> Optional[_Entry]:
+        """The relay entry the coordinator makes of ``sender``'s
+        micro-round-1 message, or ``None`` to discard it."""
+        return sender, item, None
+
+    def _relay(
+        self,
+        phase: Phase,
+        inputs: Mapping[ProcessId, object],
+        deliver: MicroDeliver,
+        ctx: RunContext,
+    ) -> Tuple[ProcessId, DeliveryMatrix]:
+        """Micro-rounds 1–2: ``(coordinator, what micro-round 2 delivered)``.
+
+        Every process sends its sealed payload to the phase's coordinator,
+        which relays the vector it collected, sorted by sender, to everyone.
+        """
+        coordinator = self.coordinator(phase)
+        silent = self._mode is WicAdversaryMode.SILENT
+        outbound1: MicroOutbound = {
+            pid: {coordinator: self._seal(pid, payload)}
+            for pid, payload in inputs.items()
+            if not (silent and pid in ctx.byzantine)
+        }
+        entries: List[_Entry] = []
+        for sender, item in deliver(outbound1).get(coordinator, {}).items():
+            entry = self._unseal(sender, item)
+            if entry is not None:
+                entries.append(entry)
+        entries.sort(key=lambda entry: entry[0])
+
+        outbound2: MicroOutbound = {}
+        byzantine = coordinator in ctx.byzantine
+        if (
+            byzantine
+            and self._mode is WicAdversaryMode.EQUIVOCATE
+            and len(entries) > 1
+        ):
+            # Split the vector: even receivers get the first half, odd
+            # receivers the second — signatures stay valid, vector
+            # equality breaks (Pcons fails, as theory allows).
+            half = len(entries) // 2
+            halves = (_Relay(tuple(entries[:half])), _Relay(tuple(entries[half:])))
+            outbound2[coordinator] = {
+                dest: halves[dest % 2] for dest in self._model.processes
+            }
+        elif not (byzantine and silent):
+            relay = _Relay(tuple(entries))
+            outbound2[coordinator] = dict.fromkeys(self._model.processes, relay)
+        return coordinator, deliver(outbound2)
+
+
 class AuthenticatedCoordinatorEcho(PconsImplementation):
     """2-round signed relay (authenticated Byzantine model)."""
 
@@ -128,15 +194,32 @@ class AuthenticatedCoordinatorEcho(PconsImplementation):
     def __init__(
         self,
         model: FaultModel,
-        signatures: Optional[SignatureService] = None,
         *,
         adversary_mode: WicAdversaryMode = WicAdversaryMode.EQUIVOCATE,
     ) -> None:
         super().__init__(model, adversary_mode=adversary_mode)
-        self._service = signatures or SignatureService(model)
+        self._service = SignatureService(model)
         self._keys: Dict[ProcessId, bytes] = {
             pid: self._service.issue_key(pid) for pid in model.processes
         }
+
+    def _seal(self, pid: ProcessId, payload: object) -> object:
+        return payload, self._service.sign(pid, self._keys[pid], payload)
+
+    def _unseal(self, sender: ProcessId, item: object) -> Optional[_Entry]:
+        entry = (sender, *item) if isinstance(item, tuple) else None
+        return entry if self._genuine(entry) else None
+
+    def _genuine(self, entry: object) -> bool:
+        """``entry`` is ``(sender, payload, signature)`` signed by sender."""
+        if not (isinstance(entry, tuple) and len(entry) == 3):
+            return False
+        sender, payload, signature = entry
+        return (
+            isinstance(signature, Signature)
+            and signature.signer == sender
+            and self._service.verify(payload, signature)
+        )
 
     def execute(
         self,
@@ -145,71 +228,17 @@ class AuthenticatedCoordinatorEcho(PconsImplementation):
         deliver: MicroDeliver,
         ctx: RunContext,
     ) -> DeliveryMatrix:
-        coordinator = self.coordinator(phase)
-
-        # Micro-round 1: signed payloads to the coordinator.
-        outbound1: MicroOutbound = {}
-        for pid, payload in inputs.items():
-            if pid in ctx.byzantine and self._mode is WicAdversaryMode.SILENT:
-                continue
-            signature = self._service.sign(pid, self._keys[pid], payload)
-            outbound1[pid] = {coordinator: (payload, signature)}
-        delivered1 = deliver(outbound1)
-
-        # Micro-round 2: the coordinator relays the signed set to everyone.
-        collected = delivered1.get(coordinator, {})
-        entries: List[Tuple[ProcessId, object, Optional[Signature]]] = []
-        for sender, item in collected.items():
-            if (
-                isinstance(item, tuple)
-                and len(item) == 2
-                and isinstance(item[1], Signature)
-                and item[1].signer == sender
-                and self._service.verify(item[0], item[1])
-            ):
-                entries.append((sender, item[0], item[1]))
-        entries.sort(key=lambda entry: entry[0])
-
-        outbound2: MicroOutbound = {}
-        if coordinator in ctx.byzantine:
-            if self._mode is WicAdversaryMode.SILENT:
-                pass
-            elif self._mode is WicAdversaryMode.EQUIVOCATE and len(entries) > 1:
-                # Split the vector: even receivers get the first half,
-                # odd receivers the second — signatures stay valid, vector
-                # equality breaks (Pcons fails, as theory allows).
-                half = len(entries) // 2
-                outbound2[coordinator] = {
-                    dest: _Relay(
-                        tuple(entries[:half] if dest % 2 == 0 else entries[half:])
-                    )
-                    for dest in self._model.processes
-                }
-            else:
-                outbound2[coordinator] = {
-                    dest: _Relay(tuple(entries)) for dest in self._model.processes
-                }
-        else:
-            outbound2[coordinator] = {
-                dest: _Relay(tuple(entries)) for dest in self._model.processes
-            }
-        delivered2 = deliver(outbound2)
-
+        coordinator, relayed = self._relay(phase, inputs, deliver, ctx)
         # Receivers verify every signature in the relay.
         result: DeliveryMatrix = {}
         for receiver in self._model.processes:
-            relay = delivered2.get(receiver, {}).get(coordinator)
-            if not isinstance(relay, _Relay):
-                continue
-            vector: Dict[ProcessId, object] = {}
-            for entry in relay.entries:
-                if not (isinstance(entry, tuple) and len(entry) == 3):
-                    continue
-                sender, payload, signature = entry
-                if isinstance(signature, Signature) and signature.signer == sender:
-                    if self._service.verify(payload, signature):
-                        vector[sender] = payload
-            result[receiver] = vector
+            relay = relayed.get(receiver, {}).get(coordinator)
+            if isinstance(relay, _Relay):
+                result[receiver] = {
+                    entry[0]: entry[1]
+                    for entry in relay.entries
+                    if self._genuine(entry)
+                }
         return result
 
 
@@ -237,48 +266,8 @@ class SignatureFreeCoordinatorEcho(PconsImplementation):
         deliver: MicroDeliver,
         ctx: RunContext,
     ) -> DeliveryMatrix:
-        coordinator = self.coordinator(phase)
-        everyone = list(self._model.processes)
-
-        # Micro-round 1: payloads to the coordinator.
-        outbound1: MicroOutbound = {}
-        for pid, payload in inputs.items():
-            if pid in ctx.byzantine and self._mode is WicAdversaryMode.SILENT:
-                continue
-            outbound1[pid] = {coordinator: payload}
-        delivered1 = deliver(outbound1)
-
-        # Micro-round 2: the coordinator relays its received vector.
-        collected = delivered1.get(coordinator, {})
-        entries = tuple(sorted(collected.items(), key=lambda item: item[0]))
-        outbound2: MicroOutbound = {}
-        if coordinator in ctx.byzantine:
-            if self._mode is WicAdversaryMode.SILENT:
-                pass
-            elif self._mode is WicAdversaryMode.EQUIVOCATE and len(entries) > 1:
-                half = len(entries) // 2
-                outbound2[coordinator] = {
-                    dest: _Relay(
-                        tuple(
-                            (s, v, None)
-                            for s, v in (
-                                entries[:half] if dest % 2 == 0 else entries[half:]
-                            )
-                        )
-                    )
-                    for dest in everyone
-                }
-            else:
-                outbound2[coordinator] = {
-                    dest: _Relay(tuple((s, v, None) for s, v in entries))
-                    for dest in everyone
-                }
-        else:
-            outbound2[coordinator] = {
-                dest: _Relay(tuple((s, v, None) for s, v in entries))
-                for dest in everyone
-            }
-        delivered2 = deliver(outbound2)
+        coordinator, relayed = self._relay(phase, inputs, deliver, ctx)
+        everyone = self._model.processes
 
         # Micro-round 3: everyone echoes the relayed vector to everyone.
         outbound3: MicroOutbound = {}
@@ -288,7 +277,7 @@ class SignatureFreeCoordinatorEcho(PconsImplementation):
                 # equivocating echoer cannot add entries anyway because of
                 # the n − 2b acceptance threshold.
                 continue
-            relay = delivered2.get(pid, {}).get(coordinator)
+            relay = relayed.get(pid, {}).get(coordinator)
             if not isinstance(relay, _Relay):
                 continue
             echo = _Echo(

@@ -90,7 +90,3 @@ class RunContext:
                 f"crashing {pid} would exceed f={self.model.f} crash faults"
             )
         self.crashed.add(pid)
-
-    def is_faulty(self, pid: ProcessId) -> bool:
-        """True for Byzantine or crashed processes."""
-        return pid in self.byzantine or pid in self.crashed

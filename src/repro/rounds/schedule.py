@@ -25,9 +25,6 @@ class GoodBadSchedule:
         """True iff ``round_number`` lies in a good period."""
         return bool(self._is_good(round_number))
 
-    def is_bad(self, round_number: Round) -> bool:
-        return not self.is_good(round_number)
-
     # ---------------------------------------------------------------- ctors
 
     @classmethod

@@ -46,7 +46,6 @@ from repro.engine.scheduler import (
     RoundScheduler,
     TimedScheduler,
 )
-from repro.eventsim.network import PartialSynchronyNetwork
 from repro.faults.crash import CrashEvent, CrashSchedule
 from repro.rounds.policies import (
     BadBehavior,
@@ -61,28 +60,9 @@ from repro.utils.memo import cached_outcome
 #: Engines a scenario may compile onto.
 ENGINES = ("lockstep", "timed")
 
-#: A seed, a ready RNG, or nothing (seed 0).
-RngLike = Union[int, random.Random, None]
-
 
 class ScenarioInapplicable(ValueError):
     """This configuration (model / engine) cannot host the scenario."""
-
-
-def _coerce_rng(rng: RngLike) -> Tuple[int, random.Random]:
-    """Normalize to ``(network_seed, delivery_rng)``.
-
-    Campaigns pass the per-run derived seed (an ``int``), which seeds both
-    the lockstep delivery stream and the timed network identically to the
-    pre-scenario runner.  A ready :class:`random.Random` is honoured as the
-    delivery stream, with the network seed drawn from it.
-    """
-    if rng is None:
-        return 0, random.Random(0)
-    if isinstance(rng, random.Random):
-        return rng.getrandbits(63), rng
-    seed = int(rng)
-    return seed, random.Random(seed)
 
 
 # ----------------------------------------------------------- schedule memo
@@ -258,23 +238,20 @@ def compile_scenario(
     spec: ScenarioSpec,
     model: FaultModel,
     engine: str = "lockstep",
-    rng: RngLike = None,
-    *,
-    network: Optional[PartialSynchronyNetwork] = None,
+    rng: Optional[int] = None,
 ) -> CompiledScenario:
     """Resolve ``spec`` against ``model`` for one timing discipline.
 
-    ``rng`` is the per-run randomness: an ``int`` seed (what campaigns
-    pass — it also seeds the timed network, exactly as the pre-scenario
-    runner did), a ready :class:`random.Random`, or ``None`` for seed 0.
-    ``network`` overrides the timing spec with a caller-built network.
+    ``rng`` is the run's seed (``None`` is seed 0): it seeds the delivery
+    stream and, on the timed engine, the network the timing spec builds.
 
     Raises :class:`ScenarioInapplicable` when the configuration cannot host
     the scenario; any other spec inconsistency raises :class:`ValueError`.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    seed, delivery_rng = _coerce_rng(rng)
+    seed = 0 if rng is None else int(rng)
+    delivery_rng = random.Random(seed)
     byzantine, crash_schedule = _scenario_template(spec, model)
     scheduler: RoundScheduler
     if engine == "lockstep" and not spec.comm.per_edge:
@@ -283,8 +260,7 @@ def compile_scenario(
         scheduler = LockstepScheduler(_good_bad(spec.comm, model, delivery_rng))
     else:
         scheduler = TimedScheduler(
-            network if network is not None else spec.timing.build(seed),
-            round_duration=spec.timing.round_duration,
+            spec.timing.build(seed),
             good_bad=_good_bad(spec.comm, model, delivery_rng),
         )
     return CompiledScenario(
@@ -303,12 +279,11 @@ def run_scenario(
     parameters,
     *,
     engine: str = "lockstep",
-    rng: RngLike = None,
+    rng: Optional[int] = None,
     initial_values=None,
     config=None,
     observe: str = "full",
     max_phases: Optional[int] = None,
-    network: Optional[PartialSynchronyNetwork] = None,
     telemetry=None,
 ):
     """Compile ``spec`` (a name or a spec) and run one instance through the
@@ -323,9 +298,7 @@ def run_scenario(
         from repro.scenarios.registry import get_scenario
 
         spec = get_scenario(spec)
-    compiled = compile_scenario(
-        spec, parameters.model, engine, rng, network=network
-    )
+    compiled = compile_scenario(spec, parameters.model, engine, rng)
     values = (
         initial_values
         if initial_values is not None

@@ -120,11 +120,6 @@ class WorkloadSpec:
         if self.keys < 1:
             raise ValueError(f"keys must be ≥ 1, got {self.keys}")
 
-    @property
-    def expected_commands(self) -> int:
-        """The expected arrival count (exact for ``"fixed"``)."""
-        return int(self.rate * self.duration)
-
     def client_stream(self, client: int) -> Iterator[Tuple[float, Command]]:
         """One client's lazy ``(arrival_time, command)`` stream."""
         rng = random.Random(derive_seed(self.seed, f"client{client}"))

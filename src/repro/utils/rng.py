@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 
 class SeededRng:
@@ -42,15 +41,3 @@ class SeededRng:
         )
         digest = hashlib.sha256(material.encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
-
-    def spawn(self, name: str) -> "SeededRng":
-        """Derive a child factory (for nested components)."""
-        material = f"{self._seed}:spawn:{name}"
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        return SeededRng(int.from_bytes(digest[:8], "big"))
-
-    def coin_flips(self, name: str, **scope: object) -> Iterator[int]:
-        """An infinite iterator of fair coin flips in {0, 1}."""
-        stream = self.stream(name, **scope)
-        while True:
-            yield stream.randrange(2)

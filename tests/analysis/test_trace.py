@@ -21,8 +21,7 @@ def test_append_and_counts():
     trace.append(record(1, 1))
     trace.append(record(2, 1))
     assert trace.rounds_executed == 2
-    assert trace.total_messages_sent == 8
-    assert trace.total_messages_delivered == 6
+    assert [r.sent_count for r in trace.records] == [4, 4]
 
 
 def test_first_decision_is_kept():
@@ -30,22 +29,6 @@ def test_first_decision_is_kept():
     trace.append(record(3, 1, decisions=[Decision(0, "v", 3, 1)]))
     trace.append(record(6, 2, decisions=[Decision(0, "w", 6, 2)]))
     assert trace.decisions[0].value == "v"
-
-
-def test_decision_rounds():
-    trace = ExecutionTrace()
-    assert trace.first_decision_round() is None
-    trace.append(record(3, 1, decisions=[Decision(0, "v", 3, 1)]))
-    trace.append(record(6, 2, decisions=[Decision(1, "v", 6, 2)]))
-    assert trace.first_decision_round() == 3
-    assert trace.last_decision_round() == 6
-
-
-def test_rounds_where_pcons():
-    trace = ExecutionTrace()
-    trace.append(record(1, 1, pcons=True))
-    trace.append(record(2, 1, pcons=False))
-    assert len(trace.rounds_where(pcons=True)) == 1
 
 
 def test_decided_values():

@@ -55,7 +55,7 @@ def test_chunk_validation():
 
 def test_execute_chunk_preserves_run_order():
     spec = small_spec()
-    runs = spec.expand()[:4]
+    runs = list(spec.iter_runs())[:4]
     rows = execute_chunk(runs)
     assert [row["run_id"] for row in rows] == [run.run_id for run in runs]
 

@@ -528,6 +528,17 @@ class TestCli:
         assert code == 2
         assert "unknown --group-by field(s) engnie" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group_by", [",", " , ,"])
+    def test_campaign_report_empty_group_by(self, tmp_path, capsys, group_by):
+        """``--group-by ,`` used to report one grand-total row and exit 0."""
+        out = tmp_path / "rows.jsonl"
+        write_rows(out, [make_row()])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "report", str(out), "--group-by", group_by])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --group-by: needs at least one field" in err
+
     def test_campaign_run_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "x", "algorithms": ["pbft"], "oops": 1}')
@@ -613,7 +624,7 @@ class TestCli:
 
 def test_builtin_campaigns_expand():
     for name, spec in BUILTIN_CAMPAIGNS.items():
-        runs = spec.expand()
+        runs = list(spec.iter_runs())
         assert len(runs) == spec.total_runs, name
         assert spec.name == name
 

@@ -226,10 +226,6 @@ class TestStreamingProperties:
         assert row["run_id"] == 0
         assert row["status"] == "ok"
 
-    def test_iter_runs_matches_expand(self):
-        spec = CampaignSpec.from_mapping(SPEC)
-        assert list(spec.iter_runs()) == spec.expand()
-
     def test_progress_counts_skipped_runs_as_completed(self):
         spec = CampaignSpec.from_mapping(SPEC)
         total = spec.total_runs

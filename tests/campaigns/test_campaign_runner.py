@@ -161,7 +161,7 @@ class TestRows:
 
     def test_execute_run_never_raises(self):
         spec = mixed_spec(algorithms=("no-such-algorithm",))
-        for run in spec.expand():
+        for run in spec.iter_runs():
             row = execute_run(run)
             assert row["status"] == "error"
 

@@ -36,15 +36,15 @@ def small_spec(**overrides):
 class TestExpansion:
     def test_cross_product_size(self):
         spec = small_spec()
-        runs = spec.expand()
+        runs = list(spec.iter_runs())
         assert len(runs) == 2 * 2 * 2 * 2 * 3 == spec.total_runs
 
     def test_run_ids_sequential(self):
-        runs = small_spec().expand()
+        runs = list(small_spec().iter_runs())
         assert [run.run_id for run in runs] == list(range(len(runs)))
 
     def test_all_coordinates_distinct(self):
-        runs = small_spec().expand()
+        runs = list(small_spec().iter_runs())
         assert len({run.key() for run in runs}) == len(runs)
 
     def test_empty_axis_rejected(self):
@@ -59,23 +59,23 @@ class TestExpansion:
 class TestSeedDerivation:
     def test_expansion_is_deterministic(self):
         spec = small_spec()
-        assert spec.expand() == spec.expand()
+        assert list(spec.iter_runs()) == list(spec.iter_runs())
 
     def test_seeds_differ_across_runs(self):
-        runs = small_spec().expand()
+        runs = list(small_spec().iter_runs())
         seeds = {run.seed for run in runs}
         assert len(seeds) == len(runs)
 
     def test_campaign_seed_changes_every_run_seed(self):
-        base = {run.run_id: run.seed for run in small_spec().expand()}
-        moved = {run.run_id: run.seed for run in small_spec(seed=8).expand()}
+        base = {run.run_id: run.seed for run in small_spec().iter_runs()}
+        moved = {run.run_id: run.seed for run in small_spec(seed=8).iter_runs()}
         assert all(base[rid] != moved[rid] for rid in base)
 
     def test_seed_depends_on_coordinates_not_position(self):
         """Adding a repetition must not disturb existing runs' seeds."""
-        narrow = {run.key(): run.seed for run in small_spec().expand()}
+        narrow = {run.key(): run.seed for run in small_spec().iter_runs()}
         wide = {
-            run.key(): run.seed for run in small_spec(repetitions=4).expand()
+            run.key(): run.seed for run in small_spec(repetitions=4).iter_runs()
         }
         for key, seed in narrow.items():
             assert wide[key] == seed
@@ -267,7 +267,7 @@ class TestNetworkSpec:
                 ScenarioSpec(timing=NetworkSpec(pre_gst_delay_prob=0.9)),
             ),
         )
-        runs = spec.expand()
+        runs = list(spec.iter_runs())
         assert len({run.seed for run in runs}) == len(runs)
 
     def test_unknown_kind_rejected(self):
@@ -282,7 +282,7 @@ class TestNetworkSpec:
                          "chaos_factor", "round_duration")
         ] + [
             (name, value, f"{name} must be finite and positive, got {value}")
-            for name in ("round_duration", "delta", "chaos_factor")
+            for name in ("round_duration", "delta", "chaos_factor", "low", "high")
             for value in (0.0, -1.0, float("inf"))
         ] + [
             ("pre_gst_delay_prob", value,
@@ -292,27 +292,35 @@ class TestNetworkSpec:
     )
     def test_ill_formed_timing_rejected_at_construction(self, field, value, says):
         """Used to load: a nan Δ dropped every message and the run still
-        exited 0; an out-of-range probability failed once per run."""
+        exited 0, an infinite latency bound every pre-GST one; an
+        out-of-range probability failed once per run."""
         for kind in ("uniform", "fixed"):
             with pytest.raises(ValueError) as excinfo:
                 NetworkSpec(kind=kind, **{field: value})
             assert str(excinfo.value) == says
 
-    def test_nan_timing_campaign_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "timing,says",
+        [
+            ('{"round_duration": NaN}', "round_duration must be a number, got nan"),
+            # 1e400 parses as inf: it used to run as uniform[0.5,inf],
+            # silently dropping every pre-GST message, and exit 0.
+            ('{"low": 0.5, "high": 1e400, "gst": 5}',
+             "high must be finite and positive, got inf"),
+        ],
+    )
+    def test_ill_formed_timing_campaign_exits_2(self, tmp_path, capsys, timing, says):
         from repro.cli import main
 
-        path = tmp_path / "nan.json"
+        path = tmp_path / "bad.json"
         path.write_text(
-            '{"name": "nan", "algorithms": ["pbft"], "models": [[4, 1, 0]],'
+            '{"name": "bad", "algorithms": ["pbft"], "models": [[4, 1, 0]],'
             ' "engines": ["timed"], "scenarios": [{"name": "fault-free",'
-            ' "timing": {"round_duration": NaN}}]}'
+            f' "timing": {timing}}}]}}'
         )
         out = tmp_path / "out.jsonl"
         assert main(["campaign", "run", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"cannot load campaign spec {path}: "
-            "round_duration must be a number, got nan\n"
-        )
+        assert captured.err == f"cannot load campaign spec {path}: {says}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [path]  # nothing was written

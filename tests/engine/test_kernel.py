@@ -31,14 +31,12 @@ from repro.engine.kernel import (
     run_instance,
 )
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
-from repro.eventsim.network import PartialSynchronyNetwork, UniformLatency
+from repro.eventsim.network import NetworkSpec
 from repro.faults.crash import CrashEvent, CrashSchedule
 
 
 def sync_network(seed=7):
-    return PartialSynchronyNetwork(
-        UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=seed
-    )
+    return NetworkSpec().build(seed)
 
 
 def run_cell(spec, *, byzantine=None, engine="lockstep", observe=OBSERVE_FULL,
@@ -54,7 +52,7 @@ def run_cell(spec, *, byzantine=None, engine="lockstep", observe=OBSERVE_FULL,
     if engine == "lockstep":
         scheduler = LockstepScheduler()
     else:
-        scheduler = TimedScheduler(sync_network(seed), round_duration=2.5)
+        scheduler = TimedScheduler(sync_network(seed))
     return run_instance(
         instance,
         scheduler,
@@ -132,7 +130,7 @@ class TestTimedFullObservation:
                 {0: "a", 1: "b", 2: "a"},
                 byzantine={3: "equivocator"},
             ),
-            TimedScheduler(sync_network(), round_duration=2.5),
+            TimedScheduler(sync_network()),
             observe=OBSERVE_FULL,
         )
         assert outcome.trace is not None
@@ -150,7 +148,7 @@ class TestTimedFullObservation:
     def test_timed_scheduler_is_safe_to_reuse_across_runs(self):
         """Binding a kernel resets the scheduler's clock and queue."""
         spec = build_pbft(4)
-        scheduler = TimedScheduler(sync_network(), round_duration=2.5)
+        scheduler = TimedScheduler(sync_network())
         values = {pid: "v" for pid in range(4)}
 
         def run_once():

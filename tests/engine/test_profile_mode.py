@@ -11,7 +11,7 @@ from repro.engine.kernel import (
     run_instance,
 )
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
-from repro.eventsim.network import PartialSynchronyNetwork, UniformLatency
+from repro.eventsim.network import NetworkSpec
 from repro.network.stack import PconsStackScheduler
 from repro.network.wic import AuthenticatedCoordinatorEcho
 from repro.observability import Telemetry
@@ -35,12 +35,7 @@ def run_cell(spec, *, engine="lockstep", observe=OBSERVE_METRICS,
     elif engine == "stack":
         scheduler = PconsStackScheduler(AuthenticatedCoordinatorEcho(model))
     else:
-        scheduler = TimedScheduler(
-            PartialSynchronyNetwork(
-                UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=7
-            ),
-            round_duration=2.5,
-        )
+        scheduler = TimedScheduler(NetworkSpec().build(7))
     return run_instance(
         instance, scheduler, max_phases=12, observe=observe,
         telemetry=telemetry,

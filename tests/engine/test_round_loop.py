@@ -60,7 +60,8 @@ class TestBasicExecution:
         engine, _ = build_engine()
         result = engine.run(3)
         assert result.rounds_executed == 3
-        assert result.messages_sent == result.trace.total_messages_sent == 3 * 9
+        assert result.messages_sent == 3 * 9
+        assert sum(r.sent_count for r in result.trace.records) == 3 * 9
         assert result.trace.records[0].pgood
 
     def test_process_coverage_validated(self):

@@ -22,7 +22,7 @@ from repro.engine.scheduler import (
     RoundScheduler,
     TimedScheduler,
 )
-from repro.eventsim.network import FixedLatency, PartialSynchronyNetwork
+from repro.eventsim.network import NetworkSpec
 from repro.rounds.base import RunContext
 from repro.rounds.schedule import GoodBadSchedule
 
@@ -31,12 +31,8 @@ SELECTION = RoundInfo(number=1, phase=1, kind=RoundKind.SELECTION)
 
 def make_timed(bad_rule=None):
     """A timed scheduler; ``bad_rule`` makes every round a bad one under it."""
-    network = PartialSynchronyNetwork(
-        FixedLatency(1.0), gst=0.0, delta=2.0, seed=0
-    )
     scheduler = TimedScheduler(
-        network,
-        round_duration=2.5,
+        NetworkSpec(kind="fixed", low=1.0).build(0),
         good_bad=bad_rule and (GoodBadSchedule.never_good(), bad_rule),
     )
     scheduler.reset()

@@ -20,19 +20,16 @@ import pytest
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.engine.scheduler import TimedScheduler
-from repro.eventsim.network import (
-    FixedLatency,
-    PartialSynchronyNetwork,
-    UniformLatency,
-)
+from repro.eventsim.network import NetworkSpec
 from repro.rounds.base import RunContext
 from repro.rounds.schedule import GoodBadSchedule
 from repro.scenarios import SCENARIO_REGISTRY, run_scenario
 
 
-def make_network(latency, *, gst=0.0, seed=11):
-    return PartialSynchronyNetwork(
-        latency, gst=gst, delta=2.0, pre_gst_delay_prob=0.5, seed=seed
+def make_network(*, gst=0.0, seed=11, **latency):
+    """δ = 2 and p = 0.5 over ``latency`` (default uniform [0.5, 2])."""
+    return NetworkSpec(gst=gst, delta=2.0, pre_gst_delay_prob=0.5, **latency).build(
+        seed
     )
 
 
@@ -70,9 +67,9 @@ def test_uniform_latency_matches_heap_across_gst(gst):
     seeds = {}
 
     def make(use_heap):
-        network = make_network(UniformLatency(0.5, 2.0), gst=gst, seed=23)
+        network = make_network(gst=gst, seed=23)
         seeds[use_heap] = network
-        return TimedScheduler(network, round_duration=2.5, use_heap=use_heap)
+        return TimedScheduler(network, use_heap=use_heap)
 
     rounds = [
         (
@@ -94,11 +91,7 @@ def test_selection_round_canonicalizes_byzantine_payloads():
     byz = frozenset({3})
 
     def make(use_heap):
-        return TimedScheduler(
-            make_network(UniformLatency(0.5, 1.5), gst=0.0, seed=7),
-            round_duration=2.5,
-            use_heap=use_heap,
-        )
+        return TimedScheduler(make_network(high=1.5, seed=7), use_heap=use_heap)
 
     info = RoundInfo(1, 1, RoundKind.SELECTION)
     outbound = broadcast_outbound(model, lambda s, d: (s, d))
@@ -117,8 +110,7 @@ def test_bad_round_rule_matches_heap_and_skips_sampling():
 
     def make(use_heap):
         return TimedScheduler(
-            make_network(UniformLatency(0.5, 2.0), gst=0.0, seed=3),
-            round_duration=2.5,
+            make_network(seed=3),
             good_bad=(GoodBadSchedule.never_good(), rule),
             use_heap=use_heap,
         )
@@ -136,10 +128,10 @@ def test_bad_round_rule_matches_heap_and_skips_sampling():
 
 
 def test_post_gst_fixed_latency_draws_nothing():
-    """The FixedLatency short-circuit leaves the RNG stream untouched."""
+    """The fixed-latency short-circuit leaves the RNG stream untouched."""
     model = FaultModel(4, 0, 0)
-    network = make_network(FixedLatency(1.0), gst=0.0, seed=42)
-    scheduler = TimedScheduler(network, round_duration=2.5, use_heap=False)
+    network = make_network(kind="fixed", low=1.0, seed=42)
+    scheduler = TimedScheduler(network, use_heap=False)
     scheduler.reset()
     ctx = RunContext(model)
     info = RoundInfo(1, 1, RoundKind.DECISION)
@@ -150,7 +142,7 @@ def test_post_gst_fixed_latency_draws_nothing():
     assert all(len(inbox) == model.n for inbox in delivery.matrix.values())
     # Zero draws: the stream equals a fresh one with the same seed.
     assert network.transit_time(99.0, 0, 1) == make_network(
-        FixedLatency(1.0), gst=0.0, seed=42
+        kind="fixed", low=1.0, seed=42
     ).transit_time(99.0, 0, 1)
 
 
@@ -160,8 +152,7 @@ def test_pre_gst_fixed_latency_still_draws_the_chaos_coin():
 
     def make(use_heap):
         return TimedScheduler(
-            make_network(FixedLatency(1.0), gst=50.0, seed=9),
-            round_duration=2.5,
+            make_network(kind="fixed", low=1.0, gst=50.0, seed=9),
             use_heap=use_heap,
         )
 
@@ -219,7 +210,7 @@ def test_every_scenario_runs_the_same_on_fast_sweep_and_heap(
 
 def test_slow_scheduler_env_switch(monkeypatch):
     """REPRO_SLOW_SCHEDULER=1 selects the heap path at construction."""
-    network = make_network(UniformLatency(), seed=1)
+    network = make_network(seed=1)
     monkeypatch.setenv("REPRO_SLOW_SCHEDULER", "1")
     assert TimedScheduler(network)._queue is not None
     monkeypatch.setenv("REPRO_SLOW_SCHEDULER", "0")
@@ -234,11 +225,14 @@ def test_slow_scheduler_env_switch(monkeypatch):
 def test_sample_round_matches_per_message_stream():
     """sample_round consumes the RNG exactly as transit_time per edge."""
     edges = [(s, d) for s in range(6) for d in range(6)]
-    for gst, send_time in [(0.0, 0.0), (30.0, 2.5), (30.0, 30.0)]:
-        batched = make_network(UniformLatency(0.5, 2.0), gst=gst, seed=5)
-        serial = make_network(UniformLatency(0.5, 2.0), gst=gst, seed=5)
-        expected = [serial.transit_time(send_time, s, d) for s, d in edges]
-        assert batched.sample_round(send_time, edges) == expected
+    for kind in ("uniform", "fixed"):
+        for gst, send_time in [(0.0, 0.0), (30.0, 2.5), (30.0, 30.0)]:
+            batched = make_network(kind=kind, gst=gst, seed=5)
+            serial = make_network(kind=kind, gst=gst, seed=5)
+            expected = [serial.transit_time(send_time, s, d) for s, d in edges]
+            assert batched.sample_round(send_time, edges) == expected
+            # ... and leaves the stream where the per-message draws do.
+            assert batched.transit_time(0.0, 0, 1) == serial.transit_time(0.0, 0, 1)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "fixed"])
@@ -255,7 +249,6 @@ def test_columnar_state_transits_match_per_message_stream(kind):
     from types import SimpleNamespace
 
     from repro.engine.batch.columnar_state import CellProgram
-    from repro.eventsim.network import NetworkSpec
     from repro.utils.accel import BlockRng, get_numpy
 
     np = get_numpy()
@@ -280,14 +273,13 @@ def test_columnar_state_transits_match_per_message_stream(kind):
             assert [float(v) for v in got] == expected
 
 
-def test_sample_many_accepts_payload_triples():
+def test_sample_round_accepts_payload_triples():
     """Extra tuple items are ignored, so schedulers pass records directly."""
-    rng_a, rng_b = random.Random(4), random.Random(4)
-    model = UniformLatency(0.5, 2.0)
+    batched, serial = make_network(seed=4), make_network(seed=4)
     triples = [(0, 1, "payload"), (1, 0, "other")]
-    assert model.sample_many(rng_a, triples) == [
-        model.sample(rng_b, 0, 1),
-        model.sample(rng_b, 1, 0),
+    assert batched.sample_round(0.0, triples) == [
+        serial.transit_time(0.0, 0, 1),
+        serial.transit_time(0.0, 1, 0),
     ]
 
 

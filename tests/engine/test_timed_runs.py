@@ -6,15 +6,11 @@ import pytest
 
 from repro.algorithms import build_fab_paxos, build_paxos, build_pbft
 from repro.engine import TimedScheduler, build_instance, run_instance
-from repro.eventsim.network import (
-    FixedLatency,
-    PartialSynchronyNetwork,
-    UniformLatency,
-)
+from repro.eventsim.network import NetworkSpec
 
 
 def synchronous_net(seed=0):
-    return PartialSynchronyNetwork(UniformLatency(0.5, 2.0), gst=0.0, delta=2.0, seed=seed)
+    return NetworkSpec().build(seed)
 
 
 def uniform_run(spec, n):
@@ -35,7 +31,7 @@ class TestSynchronousRuns:
                 {0: "a", 1: "b", 2: "a"},
                 byzantine={3: "equivocator"},
             ),
-            TimedScheduler(synchronous_net(), round_duration=2.5),
+            TimedScheduler(synchronous_net()),
             observe="metrics",
         )
         assert outcome.trace is None
@@ -63,23 +59,15 @@ class TestPartialSynchrony:
         def run(network):
             return run_instance(
                 build_instance(spec.parameters, {0: "a", 1: "b", 2: "c"}),
-                TimedScheduler(network, round_duration=2.5),
+                TimedScheduler(network),
                 observe="metrics",
             )
 
-        early = run(
-            PartialSynchronyNetwork(
-                FixedLatency(1.0), gst=0.0, delta=2.0, seed=3
-            )
-        )
+        early = run(NetworkSpec(kind="fixed", low=1.0).build(3))
         late = run(
-            PartialSynchronyNetwork(
-                FixedLatency(1.0),
-                gst=20.0,
-                delta=2.0,
-                pre_gst_delay_prob=0.9,
-                seed=3,
-            )
+            NetworkSpec(
+                kind="fixed", low=1.0, gst=20.0, pre_gst_delay_prob=0.9
+            ).build(3)
         )
         assert early.agreement_holds and late.agreement_holds
         assert early.all_correct_decided and late.all_correct_decided
@@ -94,12 +82,10 @@ class TestPartialSynchrony:
                 byzantine={3: "equivocator"},
             ),
             TimedScheduler(
-                PartialSynchronyNetwork(
-                    UniformLatency(0.5, 2.0),
+                NetworkSpec(
                     gst=10**9,  # never stabilizes within the run
                     pre_gst_delay_prob=0.7,
-                    seed=5,
-                )
+                ).build(5)
             ),
             max_phases=8,
             observe="metrics",
@@ -107,30 +93,11 @@ class TestPartialSynchrony:
         assert outcome.messages_dropped > 0  # where lockstep and timed part
         assert outcome.agreement_holds  # may or may not decide
 
-    @pytest.mark.parametrize(
-        "kwargs,says",
-        [
-            ({"delta": float("nan")}, "delta must be positive, got nan"),
-            ({"gst": float("nan")}, "gst must be a number, got nan"),
-        ],
-        ids=["delta", "gst"],
-    )
-    def test_nan_delta_or_gst_rejected(self, kwargs, says):
-        with pytest.raises(ValueError) as excinfo:
-            PartialSynchronyNetwork(FixedLatency(1.0), **kwargs)
-        assert str(excinfo.value) == says
-
 
 class TestSeedThreading:
     def _run(self, seed):
         spec = build_pbft(4)
-        network = PartialSynchronyNetwork(
-            UniformLatency(0.5, 2.0),
-            gst=12.0,
-            pre_gst_delay_prob=0.7,
-            seed=999,  # overridden by the explicit per-run reseed
-        )
-        network.reseed(seed)
+        network = NetworkSpec(gst=12.0, pre_gst_delay_prob=0.7).build(seed)
         return run_instance(
             build_instance(
                 spec.parameters,
@@ -148,21 +115,10 @@ class TestSeedThreading:
         assert first.messages_delivered == second.messages_delivered
         assert first.messages_dropped == second.messages_dropped
 
-    def test_reseed_overrides_network_state(self):
-        """Distinct seeds give distinct RNG streams despite equal networks."""
+    def test_distinct_seeds_give_distinct_streams(self):
+        """Equal specs built with distinct seeds draw distinct streams."""
         outcomes = {self._run(seed).messages_dropped for seed in range(6)}
         assert len(outcomes) > 1
-
-    def test_rng_injection(self):
-        import random
-
-        network = PartialSynchronyNetwork(
-            UniformLatency(0.5, 2.0), rng=random.Random(7)
-        )
-        reference = PartialSynchronyNetwork(UniformLatency(0.5, 2.0), seed=7)
-        samples = [network.transit_time(0.0, 0, 1) for _ in range(5)]
-        expected = [reference.transit_time(0.0, 0, 1) for _ in range(5)]
-        assert samples == expected
 
 
 class TestAllCorrectDecided:
@@ -189,14 +145,7 @@ def test_dropped_messages_are_counted():
         build_instance(
             spec.parameters, {pid: f"v{pid % 2}" for pid in range(4)}
         ),
-        TimedScheduler(
-            PartialSynchronyNetwork(
-                UniformLatency(0.5, 2.0),
-                gst=20.0,
-                pre_gst_delay_prob=0.8,
-                seed=13,
-            )
-        ),
+        TimedScheduler(NetworkSpec(gst=20.0, pre_gst_delay_prob=0.8).build(13)),
         max_phases=20,
         observe="metrics",
     )

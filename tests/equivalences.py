@@ -159,7 +159,7 @@ def _lockstep_vs_timed(arm: Arm, case: str) -> str:
     from repro.engine.assembly import build_instance
     from repro.engine.kernel import OBSERVE_METRICS, run_instance
     from repro.engine.scheduler import LockstepScheduler, TimedScheduler
-    from repro.eventsim.network import FixedLatency, PartialSynchronyNetwork
+    from repro.eventsim.network import NetworkSpec
 
     name, n, strategy = LOCKSTEP_TIMED_CASES[case]
     spec = ALGORITHM_BUILDERS[name](n)
@@ -168,10 +168,7 @@ def _lockstep_vs_timed(arm: Arm, case: str) -> str:
     scheduler = (
         LockstepScheduler()
         if arm.flags == ("lockstep",)
-        else TimedScheduler(
-            PartialSynchronyNetwork(FixedLatency(1.0), gst=0.0, delta=2.0, seed=0),
-            round_duration=2.5,
-        )
+        else TimedScheduler(NetworkSpec(kind="fixed", low=1.0).build(0))
     )
     outcome = run_instance(
         build_instance(spec.parameters, values, config=spec.config, byzantine=byzantine),

@@ -1,30 +1,13 @@
-"""Latency models and partial synchrony."""
-
-import random
+"""The timed network: its spec, its latency draws and partial synchrony."""
 
 import pytest
 
-from repro.eventsim.network import (
-    FixedLatency,
-    NetworkSpec,
-    PartialSynchronyNetwork,
-    UniformLatency,
-)
+from repro.eventsim.network import NetworkSpec
 
 
 def test_fixed_latency():
-    model = FixedLatency(2.5)
-    rng = random.Random(0)
-    assert model.sample(rng, 0, 1) == 2.5
-
-
-def test_fixed_latency_must_be_positive():
-    """LatencyModel.sample promises positive values; FixedLatency validates
-    like UniformLatency always has."""
-    with pytest.raises(ValueError, match="positive"):
-        FixedLatency(0.0)
-    with pytest.raises(ValueError, match="positive"):
-        FixedLatency(-1.0)
+    net = NetworkSpec(kind="fixed", low=2.5, delta=3.0).build(0)
+    assert net.transit_time(0.0, 0, 1) == 2.5
 
 
 class TestNetworkSpecValidation:
@@ -45,48 +28,47 @@ class TestNetworkSpecValidation:
         assert NetworkSpec(kind="uniform", low=0.5, high=2.0).build(0) is not None
 
 
+def test_latency_facts():
+    """The one place a latency bound or a constant transit is derived."""
+    assert NetworkSpec(low=0.5, high=2.0).max_latency == 2.0
+    assert NetworkSpec(kind="fixed", low=1.5, high=9.0).max_latency == 1.5
+    assert NetworkSpec(low=0.5, high=2.0).post_gst_transit is None
+    assert NetworkSpec(kind="fixed", low=1.5).post_gst_transit == 1.5
+    assert NetworkSpec(kind="fixed", low=3.0, delta=2.0).post_gst_transit == 2.0
+
+
 def test_uniform_latency_bounds():
-    model = UniformLatency(0.5, 2.0)
-    rng = random.Random(0)
-    samples = [model.sample(rng, 0, 1) for _ in range(100)]
+    net = NetworkSpec(low=0.5, high=2.0, delta=5.0).build(0)
+    samples = [net.transit_time(0.0, 0, 1) for _ in range(100)]
     assert all(0.5 <= s <= 2.0 for s in samples)
-
-
-def test_uniform_latency_validation():
-    with pytest.raises(ValueError):
-        UniformLatency(2.0, 1.0)
-    with pytest.raises(ValueError):
-        UniformLatency(0.0, 1.0)
 
 
 class TestPartialSynchrony:
     def test_post_gst_clamped_to_delta(self):
-        net = PartialSynchronyNetwork(
-            UniformLatency(1.0, 50.0), gst=10.0, delta=2.0, seed=1
-        )
+        net = NetworkSpec(low=1.0, high=50.0, gst=10.0, delta=2.0).build(1)
         for _ in range(50):
             assert net.transit_time(10.0, 0, 1) <= 2.0
             assert net.transit_time(99.0, 0, 1) <= 2.0
 
     def test_pre_gst_can_exceed_delta(self):
-        net = PartialSynchronyNetwork(
-            FixedLatency(1.0),
+        net = NetworkSpec(
+            kind="fixed",
+            low=1.0,
             gst=100.0,
             delta=2.0,
             pre_gst_delay_prob=1.0,
             chaos_factor=50.0,
-            seed=1,
-        )
+        ).build(1)
         assert net.transit_time(0.0, 0, 1) == 50.0
 
     def test_pre_gst_without_delay_uses_base(self):
-        net = PartialSynchronyNetwork(
-            FixedLatency(1.0), gst=100.0, delta=2.0, pre_gst_delay_prob=0.0
-        )
+        net = NetworkSpec(
+            kind="fixed", low=1.0, gst=100.0, delta=2.0, pre_gst_delay_prob=0.0
+        ).build(0)
         assert net.transit_time(0.0, 0, 1) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PartialSynchronyNetwork(FixedLatency(), delta=0.0)
+            NetworkSpec(kind="fixed", low=1.0, delta=0.0)
         with pytest.raises(ValueError):
-            PartialSynchronyNetwork(FixedLatency(), pre_gst_delay_prob=2.0)
+            NetworkSpec(kind="fixed", low=1.0, pre_gst_delay_prob=2.0)

@@ -166,8 +166,10 @@ class TestStackUnderPartialSynchrony:
             {pid: f"v{pid % 2}" for pid in range(3)},
             SignatureFreeCoordinatorEcho(model),
             byzantine={3: "equivocator"},
-            schedule=GoodBadSchedule.alternating(good_len=10, bad_len=3),
-            seed=2,
+            good_bad=(
+                GoodBadSchedule.alternating(good_len=10, bad_len=3),
+                random_drop_behavior(random.Random(2), 0.7),
+            ),
             max_phases=12,
         )
         assert outcome.agreement_holds
@@ -178,23 +180,17 @@ class TestTimedWithByzantine:
     def test_fab_timed_with_adversary_and_late_gst(self):
         from repro.algorithms import build_fab_paxos
         from repro.engine import TimedScheduler
-        from repro.eventsim import PartialSynchronyNetwork, UniformLatency
+        from repro.eventsim import NetworkSpec
 
         spec = build_fab_paxos(6)
-        network = PartialSynchronyNetwork(
-            UniformLatency(0.5, 2.0),
-            gst=12.0,
-            delta=2.0,
-            pre_gst_delay_prob=0.7,
-            seed=9,
-        )
+        network = NetworkSpec(gst=12.0, pre_gst_delay_prob=0.7).build(9)
         outcome = run_instance(
             build_instance(
                 spec.parameters,
                 {pid: f"v{pid % 2}" for pid in range(5)},
                 byzantine={5: "adaptive-liar"},
             ),
-            TimedScheduler(network, round_duration=2.5),
+            TimedScheduler(network),
             max_phases=30,
             observe="metrics",
         )
@@ -227,7 +223,7 @@ class TestDeterminism:
             outcome.rounds_to_last_decision,
             # Delivered counts expose the bad-period randomness (sent counts
             # are structural and identical across seeds).
-            outcome.trace.total_messages_delivered,
+            outcome.messages_delivered,
         )
 
     def test_repeatable(self):

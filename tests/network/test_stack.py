@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.network.wic import (
     SignatureFreeCoordinatorEcho,
     WicAdversaryMode,
 )
+from repro.rounds.policies import random_drop_behavior, silent_behavior
 from repro.rounds.schedule import GoodBadSchedule
 
 #: SHA-256 of the reduced differential grid below, recorded at e19de90.
@@ -110,8 +112,10 @@ def test_bad_periods_delay_but_do_not_break():
         values_for(model),
         SignatureFreeCoordinatorEcho(model),
         byzantine={3: "equivocator"},
-        schedule=GoodBadSchedule.good_after(8),
-        seed=4,
+        good_bad=(
+            GoodBadSchedule.good_after(8),
+            random_drop_behavior(random.Random(4), 0.7),
+        ),
         max_phases=12,
     )
     assert outcome.agreement_holds
@@ -184,8 +188,10 @@ def test_differential_pin_against_the_hand_rolled_loop():
             wic_cls(model, adversary_mode=mode),
             config=spec.config,
             byzantine={liar: strategy},
-            schedule=schedules[schedule](),
-            seed=4,
+            good_bad=(
+                schedules[schedule](),
+                random_drop_behavior(random.Random(4), 0.7),
+            ),
             max_phases=10,
         )
         digest.update(
@@ -197,14 +203,13 @@ def test_differential_pin_against_the_hand_rolled_loop():
 
 
 def test_one_scheduler_reused_for_two_runs():
-    """The kernel resets a scheduler it binds: clock, counters, observations
-    and the loss stream all start over."""
+    """The kernel resets a scheduler it binds: clock, counters and
+    observations all start over."""
     spec = build_pbft(4)
     model = spec.parameters.model
     scheduler = PconsStackScheduler(
         SignatureFreeCoordinatorEcho(model),
-        GoodBadSchedule.good_after(8),
-        seed=4,
+        (GoodBadSchedule.good_after(8), silent_behavior()),
     )
 
     def run():

@@ -30,5 +30,3 @@ class TestRunContext:
         ctx.mark_crashed(0)
         assert ctx.correct == frozenset({1, 2})
         assert ctx.honest == frozenset({0, 1, 2})
-        assert ctx.is_faulty(0) and ctx.is_faulty(3)
-        assert not ctx.is_faulty(1)

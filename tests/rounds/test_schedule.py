@@ -12,24 +12,24 @@ def test_always_good():
 
 def test_never_good():
     schedule = GoodBadSchedule.never_good()
-    assert all(schedule.is_bad(r) for r in range(1, 50))
+    assert not any(schedule.is_good(r) for r in range(1, 50))
 
 
 def test_good_after():
     schedule = GoodBadSchedule.good_after(5)
-    assert schedule.is_bad(4)
+    assert not schedule.is_good(4)
     assert schedule.is_good(5)
     assert schedule.is_good(100)
 
 
 def test_windows():
     schedule = GoodBadSchedule.windows([(3, 5), (9, 9)])
-    assert schedule.is_bad(2)
+    assert not schedule.is_good(2)
     assert schedule.is_good(3)
     assert schedule.is_good(5)
-    assert schedule.is_bad(6)
+    assert not schedule.is_good(6)
     assert schedule.is_good(9)
-    assert schedule.is_bad(10)
+    assert not schedule.is_good(10)
 
 
 def test_windows_rejects_inverted():

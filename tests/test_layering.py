@@ -21,9 +21,11 @@ a scheduler under the one kernel, not a run loop beside it.
 
 The last half is the *reachability census*: every ``src/repro`` module is
 imported from ``repro.cli`` or the algorithm registry, and every public
-top-level name has a reader that is not a test.  Its two allow-lists may
+top-level name has a reader that is not a test — and so does every public
+method and property of a reached public class.  Its three allow-lists may
 only shrink.  ``PYTHONPATH=src python tests/test_layering.py`` prints it:
-reached and unreached lines per module, and every test-only name's size.
+reached and unreached lines per module, and every test-only name's and
+member's size.
 """
 
 from __future__ import annotations
@@ -350,6 +352,31 @@ TEST_ONLY = {
     for name in ("StabilizingLeaderOracle", "rotating_oracle")
 }
 
+#: Public members of reached classes that only tests read: each is a
+#: predicate stating a paper claim, named here.  A member of a class on
+#: ``TEST_ONLY`` is covered by the class's entry.  This set may only shrink.
+TEST_ONLY_MEMBERS = {
+    ("repro.core.flv_class1", "FLVClass1", "satisfies_liveness_bound"):
+        "Theorem 2: class 1 is live iff TD > (n + 3b + f) / 2",
+    ("repro.core.flv_class2", "FLVClass2", "satisfies_liveness_bound"):
+        "Theorem 3: class 2 is live iff TD > 3b + f",
+    ("repro.core.flv_class3", "FLVClass3", "satisfies_liveness_bound"):
+        "Theorem 4: class 3 is live iff TD > 2b + f",
+    ("repro.core.selector", "Selector", "satisfies_validity"):
+        "Selector-validity: a suggestion is empty or has more than b members",
+    ("repro.core.selector", "Selector", "satisfies_strong_validity"):
+        "Selector-strongValidity: empty or more than 3b + 2f members",
+    ("repro.core.process", "RoundStructure", "kinds_of_phase"):
+        "Section 3.1: a phase's rounds, phase 1's selection skippable",
+    ("repro.core.state", "ConsensusState", "footprint"):
+        "Table 1: the process-state column of each class",
+} | {
+    ("repro.core.selector", cls, "is_singleton"):
+        "benign selectors suggest one process, Byzantine ones more than b"
+    for cls in ("Selector", "RotatingSubsetSelector",
+                "RotatingCoordinatorSelector", "LeaderSelector", "FixedSelector")
+}
+
 REPO = SRC.parent.parent
 #: Outside ``src/``, what counts as a reader: the paper benches and the
 #: end-to-end ruler, the examples, CI, the README's python blocks.
@@ -392,7 +419,8 @@ def reached_modules(modules: Dict[str, Path], roots=ROOTS) -> Set[str]:
 
 
 def _referenced(node: ast.AST) -> Iterator[str]:
-    """Every name ``node`` reads: a bare name, an attribute, an import."""
+    """Every name ``node`` reads: a bare name, an attribute, an import, the
+    name string of a ``getattr`` / ``hasattr``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
@@ -401,6 +429,15 @@ def _referenced(node: ast.AST) -> Iterator[str]:
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             for alias in sub.names:
                 yield alias.name.rsplit(".", 1)[-1]
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id in ("getattr", "hasattr")
+            and len(sub.args) > 1
+            and isinstance(sub.args[1], ast.Constant)
+            and isinstance(sub.args[1].value, str)
+        ):
+            yield sub.args[1].value
 
 
 def module_references(source: str) -> Iterator[Tuple[Optional[str], str]]:
@@ -496,16 +533,43 @@ def unread_names(
     }
 
 
+def unread_members(
+    sources: Dict[str, str], reached: Set[str], outside: Set[str]
+) -> Dict[Tuple[str, str, str], int]:
+    """``(module, class, member) → lines`` for every public method or
+    property of a public class of a reached module whose name nothing but
+    tests reads: no attribute, bare name or ``getattr`` string in ``src/``
+    or ``outside`` uses it.  Members of a ``TEST_ONLY`` class are skipped:
+    the class's entry covers them."""
+    read = set(outside)
+    for source in sources.values():
+        read.update(_referenced(ast.parse(source)))
+    return {
+        (module, stmt.name, item.name): item.end_lineno - item.lineno + 1
+        for module in sorted(reached)
+        for stmt in ast.parse(sources[module]).body
+        if isinstance(stmt, ast.ClassDef)
+        and not stmt.name.startswith("_")
+        and (module, stmt.name) not in TEST_ONLY
+        for item in stmt.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in read
+    }
+
+
 def _within(module: str, packages) -> bool:
     return any(module == p or module.startswith(p + ".") for p in packages)
 
 
-def census(
-    src: Path = SRC,
-) -> Tuple[Dict[str, str], Set[str], Dict[Tuple[str, str], int]]:
-    """``(every module's source, the reached modules, test-only names)``.
-    A module on the ``UNREACHABLE`` list is waiting to be wired, so what it
-    reads counts as read: wiring it must not find its helpers deleted."""
+def census(src: Path = SRC) -> Tuple[
+    Dict[str, str], Set[str], Dict[Tuple[str, str], int],
+    Dict[Tuple[str, str, str], int],
+]:
+    """``(every module's source, the reached modules, test-only names,
+    test-only members)``.  A module on the ``UNREACHABLE`` list is waiting
+    to be wired, so what it reads counts as read: wiring it must not find
+    its helpers deleted."""
     files = module_files(src)
     sources = {m: path.read_text("utf-8") for m, path in files.items()}
     reached = reached_modules(files)
@@ -513,7 +577,12 @@ def census(
     for module, source in sources.items():
         if module not in reached and _within(module, UNREACHABLE):
             outside.update(_referenced(ast.parse(source)))
-    return sources, reached, unread_names(sources, reached, outside)
+    return (
+        sources,
+        reached,
+        unread_names(sources, reached, outside),
+        unread_members(sources, reached, outside),
+    )
 
 
 def test_census_scanners_see_what_they_guard(tmp_path):
@@ -566,22 +635,46 @@ def test_census_scanners_see_what_they_guard(tmp_path):
     # a name's size is its length in lines
     assert found[("pkg.lib", "planted")] == 2
 
+    sources["pkg.model"] = (
+        "class Host:\n"
+        "    def by_attribute(self):\n        pass\n"
+        "    def by_getattr(self):\n        pass\n"
+        "    @property\n    def unread(self):\n        return 1\n"
+        "    def _private(self):\n        pass\n"
+        "class _Hidden:\n    def unseen(self):\n        pass\n"
+        "def use(host):\n"
+        "    return host.by_attribute(), getattr(host, 'by_getattr')\n"
+    )
+    members = unread_members(sources, set(sources), outside=set())
+    # an attribute read or a getattr string reads a member; a private member
+    # or one of a private class is not counted; a size is in lines
+    assert members == {("pkg.model", "Host", "unread"): 2}
 
-def test_census_reports_a_planted_module_and_name(tmp_path):
+
+def test_census_reports_a_planted_module_name_and_member(tmp_path):
     src = tmp_path / "repro"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
     (src / "planted.py").write_text("def orphan():\n    pass\n")
     with open(src / "smr" / "log.py", "a", encoding="utf-8") as handle:
-        handle.write("\n\ndef planted():\n    return 1\n")
-    sources, reached, names = census(src)
+        handle.write(
+            "\n\ndef planted():\n    return PlantedHost\n"
+            "\n\nclass PlantedHost:\n"
+            "    def planted_member(self):\n        return 1\n"
+        )
+    sources, reached, names, members = census(src)
     assert set(sources) - reached == {
         "repro.planted", *(m for m in sources if _within(m, UNREACHABLE))
     }
-    assert set(names) == set(TEST_ONLY) | {("repro.smr.log", "planted")}
+    assert set(names) == set(TEST_ONLY) | {
+        ("repro.smr.log", "planted"), ("repro.smr.log", "PlantedHost"),
+    }
+    assert set(members) == set(TEST_ONLY_MEMBERS) | {
+        ("repro.smr.log", "PlantedHost", "planted_member"),
+    }
 
 
 def test_every_module_is_reachable():
-    sources, reached, _names = census()
+    sources, reached, _names, _members = census()
     unreached = set(sources) - reached
     assert {m for m in unreached if not _within(m, UNREACHABLE)} == set()
     # the allow-list only shrinks: an entry whose modules are wired leaves it
@@ -589,12 +682,17 @@ def test_every_module_is_reachable():
 
 
 def test_every_public_name_has_a_reader():
-    _sources, _reached, names = census()
+    _sources, _reached, names, _members = census()
     assert set(names) == set(TEST_ONLY)
 
 
+def test_every_public_member_has_a_reader():
+    _sources, _reached, _names, members = census()
+    assert set(members) == set(TEST_ONLY_MEMBERS)
+
+
 def main() -> int:
-    sources, reached, names = census()
+    sources, reached, names, members = census()
     lines = {m: len(source.splitlines()) for m, source in sources.items()}
     for module in sorted(sources):
         state = "reached" if module in reached else "UNREACHED"
@@ -604,6 +702,9 @@ def main() -> int:
     for (module, name), size in sorted(names.items()):
         print(f"test-only {size:5}  {module}.{name}")
     print(f"{sum(names.values())} lines in test-only names")
+    for (module, cls, member), size in sorted(members.items()):
+        print(f"test-only {size:5}  {module}.{cls}.{member}")
+    print(f"{sum(members.values())} lines in test-only members")
     return 0
 
 

@@ -78,7 +78,9 @@ def test_docstring_quickstart_in_package():
 #: the wrappers over the one crash-safe JSONL layer, and what the
 #: reachability census (``tests/test_layering.py``) found only tests read:
 #: the duplicate Section 2.3 checkers and Table 1 bounds, small helpers and
-#: the ``REPRO_BACKEND`` default.  None may come back (``MIGRATION.md``).
+#: the ``REPRO_BACKEND`` default; the latency models and the ``Random`` form
+#: of a scenario's seed (a ``NetworkSpec`` and an int describe a run's
+#: network).  None may come back (``MIGRATION.md``).
 DELETED_NAMES = [
     "run_consensus", "ConsensusOutcome", "outcome_from_kernel",
     "_build_byzantine", "run_timed_consensus", "TimedOutcome",
@@ -92,6 +94,7 @@ DELETED_NAMES = [
     "strict_majority", "is_concrete", "format_kv_block",
     "rows_to_jsonl", "read_rows", "scan_checkpoint",
     "CounterMachine", "BACKEND_ENV",
+    "LatencyModel", "FixedLatency", "UniformLatency", "RngLike", "_coerce_rng",
 ]
 
 
@@ -104,7 +107,8 @@ DELETED_NAMES = [
      "repro.analysis.invariants", "repro.analysis.reporting", "repro.core.flv",
      "repro.core.flv_class1", "repro.core.flv_class2", "repro.core.flv_class3",
      "repro.utils", "repro.utils.det", "repro.smr", "repro.smr.machine",
-     "repro.campaigns.runner"],
+     "repro.campaigns.runner", "repro.eventsim.network", "repro.scenarios",
+     "repro.scenarios.compile"],
 )
 def test_deleted_names_stay_deleted(module_name):
     module = importlib.import_module(module_name)
@@ -118,6 +122,31 @@ def test_outcome_reads_the_one_property_checker():
 
     for name in ("validity_holds", "unanimity_holds"):
         assert not hasattr(Outcome, name), f"Outcome.{name} is back"
+
+
+#: Members the census found only tests read, and the network's test-only
+#: reseed: ``(module, class, member)``.  None may come back.
+DELETED_MEMBERS = [
+    ("repro.utils.rng", "SeededRng", "spawn"),
+    ("repro.utils.rng", "SeededRng", "coin_flips"),
+    ("repro.campaigns.spec", "CampaignSpec", "expand"),
+    ("repro.analysis.trace", "ExecutionTrace", "total_messages_sent"),
+    ("repro.analysis.trace", "ExecutionTrace", "total_messages_delivered"),
+    ("repro.analysis.trace", "ExecutionTrace", "first_decision_round"),
+    ("repro.analysis.trace", "ExecutionTrace", "last_decision_round"),
+    ("repro.analysis.trace", "ExecutionTrace", "rounds_where"),
+    ("repro.analysis.metrics", "RunMetrics", "messages_per_round"),
+    ("repro.rounds.schedule", "GoodBadSchedule", "is_bad"),
+    ("repro.rounds.base", "RunContext", "is_faulty"),
+    ("repro.smr.serve", "WorkloadSpec", "expected_commands"),
+    ("repro.eventsim.network", "PartialSynchronyNetwork", "reseed"),
+]
+
+
+@pytest.mark.parametrize("module_name,cls,member", DELETED_MEMBERS)
+def test_deleted_members_stay_deleted(module_name, cls, member):
+    owner = getattr(importlib.import_module(module_name), cls)
+    assert not hasattr(owner, member), f"{cls}.{member} is back"
 
 
 @pytest.mark.parametrize(
