@@ -103,6 +103,19 @@ class CampaignSpec:
                 raise ValueError(
                     f"unknown engine {engine!r}; known: {ENGINES}"
                 )
+        # A run's seed derives from its cell's coordinates (a scenario's
+        # are its two descriptions), so a repeated entry would run one
+        # sample once per copy and report every copy.
+        for axis, keys in (
+            ("algorithms", self.algorithms),
+            ("models", [tuple(model) for model in self.models]),
+            ("engines", self.engines),
+            ("scenarios", [(s.describe_fault(), s.describe_network()) for s in self.scenarios]),
+        ):
+            for index, key in enumerate(keys):
+                if key in keys[:index]:
+                    entry = getattr(self, axis)[index]
+                    raise ValueError(f"axis {axis!r} repeats {getattr(entry, 'name', entry)!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be ≥ 1")
         if self.max_phases < 1:

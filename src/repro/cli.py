@@ -1218,23 +1218,31 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
         return value
 
+    def no_repeats(entries: list, labels: list) -> list:
+        # A repeated entry would run (or print) one cell twice.
+        for index, label in enumerate(labels):
+            if label in labels[:index]:
+                raise argparse.ArgumentTypeError(f"repeats {label}")
+        return entries
+
     def rate_list(text: str) -> list:
         rates = [positive_float(rate) for rate in text.split(",") if rate]
         if not rates:
             raise argparse.ArgumentTypeError("needs at least one rate")
-        return rates
+        # Rates compare as the sweep's ``rate{:g}`` cell coordinate.
+        return no_repeats(rates, [f"{rate:g}" for rate in rates])
 
     def scenario_list(text: str) -> list:
         names = [name for name in text.split(",") if name]
         if not names:
             raise argparse.ArgumentTypeError("needs at least one scenario name")
-        return names
+        return no_repeats(names, names)
 
     def field_list(text: str) -> tuple:
         keys = tuple(key.strip() for key in text.split(",") if key.strip())
         if not keys:
             raise argparse.ArgumentTypeError("needs at least one field")
-        return keys
+        return no_repeats(keys, keys)
 
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"

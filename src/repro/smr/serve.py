@@ -27,9 +27,10 @@ committed command sequence FIFO-equal to the arrival order at **every**
 sweeps.
 
 **Slot outcomes and replication.**  Deciding a slot yields a *slot
-outcome* ``(duration, phases, ok, messages, rounds, retries, rejected)``
-and one epilogue accounts it (counters, retry totals) whether it was just
-run or is being reused.  The serve cell is classified once by the campaign
+outcome* ``(duration, phases, ok, messages, rounds, retries, rejected)``;
+the slot runner sums the counts of the outcomes it decides, weights a
+reused one by the slots it stands for, and writes the counters once per
+serve.  The serve cell is classified once by the campaign
 planner (:func:`~repro.engine.batch.plan.plan_cell`): under
 ``MODE_REPLICATE`` the outcome is seed-independent, and because every
 honest replica proposes the same batch — always a ``tuple``, which the
@@ -38,8 +39,15 @@ utters — it is batch-independent too, so the first slot's outcome stands
 for every later slot and one instance runs per serve.  Any other verdict
 runs one instance per attempt.
 
+**Books per slot.**  The loop's per-request work is a few operations: a
+full pipeline window queues every arrival due by its earliest commit in
+one inner loop, and latency is accounted per applied slot — one list
+``extend`` per histogram, handed to the registry once the serve ends
+(:meth:`~repro.observability.telemetry.Telemetry.observe_many`).  The log
+digest streams one ``update`` per entry.
+
 The workload generator is lazy end to end (per-client arrival streams
-merged on the fly), so a million-request run holds O(clients) state.
+merged on the fly), so a million-request run holds O(clients × keys) state.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from math import inf
+from itertools import islice
+from math import inf, log
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -77,6 +86,12 @@ ARRIVALS = ("poisson", "fixed")
 
 #: Histogram the per-request latencies land in.
 LATENCY_HISTOGRAM = "smr.request_latency"
+
+#: The serve's histograms, in the order a serve first observes them.
+_SERVE_HISTOGRAMS = (
+    "smr.batch_size", LATENCY_HISTOGRAM, "smr.latency.queue_wait",
+    "smr.latency.consensus", "smr.latency.apply_wait",
+)
 
 
 # --------------------------------------------------------------- workload
@@ -120,33 +135,32 @@ class WorkloadSpec:
         if self.keys < 1:
             raise ValueError(f"keys must be ≥ 1, got {self.keys}")
 
-    def client_stream(self, client: int) -> Iterator[Tuple[float, Command]]:
-        """One client's lazy ``(arrival_time, command)`` stream."""
-        rng = random.Random(derive_seed(self.seed, f"client{client}"))
+    def client_stream(self, client: int) -> Iterator[Tuple[float, int, Command]]:
+        """One client's lazy ``(arrival_time, client, command)`` stream."""
+        draw = random.Random(derive_seed(self.seed, f"client{client}")).random
         rate = self.rate / self.clients
         step = 1.0 / rate
+        poisson = self.arrival == "poisson"
+        keys = self.keys
+        names = [f"c{client}k{key}" for key in range(keys)]
         now = 0.0
         seq = 0
         while True:
-            if self.arrival == "poisson":
-                now += rng.expovariate(rate)
+            if poisson:
+                # ``Random.expovariate(rate)``'s own expression, inlined.
+                now += -log(1.0 - draw()) / rate
             else:
                 # Multiply, don't accumulate: summed steps drift past the
                 # duration boundary and drop the last arrival.
                 now = step * (seq + 1)
             if now > self.duration:
                 return
-            yield now, ("set", f"c{client}k{seq % self.keys}", seq)
+            yield now, client, ("set", names[seq % keys], seq)
             seq += 1
 
     def arrivals(self) -> Iterator[Tuple[float, Command]]:
         """All clients' streams merged by arrival time (ties: client id)."""
-
-        def tagged(client: int) -> Iterator[Tuple[float, int, Command]]:
-            for when, command in self.client_stream(client):
-                yield when, client, command
-
-        merged = heapq.merge(*(tagged(c) for c in range(self.clients)))
+        merged = heapq.merge(*map(self.client_stream, range(self.clients)))
         for when, _client, command in merged:
             yield when, command
 
@@ -281,11 +295,10 @@ class ServeReport:
 
 
 def _log_digest(entries: Iterable[LogEntry]) -> str:
-    """SHA-256 over the entries' flattened command sequence."""
+    """SHA-256 over the flattened command sequence, one ``update`` per entry."""
     digest = hashlib.sha256()
     for entry in entries:
-        for command in entry.command:
-            digest.update(repr(command).encode("utf-8"))
+        digest.update("".join(map(repr, entry.command)).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -345,6 +358,10 @@ class _SlotRunner:
             else f"{MODE_SCALAR} — planner's {plan.mode} tier has no serve form"
         )
         self._first: Optional[SlotOutcome] = None
+        #: Slots run, and the decided outcomes' summed (messages, rounds,
+        #: retries, rejected); :meth:`account` writes them once.
+        self._slots = 0
+        self._sums = (0, 0, 0, 0)
         self.retries = 0
         self.rejected = 0
 
@@ -353,32 +370,37 @@ class _SlotRunner:
     ) -> Tuple[float, Optional[int], bool]:
         """Decide ``batch`` in ``slot``; returns (duration, phases, ok).
 
-        A replicating cell decides its first slot and reuses that outcome;
-        fresh or reused, the outcome is accounted here and only here.
+        A replicating cell decides its first slot and reuses that outcome.
         ``ok=False`` means the slot exhausted its attempt budget — the
         service reports itself stalled.
         """
-        count = self._telemetry.count
+        self._slots += 1
         outcome = self._first
         if outcome is None:
             outcome = self._decide(slot, batch)
+            self._sums = tuple(a + b for a, b in zip(self._sums, outcome[3:]))
             if self._replicate:
                 self._first = outcome
-        else:
-            count("smr.slots_replicated")
-        duration, phases, ok, messages, rounds, retries, rejected = outcome
+        return outcome[:3]
+
+    def account(self) -> None:
+        """Write the serve's slot counters once, as counting per slot would:
+        a reused outcome counts once per slot it stands for."""
+        if not self._slots:
+            return
+        scale = self._slots if self._first is not None else 1
+        messages, rounds, self.retries, self.rejected = (t * scale for t in self._sums)
+        count = self._telemetry.count
         count("smr.messages", messages)
         count("smr.rounds", rounds)
-        self.retries += retries
-        self.rejected += rejected
         for name, value in (
-            ("smr.retries", retries),
-            ("smr.rejected", rejected),
-            ("smr.retries.undecided", retries - rejected),
+            ("smr.retries", self.retries),
+            ("smr.rejected", self.rejected),
+            ("smr.retries.undecided", self.retries - self.rejected),
+            ("smr.slots_replicated", scale - 1),
         ):
             if value:
                 count(name, value)
-        return duration, phases, ok
 
     def _decide(self, slot: int, batch: Command) -> SlotOutcome:
         """Run ``slot``'s consensus attempts; accounts nothing but instances.
@@ -462,8 +484,10 @@ def run_serve(
     ]
     machines: Dict[int, StateMachine] = {pid: machine_factory() for pid in honest}
     logs: Dict[int, ReplicatedLog] = {pid: ReplicatedLog() for pid in honest}
+    replicas = [(logs[pid].commit, machines[pid].apply) for pid in honest]
 
     pending: deque = deque()  # arrived, not yet batched: (arrival, command)
+    popleft = pending.popleft
     # slot → (commit time, proposal time, batch, arrival times, phases)
     in_flight: Dict[int, tuple] = {}
     decided: Dict[int, tuple] = {}
@@ -472,90 +496,93 @@ def run_serve(
     apply_slot = 0  # in-order apply watermark (first slot not yet applied)
     offered = 0
     committed_commands = 0
-    slots_committed = 0
     stalled = False
-    observe = telemetry.observe
+    # Histogram samples, one extend per applied slot, recorded at the end.
+    books: Dict[str, List[float]] = {name: [] for name in _SERVE_HISTOGRAMS}
+    batch_sizes, latencies, queue_waits, consensus_waits, apply_waits = books.values()
     wall_start = perf_counter()
     next_arrival = next(stream, None)
 
     while True:
         # Propose: fill the pipeline window from the pending queue.
         while not stalled and pending and len(in_flight) < config.depth:
-            commands: List[Command] = []
-            arrival_times: List[float] = []
-            size = 0
-            while pending and len(commands) < config.batch:
-                arrived, command = pending[0]
-                if config.batch_bytes is not None:
+            take = min(len(pending), config.batch)
+            if config.batch_bytes is not None:
+                size = 0
+                for index, (_, command) in enumerate(islice(pending, take)):
                     size += len(repr(command))
-                    if commands and size > config.batch_bytes:
+                    if index and size > config.batch_bytes:
+                        take = index
                         break
-                pending.popleft()
-                commands.append(command)
-                arrival_times.append(arrived)
-            batch = tuple(commands)
+            arrival_times, batch = zip(*[popleft() for _ in range(take)])
             duration, phases, ok = runner.run(next_slot, batch)
             if not ok:
                 stalled = True
                 telemetry.count("smr.stalled_slots")
                 break
-            telemetry.count("smr.slots")
-            telemetry.count("smr.commands", len(batch))
-            observe("smr.batch_size", float(len(batch)))
             in_flight[next_slot] = (
                 clock + duration, clock, batch, arrival_times, phases
             )
             next_slot += 1
-
-        # Earliest commit; slots sit in insertion (= index) order, so the
-        # strict comparison breaks ties toward the lowest slot.
+        # Every pass starts after a commit or with a proposal, so the window
+        # has changed: find the earliest commit.  Slots sit in insertion (=
+        # index) order; the strict comparison breaks ties toward the lowest.
         commit_slot: Optional[int] = None
         commit_time = inf
         for slot, flight in in_flight.items():
             if flight[0] < commit_time:
                 commit_slot, commit_time = slot, flight[0]
-        arrival_due = (
-            next_arrival is not None
-            and not stalled
-            and next_arrival[0] <= commit_time
-        )
-        if arrival_due:
-            when, command = next_arrival  # type: ignore[misc]
-            clock = max(clock, when)
-            pending.append((when, command))
-            offered += 1
-            next_arrival = next(stream, None)
-            continue
+        if not stalled:
+            # Arrivals due by the earliest commit join the queue.  A full
+            # window cannot propose before that commit, so it takes them
+            # all; with room, each one is proposed at once.
+            room = len(in_flight) < config.depth
+            while next_arrival is not None and next_arrival[0] <= commit_time:
+                when = next_arrival[0]
+                if when > clock:
+                    clock = when
+                pending.append(next_arrival)
+                offered += 1
+                next_arrival = next(stream, None)
+                if room:
+                    break
+            if room and pending:
+                continue
         if commit_slot is None:
             break  # nothing deciding, nothing arriving (or stalled dry)
         # Commit: pop the earliest completion; decide order may be
         # out-of-order in the slot index, so buffer and apply the
         # contiguous prefix only.
         decided[commit_slot] = in_flight.pop(commit_slot)
-        clock = max(clock, commit_time)
+        if commit_time > clock:
+            clock = commit_time
         while apply_slot in decided:
             (
                 committed_at, proposed_at, applied_batch, applied_arrivals,
                 applied_phases,
             ) = decided.pop(apply_slot)
             entry = LogEntry(apply_slot, applied_batch, phases=applied_phases)
-            for pid in honest:
-                logs[pid].commit(entry)
-                machine = machines[pid]
+            for commit, apply in replicas:
+                commit(entry)
                 for command in applied_batch:
-                    machine.apply(command)
+                    apply(command)
             # Where each request's latency went; the three parts sum to it.
-            consensus = committed_at - proposed_at
-            apply_wait = clock - committed_at
-            for arrived in applied_arrivals:
-                observe(LATENCY_HISTOGRAM, clock - arrived)
-                observe("smr.latency.queue_wait", proposed_at - arrived)
-                observe("smr.latency.consensus", consensus)
-                observe("smr.latency.apply_wait", apply_wait)
-            committed_commands += len(applied_batch)
-            slots_committed += 1
+            width = len(applied_batch)
+            batch_sizes.append(float(width))
+            latencies.extend([clock - arrived for arrived in applied_arrivals])
+            queue_waits.extend([proposed_at - arrived for arrived in applied_arrivals])
+            consensus_waits.extend([committed_at - proposed_at] * width)
+            apply_waits.extend([clock - committed_at] * width)
+            committed_commands += width
             apply_slot += 1
 
+    # Every proposed slot has committed and applied by now.
+    runner.account()
+    if apply_slot:
+        telemetry.count("smr.slots", apply_slot)
+        telemetry.count("smr.commands", committed_commands)
+    for name, samples in books.items():
+        telemetry.observe_many(name, samples)
     wall_seconds = perf_counter() - wall_start
     digests = {machine.digest() for machine in machines.values()}
     latency: Dict[str, float] = {}
@@ -570,7 +597,7 @@ def run_serve(
         depth=config.depth,
         offered=offered,
         committed_commands=committed_commands,
-        slots_committed=slots_committed,
+        slots_committed=apply_slot,
         retries=runner.retries,
         rejected=runner.rejected,
         stalled=stalled,

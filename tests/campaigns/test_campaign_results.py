@@ -539,6 +539,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "argument --group-by: needs at least one field" in err
 
+    @pytest.mark.parametrize("group_by", ["n,n", "engine, n,engine"])
+    def test_campaign_report_repeated_group_by(self, tmp_path, capsys, group_by):
+        """``--group-by n,n`` used to print the ``n`` column twice."""
+        out = tmp_path / "rows.jsonl"
+        write_rows(out, [make_row()])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "report", str(out), "--group-by", group_by])
+        assert exit_info.value.code == 2
+        repeated = group_by.split(",")[-1]
+        assert f"argument --group-by: repeats {repeated}\n" in capsys.readouterr().err
+
     def test_campaign_run_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"name": "x", "algorithms": ["pbft"], "oops": 1}')

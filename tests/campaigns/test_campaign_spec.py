@@ -55,6 +55,48 @@ class TestExpansion:
         with pytest.raises(ValueError, match="unknown engine"):
             small_spec(engines=("warp",))
 
+    @pytest.mark.parametrize(
+        "overrides,says",
+        [
+            ({"algorithms": ("pbft", "class-2", "pbft")}, "axis 'algorithms' repeats 'pbft'"),
+            ({"models": ((4, 1, 0), (4, 1, 0))}, "axis 'models' repeats (4, 1, 0)"),
+            ({"engines": ("timed", "timed")}, "axis 'engines' repeats 'timed'"),
+            ({"scenarios": ("worst_case", "worst_case")}, "axis 'scenarios' repeats 'worst_case'"),
+            # Another name, the same fault and network: the same run seeds.
+            (
+                {"scenarios": (
+                    ScenarioSpec(byzantine=("equivocator",)),
+                    ScenarioSpec(name="again", byzantine=("equivocator",)),
+                )},
+                "axis 'scenarios' repeats 'again'",
+            ),
+        ],
+    )
+    def test_repeated_entry_rejected(self, overrides, says):
+        """A repeated entry used to run one sample once per copy."""
+        with pytest.raises(ValueError) as excinfo:
+            small_spec(**overrides)
+        assert str(excinfo.value) == says
+
+    def test_repeated_axes_campaign_exits_2(self, tmp_path, capsys):
+        """At the parent this spec wrote 8 rows of one run (rep 0, one
+        seed) and reported ``runs 8`` for a one-repetition cell."""
+        from repro.cli import main
+
+        path = tmp_path / "repeats.json"
+        path.write_text(json.dumps({
+            "name": "repeats", "algorithms": ["class-2", "class-2"],
+            "models": [[9, 1, 1], [9, 1, 1]],
+            "engines": ["lockstep", "lockstep"], "repetitions": 1,
+        }))
+        out = tmp_path / "out.jsonl"
+        assert main(["campaign", "run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"cannot load campaign spec {path}: axis 'algorithms' repeats 'class-2'\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]  # nothing was written
+
 
 class TestSeedDerivation:
     def test_expansion_is_deterministic(self):

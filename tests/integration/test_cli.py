@@ -161,6 +161,27 @@ def test_smr_sweep_rejects_an_empty_scenario_list(capsys):
     assert "argument --scenarios: needs at least one scenario name" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,repeated",
+    [
+        ("--rates", "8,8", "8"),
+        # Rates compare as their ``rate{:g}`` cell coordinate.
+        ("--rates", "8,8.0", "8"),
+        ("--rates", "50,8,0.5e2", "50"),
+        ("--scenarios", "worst_case,worst_case", "worst_case"),
+    ],
+)
+def test_smr_sweep_rejects_a_repeated_entry(capsys, flag, value, repeated):
+    """A repeat used to run one cell twice under the same seeds and write
+    two rows with one ``cell`` coordinate."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smr", "sweep", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: repeats {repeated}\n" in err
+    assert "usage:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-root"])
 def test_smr_sweep_probes_out_before_the_first_cell(tmp_path, capsys, where):
     """An unwritable ``--out`` used to run every cell, then die in the

@@ -67,6 +67,35 @@ class TestScalarInstruments:
         tel.observe("b", 2.0)
         assert tel.histogram_names == ["a", "b"]
 
+    def test_observe_many_equals_repeated_observe(self):
+        batches = [("b", [3.0, 1.0]), ("a", [2.0]), ("b", [0.5, 4.0, 1.0])]
+        one_by_one, many = Telemetry(), Telemetry()
+        one_by_one.observe("a", 9.0)
+        many.observe("a", 9.0)
+        for name, values in batches:
+            for value in values:
+                one_by_one.observe(name, value)
+            many.observe_many(name, values)
+        assert many.histogram_names == one_by_one.histogram_names == ["a", "b"]
+        assert many._histograms == one_by_one._histograms
+        for name in ("a", "b"):
+            assert many.histogram_stats(name) == one_by_one.histogram_stats(name)
+
+    def test_observe_many_of_nothing_creates_no_histogram(self):
+        tel = Telemetry()
+        tel.observe_many("latency", [])
+        assert tel.histogram_names == []
+        tel.observe("latency", 1.0)
+        tel.observe_many("latency", ())
+        assert tel.histogram_stats("latency")["count"] == 1
+
+    def test_observe_many_copies_its_input(self):
+        tel = Telemetry()
+        values = [1.0, 2.0]
+        tel.observe_many("latency", values)
+        values.append(100.0)
+        assert tel.histogram_stats("latency")["max"] == 2.0
+
 
 class TestSpans:
     def test_span_records_calls_and_nonnegative_times(self):

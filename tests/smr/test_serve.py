@@ -262,6 +262,129 @@ class TestServeReport:
         assert report.telemetry.counters["smr.stalled_slots"] == 1
 
 
+_HISTOGRAMS = [
+    "smr.batch_size", "smr.request_latency", "smr.latency.queue_wait",
+    "smr.latency.consensus", "smr.latency.apply_wait",
+]
+
+#: cell → (config, workload, explicit arrivals).
+_PIN_CELLS = {
+    "worst_case-replicate": (
+        ServeConfig(n=4, b=1, scenario="worst_case", batch=8, depth=4, seed=3),
+        WORKLOAD, None,
+    ),
+    "lossy_channel-retries": (
+        ServeConfig(n=4, b=1, scenario="lossy_channel", batch=4, depth=2, seed=5),
+        WORKLOAD, None,
+    ),
+    # The stalled cell of ``test_stall_reported_not_raised``.
+    "lossy_channel-stalled": (
+        ServeConfig(
+            n=4, b=1, scenario="lossy_channel", batch=2, depth=2,
+            seed=5, max_attempts=1, max_phases=1,
+        ),
+        WORKLOAD, None,
+    ),
+    "partition_heal-timed-fixed": (
+        ServeConfig(
+            n=4, b=1, scenario="partition_heal", engine="timed",
+            batch=4, depth=3, seed=2,
+        ),
+        WorkloadSpec(clients=2, rate=30.0, duration=1.0, arrival="fixed", seed=4),
+        None,
+    ),
+    "no-arrivals": (ServeConfig(n=4, b=1), WORKLOAD, []),
+}
+
+#: cell → (counters, {histogram: (count, repr(sum), repr(min), repr(max))}),
+#: recorded when the serve loop still counted and observed per request.
+_PINS = {
+    "worst_case-replicate": (
+        {
+            "smr.instances_run": 1, "smr.messages": 624, "smr.rounds": 39,
+            "smr.slots": 13, "smr.commands": 71, "smr.slots_replicated": 12,
+        },
+        {
+            "smr.batch_size": (13, "71.0", "1.0", "8.0"),
+            "smr.request_latency": (
+                71, "494.24157385742274", "3.0", "11.063866595763429",
+            ),
+            "smr.latency.queue_wait": (
+                71, "281.2415738574227", "0.0", "8.063866595763429",
+            ),
+            "smr.latency.consensus": (
+                71, "213.0", "2.9999999999999996", "3.0000000000000004",
+            ),
+            "smr.latency.apply_wait": (71, "0.0", "0.0", "0.0"),
+        },
+    ),
+    "lossy_channel-retries": (
+        {
+            "smr.instances_run": 22, "smr.messages": 16080, "smr.rounds": 1005,
+            "smr.slots": 20, "smr.commands": 71, "smr.retries": 2,
+            "smr.retries.undecided": 2,
+        },
+        {
+            "smr.batch_size": (20, "71.0", "1.0", "4.0"),
+            "smr.request_latency": (
+                71, "23251.825404704865", "54.0", "521.0403362134808",
+            ),
+            "smr.latency.queue_wait": (
+                71, "19297.8071826388", "0.0", "467.04033621348077",
+            ),
+            "smr.latency.consensus": (71, "3534.0", "9.0", "108.00000000000001"),
+            "smr.latency.apply_wait": (
+                71, "420.0182220660641", "0.0", "53.99544448348401",
+            ),
+        },
+    ),
+    "lossy_channel-stalled": (
+        {
+            "smr.instances_run": 1, "smr.messages": 48, "smr.rounds": 3,
+            "smr.retries": 1, "smr.retries.undecided": 1,
+            "smr.stalled_slots": 1,
+        },
+        {},
+    ),
+    "partition_heal-timed-fixed": (
+        {
+            "smr.instances_run": 1, "smr.messages": 1440, "smr.rounds": 90,
+            "smr.slots": 10, "smr.commands": 30, "smr.slots_replicated": 9,
+        },
+        {
+            "smr.batch_size": (10, "30.0", "1.0", "4.0"),
+            "smr.request_latency": (30, "1674.1", "22.5", "89.13333333333333"),
+            "smr.latency.queue_wait": (
+                30, "999.0999999999999", "0.0", "66.63333333333333",
+            ),
+            "smr.latency.consensus": (30, "675.0", "22.499999999999993", "22.5"),
+            "smr.latency.apply_wait": (30, "0.0", "0.0", "0.0"),
+        },
+    ),
+    # A serve that never proposed has no counter at all.
+    "no-arrivals": ({}, {}),
+}
+
+
+class TestTelemetryPins:
+    """Counters and histogram samples do not depend on how the loop books
+    them: per request or once per slot, the registry reads the same."""
+
+    @pytest.mark.parametrize("cell", sorted(_PIN_CELLS))
+    def test_counters_and_histograms_pinned(self, cell):
+        config, workload, arrivals = _PIN_CELLS[cell]
+        counters, histograms = _PINS[cell]
+        telemetry = run_serve(config, workload, arrivals=arrivals).telemetry
+        assert telemetry.counters == counters
+        assert telemetry.histogram_names == (_HISTOGRAMS if histograms else [])
+        for name in telemetry.histogram_names:
+            samples = telemetry._histograms[name]
+            assert (
+                len(samples), repr(sum(samples)), repr(min(samples)),
+                repr(max(samples)),
+            ) == histograms[name], name
+
+
 class TestSweep:
     def test_rows_cover_the_grid(self, tmp_path, capsys):
         out = tmp_path / "serve.jsonl"
