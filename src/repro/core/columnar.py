@@ -35,6 +35,7 @@ from repro.utils.det import _sort_key
 
 __all__ = [
     "NULL_CODE",
+    "count_pairs",
     "counts_by_value",
     "encode_alphabet",
     "flv_class1_columnar",
@@ -71,26 +72,36 @@ def pick_min_code(np, mask):
 
     ``mask`` is ``(..., V)`` bool — which values are candidates; the result
     is ``(...,)`` int.  Because codes are assigned in ``_sort_key`` order,
-    the minimum set code *is* the deterministic choice among candidates.
+    the minimum set code — the first ``True``, which ``argmax`` finds — *is*
+    the deterministic choice among candidates.
     """
-    n_values = mask.shape[-1]
-    codes = np.arange(n_values, dtype=np.int64)
-    ranked = np.where(mask, codes, n_values)
-    best = ranked.min(axis=-1)
-    return np.where(best < n_values, best, NULL_CODE)
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), NULL_CODE)
+
+
+def count_pairs(np, pairs, valid):
+    """``count[..., m] = |{o valid : pairs[..., m, o]}|``.
+
+    ``pairs`` is ``(..., M, S)`` bool and ``valid`` ``(..., S)``; the
+    result is ``(valid[..., None, :] & pairs).sum(-1)``.  That bool sum
+    along a short last axis is numpy's slowest reduction, so where one
+    pair table serves every receiver — ``(B, 1, M, S)`` against ``(B, D,
+    S)`` — it runs as a batched float32 matrix product instead (exact
+    below 2**24, and the table is never copied per receiver).
+    """
+    if pairs.shape[-3] == 1:
+        table = pairs[..., 0, :, :].swapaxes(-1, -2).astype(np.float32)
+        return np.matmul(valid.astype(np.float32), table).astype(np.int64)
+    return (valid[..., None, :] & pairs).sum(axis=-1)
 
 
 def counts_by_value(np, valid, votes, n_values: int):
     """Per-value multiplicities: ``counts[..., v] = |{m valid : vote_m = v}|``.
 
-    ``valid``/``votes`` are ``(B, D, S)``; the result is ``(B, D, V)``.
-    The loop over the alphabet is fine: V is a handful of values while
-    B·D·S is the bulk.
+    ``valid``/``votes`` are ``(B, D, S)``; the result is ``(B, D, V)``:
+    :func:`count_pairs` over the ``(vote_s = v)`` table.
     """
-    counts = np.zeros(valid.shape[:-1] + (n_values,), dtype=np.int64)
-    for value in range(n_values):
-        counts[..., value] = (valid & (votes == value)).sum(axis=-1)
-    return counts
+    codes = np.arange(n_values)[:, None]
+    return count_pairs(np, votes[..., None, :] == codes, valid)
 
 
 def survivor_mask(np, valid, votes, ts, slack: int):
@@ -108,8 +119,7 @@ def survivor_mask(np, valid, votes, ts, slack: int):
     ts_m = ts[..., :, None]
     ts_o = ts[..., None, :]
     cond = (votes_o == votes_m) | (ts_m > ts_o)
-    support = (valid[..., None, :] & cond).sum(axis=-1)
-    return valid & (support > slack)
+    return valid & (count_pairs(np, cond, valid) > slack)
 
 
 def resolve_any_columnar(np, valid, votes, n_values: int):
@@ -119,10 +129,7 @@ def resolve_any_columnar(np, valid, votes, n_values: int):
     mirroring the scalar path, which maps ``?`` with an empty vector to
     ``null``.
     """
-    present = np.zeros(valid.shape[:-1] + (n_values,), dtype=bool)
-    for value in range(n_values):
-        present[..., value] = (valid & (votes == value)).any(axis=-1)
-    return pick_min_code(np, present)
+    return pick_min_code(np, counts_by_value(np, valid, votes, n_values) > 0)
 
 
 def flv_class1_columnar(np, valid, votes, n_values: int, slack: int):
@@ -175,9 +182,7 @@ def flv_class3_columnar(
     """
     surviving = survivor_mask(np, valid, votes, ts, slack)
     certified = surviving & (history_support > b)
-    correct = np.zeros(valid.shape[:-1] + (n_values,), dtype=bool)
-    for value in range(n_values):
-        correct[..., value] = (certified & (votes == value)).any(axis=-1)
+    correct = counts_by_value(np, certified, votes, n_values) > 0
     n_correct = correct.sum(axis=-1)
     concrete = np.where(n_correct == 1, pick_min_code(np, correct), NULL_CODE)
     any_mask = n_correct > 1

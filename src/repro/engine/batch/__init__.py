@@ -29,8 +29,13 @@ template-build time and demoted (never fudged) when unprovable:
 * **Mask contract** — the per-run seed enters the array program **only**
   through ``(B, n, n)`` boolean delivery masks (dest-major:
   ``mask[b, dest, sender]``), produced by mirroring the scalar scheduler
-  draw for draw on the run's own ``BlockRng`` streams (next section).
-  Everything else — payloads, suggestion sets, validator sets, edge lists,
+  draw for draw on the run's own ``BlockRng`` streams (next section).  A
+  drawing round is one array step over the live runs, never a per-run
+  loop: the runs' coin blocks stacked into a ``(live, edges)`` admission
+  mask, their latency blocks concatenated and held against the round
+  deadline in one compare, and the edge mask scattered into the ``(B, n,
+  n)`` mask with one fancy index; a round that draws nothing is delivered
+  once per cell.  Everything else — payloads, suggestion sets, validator sets, edge lists,
   wall-clock windows, zero-draw rounds — is a per-cell template shared by
   all runs.  Byzantine payloads overlay the honest state per ``(dest,
   sender)``: the timed scheduler pins a Byzantine sender to its first
@@ -53,8 +58,11 @@ re-partitioned one:
 * *timed*: the network stream of run *b* is seeded ``seed_b``, and the
   policy/filter stream of run *b* is an independent generator also seeded
   ``seed_b`` — precisely the two streams scalar compilation builds.  Per
-  round: the bad-round rule's coins first (policy stream), then latency
-  samples against the round deadline (network stream);
+  round: the bad-round rule's coins first (policy stream), then one
+  latency block for the run's admitted edges, tested against the round
+  deadline (network stream) — the block of run *b* sits at *b*'s place in
+  the live runs' concatenation, so the one compare settles every run with
+  its own draws;
 * *lockstep*: one policy stream per run, seeded ``seed_b`` — no network
   stream, no deadline.  A bad round of a coin-drawing comm
   (``CommSpec.draws_coins()``: ``lossy``, ``good-bad``/``drop``) draws one

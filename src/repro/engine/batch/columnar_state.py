@@ -15,7 +15,8 @@ itself* into arrays for cells the planner proved eligible
   compile time, so fresh streams are equal streams).  *Timed*: two streams
   per run mirror the one timed sweep
   (:meth:`TimedScheduler._deliver_fast`) — the round's edge rule, then one
-  batched latency draw over the admitted edges — draw for draw.
+  batched latency draw over the admitted edges — draw for draw, every
+  live run settled by the same array step.
   *Lockstep*: one policy stream per run mirrors
   :func:`~repro.rounds.policies.random_drop_behavior` under
   :func:`~repro.rounds.policies.filtered_delivery` — one coin per edge
@@ -61,6 +62,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.columnar import (
     NULL_CODE,
+    count_pairs,
     counts_by_value,
     encode_alphabet,
     flv_class1_columnar,
@@ -130,25 +132,21 @@ class _RoundTemplate:
         # What each adaptive liar tallies from its own inbox row: one
         # ``(pid, counted senders (n,), their codes (1, n))`` per liar.
         "heard",
-        # Run-invariant delivery precomputation.  Lockstep: ``fixed`` is the
-        # whole zero-draw round ``(mask, delivered, dropped)`` or ``None``
-        # for a coin round, whose mask is ``base_flat`` with one coin per
-        # ``coin_flat`` cell.  Timed: the wall-clock window, the zero-draw
-        # constant-latency verdict, the admission base of the round's edge
-        # rule (all edges in a good round) and — when no coin is drawn —
-        # its nonzero edges.
+        # Run-invariant delivery precomputation.  ``fixed`` is a whole
+        # zero-draw round ``(mask, delivered, dropped)``, else ``None``: the
+        # round draws, and ``admit_base`` (edge order) is what its rule
+        # admits before any coin, ``use_coins`` whether coins flip the
+        # ``coin_idx`` edges.  Timed only: the wall-clock window, and the
+        # verdict ``arrives`` of constant post-GST transits (``None`` where
+        # the deadline sweep draws one latency per admitted edge).
+        "flat",
         "fixed",
-        "base_flat",
-        "coin_flat",
+        "admit_base",
+        "use_coins",
         "now",
         "deadline",
         "pre_gst",
-        "constant",
-        "delivers_all",
-        "admit_base",
-        "use_coins",
-        "pending_idx",
-        "none_idx",
+        "arrives",
     )
 
 
@@ -333,23 +331,26 @@ class CellProgram:
         rt.kind = kind
 
         everyone = dict.fromkeys(self.model.processes)
+        # Only a Byzantine sender can tell receivers apart: without one, a
+        # single overlay row serves every receiver.
+        rows = n if self.byz_pids else 1
         if kind is RoundKind.SELECTION:
             honest_out = dict.fromkeys(self.suggestions[info.phase])
-            rt.sok = np.zeros((n, n), dtype=bool)
+            rt.sok = np.zeros((rows, n), dtype=bool)
             rt.sok[:, self.honest_pids] = True
-            rt.svote = np.full((n, n), NULL_CODE, dtype=np.int64)
-            rt.sts = np.zeros((n, n), dtype=np.int64)
+            rt.svote = np.full((rows, n), NULL_CODE, dtype=np.int64)
+            rt.sts = np.zeros((rows, n), dtype=np.int64)
             rt.shist = {}
         elif kind is RoundKind.VALIDATION:
             validators = self.parameters.selector.select(0, info.phase)
             rt.val_mask = np.zeros(n, dtype=bool)
             rt.val_mask[list(validators)] = True
             rt.val_len = len(validators)
-            rt.vsel = np.full((n, n), NULL_CODE, dtype=np.int64)
+            rt.vsel = np.full((rows, n), NULL_CODE, dtype=np.int64)
         else:
-            rt.dvote = np.full((n, n), NULL_CODE, dtype=np.int64)
-            rt.dts = np.zeros((n, n), dtype=np.int64)
-            rt.dok = np.zeros((n, n), dtype=bool)
+            rt.dvote = np.full((rows, n), NULL_CODE, dtype=np.int64)
+            rt.dts = np.zeros((rows, n), dtype=np.int64)
+            rt.dok = np.zeros((rows, n), dtype=bool)
             rt.dok[:, self.honest_pids] = True
 
         # The round's template outbound, in the kernel's sender-major order;
@@ -375,6 +376,7 @@ class CellProgram:
         rt.e_send = np.asarray(senders, dtype=np.intp)
         rt.e_dest = np.asarray(dests, dtype=np.intp)
         rt.sent = len(senders)
+        rt.flat = rt.e_dest * n + rt.e_send
         # Which edges consume one policy coin in a coin round: the rule is
         # never asked about Byzantine receivers, which draw none.
         rt.coin_idx = np.nonzero(~self.byz_col[rt.e_dest])[0]
@@ -418,11 +420,13 @@ class CellProgram:
                     == isinstance(payload, (SelectionMessage, DecisionMessage)),
                     "adaptive-liar would tally a payload the overlays do not carry",
                 )
+        rt.heard = []
+        if rows == 1:
+            return rt
         # Where every honest receiver reads the same row, keep one: the
         # array program then broadcasts ``(B, 1, n)`` honest state instead
         # of materializing ``(B, n, n)`` per-receiver copies.
         honest = self.honest_pids
-        rt.heard = []
         if kind is RoundKind.SELECTION:
             rt.heard = [(pid, rt.sok[pid], rt.svote[[pid]]) for pid in self.liars]
             rt.sok = _shared_row(rt.sok, honest)
@@ -494,10 +498,9 @@ class CellProgram:
         n = self.n
         if self._coin_round(rt.number):
             rt.fixed = None
-            flat = rt.e_dest * n + rt.e_send
-            rt.base_flat = np.zeros(n * n, dtype=bool)
-            rt.base_flat[flat[self.byz_col[rt.e_dest]]] = True
-            rt.coin_flat = flat[rt.coin_idx]
+            rt.admit_base = self.byz_col[rt.e_dest]
+            rt.use_coins = rt.coin_idx.size > 0
+            rt.arrives = True  # no deadline: every admitted edge arrives
             return None
         delivery = self.scheduler.deliver_round(info, outbound, self.context)
         mask = np.zeros((n, n), dtype=bool)
@@ -512,12 +515,13 @@ class CellProgram:
         The wall clock is run-invariant (every run accumulates the same
         ``deadline = now + round_duration`` float sequence), and so is a
         bad round's admission base — only the per-edge drop coins differ
-        between runs.  Hoisting both out of :meth:`_delivered_edges`
-        leaves coin draws, latency draws and one deadline compare as the
-        entire per-run round cost.
+        between runs.  A round that then draws nothing (no coins, and
+        post-GST constant transits or no admitted edge) is delivered here
+        once for all runs; in any other, :meth:`_deliver` draws every live
+        run's coins and latencies and settles all of them with one
+        deadline compare.
         """
         np = self.np
-        rt.fixed = None
         # Same float accumulation as the scalar scheduler: the round's
         # start is the previous round's deadline.
         now = 0.0
@@ -526,11 +530,8 @@ class CellProgram:
         rt.now = now
         rt.deadline = now + self.round_duration
         rt.pre_gst = now < self.gst
-        rt.constant = None if rt.pre_gst else self.post_gst_transit
-        rt.delivers_all = (
-            rt.constant is not None and now + rt.constant <= rt.deadline
-        )
-        rt.none_idx = np.empty(0, dtype=np.intp)
+        constant = None if rt.pre_gst else self.post_gst_transit
+        rt.arrives = None if constant is None else now + constant <= rt.deadline
 
         byz_dest = self.byz_col[rt.e_dest]
         rt.use_coins = False
@@ -551,90 +552,92 @@ class CellProgram:
                 dtype=bool,
                 count=rt.sent,
             )
-        rt.pending_idx = None if rt.use_coins else np.nonzero(rt.admit_base)[0]
+        rt.fixed = None
+        if not rt.use_coins and (
+            rt.arrives is not None or not rt.admit_base.any()
+        ):
+            # Zero-draw: one delivery for every run.
+            on = rt.admit_base if rt.arrives else np.zeros_like(rt.admit_base)
+            mask = np.zeros(self.n * self.n, dtype=bool)
+            mask[rt.flat[on]] = True
+            got = int(on.sum())
+            rt.fixed = (mask.reshape(self.n, self.n), got, rt.sent - got)
 
     # ----------------------------------------------------- mask producers
 
-    def _transits(self, net, rt: _RoundTemplate, count: int):
-        """The next ``count`` transit times of one run's network stream.
+    def _transits(self, rt: _RoundTemplate, streams, counts):
+        """The next transit times of each run's network stream, concatenated.
 
-        Op-for-op the per-message draws of
-        :meth:`PartialSynchronyNetwork.sample_round` — one round-wide
-        block, as the scheduler's one call per round draws it; pre-GST the
-        uniform model interleaves (base, chaos coin) pairs.
+        Run ``streams[i]`` draws one round-wide block for its ``counts[i]``
+        messages, as the scheduler's one ``sample_round`` call per round
+        does; the arithmetic is op-for-op the per-message draws of
+        :meth:`PartialSynchronyNetwork.sample_round`.  Pre-GST the uniform
+        model interleaves (base, chaos coin) pairs: every run's block has
+        even length, so the pairs stay aligned across the concatenation.
         """
         np = self.np
+        pairs = rt.pre_gst and not self.fixed_latency
+        draws = np.concatenate(
+            [
+                stream.block(2 * count if pairs else count)
+                for stream, count in zip(streams, counts)
+            ]
+        )
         if not rt.pre_gst:
-            draws = net.block(count)
             transits = self.low + (self.high - self.low) * draws
             if not self.clamp_free:
                 transits = np.minimum(transits, self.delta)
             return transits
-        if self.fixed_latency:
-            coins = net.block(count)
+        if not pairs:
             return np.where(
-                coins < self.pre_prob, self.low * self.chaos, self.low
+                draws < self.pre_prob, self.low * self.chaos, self.low
             )
-        draws = net.block(2 * count)
         bases = self.low + (self.high - self.low) * draws[0::2]
-        bases[draws[1::2] < self.pre_prob] *= self.chaos
+        # ``x * 1.0`` is ``x``: the delayed ones alone change, by ``* chaos``.
+        bases *= np.where(draws[1::2] < self.pre_prob, self.chaos, 1.0)
         return bases
-
-    def _delivered_edges(self, rt: _RoundTemplate, net, pol):
-        """Indices of the timed round's delivered edges for one run.
-
-        Only the seed-dependent work happens here: per-edge drop coins
-        (policy stream) and latency draws (network stream).  Everything
-        else — the admission base, the wall-clock window, the zero-draw
-        constant verdict — was precomputed on the template.  Stream
-        consumption order matches the scalar scheduler exactly: the
-        filter's coins first, then the deadline sweep's latencies.
-        """
-        np = self.np
-        if rt.use_coins:
-            coins = pol.block(int(rt.coin_idx.size))
-            admitted = rt.admit_base.copy()
-            admitted[rt.coin_idx] = coins >= self.drop_prob
-            pending = np.nonzero(admitted)[0]
-        else:
-            pending = rt.pending_idx
-        if rt.constant is not None:
-            return pending if rt.delivers_all else rt.none_idx
-        if pending.size == 0:
-            return pending
-        transits = self._transits(net, rt, int(pending.size))
-        return pending[rt.now + transits <= rt.deadline]
 
     def _deliver(self, rt: _RoundTemplate, streams, live):
         """``(mask, delivered, dropped)`` of round ``rt`` for the ``live`` runs.
 
         ``mask`` is ``(B, n, n)`` dest-major (rows of finished runs are
         don't-cares); the counts are per live run, or run-invariant ints.
+        ``streams`` is ``(policy, network)``, one stream per run each (no
+        network under lockstep).  A drawing round is one array step over
+        the live runs: each run's coins from its own policy stream,
+        stacked; under the timed engine each run's latency block from its
+        own network stream, all of them against the deadline in one
+        compare.  Per stream the draws are the scalar scheduler's, in its
+        order — the filter's coins, then the deadline sweep's latencies.
         """
         np = self.np
         n = self.n
+        policy, network = streams
+        B = len(policy)
         if rt.fixed is not None:
             mask, got, lost = rt.fixed
-            return np.broadcast_to(mask, (len(streams), n, n)), got, lost
-        deliv = np.zeros((len(streams), n, n), dtype=bool)
-        if self.lockstep:
-            # One coin round for all live runs at once: each run's next
-            # ``k`` policy draws, stacked, against the loss probability.
-            mask = np.repeat(rt.base_flat[None, :], live.size, axis=0)
-            k = int(rt.coin_flat.size)
-            if k:
-                coins = np.stack([streams[bi].block(k) for bi in live])
-                mask[:, rt.coin_flat] = coins >= self.drop_prob
-            deliv[live] = mask.reshape(live.size, n, n)
-            got = mask.sum(axis=1)
-            return deliv, got, rt.sent - got
-        got = np.zeros(live.size, dtype=np.int64)
-        for slot, bi in enumerate(live):
-            on = self._delivered_edges(rt, *streams[bi])
-            if on.size:
-                deliv[bi, rt.e_dest[on], rt.e_send[on]] = True
-            got[slot] = on.size
-        return deliv, got, rt.sent - got
+            return np.broadcast_to(mask, (B, n, n)), got, lost
+        on = np.broadcast_to(rt.admit_base, (live.size, rt.sent))
+        if rt.use_coins:
+            k = int(rt.coin_idx.size)
+            coins = np.stack([policy[bi].block(k) for bi in live])
+            on = on.copy()
+            on[:, rt.coin_idx] = coins >= self.drop_prob
+        if rt.arrives is None:
+            admitted = on
+            on = np.zeros(admitted.shape, dtype=bool)
+            transits = self._transits(
+                rt, [network[bi] for bi in live], admitted.sum(axis=1)
+            )
+            on[admitted] = rt.now + transits <= rt.deadline
+        elif not rt.arrives:
+            on = np.zeros_like(on)
+        edges = np.zeros((B, rt.sent), dtype=bool)
+        edges[live] = on
+        deliv = np.zeros((B, n * n), dtype=bool)
+        deliv[:, rt.flat] = edges
+        got = on.sum(axis=1)
+        return deliv.reshape(B, n, n), got, rt.sent - got
 
     # ------------------------------------------------------ array program
 
@@ -652,10 +655,10 @@ class CellProgram:
         # Per run, streams seeded with the run seed exactly as scalar
         # compilation builds them: the policy stream alone under lockstep,
         # a network stream and an independent policy stream when timed.
-        if self.lockstep:
-            streams = [BlockRng(seed) for seed in seeds]
-        else:
-            streams = [(BlockRng(seed), BlockRng(seed)) for seed in seeds]
+        streams = (
+            [BlockRng(seed) for seed in seeds],
+            None if self.lockstep else [BlockRng(seed) for seed in seeds],
+        )
         vote = np.zeros((B, n), dtype=np.int64)
         ts = np.zeros((B, n), dtype=np.int64)
         selected = np.full((B, n), NULL_CODE, dtype=np.int64)
@@ -854,11 +857,15 @@ class CellProgram:
         in_range = (eff_ts >= 0) & (eff_ts <= P) & (eff_vote >= 0)
         ts_q = np.clip(eff_ts, 0, P)
         vote_q = np.clip(eff_vote, 0, self.n_values - 1)
-        support = np.zeros(valid.shape, dtype=np.int64)
-        for sender in self.honest_pids:
-            held = hist[:, sender, :][b_idx, ts_q]
-            contains = in_range & (held == eff_vote)
-            support += np.where(valid[:, :, sender][:, :, None], contains, False)
+        # Every honest sender's history at every queried phase, one gather:
+        # ``held[b, d, m, h] = hist[b, honest[h], ts_q[b, d, m]]``.
+        honest = self.honest_pids
+        held = hist[b_idx[..., None], honest, ts_q[..., None]]
+        support = np.where(
+            in_range,
+            count_pairs(np, held == eff_vote[..., None], valid[:, :, honest]),
+            0,
+        )
         for sender, table in rt.shist.items():
             d_idx = np.arange(len(table))[None, :, None]
             contains = table[d_idx, vote_q, ts_q]

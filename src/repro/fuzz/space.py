@@ -157,6 +157,13 @@ class FuzzSpace:
                         f"models entries must be (n, b, f), got {model}"
                     )
                 FaultModel(*model)  # raise now, not mid-search
+        # A candidate draws each axis uniformly, so a repeated entry would
+        # silently double its weight (and move the space's fingerprint).
+        for axis in ("algorithms", "engines", "models", "strategies"):
+            entries = getattr(self, axis) or ()
+            for index, entry in enumerate(entries):
+                if entry in entries[:index]:
+                    raise ValueError(f"axis {axis!r} repeats {entry!r}")
         lo, hi = self.n_range
         if not 1 <= lo <= hi:
             raise ValueError(f"need 1 ≤ n_min ≤ n_max, got {self.n_range}")

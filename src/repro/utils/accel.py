@@ -132,8 +132,9 @@ def get_numpy() -> Any:
     global _NUMPY, _NUMPY_CHECKED
     if not _NUMPY_CHECKED:
         _NUMPY_CHECKED = True
-        # The array tier calls no BLAS routine: one OpenBLAS thread spares
-        # the thread pool's start-up (a user's own setting still wins).
+        # The array tier's only BLAS calls are tiny count products: one
+        # OpenBLAS thread spares the thread pool's start-up (a user's own
+        # setting still wins).
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         try:
             import numpy  # noqa: PLC0415 - optional accelerator

@@ -267,8 +267,8 @@ def test_columnar_state_transits_match_per_message_stream(kind):
             if serial.constant_transit(send_time) is not None:
                 continue  # the zero-draw branch: nothing to mirror
             got = CellProgram._transits(
-                program, stream,
-                SimpleNamespace(pre_gst=send_time < gst), len(edges),
+                program, SimpleNamespace(pre_gst=send_time < gst),
+                [stream], [len(edges)],
             )
             assert [float(v) for v in got] == expected
 

@@ -95,6 +95,25 @@ def test_misspelt_names_exit_2_before_the_banner(tmp_path, capsys, typo):
     assert "fuzz: seed" not in err and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "repeat, axis, entry",
+    [
+        (["--algorithms", "pbft", "pbft"], "algorithms", "'pbft'"),
+        (["--engines", "timed", "timed"], "engines", "'timed'"),
+        (["--strategies", "silent", "silent"], "strategies", "'silent'"),
+        (["--models", "4,1,0", "4,1,0"], "models", "(4, 1, 0)"),
+    ],
+)
+def test_repeated_axis_entries_exit_2_and_write_nothing(
+    tmp_path, capsys, repeat, axis, entry
+):
+    """A repeat used to run, doubling that entry's draw weight."""
+    out = tmp_path / "findings.jsonl"
+    assert main(["fuzz", "run", "--budget", "1", "--out", str(out), *repeat]) == 2
+    assert capsys.readouterr().err == f"axis {axis!r} repeats {entry}\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_replay_reproduces_and_reports(corpus, capsys):
     assert main(["fuzz", "replay", str(corpus)]) == 0
     out = capsys.readouterr().out

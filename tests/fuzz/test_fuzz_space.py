@@ -86,3 +86,26 @@ def test_space_validation():
         FuzzSpace(engines=("warp",))
     with pytest.raises(ValueError):
         FuzzSpace(n_range=(9, 3))
+
+
+@pytest.mark.parametrize(
+    "axis, entries, repeated",
+    [
+        ("algorithms", ("pbft", "class-2", "pbft"), "'pbft'"),
+        ("engines", ("timed", "timed"), "'timed'"),
+        ("strategies", ("silent", "equivocator", "silent"), "'silent'"),
+        ("models", ((4, 1, 0), (7, 2, 0), (4, 1, 0)), "(4, 1, 0)"),
+        ("models", ([4, 1, 0], (4, 1, 0)), "(4, 1, 0)"),
+    ],
+)
+def test_space_refuses_a_repeated_entry(axis, entries, repeated):
+    """A repeat would silently double that entry's draw weight."""
+    with pytest.raises(ValueError) as caught:
+        FuzzSpace(**{axis: entries})
+    assert str(caught.value) == f"axis {axis!r} repeats {repeated}"
+
+
+def test_default_space_fingerprint_is_pinned():
+    """The repeat check moves no space: the default still fingerprints as
+    it always did (corpus state files record it)."""
+    assert FuzzSpace().fingerprint() == "92d6355f2da00b18"
