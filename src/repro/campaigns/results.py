@@ -23,8 +23,8 @@ pool worker when there is one) stores the canonical line on the row under
 the volatile :data:`LINE_KEY`, :meth:`ResultSink.append` writes that line
 verbatim, and :func:`finalize_checkpoint` is a *byte-offset merge*: the
 sink records ``run_id → (offset, length)`` for every line it appends (the
-resume scan records the same for the lines it parses), and finalize copies
-those slices of the checkpoint in ``run_id`` order.  No row is parsed or
+resume scan, decoding each group once, records the same for what it reads),
+and finalize copies those slices in ``run_id`` order.  No row is parsed or
 dumped a second time and finalize never builds a row dict; what it holds
 is the checkpoint's bytes and two integers per row.
 
@@ -49,6 +49,7 @@ canonical encoder, its torn-tail scan, its held-open appender
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import (
     Callable,
@@ -157,46 +158,116 @@ def checkpoint_path(out: object) -> Path:
     return target.with_name(target.name + ".partial")
 
 
-class _CheckpointScan:
-    """One streaming pass over a checkpoint: index, offset, endpoint rows."""
+#: A coordinate cut: ``rep``, ``run_id`` or ``seed`` as a key, then its
+#: canonical integer value (group 2) up to the ``,`` or ``}`` ending it.
+_CUT = re.compile(rb'[{,]"(rep|run_id|seed)":(-?(?:0|[1-9][0-9]*))(?=[,}])')
+_INT = re.compile(rb"-?(?:0|[1-9][0-9]*)")
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')  # escapes included
 
-    __slots__ = ("index", "intact", "first", "last", "campaigns")
 
-    def __init__(self) -> None:
-        self.index: LineIndex = {}
-        self.intact = 0
-        self.first: Optional[Row] = None
-        self.last: Optional[Row] = None
-        self.campaigns: Set[object] = set()
+def _shape(line: bytes, row: object) -> Optional[Tuple[bytes, ...]]:
+    """The four byte runs around ``line``'s coordinate integers, or ``None``
+    unless ``row``, the parse of ``line``, proves them its top-level ``rep``,
+    ``run_id`` and ``seed``: one cut per coordinate, each the int parsed; a
+    flat object, no whitespace between tokens, no key twice (each cut is its
+    key's only value); ``run_id`` named once (finalize's check finds that
+    cut).  The same runs around other integers are ``row`` with those."""
+    cuts = list(_CUT.finditer(line))
+    keys = [cut[1].decode() for cut in cuts]
+    skeleton = _STRING.sub(b'""', line)
+    if (
+        keys != ["rep", "run_id", "seed"]
+        or any(row.get(key) != int(cut[2]) or type(row[key]) is not int
+               for key, cut in zip(keys, cuts))
+        or skeleton.count(b"{") != 1
+        or skeleton.count(b'"":') != len(row)
+        or len(skeleton.split()) != 1
+        or line.count(b'"run_id"') != 1
+    ):
+        return None
+    bounds = [0] + [at for cut in cuts for at in cut.span(2)] + [len(line)]
+    return tuple(line[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
+
+
+def _recut(line: bytes, shape: Tuple[bytes, ...]) -> Optional[int]:
+    """``line``'s run_id if it is ``shape``'s runs around three canonical
+    integers, else ``None``."""
+    head, after_rep, after_run, tail = shape
+    if not line.startswith(head):
+        return None
+    rep = _INT.match(line, len(head))
+    if rep is None or not line.startswith(after_rep, rep.end()):
+        return None
+    run = _INT.match(line, rep.end() + len(after_rep))
+    if run is None or not line.startswith(after_run, run.end()):
+        return None
+    seed = _INT.match(line, run.end() + len(after_run))
+    if seed is None or seed.end() + len(tail) != len(line):
+        return None
+    return int(run[0]) if line.endswith(tail) else None
 
 
 def _scan(
-    path: object, on_row: Optional[Callable[[Row], None]] = None
-) -> _CheckpointScan:
-    found = _CheckpointScan()
-    for offset, length, row in scan(path, "checkpoint"):
-        run_id = row.get("run_id") if isinstance(row, dict) else None
-        if not isinstance(run_id, int):
-            raise ValueError(
-                f"{path}: checkpoint line at byte {offset} has no integer "
-                "run_id"
-            )
-        if run_id not in found.index:
-            found.index[run_id] = (offset, length)
-            if on_row is not None:
-                on_row(row)
-        found.campaigns.add(row.get("campaign"))
-        if found.first is None:
-            found.first = row
-        found.last = row
-        found.intact = offset + length
-    return found
+    path: object, on_row: Optional[Callable[[Row, int], None]] = None
+) -> Tuple[LineIndex, int, Optional[Row], Optional[Row], Set[object]]:
+    """One streaming pass over a checkpoint, decoding each group once: line
+    index, intact length, first and last row, the rows' campaign names.
+
+    A line whose bytes are the last parsed line's but for three coordinate
+    integers (see :func:`_shape`) is that row again: only its run_id is
+    read, and ``on_row`` gets each run of such lines as ``(row, count)``.
+    """
+    held = b""  # the last line json.loads parsed (into ``row``)
+    shape: Optional[Tuple[bytes, ...]] = None  # its shape, once asked for
+    lead = b"\n"  # its bytes before ``"rep":``; no stripped line starts so
+
+    def decode(line: bytes) -> object:
+        nonlocal held, shape, lead
+        if line.startswith(lead):  # cheap before any cut
+            if shape is None:
+                shape = _shape(held, row) or ()
+            run_id = _recut(line, shape) if shape else None
+            if run_id is not None:
+                return run_id, line
+        held, shape, lead = line, None, line[:line.rfind(b'"rep":')]
+        if line.startswith(b'{"'):  # what json.loads would detect as UTF-8
+            return json.loads(line.decode("utf-8", "surrogatepass"))
+        return json.loads(line)
+
+    index: LineIndex = {}
+    campaigns: Set[object] = set()
+    first = row = obj = None
+    count = intact = 0  # count: rows of ``row``'s run not recorded before
+    for offset, length, obj in scan(path, "checkpoint", decode):
+        if obj.__class__ is tuple:
+            run_id = obj[0]
+        else:  # a parsed line: finalize must find "run_id":N[,}] in it
+            run_id = obj.get("run_id") if obj.__class__ is dict else None
+            field = b'"run_id":%d' % run_id if type(run_id) is int else b"\n"
+            at = held.find(field)
+            if at == -1 or not held.startswith((b",", b"}"), at + len(field)):
+                raise ValueError(f"{path}: checkpoint line at byte {offset} has no "
+                                 'integer run_id written as "run_id":N')
+            if count and on_row is not None:
+                on_row(row, count)
+            row, count = obj, 0
+            campaigns.add(obj.get("campaign"))
+            first = obj if first is None else first
+        if run_id not in index:
+            index[run_id] = (offset, length)
+            count += 1
+        intact = offset + length
+    if count and on_row is not None:
+        on_row(row, count)
+    if obj.__class__ is tuple:  # the last line's row, rebuilt from its cuts
+        obj = dict(row, **{k.decode(): int(v) for k, v in _CUT.findall(obj[1])})
+    return index, intact, first, obj, campaigns
 
 
 def validate_resume(
     spec,
     checkpoint: object,
-    on_row: Optional[Callable[[Row], None]] = None,
+    on_row: Optional[Callable[[Row, int], None]] = None,
 ) -> Tuple[LineIndex, int]:
     """Scan ``checkpoint`` and validate that ``spec`` may resume from it.
 
@@ -209,13 +280,15 @@ def validate_resume(
     and hand the index to :class:`ResultSink` so the sink
     continues it for :func:`finalize_checkpoint`.
 
-    This is the one pass that parses the recorded rows, so ``on_row`` —
-    called once per recorded run, duplicates skipped — is where a caller
-    folds them into its report; whatever it accumulated is void when the
-    validation raises.
+    This is the one pass that decodes the recorded rows, each group once,
+    so ``on_row(row, count)`` — called per run of adjacent lines of one
+    group, ``row`` standing for the ``count`` not recorded before (but for
+    their coordinates) — is where a caller folds them into its report;
+    whatever it accumulated is void when the validation raises.
 
-    Raises :class:`ValueError` when the checkpoint is corrupt, names a
-    different campaign, records a ``run_id`` outside this grid, or fails
+    Raises :class:`ValueError` when the checkpoint is corrupt, holds a
+    line :func:`finalize_checkpoint` would refuse, names a different
+    campaign, records a ``run_id`` outside this grid, or fails
     the O(1)-memory seed spot-check: the first and last recorded rows must
     carry exactly the seeds this spec derives for their run_ids, which
     catches a ``--seed`` override or an edited axis order — resuming past
@@ -225,44 +298,29 @@ def validate_resume(
     should gate on this.
     """
     path = Path(checkpoint)
-    found = _scan(path, on_row)  # single parse pass: index, endpoint rows
-    if not found.index:
-        return found.index, found.intact
-    foreign = found.campaigns - {spec.name}
+    index, intact, first, last, campaigns = _scan(path, on_row)
+    if not index:
+        return index, intact
+    foreign = campaigns - {spec.name}
     if foreign:
         raise ValueError(
             f"checkpoint {path} belongs to campaign "
             f"{next(iter(foreign))!r}, not {spec.name!r}"
         )
-    for run_id in (min(found.index), max(found.index)):
+    for run_id in (min(index), max(index)):
         if not 0 <= run_id < spec.total_runs:
             raise ValueError(
                 f"checkpoint {path} records run {run_id} but this "
                 f"grid has only {spec.total_runs} runs (spec changed?)"
             )
-    for row in (found.first, found.last):
+    for row in (first, last):
         if row.get("seed") != spec.run_at(row["run_id"]).seed:
             raise ValueError(
                 f"checkpoint {path} was recorded with a different "
                 f"campaign seed or grid (run {row['run_id']} seed "
                 "mismatch)"
             )
-    return found.index, found.intact
-
-
-def _is_line_of(data: bytes, run_id: int, offset: int, length: int) -> bool:
-    """Is ``data[offset:offset + length]`` exactly one whole line — starting
-    where a line starts, its only newline last — that records ``run_id``?"""
-    end = offset + length
-    if not 0 <= offset < end <= len(data):
-        return False
-    if data.find(b"\n", offset, end) != end - 1:
-        return False  # no newline, or one before the slice's last byte
-    if offset and data[offset - 1:offset] != b"\n":
-        return False
-    field = b'"run_id":%d' % run_id
-    found = data.find(field, offset, end)
-    return found != -1 and data[found + len(field)] in b",}"
+    return index, intact
 
 
 def finalize_checkpoint(
@@ -289,24 +347,31 @@ def finalize_checkpoint(
     source = Path(checkpoint)
     data = source.read_bytes()
     if index is None:
-        found = _scan(source)
-        if data[found.intact:].strip():
+        index, intact, *_ = _scan(source)
+        if data[intact:].strip():
             raise ValueError(
                 f"{source}: torn or corrupt final line; resume the "
                 "campaign to complete it"
             )
-        index = found.index
-    lines = sorted(index.items())
-    for run_id, (offset, length) in lines:
-        if not _is_line_of(data, run_id, offset, length):
+    runs: List[List[int]] = []  # [start, stop) of each run of adjacent lines
+    for run_id, (offset, length) in sorted(index.items()):
+        # One whole line (starts a line, only newline last) naming run_id?
+        end = offset + length
+        field = b'"run_id":%d' % run_id
+        at = data.find(field, offset, end)
+        if not (0 <= offset < end <= len(data) and data.find(b"\n", offset, end) == end - 1
+                and (not offset or data[offset - 1] == 10)
+                and at != -1 and data[at + len(field)] in b",}"):
             raise ValueError(
                 f"{source}: index entry for run {run_id} (offset {offset}, "
                 f"length {length}) is not that run's line in the file"
             )
+        if runs and runs[-1][1] == offset:
+            runs[-1][1] = end
+        else:
+            runs.append([offset, end])
     view = memoryview(data)
-    target = replace(
-        out, (view[offset:offset + length] for _, (offset, length) in lines)
-    )
+    target = replace(out, (view[start:stop] for start, stop in runs))
     source.unlink()
     return target
 

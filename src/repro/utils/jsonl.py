@@ -30,19 +30,23 @@ import json
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import Iterable, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Type, TypeVar
 
 canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _A = TypeVar("_A", bound="Appender")
 
 
-def scan(path: object, what: str) -> Iterator[Tuple[int, int, object]]:
+def scan(
+    path: object, what: str, decode: Optional[Callable[[bytes], object]] = None
+) -> Iterator[Tuple[int, int, object]]:
     """Yield ``(offset, length, obj)`` for every line of ``path`` that counts.
 
     ``offset`` and ``length`` locate the line in the file, newline
-    included; ``what`` names the lines in the corruption error.  What a
-    line must hold is its caller's check.
+    included; ``what`` names the lines in the corruption error; ``obj`` is
+    what ``decode`` (default ``json.loads``) makes of the stripped line, a
+    ``ValueError`` from it marking the line unparseable.  What a line must
+    hold is its caller's check.
     """
     offset = 0
     corrupt: Optional[str] = None
@@ -55,7 +59,7 @@ def scan(path: object, what: str) -> Iterator[Tuple[int, int, object]]:
             line = raw.strip()
             if line:
                 try:
-                    obj = json.loads(line)
+                    obj = (decode or json.loads)(line)
                 except ValueError as exc:
                     corrupt = f"{path}:{number}: corrupt {what} line ({exc})"
                     continue

@@ -114,8 +114,11 @@ class TestSerializeOnce:
 
     def test_parse_dump_budget(self, tmp_path, capsys, monkeypatch):
         """Single shot: one dump per row, no parse.  Resume: one parse per
-        recorded row, one dump per executed row, nothing else."""
+        group head among the recorded lines (a line that is not the line
+        before it but for ``rep``, ``run_id`` and ``seed``), one dump per
+        executed row, nothing else."""
         calls = {"dump": 0, "loads": 0, "dumps": 0}
+        real_loads = json.loads
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -147,9 +150,19 @@ class TestSerializeOnce:
         out = tmp_path / "resumed.jsonl"
         assert main(run + ["--out", str(out), "--stop-after", "40"]) == 3
         assert calls == {"dump": 40, "loads": 0, "dumps": 0}
+        shapes = [
+            {k: v for k, v in real_loads(line).items()
+             if k not in ("rep", "run_id", "seed")}
+            for line in checkpoint_path(out).read_bytes().splitlines()
+        ]
+        heads = sum(
+            1 for before, line in zip([None] + shapes, shapes)
+            if line != before
+        )
+        assert len(shapes) == 40 and heads < 40  # groups share a parse
         calls.update(dump=0)
         assert main(run + ["--out", str(out), "--resume"]) == 0
-        assert calls == {"dump": total - 40, "loads": 40, "dumps": 0}
+        assert calls == {"dump": total - 40, "loads": heads, "dumps": 0}
         assert out.read_bytes() == single.read_bytes()
         # The recorded rows were folded by the validation scan: the
         # resumed report covers the whole grid without a second read.

@@ -23,6 +23,8 @@ from repro.campaigns.spec import CampaignSpec
 from repro.cli import main
 from tests.conftest import jsonl, recorded_runs
 
+COORDS = ("rep", "run_id", "seed")
+
 SPEC = {
     "name": "resume-unit",
     "algorithms": ["pbft", "class-2"],
@@ -78,6 +80,35 @@ class TestInterruptResume:
         capsys.readouterr()
         assert out.read_bytes() == reference
         assert not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "run_id, spelling",
+        [(1, '"run_id":true'), (2, '"run_id": 2')],
+        ids=["bool", "spaced"],
+    )
+    def test_resume_refuses_a_line_finalize_would_refuse(
+        self, spec_path, tmp_path, capsys, run_id, spelling
+    ):
+        """``true`` passes for run 1 (``True == 1``) and a spaced run_id
+        parses, but finalize finds neither line's ``"run_id":N``: resume
+        refuses them before anything executes, the checkpoint untouched."""
+        out = tmp_path / "respelled.jsonl"
+        assert run_cli(spec_path, out, "--stop-after", "4") == 3
+        checkpoint = checkpoint_path(out)
+        canonical = '"run_id":%d,' % run_id
+        text = checkpoint.read_text()
+        assert text.count(canonical) == 1
+        checkpoint.write_text(text.replace(canonical, spelling + ","))
+        recorded = checkpoint.read_bytes()
+        capsys.readouterr()
+        assert run_cli(spec_path, out, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot resume: ") and err.endswith(
+            "; delete the checkpoint to start over\n"
+        )
+        assert "run_id" in err
+        assert checkpoint.read_bytes() == recorded
+        assert not out.exists()
 
     def test_resume_without_checkpoint_fails(self, spec_path, tmp_path, capsys):
         out = tmp_path / "missing.jsonl"
@@ -174,10 +205,17 @@ class TestCheckpointScan:
         rows = list(itertools.islice(iter_campaign(spec), 4))
         path.write_text(jsonl(rows))
         folded = []
-        index, intact = validate_resume(spec, path, on_row=folded.append)
+        index, intact = validate_resume(
+            spec, path, on_row=lambda row, count: folded.extend([row] * count)
+        )
         assert index.keys() == {0, 1, 2, 3}
         assert intact == path.stat().st_size
-        assert folded == rows  # the one parse pass hands every row over
+
+        def bare(row):
+            return {k: v for k, v in row.items() if k not in COORDS}
+
+        # The one decode pass hands every row over, a group's once.
+        assert list(map(bare, folded)) == list(map(bare, rows))
         data = path.read_bytes()
         for row in rows:
             offset, length = index[row["run_id"]]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.fuzz import scan_findings
 from repro.observability import read_events
-from repro.utils.jsonl import Appender, canonical, replace
+from repro.utils.jsonl import Appender, canonical, replace, scan
 from tests.conftest import recorded_runs
 
 #: Each durable file's reader, reduced to the ids of the lines it counted,
@@ -55,6 +55,17 @@ def test_one_torn_tail_rule(tmp_path, kind):
     path.write_bytes(intact + b"garbage\n" + lines[2])
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: corrupt ")):
         read(path)
+
+
+def test_a_decode_hook_reads_under_the_same_rule(tmp_path):
+    """A caller's ``decode`` stands in for ``json.loads``: what it raises
+    ``ValueError`` on is an unparseable line, torn if last."""
+    path = tmp_path / "numbers.jsonl"
+    path.write_bytes(b"1\n\n 2 \nthree\n")
+    assert [obj for *_, obj in scan(path, "number", int)] == [1, 2]
+    path.write_bytes(b"1\nthree\n4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt ")):
+        list(scan(path, "number", int))
 
 
 def test_a_failed_replace_leaves_the_target_and_no_temporary(tmp_path):
