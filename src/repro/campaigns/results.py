@@ -158,10 +158,10 @@ def checkpoint_path(out: object) -> Path:
     return target.with_name(target.name + ".partial")
 
 
+_INT = re.compile(rb"-?(?:0|[1-9][0-9]*)")  # a canonical JSON integer
 #: A coordinate cut: ``rep``, ``run_id`` or ``seed`` as a key, then its
-#: canonical integer value (group 2) up to the ``,`` or ``}`` ending it.
-_CUT = re.compile(rb'[{,]"(rep|run_id|seed)":(-?(?:0|[1-9][0-9]*))(?=[,}])')
-_INT = re.compile(rb"-?(?:0|[1-9][0-9]*)")
+#: integer (group 2) up to the ``,`` or ``}`` ending it.
+_CUT = re.compile(rb'[{,]"(rep|run_id|seed)":(' + _INT.pattern + rb")(?=[,}])")
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')  # escapes included
 
 
@@ -219,7 +219,7 @@ def _scan(
     """
     held = b""  # the last line json.loads parsed (into ``row``)
     shape: Optional[Tuple[bytes, ...]] = None  # its shape, once asked for
-    lead = b"\n"  # its bytes before ``"rep":``; no stripped line starts so
+    lead = b"\n"  # its bytes before ``"rep":`` (at first: what no line starts with)
 
     def decode(line: bytes) -> object:
         nonlocal held, shape, lead
