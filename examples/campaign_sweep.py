@@ -58,9 +58,9 @@ def main():
     # This demo always starts fresh: drop any checkpoint a previously
     # interrupted run left behind (appending to it would let its stale
     # rows win at finalize).  A real resuming caller instead gates on
-    # `validate_resume(spec, checkpoint)`, passes the returned index's
-    # run_ids as `skip_run_ids` and the index itself to `ResultSink` —
-    # what `repro campaign run --resume` does.
+    # `validate_resume(spec, checkpoint)` and passes the returned index as
+    # both `skip_run_ids` and the `ResultSink`'s index — what `repro
+    # campaign run --resume` does.
     checkpoint_path(out).unlink(missing_ok=True)
     with ResultSink(checkpoint_path(out)) as sink:
         for row, coords in iter_groups(spec, workers=4, lines=True):

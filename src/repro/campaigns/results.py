@@ -26,7 +26,7 @@ sink records ``run_id → (offset, length)`` for every line it appends (the
 resume scan, decoding each group once, records the same for what it reads),
 and finalize copies those slices in ``run_id`` order.  No row is parsed or
 dumped a second time and finalize never builds a row dict; what it holds
-is the checkpoint's bytes and two integers per row.
+is a bounded window and two packed integers per grid run (:class:`LineIndex`).
 
 **The group contract.**  What streams through here is
 :data:`~repro.engine.cell.RowPart`\\ s: ``(row, None)`` is one row;
@@ -49,26 +49,90 @@ canonical encoder, its torn-tail scan, its held-open appender
 from __future__ import annotations
 
 import json
+import os
 import re
+from array import array
+from collections.abc import MutableMapping
+from itertools import accumulate, chain, compress
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.cell import Coords, Row, RowPart, expand_part
 from repro.utils.jsonl import Appender, canonical, replace, scan
 
-#: ``run_id → (byte offset, byte length)`` of the checkpoint line recording
-#: that run, newline included; a run recorded twice keeps its first line.
-LineIndex = Dict[int, Tuple[int, int]]
+#: The most bytes :func:`finalize_checkpoint` reads at once (a longer line is read whole).
+WINDOW = 1 << 20
+
+
+class LineIndex(MutableMapping):
+    """``run_id → (byte offset, byte length)`` of the checkpoint line recording
+    that run, newline included, iterated in run_id order; a run recorded twice
+    keeps its first line.  Two packed ``array('q')`` columns indexed by run_id
+    (length 0: not recorded), grown within ``range(runs)`` (the grid; ``None``:
+    unbounded), a run_id outside which raises ``ValueError`` before anything grows."""
+
+    def __init__(self, runs: Optional[int] = None) -> None:
+        self._limit = float("inf") if runs is None else runs
+        self._offsets, self._lengths = array("q"), array("q")
+        self._recorded = 0
+
+    def record(self, run_id: int, offset: int, length: int) -> bool:
+        """Index a line unless ``run_id`` has one; whether it did."""
+        if not 0 <= run_id < len(self._lengths):
+            self._reserve(run_id, run_id + 1)
+        if self._lengths[run_id] or not length:  # length 0: not recorded
+            return False
+        self._offsets[run_id], self._lengths[run_id] = offset, length
+        self._recorded += 1
+        return True
+
+    def record_lines(self, run_ids: Sequence[int], offset: int, lengths: Sequence[int]) -> None:
+        """:meth:`record` lines written back to back; new consecutive run_ids at once."""
+        first, stop = run_ids[0], run_ids[0] + len(run_ids)
+        if len(run_ids) > 1 and run_ids == [*range(first, stop)]:
+            self._reserve(first, stop)
+            if not any(self._lengths[first:stop]):
+                self._lengths[first:stop] = array("q", lengths)
+                self._offsets[first:stop] = array("q", accumulate(lengths[:-1], initial=offset))
+                self._recorded += stop - first
+                return
+        for run_id, at, length in zip(run_ids, accumulate(lengths, initial=offset), lengths):
+            self.record(run_id, at, length)
+
+    def _reserve(self, first: int, stop: int) -> None:
+        if not 0 <= first < stop <= self._limit:
+            raise ValueError(f"run {min(first, stop - 1)} is outside the index")
+        have = len(self._lengths)
+        if stop > have:
+            zeros = bytes(8 * (min(self._limit, max(stop, 2 * have)) - have))
+            self._offsets.frombytes(zeros)
+            self._lengths.frombytes(zeros)
+
+    def __contains__(self, run_id: object) -> bool:
+        try:
+            return run_id >= 0 and self._lengths[run_id] != 0
+        except (IndexError, TypeError):
+            return False
+
+    def __getitem__(self, run_id: int) -> Tuple[int, int]:
+        if run_id not in self:
+            raise KeyError(run_id)
+        return self._offsets[run_id], self._lengths[run_id]
+
+    def __setitem__(self, run_id: int, entry: Tuple[int, int]) -> None:
+        self.pop(run_id, None)
+        self.record(run_id, *entry)
+
+    def __delitem__(self, run_id: int) -> None:
+        self[run_id]  # KeyError unless recorded
+        self._lengths[run_id], self._recorded = 0, self._recorded - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(range(len(self._lengths)), self._lengths)
+
+    def __len__(self) -> int:
+        return self._recorded
+
 
 #: Volatile row key under which :func:`attach_lines` stores the row's
 #: canonical line for :meth:`ResultSink.append` to write verbatim.
@@ -158,30 +222,25 @@ def checkpoint_path(out: object) -> Path:
     return target.with_name(target.name + ".partial")
 
 
-_INT = re.compile(rb"-?(?:0|[1-9][0-9]*)")  # a canonical JSON integer
+_INT = re.compile(rb"0|-?[1-9][0-9]*")  # a canonical JSON integer
 #: A coordinate cut: ``rep``, ``run_id`` or ``seed`` as a key, then its
 #: integer (group 2) up to the ``,`` or ``}`` ending it.
 _CUT = re.compile(rb'[{,]"(rep|run_id|seed)":(' + _INT.pattern + rb")(?=[,}])")
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')  # escapes included
 
 
-def _shape(line: bytes, row: object) -> Optional[Tuple[bytes, ...]]:
+def _shape(line: bytes) -> Optional[Tuple[bytes, ...]]:
     """The four byte runs around ``line``'s coordinate integers, or ``None``
-    unless ``row``, the parse of ``line``, proves them its top-level ``rep``,
-    ``run_id`` and ``seed``: one cut per coordinate, each the int parsed; a
-    flat object, no whitespace between tokens, no key twice (each cut is its
-    key's only value); ``run_id`` named once (finalize's check finds that
-    cut).  The same runs around other integers are ``row`` with those."""
+    unless they are its top-level ``rep``, ``run_id`` and ``seed``.  The
+    scan proved ``line`` canonical (no whitespace, no key twice, a quote in
+    a string escaped), so a cut is a key's whole int: left to ask are one
+    cut per coordinate, a flat object and ``run_id`` named once (finalize's
+    check finds that cut).  The same runs around other integers are the
+    same row with those."""
     cuts = list(_CUT.finditer(line))
-    keys = [cut[1].decode() for cut in cuts]
-    skeleton = _STRING.sub(b'""', line)
     if (
-        keys != ["rep", "run_id", "seed"]
-        or any(row.get(key) != int(cut[2]) or type(row[key]) is not int
-               for key, cut in zip(keys, cuts))
-        or skeleton.count(b"{") != 1
-        or skeleton.count(b'"":') != len(row)
-        or len(skeleton.split()) != 1
+        [cut[1] for cut in cuts] != [b"rep", b"run_id", b"seed"]
+        or _STRING.sub(b'""', line).count(b"{") != 1
         or line.count(b'"run_id"') != 1
     ):
         return None
@@ -208,7 +267,9 @@ def _recut(line: bytes, shape: Tuple[bytes, ...]) -> Optional[int]:
 
 
 def _scan(
-    path: object, on_row: Optional[Callable[[Row, int], None]] = None
+    path: object,
+    on_row: Optional[Callable[[Row, int], None]] = None,
+    runs: Optional[int] = None,
 ) -> Tuple[LineIndex, int, Optional[Row], Optional[Row], Set[object]]:
     """One streaming pass over a checkpoint, decoding each group once: line
     index, intact length, first and last row, the rows' campaign names.
@@ -216,6 +277,8 @@ def _scan(
     A line whose bytes are the last parsed line's but for three coordinate
     integers (see :func:`_shape`) is that row again: only its run_id is
     read, and ``on_row`` gets each run of such lines as ``(row, count)``.
+    A parsed line must be its row's :func:`canonical` bytes (so the others
+    are too), and a run_id in ``range(runs)`` (default: the file's size).
     """
     held = b""  # the last line json.loads parsed (into ``row``)
     shape: Optional[Tuple[bytes, ...]] = None  # its shape, once asked for
@@ -225,7 +288,7 @@ def _scan(
         nonlocal held, shape, lead
         if line.startswith(lead):  # cheap before any cut
             if shape is None:
-                shape = _shape(held, row) or ()
+                shape = _shape(held) or ()
             run_id = _recut(line, shape) if shape else None
             if run_id is not None:
                 return run_id, line
@@ -234,15 +297,15 @@ def _scan(
             return json.loads(line.decode("utf-8", "surrogatepass"))
         return json.loads(line)
 
-    index: LineIndex = {}
+    index = LineIndex(os.path.getsize(path) if runs is None else runs)
     campaigns: Set[object] = set()
     first = row = obj = None
     count = intact = 0  # count: rows of ``row``'s run not recorded before
     for offset, length, obj in scan(path, "checkpoint", decode):
         if obj.__class__ is tuple:
-            run_id = obj[0]
+            run_id, line = obj
         else:  # a parsed line: finalize must find "run_id":N[,}] in it
-            run_id = obj.get("run_id") if obj.__class__ is dict else None
+            run_id, line = obj.get("run_id") if obj.__class__ is dict else None, held
             field = b'"run_id":%d' % run_id if type(run_id) is int else b"\n"
             at = held.find(field)
             if at == -1 or not held.startswith((b",", b"}"), at + len(field)):
@@ -253,9 +316,16 @@ def _scan(
             row, count = obj, 0
             campaigns.add(obj.get("campaign"))
             first = obj if first is None else first
-        if run_id not in index:
-            index[run_id] = (offset, length)
-            count += 1
+        # Finalize copies the line verbatim: it must be what a sink writes.
+        if length != len(line) + 1 or obj is row and canonical(obj).encode() != line:
+            raise ValueError(f"{path}: checkpoint line at byte {offset} is not "
+                             "its row's canonical JSON")
+        try:
+            count += index.record(run_id, offset, length)
+        except ValueError:
+            raise ValueError(f"checkpoint {path} records run {run_id} but this " + (
+                f"grid has only {runs} runs (spec changed?)" if runs is not None
+                else "file is too short to hold that many")) from None
         intact = offset + length
     if count and on_row is not None:
         on_row(row, count)
@@ -298,7 +368,7 @@ def validate_resume(
     should gate on this.
     """
     path = Path(checkpoint)
-    index, intact, first, last, campaigns = _scan(path, on_row)
+    index, intact, first, last, campaigns = _scan(path, on_row, spec.total_runs)
     if not index:
         return index, intact
     foreign = campaigns - {spec.name}
@@ -307,12 +377,6 @@ def validate_resume(
             f"checkpoint {path} belongs to campaign "
             f"{next(iter(foreign))!r}, not {spec.name!r}"
         )
-    for run_id in (min(index), max(index)):
-        if not 0 <= run_id < spec.total_runs:
-            raise ValueError(
-                f"checkpoint {path} records run {run_id} but this "
-                f"grid has only {spec.total_runs} runs (spec changed?)"
-            )
     for row in (first, last):
         if row.get("seed") != spec.run_at(row["run_id"]).seed:
             raise ValueError(
@@ -328,52 +392,77 @@ def finalize_checkpoint(
 ) -> Path:
     """Merge a complete checkpoint into the canonical final snapshot.
 
-    A byte-offset merge: the checkpoint is read once and the line each
-    ``index`` entry points at is copied, in ``run_id`` order (a run
-    recorded twice — possible only if two resumes raced — keeps its first
-    line), to a temporary sibling that is atomically renamed onto ``out``;
-    the checkpoint is removed last, so a crash at any point leaves either
-    a resumable checkpoint or the finished file, never neither.  Lines are
-    copied verbatim — the sink only ever writes canonical ones — and no
-    row is parsed: memory is the checkpoint's bytes plus the index.
+    A byte-offset merge: the line each ``index`` entry points at is copied,
+    in ``run_id`` order (a run recorded twice — possible only if two
+    resumes raced — keeps its first line), to a temporary sibling that is
+    atomically renamed onto ``out``; the checkpoint is removed last, so a
+    crash at any point leaves either a resumable checkpoint or the finished
+    file, never neither.  Lines are copied verbatim, runs of adjacent ones
+    in pieces of at most :data:`WINDOW` bytes (or one longer line) read into
+    one reused buffer; no row is parsed.
 
     ``index`` is what the campaign's :class:`ResultSink` accumulated
     (``sink.index``); without one it is rebuilt by scanning the
     checkpoint, which then must not end in a torn line.  Every entry is
-    checked against the bytes before anything is written: an entry that is
-    not exactly one whole line recording its ``run_id`` raises
-    :class:`ValueError` and leaves the checkpoint in place.
+    checked against the bytes before its piece is written: an entry that
+    is not exactly one whole line recording its ``run_id`` raises
+    :class:`ValueError`, leaving the checkpoint and ``out`` as they were.
     """
     source = Path(checkpoint)
-    data = source.read_bytes()
-    if index is None:
-        index, intact, *_ = _scan(source)
-        if data[intact:].strip():
-            raise ValueError(
-                f"{source}: torn or corrupt final line; resume the "
-                "campaign to complete it"
-            )
-    runs: List[List[int]] = []  # [start, stop) of each run of adjacent lines
-    for run_id, (offset, length) in sorted(index.items()):
-        # One whole line (starts a line, only newline last) naming run_id?
-        end = offset + length
-        field = b'"run_id":%d' % run_id
-        at = data.find(field, offset, end)
-        if not (0 <= offset < end <= len(data) and data.find(b"\n", offset, end) == end - 1
-                and (not offset or data[offset - 1] == 10)
-                and at != -1 and data[at + len(field)] in b",}"):
-            raise ValueError(
-                f"{source}: index entry for run {run_id} (offset {offset}, "
-                f"length {length}) is not that run's line in the file"
-            )
-        if runs and runs[-1][1] == offset:
-            runs[-1][1] = end
-        else:
-            runs.append([offset, end])
-    view = memoryview(data)
-    target = replace(out, (view[start:stop] for start, stop in runs))
+    with open(source, "rb") as handle:
+        if index is None:
+            index, intact, *_ = _scan(source)
+            handle.seek(intact)
+            if handle.read().strip():  # at most a line and blanks
+                raise ValueError(f"{source}: torn or corrupt final line; "
+                                 "resume the campaign to complete it")
+        target = replace(out, _pieces(handle, source, index))
     source.unlink()
     return target
+
+
+def _pieces(handle, source: Path, index: LineIndex) -> Iterator[memoryview]:
+    """Each checked piece of :func:`finalize_checkpoint`, a view of one reused buffer."""
+    def refused(run_id: int) -> ValueError:
+        return ValueError(f"{source}: index entry for run {run_id} (offset {offsets[run_id]}, "
+                          f"length {lengths[run_id]}) is not that run's line in the file")
+
+    size = os.fstat(handle.fileno()).st_size
+    offsets, lengths = index._offsets, index._lengths
+    buffer = bytearray()
+    ids = array("q")  # the run_ids of the piece [start, stop), in file order
+    start = stop = 0
+    for run_id in chain(index, [None]):
+        if run_id is not None:
+            offset, length = offsets[run_id], lengths[run_id]
+            if not 0 <= offset < offset + length <= size:
+                raise refused(run_id)
+            if ids and offset == stop and offset + length - start <= WINDOW:
+                ids.append(run_id)
+                stop += length
+                continue
+        if ids:
+            base = start - (start > 0)  # the byte before must be a newline
+            if stop - base > len(buffer):
+                buffer = bytearray(max(stop - base, min(WINDOW + 1, size)))
+            handle.seek(base)
+            if handle.readinto(memoryview(buffer)[:stop - base]) < stop - base:
+                raise ValueError(f"{source} shrank while it was finalized")
+            at = start - base
+            for each in ids:
+                end, field = at + lengths[each], b'"run_id":%d' % each
+                found = buffer.find(field, at, end)
+                if (at and buffer[at - 1] != 10) or buffer.find(b"\n", at, end) != end - 1 or (
+                    found == -1 or buffer[found + len(field)] not in b",}"
+                ):
+                    raise refused(each)
+                at = end
+            yield memoryview(buffer)[start - base:stop - base]
+            del ids[:]
+        if run_id is None:
+            return
+        ids.append(run_id)
+        start, stop = offset, offset + length
 
 
 class ResultSink(Appender):
@@ -398,7 +487,7 @@ class ResultSink(Appender):
         self, path: object, index: Optional[LineIndex] = None
     ) -> None:
         super().__init__(path)
-        self.index: LineIndex = {} if index is None else index
+        self.index = LineIndex() if index is None else index
 
     def append(
         self, row: Row, coords: Optional[Sequence[Coords]] = None
@@ -417,6 +506,4 @@ class ResultSink(Appender):
         blobs = [line.encode("utf-8") + b"\n" for line in lines]
         offset = self.offset
         self.write(b"".join(blobs))
-        for run_id, blob in zip(run_ids, blobs):
-            self.index.setdefault(run_id, (offset, len(blob)))
-            offset += len(blob)
+        self.index.record_lines(run_ids, offset, [*map(len, blobs)])

@@ -66,8 +66,8 @@ from dataclasses import replace
 from itertools import groupby
 from time import perf_counter, sleep
 from typing import (
-    AbstractSet,
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -315,7 +315,7 @@ def _iter_chunks(
     cells: Iterable[CellSlice],
     size: int,
     cell_cap: Optional[int],
-    skip: AbstractSet[int] = frozenset(),
+    skip: Collection[int] = (),
 ) -> Iterator[Tuple[CellSlice, ...]]:
     """Cut the grid's cells into dispatch chunks of ``size`` runs.
 
@@ -359,7 +359,7 @@ def iter_groups(
     spec: CampaignSpec,
     *,
     workers: int = 1,
-    skip_run_ids: Optional[AbstractSet[int]] = None,
+    skip_run_ids: Optional[Collection[int]] = None,
     chunk: Optional[int] = None,
     timings: bool = False,
     on_event: Optional[EventFn] = None,
@@ -374,19 +374,21 @@ def iter_groups(
 
     Any id in ``skip_run_ids`` (runs a checkpoint already recorded — how
     ``--resume`` completes a campaign) is dropped from its slice without
-    executing.  The grid is cut into chunks of ``chunk`` runs; when
-    ``chunk`` is ``None`` it is auto-sized and a cell that executes as one
-    unit travels whole, up to :data:`CELL_CHUNK_CAP` runs (see
-    :func:`_travels_whole`), while an explicit ``chunk`` means exactly that
-    many runs per chunk.  Chunks execute inline (``workers=1``) or one per
-    future with at most ``workers ×`` :data:`WINDOW_PER_WORKER` ``×`` the
-    largest chunk dispatched so far *runs* in flight at once (the window):
-    completed parts are yielded via :func:`concurrent.futures.wait` as soon
-    as their chunk finishes, so a slow cell delays at most its own
-    chunk-mates (``chunk=1`` restores per-run streaming) and memory stays
-    O(window) regardless of grid size.  Abandoning the iterator mid-stream
-    shuts the pool down (queued runs are cancelled, in-flight runs finish
-    and are discarded).
+    executing; it is asked only ``in`` and ``len``, never copied, so a
+    sink's :class:`~repro.campaigns.results.LineIndex` serves as is.  The
+    grid is cut into chunks of ``chunk`` runs; when ``chunk`` is ``None``
+    it is auto-sized and a cell that executes as one unit travels whole,
+    up to :data:`CELL_CHUNK_CAP` runs (see :func:`_travels_whole`), while
+    an explicit ``chunk`` means exactly that many runs per chunk.  Chunks
+    execute inline (``workers=1``) or one per future with at most
+    ``workers ×`` :data:`WINDOW_PER_WORKER` ``×`` the largest chunk
+    dispatched so far *runs* in flight at once (the window): completed
+    parts are yielded via :func:`concurrent.futures.wait` as soon as their
+    chunk finishes, so a slow cell delays at most its own chunk-mates
+    (``chunk=1`` restores per-run streaming) and memory stays O(window)
+    regardless of grid size, end to end (plus the sink's index, 16 bytes a
+    grid run).  Abandoning the iterator mid-stream shuts the pool down
+    (queued runs are cancelled, in-flight runs finish and are discarded).
 
     ``timings=True`` adds the volatile ``_elapsed_ms`` / ``_pid`` fields to
     each row (see :func:`execute_run`); ``on_event(kind, fields)`` receives
@@ -418,7 +420,7 @@ def iter_groups(
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be ≥ 1, got {chunk}")
     backend = resolve_backend(backend)
-    skip = frozenset(skip_run_ids or ())
+    skip = skip_run_ids or ()
     cells = spec.iter_cells()
 
     # Whole-cell chunks pay off only where the batch kernel can run: under
@@ -578,7 +580,7 @@ def iter_campaign(
     spec: CampaignSpec,
     *,
     progress: Optional[ProgressFn] = None,
-    skip_run_ids: Optional[AbstractSet[int]] = None,
+    skip_run_ids: Optional[Collection[int]] = None,
     **options: object,
 ) -> Iterator[Row]:
     """Stream result rows as runs complete (completion order, not run_id).

@@ -576,6 +576,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     from repro.campaigns.aggregate import SummaryFold
     from repro.campaigns.results import (
+        LineIndex,
         ResultSink,
         checkpoint_path,
         finalize_checkpoint,
@@ -627,7 +628,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     refused = session.refusal(args.resume)
     if refused is not None:
         return refused
-    index = None  # where each recorded row's line sits in the checkpoint
+    index = LineIndex(spec.total_runs)  # the recorded lines: resume skips them
     intact = 0
     if args.resume:
         # Validation before any mutation: a corrupt, foreign, reseeded or
@@ -638,7 +639,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             index, intact = validate_resume(spec, checkpoint, on_row=absorb)
         except ValueError as exc:
             return session.invalid(exc)
-    skip = frozenset(index or ())
+    skipped = len(index)
 
     # Both output targets are probed before anything is truncated, created
     # or executed: the checkpoint lives beside ``out``, so one probe covers
@@ -681,7 +682,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
     print(
         f"campaign {spec.name!r}: {total} runs"
-        + (f" ({len(skip)} already recorded)" if skip else "")
+        + (f" ({skipped} already recorded)" if skipped else "")
         + f", {args.workers} worker(s), seed {spec.seed}, "
         + f"backend {backend}",
         file=sys.stderr,
@@ -705,18 +706,18 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             chunk=args.chunk,
             seed=spec.seed,
             backend=backend,
-            skipped=len(skip),
+            skipped=skipped,
             resume=bool(args.resume),
         )
-        if skip:
-            events.emit("resume_skipped", rows=len(skip))
+        if skipped:
+            events.emit("resume_skipped", rows=skipped)
     try:
         try:
             with ResultSink(checkpoint, index) as sink:
                 for row, coords in iter_groups(
                     spec,
                     workers=args.workers,
-                    skip_run_ids=skip,
+                    skip_run_ids=index if skipped else None,
                     chunk=args.chunk,
                     timings=True,
                     on_event=on_event if events is not None else None,
@@ -774,9 +775,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                                             else None
                                         ),
                                     )
-                            if executed % step == 0 or executed == total - len(skip):
+                            if executed % step == 0 or executed == total - skipped:
                                 events.emit("checkpoint_flushed", rows=executed)
-                        progress(len(skip) + executed, total)
+                        progress(skipped + executed, total)
                     if stop_after is not None and executed >= stop_after:
                         interrupted = True
                         break
@@ -788,7 +789,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     finally:
         if progress_line is not None and not interrupted:
             progress_line.finish(
-                len(skip) + executed, live["errors"], live["inadmissible"]
+                skipped + executed, live["errors"], live["inadmissible"]
             )
         if events is not None:
             events.emit(
@@ -809,7 +810,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         # Always reported, so a fully-recorded checkpoint resumes loudly
         # ("N rows skipped, 0 executed") instead of exiting near-silently.
         print(
-            f"resumed: {len(skip)} rows skipped, {executed} executed",
+            f"resumed: {skipped} rows skipped, {executed} executed",
             file=sys.stderr,
         )
     if fold is not None:

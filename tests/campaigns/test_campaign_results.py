@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.campaigns.aggregate import (
 from repro.campaigns.presets import BUILTIN_CAMPAIGNS
 from repro.campaigns.results import (
     LINE_KEY,
+    WINDOW,
+    LineIndex,
     ResultSink,
     checkpoint_path,
     finalize_checkpoint,
@@ -115,8 +118,8 @@ class TestSerializeOnce:
     def test_parse_dump_budget(self, tmp_path, capsys, monkeypatch):
         """Single shot: one dump per row, no parse.  Resume: one parse per
         group head among the recorded lines (a line that is not the line
-        before it but for ``rep``, ``run_id`` and ``seed``), one dump per
-        executed row, nothing else."""
+        before it but for ``rep``, ``run_id`` and ``seed``) and one dump to
+        prove it canonical, one dump per executed row, nothing else."""
         calls = {"dump": 0, "loads": 0, "dumps": 0}
         real_loads = json.loads
 
@@ -162,7 +165,7 @@ class TestSerializeOnce:
         assert len(shapes) == 40 and heads < 40  # groups share a parse
         calls.update(dump=0)
         assert main(run + ["--out", str(out), "--resume"]) == 0
-        assert calls == {"dump": total - 40, "loads": heads, "dumps": 0}
+        assert calls == {"dump": total - 40 + heads, "loads": heads, "dumps": 0}
         assert out.read_bytes() == single.read_bytes()
         # The recorded rows were folded by the validation scan: the
         # resumed report covers the whole grid without a second read.
@@ -320,6 +323,91 @@ class TestIndexMerge:
         assert (tmp_path / "out.jsonl").read_text() == jsonl(
             sorted(rows, key=lambda row: row["run_id"])
         )
+
+
+class TestLineIndex:
+    def test_mapping_semantics(self):
+        index = LineIndex(8)
+        assert index.record(5, 40, 9) and index.record(1, 0, 12)
+        assert not index.record(5, 90, 3)  # the first line wins
+        index[3] = (12, 28)
+        assert list(index) == [1, 3, 5]  # ascending, not insertion order
+        assert index == {5: (40, 9), 1: (0, 12), 3: (12, 28)}
+        assert {1: (0, 12), 3: (12, 28), 5: (40, 9)} == index
+        assert index != {1: (0, 12), 3: (12, 28)} and len(index) == 3
+        index[3] = (60, 4)  # assignment replaces, as a dict's does
+        del index[1]
+        assert dict(index) == {3: (60, 4), 5: (40, 9)} and len(index) == 2
+        assert 1 not in index and "1" not in index and -3 not in index
+        with pytest.raises(KeyError):
+            del index[1]
+        with pytest.raises(KeyError):
+            index[7]
+        index[7] = (-13, 13)  # stored as given: finalize refuses it
+        assert index[7] == (-13, 13)
+
+    def test_a_consecutive_group_keeps_earlier_lines(self):
+        index = LineIndex(10)
+        index.record_lines([4, 5, 6], 100, [10, 20, 30])
+        assert index == {4: (100, 10), 5: (110, 20), 6: (130, 30)}
+        index.record_lines([6, 7], 500, [5, 5])  # 6 is recorded already
+        assert index[6] == (130, 30) and index[7] == (505, 5)
+        index.record_lines([9, 8], 600, [1, 2])  # not consecutive
+        assert list(index) == [4, 5, 6, 7, 8, 9] and index[8] == (601, 2)
+
+    def test_a_run_outside_the_grid_raises_before_growing(self):
+        index = LineIndex(4)
+        tracemalloc.start()
+        for run_id in (4, -1, 10**20):
+            with pytest.raises(ValueError, match="outside"):
+                index[run_id] = (0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4096 and not index
+
+    def test_finalize_without_index_refuses_an_implausible_run(
+        self, tmp_path
+    ):
+        path = tmp_path / "out.jsonl.partial"
+        path.write_text(jsonl([{"run_id": 0}, {"run_id": 10**20}]))
+        tracemalloc.start()
+        with pytest.raises(ValueError, match=f"records run {10**20} but"):
+            finalize_checkpoint(path, tmp_path / "out.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < WINDOW and path.exists()
+
+
+def test_finalize_memory_does_not_grow_with_the_file(tmp_path):
+    """Lines in completion order (blocks of 97 runs, last block first);
+    finalize's traced peak is the same window at 5k and 50k lines."""
+    peaks = []
+    for lines in (5_000, 50_000):
+        path = tmp_path / f"{lines}.partial"
+        order = [
+            run_id for block in reversed(range(0, lines, 97))
+            for run_id in range(block, min(block + 97, lines))
+        ]
+        text = "".join(
+            '{"pad":"%s","run_id":%d}\n' % ("x" * (run_id % 150), run_id)
+            for run_id in order
+        ).encode()
+        path.write_bytes(text)
+        index, offset = LineIndex(lines), 0
+        for line in text.splitlines(keepends=True):
+            index.record(json.loads(line)["run_id"], offset, len(line))
+            offset += len(line)
+        expected = b"".join(sorted(
+            text.splitlines(keepends=True),
+            key=lambda line: json.loads(line)["run_id"],
+        ))
+        tracemalloc.start()
+        out = finalize_checkpoint(path, tmp_path / f"{lines}.jsonl", index)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert out.read_bytes() == expected
+    assert len(text) > 4 * WINDOW
+    assert abs(peaks[1] - peaks[0]) < WINDOW, peaks
 
 
 class TestAggregate:

@@ -110,6 +110,37 @@ class TestInterruptResume:
         assert checkpoint.read_bytes() == recorded
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "respell",
+        [
+            lambda line: b" " + line,
+            lambda line: line.replace(b'"status":', b'"status": '),
+            lambda line: json.dumps(
+                dict(reversed(json.loads(line).items())),
+                separators=(",", ":"),
+            ).encode() + b"\n",
+        ],
+        ids=["leading-space", "spaced-status", "reversed-keys"],
+    )
+    def test_resume_refuses_a_non_canonical_line(
+        self, spec_path, tmp_path, capsys, reference, respell
+    ):
+        """Each spelling parses to the recorded row and names its run_id,
+        but finalize would copy it verbatim: a result no single-shot run
+        writes.  Resume refuses it, the checkpoint untouched."""
+        out = tmp_path / "noncanonical.jsonl"
+        lines = reference.splitlines(keepends=True)[:10]
+        lines[4] = respell(lines[4])
+        assert lines[4] != reference.splitlines(keepends=True)[4]
+        checkpoint_path(out).write_bytes(b"".join(lines))
+        assert run_cli(spec_path, out, "--resume") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot resume: ") and err.endswith(
+            "; delete the checkpoint to start over\n"
+        )
+        assert checkpoint_path(out).read_bytes() == b"".join(lines)
+        assert not out.exists()
+
     def test_resume_without_checkpoint_fails(self, spec_path, tmp_path, capsys):
         out = tmp_path / "missing.jsonl"
         assert run_cli(spec_path, out, "--resume") == 2

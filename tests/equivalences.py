@@ -386,15 +386,18 @@ def _positional_seeds():
 
 
 def _lost_index_entry():
-    """A resumed sink forgets the last line its checkpoint recorded."""
-    from repro.campaigns.results import ResultSink
+    """A resumed sink forgets the last line its checkpoint recorded, which
+    the resume still skips."""
+    from repro.campaigns.results import LineIndex, ResultSink
 
     init = ResultSink.__init__
 
     def forgetful(self, path, index=None):
-        if index:
-            index.popitem()
         init(self, path, index)
+        if index:
+            self.index = LineIndex()
+            self.index.update(index)
+            del self.index[max(index, key=lambda run_id: index[run_id][0])]
 
     return mock.patch.object(ResultSink, "__init__", forgetful)
 
