@@ -16,7 +16,6 @@ from repro.algorithms import (
     build_paxos,
     build_pbft,
 )
-from repro.analysis.metrics import RunMetrics
 from repro.analysis.reporting import format_table
 from repro.core.classification import classify
 
@@ -29,8 +28,7 @@ def run_spec(spec, adversary=None):
         byzantine = {model.n - 1: adversary}
         honest = honest[:-1]
     values = {pid: f"v{pid % 2}" for pid in honest}
-    outcome = spec.run(values, byzantine=byzantine)
-    return RunMetrics.from_outcome(outcome), outcome
+    return spec.run(values, byzantine=byzantine)
 
 
 def main():
@@ -44,7 +42,7 @@ def main():
     ]
     rows = []
     for spec, adversary in specs:
-        metrics, outcome = run_spec(spec, adversary)
+        outcome = run_spec(spec, adversary)
         params = spec.parameters
         cls = classify(params)
         rows.append(
@@ -56,8 +54,8 @@ def main():
                 str(params.flag),
                 "/".join(params.state_footprint),
                 params.rounds_per_phase,
-                metrics.rounds_to_last_decision,
-                metrics.messages_sent,
+                outcome.rounds_to_last_decision,
+                outcome.messages_sent,
                 "yes" if outcome.agreement_holds else "NO",
             ]
         )

@@ -8,8 +8,8 @@ transcription of the paper's Algorithm 5 (one merged selection+decision
 round per phase).  Section 5.1 claims the instantiation is a *small
 improvement*: whenever the original selects a value, the instantiated FLV
 also selects one, but not conversely (with ``≤ 2n/3`` messages the original
-never selects while Algorithm 2's line 3 may).  The bench
-``benchmarks/bench_algorithms.py`` and ``tests/algorithms`` verify both the
+never selects while Algorithm 2's line 3 may).  The ``otr-*`` claims of
+``benchmarks/paper.py`` and ``tests/algorithms`` verify both the
 equivalence of the decision condition and the strictness of the improvement.
 """
 

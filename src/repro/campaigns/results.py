@@ -209,11 +209,14 @@ def iter_rows(path: object) -> Iterator[Row]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{line_number}: not valid JSONL ({exc})"
                 ) from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{line_number}: not a JSON object")
+            yield row
 
 
 def checkpoint_path(out: object) -> Path:

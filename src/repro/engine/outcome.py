@@ -86,11 +86,6 @@ class Outcome:
         }
 
     @property
-    def rounds_to_first_decision(self) -> Optional[int]:
-        rounds = [decision.round for decision in self.decisions.values()]
-        return min(rounds) if rounds else None
-
-    @property
     def rounds_to_last_decision(self) -> Optional[int]:
         rounds = [decision.round for decision in self.decisions.values()]
         return max(rounds) if rounds else None

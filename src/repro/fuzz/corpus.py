@@ -34,6 +34,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.fuzz.space import FuzzCandidate
 from repro.utils.jsonl import Appender, canonical, replace, scan
 
 #: Bumped when the record/state layout changes incompatibly.
@@ -41,6 +42,12 @@ STATE_VERSION = 1
 
 #: One acknowledgement line of the state journal: ``<next> <findings>``.
 _ACK = re.compile(r"(\d+) (\d+)")
+
+#: What a finding record holds (``build_record``'s fields), and what one
+#: with a ``shrunk`` form adds; ``*_seed`` and ``index`` are integers.
+RECORD_FIELDS = ("index", "kind", "violated", "over_bound", "candidate", "key",
+                 "seed", "fuzz_seed", "result")
+SHRUNK_FIELDS = ("shrunk", "shrunk_key", "shrunk_seed", "shrink_ops", "shrink_attempts")
 
 
 def state_path(out: object) -> Path:
@@ -122,15 +129,30 @@ def scan_findings(path: Path) -> List[Dict[str, object]]:
         return []
     records: List[Dict[str, object]] = []
     for offset, _length, record in scan(path, "findings"):
-        if not isinstance(record, dict) or not isinstance(
-            record.get("index"), int
-        ):
-            raise ValueError(
-                f"{path}: findings line at byte {offset} is not a finding "
-                "record"
-            )
+        problem = _record_problem(record)
+        if problem:
+            raise ValueError(f"{path}: findings line at byte {offset} {problem}")
         records.append(record)
     return records
+
+
+def _record_problem(record: object) -> str:
+    """Why replay, shrink or resume could not use ``record`` ('' if they can)."""
+    if not isinstance(record, dict) or not isinstance(record.get("index"), int):
+        return "is not a finding record"
+    fields = RECORD_FIELDS + (SHRUNK_FIELDS if "shrunk" in record else ())
+    missing = [field for field in fields if field not in record]
+    if missing:
+        return f"lacks {', '.join(missing)}"
+    for field in ("seed", "fuzz_seed", "shrunk_seed"):
+        if type(record.get(field, 0)) is not int:
+            return f"has a non-integer {field} {record[field]!r}"
+    for field in [field for field in ("candidate", "shrunk") if field in record]:
+        try:
+            FuzzCandidate.from_mapping(record[field])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return f"has an unreadable {field}: {exc!r}"
+    return ""
 
 
 def truncate_findings(

@@ -622,6 +622,18 @@ class TestCli:
         assert main(["campaign", "report", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("good_rows,line", [(0, "[1, 2]"), (1, '"x"')])
+    def test_campaign_report_non_object_line(self, tmp_path, capsys, good_rows, line):
+        """Valid JSON that is not an object used to end in a traceback."""
+        out = tmp_path / "rows.jsonl"
+        write_rows(out, [make_row()] * good_rows)
+        with open(out, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert main(["campaign", "report", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot read {out}: {out}:{good_rows + 1}: not a JSON object\n"
+        )
+
     def test_campaign_report_unknown_group_key(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         write_rows(out, [make_row()])

@@ -12,7 +12,6 @@ from repro.algorithms import (
     build_paxos,
     build_pbft,
 )
-from repro.analysis.metrics import RunMetrics
 from repro.core.types import (
     _PAYLOAD_CACHES,
     DecisionMessage,
@@ -103,7 +102,12 @@ class TestMetricsParity:
     def test_run_metrics_agree_across_observation_modes(self):
         full = run_cell(build_pbft(4), observe=OBSERVE_FULL)
         fast = run_cell(build_pbft(4), observe=OBSERVE_METRICS)
-        assert RunMetrics.from_outcome(fast) == RunMetrics.from_outcome(full)
+        for name in ("rounds_executed", "rounds_to_last_decision", "phases_to_last_decision",
+                     "messages_sent", "messages_delivered", "decisions"):
+            assert getattr(fast, name) == getattr(full, name), name
+        histories = [[len(p.state.history) for p in outcome.honest_processes.values()]
+                     for outcome in (fast, full)]
+        assert histories[0] == histories[1]
 
     def test_unknown_observe_mode_rejected(self):
         spec = build_pbft(4)

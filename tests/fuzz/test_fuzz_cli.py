@@ -136,6 +136,18 @@ def test_a_missing_corpus_is_not_an_empty_one(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["replay", "shrink"])
+def test_a_record_missing_its_fields_exits_2(tmp_path, capsys, command):
+    """An integer ``index`` alone used to pass, then ``KeyError`` escaped."""
+    findings = tmp_path / "findings.jsonl"
+    findings.write_text('{"index":0,"kind":"safety","candidate":{"algorithm":"pbft"}}\n')
+    assert main(["fuzz", command, str(findings)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot read findings {findings}: {findings}: findings line at byte 0 "
+        "lacks violated, over_bound, key, seed, fuzz_seed, result\n"
+    )
+
+
 def test_shrink_command_prints_minimal_candidate(corpus, capsys):
     assert main(["fuzz", "shrink", str(corpus)]) == 0
     out = capsys.readouterr().out
@@ -189,6 +201,23 @@ def test_resume_reports_the_recovery_point_even_when_quiet(tmp_path, capsys):
         "resumed: 15 candidate(s) acknowledged, 1 finding(s) kept, "
         "1 unacknowledged record(s) dropped\n"
     ) in capsys.readouterr().err
+
+
+def test_resume_refuses_a_record_without_its_candidate_untouched(tmp_path, capsys):
+    out = tmp_path / "findings.jsonl"
+    sidecar = tmp_path / "findings.jsonl.state"
+    assert main(run_args(out, "--stop-after", "15")) == 3
+    record = json.loads(out.read_text())
+    del record["candidate"]
+    out.write_text(json.dumps(record) + "\n")
+    corpus, state = out.read_bytes(), sidecar.read_bytes()
+    capsys.readouterr()
+    assert main(run_args(out, "--resume")) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"cannot resume: {out}: findings line at byte 0 lacks candidate; "
+        "delete the fuzz state to start over"
+    )
+    assert (out.read_bytes(), sidecar.read_bytes()) == (corpus, state)
 
 
 @pytest.mark.parametrize("bad", [999, "abc"])

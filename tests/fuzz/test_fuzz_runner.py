@@ -69,8 +69,8 @@ def test_resume_heals_the_crash_window(tmp_path, baseline):
     # Simulate the torn state: a record past the acknowledged index plus
     # a torn half-line, exactly what a kill mid-append leaves behind.
     with out.open("a", encoding="utf-8") as handle:
-        fake = dict(records[0]) if records else {"index": 99}
-        fake["index"] = 6
+        whole = records[0] if records else json.loads(baseline[0].splitlines()[0])
+        fake = dict(whole, index=6)
         handle.write(json.dumps(fake, sort_keys=True) + "\n")
         handle.write('{"index": 7, "torn')
     run_fuzz(CONFIG, out, resume=True)

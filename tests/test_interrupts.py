@@ -4,6 +4,7 @@
 behind."""
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -41,7 +42,7 @@ def test_sigterm_interrupts_like_ctrl_c(tmp_path, name, state, slow):
     stderr = tmp_path / "stderr.txt"
     with stderr.open("w") as sink:  # not a pipe: an orphan would hold it open
         process = subprocess.Popen([sys.executable, "-m", "repro.cli", *argv, *slow],
-                                   env=env, stderr=sink)
+                                   env=env, stderr=sink, start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         while not (state.exists() and state.read_bytes().count(b"\n") > 50):
@@ -51,7 +52,9 @@ def test_sigterm_interrupts_like_ctrl_c(tmp_path, name, state, slow):
         process.terminate()
         process.wait(timeout=60)
     finally:
-        process.kill()
+        if process.poll() is None:  # timed out: take its pool workers down too
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
     err = stderr.read_text()
     assert process.returncode == 130
     assert "\ninterrupted after " in err and "retained at" in err

@@ -95,6 +95,7 @@ DELETED_NAMES = [
     "rows_to_jsonl", "read_rows", "scan_checkpoint",
     "CounterMachine", "BACKEND_ENV",
     "LatencyModel", "FixedLatency", "UniformLatency", "RngLike", "_coerce_rng",
+    "RunMetrics",
 ]
 
 
@@ -135,11 +136,11 @@ DELETED_MEMBERS = [
     ("repro.analysis.trace", "ExecutionTrace", "first_decision_round"),
     ("repro.analysis.trace", "ExecutionTrace", "last_decision_round"),
     ("repro.analysis.trace", "ExecutionTrace", "rounds_where"),
-    ("repro.analysis.metrics", "RunMetrics", "messages_per_round"),
     ("repro.rounds.schedule", "GoodBadSchedule", "is_bad"),
     ("repro.rounds.base", "RunContext", "is_faulty"),
     ("repro.smr.serve", "WorkloadSpec", "expected_commands"),
     ("repro.eventsim.network", "PartialSynchronyNetwork", "reseed"),
+    ("repro.engine.outcome", "Outcome", "rounds_to_first_decision"),
 ]
 
 
@@ -152,7 +153,7 @@ def test_deleted_members_stay_deleted(module_name, cls, member):
 @pytest.mark.parametrize(
     "module_name",
     ["repro.core.run", "repro.eventsim.runtime", "repro.rounds.engine",
-     "repro.faults.adversary", "repro.quorums"],
+     "repro.faults.adversary", "repro.quorums", "repro.analysis.metrics"],
 )
 def test_deleted_modules_stay_deleted(module_name):
     with pytest.raises(ModuleNotFoundError):

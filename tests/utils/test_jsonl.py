@@ -15,6 +15,14 @@ from repro.observability import read_events
 from repro.utils.jsonl import Appender, canonical, replace, scan
 from tests.conftest import recorded_runs
 
+#: A finding with every field replay, shrink and resume read.
+FINDING = {
+    "kind": "safety", "violated": ["agreement"], "over_bound": False,
+    "candidate": {"algorithm": "pbft", "n": 4, "b": 1, "f": 0, "engine": "lockstep",
+                  "scenario": {}},
+    "key": "pbft", "seed": 1, "fuzz_seed": 7, "result": {},
+}
+
 #: Each durable file's reader, reduced to the ids of the lines it counted,
 #: and the record its lines hold.
 FILES = {
@@ -24,7 +32,7 @@ FILES = {
     ),
     "corpus": (
         lambda path: [record["index"] for record in scan_findings(path)],
-        lambda i: {"index": i, "kind": "safety"},
+        lambda i: dict(FINDING, index=i),
     ),
     "sidecar": (
         lambda path: [event["run_id"] for event in read_events(path)],
