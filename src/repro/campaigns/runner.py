@@ -59,8 +59,6 @@ throughput optimization — its rows are byte-identical to the oracle's.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import replace
 from itertools import groupby
@@ -440,6 +438,11 @@ def iter_groups(
         for chunk_runs in _iter_chunks(cells, size, cell_cap, skip):
             yield from execute_chunk(chunk_runs, timings, backend, lines).parts
         return
+
+    # Imported here, not at module load: the pool brings in
+    # ``multiprocessing`` and ``logging``, which an inline campaign never uses.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     size = chunk or _auto_chunk(spec.total_runs - len(skip), workers)
     limit = workers * WINDOW_PER_WORKER * size

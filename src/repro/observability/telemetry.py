@@ -20,6 +20,7 @@ span's total, so a phase table can report disjoint time attribution while
 from __future__ import annotations
 
 import math
+from array import array
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
@@ -88,7 +89,8 @@ class Telemetry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self._histograms: Dict[str, List[float]] = {}
+        #: name → samples, unboxed float64 (8 bytes a sample).
+        self._histograms: Dict[str, array] = {}
         #: name → [calls, total_seconds, self_seconds].
         self._spans: Dict[str, List[float]] = {}
         self._stack: List[_SpanTimer] = []
@@ -100,10 +102,10 @@ class Telemetry:
         self.counters[name] = self.counters.get(name, 0) + value
 
     def observe(self, name: str, value: float) -> None:
-        """Record one sample into the named histogram."""
+        """Record one sample (as a float64) into the named histogram."""
         samples = self._histograms.get(name)
         if samples is None:
-            samples = self._histograms[name] = []
+            samples = self._histograms[name] = array("d")
         samples.append(value)
 
     def observe_many(self, name: str, values: Sequence[float]) -> None:
@@ -114,7 +116,10 @@ class Telemetry:
         ``values`` records nothing and creates no histogram.
         """
         if values:
-            self._histograms.setdefault(name, []).extend(values)
+            samples = self._histograms.get(name)
+            if samples is None:
+                samples = self._histograms[name] = array("d")
+            samples.extend(values)
 
     # -- span timers ---------------------------------------------------------
 

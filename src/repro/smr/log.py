@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Optional
 
 from repro.smr.machine import Command
+
+#: Bytes of the per-slot fingerprint a log keeps to check re-commits.
+_SLOT_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -26,32 +30,42 @@ class ReplicatedLog:
     mean consensus agreement was violated upstream — and so does a commit
     past the end, which would leave a gap in the applied sequence (a driver
     buffers out-of-order decides itself and commits in order).
+
+    The log keeps no entry.  A command is encoded as the UTF-8 bytes of its
+    elements' joined ``repr``s; :meth:`digest` is a running SHA-256 over
+    every committed encoding in slot order, and each slot keeps a 16-byte
+    BLAKE2b of its own encoding, so two commands conflict exactly when
+    their encodings differ.  A log of ``s`` slots holds ``16 s`` bytes.
     """
 
     def __init__(self) -> None:
-        self._entries: List[LogEntry] = []
+        self._sha = hashlib.sha256()
+        self._slots = bytearray()
 
     def commit(self, entry: LogEntry) -> None:
-        entries = self._entries
+        data = "".join(map(repr, entry.command)).encode("utf-8")
+        fingerprint = hashlib.blake2b(data, digest_size=_SLOT_BYTES).digest()
         slot = entry.slot
-        if slot == len(entries):
-            entries.append(entry)
-        elif 0 <= slot < len(entries):
-            existing = entries[slot]
-            if existing.command != entry.command:
+        committed = len(self)
+        if slot == committed:
+            self._sha.update(data)
+            self._slots += fingerprint
+        elif 0 <= slot < committed:
+            start = slot * _SLOT_BYTES
+            if self._slots[start:start + _SLOT_BYTES] != fingerprint:
                 raise ValueError(
-                    f"slot {slot} already committed with "
-                    f"{existing.command!r}, refusing {entry.command!r}"
+                    f"slot {slot} already committed with a different "
+                    f"command, refusing {entry.command!r}"
                 )
         else:
             raise ValueError(
                 f"slot {slot} committed out of order: the next slot is "
-                f"{len(entries)}"
+                f"{committed}"
             )
 
-    def committed_prefix(self) -> Iterator[LogEntry]:
-        """Every committed entry, from slot 0 in order."""
-        return iter(self._entries)
+    def digest(self) -> str:
+        """SHA-256 hex digest of the committed commands, from slot 0 in order."""
+        return self._sha.hexdigest()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slots) // _SLOT_BYTES

@@ -41,20 +41,26 @@ runs one instance per attempt.
 
 **Books per slot.**  The loop's per-request work is a few operations: a
 full pipeline window queues every arrival due by its earliest commit in
-one inner loop, and latency is accounted per applied slot — one list
-``extend`` per histogram, handed to the registry once the serve ends
-(:meth:`~repro.observability.telemetry.Telemetry.observe_many`).  The log
-digest streams one ``update`` per entry.
+one inner loop, and latency is accounted per applied slot — one
+``extend`` per histogram into a local float64 array, handed to the
+registry once the serve ends
+(:meth:`~repro.observability.telemetry.Telemetry.observe_many`).  Every
+applied slot is committed to one
+:class:`~repro.smr.log.ReplicatedLog`, which streams the log digest and
+keeps 16 bytes a slot.
 
-The workload generator is lazy end to end (per-client arrival streams
-merged on the fly), so a million-request run holds O(clients × keys) state.
+**Memory.**  The workload generator is lazy end to end (per-client arrival
+streams merged on the fly) and holds O(clients × keys) state.  The serve
+itself keeps four float64 latency samples a request (32 bytes) and 16
+bytes a slot, so a million-request run retains about 35 MB of samples and
+digests and no Python object per request.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -294,26 +300,6 @@ class ServeReport:
         return row
 
 
-def _log_digest(entries: Iterable[LogEntry]) -> str:
-    """SHA-256 over the flattened command sequence, one ``update`` per entry."""
-    digest = hashlib.sha256()
-    for entry in entries:
-        digest.update("".join(map(repr, entry.command)).encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _common_log_digest(logs: Iterable[ReplicatedLog]) -> str:
-    """The committed-prefix digest all ``logs`` share, else ``"diverged"``.
-
-    Prefixes equal to the first (the serve loop commits the same entries
-    everywhere, so equality is an identity scan) need no second hash.
-    """
-    first, *rest = (list(log.committed_prefix()) for log in logs)
-    digests = {_log_digest(first)}
-    digests.update(_log_digest(other) for other in rest if other != first)
-    return digests.pop() if len(digests) == 1 else "diverged"
-
-
 # ------------------------------------------------------------------ serve
 
 
@@ -483,8 +469,10 @@ def run_serve(
         pid for pid in runner.model.processes if pid not in runner.byzantine
     ]
     machines: Dict[int, StateMachine] = {pid: machine_factory() for pid in honest}
-    logs: Dict[int, ReplicatedLog] = {pid: ReplicatedLog() for pid in honest}
-    replicas = [(logs[pid].commit, machines[pid].apply) for pid in honest]
+    appliers = [machines[pid].apply for pid in honest]
+    # Every replica commits the same decided sequence, so one log digests it.
+    slot_log = ReplicatedLog()
+    commit = slot_log.commit
 
     pending: deque = deque()  # arrived, not yet batched: (arrival, command)
     popleft = pending.popleft
@@ -498,7 +486,7 @@ def run_serve(
     committed_commands = 0
     stalled = False
     # Histogram samples, one extend per applied slot, recorded at the end.
-    books: Dict[str, List[float]] = {name: [] for name in _SERVE_HISTOGRAMS}
+    books: Dict[str, array] = {name: array("d") for name in _SERVE_HISTOGRAMS}
     batch_sizes, latencies, queue_waits, consensus_waits, apply_waits = books.values()
     wall_start = perf_counter()
     next_arrival = next(stream, None)
@@ -561,9 +549,8 @@ def run_serve(
                 committed_at, proposed_at, applied_batch, applied_arrivals,
                 applied_phases,
             ) = decided.pop(apply_slot)
-            entry = LogEntry(apply_slot, applied_batch, phases=applied_phases)
-            for commit, apply in replicas:
-                commit(entry)
+            commit(LogEntry(apply_slot, applied_batch, phases=applied_phases))
+            for apply in appliers:
                 for command in applied_batch:
                     apply(command)
             # Where each request's latency went; the three parts sum to it.
@@ -583,6 +570,7 @@ def run_serve(
         telemetry.count("smr.commands", committed_commands)
     for name, samples in books.items():
         telemetry.observe_many(name, samples)
+        del samples[:]  # the registry holds the copy; free this one now
     wall_seconds = perf_counter() - wall_start
     digests = {machine.digest() for machine in machines.values()}
     latency: Dict[str, float] = {}
@@ -607,7 +595,7 @@ def run_serve(
         latency=latency,
         digests_agree=len(digests) == 1,
         digest=next(iter(digests)) if len(digests) == 1 else None,
-        log_digest=_common_log_digest(logs.values()),
+        log_digest=slot_log.digest(),
         telemetry=telemetry,
         tier=runner.tier,
     )

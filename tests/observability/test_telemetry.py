@@ -81,6 +81,16 @@ class TestScalarInstruments:
         for name in ("a", "b"):
             assert many.histogram_stats(name) == one_by_one.histogram_stats(name)
 
+    def test_samples_are_float64(self):
+        tel = Telemetry()
+        tel.observe("a", 2)
+        tel.observe_many("a", [3, 0.5])
+        samples = tel._histograms["a"]
+        assert list(samples) == [2.0, 3.0, 0.5]
+        assert all(type(sample) is float for sample in samples)
+        assert samples.itemsize == 8
+        assert tel.histogram_stats("a")["max"] == 3.0
+
     def test_observe_many_of_nothing_creates_no_histogram(self):
         tel = Telemetry()
         tel.observe_many("latency", [])

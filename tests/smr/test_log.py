@@ -1,8 +1,18 @@
 """Replicated log semantics: in-order commits only."""
 
+import hashlib
+
 import pytest
 
 from repro.smr.log import LogEntry, ReplicatedLog
+
+
+def _joined_repr_sha256(commands):
+    """The serve's log digest as it was computed from retained entries."""
+    digest = hashlib.sha256()
+    for command in commands:
+        digest.update("".join(map(repr, command)).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def test_commit_in_order_and_read():
@@ -10,9 +20,21 @@ def test_commit_in_order_and_read():
     for slot, command in enumerate([("a",), ("b",), ("c",)]):
         log.commit(LogEntry(slot, command))
     assert len(log) == 3
-    assert [entry.command for entry in log.committed_prefix()] == [
-        ("a",), ("b",), ("c",),
+    assert log.digest() == _joined_repr_sha256([("a",), ("b",), ("c",)])
+
+
+def test_digest_equals_the_joined_repr_sha256():
+    batches = [
+        (("set", "c0k0", 0), ("set", "c1k0", 0)),
+        (("set", "c0k1", 1),),
+        (("del", "ké"), ("get", "c0k0"), ("set", "x", 2.5)),
     ]
+    log = ReplicatedLog()
+    assert log.digest() == hashlib.sha256().hexdigest()
+    for slot, batch in enumerate(batches):
+        log.commit(LogEntry(slot, batch, phases=slot + 1))
+    log.commit(LogEntry(1, batches[1]))  # a re-commit adds nothing
+    assert log.digest() == _joined_repr_sha256(batches)
 
 
 def test_conflicting_commit_rejected():

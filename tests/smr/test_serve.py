@@ -6,6 +6,7 @@ batching and pipelining are *serving* optimizations, not semantic changes.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -383,6 +384,34 @@ class TestTelemetryPins:
                 len(samples), repr(sum(samples)), repr(min(samples)),
                 repr(max(samples)),
             ) == histograms[name], name
+
+
+class TestMemory:
+    """A serve retains a few float64 samples a request, no object."""
+
+    @staticmethod
+    def _traced_peak(duration):
+        config = ServeConfig(
+            algorithm="pbft", n=4, b=1, scenario="worst_case", batch=8,
+            depth=4, seed=7,
+        )
+        workload = WorkloadSpec(clients=4, rate=8.0, duration=duration, seed=7)
+        tracemalloc.start()
+        try:
+            report = run_serve(config, workload)
+            return tracemalloc.get_traced_memory()[1], report.offered
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_at_most_128_bytes_a_request(self):
+        # About 10k and 40k requests.  Four float64 samples (32 B) a request
+        # plus the sorted latency copy the stats read (40 B) fit the bound;
+        # boxed samples and retained log entries cost about 280 B.
+        small_peak, small = self._traced_peak(1250.0)
+        large_peak, large = self._traced_peak(5000.0)
+        assert large > 3 * small > 0
+        growth = (large_peak - small_peak) / (large - small)
+        assert growth <= 128, f"{growth:.0f} B a request"
 
 
 class TestSweep:

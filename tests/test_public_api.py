@@ -141,6 +141,7 @@ DELETED_MEMBERS = [
     ("repro.smr.serve", "WorkloadSpec", "expected_commands"),
     ("repro.eventsim.network", "PartialSynchronyNetwork", "reseed"),
     ("repro.engine.outcome", "Outcome", "rounds_to_first_decision"),
+    ("repro.smr.log", "ReplicatedLog", "committed_prefix"),
 ]
 
 
