@@ -18,9 +18,10 @@ execute on the timed engine too (only ``crashes > f`` stays inapplicable).
 :func:`iter_groups` is the streaming primitive and its one dispatch loop,
 and **the cell is the unit that travels**.  Down: whole cells are drawn from
 :meth:`CampaignSpec.iter_cells` and cut into **chunks** — the unit of
-dispatch: one :func:`execute_chunk` call, one pool future, one pickle
-round-trip — of :class:`~repro.engine.cell.CellSlice`\\ s (a cell's
-coordinates plus repetition indices: a chunk's bytes do not grow with
+dispatch: one :func:`execute_chunk` call, in this process or as one pool
+future and one pickle round-trip — of
+:class:`~repro.engine.cell.CellSlice`\\ s (a cell's coordinates plus
+repetition indices: a chunk's bytes do not grow with
 ``repetitions``, and each ``RunSpec`` is built by the process that executes
 it).  Up: a chunk comes back as :class:`~repro.engine.cell.GroupedRows` and
 the stream yields its parts ``(row, coords)`` — ``coords`` ``None`` for one
@@ -290,23 +291,27 @@ def _auto_chunk(remaining: int, workers: int) -> int:
     return max(1, min(MAX_CHUNK, remaining // (workers * 8)))
 
 
-def _travels_whole(run: RunSpec) -> bool:
-    """Does ``run``'s cell execute as one unit rather than run by run?
+def _travels_whole(run: RunSpec) -> Tuple[bool, bool]:
+    """Does ``run``'s cell execute as one unit rather than run by run, and
+    does that unit execute at most once?
 
-    True for a cell the batch planner replicates (one representative
-    executes) or runs as one columnar-state array program, and for a cell
-    whose algorithm rejects the model (no kernel runs at all; every row is
-    the same verdict).  Fragmenting such a cell repeats its fixed cost per
+    One unit: a cell the batch planner replicates (one representative
+    executes) or runs as one columnar-state array program, or whose
+    algorithm rejects the model (no kernel runs at all; every row is the
+    same verdict).  Fragmenting such a cell repeats its fixed cost per
     fragment, so dispatch keeps it in one chunk; a scalar-planned cell
-    pays one kernel run per row and chunks by :func:`_auto_chunk`.
+    pays one kernel run per row and chunks by :func:`_auto_chunk`.  At
+    most once: the replicated and the rejected cells — a worker process
+    would have nothing to do for them.
     """
-    from repro.engine.batch import MODE_SCALAR, plan_for_run
+    from repro.engine.batch import MODE_REPLICATE, MODE_SCALAR, plan_for_run
 
     try:
         admit(run.algorithm, run.n, run.b, run.f)
     except Exception:
-        return True
-    return plan_for_run(run).mode != MODE_SCALAR
+        return True, True
+    mode = plan_for_run(run).mode
+    return mode != MODE_SCALAR, mode == MODE_REPLICATE
 
 
 def _iter_chunks(
@@ -314,16 +319,23 @@ def _iter_chunks(
     size: int,
     cell_cap: Optional[int],
     skip: Collection[int] = (),
-) -> Iterator[Tuple[CellSlice, ...]]:
+    floor: int = BATCH_FLOOR,
+) -> Iterator[Tuple[Tuple[CellSlice, ...], bool]]:
     """Cut the grid's cells into dispatch chunks of ``size`` runs.
 
     Runs in ``skip`` are dropped from their slice first.  With
     ``cell_cap`` set, a cut never falls inside a cell that
     :func:`_travels_whole`: it waits for the cell's end, or for
     ``cell_cap`` runs of the cell, whichever comes first.
+
+    Each chunk comes with its verdict, true when every piece of it is a
+    cell that executes at most once and has at least ``floor`` runs (what
+    :func:`execute_chunk` batches).  Without ``cell_cap`` nothing is
+    planned and every verdict is false.
     """
     chunk: List[CellSlice] = []
     held = 0  # runs in ``chunk``
+    once = True  # the verdict on ``chunk`` so far
     for cell in cells:
         if skip:
             kept = [r for r in cell.reps if cell.first.run_id + r not in skip]
@@ -331,22 +343,23 @@ def _iter_chunks(
                 cell = replace(cell, reps=kept)
         if not cell:
             continue
-        whole = False
+        whole = single = False
         if cell_cap is not None:
             if held >= size:  # the cut the last cell deferred
-                yield tuple(chunk)
-                chunk, held = [], 0
-            whole = _travels_whole(cell.first)
+                yield tuple(chunk), once
+                chunk, held, once = [], 0, True
+            whole, single = _travels_whole(cell.first)
         while cell:
             room = cell_cap if whole else size - held
             piece, cell = cell[:room], cell[room:]
             chunk.append(piece)
             held += len(piece)
+            once = once and single and len(piece) >= floor
             if len(piece) == room:
-                yield tuple(chunk)
-                chunk, held = [], 0
+                yield tuple(chunk), once
+                chunk, held, once = [], 0, True
     if chunk:
-        yield tuple(chunk)
+        yield tuple(chunk), once
 
 
 def _chunk_runs(chunk: Tuple[CellSlice, ...]) -> int:
@@ -377,23 +390,29 @@ def iter_groups(
     grid is cut into chunks of ``chunk`` runs; when ``chunk`` is ``None``
     it is auto-sized and a cell that executes as one unit travels whole,
     up to :data:`CELL_CHUNK_CAP` runs (see :func:`_travels_whole`), while
-    an explicit ``chunk`` means exactly that many runs per chunk.  Chunks
-    execute inline (``workers=1``) or one per future with at most
-    ``workers ×`` :data:`WINDOW_PER_WORKER` ``×`` the largest chunk
-    dispatched so far *runs* in flight at once (the window): completed
-    parts are yielded via :func:`concurrent.futures.wait` as soon as their
-    chunk finishes, so a slow cell delays at most its own chunk-mates
-    (``chunk=1`` restores per-run streaming) and memory stays O(window)
-    regardless of grid size, end to end (plus the sink's index, 16 bytes a
-    grid run).  Abandoning the iterator mid-stream shuts the pool down
-    (queued runs are cancelled, in-flight runs finish and are discarded).
+    an explicit ``chunk`` means exactly that many runs per chunk.
+
+    Where a chunk runs is decided from the plan that cut it: a chunk of
+    replicated or rejected cells (at least :data:`BATCH_FLOOR` runs each
+    under ``auto``) executes at most once per cell, so it executes in this
+    process, and so does every chunk at ``workers=1``.  Any other chunk
+    goes to a pool of ``workers`` processes, started at the first such
+    chunk — a grid without one never forks — with at most ``workers ×``
+    :data:`WINDOW_PER_WORKER` ``×`` the largest chunk dispatched so far
+    *runs* in flight at once (the window): completed parts are yielded via
+    :func:`concurrent.futures.wait` as soon as their chunk finishes, so a
+    slow cell delays at most its own chunk-mates (``chunk=1`` restores
+    per-run streaming) and memory stays O(window) regardless of grid size,
+    end to end (plus the sink's index, 16 bytes a grid run).  Abandoning
+    the iterator mid-stream shuts the pool down (queued runs are
+    cancelled, in-flight runs finish and are discarded).
 
     ``timings=True`` adds the volatile ``_elapsed_ms`` / ``_pid`` fields to
     each row (see :func:`execute_run`); ``on_event(kind, fields)`` receives
-    runner lifecycle events (a ``chunk_dispatched`` per submitted worker
-    task) for the CLI's events sidecar; ``lines=True`` has whichever
-    process executes a chunk serialize it as well (the volatile
-    :data:`~repro.campaigns.results.LINE_KEY` /
+    runner lifecycle events (a ``chunk_dispatched`` per chunk, ``where``
+    it runs: ``pool`` or ``parent``) for the CLI's events sidecar;
+    ``lines=True`` has whichever process executes a chunk serialize it as
+    well (the volatile :data:`~repro.campaigns.results.LINE_KEY` /
     :data:`~repro.campaigns.results.TEMPLATE_KEY` fields, which
     :class:`~repro.campaigns.results.ResultSink` writes from).
 
@@ -419,7 +438,6 @@ def iter_groups(
         raise ValueError(f"chunk must be ≥ 1, got {chunk}")
     backend = resolve_backend(backend)
     skip = skip_run_ids or ()
-    cells = spec.iter_cells()
 
     # Whole-cell chunks pay off only where the batch kernel can run: under
     # ``auto`` that takes cells of at least BATCH_FLOOR repetitions, and a
@@ -430,25 +448,15 @@ def iter_groups(
         or (backend == "auto" and spec.repetitions >= BATCH_FLOOR)
     ):
         cell_cap = CELL_CHUNK_CAP
-
     if workers == 1:
         # Inline, a chunk is what buffers before rows stream out: nothing
         # when no cell can batch, else up to MAX_CHUNK runs (or a cell).
         size = chunk or (1 if cell_cap is None else MAX_CHUNK)
-        for chunk_runs in _iter_chunks(cells, size, cell_cap, skip):
-            yield from execute_chunk(chunk_runs, timings, backend, lines).parts
-        return
-
-    # Imported here, not at module load: the pool brings in
-    # ``multiprocessing`` and ``logging``, which an inline campaign never uses.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    size = chunk or _auto_chunk(spec.total_runs - len(skip), workers)
+    else:
+        size = chunk or _auto_chunk(spec.total_runs - len(skip), workers)
     limit = workers * WINDOW_PER_WORKER * size
-    pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-        max_workers=workers
-    )
+    pool: Optional[ProcessPoolExecutor] = None
+    spawn = workers > 1  # False once the campaign runs in-process for good
     rebuilds = 0
     try:
         # future → (the chunk's runs, crash-retry attempt).  Keeping the
@@ -462,29 +470,27 @@ def iter_groups(
                 on_event(kind, fields)
 
         def dispatch(
-            chunk_runs: Tuple[CellSlice, ...], attempt: int
+            chunk_runs: Tuple[CellSlice, ...], attempt: int, here: bool = False
         ) -> Iterator[RowPart]:
             """Hand one chunk to the pool (parts come back through
-            :func:`drain`), or — once the pool is degraded or the chunk
-            has exhausted its crash retries — execute it in-process and
-            yield its parts directly.  Row contents are identical on
-            either path: runs are seeded by their coordinates."""
+            :func:`drain`), or execute it in-process and yield its parts
+            directly: a chunk kept ``here``, or any once the pool is
+            degraded or the chunk has exhausted its crash retries.  Row
+            contents are identical on either path: runs are seeded by
+            their coordinates."""
             nonlocal inflight
+            pooled = not here and pool is not None and attempt <= CHUNK_RETRY_LIMIT
+            runs = _chunk_runs(chunk_runs)
             if attempt > 0:
                 emit(
                     "chunk_retried",
                     {
-                        "runs": _chunk_runs(chunk_runs),
+                        "runs": runs,
                         "attempt": attempt,
-                        "mode": (
-                            "pool"
-                            if pool is not None
-                            and attempt <= CHUNK_RETRY_LIMIT
-                            else "inline"
-                        ),
+                        "mode": "pool" if pooled else "inline",
                     },
                 )
-            if pool is not None and attempt <= CHUNK_RETRY_LIMIT:
+            if pooled:
                 try:
                     future = pool.submit(
                         execute_chunk, chunk_runs, timings, backend, lines
@@ -496,11 +502,14 @@ def iter_groups(
                     yield from recover(exc, (chunk_runs, attempt))
                     return
                 pending[future] = (chunk_runs, attempt)
-                inflight += _chunk_runs(chunk_runs)
-                if attempt == 0:
-                    emit("chunk_dispatched", {"runs": _chunk_runs(chunk_runs)})
-                return
-            yield from execute_chunk(chunk_runs, timings, backend, lines).parts
+                inflight += runs
+            if attempt == 0:
+                emit(
+                    "chunk_dispatched",
+                    {"runs": runs, "where": "pool" if pooled else "parent"},
+                )
+            if not pooled:
+                yield from execute_chunk(chunk_runs, timings, backend, lines).parts
 
         def recover(
             exc: BaseException, *extra: Tuple[Tuple[CellSlice, ...], int]
@@ -509,7 +518,7 @@ def iter_groups(
             rebuild the pool (bounded retries with backoff, then degrade
             to in-process execution) and re-dispatch the survivors —
             the row stream continues as if nothing happened."""
-            nonlocal pool, rebuilds, inflight
+            nonlocal pool, spawn, rebuilds, inflight
             # One dead worker breaks the whole executor: every pending
             # future settles promptly (result or BrokenProcessPool), so
             # this wait is short.  Chunks that finished before the crash
@@ -541,7 +550,7 @@ def iter_groups(
                 sleep(min(POOL_BACKOFF_S * (2 ** (rebuilds - 1)), 1.0))
                 pool = ProcessPoolExecutor(max_workers=workers)
             else:
-                pool = None
+                pool, spawn = None, False
                 emit("pool_degraded", {"rebuilds": rebuilds})
             yield from finished
             for chunk_runs, attempt in salvaged:
@@ -562,8 +571,18 @@ def iter_groups(
                     continue
                 yield from rows.parts
 
-        for chunk_runs in _iter_chunks(cells, size, cell_cap, skip):
-            yield from dispatch(chunk_runs, 0)
+        floor = 1 if backend == "batch" else BATCH_FLOOR
+        chunks = _iter_chunks(spec.iter_cells(), size, cell_cap, skip, floor)
+        for chunk_runs, here in chunks:
+            if spawn and pool is None and not here:
+                # Imported here, not at module load: the pool brings in
+                # ``multiprocessing`` and ``logging``, which a campaign
+                # that never forks does not use.
+                from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+                from concurrent.futures.process import BrokenProcessPool
+
+                pool = ProcessPoolExecutor(max_workers=workers)
+            yield from dispatch(chunk_runs, 0, here)
             # Sized from what is actually dispatched: whole cells are
             # larger than ``size``, and the pool should still hold
             # WINDOW_PER_WORKER of them per worker.

@@ -1375,7 +1375,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     crun = csub.add_parser("run", help="expand and execute a campaign grid")
     crun.add_argument("spec", help="spec file (.json/.toml) or built-in name")
-    crun.add_argument("--workers", type=positive_int, default=1)
+    crun.add_argument(
+        "--workers",
+        type=positive_int,
+        default=1,
+        help="worker processes for per-run work; a cell that executes at "
+        "most once (replicated or rejected) runs in this process, and a "
+        "grid of only such cells starts no worker",
+    )
     crun.add_argument(
         "--chunk",
         type=positive_int,

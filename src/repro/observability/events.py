@@ -9,7 +9,8 @@ kind                      fields
 ========================  =====================================================
 ``campaign_started``      ``campaign, total_runs, workers, chunk, seed,
                           skipped, resume``
-``chunk_dispatched``      ``runs`` (runs submitted in the worker task)
+``chunk_dispatched``      ``runs, where`` (runs in the chunk; ``where`` it
+                          executes: ``pool`` or ``parent``)
 ``row_completed``         ``run_id, status, duration_ms, pid``
 ``checkpoint_flushed``    ``rows`` (rows recorded so far this session)
 ``worker_heartbeat``      ``pid, rows, rows_per_s`` (cumulative, parent clock)

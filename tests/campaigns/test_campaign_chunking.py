@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -16,8 +19,10 @@ from repro.campaigns.runner import (
     execute_chunk,
     execute_run,
     iter_campaign,
+    run_campaign,
 )
 from repro.campaigns.spec import CampaignSpec
+from repro.cli import main
 from repro.engine.batch import (
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
@@ -25,7 +30,9 @@ from repro.engine.batch import (
     plan_for_run,
 )
 from repro.engine.cell import admit
+from repro.observability import read_events
 from repro.scenarios.registry import get_scenario
+from tests.conftest import jsonl
 
 
 def small_spec(**overrides):
@@ -118,7 +125,7 @@ def chunks_of(spec, size, cell_cap=CELL_CHUNK_CAP):
     """The dispatch chunks, each flattened from cell slices to its runs."""
     return [
         [run for piece in chunk for run in piece]
-        for chunk in _iter_chunks(spec.iter_cells(), size, cell_cap)
+        for chunk, _once in _iter_chunks(spec.iter_cells(), size, cell_cap)
     ]
 
 
@@ -179,7 +186,8 @@ def test_rejected_cell_travels_whole():
     assert [len(chunk) for chunk in chunks_of(spec, 32)] == [100]
 
 
-def dispatched(spec, **options):
+def dispatched(spec, where=("pool", "parent"), **options):
+    """The runs of every chunk dispatched to ``where``, in order."""
     sizes = []
     rows = list(
         iter_campaign(
@@ -187,7 +195,7 @@ def dispatched(spec, **options):
             workers=2,
             on_event=lambda kind, fields: (
                 sizes.append(fields["runs"])
-                if kind == "chunk_dispatched"
+                if kind == "chunk_dispatched" and fields["where"] in where
                 else None
             ),
             **options,
@@ -204,7 +212,10 @@ def test_explicit_chunk_means_exactly_that_many_runs():
 
 def test_pool_dispatches_one_chunk_per_batchable_cell():
     spec = cell_spec(100, scenarios=("fault-free", "lossy_channel"))
-    assert dispatched(spec) == [100] * 4
+    # The two ``fault-free`` cells replicate: one execution each, in the
+    # parent; the two ``lossy_channel`` array programs go to the pool.
+    assert dispatched(spec, where=("pool",)) == [100] * 2
+    assert dispatched(spec, where=("parent",)) == [100] * 2
     # Below the batch floor no cell can batch: nothing is planned in the
     # parent and chunks are plain auto-sized slices.
     small = cell_spec(2)
@@ -224,3 +235,68 @@ def test_plain_iter_campaign_yields_the_historical_dicts():
             assert extra <= {"_backend"}
             row.pop("_backend", None)
             assert row == oracle[row["run_id"]]
+
+
+# ------------------------------------------------------ where a chunk runs
+
+
+def test_a_replicate_only_grid_runs_in_the_parent_and_never_forks():
+    spec = cell_spec(8, scenarios=("fault-free",))
+    own = os.getpid()
+    before = set(multiprocessing.active_children())
+    rows = []
+    for row in iter_campaign(spec, workers=2, timings=True):
+        assert set(multiprocessing.active_children()) <= before
+        rows.append(row)
+    assert len(rows) == spec.total_runs
+    assert {row["_pid"] for row in rows} == {own}
+
+
+def test_a_mixed_grid_sends_only_per_run_work_to_the_pool():
+    """class-1 rejects (7,1,1) and class-2 replicates ``fault-free``: those
+    cells run in the parent; the ``lossy_channel`` array programs are all
+    the pool sees.  The file is the one ``--workers 1`` writes."""
+    spec = CampaignSpec(
+        name="mixed", algorithms=("class-1", "class-2"), models=((7, 1, 1),),
+        engines=("lockstep", "timed"), scenarios=("fault-free", "lossy_channel"),
+        repetitions=8, seed=5,
+    )
+    events = []
+    rows = list(iter_campaign(
+        spec, workers=2, timings=True,
+        on_event=lambda kind, fields: events.append((kind, dict(fields))),
+    ))
+    pooled = {
+        row["run_id"] for row in rows
+        if row["algorithm"] == "class-2" and row["fault"].startswith("lossy")
+    }
+    assert len(pooled) == 16
+    assert {row["run_id"] for row in rows if row["_pid"] != os.getpid()} == pooled
+    where = [fields["where"] for kind, fields in events if kind == "chunk_dispatched"]
+    assert sorted(where) == ["parent"] * 6 + ["pool"] * 2
+    rows.sort(key=lambda row: row["run_id"])
+    assert jsonl(rows) == jsonl(run_campaign(spec, workers=1))
+
+
+def test_resume_at_two_workers_runs_partial_replicate_slices_in_the_parent(
+    tmp_path, capsys
+):
+    spec = cell_spec(10, scenarios=("fault-free", "worst_case"))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_mapping()))
+    single, out = tmp_path / "single.jsonl", tmp_path / "out.jsonl"
+    events = tmp_path / "events.jsonl"
+
+    def run(path, *extra):
+        return main(["campaign", "run", str(spec_path), "--out", str(path),
+                     "--quiet", "--no-report", *extra])
+
+    assert run(single, "--workers", "1") == 0
+    # Half the grid, cut inside a cell: its other 5 runs are a partial slice.
+    assert run(out, "--workers", "2", "--stop-after", "15") == 3
+    assert run(out, "--workers", "2", "--resume", "--events", str(events)) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == single.read_bytes()
+    chunks = read_events(events, "chunk_dispatched")
+    assert {event["where"] for event in chunks} == {"parent"}
+    assert [event["runs"] for event in chunks] == [5, 10, 10]

@@ -243,7 +243,7 @@ def test_report_folds_a_group_like_its_rows():
 def test_pickled_chunk_size_is_independent_of_repetitions():
     def sent(reps):
         spec = grid(reps, algorithms=("class-2",), scenarios=("fault-free",))
-        (chunk,) = _iter_chunks(spec.iter_cells(), 32, 256)
+        ((chunk, _once),) = _iter_chunks(spec.iter_cells(), 32, 256)
         returned = execute_chunk(chunk, True, "auto", True)
         assert len(returned) == reps and len(returned.parts) == 1
         return len(pickle.dumps(chunk)), len(pickle.dumps(returned))
