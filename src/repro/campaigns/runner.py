@@ -577,7 +577,9 @@ def iter_groups(
             if spawn and pool is None and not here:
                 # Imported here, not at module load: the pool brings in
                 # ``multiprocessing`` and ``logging``, which a campaign
-                # that never forks does not use.
+                # that never forks does not use.  A numpy worker maps OpenSSL
+                # anyway (see ``utils.accel``): inherited pages cost it less.
+                import hashlib  # noqa: F401
                 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
                 from concurrent.futures.process import BrokenProcessPool
 

@@ -24,8 +24,6 @@ on what its rejection says:
 
 from __future__ import annotations
 
-import hashlib
-import traceback
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -38,6 +36,7 @@ from repro.core.parameters import (
 )
 from repro.core.types import FaultModel
 from repro.scenarios.spec import ScenarioSpec
+from repro.utils.digests import blake2b
 from repro.utils.memo import cached_outcome
 
 #: Result-row type: one flat JSON-serializable mapping per run.
@@ -65,9 +64,10 @@ def derive_seed(campaign_seed: int, key: str) -> int:
 
     Uses BLAKE2b (not :func:`hash`, which is salted per interpreter) so the
     derivation is stable across processes, Python versions and worker
-    counts.
+    counts.  The hash is CPython's builtin one from
+    :mod:`repro.utils.digests`, so deriving seeds loads no OpenSSL.
     """
-    digest = hashlib.blake2b(
+    digest = blake2b(
         f"{campaign_seed}:{key}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") >> 1
@@ -330,6 +330,7 @@ def describe_error(exc: BaseException) -> str:
     tb = exc.__traceback__
     if tb is None:
         return head
+    import traceback  # the error path only: keeps it off every start
     lines = "".join(
         traceback.format_exception(type(exc), exc, tb)
     ).rstrip("\n").split("\n")

@@ -17,7 +17,6 @@ mutation decision — deterministic and resumable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from random import Random
@@ -29,6 +28,7 @@ from repro.engine.cell import cell_key_prefix
 from repro.eventsim.network import NetworkSpec
 from repro.faults.registry import STRATEGY_REGISTRY
 from repro.scenarios.spec import CommSpec, ScenarioSpec
+from repro.utils.digests import blake2b
 
 #: Builder / class names the default space searches over.  ``ben-or`` is
 #: excluded by default: its termination is probabilistic, so it needs the
@@ -185,7 +185,7 @@ class FuzzSpace:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
+        return blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
 
 # --------------------------------------------------------------- generation

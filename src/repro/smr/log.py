@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.smr.machine import Command
+from repro.utils.digests import blake2b, sha256
 
 #: Bytes of the per-slot fingerprint a log keeps to check re-commits.
 _SLOT_BYTES = 16
@@ -36,15 +36,17 @@ class ReplicatedLog:
     every committed encoding in slot order, and each slot keeps a 16-byte
     BLAKE2b of its own encoding, so two commands conflict exactly when
     their encodings differ.  A log of ``s`` slots holds ``16 s`` bytes.
+    Both hashes are CPython's builtins from :mod:`repro.utils.digests`, so
+    a serve loads no OpenSSL.
     """
 
     def __init__(self) -> None:
-        self._sha = hashlib.sha256()
+        self._sha = sha256()
         self._slots = bytearray()
 
     def commit(self, entry: LogEntry) -> None:
         data = "".join(map(repr, entry.command)).encode("utf-8")
-        fingerprint = hashlib.blake2b(data, digest_size=_SLOT_BYTES).digest()
+        fingerprint = blake2b(data, digest_size=_SLOT_BYTES).digest()
         slot = entry.slot
         committed = len(self)
         if slot == committed:

@@ -8,8 +8,9 @@ state — checked by :meth:`StateMachine.digest` comparisons in tests.
 from __future__ import annotations
 
 import abc
-import hashlib
 from typing import Any, Dict, Optional, Tuple
+
+from repro.utils.digests import sha256
 
 #: Commands are immutable tuples ``(op, *args)`` — hashable by construction.
 Command = Tuple
@@ -58,7 +59,7 @@ class KeyValueStore(StateMachine):
 
     def digest(self) -> str:
         blob = repr(sorted(self._data.items()))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:
         return len(self._data)

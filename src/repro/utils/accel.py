@@ -12,7 +12,9 @@ and produce exactly the same underlying Mersenne-Twister stream as
   ``random.Random``'s MT19937 state must reproduce that stream bit for bit
   (both generators implement the same ``genrand_res53`` double derivation).
   If the check fails on an exotic numpy build, numpy is treated as absent
-  and the array tier demotes.
+  and the array tier demotes.  ``numpy.random`` imports :mod:`secrets` and
+  so :mod:`hmac`, which maps OpenSSL's ``libcrypto``: a pooled campaign's
+  parent imports :mod:`hashlib` before forking so workers share it.
 
 * :class:`BlockRng` — one run's ``random.Random(seed)`` stream as a
   transplanted ``RandomState``, drawn in blocks: ``block(k)`` returns the

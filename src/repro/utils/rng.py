@@ -8,8 +8,9 @@ new consumer does not perturb the streams of existing consumers.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro.utils.digests import sha256
 
 
 class SeededRng:
@@ -39,5 +40,5 @@ class SeededRng:
         material = f"{self._seed}:{name}:" + ",".join(
             f"{key}={scope[key]!r}" for key in sorted(scope)
         )
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
+        digest = sha256(material.encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
