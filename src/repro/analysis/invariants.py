@@ -24,6 +24,12 @@ from typing import AbstractSet, Mapping
 from repro.core.types import ProcessId, Value
 
 
+#: The safety properties Theorem 1 guarantees inside the resilience
+#: bounds, as named by :func:`evaluate_properties`'s columns; the fourth
+#: column, ``termination``, is the liveness theorems' business.
+SAFETY_PROPERTIES = ("agreement", "validity", "unanimity")
+
+
 class InvariantViolation(AssertionError):
     """A consensus property was violated in an observed execution."""
 

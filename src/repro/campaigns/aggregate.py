@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.invariants import SAFETY_PROPERTIES
 from repro.analysis.reporting import format_float, format_rate, format_table
 from repro.observability import telemetry
 
@@ -64,148 +66,135 @@ class CellSummary:
     @property
     def safety_violations(self) -> int:
         """Violations of any safety property (agreement/validity/unanimity)."""
-        return (
-            self.agreement_violations
-            + self.validity_violations
-            + self.unanimity_violations
-        )
+        return sum(getattr(self, f"{prop}_violations") for prop in SAFETY_PROPERTIES)
+
+
+#: ``status`` → the :class:`CellSummary` count its rows add to.
+_STATUS_COUNTS = {
+    "ok": "ok", "error": "errors", "inadmissible": "inadmissible",
+    "inapplicable": "inapplicable",
+}
+#: Property column → the count of ``ok`` rows where it reads ``False``.
+_FAILURE_COUNTS = {
+    **{prop: f"{prop}_violations" for prop in SAFETY_PROPERTIES},
+    "termination": "termination_failures",
+}
+#: Row column → the :class:`CellSummary` mean over the ``ok`` rows carrying it.
+_MEANS = {"phases": "mean_phases", "messages_sent": "mean_messages"}
+#: A cell's counts before its first row.
+_NO_COUNTS = dict.fromkeys(
+    ("runs", *_STATUS_COUNTS.values(), *_FAILURE_COUNTS.values()), 0
+)
 
 
 class _CellAccumulator:
-    """Single-pass fold state for one report cell."""
+    """Single-pass fold state for one report cell: the summary's counts, a
+    ``[sum, count]`` per mean, the latency samples and ``[sum, count, max]``
+    of the wall durations."""
 
-    __slots__ = (
-        "key", "runs", "ok", "errors", "inadmissible", "inapplicable",
-        "agreement_violations", "validity_violations",
-        "unanimity_violations", "termination_failures",
-        "phase_sum", "phase_count", "message_sum", "message_count",
-        "latencies", "wall_sum", "wall_count", "wall_max",
-    )
+    __slots__ = ("counts", "sums", "latencies", "wall")
 
-    def __init__(self, key: Tuple[object, ...]) -> None:
-        self.key = key
-        self.runs = 0
-        self.ok = 0
-        self.errors = 0
-        self.inadmissible = 0
-        self.inapplicable = 0
-        self.agreement_violations = 0
-        self.validity_violations = 0
-        self.unanimity_violations = 0
-        self.termination_failures = 0
-        self.phase_sum = 0.0
-        self.phase_count = 0
-        self.message_sum = 0.0
-        self.message_count = 0
+    def __init__(self) -> None:
+        self.counts = _NO_COUNTS.copy()
+        self.sums = {column: [0.0, 0] for column in _MEANS}
         # Compact float buffer: exact percentiles need the samples, but one
         # double per timed ok row is all that survives of each row.
         self.latencies = array("d")
-        self.wall_sum = 0.0
-        self.wall_count = 0
-        self.wall_max = 0.0
+        self.wall = [0.0, 0, 0.0]
 
     def add(self, row: Row, count: int = 1) -> None:
         """Fold ``count`` rows equal to ``row`` (a group's row, once)."""
-        self.runs += count
+        counts = self.counts
+        counts["runs"] += count
         wall = row.get("_elapsed_ms")
         if wall is not None:
             wall = float(wall)
-            self.wall_sum += wall * count
-            self.wall_count += count
-            if wall > self.wall_max:
-                self.wall_max = wall
+            stats = self.wall
+            stats[0] += wall * count
+            stats[1] += count
+            if wall > stats[2]:
+                stats[2] = wall
         status = row.get("status")
-        if status == "error":
-            self.errors += count
-        elif status == "inadmissible":
-            self.inadmissible += count
-        elif status == "inapplicable":
-            self.inapplicable += count
-        elif status == "ok":
-            self.ok += count
-            if row.get("agreement") is False:
-                self.agreement_violations += count
-            if row.get("validity") is False:
-                self.validity_violations += count
-            if row.get("unanimity") is False:
-                self.unanimity_violations += count
-            if row.get("termination") is False:
-                self.termination_failures += count
-            phases = row.get("phases")
-            if phases is not None:
-                self.phase_sum += float(phases) * count
-                self.phase_count += count
-            messages = row.get("messages_sent")
-            if messages is not None:
-                self.message_sum += float(messages) * count
-                self.message_count += count
-            latency = row.get("time_to_decision")
-            if latency is not None:
-                self.latencies.extend([float(latency)] * count)
+        name = _STATUS_COUNTS.get(status)
+        if name is not None:
+            counts[name] += count
+        if status != "ok":
+            return
+        for column, name in _FAILURE_COUNTS.items():
+            if row.get(column) is False:
+                counts[name] += count
+        for column, stats in self.sums.items():
+            value = row.get(column)
+            if value is not None:
+                stats[0] += float(value) * count
+                stats[1] += count
+        latency = row.get("time_to_decision")
+        if latency is not None:
+            self.latencies.extend([float(latency)] * count)
 
-    def summary(self) -> CellSummary:
+    def summary(self, key: Tuple[object, ...]) -> CellSummary:
         latencies = self.latencies
+        wall_sum, wall_count, wall_max = self.wall
         return CellSummary(
-            key=self.key,
-            runs=self.runs,
-            ok=self.ok,
-            errors=self.errors,
-            inadmissible=self.inadmissible,
-            inapplicable=self.inapplicable,
-            agreement_violations=self.agreement_violations,
-            validity_violations=self.validity_violations,
-            unanimity_violations=self.unanimity_violations,
-            termination_failures=self.termination_failures,
-            mean_phases=(
-                self.phase_sum / self.phase_count if self.phase_count else None
-            ),
-            mean_messages=(
-                self.message_sum / self.message_count
-                if self.message_count
-                else None
-            ),
+            key=key,
+            **self.counts,
+            **{
+                _MEANS[column]: total / count if count else None
+                for column, (total, count) in self.sums.items()
+            },
             mean_latency=(
                 math.fsum(latencies) / len(latencies) if latencies else None
             ),
             p50_latency=percentile(latencies, 0.50),
             p99_latency=percentile(latencies, 0.99),
-            mean_wall_ms=(
-                self.wall_sum / self.wall_count if self.wall_count else None
-            ),
-            max_wall_ms=self.wall_max if self.wall_count else None,
-            total_wall_ms=self.wall_sum,
+            mean_wall_ms=wall_sum / wall_count if wall_count else None,
+            max_wall_ms=wall_max if wall_count else None,
+            total_wall_ms=wall_sum,
         )
 
 
 class SummaryFold:
     """Incremental per-cell aggregation: feed rows, read summaries anytime.
 
-    Feed it a live stream (the example folds each row as it is appended to
-    the checkpoint) or a file scan (the CLI folds the finalized JSONL in
-    one streaming pass — necessarily from the file, since resumed rows
-    recorded by an earlier session never pass through the current
-    process's run loop).
+    Next to the cells it keeps running totals over every row fed:
+    ``statuses`` (rows per ``status``), ``backends`` (rows per
+    ``_backend``, ``scalar`` where a row names none) and ``unsafe`` (rows
+    failing any of :data:`SAFETY_PROPERTIES`, once however many fail).
+
+    Feed it a live stream or a file scan: ``campaign run`` folds each row
+    as it is appended to the checkpoint, and the rows an earlier session
+    recorded as :func:`~repro.campaigns.results.validate_resume` scans
+    them; ``campaign report`` folds a result file.
     """
 
     def __init__(
         self, group_keys: Sequence[str] = DEFAULT_GROUP_KEYS
     ) -> None:
-        self._group_keys = tuple(group_keys)
+        self.group_keys = tuple(group_keys)
         self._cells: Dict[Tuple[object, ...], _CellAccumulator] = {}
+        self.statuses: Counter = Counter()
+        self.backends: Counter = Counter()
+        self.unsafe = 0
 
     def add(self, row: Row, count: int = 1) -> None:
-        key = tuple(row.get(field) for field in self._group_keys)
+        key = tuple(map(row.get, self.group_keys))
         cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[key] = _CellAccumulator(key)
+            cell = self._cells[key] = _CellAccumulator()
         cell.add(row, count)
+        self.statuses[row.get("status")] += count
+        self.backends[row.get("_backend", "scalar")] += count
+        for prop in SAFETY_PROPERTIES:
+            if row.get(prop) is False:
+                self.unsafe += count
+                break
 
     def summaries(self) -> List[CellSummary]:
         """Per-cell summaries, ordered by group key."""
         ordered = sorted(
             self._cells, key=lambda k: tuple(str(part) for part in k)
         )
-        return [self._cells[key].summary() for key in ordered]
+        return [self._cells[key].summary(key) for key in ordered]
 
 
 def summarize(

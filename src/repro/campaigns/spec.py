@@ -7,9 +7,8 @@ environments or registered preset names), engines, repetitions — and
 expands them cell by cell (:meth:`CampaignSpec.iter_cells`, what the
 streaming runner cuts into chunks: a :class:`~repro.engine.cell.CellSlice`
 is a lazy sequence of its runs) into fully-resolved :class:`RunSpec`
-objects, one per run: lazily via :meth:`CampaignSpec.iter_runs` or as a
-list via :meth:`CampaignSpec.expand`.  Each run's seed is
-derived deterministically from the campaign seed
+objects, one per run, drawn lazily via :meth:`CampaignSpec.iter_runs`.
+Each run's seed is derived deterministically from the campaign seed
 and the run's *coordinates* (not its position in the expansion), so results
 are reproducible regardless of worker count or axis ordering.
 
@@ -154,9 +153,8 @@ class CampaignSpec:
     def iter_runs(self) -> Iterator[RunSpec]:
         """Lazily yield the grid, run by run: the flatten of :meth:`iter_cells`.
 
-        Run ids follow the axis order and seeds derive from coordinates,
-        so the stream is identical to ``expand()`` — but nothing beyond the
-        run being yielded is ever materialized.
+        Run ids follow the axis order and seeds derive from coordinates;
+        nothing beyond the run being yielded is ever materialized.
         """
         for cell in self.iter_cells():
             yield from cell

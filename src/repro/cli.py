@@ -569,12 +569,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from dataclasses import replace as dc_replace
     from time import perf_counter
 
-    from repro.campaigns import (
-        format_report,
-        format_slowest_cells,
-        iter_groups,
-    )
-    from repro.campaigns.aggregate import SummaryFold
+    from repro.campaigns import SummaryFold, iter_groups
     from repro.campaigns.results import (
         LineIndex,
         ResultSink,
@@ -605,25 +600,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    # Error/violation counts and the per-cell report fold in the pass that
-    # first holds each row as a dict: the run loop for rows executed now,
-    # the resume validation scan for rows an earlier session recorded.
-    errors = 0
-    violations = 0
-    fold = SummaryFold() if not args.no_report else None
-
-    def absorb(row, count: int = 1) -> None:
-        nonlocal errors, violations
-        if row.get("status") == "error":
-            errors += count
-        if (
-            row.get("agreement") is False
-            or row.get("validity") is False
-            or row.get("unanimity") is False
-        ):
-            violations += count
-        if fold is not None:
-            fold.add(row, count)
+    # Every count — the exit code, the report, the progress line and the
+    # events — reads one fold, fed in the pass that first holds each row as
+    # a dict: the run loop for rows executed now, the resume validation
+    # scan for rows an earlier session recorded.
+    fold = SummaryFold()
 
     refused = session.refusal(args.resume)
     if refused is not None:
@@ -636,10 +617,14 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         # over).  Only then is a torn final line truncated so new appends
         # start on a clean row.
         try:
-            index, intact = validate_resume(spec, checkpoint, on_row=absorb)
+            index, intact = validate_resume(spec, checkpoint, on_row=fold.add)
         except ValueError as exc:
             return session.invalid(exc)
     skipped = len(index)
+    # What earlier sessions recorded: the progress line and the events
+    # report only this session's share of the fold's totals.
+    recorded_statuses = fold.statuses.copy()
+    recorded_backends = fold.backends.copy()
 
     # Both output targets are probed before anything is truncated, created
     # or executed: the checkpoint lives beside ``out``, so one probe covers
@@ -665,17 +650,17 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         if args.progress
         else None
     )
-    # The per-status and per-backend tallies feed only the progress line
-    # and the events sidecar; a run with neither skips them, and a quiet
-    # one touches a group once, never its rows.
-    watched = events is not None or progress_line is not None
-    per_row = watched or not args.quiet
-    live = {"errors": 0, "inadmissible": 0}
+    # A quiet run with no events or progress line touches a group once,
+    # never its rows.
+    per_row = events is not None or progress_line is not None or not args.quiet
+
+    def session_rows(status: str) -> int:
+        return fold.statuses[status] - recorded_statuses[status]
 
     def progress(completed: int, _total: int) -> None:
         if progress_line is not None:
             progress_line.render(
-                completed, live["errors"], live["inadmissible"]
+                completed, session_rows("error"), session_rows("inadmissible")
             )
         elif not args.quiet and (completed % step == 0 or completed == _total):
             print(f"  {completed}/{_total} runs", file=sys.stderr)
@@ -692,7 +677,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     stop_after = args.stop_after
     started_at = perf_counter()
     worker_rows: dict = {}
-    backend_rows: dict = {}
 
     def on_event(kind: str, fields: dict) -> None:
         events.emit(kind, **fields)
@@ -729,17 +713,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                         coords = coords[: stop_after - executed]
                     count = 1 if coords is None else len(coords)
                     sink.append(row, coords)
-                    absorb(row, count)
-                    if watched:
-                        status = row.get("status")
-                        row_backend = row.get("_backend", "scalar")
-                        backend_rows[row_backend] = (
-                            backend_rows.get(row_backend, 0) + count
-                        )
-                        if status == "error":
-                            live["errors"] += count
-                        elif status == "inadmissible":
-                            live["inadmissible"] += count
+                    fold.add(row, count)
                     if not per_row:
                         executed += count
                         run_ids = ()
@@ -755,8 +729,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                             events.emit(
                                 "row_completed",
                                 run_id=run_id,
-                                status=status,
-                                backend=row_backend,
+                                status=row.get("status"),
+                                backend=row.get("_backend", "scalar"),
                                 duration_ms=row.get("_elapsed_ms"),
                                 pid=row.get("_pid"),
                             )
@@ -789,18 +763,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     finally:
         if progress_line is not None and not interrupted:
             progress_line.finish(
-                skipped + executed, live["errors"], live["inadmissible"]
+                skipped + executed,
+                session_rows("error"),
+                session_rows("inadmissible"),
             )
         if events is not None:
+            backends = fold.backends - recorded_backends
             events.emit(
                 "campaign_finished",
                 rows=executed,
-                errors=live["errors"],
+                errors=session_rows("error"),
                 elapsed_s=round(perf_counter() - started_at, 6),
                 interrupted=interrupted,
-                backends={
-                    name: backend_rows[name] for name in sorted(backend_rows)
-                },
+                backends={name: backends[name] for name in sorted(backends)},
             )
             events.close()
 
@@ -813,19 +788,27 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             f"resumed: {skipped} rows skipped, {executed} executed",
             file=sys.stderr,
         )
-    if fold is not None:
-        summaries = fold.summaries()
-        print(format_report(summaries))
-        ranking = format_slowest_cells(summaries)
-        if ranking:
-            print(ranking)
-    if errors or violations:
+    if not args.no_report:
+        _print_report(fold)
+    errors = fold.statuses["error"]
+    if errors or fold.unsafe:
         print(
-            f"{errors} error row(s), {violations} safety violation(s)",
+            f"{errors} error row(s), {fold.unsafe} safety violation(s)",
             file=sys.stderr,
         )
         return 1
     return 0
+
+
+def _print_report(fold) -> None:
+    """A fold's per-cell table and, when its rows are timed, slowest cells."""
+    from repro.campaigns import format_report, format_slowest_cells
+
+    summaries = fold.summaries()
+    print(format_report(summaries, fold.group_keys))
+    ranking = format_slowest_cells(summaries, fold.group_keys)
+    if ranking:
+        print(ranking)
 
 
 def _cmd_campaign_plan(args: argparse.Namespace) -> int:
@@ -881,12 +864,7 @@ def _cmd_campaign_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    from repro.campaigns import (
-        DEFAULT_GROUP_KEYS,
-        format_report,
-        format_slowest_cells,
-    )
-    from repro.campaigns.aggregate import SummaryFold
+    from repro.campaigns import DEFAULT_GROUP_KEYS, SummaryFold
     from repro.campaigns.results import iter_rows
 
     keys = args.group_by or DEFAULT_GROUP_KEYS
@@ -932,11 +910,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    summaries = fold.summaries()
-    print(format_report(summaries, keys))
-    ranking = format_slowest_cells(summaries, keys)
-    if ranking:
-        print(ranking)
+    _print_report(fold)
     return 0
 
 
@@ -1139,7 +1113,9 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
         FuzzCandidate,
         candidate_seed,
         classify_candidate,
+        record_over_bound,
         shrink_candidate,
+        shrunk_fields,
     )
 
     record = _load_finding(args.findings, args.index)
@@ -1148,7 +1124,7 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     kind = record["kind"]
     candidate = FuzzCandidate.from_mapping(record["candidate"])
     fuzz_seed = int(record["fuzz_seed"])
-    mode = "allow" if record.get("over_bound") else "never"
+    mode = record_over_bound(record)
     result = shrink_candidate(
         candidate,
         kind,
@@ -1172,18 +1148,7 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
         print("SHRINK MISMATCH: minimal candidate lost the finding",
               file=sys.stderr)
         return 1
-    print(
-        json.dumps(
-            {
-                "shrunk": result.candidate.to_mapping(),
-                "shrunk_key": result.candidate.key(),
-                "shrunk_seed": candidate_seed(fuzz_seed, result.candidate),
-                "shrink_ops": list(result.ops),
-                "shrink_attempts": result.attempts,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(shrunk_fields(fuzz_seed, result), sort_keys=True))
     return 0
 
 

@@ -40,8 +40,10 @@ from repro.fuzz.runner import (
     FuzzSummary,
     build_record,
     candidate_at,
+    record_over_bound,
     replay_finding,
     run_fuzz,
+    shrunk_fields,
 )
 from repro.fuzz.shrink import ShrinkResult, shrink_candidate
 from repro.fuzz.space import (
@@ -78,10 +80,12 @@ __all__ = [
     "mutate",
     "open_journal",
     "read_state",
+    "record_over_bound",
     "replay_finding",
     "run_fuzz",
     "scan_findings",
     "shrink_candidate",
+    "shrunk_fields",
     "state_path",
     "suggest_phases",
     "truncate_findings",

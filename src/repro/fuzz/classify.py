@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.invariants import SAFETY_PROPERTIES
 from repro.core.classification import AlgorithmClass
 from repro.core.parameters import (
     ConsensusParameters,
@@ -268,7 +269,7 @@ def classify_row(
         return Verdict(status=status, kind=None, violated=(), row=row)
     violated = tuple(
         prop
-        for prop in ("agreement", "validity", "unanimity")
+        for prop in SAFETY_PROPERTIES
         if row.get(prop) is False
     )
     if violated:

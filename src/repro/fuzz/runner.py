@@ -42,7 +42,7 @@ from repro.fuzz.corpus import (
     truncate_findings,
     write_state,
 )
-from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, shrink_candidate
+from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, ShrinkResult, shrink_candidate
 from repro.fuzz.space import FuzzCandidate, FuzzSpace, generate, mutate
 from repro.utils.jsonl import Appender, canonical, replace
 
@@ -117,6 +117,23 @@ def build_record(
     }
 
 
+def shrunk_fields(fuzz_seed: int, shrunk: ShrinkResult) -> Dict[str, object]:
+    """The five ``shrunk*`` fields a shrink adds to a finding's record."""
+    return {
+        "shrunk": shrunk.candidate.to_mapping(),
+        "shrunk_key": shrunk.candidate.key(),
+        "shrunk_seed": candidate_seed(fuzz_seed, shrunk.candidate),
+        "shrink_ops": list(shrunk.ops),
+        "shrink_attempts": shrunk.attempts,
+    }
+
+
+def record_over_bound(record: Dict[str, object]) -> str:
+    """The ``over_bound`` mode that re-executes a record's candidate as it
+    was found: past its resilience bound exactly when it ran there."""
+    return "allow" if record.get("over_bound") else "never"
+
+
 def replay_finding(
     record: Dict[str, object], *, shrunk: bool = False
 ) -> Verdict:
@@ -129,8 +146,9 @@ def replay_finding(
     mapping = record["shrunk"] if shrunk else record["candidate"]
     candidate = FuzzCandidate.from_mapping(mapping)
     seed = int(record["shrunk_seed"] if shrunk else record["seed"])
-    mode = "allow" if record.get("over_bound") else "never"
-    return classify_candidate(candidate, seed, over_bound=mode)
+    return classify_candidate(
+        candidate, seed, over_bound=record_over_bound(record)
+    )
 
 
 @dataclass
@@ -285,13 +303,7 @@ def run_fuzz(
                             over_bound=config.over_bound,
                             max_attempts=config.shrink_attempts,
                         )
-                        record["shrunk"] = shrunk.candidate.to_mapping()
-                        record["shrunk_key"] = shrunk.candidate.key()
-                        record["shrunk_seed"] = candidate_seed(
-                            config.seed, shrunk.candidate
-                        )
-                        record["shrink_ops"] = list(shrunk.ops)
-                        record["shrink_attempts"] = shrunk.attempts
+                        record.update(shrunk_fields(config.seed, shrunk))
                     corpus.write(canonical(record).encode() + b"\n")
                     corpus.sync()
                     records.append(record)

@@ -8,10 +8,10 @@ file (``repro campaign run --events PATH``).  Every event carries ``ts``
 kind                      fields
 ========================  =====================================================
 ``campaign_started``      ``campaign, total_runs, workers, chunk, seed,
-                          skipped, resume``
+                          backend, skipped, resume``
 ``chunk_dispatched``      ``runs, where`` (runs in the chunk; ``where`` it
                           executes: ``pool`` or ``parent``)
-``row_completed``         ``run_id, status, duration_ms, pid``
+``row_completed``         ``run_id, status, backend, duration_ms, pid``
 ``checkpoint_flushed``    ``rows`` (rows recorded so far this session)
 ``worker_heartbeat``      ``pid, rows, rows_per_s`` (cumulative, parent clock)
 ``worker_crashed``        ``chunks, runs, error, rebuilds`` (a worker process
@@ -21,7 +21,9 @@ kind                      fields
 ``pool_degraded``         ``rebuilds`` (rebuild limit hit; the campaign
                           continues in-process)
 ``resume_skipped``        ``rows`` (recorded runs --resume did not re-execute)
-``campaign_finished``     ``rows, errors, elapsed_s, interrupted``
+``campaign_finished``     ``rows, errors, elapsed_s, interrupted, backends``
+                          (``errors`` and ``backends``, rows per backend,
+                          count this session's rows)
 ========================  =====================================================
 
 The event stream is diagnostic, not canonical: result rows remain the only
