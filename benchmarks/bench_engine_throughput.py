@@ -67,7 +67,7 @@ from repro.engine.assembly import build_instance
 from repro.engine.kernel import OBSERVE_FULL, OBSERVE_METRICS, run_instance
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
 from repro.eventsim.network import NetworkSpec
-from repro.scenarios import compile_scenario, get_scenario
+from repro.scenarios import compile_scenario, get_scenario, split_values
 
 #: The acceptance cell: metrics mode must be ≥ 2x full observation here.
 ACCEPTANCE_CELL = "table1-otr-n30"
@@ -153,7 +153,7 @@ def make_runner(
             compiled = compile_scenario(scenario_spec, model, engine, 7)
             instance = build_instance(
                 parameters,
-                compiled.honest_values(),
+                split_values(model, compiled.byzantine),
                 config=config,
                 byzantine=compiled.byzantine,
             )

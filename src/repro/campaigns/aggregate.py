@@ -49,6 +49,8 @@ class CellSummary:
     agreement_violations: int
     validity_violations: int
     unanimity_violations: int
+    #: ``ok`` rows failing any safety property, once however many fail.
+    safety_violations: int
     termination_failures: int
     mean_phases: Optional[float]
     mean_messages: Optional[float]
@@ -62,11 +64,6 @@ class CellSummary:
     mean_wall_ms: Optional[float] = None
     max_wall_ms: Optional[float] = None
     total_wall_ms: float = 0.0
-
-    @property
-    def safety_violations(self) -> int:
-        """Violations of any safety property (agreement/validity/unanimity)."""
-        return sum(getattr(self, f"{prop}_violations") for prop in SAFETY_PROPERTIES)
 
 
 #: ``status`` → the :class:`CellSummary` count its rows add to.
@@ -83,7 +80,8 @@ _FAILURE_COUNTS = {
 _MEANS = {"phases": "mean_phases", "messages_sent": "mean_messages"}
 #: A cell's counts before its first row.
 _NO_COUNTS = dict.fromkeys(
-    ("runs", *_STATUS_COUNTS.values(), *_FAILURE_COUNTS.values()), 0
+    ("runs", *_STATUS_COUNTS.values(), *_FAILURE_COUNTS.values(),
+     "safety_violations"), 0
 )
 
 
@@ -123,6 +121,8 @@ class _CellAccumulator:
         for column, name in _FAILURE_COUNTS.items():
             if row.get(column) is False:
                 counts[name] += count
+        if any(row.get(prop) is False for prop in SAFETY_PROPERTIES):
+            counts["safety_violations"] += count
         for column, stats in self.sums.items():
             value = row.get(column)
             if value is not None:
@@ -258,12 +258,16 @@ def format_report(
     return format_table(headers, table)
 
 
+#: How many cells :func:`format_slowest_cells` ranks.
+SLOWEST_CELLS = 5
+
+
 def format_slowest_cells(
     summaries: Sequence[CellSummary],
     group_keys: Sequence[str] = DEFAULT_GROUP_KEYS,
-    top: int = 5,
 ) -> str:
-    """Rank cells by total wall time — where a sweep actually spends it.
+    """Rank the :data:`SLOWEST_CELLS` cells with the most total wall time —
+    where a sweep actually spends it.
 
     Returns ``""`` when no cell carries duration data, so callers can
     append it unconditionally.
@@ -272,8 +276,9 @@ def format_slowest_cells(
     if not timed:
         return ""
     timed.sort(key=lambda s: -s.total_wall_ms)
-    lines = [f"slowest cells (by total wall time, top {min(top, len(timed))}):"]
-    for summary in timed[:top]:
+    top = timed[:SLOWEST_CELLS]
+    lines = [f"slowest cells (by total wall time, top {len(top)}):"]
+    for summary in top:
         cell = " ".join(
             f"{key}={value}" for key, value in zip(group_keys, summary.key)
         )

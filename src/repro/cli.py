@@ -292,7 +292,6 @@ def _serve_config(args: argparse.Namespace):
         scenario=args.scenario,
         engine=args.engine,
         batch=args.batch,
-        batch_bytes=args.batch_bytes,
         depth=args.depth,
         seed=args.seed,
         max_phases=args.max_phases,
@@ -334,11 +333,7 @@ def _cmd_smr_serve(args: argparse.Namespace) -> int:
         f"  load        : {workload.arrival} rate {workload.rate:g}/t "
         f"x {workload.duration:g}t over {workload.clients} client(s)"
     )
-    print(
-        f"  pipeline    : batch ≤ {config.batch}"
-        + (f" (≤ {config.batch_bytes}B)" if config.batch_bytes else "")
-        + f", depth {config.depth}"
-    )
+    print(f"  pipeline    : batch ≤ {config.batch}, depth {config.depth}")
     print(
         f"  commands    : {report.offered} offered, "
         f"{report.committed_commands} committed in "
@@ -955,7 +950,6 @@ def _fuzz_space(args: argparse.Namespace):
             ),
             engines=tuple(args.engines) if args.engines else ("lockstep", "timed"),
             models=models,
-            n_range=(args.n_min, args.n_max),
             strategies=(
                 tuple(args.strategies) if args.strategies else DEFAULT_STRATEGIES
             ),
@@ -979,9 +973,6 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             budget=args.budget,
             over_bound=args.over_bound,
-            mutate_prob=args.mutate_prob,
-            shrink=not args.no_shrink,
-            shrink_attempts=args.shrink_attempts,
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -1088,7 +1079,7 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
     shrunk = args.shrunk and "shrunk" in record
     if args.shrunk and "shrunk" not in record:
         print(
-            "record has no shrunk form (run was --no-shrink); "
+            "record has no shrunk form (it was recorded without shrinking); "
             "replaying the original candidate",
             file=sys.stderr,
         )
@@ -1130,7 +1121,6 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
         kind,
         fuzz_seed=fuzz_seed,
         over_bound=mode,
-        max_attempts=args.shrink_attempts,
     )
     print(f"original: {candidate.key()}")
     print(f"shrunk:   {result.candidate.key()}")
@@ -1281,9 +1271,6 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--batch", type=positive_int, default=8,
                             metavar="B",
                             help="max commands per slot (default 8)")
-        target.add_argument("--batch-bytes", type=positive_int, default=None,
-                            metavar="BYTES",
-                            help="additional per-batch payload cap")
         target.add_argument("--depth", type=positive_int, default=2,
                             metavar="D",
                             help="pipeline window: slots in flight "
@@ -1470,13 +1457,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N,B,F",
         help="explicit (n,b,f) pool, e.g. --models 4,2,0 3,1,1 "
-        "(default: sampled from --n-min/--n-max)",
-    )
-    frun.add_argument(
-        "--n-min", type=positive_int, default=3, help="smallest sampled n"
-    )
-    frun.add_argument(
-        "--n-max", type=positive_int, default=9, help="largest sampled n"
+        "(default: n sampled from 3..9)",
     )
     frun.add_argument(
         "--strategies",
@@ -1492,24 +1473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="whether models rejected by the Theorem 1 bounds execute on "
         "clamped boundary parameters (allow), are the only cells executed "
         "(only), or classify as skipped (never, the default)",
-    )
-    frun.add_argument(
-        "--mutate-prob",
-        type=float,
-        default=0.5,
-        help="probability a candidate mutates a prior finding instead of "
-        "sampling fresh (once the corpus is non-empty)",
-    )
-    frun.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="log findings without the delta-debugging minimization pass",
-    )
-    frun.add_argument(
-        "--shrink-attempts",
-        type=positive_int,
-        default=160,
-        help="upper bound on reproduction attempts per shrink",
     )
     frun.add_argument(
         "--fail-on-finding",
@@ -1544,12 +1507,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="finding index to shrink (default: the first record)",
-    )
-    fshrink.add_argument(
-        "--shrink-attempts",
-        type=positive_int,
-        default=160,
-        help="upper bound on reproduction attempts",
     )
 
     creport = csub.add_parser("report", help="aggregate a results JSONL file")

@@ -2,7 +2,7 @@
 
 One fuzz run walks candidate indices ``0 .. budget-1``.  At index ``i`` a
 fresh :class:`random.Random` is derived from ``(seed, i)``; with probability
-``mutate_prob`` (and a non-empty corpus) the candidate is a structured
+:data:`MUTATE_PROB` (and a non-empty corpus) the candidate is a structured
 mutation of a previously-found failing candidate, otherwise a fresh sample.
 Duplicates (by coordinate key) are skipped without executing but still
 consume their index — so candidate ``i`` is a pure function of
@@ -11,13 +11,14 @@ replaying generation (cheap, no execution) rebuilds the dedup set and the
 mutation sources at any interruption point, and re-running the remaining
 indices produces byte-identical findings.
 
-Findings are shrunk immediately (:mod:`repro.fuzz.shrink`), appended to the
-JSONL corpus, and acknowledged *after* the append by one line appended to
-the state journal — the crash window between the two is healed on resume
-by truncating unacknowledged records (see :mod:`repro.fuzz.corpus`).  A
-session renames two files into place, once each when it starts: the
-corpus (empty, or the acknowledged findings on a resume) and the journal's
-header.
+Findings are shrunk immediately (:mod:`repro.fuzz.shrink`, at most
+:data:`~repro.fuzz.shrink.DEFAULT_MAX_ATTEMPTS` reproductions each),
+appended to the JSONL corpus, and acknowledged *after* the append by one
+line appended to the state journal — the crash window between the two is
+healed on resume by truncating unacknowledged records (see
+:mod:`repro.fuzz.corpus`).  A session renames two files into place, once
+each when it starts: the corpus (empty, or the acknowledged findings on a
+resume) and the journal's header.
 """
 
 from __future__ import annotations
@@ -42,12 +43,16 @@ from repro.fuzz.corpus import (
     truncate_findings,
     write_state,
 )
-from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, ShrinkResult, shrink_candidate
+from repro.fuzz.shrink import ShrinkResult, shrink_candidate
 from repro.fuzz.space import FuzzCandidate, FuzzSpace, generate, mutate
 from repro.utils.jsonl import Appender, canonical, replace
 
 #: Called after each candidate with ``(index, budget, findings_so_far)``.
 ProgressFn = Callable[[int, int, int], None]
+
+#: Probability that a candidate mutates a prior finding (once there is one)
+#: instead of sampling fresh.
+MUTATE_PROB = 0.5
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,6 @@ class FuzzConfig:
     seed: int = 0
     budget: int = 100
     over_bound: str = "never"
-    mutate_prob: float = 0.5
-    shrink: bool = True
-    shrink_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -70,10 +72,6 @@ class FuzzConfig:
                 f"unknown over_bound mode {self.over_bound!r}; "
                 f"known: {OVER_BOUND_MODES}"
             )
-        if not 0.0 <= self.mutate_prob <= 1.0:
-            raise ValueError(
-                f"mutate_prob must be in [0, 1], got {self.mutate_prob}"
-            )
 
 
 def candidate_at(
@@ -81,7 +79,7 @@ def candidate_at(
 ) -> FuzzCandidate:
     """The candidate at ``index`` given the findings discovered before it."""
     rng = Random(derive_seed(config.seed, f"fuzz-cand:{index}"))
-    if sources and rng.random() < config.mutate_prob:
+    if sources and rng.random() < MUTATE_PROB:
         source = sources[rng.randrange(len(sources))]
         return mutate(config.space, source, rng)
     return generate(config.space, rng)
@@ -179,8 +177,10 @@ def _fresh_state(config: FuzzConfig, next_index: int, findings: int) -> Dict[str
         "findings": findings,
         "space": config.space.fingerprint(),
         "over_bound": config.over_bound,
-        "mutate_prob": config.mutate_prob,
-        "shrink": config.shrink,
+        # Fixed, but still recorded and checked: a state written with
+        # another mutation probability or without shrinking is refused.
+        "mutate_prob": MUTATE_PROB,
+        "shrink": True,
     }
 
 
@@ -295,15 +295,13 @@ def run_fuzz(
                 summary.executed += 1
                 if verdict.is_finding:
                     record = build_record(config, index, candidate, verdict)
-                    if config.shrink:
-                        shrunk = shrink_candidate(
-                            candidate,
-                            verdict.kind,
-                            fuzz_seed=config.seed,
-                            over_bound=config.over_bound,
-                            max_attempts=config.shrink_attempts,
-                        )
-                        record.update(shrunk_fields(config.seed, shrunk))
+                    shrunk = shrink_candidate(
+                        candidate,
+                        verdict.kind,
+                        fuzz_seed=config.seed,
+                        over_bound=config.over_bound,
+                    )
+                    record.update(shrunk_fields(config.seed, shrunk))
                     corpus.write(canonical(record).encode() + b"\n")
                     corpus.sync()
                     records.append(record)

@@ -58,6 +58,9 @@ DEFAULT_STRATEGIES = (
     "adaptive-liar",
 )
 
+#: The range ``n`` is drawn from when a space pins no ``models`` pool.
+N_RANGE = (3, 9)
+
 #: Drop probabilities the generator draws from (a small palette keeps the
 #: space coarse enough that duplicates — and therefore corpus dedup — occur).
 _DROP_PROBS = (0.3, 0.5, 0.8, 1.0)
@@ -122,7 +125,7 @@ class FuzzSpace:
     """Bounds on what :func:`generate` / :func:`mutate` may produce.
 
     ``models`` pins an explicit ``(n, b, f)`` pool (what the CI smoke cells
-    use); ``None`` samples models from ``n_range``.  The space fingerprint
+    use); ``None`` samples ``n`` from :data:`N_RANGE`.  The space fingerprint
     is recorded in the corpus state file so a resume under a different
     space is refused rather than silently diverging.
     """
@@ -130,7 +133,6 @@ class FuzzSpace:
     algorithms: Tuple[str, ...] = DEFAULT_ALGORITHMS
     engines: Tuple[str, ...] = ("lockstep", "timed")
     models: Optional[Tuple[Tuple[int, int, int], ...]] = None
-    n_range: Tuple[int, int] = (3, 9)
     strategies: Tuple[str, ...] = DEFAULT_STRATEGIES
 
     def __post_init__(self) -> None:
@@ -164,9 +166,6 @@ class FuzzSpace:
             for index, entry in enumerate(entries):
                 if entry in entries[:index]:
                     raise ValueError(f"axis {axis!r} repeats {entry!r}")
-        lo, hi = self.n_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 ≤ n_min ≤ n_max, got {self.n_range}")
 
     def fingerprint(self) -> str:
         """A stable digest of the space (corpus-state compatibility check)."""
@@ -179,7 +178,9 @@ class FuzzSpace:
                     if self.models is None
                     else [list(m) for m in self.models]
                 ),
-                "n_range": list(self.n_range),
+                # A fixed range, hashed so that the fingerprint (and every
+                # state file it was recorded in) keeps its value.
+                "n_range": list(N_RANGE),
                 "strategies": list(self.strategies),
             },
             sort_keys=True,
@@ -194,11 +195,9 @@ class FuzzSpace:
 def _pick_model(space: FuzzSpace, rng: Random) -> Tuple[int, int, int]:
     if space.models is not None:
         return space.models[rng.randrange(len(space.models))]
-    lo, hi = space.n_range
-    n = rng.randint(lo, hi)
-    b = 0 if (n < 2 or rng.random() < 0.35) else rng.randint(1, (n - 1) // 2 or 1)
-    f_cap = n - 1 - b
-    f = 0 if (f_cap < 1 or rng.random() < 0.4) else rng.randint(1, f_cap)
+    n = rng.randint(*N_RANGE)  # n ≥ 3 leaves room for b ≥ 1 and then f ≥ 1
+    b = 0 if rng.random() < 0.35 else rng.randint(1, (n - 1) // 2)
+    f = 0 if rng.random() < 0.4 else rng.randint(1, n - 1 - b)
     return n, b, f
 
 

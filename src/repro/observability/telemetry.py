@@ -175,17 +175,15 @@ def format_phase_table(
     telemetry: Telemetry,
     *,
     wall_seconds: Optional[float] = None,
-    order: Optional[Sequence[str]] = None,
 ) -> str:
     """Render span records as an aligned phase-breakdown table.
 
-    Phases are ordered by descending self time unless ``order`` pins an
-    explicit sequence (unknown names are ignored, unlisted spans appended).
-    With ``wall_seconds``, a share column and a coverage footer report how
-    much of the measured wall clock the spans account for.  When the
-    registry holds histograms, a second table follows with each one's
-    count, mean and p50/p95/p99/max — so ``repro profile`` (and any other
-    phase-table consumer) surfaces tail percentiles, not just span times.
+    Phases are ordered by descending self time.  With ``wall_seconds``, a
+    share column and a coverage footer report how much of the measured wall
+    clock the spans account for.  When the registry holds histograms, a
+    second table follows with each one's count, mean and p50/p95/p99/max —
+    so ``repro profile`` (and any other phase-table consumer) surfaces tail
+    percentiles, not just span times.
     """
     from repro.analysis.reporting import format_table
 
@@ -193,9 +191,6 @@ def format_phase_table(
         telemetry.span_names,
         key=lambda name: -telemetry.span_stats(name)["self_s"],
     )
-    if order is not None:
-        pinned = [name for name in order if name in names]
-        names = pinned + [name for name in names if name not in pinned]
     headers = ["phase", "calls", "total-ms", "self-ms"]
     if wall_seconds:
         headers.append("share")

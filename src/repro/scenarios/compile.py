@@ -54,7 +54,7 @@ from repro.rounds.policies import (
     silent_behavior,
 )
 from repro.rounds.schedule import GoodBadSchedule
-from repro.scenarios.spec import CommSpec, ScenarioSpec
+from repro.scenarios.spec import CommSpec, ScenarioSpec, split_values
 from repro.utils.memo import cached_outcome
 
 #: Engines a scenario may compile onto.
@@ -165,12 +165,6 @@ class CompiledScenario:
     #: The run's seed — what ``build_instance(seed=...)`` turns into the
     #: per-process coins of a randomized algorithm.
     seed: int
-
-    def honest_values(self, split: bool = True) -> Dict[ProcessId, str]:
-        """Standard proposals for the scenario's honest processes."""
-        from repro.scenarios.spec import split_values
-
-        return split_values(self.model, self.byzantine, split)
 
     def max_phases(self, default: int = 15) -> int:
         """The scenario-suggested horizon, or ``default``."""
@@ -302,7 +296,7 @@ def run_scenario(
     values = (
         initial_values
         if initial_values is not None
-        else compiled.honest_values()
+        else split_values(compiled.model, compiled.byzantine)
     )
     instance = build_instance(
         parameters,

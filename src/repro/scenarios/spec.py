@@ -334,11 +334,10 @@ class ScenarioSpec:
         return cls(**kwargs)
 
 
-def split_values(model: FaultModel, byzantine: Mapping[int, object],
-                 split: bool = True) -> Dict[int, str]:
-    """The standard honest proposals (``v0``/``v1`` split, or uniform)."""
+def split_values(
+    model: FaultModel, byzantine: Mapping[int, object]
+) -> Dict[int, str]:
+    """The standard honest proposals: ``v0`` / ``v1`` by pid parity."""
     return {
-        pid: (f"v{pid % 2}" if split else "v")
-        for pid in model.processes
-        if pid not in byzantine
+        pid: f"v{pid % 2}" for pid in model.processes if pid not in byzantine
     }

@@ -7,8 +7,8 @@ decided by one instance of the generic algorithm on the unified kernel's
 ``observe="metrics"`` hot path, with the two classic serving optimizations:
 
 * **request batching** — one consensus instance decides an ordered *batch*
-  of commands per slot (``batch`` commands / ``batch_bytes`` bytes cap),
-  formed deterministically in arrival order;
+  of up to ``batch`` commands per slot, formed deterministically in
+  arrival order;
 * **leader pipelining** — up to ``depth`` slots are in flight at once
   (slot ``k+1`` proposed while slot ``k`` is still deciding), with
   out-of-order decides buffered by the serve loop and committed to the
@@ -16,7 +16,7 @@ decided by one instance of the generic algorithm on the unified kernel's
 
 Time is simulated: slot ``s`` proposed at clock ``t`` commits at ``t + d``
 where ``d`` is the deciding instance's duration (simulated time on the
-timed engine, rounds × ``round_cost`` under lockstep), so a request's
+timed engine, one time unit a round under lockstep), so a request's
 latency is ``apply_time − arrival_time`` — arrivals are open-loop and never
 wait for service progress.  Every honest replica proposes the same batch,
 so a slot's decided value equals its batch whenever the decision is honest;
@@ -63,7 +63,6 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from math import inf, log
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -92,6 +91,10 @@ ARRIVALS = ("poisson", "fixed")
 
 #: Histogram the per-request latencies land in.
 LATENCY_HISTOGRAM = "smr.request_latency"
+
+#: Simulated duration of one lockstep round (timed runs use the network's
+#: own simulated clock instead).
+ROUND_COST = 1.0
 
 #: The serve's histograms, in the order a serve first observes them.
 _SERVE_HISTOGRAMS = (
@@ -178,12 +181,11 @@ class WorkloadSpec:
 class ServeConfig:
     """The serving side: consensus cell, batching and pipelining knobs.
 
-    ``batch`` caps commands per slot, ``batch_bytes`` additionally caps the
-    batch's ``repr`` payload (a batch always holds at least one command);
-    ``depth`` is the pipeline window — how many slots may be deciding at
-    once.  ``batch=1, depth=1`` is the slot-at-a-time baseline every other
-    setting must be digest-equal to.  ``max_attempts`` bounds same-slot
-    retries before the service reports itself stalled.
+    ``batch`` caps commands per slot; ``depth`` is the pipeline window —
+    how many slots may be deciding at once.  ``batch=1, depth=1`` is the
+    slot-at-a-time baseline every other setting must be digest-equal to.
+    ``max_attempts`` bounds same-slot retries before the service reports
+    itself stalled.
     """
 
     algorithm: str = "pbft"
@@ -193,30 +195,20 @@ class ServeConfig:
     scenario: Union[str, ScenarioSpec] = "fault-free"
     engine: str = "lockstep"
     batch: int = 8
-    batch_bytes: Optional[int] = None
     depth: int = 2
     seed: int = 0
     max_phases: Optional[int] = None
     max_attempts: int = 8
-    #: Simulated duration of one lockstep round (timed runs use the
-    #: network's own simulated clock instead).
-    round_cost: float = 1.0
 
     def __post_init__(self) -> None:
         if self.batch < 1:
             raise ValueError(f"batch must be ≥ 1, got {self.batch}")
-        if self.batch_bytes is not None and self.batch_bytes < 1:
-            raise ValueError(f"batch_bytes must be ≥ 1, got {self.batch_bytes}")
         if self.depth < 1:
             raise ValueError(f"depth must be ≥ 1, got {self.depth}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be ≥ 1, got {self.max_attempts}")
         if self.max_phases is not None and self.max_phases < 1:
             raise ValueError(f"max_phases must be ≥ 1, got {self.max_phases}")
-        if not 0 < self.round_cost < inf:
-            raise ValueError(
-                f"round_cost must be finite and > 0, got {self.round_cost}"
-            )
 
     def scenario_spec(self) -> ScenarioSpec:
         if isinstance(self.scenario, ScenarioSpec):
@@ -429,7 +421,7 @@ class _SlotRunner:
             if config.engine == "timed" and outcome.simulated_time is not None:
                 duration += outcome.simulated_time
             else:
-                duration += outcome.rounds_executed * config.round_cost
+                duration += outcome.rounds_executed * ROUND_COST
             phases = outcome.phases_to_last_decision
             decided = outcome.decided_value
             if decided == batch:
@@ -495,13 +487,6 @@ def run_serve(
         # Propose: fill the pipeline window from the pending queue.
         while not stalled and pending and len(in_flight) < config.depth:
             take = min(len(pending), config.batch)
-            if config.batch_bytes is not None:
-                size = 0
-                for index, (_, command) in enumerate(islice(pending, take)):
-                    size += len(repr(command))
-                    if index and size > config.batch_bytes:
-                        take = index
-                        break
             arrival_times, batch = zip(*[popleft() for _ in range(take)])
             duration, phases, ok = runner.run(next_slot, batch)
             if not ok:

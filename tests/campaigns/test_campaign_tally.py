@@ -59,6 +59,17 @@ def exit_lines(stderr):
     return [line for line in stderr.splitlines() if "error row(s)" in line]
 
 
+def safety_column(stdout):
+    """``algorithm → safety-viol`` cell of the report table."""
+    header, _rule, *rows = [
+        [cell.strip() for cell in line.split("|")]
+        for line in stdout.splitlines()
+        if "|" in line or line.startswith("---")
+    ]
+    column = header.index("safety-viol")
+    return {cells[0]: cells[column] for cells in rows}
+
+
 def last_progress(stderr):
     """``(err, inadm)`` of the progress line's final render."""
     return tuple(map(int, re.findall(r"err (\d+)  inadm (\d+)", stderr)[-1]))
@@ -74,6 +85,8 @@ def test_a_fresh_run_counts_a_row_failing_two_properties_once(
     captured = capsys.readouterr()
     assert exit_lines(captured.err) == [EXIT_LINE]
     assert ("safety-viol" in captured.out) == (not report)
+    if not report:  # the unsafe row counts once in its cell, as in the exit line
+        assert safety_column(captured.out) == {"class-1": "0/0", "pbft": "1/4"}
     assert last_progress(captured.err) == (2, 6)
     finished = json.loads(events.read_text().splitlines()[-1])
     assert (finished["kind"], finished["rows"], finished["errors"]) == (
@@ -96,6 +109,8 @@ def test_a_resumed_run_counts_recorded_rows_only_in_its_exit_line(
     ) == 1
     captured = capsys.readouterr()
     assert exit_lines(captured.err) == [EXIT_LINE]
+    if not report:  # the report folds the recorded rows too
+        assert safety_column(captured.out) == {"class-1": "0/0", "pbft": "1/4"}
     # This session executed run ids 3-11: one error, six inadmissible.
     assert last_progress(captured.err) == (1, 6)
     kinds = [json.loads(line) for line in events.read_text().splitlines()]

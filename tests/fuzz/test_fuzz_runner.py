@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.fuzz import (
     FuzzConfig,
     FuzzSpace,
@@ -30,6 +31,19 @@ SPACE = FuzzSpace(
     models=((4, 2, 0), (4, 1, 0)),
 )
 CONFIG = FuzzConfig(space=SPACE, seed=11, budget=16, over_bound="allow")
+#: ``CONFIG`` as the CLI spells it.
+CLI_CONFIG = [
+    "fuzz", "run", "--seed", "11", "--budget", "16", "--algorithms",
+    "one-third-rule", "pbft", "--engines", "lockstep", "--models", "4,2,0",
+    "4,1,0", "--over-bound", "allow", "--quiet",
+]
+#: The state header ``CLI_CONFIG`` writes, as the last checkout with a
+#: ``--mutate-prob`` / ``--no-shrink`` / ``--n-min`` flag wrote it.
+HEADER = (
+    '{"budget":16,"findings":0,"mutate_prob":0.5,"next":0,'
+    '"over_bound":"allow","seed":11,"shrink":true,'
+    '"space":"6eab52724060861f","version":1}\n'
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +103,31 @@ def test_resume_refuses_foreign_configuration(tmp_path):
         other = dataclasses.replace(CONFIG, **change)
         with pytest.raises(ValueError):
             run_fuzz(other, out, resume=True)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("shrink", False), ("mutate_prob", 0.25)],
+    ids=["no-shrink", "mutate-prob"],
+)
+def test_resume_refuses_a_state_written_with_another_fixed_knob(
+    tmp_path, capsys, key, value
+):
+    """A state from a ``--no-shrink`` or ``--mutate-prob 0.25`` session
+    exits 2 and leaves corpus and state byte-untouched."""
+    out = tmp_path / "foreign.jsonl"
+    sidecar = state_path(out)
+    assert main([*CLI_CONFIG, "--out", str(out), "--stop-after", "3"]) == 3
+    header, acks = sidecar.read_text().split("\n", 1)
+    assert header + "\n" == HEADER
+    foreign = json.dumps(dict(json.loads(header), **{key: value}), sort_keys=True)
+    sidecar.write_text(foreign + "\n" + acks)
+    before = out.read_bytes(), sidecar.read_bytes()
+    capsys.readouterr()
+    assert main([*CLI_CONFIG, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("cannot resume: ")
+    assert f"({key}: state has {value!r}" in err
+    assert (out.read_bytes(), sidecar.read_bytes()) == before
 
 
 def test_fresh_run_refuses_existing_state(tmp_path):

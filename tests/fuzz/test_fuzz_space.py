@@ -74,7 +74,8 @@ def test_mapping_round_trip_through_json_is_identical():
 
 
 def test_space_fingerprint_tracks_configuration():
-    assert FuzzSpace().fingerprint() == FuzzSpace().fingerprint()
+    # Recorded when ``n_range`` was still a field: states written then resume.
+    assert FuzzSpace().fingerprint() == "92d6355f2da00b18"
     narrowed = FuzzSpace(algorithms=("pbft",))
     assert narrowed.fingerprint() != FuzzSpace().fingerprint()
 
@@ -84,8 +85,6 @@ def test_space_validation():
         FuzzSpace(algorithms=())
     with pytest.raises(ValueError):
         FuzzSpace(engines=("warp",))
-    with pytest.raises(ValueError):
-        FuzzSpace(n_range=(9, 3))
 
 
 @pytest.mark.parametrize(

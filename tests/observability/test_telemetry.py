@@ -186,12 +186,6 @@ class TestFormatPhaseTable:
         assert lines[2].startswith("kernel.apply")
         assert lines[3].startswith("kernel.send")
 
-    def test_explicit_order_pins_rows(self):
-        table = format_phase_table(
-            self._telemetry(), order=["kernel.send", "unknown.phase"]
-        )
-        assert table.splitlines()[2].startswith("kernel.send")
-
     def test_wall_seconds_adds_share_and_coverage_footer(self):
         table = format_phase_table(self._telemetry(), wall_seconds=0.008)
         assert "share" in table.splitlines()[0]

@@ -253,5 +253,3 @@ def test_split_values_skips_byzantine():
     model = FaultModel(4, 1, 0)
     values = split_values(model, {3: "equivocator"})
     assert values == {0: "v0", 1: "v1", 2: "v0"}
-    uniform = split_values(model, {}, split=False)
-    assert set(uniform.values()) == {"v"}

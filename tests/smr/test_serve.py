@@ -79,8 +79,6 @@ class TestWorkloadSpec:
             WorkloadSpec(rate=bad)
         with pytest.raises(ValueError, match="duration must be finite and > 0"):
             WorkloadSpec(duration=bad)
-        with pytest.raises(ValueError, match="round_cost must be finite and > 0"):
-            ServeConfig(round_cost=bad)
 
 
 class TestServeConfigValidation:
@@ -89,8 +87,6 @@ class TestServeConfigValidation:
             ServeConfig(batch=0)
         with pytest.raises(ValueError):
             ServeConfig(depth=0)
-        with pytest.raises(ValueError):
-            ServeConfig(batch_bytes=0)
         with pytest.raises(ValueError):
             ServeConfig(max_attempts=0)
         for bad in (0, -3):
@@ -184,27 +180,12 @@ class TestBatching:
         sizes = report.telemetry._histograms["smr.batch_size"]
         assert sizes and max(sizes) <= 4
 
-    def test_bytes_cap_splits_batches(self):
-        commands = [(0.0, ("set", f"key{i}", "x" * 40)) for i in range(6)]
-        config = ServeConfig(n=4, b=1, batch=100, batch_bytes=120, seed=1)
-        report = run_serve(config, arrivals=commands)
-        assert report.committed_commands == 6
-        # ~60-byte commands under a 120-byte cap: at most 2 per slot.
-        assert report.slots_committed >= 3
-
-    def test_bytes_cap_never_starves_a_command(self):
-        # A single command larger than the cap still ships (alone).
-        commands = [(0.0, ("set", "k", "v" * 500))]
-        config = ServeConfig(n=4, b=1, batch=8, batch_bytes=16, seed=1)
-        report = run_serve(config, arrivals=commands)
-        assert report.committed_commands == 1
-        assert report.slots_committed == 1
-
 
 class TestPipelining:
     def test_deeper_pipeline_fewer_simulated_units(self):
         shallow = _serve("fault-free", batch=1, depth=1)
         deep = _serve("fault-free", batch=1, depth=4)
+        assert type(deep.simulated_duration) is float  # lockstep: rounds × 1.0
         assert deep.simulated_duration < shallow.simulated_duration
         assert deep.log_digest == shallow.log_digest
 

@@ -22,14 +22,21 @@ a scheduler under the one kernel, not a run loop beside it.
 The last half is the *reachability census*: every ``src/repro`` module is
 imported from ``repro.cli`` or the algorithm registry, and every public
 top-level name has a reader that is not a test — and so does every public
-method and property of a reached public class.  Its three allow-lists may
-only shrink.  ``PYTHONPATH=src python tests/test_layering.py`` prints it:
+method and property of a reached public class.  Its allow-lists may only
+shrink.  ``PYTHONPATH=src python tests/test_layering.py`` prints it:
 reached and unreached lines per module, and every test-only name's and
 member's size.
+
+The *option census* does the same for the command line: every option
+``repro.cli.build_parser()`` accepts is set somewhere outside the tests
+(CI and the scripts it runs, ``benchmarks/``, ``examples/``, a README
+code block), or it waits on its allow-list for the ROADMAP item that
+gives it one.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 import shutil
@@ -667,6 +674,92 @@ def test_every_public_member_has_a_reader():
     assert members == {}
 
 
+# ------------------------------------------------------------ option census
+
+#: Options no CI step, script, example or README block sets, each with the
+#: ROADMAP item that gives it a reader.  This set may only shrink.
+UNREAD_OPTIONS = {
+    "--max-phases": "ROADMAP item 8(e): one meaning for --max-phases",
+}
+
+
+def subcommands(
+    parser: argparse.ArgumentParser,
+) -> Dict[str, argparse.ArgumentParser]:
+    """``name → parser`` of ``parser``'s subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def cli_options(parser: argparse.ArgumentParser) -> Set[str]:
+    """Every long option of ``parser`` and of its subcommands, ``--help``
+    aside."""
+    options = {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    for sub in subcommands(parser).values():
+        options |= cli_options(sub)
+    return options - {"--help"}
+
+
+def option_setters(repo: Path = REPO) -> str:
+    """The text an option counts as set in: ``ci.yml`` and the repo scripts
+    it runs, every non-test script under ``READER_DIRS``, and every fenced
+    block of the README."""
+    ci = (repo / ".github" / "workflows" / "ci.yml").read_text("utf-8")
+    texts = [ci]
+    for script in sorted(set(re.findall(r"python3? ([\w/]+\.py)", ci))):
+        if (repo / script).is_file():
+            texts.append((repo / script).read_text("utf-8"))
+    for directory in READER_DIRS:
+        for path in sorted((repo / directory).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                texts.append(path.read_text("utf-8"))
+    readme = (repo / "README.md").read_text("utf-8")
+    texts += re.findall(r"```[^\n]*\n(.*?)```", readme, re.S)
+    return "\n".join(texts)
+
+
+def unread_options(options: Set[str], text: str) -> Set[str]:
+    """The options ``text`` never spells as a whole word."""
+    return {
+        option
+        for option in options
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+    }
+
+
+def test_option_census_sees_what_it_guards():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    fuzz_shrink = subcommands(subcommands(parser)["fuzz"])["shrink"]
+    fuzz_shrink.add_argument("--planted-knob", type=int, default=1)
+    options = cli_options(parser)
+    # a sub-subcommand's option is seen; ``--help`` and ``-h`` are not options
+    assert "--planted-knob" in options and "--budget" in options
+    assert "--help" not in options and "-h" not in options
+    # a longer option, or one glued to a word, does not spell it
+    text = "fuzz run --batch-bytes 64 --seeds 3 x--budget\n--shrunk"
+    assert unread_options({"--batch", "--seed", "--budget", "--shrunk"}, text) == {
+        "--batch", "--seed", "--budget",
+    }
+    assert "--planted-knob" in unread_options(options, option_setters())
+
+
+def test_every_option_has_a_setter():
+    from repro.cli import build_parser
+
+    unread = unread_options(cli_options(build_parser()), option_setters())
+    # the allow-list only shrinks: an option that gained a setter leaves it
+    assert unread == set(UNREAD_OPTIONS)
+
+
 def main() -> int:
     sources, reached, names, members = census()
     lines = {m: len(source.splitlines()) for m, source in sources.items()}
@@ -681,6 +774,11 @@ def main() -> int:
     for (module, cls, member), size in sorted(members.items()):
         print(f"test-only {size:5}  {module}.{cls}.{member}")
     print(f"{sum(members.values())} lines in test-only members")
+    from repro.cli import build_parser
+
+    options = cli_options(build_parser())
+    for option in sorted(unread_options(options, option_setters())):
+        print(f"unset option  {option}")
     return 0
 
 

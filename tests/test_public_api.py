@@ -142,6 +142,14 @@ DELETED_MEMBERS = [
     ("repro.eventsim.network", "PartialSynchronyNetwork", "reseed"),
     ("repro.engine.outcome", "Outcome", "rounds_to_first_decision"),
     ("repro.smr.log", "ReplicatedLog", "committed_prefix"),
+    ("repro.scenarios.compile", "CompiledScenario", "honest_values"),
+    # Config fields nothing set, now module constants.
+    ("repro.fuzz.runner", "FuzzConfig", "mutate_prob"),
+    ("repro.fuzz.runner", "FuzzConfig", "shrink"),
+    ("repro.fuzz.runner", "FuzzConfig", "shrink_attempts"),
+    ("repro.fuzz.space", "FuzzSpace", "n_range"),
+    ("repro.smr.serve", "ServeConfig", "batch_bytes"),
+    ("repro.smr.serve", "ServeConfig", "round_cost"),
 ]
 
 
