@@ -266,8 +266,6 @@ def execute_chunk(
     (:func:`~repro.campaigns.results.attach_lines`).
     """
     backend = resolve_backend(backend)
-    if backend != "scalar":
-        from repro.engine.batch import run_batch
     parts: List[RowPart] = []
     for group in _iter_cell_groups(runs):
         if backend == "scalar" or (
@@ -277,6 +275,10 @@ def execute_chunk(
                 (execute_run(run, timings=timings), None) for run in group
             )
         else:
+            # Imported per batch group, so a worker that only ever runs
+            # scalar groups never loads the batch kernel.
+            from repro.engine.batch import run_batch
+
             parts.extend(run_batch(group, timings=timings).parts)
     return GroupedRows(attach_lines(parts) if lines else parts)
 
@@ -439,15 +441,13 @@ def iter_groups(
     backend = resolve_backend(backend)
     skip = skip_run_ids or ()
 
-    # Whole-cell chunks pay off only where the batch kernel can run: under
-    # ``auto`` that takes cells of at least BATCH_FLOOR repetitions, and a
-    # smaller grid is spared the planning altogether.
-    cell_cap = None
-    if chunk is None and (
-        backend == "batch"
-        or (backend == "auto" and spec.repetitions >= BATCH_FLOOR)
-    ):
-        cell_cap = CELL_CHUNK_CAP
+    # Can any group reach the batch kernel?  Under ``auto`` that takes
+    # cells of at least BATCH_FLOOR repetitions.  Whole-cell chunks pay off
+    # only there, and a grid that cannot batch is spared the planning.
+    batchable = backend == "batch" or (
+        backend == "auto" and spec.repetitions >= BATCH_FLOOR
+    )
+    cell_cap = CELL_CHUNK_CAP if chunk is None and batchable else None
     if workers == 1:
         # Inline, a chunk is what buffers before rows stream out: nothing
         # when no cell can batch, else up to MAX_CHUNK runs (or a cell).
@@ -577,9 +577,12 @@ def iter_groups(
             if spawn and pool is None and not here:
                 # Imported here, not at module load: the pool brings in
                 # ``multiprocessing`` and ``logging``, which a campaign
-                # that never forks does not use.  A numpy worker maps OpenSSL
-                # anyway (see ``utils.accel``): inherited pages cost it less.
-                import hashlib  # noqa: F401
+                # that never forks does not use.  Only a batch group loads
+                # numpy, and a numpy worker maps OpenSSL anyway (see
+                # ``utils.accel``): inherited pages cost it less.  A grid
+                # that cannot batch maps none, in parent or worker.
+                if batchable:
+                    import hashlib  # noqa: F401
                 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
                 from concurrent.futures.process import BrokenProcessPool
 

@@ -43,7 +43,7 @@ from repro.fuzz.corpus import (
     truncate_findings,
     write_state,
 )
-from repro.fuzz.shrink import ShrinkResult, shrink_candidate
+from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, ShrinkResult, shrink_candidate
 from repro.fuzz.space import FuzzCandidate, FuzzSpace, generate, mutate
 from repro.utils.jsonl import Appender, canonical, replace
 
@@ -178,15 +178,20 @@ def _fresh_state(config: FuzzConfig, next_index: int, findings: int) -> Dict[str
         "space": config.space.fingerprint(),
         "over_bound": config.over_bound,
         # Fixed, but still recorded and checked: a state written with
-        # another mutation probability or without shrinking is refused.
+        # another mutation probability, without shrinking or with another
+        # shrink budget is refused.
         "mutate_prob": MUTATE_PROB,
         "shrink": True,
+        "shrink_attempts": DEFAULT_MAX_ATTEMPTS,
     }
 
 
 def _validate_state(config: FuzzConfig, state: Dict[str, object]) -> None:
     expected = _fresh_state(config, 0, 0)
-    for key in ("seed", "budget", "space", "over_bound", "mutate_prob", "shrink"):
+    for key in (
+        "seed", "budget", "space", "over_bound",
+        "mutate_prob", "shrink", "shrink_attempts",
+    ):
         if state.get(key) != expected[key]:
             raise ValueError(
                 f"fuzz state was written by a different configuration "

@@ -13,8 +13,10 @@ and produce exactly the same underlying Mersenne-Twister stream as
   (both generators implement the same ``genrand_res53`` double derivation).
   If the check fails on an exotic numpy build, numpy is treated as absent
   and the array tier demotes.  ``numpy.random`` imports :mod:`secrets` and
-  so :mod:`hmac`, which maps OpenSSL's ``libcrypto``: a pooled campaign's
-  parent imports :mod:`hashlib` before forking so workers share it.
+  so :mod:`hmac`, which maps OpenSSL's ``libcrypto``: the parent of a
+  pooled campaign whose grid can batch imports :mod:`hashlib` before
+  forking so workers share it.  Only a batch group loads numpy, so a grid
+  that cannot batch skips the import and maps OpenSSL nowhere.
 
 * :class:`BlockRng` — one run's ``random.Random(seed)`` stream as a
   transplanted ``RandomState``, drawn in blocks: ``block(k)`` returns the

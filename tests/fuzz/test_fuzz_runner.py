@@ -37,9 +37,16 @@ CLI_CONFIG = [
     "one-third-rule", "pbft", "--engines", "lockstep", "--models", "4,2,0",
     "4,1,0", "--over-bound", "allow", "--quiet",
 ]
-#: The state header ``CLI_CONFIG`` writes, as the last checkout with a
-#: ``--mutate-prob`` / ``--no-shrink`` / ``--n-min`` flag wrote it.
+#: The state header ``CLI_CONFIG`` writes: it records the shrink budget.
 HEADER = (
+    '{"budget":16,"findings":0,"mutate_prob":0.5,"next":0,'
+    '"over_bound":"allow","seed":11,"shrink":true,"shrink_attempts":160,'
+    '"space":"6eab52724060861f","version":1}\n'
+)
+#: ``HEADER`` as checkouts before the shrink budget was recorded wrote it,
+#: the last with a ``--mutate-prob`` / ``--no-shrink`` / ``--n-min`` /
+#: ``--shrink-attempts`` flag among them.
+PRE_BUDGET_HEADER = (
     '{"budget":16,"findings":0,"mutate_prob":0.5,"next":0,'
     '"over_bound":"allow","seed":11,"shrink":true,'
     '"space":"6eab52724060861f","version":1}\n'
@@ -105,29 +112,48 @@ def test_resume_refuses_foreign_configuration(tmp_path):
             run_fuzz(other, out, resume=True)
 
 
-@pytest.mark.parametrize(
-    "key, value", [("shrink", False), ("mutate_prob", 0.25)],
-    ids=["no-shrink", "mutate-prob"],
-)
-def test_resume_refuses_a_state_written_with_another_fixed_knob(
-    tmp_path, capsys, key, value
-):
-    """A state from a ``--no-shrink`` or ``--mutate-prob 0.25`` session
-    exits 2 and leaves corpus and state byte-untouched."""
+def refused_resume(tmp_path, capsys, rewrite) -> str:
+    """Stop a ``CLI_CONFIG`` session after 3 candidates, replace its state
+    header (``HEADER``) by ``rewrite(header)`` and resume: assert it exits
+    2 with corpus and state byte-untouched, and return the error line."""
     out = tmp_path / "foreign.jsonl"
     sidecar = state_path(out)
     assert main([*CLI_CONFIG, "--out", str(out), "--stop-after", "3"]) == 3
     header, acks = sidecar.read_text().split("\n", 1)
     assert header + "\n" == HEADER
-    foreign = json.dumps(dict(json.loads(header), **{key: value}), sort_keys=True)
-    sidecar.write_text(foreign + "\n" + acks)
+    sidecar.write_text(rewrite(header) + acks)
     before = out.read_bytes(), sidecar.read_bytes()
     capsys.readouterr()
     assert main([*CLI_CONFIG, "--out", str(out), "--resume"]) == 2
+    assert (out.read_bytes(), sidecar.read_bytes()) == before
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("cannot resume: ")
+    return err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("shrink", False), ("mutate_prob", 0.25), ("shrink_attempts", 2)],
+    ids=["no-shrink", "mutate-prob", "shrink-attempts"],
+)
+def test_resume_refuses_a_state_written_with_another_fixed_knob(
+    tmp_path, capsys, key, value
+):
+    """A state from a ``--no-shrink``, ``--mutate-prob 0.25`` or
+    ``--shrink-attempts 2`` session is refused."""
+
+    def rewrite(header):
+        return json.dumps(dict(json.loads(header), **{key: value}), sort_keys=True) + "\n"
+
+    err = refused_resume(tmp_path, capsys, rewrite)
     assert f"({key}: state has {value!r}" in err
-    assert (out.read_bytes(), sidecar.read_bytes()) == before
+
+
+def test_resume_refuses_a_state_without_a_shrink_budget(tmp_path, capsys):
+    """A header from before the shrink budget was recorded may hide a
+    ``--shrink-attempts`` session, so it is refused."""
+    err = refused_resume(tmp_path, capsys, lambda _header: PRE_BUDGET_HEADER)
+    assert "(shrink_attempts: state has None" in err
 
 
 def test_fresh_run_refuses_existing_state(tmp_path):

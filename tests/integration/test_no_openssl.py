@@ -3,10 +3,12 @@
 The simulator hashes for fingerprints only, through
 :mod:`repro.utils.digests` (CPython's builtin SHA-256 and BLAKE2b), so
 ``_hashlib`` and its ``libcrypto`` stay out of every process that does not
-start a pool.  A pooled campaign imports :mod:`hashlib` in the parent before
-its first fork: a numpy worker maps OpenSSL anyway, through
-``numpy.random`` → ``secrets`` → ``hmac``, and inherited pages cost a worker
-less resident memory than its own.  Each command runs in a fresh
+start a pool.  A pooled campaign whose grid can batch imports :mod:`hashlib`
+in the parent before its first fork: a numpy worker maps OpenSSL anyway,
+through ``numpy.random`` → ``secrets`` → ``hmac``, and inherited pages cost a
+worker less resident memory than its own.  A pooled grid that cannot batch
+(fewer repetitions than ``BATCH_FLOOR``, or ``--backend scalar``) has no
+numpy worker, so it maps OpenSSL nowhere.  Each command runs in a fresh
 interpreter, which reports at exit whether ``_hashlib`` was loaded and what
 it saw at each fork.
 """
@@ -103,10 +105,25 @@ def test_command_loads_no_openssl(argv, tmp_path):
     assert run_cli(*argv, cwd=tmp_path) == {"loaded": False, "forks": []}
 
 
-def test_pooled_campaign_loads_openssl_before_forking(tmp_path):
+@pytest.mark.parametrize(
+    "grid, argv, loaded",
+    [
+        (MIXED_GRID, [], True),
+        (dict(MIXED_GRID, repetitions=2), [], False),
+        (MIXED_GRID, ["--backend", "scalar"], False),
+    ],
+    ids=["batchable", "two-reps", "scalar-backend"],
+)
+def test_pooled_campaign_loads_openssl_before_forking(
+    grid, argv, loaded, tmp_path
+):
+    """Only a grid that can batch has numpy workers, so only its parent
+    loads OpenSSL, and then before every fork."""
     report = run_cli(
-        "campaign", "run", write_grid(tmp_path, MIXED_GRID), "--workers", "2",
-        "--quiet", "--out", str(tmp_path / "results.jsonl"), cwd=tmp_path,
+        "campaign", "run", write_grid(tmp_path, grid), "--workers", "2",
+        *argv, "--quiet", "--out", str(tmp_path / "results.jsonl"), cwd=tmp_path,
     )
-    assert report["loaded"] is True
-    assert all(report["forks"]), report
+    assert report["loaded"] is loaded, report
+    # A non-empty list: the campaign did pool.
+    assert report["forks"], report
+    assert all(fork is loaded for fork in report["forks"]), report
