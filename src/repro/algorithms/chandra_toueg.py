@@ -7,9 +7,7 @@ FLV (Algorithm 3 with ``b = 0``).
 CT originally relies on the ♦S failure detector; in the round model the
 detector's role — eventually reaching a phase whose coordinator is correct
 and heard by everyone — is played by the combination of the rotating
-selector and the eventual good phase.  The companion simulation of ♦S
-itself lives in :mod:`repro.detectors.failure_detector` and is exercised by
-its own tests.
+selector and the eventual good phase.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ history adds nothing.  ``build_paxos`` uses Algorithm 7 (the simplified
 benign FLV); a test confirms it agrees with both the class-2 and class-3
 generic FLVs on benign inputs.
 
-With a :class:`~repro.detectors.leader.StabilizingLeaderOracle`, phases
-before stabilization can fail (SL1 violated) and the run decides in the
-first phase whose leader is stable and correct — Paxos's indulgent
-behaviour.
+Any phase-indexed ``oracle(p, φ)`` works as the leader election.  With one
+that lets processes disagree before some phase, phases before it can fail
+(SL1 violated) and the run decides in the first phase whose leader is
+stable and correct — Paxos's indulgent behaviour.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from repro.algorithms.registry import AlgorithmSpec, register
 from repro.core.classification import AlgorithmClass
 from repro.core.flv_variants import PaxosFLV, paxos_threshold
 from repro.core.parameters import ConsensusParameters
-from repro.core.selector import LeaderSelector
+from repro.core.selector import LeaderSelector, OmegaOracle
 from repro.core.types import FaultModel, Flag, Phase, ProcessId
-from repro.detectors.leader import OmegaOracle
 
 
 @register("paxos")

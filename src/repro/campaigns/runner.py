@@ -442,10 +442,12 @@ def iter_groups(
     skip = skip_run_ids or ()
 
     # Can any group reach the batch kernel?  Under ``auto`` that takes
-    # cells of at least BATCH_FLOOR repetitions.  Whole-cell chunks pay off
-    # only there, and a grid that cannot batch is spared the planning.
+    # groups of at least BATCH_FLOOR runs: cells that large, in chunks that
+    # large.  Whole-cell chunks pay off only there, and a grid that cannot
+    # batch is spared the planning.
     batchable = backend == "batch" or (
-        backend == "auto" and spec.repetitions >= BATCH_FLOOR
+        backend == "auto"
+        and min(spec.repetitions, chunk or BATCH_FLOOR) >= BATCH_FLOOR
     )
     cell_cap = CELL_CHUNK_CAP if chunk is None and batchable else None
     if workers == 1:

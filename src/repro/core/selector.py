@@ -19,7 +19,10 @@ Instantiations implemented here, following Section 4.2:
 * :class:`RotatingCoordinatorSelector` — a single rotating coordinator
   (Chandra-Toueg, benign model);
 * :class:`LeaderSelector` — a single leader produced by an Ω-style oracle
-  (Paxos, benign model).
+  (Paxos, benign model);
+* :class:`OmegaOracle` — the oracle Paxos uses by default: one leader,
+  stable from phase 1.  Any ``oracle(p, φ)`` works, so a leader that
+  stabilizes late is a function of the phase.
 """
 
 from __future__ import annotations
@@ -187,6 +190,18 @@ class LeaderSelector(Selector):
     @property
     def is_singleton(self) -> bool:
         return True
+
+
+class OmegaOracle:
+    """An Ω oracle that is stable from the very first phase: every process
+    sees ``leader`` in every phase (the best case for :class:`LeaderSelector`:
+    a correct leader is already elected)."""
+
+    def __init__(self, leader: ProcessId) -> None:
+        self._leader = leader
+
+    def __call__(self, process: ProcessId, phase: Phase) -> ProcessId:
+        return self._leader
 
 
 class FixedSelector(Selector):

@@ -16,7 +16,8 @@ and produce exactly the same underlying Mersenne-Twister stream as
   so :mod:`hmac`, which maps OpenSSL's ``libcrypto``: the parent of a
   pooled campaign whose grid can batch imports :mod:`hashlib` before
   forking so workers share it.  Only a batch group loads numpy, so a grid
-  that cannot batch skips the import and maps OpenSSL nowhere.
+  that cannot batch (too few repetitions, or chunks too small to hold a
+  batch group) skips the import and maps OpenSSL nowhere.
 
 * :class:`BlockRng` — one run's ``random.Random(seed)`` stream as a
   transplanted ``RandomState``, drawn in blocks: ``block(k)`` returns the

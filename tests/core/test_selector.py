@@ -6,11 +6,11 @@ from repro.core.selector import (
     AllProcessesSelector,
     FixedSelector,
     LeaderSelector,
+    OmegaOracle,
     RotatingCoordinatorSelector,
     RotatingSubsetSelector,
 )
 from repro.core.types import FaultModel
-from repro.detectors.leader import OmegaOracle, StabilizingLeaderOracle
 
 
 class TestAllProcesses:
@@ -82,11 +82,16 @@ class TestLeaderSelector:
         assert selector.select(1, 9) == frozenset({2})
 
     def test_stabilizing_oracle_eventually_agrees(self, benign_model):
-        oracle = StabilizingLeaderOracle(
-            benign_model, stable_leader=1, stable_from_phase=4, seed=7
+        selector = LeaderSelector(
+            benign_model, lambda p, phase: 1 if phase >= 4 else p
         )
-        selector = LeaderSelector(benign_model, oracle)
-        # After stabilization everyone sees the same leader.
+        # Before phase 4 the processes disagree (SL1 fails) ...
+        for phase in (1, 3):
+            suggestions = {
+                selector.select(pid, phase) for pid in benign_model.processes
+            }
+            assert len(suggestions) == benign_model.n
+        # ... and from it everyone sees the same leader.
         for pid in benign_model.processes:
             assert selector.select(pid, 4) == frozenset({1})
             assert selector.select(pid, 10) == frozenset({1})
@@ -95,6 +100,12 @@ class TestLeaderSelector:
         selector = LeaderSelector(benign_model, lambda p, phi: 99)
         with pytest.raises(ValueError):
             selector.select(0, 1)
+
+
+def test_omega_is_constant():
+    oracle = OmegaOracle(2)
+    assert oracle(0, 1) == 2
+    assert oracle(4, 99) == 2
 
 
 class TestFixedSelector:

@@ -7,10 +7,10 @@ start a pool.  A pooled campaign whose grid can batch imports :mod:`hashlib`
 in the parent before its first fork: a numpy worker maps OpenSSL anyway,
 through ``numpy.random`` → ``secrets`` → ``hmac``, and inherited pages cost a
 worker less resident memory than its own.  A pooled grid that cannot batch
-(fewer repetitions than ``BATCH_FLOOR``, or ``--backend scalar``) has no
-numpy worker, so it maps OpenSSL nowhere.  Each command runs in a fresh
-interpreter, which reports at exit whether ``_hashlib`` was loaded and what
-it saw at each fork.
+(fewer repetitions than ``BATCH_FLOOR``, a ``--chunk`` below it, or
+``--backend scalar``) has no numpy worker, so it maps OpenSSL nowhere.  Each
+command runs in a fresh interpreter, which reports at exit whether
+``_hashlib`` was loaded and what it saw at each fork.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ def test_command_loads_no_openssl(argv, tmp_path):
         (MIXED_GRID, [], True),
         (dict(MIXED_GRID, repetitions=2), [], False),
         (MIXED_GRID, ["--backend", "scalar"], False),
+        (MIXED_GRID, ["--chunk", "2"], False),
     ],
-    ids=["batchable", "two-reps", "scalar-backend"],
+    ids=["batchable", "two-reps", "scalar-backend", "chunk-below-floor"],
 )
 def test_pooled_campaign_loads_openssl_before_forking(
     grid, argv, loaded, tmp_path

@@ -22,10 +22,10 @@ a scheduler under the one kernel, not a run loop beside it.
 The last half is the *reachability census*: every ``src/repro`` module is
 imported from ``repro.cli`` or the algorithm registry, and every public
 top-level name has a reader that is not a test — and so does every public
-method and property of a reached public class.  Its allow-lists may only
-shrink.  ``PYTHONPATH=src python tests/test_layering.py`` prints it:
-reached and unreached lines per module, and every test-only name's and
-member's size.
+method and property of a reached public class.  Its one allow-list, of
+modules not wired yet, may only shrink.  ``PYTHONPATH=src python
+tests/test_layering.py`` prints it: reached and unreached lines per module,
+and every test-only name's and member's size.
 
 The *option census* does the same for the command line: every option
 ``repro.cli.build_parser()`` accepts is set somewhere outside the tests
@@ -346,17 +346,7 @@ ROOTS = ("repro.cli", "repro.algorithms.registry")
 #: ROADMAP item that wires it.  This set may only shrink.
 UNREACHABLE = {
     "repro.network": "ROADMAP item 2: the implemented-Pcons engines",
-    "repro.analysis.lemmas": "ROADMAP item 16: the sampled observe='full' check",
-}
-
-#: Public names in reached modules that only tests read, each with the
-#: ROADMAP item that gives it a caller.  This set may only shrink.
-TEST_ONLY = {
-    ("repro.detectors.failure_detector", name): "ROADMAP item 15: leader fact"
-    for name in ("DiamondS", "SuspicionSample", "suspicion_driven_oracle")
-} | {
-    ("repro.detectors.leader", name): "ROADMAP item 15: leader fact"
-    for name in ("StabilizingLeaderOracle", "rotating_oracle")
+    "repro.analysis.lemmas": "ROADMAP item 17: the trace judge",
 }
 
 REPO = SRC.parent.parent
@@ -523,8 +513,7 @@ def unread_members(
     """``(module, class, member) → lines`` for every public method or
     property of a public class of a reached module whose name nothing but
     tests reads: no attribute, bare name or ``getattr`` string in ``src/``
-    or ``outside`` uses it.  Members of a ``TEST_ONLY`` class are skipped:
-    the class's entry covers them."""
+    or ``outside`` uses it."""
     read = set(outside)
     for source in sources.values():
         read.update(_referenced(ast.parse(source)))
@@ -534,7 +523,6 @@ def unread_members(
         for stmt in ast.parse(sources[module]).body
         if isinstance(stmt, ast.ClassDef)
         and not stmt.name.startswith("_")
-        and (module, stmt.name) not in TEST_ONLY
         for item in stmt.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not item.name.startswith("_")
@@ -649,7 +637,7 @@ def test_census_reports_a_planted_module_name_and_member(tmp_path):
     assert set(sources) - reached == {
         "repro.planted", *(m for m in sources if _within(m, UNREACHABLE))
     }
-    assert set(names) == set(TEST_ONLY) | {
+    assert set(names) == {
         ("repro.smr.log", "planted"), ("repro.smr.log", "PlantedHost"),
     }
     assert set(members) == {("repro.smr.log", "PlantedHost", "planted_member")}
@@ -664,8 +652,9 @@ def test_every_module_is_reachable():
 
 
 def test_every_public_name_has_a_reader():
+    # No allow-list: a name only tests read is deleted, not listed.
     _sources, _reached, names, _members = census()
-    assert set(names) == set(TEST_ONLY)
+    assert names == {}
 
 
 def test_every_public_member_has_a_reader():

@@ -15,7 +15,6 @@ PUBLIC_MODULES = [
     "repro.rounds",
     "repro.network",
     "repro.faults",
-    "repro.detectors",
     "repro.eventsim",
     "repro.smr",
     "repro.algorithms",
@@ -80,7 +79,8 @@ def test_docstring_quickstart_in_package():
 #: the duplicate Section 2.3 checkers and Table 1 bounds, small helpers and
 #: the ``REPRO_BACKEND`` default; the latency models and the ``Random`` form
 #: of a scenario's seed (a ``NetworkSpec`` and an int describe a run's
-#: network).  None may come back (``MIGRATION.md``).
+#: network); the ◇S detector and the leader oracles but Ω (a leader is a
+#: function of the phase).  None may come back (``MIGRATION.md``).
 DELETED_NAMES = [
     "run_consensus", "ConsensusOutcome", "outcome_from_kernel",
     "_build_byzantine", "run_timed_consensus", "TimedOutcome",
@@ -96,6 +96,8 @@ DELETED_NAMES = [
     "CounterMachine", "BACKEND_ENV",
     "LatencyModel", "FixedLatency", "UniformLatency", "RngLike", "_coerce_rng",
     "RunMetrics",
+    "DiamondS", "SuspicionSample", "suspicion_driven_oracle",
+    "StabilizingLeaderOracle", "rotating_oracle",
 ]
 
 
@@ -109,7 +111,8 @@ DELETED_NAMES = [
      "repro.core.flv_class1", "repro.core.flv_class2", "repro.core.flv_class3",
      "repro.utils", "repro.utils.det", "repro.smr", "repro.smr.machine",
      "repro.campaigns.runner", "repro.eventsim.network", "repro.scenarios",
-     "repro.scenarios.compile"],
+     "repro.scenarios.compile", "repro.core.selector",
+     "repro.algorithms.paxos"],
 )
 def test_deleted_names_stay_deleted(module_name):
     module = importlib.import_module(module_name)
@@ -143,6 +146,7 @@ DELETED_MEMBERS = [
     ("repro.engine.outcome", "Outcome", "rounds_to_first_decision"),
     ("repro.smr.log", "ReplicatedLog", "committed_prefix"),
     ("repro.scenarios.compile", "CompiledScenario", "honest_values"),
+    ("repro.core.selector", "OmegaOracle", "leader"),
     # Config fields nothing set, now module constants.
     ("repro.fuzz.runner", "FuzzConfig", "mutate_prob"),
     ("repro.fuzz.runner", "FuzzConfig", "shrink"),
@@ -162,7 +166,8 @@ def test_deleted_members_stay_deleted(module_name, cls, member):
 @pytest.mark.parametrize(
     "module_name",
     ["repro.core.run", "repro.eventsim.runtime", "repro.rounds.engine",
-     "repro.faults.adversary", "repro.quorums", "repro.analysis.metrics"],
+     "repro.faults.adversary", "repro.quorums", "repro.analysis.metrics",
+     "repro.detectors"],
 )
 def test_deleted_modules_stay_deleted(module_name):
     with pytest.raises(ModuleNotFoundError):
