@@ -368,6 +368,16 @@ def _chunk_runs(chunk: Tuple[CellSlice, ...]) -> int:
     return sum(map(len, chunk))
 
 
+def _batchable(backend: str, repetitions: int, chunk: Optional[int]) -> bool:
+    """Can any group of a grid reach the batch kernel?  Under ``auto`` that
+    takes groups of at least :data:`BATCH_FLOOR` runs: cells that large, in
+    chunks that large (an auto-sized chunk, ``chunk=None``, holds a cell
+    whole)."""
+    return backend == "batch" or (
+        backend == "auto" and min(repetitions, chunk or BATCH_FLOOR) >= BATCH_FLOOR
+    )
+
+
 def iter_groups(
     spec: CampaignSpec,
     *,
@@ -441,14 +451,9 @@ def iter_groups(
     backend = resolve_backend(backend)
     skip = skip_run_ids or ()
 
-    # Can any group reach the batch kernel?  Under ``auto`` that takes
-    # groups of at least BATCH_FLOOR runs: cells that large, in chunks that
-    # large.  Whole-cell chunks pay off only there, and a grid that cannot
-    # batch is spared the planning.
-    batchable = backend == "batch" or (
-        backend == "auto"
-        and min(spec.repetitions, chunk or BATCH_FLOOR) >= BATCH_FLOOR
-    )
+    # Whole-cell chunks pay off only where a group can batch, and a grid
+    # that cannot is spared the planning.
+    batchable = _batchable(backend, spec.repetitions, chunk)
     cell_cap = CELL_CHUNK_CAP if chunk is None and batchable else None
     if workers == 1:
         # Inline, a chunk is what buffers before rows stream out: nothing

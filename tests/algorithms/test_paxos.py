@@ -21,6 +21,15 @@ class TestBuilder:
         assert spec.parameters.selector.is_singleton
 
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_default_oracle_elects_the_last_process_everywhere(self, n):
+        selector = build_paxos(n).parameters.selector
+        assert selector.name == "selector-leader"  # the name rows carry
+        assert {selector.select(p, phase) for p in range(n) for phase in (1, 9)} == {
+            frozenset({n - 1})
+        }
+
+
 class TestExecution:
     def test_decides_with_stable_leader(self):
         spec = build_paxos(3)
@@ -84,3 +93,24 @@ class TestExecution:
             outcome = spec.run({0: "x", 1: "y", 2: "z"}, max_phases=10)
             assert outcome.agreement_holds, shift
             assert outcome.all_correct_decided, shift
+
+    def test_dead_leader_is_never_elected(self):
+        """A leader that avoids crashed process 0 decides in phase 1."""
+        spec = build_paxos(3, oracle=lambda p, phase: 1)
+        schedule = CrashSchedule(
+            spec.parameters.model, [CrashEvent(0, 1, frozenset())]
+        )
+        outcome = spec.run(
+            {pid: f"v{pid}" for pid in range(3)},
+            crash_schedule=schedule,
+            max_phases=5,
+        )
+        assert outcome.agreement_holds
+        assert outcome.all_correct_decided
+        assert outcome.phases_to_last_decision == 1
+
+    def test_a_leader_that_never_stabilizes_costs_liveness_not_safety(self):
+        spec = build_paxos(3, oracle=lambda p, phase: (p + phase) % 3)
+        outcome = spec.run({0: "x", 1: "y", 2: "z"}, max_phases=10)
+        assert outcome.agreement_holds
+        assert not outcome.decided_values

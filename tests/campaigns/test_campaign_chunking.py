@@ -14,6 +14,7 @@ from repro.campaigns.runner import (
     CELL_CHUNK_CAP,
     MAX_CHUNK,
     _auto_chunk,
+    _batchable,
     _iter_cell_groups,
     _iter_chunks,
     execute_chunk,
@@ -52,6 +53,32 @@ def test_auto_chunk_scales_with_grid():
     assert _auto_chunk(10, 4) == 1  # tiny grid: no batching
     assert _auto_chunk(10_000, 4) == MAX_CHUNK  # huge grid: capped
     assert 1 <= _auto_chunk(500, 4) <= MAX_CHUNK
+
+
+@pytest.mark.parametrize(
+    "backend, repetitions, chunk, expected",
+    [
+        ("auto", 8, None, True),
+        ("auto", BATCH_FLOOR, BATCH_FLOOR, True),
+        ("auto", 8, BATCH_FLOOR - 1, False),
+        ("auto", 8, 2, False),
+        ("auto", BATCH_FLOOR - 1, None, False),
+        ("auto", 2, 8, False),
+        ("batch", 1, 1, True),
+        ("scalar", 8, None, False),
+    ],
+    ids=[
+        "auto-whole-cells", "auto-at-floor", "auto-chunk-below-floor",
+        "auto-small-chunk", "auto-reps-below-floor", "auto-big-chunk-few-reps",
+        "batch-forces", "scalar-never",
+    ],
+)
+def test_a_grid_can_batch_only_in_groups_of_batch_floor(
+    backend, repetitions, chunk, expected
+):
+    # Under auto a group needs BATCH_FLOOR runs: a cell that large, cut
+    # into chunks that large; an explicit small chunk holds no such group.
+    assert _batchable(backend, repetitions, chunk) is expected
 
 
 def test_chunk_validation():

@@ -102,6 +102,21 @@ class TestLeaderSelector:
             selector.select(0, 1)
 
 
+    @pytest.mark.parametrize("leader", [-1, 3])
+    def test_leader_just_outside_pi_rejected(self, benign_model, leader):
+        selector = LeaderSelector(benign_model, lambda p, phi: leader)
+        with pytest.raises(ValueError):
+            selector.select(0, 1)
+
+    def test_a_rotating_leader_is_the_rotating_coordinator(self, benign_model):
+        # The Section 4.2 CT pattern written as a leader function of φ.
+        leader = LeaderSelector(benign_model, lambda p, phase: (phase - 1) % 3)
+        rotating = RotatingCoordinatorSelector(benign_model)
+        for pid in benign_model.processes:
+            for phase in range(1, 8):
+                assert leader.select(pid, phase) == rotating.select(pid, phase)
+
+
 def test_omega_is_constant():
     oracle = OmegaOracle(2)
     assert oracle(0, 1) == 2
