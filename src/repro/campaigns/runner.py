@@ -96,6 +96,7 @@ from repro.engine.cell import (
 from repro.engine.kernel import OBSERVE_METRICS, run_instance
 from repro.scenarios.compile import ScenarioInapplicable, compile_scenario
 from repro.scenarios.spec import split_values
+from repro.utils.accel import get_numpy
 
 #: Called after each completed run with ``(completed, total)``.
 ProgressFn = Callable[[int, int], None]
@@ -369,10 +370,10 @@ def _chunk_runs(chunk: Tuple[CellSlice, ...]) -> int:
 
 
 def _batchable(backend: str, repetitions: int, chunk: Optional[int]) -> bool:
-    """Can any group of a grid reach the batch kernel?  Under ``auto`` that
-    takes groups of at least :data:`BATCH_FLOOR` runs: cells that large, in
-    chunks that large (an auto-sized chunk, ``chunk=None``, holds a cell
-    whole)."""
+    """Can any group of a grid reach the batch kernel (and so need numpy)?
+    Under ``auto`` that takes groups of at least :data:`BATCH_FLOOR` runs:
+    cells that large, in chunks that large (an auto-sized chunk,
+    ``chunk=None``, holds a cell whole)."""
     return backend == "batch" or (
         backend == "auto" and min(repetitions, chunk or BATCH_FLOOR) >= BATCH_FLOOR
     )
@@ -585,11 +586,10 @@ def iter_groups(
                 # Imported here, not at module load: the pool brings in
                 # ``multiprocessing`` and ``logging``, which a campaign
                 # that never forks does not use.  Only a batch group loads
-                # numpy, and a numpy worker maps OpenSSL anyway (see
-                # ``utils.accel``): inherited pages cost it less.  A grid
-                # that cannot batch maps none, in parent or worker.
+                # numpy: loaded before the fork, it is imported once, and
+                # a worker's RSS counts only the inherited pages it touches.
                 if batchable:
-                    import hashlib  # noqa: F401
+                    get_numpy()
                 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
                 from concurrent.futures.process import BrokenProcessPool
 

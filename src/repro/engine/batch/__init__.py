@@ -29,21 +29,21 @@ template-build time and demoted (never fudged) when unprovable:
 * **Mask contract** — the per-run seed enters the array program **only**
   through ``(B, n, n)`` boolean delivery masks (dest-major:
   ``mask[b, dest, sender]``), produced by mirroring the scalar scheduler
-  draw for draw on the run's own ``BlockRng`` streams (next section).  A
-  drawing round is one array step over the live runs, never a per-run
-  loop: the runs' coin blocks stacked into a ``(live, edges)`` admission
-  mask, their latency blocks concatenated and held against the round
-  deadline in one compare, and the edge mask scattered into the ``(B, n,
-  n)`` mask with one fancy index; a round that draws nothing is delivered
-  once per cell.  Everything else — payloads, suggestion sets, validator sets, edge lists,
-  wall-clock windows, zero-draw rounds — is a per-cell template shared by
-  all runs.  Byzantine payloads overlay the honest state per ``(dest,
-  sender)``: the timed scheduler pins a Byzantine sender to its first
-  outbound payload in every selection round; the lockstep oracle
-  canonicalizes only in *good* rounds (to the payload addressed to the
-  lowest-id audience member, possibly injecting deliveries the sender
-  never addressed) and delivers an equivocator's per-destination payloads
-  raw in lossy/bad ones.  The one piece of per-run adversary state is an
+  draw for draw on the run's own streams of the cell's ``StreamSet``
+  (next section).  A drawing round is one array step over the live runs,
+  never a per-run loop: the runs' coin blocks drawn as one ``(live,
+  edges)`` admission mask, their latency blocks concatenated and held
+  against the round deadline in one compare, and the edge mask scattered
+  into the ``(B, n, n)`` mask with one fancy index; a round that draws
+  nothing is delivered once per cell.  Everything else — payloads,
+  suggestion sets, validator sets, edge lists, wall-clock windows,
+  zero-draw rounds — is a per-cell template shared by all runs.
+  Byzantine payloads overlay the honest state per ``(dest, sender)``: the
+  timed scheduler pins a Byzantine sender to its first outbound payload in
+  every selection round; the lockstep oracle canonicalizes only in *good*
+  rounds (to the payload addressed to the lowest-id audience member,
+  possibly injecting deliveries the sender never addressed) and delivers
+  an equivocator's per-destination payloads raw in lossy/bad ones.  The one piece of per-run adversary state is an
   ``adaptive-liar``'s vote tally, a ``(B, V)`` count array fed by the
   liar's own mask row: its template payloads name two placeholder codes
   (its current minority / majority) that resolve per run.
@@ -71,12 +71,12 @@ re-partitioned one:
   ``random_drop_behavior``'s rule); every other round —
   good ``Pcons``/``Pgood`` rounds, partitions, silence — draws **zero**
   and is delivered once per cell by the real compiled scheduler;
-* bulk draws (:meth:`~repro.utils.accel.BlockRng.block`) return the next
-  *k* values of that run's own stream, bit-identical to *k* successive
-  ``random.Random.random()`` calls (``BlockRng`` transplants the MT19937
-  state into ``numpy.random.RandomState``, which implements the same
-  53-bit double derivation; :func:`~repro.utils.accel.get_numpy`
-  self-checks this once per process and disables numpy on any mismatch);
+* bulk draws (:class:`~repro.utils.accel.StreamSet`, one ``(624, B)``
+  MT19937 state array per cell, twisted and tempered in numpy) return the
+  next *k* values of that run's own stream, bit-identical to *k*
+  successive ``random.Random.random()`` calls;
+  :func:`~repro.utils.accel.get_numpy` self-checks this once per process
+  and disables numpy on any mismatch;
 * array arithmetic mirrors the scalar expressions op for op
   (``low + span * u``, selective ``* chaos``, ``min(·, δ)``,
   ``coin >= drop_prob``), so the floats — not just the draws — are

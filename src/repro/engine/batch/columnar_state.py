@@ -11,7 +11,7 @@ itself* into arrays for cells the planner proved eligible
   ``(B runs × n processes)`` arrays;
 * the per-run seed enters **only** through ``(B, n, n)`` delivery masks,
   built by one of two producers on fresh
-  :class:`~repro.utils.accel.BlockRng` streams (nothing is drawn at
+  :class:`~repro.utils.accel.StreamSet` streams (nothing is drawn at
   compile time, so fresh streams are equal streams).  *Timed*: two streams
   per run mirror the one timed sweep
   (:meth:`TimedScheduler._deliver_fast`) — the round's edge rule, then one
@@ -90,7 +90,7 @@ from repro.scenarios.compile import (
     _memoized_schedule,
 )
 from repro.scenarios.spec import split_values
-from repro.utils.accel import BlockRng
+from repro.utils.accel import StreamSet
 from repro.utils.sentinels import ANY_VALUE, NULL_VALUE
 
 __all__ = ["CellProgram", "Demote"]
@@ -565,10 +565,10 @@ class CellProgram:
 
     # ----------------------------------------------------- mask producers
 
-    def _transits(self, rt: _RoundTemplate, streams, counts):
-        """The next transit times of each run's network stream, concatenated.
+    def _transits(self, rt: _RoundTemplate, network: StreamSet, live, counts):
+        """The next transit times of each live run's network stream, concatenated.
 
-        Run ``streams[i]`` draws one round-wide block for its ``counts[i]``
+        Run ``live[i]`` draws one round-wide block for its ``counts[i]``
         messages, as the scheduler's one ``sample_round`` call per round
         does; the arithmetic is op-for-op the per-message draws of
         :meth:`PartialSynchronyNetwork.sample_round`.  Pre-GST the uniform
@@ -577,12 +577,7 @@ class CellProgram:
         """
         np = self.np
         pairs = rt.pre_gst and not self.fixed_latency
-        draws = np.concatenate(
-            [
-                stream.block(2 * count if pairs else count)
-                for stream, count in zip(streams, counts)
-            ]
-        )
+        draws = network.ragged(live, 2 * counts if pairs else counts)
         if not rt.pre_gst:
             transits = self.low + (self.high - self.low) * draws
             if not self.clamp_free:
@@ -613,22 +608,20 @@ class CellProgram:
         np = self.np
         n = self.n
         policy, network = streams
-        B = len(policy)
+        B = policy.pos.size
         if rt.fixed is not None:
             mask, got, lost = rt.fixed
             return np.broadcast_to(mask, (B, n, n)), got, lost
         on = np.broadcast_to(rt.admit_base, (live.size, rt.sent))
         if rt.use_coins:
             k = int(rt.coin_idx.size)
-            coins = np.stack([policy[bi].block(k) for bi in live])
+            coins = policy.block(live, k)
             on = on.copy()
             on[:, rt.coin_idx] = coins >= self.drop_prob
         if rt.arrives is None:
             admitted = on
             on = np.zeros(admitted.shape, dtype=bool)
-            transits = self._transits(
-                rt, [network[bi] for bi in live], admitted.sum(axis=1)
-            )
+            transits = self._transits(rt, network, live, admitted.sum(axis=1))
             on[admitted] = rt.now + transits <= rt.deadline
         elif not rt.arrives:
             on = np.zeros_like(on)
@@ -655,10 +648,7 @@ class CellProgram:
         # Per run, streams seeded with the run seed exactly as scalar
         # compilation builds them: the policy stream alone under lockstep,
         # a network stream and an independent policy stream when timed.
-        streams = (
-            [BlockRng(seed) for seed in seeds],
-            None if self.lockstep else [BlockRng(seed) for seed in seeds],
-        )
+        streams = (StreamSet(np, seeds), None if self.lockstep else StreamSet(np, seeds))
         vote = np.zeros((B, n), dtype=np.int64)
         ts = np.zeros((B, n), dtype=np.int64)
         selected = np.full((B, n), NULL_CODE, dtype=np.int64)

@@ -4,7 +4,7 @@ Batch row *b* must consume exactly the streams of the scalar run with the
 same coordinate-derived seed (see :mod:`repro.engine.batch`'s package
 docstring).  This suite pins every layer of that claim:
 
-* :class:`~repro.utils.accel.BlockRng` reproduces a ``random.Random``
+* :class:`~repro.utils.accel.StreamSet` reproduces a ``random.Random``
   stream bit for bit, block after block;
 * the planner proves tiers conservatively (known cells land where the
   design says they land — three tiers, no fourth);
@@ -39,31 +39,31 @@ from repro.engine.batch import (
 from repro.engine.cell import admit
 from repro.scenarios import CommSpec, ScenarioSpec, register_scenario
 from repro.scenarios.registry import SCENARIO_REGISTRY, get_scenario
-from repro.utils.accel import BlockRng, get_numpy
+from repro.utils.accel import StreamSet, get_numpy
 
 HAVE_NUMPY = get_numpy() is not None
 
 GAUNTLET = BUILTIN_CAMPAIGNS["gauntlet"]
 
 
-# ------------------------------------------------------------ BlockRng
+# ----------------------------------------------------------- StreamSet
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_block_rng_matches_scalar_stream_from_seed():
+def test_stream_set_matches_scalar_stream_from_seed():
     reference = random.Random(99)
-    assert [float(v) for v in BlockRng(99).block(700)] == [
+    assert [float(v) for v in StreamSet(get_numpy(), [99]).block([0], 700)[0]] == [
         reference.random() for _ in range(700)
     ]
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_block_rng_consecutive_blocks_continue_one_stream():
+def test_stream_set_consecutive_blocks_continue_one_stream():
     reference = random.Random(7)
-    rng = BlockRng(7)
+    rng = StreamSet(get_numpy(), [7])
     got = []
     for k in (2, 600, 1, 3):
-        got.extend(float(v) for v in rng.block(k))
+        got.extend(float(v) for v in rng.block([0], k)[0])
     assert got == [reference.random() for _ in range(606)]
 
 

@@ -168,8 +168,11 @@ def test_reversed_transit_blocks_are_caught(monkeypatch):
     np = get_numpy()
     transits = CellProgram._transits
 
-    def reversed_blocks(self, rt, streams, counts):
-        blocks = [transits(self, rt, [s], [c]) for s, c in zip(streams, counts)]
+    def reversed_blocks(self, rt, network, live, counts):
+        blocks = [
+            transits(self, rt, network, live[i : i + 1], counts[i : i + 1])
+            for i in range(live.size)
+        ]
         return np.concatenate(blocks[::-1])
 
     monkeypatch.setattr(CellProgram, "_transits", reversed_blocks)

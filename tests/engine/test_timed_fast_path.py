@@ -241,7 +241,7 @@ def test_columnar_state_transits_match_per_message_stream(kind):
 
     The columnar-state tier's timed mask producer never calls the network:
     it re-derives each round's transit times from bulk
-    :meth:`~repro.utils.accel.BlockRng.block` draws.  Those must be the
+    :meth:`~repro.utils.accel.StreamSet.ragged` draws.  Those must be the
     floats the scalar network hands the scheduler, draw for draw — pre-GST
     chaos pairs, post-GST clamping and the fixed model's coin-only stream
     included — and leave the stream where the scalar one stands.
@@ -249,7 +249,7 @@ def test_columnar_state_transits_match_per_message_stream(kind):
     from types import SimpleNamespace
 
     from repro.engine.batch.columnar_state import CellProgram
-    from repro.utils.accel import BlockRng, get_numpy
+    from repro.utils.accel import StreamSet, get_numpy
 
     np = get_numpy()
     if np is None:
@@ -260,7 +260,7 @@ def test_columnar_state_transits_match_per_message_stream(kind):
         spec = NetworkSpec(kind=kind, gst=gst, delta=delta)
         program = SimpleNamespace(np=np, timing=spec)
         CellProgram._compile_timing(program)
-        stream = BlockRng(5)
+        stream = StreamSet(np, [5])
         serial = spec.build(5)
         for _ in range(2):  # consecutive rounds continue one stream
             expected = serial.sample_round(send_time, edges)
@@ -268,7 +268,7 @@ def test_columnar_state_transits_match_per_message_stream(kind):
                 continue  # the zero-draw branch: nothing to mirror
             got = CellProgram._transits(
                 program, SimpleNamespace(pre_gst=send_time < gst),
-                [stream], [len(edges)],
+                stream, np.arange(1), np.array([len(edges)]),
             )
             assert [float(v) for v in got] == expected
 
@@ -283,22 +283,22 @@ def test_sample_round_accepts_payload_triples():
     ]
 
 
-# --------------------------------------------------- BlockRng edge cases
+# -------------------------------------------------- StreamSet edge cases
 
 
-def test_block_rng_zero_length_block_consumes_nothing():
-    """block(0) is a no-op on the stream."""
-    from repro.utils.accel import BlockRng, get_numpy
+def test_stream_set_zero_length_block_consumes_nothing():
+    """block(rows, 0) is a no-op on the stream."""
+    from repro.utils.accel import StreamSet, get_numpy
 
     if get_numpy() is None:
-        pytest.skip("BlockRng needs numpy")
+        pytest.skip("StreamSet needs numpy")
     reference = random.Random(17)
-    rng = BlockRng(17)
-    assert list(rng.block(0)) == []
-    assert [float(v) for v in rng.block(3)] == [
+    rng = StreamSet(get_numpy(), [17])
+    assert list(rng.block([0], 0)[0]) == []
+    assert [float(v) for v in rng.block([0], 3)[0]] == [
         reference.random() for _ in range(3)
     ]
-    assert list(rng.block(0)) == []
-    assert [float(v) for v in rng.block(4)] == [
+    assert list(rng.block([0], 0)[0]) == []
+    assert [float(v) for v in rng.block([0], 4)[0]] == [
         reference.random() for _ in range(4)
     ]

@@ -352,11 +352,19 @@ def _max_code_tie_break():
 
 
 def _skipped_draw():
-    """Every block of the numpy stream starts one draw late."""
-    from repro.utils.accel import BlockRng
+    """Every draw of the numpy stream set starts one draw late."""
+    from repro.utils.accel import StreamSet
 
-    block = BlockRng.block
-    return mock.patch.object(BlockRng, "block", lambda self, k: block(self, k + 1)[1:])
+    block, ragged = StreamSet.block, StreamSet.ragged
+
+    def late(draw):
+        def skipping(self, rows, count):
+            ragged(self, rows, [1] * len(rows))
+            return draw(self, rows, count)
+
+        return skipping
+
+    return mock.patch.multiple(StreamSet, block=late(block), ragged=late(ragged))
 
 
 def _uncanonical_fast_sweep():

@@ -1,16 +1,16 @@
-"""CLI commands that do not fork load no OpenSSL.
+"""No CLI command loads OpenSSL, and no campaign process imports ``numpy.random``.
 
 The simulator hashes for fingerprints only, through
 :mod:`repro.utils.digests` (CPython's builtin SHA-256 and BLAKE2b), so
-``_hashlib`` and its ``libcrypto`` stay out of every process that does not
-start a pool.  A pooled campaign whose grid can batch imports :mod:`hashlib`
-in the parent before its first fork: a numpy worker maps OpenSSL anyway,
-through ``numpy.random`` → ``secrets`` → ``hmac``, and inherited pages cost a
-worker less resident memory than its own.  A pooled grid that cannot batch
-(fewer repetitions than ``BATCH_FLOOR``, a ``--chunk`` below it, or
-``--backend scalar``) has no numpy worker, so it maps OpenSSL nowhere.  Each
-command runs in a fresh interpreter, which reports at exit whether
-``_hashlib`` was loaded and what it saw at each fork.
+``_hashlib`` and its ``libcrypto`` stay out of every process.  The array
+tier draws its runs' streams from :class:`repro.utils.accel.StreamSet`, a
+vectorized MT19937, so no process imports ``numpy.random`` (and through
+:mod:`secrets` and :mod:`hmac`, OpenSSL).  A pooled grid that can batch
+imports numpy in the parent, before its first fork.
+Each command runs in a fresh interpreter whose audit hook reports every
+import of ``_hashlib``, ``numpy`` or ``numpy.random`` in the parent or a
+forked pool worker, and which reports at exit whether ``_hashlib`` was
+loaded and what it saw at each fork.
 """
 
 from __future__ import annotations
@@ -24,11 +24,20 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.utils.accel import get_numpy
 
-#: Runs ``repro.cli`` with the given argv; at exit prints one JSON line to
-#: stderr: ``_hashlib`` loaded, and whether it was loaded at each fork.
+#: Runs ``repro.cli`` with the given argv.  Every process writes one
+#: ``IMPORT <where> <module>`` line to stderr per watched import; at exit the
+#: parent prints one JSON line: ``_hashlib`` loaded, and whether it was
+#: loaded at each fork.
 WRAPPER = """
 import atexit, json, os, runpy, sys
+parent = os.getpid()
+def watch(event, args):
+    if event == "import" and args[0] in ("_hashlib", "numpy", "numpy.random"):
+        where = "parent" if os.getpid() == parent else "worker"
+        os.write(2, f"\\nIMPORT {where} {args[0]}\\n".encode())
+sys.addaudithook(watch)
 forks = []
 os.register_at_fork(before=lambda: forks.append("_hashlib" in sys.modules))
 atexit.register(lambda: sys.stderr.write("\\nOPENSSL " + json.dumps(
@@ -56,8 +65,12 @@ def run_cli(*argv: str, cwd: Path) -> dict:
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    report = done.stderr.rsplit("OPENSSL ", 1)[1]
-    return json.loads(report)
+    report = json.loads(done.stderr.rsplit("OPENSSL ", 1)[1])
+    report["imports"] = sorted({
+        line.split(" ", 1)[1] for line in done.stderr.splitlines()
+        if line.startswith("IMPORT ")
+    })
+    return report
 
 
 def write_grid(tmp_path: Path, grid: dict) -> str:
@@ -81,14 +94,14 @@ def replicate_results(tmp_path_factory):
 
 def test_replicate_campaign_loads_no_openssl(replicate_results):
     out, report = replicate_results
-    assert report == {"loaded": False, "forks": []}
+    assert report == {"loaded": False, "forks": [], "imports": []}
     assert len(out.read_text().splitlines()) == 32
 
 
 def test_campaign_report_loads_no_openssl(replicate_results, tmp_path):
     out, _ = replicate_results
     report = run_cli("campaign", "report", str(out), cwd=tmp_path)
-    assert report == {"loaded": False, "forks": []}
+    assert report == {"loaded": False, "forks": [], "imports": []}
 
 
 @pytest.mark.parametrize(
@@ -102,11 +115,11 @@ def test_campaign_report_loads_no_openssl(replicate_results, tmp_path):
     ids=["fuzz-run", "smr-serve", "scenario-run"],
 )
 def test_command_loads_no_openssl(argv, tmp_path):
-    assert run_cli(*argv, cwd=tmp_path) == {"loaded": False, "forks": []}
+    assert run_cli(*argv, cwd=tmp_path) == {"loaded": False, "forks": [], "imports": []}
 
 
 @pytest.mark.parametrize(
-    "grid, argv, loaded",
+    "grid, argv, batches",
     [
         (MIXED_GRID, [], True),
         (dict(MIXED_GRID, repetitions=2), [], False),
@@ -115,16 +128,19 @@ def test_command_loads_no_openssl(argv, tmp_path):
     ],
     ids=["batchable", "two-reps", "scalar-backend", "chunk-below-floor"],
 )
-def test_pooled_campaign_loads_openssl_before_forking(
-    grid, argv, loaded, tmp_path
+def test_pooled_campaign_loads_no_openssl_or_numpy_random(
+    grid, argv, batches, tmp_path
 ):
-    """Only a grid that can batch has numpy workers, so only its parent
-    loads OpenSSL, and then before every fork."""
+    """No process of a pooled campaign, parent or forked worker, imports
+    ``_hashlib`` or ``numpy.random``.  Only a grid that can batch loads
+    numpy, when it is installed: in the parent, before its first fork, so
+    no worker imports it again."""
     report = run_cli(
         "campaign", "run", write_grid(tmp_path, grid), "--workers", "2",
         *argv, "--quiet", "--out", str(tmp_path / "results.jsonl"), cwd=tmp_path,
     )
-    assert report["loaded"] is loaded, report
     # A non-empty list: the campaign did pool.
     assert report["forks"], report
-    assert all(fork is loaded for fork in report["forks"]), report
+    assert report["loaded"] is False and not any(report["forks"]), report
+    loads_numpy = batches and get_numpy() is not None
+    assert report["imports"] == (["parent numpy"] if loads_numpy else []), report
