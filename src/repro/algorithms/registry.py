@@ -10,7 +10,7 @@ from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.types import FaultModel, ProcessId, Value
 from repro.engine.assembly import build_instance
-from repro.engine.kernel import OBSERVE_FULL, run_instance
+from repro.engine.kernel import DEFAULT_PHASES, OBSERVE_FULL, run_instance
 from repro.engine.outcome import Outcome
 from repro.engine.scheduler import LockstepScheduler
 
@@ -40,7 +40,7 @@ class AlgorithmSpec:
         byzantine=None,
         good_bad=None,
         crash_schedule=None,
-        max_phases: int = 30,
+        max_phases: int = DEFAULT_PHASES,
         record_snapshots: bool = False,
     ) -> Outcome:
         """Run one instance through the unified execution kernel.

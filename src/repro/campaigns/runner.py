@@ -138,9 +138,6 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
         return row
 
     initial_values = split_values(model, compiled.byzantine)
-    # The campaign horizon is the floor; a scenario needing more rounds
-    # (a GST at round 10, a late partition heal) raises it.
-    max_phases = max(run.max_phases, compiled.max_phases(run.max_phases))
 
     try:
         instance = build_instance(
@@ -153,7 +150,7 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
         outcome = run_instance(
             instance,
             compiled.scheduler,
-            max_phases=max_phases,
+            max_phases=compiled.max_phases(run.max_phases),
             observe=OBSERVE_METRICS,
             crash_schedule=compiled.crash_schedule,
         )

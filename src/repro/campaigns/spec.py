@@ -29,8 +29,9 @@ from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from repro.algorithms.registry import resolve_algorithm
 from repro.engine.cell import CellSlice, RunSpec, cell_key_prefix, derive_seed
+from repro.engine.kernel import DEFAULT_PHASES
+from repro.engine.scheduler import ENGINES
 from repro.eventsim.network import NetworkSpec
-from repro.scenarios.compile import ENGINES
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -80,7 +81,7 @@ class CampaignSpec:
     scenarios: Tuple[ScenarioRef, ...] = ()
     repetitions: int = 1
     seed: int = 0
-    max_phases: int = 15
+    max_phases: int = DEFAULT_PHASES
 
     def __post_init__(self) -> None:
         if not self.name:

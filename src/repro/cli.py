@@ -36,6 +36,8 @@ from typing import NamedTuple, Optional, Sequence
 from repro.algorithms import ALGORITHM_BUILDERS
 from repro.analysis.reporting import format_table
 from repro.core.classification import AlgorithmClass
+from repro.engine.kernel import DEFAULT_PHASES
+from repro.engine.scheduler import ENGINES
 from repro.faults.registry import STRATEGY_REGISTRY
 
 
@@ -181,11 +183,7 @@ def _cmd_profile_batch(args: argparse.Namespace) -> int:
             scenarios=(args.scenario,),
             repetitions=args.batch,
             seed=args.seed,
-            **(
-                {"max_phases": args.max_phases}
-                if args.max_phases is not None
-                else {}
-            ),
+            max_phases=args.max_phases,
         )
         runs = list(spec.iter_runs())
     except (KeyError, ValueError) as exc:
@@ -948,7 +946,7 @@ def _fuzz_space(args: argparse.Namespace):
             algorithms=(
                 tuple(args.algorithms) if args.algorithms else DEFAULT_ALGORITHMS
             ),
-            engines=tuple(args.engines) if args.engines else ("lockstep", "timed"),
+            engines=tuple(args.engines) if args.engines else ENGINES,
             models=models,
             strategies=(
                 tuple(args.strategies) if args.strategies else DEFAULT_STRATEGIES
@@ -1200,6 +1198,31 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("needs at least one field")
         return no_repeats(keys, keys)
 
+    def add_cell_arguments(
+        target: argparse.ArgumentParser,
+        algorithm: Optional[str] = None,
+        n: Optional[int] = None,
+        b: int = 0,
+    ) -> None:
+        # One consensus cell; without an algorithm or n default, the
+        # option is required.
+        target.add_argument(
+            "--algorithm", required=algorithm is None, default=algorithm,
+            help="builder name or class-N"
+            + (f" (default {algorithm})" if algorithm else ""),
+        )
+        target.add_argument("--n", type=int, required=n is None, default=n)
+        target.add_argument("--b", type=int, default=b)
+        target.add_argument("--f", type=int, default=0)
+        target.add_argument("--engine", choices=ENGINES, default="lockstep")
+        target.add_argument("--seed", type=int, default=0)
+        target.add_argument(
+            "--max-phases", type=positive_int, default=DEFAULT_PHASES,
+            metavar="P",
+            help="run at least P phases, and at least the horizon the "
+            f"scenario needs (default {DEFAULT_PHASES})",
+        )
+
     scenario = sub.add_parser(
         "scenario", help="declarative scenarios (list/run)"
     )
@@ -1209,15 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="compile one scenario and run it on either engine"
     )
     srun.add_argument("name", help="a registered scenario name")
-    srun.add_argument("--algorithm", required=True,
-                      help="builder name or class-N")
-    srun.add_argument("--n", type=int, required=True)
-    srun.add_argument("--b", type=int, default=0)
-    srun.add_argument("--f", type=int, default=0)
-    srun.add_argument("--engine", choices=["lockstep", "timed"],
-                      default="lockstep")
-    srun.add_argument("--seed", type=int, default=0)
-    srun.add_argument("--max-phases", type=positive_int, default=None)
+    add_cell_arguments(srun)
 
     profile = sub.add_parser(
         "profile",
@@ -1225,14 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "span breakdown",
     )
     profile.add_argument("scenario", help="a registered scenario name")
-    profile.add_argument("--algorithm", required=True,
-                         help="builder name or class-N")
-    profile.add_argument("--n", type=int, required=True)
-    profile.add_argument("--b", type=int, default=0)
-    profile.add_argument("--f", type=int, default=0)
-    profile.add_argument("--engine", choices=["lockstep", "timed"],
-                         default="lockstep")
-    profile.add_argument("--seed", type=int, default=0)
+    add_cell_arguments(profile)
     profile.add_argument(
         "--repeat",
         type=positive_int,
@@ -1240,7 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="aggregate spans over N runs (seeds seed..seed+N-1)",
     )
-    profile.add_argument("--max-phases", type=positive_int, default=None)
     profile.add_argument(
         "--batch",
         type=positive_int,
@@ -1259,15 +1266,9 @@ def build_parser() -> argparse.ArgumentParser:
     smrsub = smr.add_subparsers(dest="smr_command", required=True)
 
     def add_serve_arguments(target: argparse.ArgumentParser) -> None:
-        target.add_argument("--algorithm", default="pbft",
-                            help="builder name or class-N (default pbft)")
-        target.add_argument("--n", type=int, default=4)
-        target.add_argument("--b", type=int, default=1)
-        target.add_argument("--f", type=int, default=0)
+        add_cell_arguments(target, "pbft", 4, 1)
         target.add_argument("--scenario", default="fault-free",
                             help="fault scenario name (default fault-free)")
-        target.add_argument("--engine", choices=["lockstep", "timed"],
-                            default="lockstep")
         target.add_argument("--batch", type=positive_int, default=8,
                             metavar="B",
                             help="max commands per slot (default 8)")
@@ -1283,8 +1284,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="workload length in simulated time units")
         target.add_argument("--arrival", choices=["poisson", "fixed"],
                             default="poisson")
-        target.add_argument("--seed", type=int, default=0)
-        target.add_argument("--max-phases", type=positive_int, default=None)
 
     serve = smrsub.add_parser(
         "serve",
@@ -1447,9 +1446,9 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument(
         "--engines",
         nargs="+",
-        choices=["lockstep", "timed"],
+        choices=ENGINES,
         default=None,
-        help="restrict the engine pool (default: both)",
+        help="restrict the engine pool (default: all)",
     )
     frun.add_argument(
         "--models",

@@ -189,10 +189,7 @@ class CellProgram:
         # (class 3) by FLV history support; FLAG = * cells need neither.
         self.need_hist = self.phase_gated or self.flv_class == 3
         self.structure = RoundStructure(parameters.flag)
-        # The campaign horizon is the floor, exactly as the oracle takes it.
-        self.max_phases = max(
-            run.max_phases, compiled.max_phases(run.max_phases)
-        )
+        self.max_phases = compiled.max_phases(run.max_phases)
         self.max_rounds = self.structure.rounds_for_phases(self.max_phases)
 
         self.byz_pids = sorted(self.byzantine)

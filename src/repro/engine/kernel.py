@@ -53,6 +53,11 @@ OBSERVE_PROFILE = "profile"
 
 OBSERVE_MODES = (OBSERVE_FULL, OBSERVE_METRICS, OBSERVE_PROFILE)
 
+#: The run horizon every path takes when none is asked for: a run stops
+#: after this many phases unless its scenario needs more (see
+#: :meth:`~repro.scenarios.compile.CompiledScenario.max_phases`).
+DEFAULT_PHASES = 15
+
 #: Maps a global round number to its (phase, kind) description.
 RoundInfoFn = Callable[[Round], RoundInfo]
 
@@ -366,7 +371,7 @@ def run_instance(
     instance,
     scheduler: RoundScheduler,
     *,
-    max_phases: int = 30,
+    max_phases: int = DEFAULT_PHASES,
     observe: str = OBSERVE_FULL,
     crash_schedule: Optional[CrashSchedule] = None,
     record_snapshots: Optional[bool] = None,

@@ -67,6 +67,9 @@ from repro.rounds.schedule import GoodBadSchedule
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.eventsim.network import PartialSynchronyNetwork
 
+#: The timing disciplines a scenario may compile onto.
+ENGINES = ("lockstep", "timed")
+
 #: Environment switch selecting the legacy heap-ordered timed delivery.
 SLOW_SCHEDULER_ENV = "REPRO_SLOW_SCHEDULER"
 

@@ -192,9 +192,6 @@ def execute_candidate(
         return row
 
     initial_values = split_values(model, compiled.byzantine)
-    max_phases = max(
-        candidate.max_phases, compiled.max_phases(candidate.max_phases)
-    )
     try:
         instance = build_instance(
             parameters,
@@ -206,7 +203,7 @@ def execute_candidate(
         outcome = run_instance(
             instance,
             compiled.scheduler,
-            max_phases=max_phases,
+            max_phases=compiled.max_phases(candidate.max_phases),
             observe=OBSERVE_METRICS,
             crash_schedule=compiled.crash_schedule,
         )

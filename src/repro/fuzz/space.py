@@ -25,6 +25,8 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.algorithms.registry import ALGORITHM_BUILDERS, CLASS_ALGORITHMS
 from repro.core.types import FaultModel
 from repro.engine.cell import cell_key_prefix
+from repro.engine.kernel import DEFAULT_PHASES
+from repro.engine.scheduler import ENGINES
 from repro.eventsim.network import NetworkSpec
 from repro.faults.registry import STRATEGY_REGISTRY
 from repro.scenarios.spec import CommSpec, ScenarioSpec
@@ -76,7 +78,7 @@ class FuzzCandidate:
     f: int
     engine: str
     scenario: ScenarioSpec
-    max_phases: int = 15
+    max_phases: int = DEFAULT_PHASES
 
     def key(self) -> str:
         """Stable coordinate string — the dedup key and seed-derivation input.
@@ -116,7 +118,7 @@ class FuzzCandidate:
             f=int(data["f"]),
             engine=str(data["engine"]),
             scenario=ScenarioSpec.from_mapping(data["scenario"]),
-            max_phases=int(data.get("max_phases", 15)),
+            max_phases=int(data.get("max_phases", DEFAULT_PHASES)),
         )
 
 
@@ -131,7 +133,7 @@ class FuzzSpace:
     """
 
     algorithms: Tuple[str, ...] = DEFAULT_ALGORITHMS
-    engines: Tuple[str, ...] = ("lockstep", "timed")
+    engines: Tuple[str, ...] = ENGINES
     models: Optional[Tuple[Tuple[int, int, int], ...]] = None
     strategies: Tuple[str, ...] = DEFAULT_STRATEGIES
 
@@ -140,7 +142,7 @@ class FuzzSpace:
             if not getattr(self, axis):
                 raise ValueError(f"axis {axis!r} must be non-empty")
         for noun, names, known in (
-            ("engine", self.engines, ("lockstep", "timed")),
+            ("engine", self.engines, ENGINES),
             ("algorithm", self.algorithms, (*ALGORITHM_BUILDERS, *CLASS_ALGORITHMS)),
             ("strategy", self.strategies, STRATEGY_REGISTRY),
         ):

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.types import Decision, ProcessId, RoundInfo, RoundKind, Value
 from repro.engine.assembly import build_instance
-from repro.engine.kernel import OBSERVE_METRICS, run_instance
+from repro.engine.kernel import DEFAULT_PHASES, OBSERVE_METRICS, run_instance
 from repro.engine.scheduler import GoodBad, RoundDelivery, RoundScheduler
 from repro.faults.registry import ByzantineSpec
 from repro.network.wic import MicroOutbound, PconsImplementation
@@ -148,7 +148,7 @@ def run_with_pcons_stack(
     config: Optional[GenericConsensusConfig] = None,
     byzantine: Optional[Mapping[ProcessId, ByzantineSpec]] = None,
     good_bad: Optional[GoodBad] = None,
-    max_phases: int = 20,
+    max_phases: int = DEFAULT_PHASES,
 ) -> PconsStackOutcome:
     """Run one consensus instance with an implemented ``Pcons`` under a
     :class:`PconsStackScheduler` over ``good_bad``."""

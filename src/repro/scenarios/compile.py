@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.types import FaultModel, ProcessId
+from repro.engine.kernel import DEFAULT_PHASES, run_instance
 from repro.engine.scheduler import (
+    ENGINES,
     GoodBad,
     LockstepScheduler,
     PrelScheduler,
@@ -56,10 +58,6 @@ from repro.rounds.policies import (
 from repro.rounds.schedule import GoodBadSchedule
 from repro.scenarios.spec import CommSpec, ScenarioSpec, split_values
 from repro.utils.memo import cached_outcome
-
-#: Engines a scenario may compile onto.
-ENGINES = ("lockstep", "timed")
-
 
 class ScenarioInapplicable(ValueError):
     """This configuration (model / engine) cannot host the scenario."""
@@ -166,10 +164,11 @@ class CompiledScenario:
     #: per-process coins of a randomized algorithm.
     seed: int
 
-    def max_phases(self, default: int = 15) -> int:
-        """The scenario-suggested horizon, or ``default``."""
-        suggested = self.spec.max_phases
-        return default if suggested is None else suggested
+    def max_phases(self, requested: int = DEFAULT_PHASES) -> int:
+        """The run's horizon in phases: ``requested``, raised to the least
+        horizon the scenario needs (a GST at round 10, a late partition
+        heal) when it names one."""
+        return max(requested, self.spec.max_phases or 0)
 
 
 def _resolve_byzantine(
@@ -277,16 +276,17 @@ def run_scenario(
     initial_values=None,
     config=None,
     observe: str = "full",
-    max_phases: Optional[int] = None,
+    max_phases: int = DEFAULT_PHASES,
     telemetry=None,
 ):
     """Compile ``spec`` (a name or a spec) and run one instance through the
     unified kernel, returning the engine :class:`~repro.engine.Outcome`.
 
+    It runs at most ``max_phases`` phases, raised to the scenario's own
+    horizon (:meth:`CompiledScenario.max_phases`).
     ``observe="profile"`` (or an explicit ``telemetry`` registry) wall-times
     the run's phases; the registry comes back as ``Outcome.telemetry``."""
     from repro.engine.assembly import build_instance
-    from repro.engine.kernel import run_instance
 
     if isinstance(spec, str):
         from repro.scenarios.registry import get_scenario
@@ -308,7 +308,7 @@ def run_scenario(
     return run_instance(
         instance,
         compiled.scheduler,
-        max_phases=compiled.max_phases() if max_phases is None else max_phases,
+        max_phases=compiled.max_phases(max_phases),
         observe=observe,
         crash_schedule=compiled.crash_schedule,
         telemetry=telemetry,

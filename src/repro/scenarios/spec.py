@@ -205,8 +205,9 @@ class ScenarioSpec:
     * ``comm`` — the communication schedule (see :class:`CommSpec`).
     * ``timing`` — timed-engine network conditions (see
       :class:`~repro.eventsim.network.NetworkSpec`).
-    * ``max_phases`` — a scenario-suggested horizon (e.g. "GST at round 10
-      needs ≥ 18 phases"); ``None`` defers to the caller.
+    * ``max_phases`` — the least horizon the scenario needs (e.g. "GST at
+      round 10 needs ≥ 18 phases"); a run's requested horizon is raised to
+      it.  ``None`` needs none beyond the request.
     """
 
     name: str = "custom"

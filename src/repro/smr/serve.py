@@ -70,7 +70,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 from repro.engine.assembly import build_instance
 from repro.engine.batch.plan import MODE_REPLICATE, MODE_SCALAR, plan_cell
 from repro.engine.cell import admit, derive_seed, rejection_message
-from repro.engine.kernel import OBSERVE_METRICS, run_instance
+from repro.engine.kernel import DEFAULT_PHASES, OBSERVE_METRICS, run_instance
 from repro.observability.telemetry import Telemetry
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.registry import SCENARIO_REGISTRY, get_scenario
@@ -185,7 +185,8 @@ class ServeConfig:
     how many slots may be deciding at once.  ``batch=1, depth=1`` is the
     slot-at-a-time baseline every other setting must be digest-equal to.
     ``max_attempts`` bounds same-slot retries before the service reports
-    itself stalled.
+    itself stalled; each attempt runs at least ``max_phases`` phases, and
+    at least the scenario's own horizon.
     """
 
     algorithm: str = "pbft"
@@ -197,7 +198,7 @@ class ServeConfig:
     batch: int = 8
     depth: int = 2
     seed: int = 0
-    max_phases: Optional[int] = None
+    max_phases: int = DEFAULT_PHASES
     max_attempts: int = 8
 
     def __post_init__(self) -> None:
@@ -207,7 +208,7 @@ class ServeConfig:
             raise ValueError(f"depth must be ≥ 1, got {self.depth}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be ≥ 1, got {self.max_attempts}")
-        if self.max_phases is not None and self.max_phases < 1:
+        if self.max_phases < 1:
             raise ValueError(f"max_phases must be ≥ 1, got {self.max_phases}")
 
     def scenario_spec(self) -> ScenarioSpec:
@@ -318,11 +319,7 @@ class _SlotRunner:
             self._spec, self.model, config.engine, 0
         )
         self.byzantine = probe.byzantine
-        self._max_phases = (
-            config.max_phases
-            if config.max_phases is not None
-            else probe.max_phases()
-        )
+        self._max_phases = probe.max_phases(config.max_phases)
         # The campaign planner's verdict on this cell, asked once: only
         # ``replicate`` has a serve form, every other tier runs per slot.
         plan = plan_cell(

@@ -7,6 +7,7 @@ batching and pipelining are *serving* optimizations, not semantic changes.
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.algorithms import build_pbft
 from repro.campaigns.results import iter_rows
 from repro.cli import main
 from repro.core.parameters import ParameterError
+from repro.scenarios import get_scenario
 from repro.smr import (
     KeyValueStore,
     ServeConfig,
@@ -103,6 +105,13 @@ class TestServeConfigValidation:
 
 
 WORKLOAD = WorkloadSpec(clients=3, rate=60.0, duration=1.0, seed=11)
+
+#: ``lossy_channel`` with a one-phase horizon: the scenario's suggested
+#: horizon is dropped, since it would raise the one phase asked for.
+_STALLED = ServeConfig(
+    n=4, b=1, scenario=replace(get_scenario("lossy_channel"), max_phases=None),
+    batch=2, depth=2, seed=5, max_attempts=1, max_phases=1,
+)
 
 
 def _serve(scenario, batch, depth, **overrides):
@@ -234,11 +243,7 @@ class TestServeReport:
 
     def test_stall_reported_not_raised(self):
         # One attempt under heavy loss with a tiny horizon cannot decide.
-        config = ServeConfig(
-            n=4, b=1, scenario="lossy_channel", batch=2, depth=2,
-            seed=5, max_attempts=1, max_phases=1,
-        )
-        report = run_serve(config, WORKLOAD)
+        report = run_serve(_STALLED, WORKLOAD)
         assert report.stalled
         assert report.committed_commands < report.offered
         assert report.telemetry.counters["smr.stalled_slots"] == 1
@@ -260,13 +265,7 @@ _PIN_CELLS = {
         WORKLOAD, None,
     ),
     # The stalled cell of ``test_stall_reported_not_raised``.
-    "lossy_channel-stalled": (
-        ServeConfig(
-            n=4, b=1, scenario="lossy_channel", batch=2, depth=2,
-            seed=5, max_attempts=1, max_phases=1,
-        ),
-        WORKLOAD, None,
-    ),
+    "lossy_channel-stalled": (_STALLED, WORKLOAD, None),
     "partition_heal-timed-fixed": (
         ServeConfig(
             n=4, b=1, scenario="partition_heal", engine="timed",

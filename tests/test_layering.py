@@ -665,13 +665,6 @@ def test_every_public_member_has_a_reader():
 
 # ------------------------------------------------------------ option census
 
-#: Options no CI step, script, example or README block sets, each with the
-#: ROADMAP item that gives it a reader.  This set may only shrink.
-UNREAD_OPTIONS = {
-    "--max-phases": "ROADMAP item 8(e): one meaning for --max-phases",
-}
-
-
 def subcommands(
     parser: argparse.ArgumentParser,
 ) -> Dict[str, argparse.ArgumentParser]:
@@ -744,9 +737,7 @@ def test_option_census_sees_what_it_guards():
 def test_every_option_has_a_setter():
     from repro.cli import build_parser
 
-    unread = unread_options(cli_options(build_parser()), option_setters())
-    # the allow-list only shrinks: an option that gained a setter leaves it
-    assert unread == set(UNREAD_OPTIONS)
+    assert unread_options(cli_options(build_parser()), option_setters()) == set()
 
 
 def main() -> int:
