@@ -55,14 +55,14 @@ def main():
     #    sweep resumes from the checkpoint (`repro campaign run --resume`).
     out = "frontier-tour.results.jsonl"
     fold = SummaryFold()
-    # This demo always starts fresh: drop any checkpoint a previously
-    # interrupted run left behind (appending to it would let its stale
-    # rows win at finalize).  A real resuming caller instead gates on
-    # `validate_resume(spec, checkpoint)` and passes the returned index as
-    # both `skip_run_ids` and the `ResultSink`'s index — what `repro
-    # campaign run --resume` does.
-    checkpoint_path(out).unlink(missing_ok=True)
-    with ResultSink(checkpoint_path(out)) as sink:
+    # This demo always starts fresh: a sink given the spec's header starts
+    # the checkpoint with it, replacing any a previously interrupted run
+    # left behind.  A real resuming caller instead gates on
+    # `validate_resume(spec, checkpoint)` — which compares that header with
+    # its spec's, whole — and passes the returned index as both
+    # `skip_run_ids` and the `ResultSink`'s index (no header: the sink
+    # appends) — what `repro campaign run --resume` does.
+    with ResultSink(checkpoint_path(out), header=spec.to_mapping()) as sink:
         for row, coords in iter_groups(spec, workers=4, lines=True):
             sink.append(row, coords)
             fold.add(row, 1 if coords is None else len(coords))

@@ -41,6 +41,12 @@ def build_ben_or(
     With ``b = 0`` (benign variant) ``f`` defaults to ``⌈n/2⌉ − 1`` and
     ``TD = f + 1``.  With ``b > 0`` (Byzantine variant) ``f`` is forced to 0
     and ``TD = 3b + 1`` (requires ``n > 4b``).
+
+    Under ``async-prel`` (:func:`~repro.rounds.policies.prel_delivery`) a
+    correct process may hold only ``n − 2b`` correct messages, and deciding
+    needs ``TD = 3b + 1`` equal ones: the Byzantine variant terminates only
+    if ``n > 5b``.  With ``b`` equivocators, inputs ``pid % 2``, seeds 0–3,
+    150 phases: (5,1), (9,2), (10,2) never decide; (6,1), (11,2) do in phase 1.
     """
     if b > 0:
         model = FaultModel(n=n, b=b, f=0)

@@ -6,13 +6,14 @@ campaign writes is *byte-identical* for equal row lists — the property the
 
 Two file shapes exist:
 
-* the **checkpoint** (``<out>.partial``) — rows appended in *completion*
-  order as the campaign streams, one ``write`` + ``flush()`` per
-  :meth:`ResultSink.append`, so every completed run has reached the OS
-  before the next chunk is consumed and survives an interrupted campaign.
-  :func:`validate_resume` recovers the recorded ``run_id``\\ s (tolerating
-  one torn final line from a crash mid-write) and ``repro campaign run
-  --resume`` skips them;
+* the **checkpoint** (``<out>.partial``) — the spec's ``to_mapping()`` as
+  a header line, then rows appended in *completion* order as the campaign
+  streams, one ``write`` + ``flush()`` per :meth:`ResultSink.append`, so
+  every completed run has reached the OS before the next chunk is
+  consumed and survives an interrupted campaign.  :func:`validate_resume`
+  compares the header with the resuming spec's, recovers the recorded
+  ``run_id``\\ s (tolerating one torn final line from a crash mid-write)
+  and ``repro campaign run --resume`` skips them;
 * the **final snapshot** (``<out>``) — the checkpoint's lines in ``run_id``
   order (atomic rename), byte-identical to what a single uninterrupted
   run would have produced.
@@ -55,10 +56,10 @@ from array import array
 from collections.abc import MutableMapping
 from itertools import accumulate, chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cell import Coords, Row, RowPart, expand_part
-from repro.utils.jsonl import Appender, canonical, replace, scan
+from repro.utils.jsonl import Appender, canonical, check_header, replace, scan
 
 #: The most bytes :func:`finalize_checkpoint` reads at once (a longer line is read whole).
 WINDOW = 1 << 20
@@ -273,22 +274,28 @@ def _scan(
     path: object,
     on_row: Optional[Callable[[Row, int], None]] = None,
     runs: Optional[int] = None,
-) -> Tuple[LineIndex, int, Optional[Row], Optional[Row], Set[object]]:
+    header: Optional[Mapping[str, object]] = None,
+) -> Tuple[LineIndex, int, Optional[Row], Optional[Row]]:
     """One streaming pass over a checkpoint, decoding each group once: line
-    index, intact length, first and last row, the rows' campaign names.
+    index, intact length, first and last row.
 
-    A line whose bytes are the last parsed line's but for three coordinate
-    integers (see :func:`_shape`) is that row again: only its run_id is
-    read, and ``on_row`` gets each run of such lines as ``(row, count)``.
+    The first line, the header, is checked against ``header`` before any
+    row when one is given, else skipped unless it is a row.  A line whose bytes are the last
+    parsed line's but for three coordinate integers (see :func:`_shape`) is
+    that row again: only its run_id is read, and ``on_row`` gets each run
+    of such lines as ``(row, count)``.
     A parsed line must be its row's :func:`canonical` bytes (so the others
     are too), and a run_id in ``range(runs)`` (default: the file's size).
     """
-    held = b""  # the last line json.loads parsed (into ``row``)
+    held: Optional[bytes] = None  # the last line json.loads parsed (None: the header is next)
     shape: Optional[Tuple[bytes, ...]] = None  # its shape, once asked for
     lead = b"\n"  # its bytes before ``"rep":`` (at first: what no line starts with)
 
     def decode(line: bytes) -> object:
         nonlocal held, shape, lead
+        if held is None:
+            held = b""
+            return json.loads(line)
         if line.startswith(lead):  # cheap before any cut
             if shape is None:
                 shape = _shape(held) or ()
@@ -301,10 +308,15 @@ def _scan(
         return json.loads(line)
 
     index = LineIndex(os.path.getsize(path) if runs is None else runs)
-    campaigns: Set[object] = set()
+    lines = scan(path, "checkpoint", decode)
+    offset, length, obj = next(lines, (0, 0, None))
+    if header is not None:
+        check_header(path, obj, header, "checkpoint")
+    elif obj.__class__ is not dict or "run_id" in obj:  # a row: skipping it would lose it
+        raise ValueError(f"{path} does not start with a header line")
     first = row = obj = None
-    count = intact = 0  # count: rows of ``row``'s run not recorded before
-    for offset, length, obj in scan(path, "checkpoint", decode):
+    count, intact = 0, offset + length  # count: rows of ``row``'s run not recorded before
+    for offset, length, obj in lines:
         if obj.__class__ is tuple:
             run_id, line = obj
         else:  # a parsed line: finalize must find "run_id":N[,}] in it
@@ -317,7 +329,6 @@ def _scan(
             if count and on_row is not None:
                 on_row(row, count)
             row, count = obj, 0
-            campaigns.add(obj.get("campaign"))
             first = obj if first is None else first
         # Finalize copies the line verbatim: it must be what a sink writes.
         if length != len(line) + 1 or obj is row and canonical(obj).encode() != line:
@@ -334,7 +345,7 @@ def _scan(
         on_row(row, count)
     if obj.__class__ is tuple:  # the last line's row, rebuilt from its cuts
         obj = dict(row, **{k.decode(): int(v) for k, v in _CUT.findall(obj[1])})
-    return index, intact, first, obj, campaigns
+    return index, intact, first, obj
 
 
 def validate_resume(
@@ -344,7 +355,7 @@ def validate_resume(
 ) -> Tuple[LineIndex, int]:
     """Scan ``checkpoint`` and validate that ``spec`` may resume from it.
 
-    ``spec`` is any object with ``name``, ``total_runs`` and
+    ``spec`` is any object with ``to_mapping()``, ``total_runs`` and
     ``run_at(run_id)`` — a :class:`~repro.campaigns.spec.CampaignSpec`
     (duck-typed so this module needs no spec import).  Returns ``(line
     index, intact byte length)``: the index's keys are the recorded
@@ -359,27 +370,23 @@ def validate_resume(
     their coordinates) — is where a caller folds them into its report;
     whatever it accumulated is void when the validation raises.
 
-    Raises :class:`ValueError` when the checkpoint is corrupt, holds a
-    line :func:`finalize_checkpoint` would refuse, names a different
-    campaign, records a ``run_id`` outside this grid, or fails
-    the O(1)-memory seed spot-check: the first and last recorded rows must
-    carry exactly the seeds this spec derives for their run_ids, which
-    catches a ``--seed`` override or an edited axis order — resuming past
-    any of these would finalize a mixed file no single-shot run matches.
+    Raises :class:`ValueError` when the checkpoint's header is not
+    ``spec.to_mapping()`` (compared whole, before any row is read, the
+    first differing key named), is corrupt, holds a line
+    :func:`finalize_checkpoint` would refuse, records a ``run_id`` outside
+    this grid, or fails the O(1)-memory seed spot-check: the first and last
+    recorded rows must carry exactly the seeds this spec derives for their
+    run_ids, which catches a checkout that derives seeds differently —
+    resuming past any of these would finalize a mixed file no single-shot
+    run matches.
     Both the CLI's ``--resume`` and API callers building on
     :func:`~repro.campaigns.runner.iter_groups`'s ``skip_run_ids``
     should gate on this.
     """
     path = Path(checkpoint)
-    index, intact, first, last, campaigns = _scan(path, on_row, spec.total_runs)
+    index, intact, first, last = _scan(path, on_row, spec.total_runs, spec.to_mapping())
     if not index:
         return index, intact
-    foreign = campaigns - {spec.name}
-    if foreign:
-        raise ValueError(
-            f"checkpoint {path} belongs to campaign "
-            f"{next(iter(foreign))!r}, not {spec.name!r}"
-        )
     for row in (first, last):
         if row.get("seed") != spec.run_at(row["run_id"]).seed:
             raise ValueError(
@@ -406,8 +413,8 @@ def finalize_checkpoint(
 
     ``index`` is what the campaign's :class:`ResultSink` accumulated
     (``sink.index``); without one it is rebuilt by scanning the
-    checkpoint, which then must not end in a torn line.  Every entry is
-    checked against the bytes before its piece is written: an entry that
+    checkpoint past its header, which then must not end in a torn line.
+    Every entry is checked against the bytes before its piece is written: an entry that
     is not exactly one whole line recording its ``run_id`` raises
     :class:`ValueError`, leaving the checkpoint and ``out`` as they were.
     """
@@ -476,20 +483,20 @@ class ResultSink(Appender):
     one part's canonical line(s) — what :func:`attach_lines` left on the
     row, else serialized here — in one ``write`` + ``flush``.
     :attr:`index` records where each line went, for
-    :func:`finalize_checkpoint`; a resumed campaign passes the index
+    :func:`finalize_checkpoint`.  A first session starts the checkpoint
+    with the spec's ``header``; a resumed one passes the index
     :func:`validate_resume` returned, and the sink continues it.  Use as a
     context manager::
 
-        with ResultSink(checkpoint_path(out)) as sink:
+        with ResultSink(checkpoint_path(out), header=spec.to_mapping()) as sink:
             for row, coords in iter_groups(spec, lines=True):
                 sink.append(row, coords)
         finalize_checkpoint(checkpoint_path(out), out, sink.index)
     """
 
-    def __init__(
-        self, path: object, index: Optional[LineIndex] = None
-    ) -> None:
-        super().__init__(path)
+    def __init__(self, path: object, index: Optional[LineIndex] = None,
+                 header: Optional[Mapping[str, object]] = None) -> None:
+        super().__init__(path, header)
         self.index = LineIndex() if index is None else index
 
     def append(

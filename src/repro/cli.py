@@ -605,10 +605,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     index = LineIndex(spec.total_runs)  # the recorded lines: resume skips them
     intact = 0
     if args.resume:
-        # Validation before any mutation: a corrupt, foreign, reseeded or
-        # reshaped checkpoint is refused untouched (delete it to start
-        # over).  Only then is a torn final line truncated so new appends
-        # start on a clean row.
+        # Validation before any mutation: a checkpoint started under
+        # another spec, or a corrupt one, is refused untouched (delete it to
+        # start over).  Only then is a torn final line truncated so new
+        # appends start on a clean row.
         try:
             index, intact = validate_resume(spec, checkpoint, on_row=fold.add)
         except ValueError as exc:
@@ -690,7 +690,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             events.emit("resume_skipped", rows=skipped)
     try:
         try:
-            with ResultSink(checkpoint, index) as sink:
+            # A first session starts the checkpoint with the spec it runs.
+            header = None if args.resume else spec.to_mapping()
+            with ResultSink(checkpoint, index, header) as sink:
                 for row, coords in iter_groups(
                     spec,
                     workers=args.workers,

@@ -28,7 +28,6 @@ from repro.fuzz.classify import (
     liveness_eligible,
 )
 from repro.fuzz.corpus import (
-    open_journal,
     read_state,
     scan_findings,
     state_path,
@@ -78,7 +77,6 @@ __all__ = [
     "generate",
     "liveness_eligible",
     "mutate",
-    "open_journal",
     "read_state",
     "record_over_bound",
     "replay_finding",

@@ -7,20 +7,22 @@ line being written; a torn final line is tolerated on scan and dropped on
 resume.
 
 Alongside the findings file lives ``<out>.state`` — a header plus an
-append-only acknowledgement journal.  Line 1 is a canonical JSON document
-(seed, budget, space fingerprint, over-bound mode, and the ``next`` /
-``findings`` the session started from), written **once** per session by
-write-temp + rename, so a header is never torn.  After every candidate the
-loop appends one ``"<next> <findings>\n"`` line in a single ``write(2)``
-through a held-open appender (:func:`write_state`).  The recovery
-point is the last newline-terminated acknowledgement — or the header's own
-``next`` / ``findings`` when there is none, which is also how a sidecar
-left by the one-document-per-candidate format reads.  An unterminated tail
-is a torn acknowledgement, i.e. an unacknowledged candidate; a complete
-line that is not the next acknowledgement in sequence is corruption.
+append-only acknowledgement journal.  Line 1 is the canonical JSON header
+of everything that determines the findings (the run's
+:func:`~repro.fuzz.runner.state_header`: seed, budget, space fingerprint,
+over-bound mode and the fixed mutation and shrink knobs), written **once**,
+when a fresh session starts the journal, by write-temp + rename, so a
+header is never torn.  After every candidate the loop appends one
+``"<next> <findings>\n"`` line in a single ``write(2)`` through a
+held-open appender (:func:`write_state`); a resume appends after the last
+one.  The recovery point is the last newline-terminated acknowledgement —
+``0 0`` when there is none.  An unterminated tail is a torn
+acknowledgement, i.e. an unacknowledged candidate; a complete line that is
+not the next acknowledgement in sequence is corruption.
 
-Resume validation refuses a foreign state (different seed, budget, space
-or over-bound mode) and a corpus that no longer holds the acknowledged
+Resume validation refuses a state whose header is not the resuming run's,
+compared whole (:func:`~repro.utils.jsonl.check_header`, the first
+differing key named), and a corpus that no longer holds the acknowledged
 findings, rather than silently producing a franken-corpus; on a compatible
 resume any finding records at or beyond ``next`` (appended after the last
 acknowledgement, i.e. the crash window) are dropped — deterministic
@@ -32,13 +34,10 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.fuzz.space import FuzzCandidate
-from repro.utils.jsonl import Appender, canonical, replace, scan
-
-#: Bumped when the record/state layout changes incompatibly.
-STATE_VERSION = 1
+from repro.utils.jsonl import Appender, canonical, check_header, replace, scan
 
 #: One acknowledgement line of the state journal: ``<next> <findings>``.
 _ACK = re.compile(r"(\d+) (\d+)")
@@ -55,18 +54,6 @@ def state_path(out: object) -> Path:
     return Path(f"{out}.state")
 
 
-def open_journal(path: Path, header: Dict[str, object]) -> Appender:
-    """Start a session's journal: a fresh header, then the append handle.
-
-    The header replaces whatever was there atomically (write-temp +
-    rename) — the only rename a session makes on the sidecar — and each
-    :func:`write_state` through the returned appender is one ``write(2)``.
-    The caller closes it.
-    """
-    replace(path, [canonical(header).encode() + b"\n"])
-    return Appender(path)
-
-
 def write_state(journal: Appender, next_index: int, findings: int) -> None:
     """Acknowledge one candidate: append ``"<next> <findings>\\n"``.
 
@@ -77,49 +64,40 @@ def write_state(journal: Appender, next_index: int, findings: int) -> None:
     journal.write(b"%d %d\n" % (next_index, findings))
 
 
-def read_state(path: Path) -> Dict[str, object]:
-    """Load a state journal: its header, advanced to the last acknowledgement.
+def read_state(path: Path, header: Mapping[str, object]) -> Tuple[int, int]:
+    """The recovery point ``(next, findings)`` of a state journal that a
+    session running under ``header`` may resume: its header line must be
+    ``header`` (:func:`~repro.utils.jsonl.check_header`), and its
+    acknowledgements advance ``0 0`` one candidate a line.
 
-    The returned document's ``next`` / ``findings`` are the recovery point.
     Raises ``ValueError`` naming the file and what is wrong with it.
     """
     try:
-        header, *acks = path.read_text(encoding="utf-8").split("\n")
-        state = json.loads(header)
+        first, *acks = path.read_text(encoding="utf-8").split("\n")
+        recorded = json.loads(first)
     except (OSError, ValueError) as exc:
         raise ValueError(f"unreadable fuzz state {path}: {exc}") from exc
-    if not isinstance(state, dict) or state.get("version") != STATE_VERSION:
-        raise ValueError(
-            f"fuzz state {path} has unsupported version "
-            f"{state.get('version') if isinstance(state, dict) else state!r}"
-        )
-    for field in ("seed", "budget", "next", "findings", "space", "over_bound"):
-        if field not in state:
-            raise ValueError(f"fuzz state {path} is missing {field!r}")
-    for field in ("budget", "next", "findings"):
-        # ``type is``, not isinstance: JSON ``true`` is no count.
-        if type(state[field]) is not int or state[field] < 0:
-            raise ValueError(
-                f"fuzz state {path}: {field!r} must be a non-negative "
-                f"integer, got {state[field]!r}"
-            )
+    check_header(path, recorded, header, "state")
+    next_index = findings = 0
     # What follows the last newline is empty or a torn acknowledgement:
     # either way not acknowledged.
     for lineno, line in enumerate(acks[:-1], start=2):
         match = _ACK.fullmatch(line)
-        if match is None or int(match[1]) != state["next"] + 1:
+        if match is None or int(match[1]) != next_index + 1:
             raise ValueError(
                 f"corrupt fuzz state {path}: line {lineno} is not the "
-                f"acknowledgement of candidate {state['next']}"
+                f"acknowledgement of candidate {next_index}"
             )
-        state["next"], state["findings"] = int(match[1]), int(match[2])
-    for field, high in (("next", state["budget"]), ("findings", state["next"])):
-        if state[field] > high:
+        next_index, findings = int(match[1]), int(match[2])
+    for field, value, high in (
+        ("next", next_index, header["budget"]), ("findings", findings, next_index)
+    ):
+        if value > high:
             raise ValueError(
                 f"fuzz state {path}: {field!r} must be an integer in "
-                f"0..{high}, got {state[field]}"
+                f"0..{high}, got {value}"
             )
-    return state
+    return next_index, findings
 
 
 def scan_findings(path: Path) -> List[Dict[str, object]]:

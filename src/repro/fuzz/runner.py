@@ -16,14 +16,15 @@ Findings are shrunk immediately (:mod:`repro.fuzz.shrink`, at most
 appended to the JSONL corpus, and acknowledged *after* the append by one
 line appended to the state journal — the crash window between the two is
 healed on resume by truncating unacknowledged records (see
-:mod:`repro.fuzz.corpus`).  A session renames two files into place, once
-each when it starts: the corpus (empty, or the acknowledged findings on a
-resume) and the journal's header.
+:mod:`repro.fuzz.corpus`).  A session renames the corpus into place once,
+when it starts (empty, or the acknowledged findings on a resume); a fresh
+session also starts the journal with its header (:func:`state_header`),
+which a resume compares and then appends after.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Optional
@@ -36,8 +37,6 @@ from repro.fuzz.classify import (
     classify_candidate,
 )
 from repro.fuzz.corpus import (
-    STATE_VERSION,
-    open_journal,
     read_state,
     state_path,
     truncate_findings,
@@ -168,36 +167,13 @@ class FuzzSummary:
     dropped: int = 0
 
 
-def _fresh_state(config: FuzzConfig, next_index: int, findings: int) -> Dict[str, object]:
-    return {
-        "version": STATE_VERSION,
-        "seed": config.seed,
-        "budget": config.budget,
-        "next": next_index,
-        "findings": findings,
-        "space": config.space.fingerprint(),
-        "over_bound": config.over_bound,
-        # Fixed, but still recorded and checked: a state written with
-        # another mutation probability, without shrinking or with another
-        # shrink budget is refused.
-        "mutate_prob": MUTATE_PROB,
-        "shrink": True,
-        "shrink_attempts": DEFAULT_MAX_ATTEMPTS,
-    }
-
-
-def _validate_state(config: FuzzConfig, state: Dict[str, object]) -> None:
-    expected = _fresh_state(config, 0, 0)
-    for key in (
-        "seed", "budget", "space", "over_bound",
-        "mutate_prob", "shrink", "shrink_attempts",
-    ):
-        if state.get(key) != expected[key]:
-            raise ValueError(
-                f"fuzz state was written by a different configuration "
-                f"({key}: state has {state.get(key)!r}, "
-                f"this run has {expected[key]!r})"
-            )
+def state_header(config: FuzzConfig) -> Dict[str, object]:
+    """The state journal's header: every :class:`FuzzConfig` field (the
+    space as its fingerprint) and the fixed knobs that shape the stream —
+    what a resume must find unchanged."""
+    header = {each.name: getattr(config, each.name) for each in fields(config)}
+    header["space"] = config.space.fingerprint()
+    return dict(header, mutate_prob=MUTATE_PROB, shrink_attempts=DEFAULT_MAX_ATTEMPTS)
 
 
 def _rebuild_history(
@@ -248,8 +224,13 @@ def run_fuzz(
     ``--stop-after`` CLI contract); when it trips, the summary says
     ``interrupted`` and the checkpoint stays.
 
+    A fresh session starts the journal with :func:`state_header`; a resume
+    compares that header with this ``config``'s, whole, before it touches
+    either file, then appends after the last acknowledgement.
+
     Raises ``FileExistsError`` when a state file exists and ``resume`` is
-    unset, and ``ValueError`` when a resume is incompatible or impossible.
+    unset, and ``ValueError`` when a resume is incompatible or impossible
+    (the first differing header key named).
     """
     out_path = Path(str(out))
     sidecar = state_path(out_path)
@@ -258,16 +239,13 @@ def run_fuzz(
     seen: set = set()
     sources: List[FuzzCandidate] = []
     start = 0
+    header = state_header(config)
 
     if resume:
         if not sidecar.exists():
             raise ValueError(f"nothing to resume: no state at {sidecar}")
-        state = read_state(sidecar)
-        _validate_state(config, state)
-        start = state["next"]
-        records, summary.dropped = truncate_findings(
-            out_path, start, state["findings"]
-        )
+        start, acknowledged = read_state(sidecar, header)
+        records, summary.dropped = truncate_findings(out_path, start, acknowledged)
         summary.resumed_at, summary.kept = start, len(records)
         seen, sources = _rebuild_history(config, start, records)
     elif sidecar.exists():
@@ -280,10 +258,9 @@ def run_fuzz(
 
     summary.next_index = start
     # The corpus is written first: an unwritable ``out`` leaves no sidecar.
-    # A resume's header restarts the journal at the recovery point, which
-    # heals a torn tail and compacts the acknowledgements behind it.
-    with Appender(out_path) as corpus, open_journal(
-        sidecar, _fresh_state(config, start, len(records))
+    # A resume appends to the journal, its torn tail cut first.
+    with Appender(out_path) as corpus, Appender(
+        sidecar, None if resume else header
     ) as journal:
         for index in range(start, config.budget):
             candidate = candidate_at(config, index, sources)

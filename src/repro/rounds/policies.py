@@ -160,6 +160,10 @@ def prel_delivery(
     chooses which, independently per receiver, so different correct
     processes may see disjoint subsets, the scenario randomized algorithms
     must beat.  Each inbox is a subset of the faithful one.
+
+    The kept ``n − b − f`` are drawn from *all* senders, Byzantine ones
+    included (``rng.sample(sorted(inbox), keep)``), so a correct receiver
+    may hold as few as ``n − 2b − f`` messages from correct processes.
     """
     model = ctx.model
     keep = max(model.n - model.b - model.f, 0)

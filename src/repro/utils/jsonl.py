@@ -11,6 +11,9 @@ these pieces:
 * :func:`scan` — the one reader;
 * :class:`Appender` — a held-open handle, one ``write`` + ``flush`` per
   :meth:`~Appender.write`, so a crash loses at most the line being written;
+  given a header it starts the file afresh with that one line;
+* :func:`check_header` — the one resume check of a file that starts with
+  a header (the campaign checkpoint, the fuzz state journal);
 * :func:`replace` — write a temporary sibling, then rename it into place,
   so a reader (or a crash) sees the old file or the new one, never a mix;
 * :func:`unwritable` — the probe the CLI runs before it creates anything.
@@ -30,7 +33,7 @@ import json
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import Callable, Iterable, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Type, TypeVar
 
 canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -72,11 +75,16 @@ class Appender:
     ``flush``, so a line has reached the OS before the next one is made.
 
     It opens on a line boundary: a torn tail is cut first, so no line is
-    ever glued onto one a crash tore.  :attr:`offset` is where the next
-    write lands.  Use as a context manager.
+    ever glued onto one a crash tore.  With a ``header`` it starts the file
+    instead: the header's :func:`canonical` line replaces whatever was
+    there (:func:`replace`, so it is never torn), and the appends follow
+    it.  :attr:`offset` is where the next write lands.  Use as a context
+    manager.
     """
 
-    def __init__(self, path: object) -> None:
+    def __init__(self, path: object, header: Optional[Mapping[str, object]] = None) -> None:
+        if header is not None:
+            replace(path, [canonical(header).encode() + b"\n"])
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a+b")
@@ -115,6 +123,26 @@ class Appender:
         tb: Optional[TracebackType],
     ) -> None:
         self.close()
+
+
+def check_header(path: object, header: object, expected: Mapping[str, object], noun: str) -> None:
+    """Refuse to continue ``path`` unless ``header``, its decoded first line,
+    is ``expected``: the header this run would start the file with.
+
+    Compared whole, key by key in sorted order, each value as its
+    :func:`canonical` JSON; the ``ValueError`` names the first key that
+    differs, missing from either side included, as ``(<key>: <noun> has
+    <recorded>, this run has <expected>)``.
+    """
+    if not isinstance(header, dict):
+        raise ValueError(f"{path} does not start with a header line")
+    for key in sorted({*header, *expected}):
+        have, want = header.get(key), expected.get(key)
+        if (key in header, canonical(have)) != (key in expected, canonical(want)):
+            raise ValueError(
+                f"{path} was written by a different configuration "
+                f"({key}: {noun} has {have!r}, this run has {want!r})"
+            )
 
 
 def replace(path: object, chunks: Iterable[bytes]) -> Path:

@@ -68,7 +68,8 @@ def grid(reps=REPS, **overrides):
 def stream_to_file(spec, out, skip=None, index=None, **options):
     """What ``campaign run`` does with the group stream, minus the CLI."""
     checkpoint = checkpoint_path(out)
-    with ResultSink(checkpoint, index) as sink:
+    header = spec.to_mapping() if index is None else None
+    with ResultSink(checkpoint, index, header) as sink:
         for row, coords in iter_groups(
             spec, skip_run_ids=skip, lines=True, **options
         ):
@@ -151,7 +152,7 @@ def test_stop_inside_a_group_cuts_at_exactly_n_and_resumes(
     assert run_cli(spec_path, out, "--quiet", "--workers", workers,
                    "--stop-after", str(stop)) == 3
     partial = checkpoint_path(out).read_bytes()
-    assert partial.count(b"\n") == stop and partial.endswith(b"\n")
+    assert partial.count(b"\n") == 1 + stop and partial.endswith(b"\n")  # header + rows
     assert run_cli(spec_path, out, "--quiet", "--workers", workers, "--resume") == 0
     assert f"resumed: {stop} rows skipped" in capsys.readouterr().err
     assert out.read_bytes() == scalar_bytes
@@ -165,7 +166,7 @@ def test_a_tear_at_every_byte_of_a_group_resumes_to_the_same_file(tmp_path):
     reference = stream_to_file(spec, tmp_path / "reference.jsonl")
     out = tmp_path / "out.jsonl"
     checkpoint = checkpoint_path(out)
-    with ResultSink(checkpoint) as sink:
+    with ResultSink(checkpoint, header=spec.to_mapping()) as sink:
         parts = iter_groups(spec, lines=True)
         sink.append(*next(parts))
         start = checkpoint.stat().st_size

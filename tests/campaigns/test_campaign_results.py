@@ -29,7 +29,7 @@ from repro.campaigns.results import (
 )
 from repro.campaigns.runner import iter_groups
 from repro.cli import main
-from tests.conftest import jsonl, recorded_runs
+from tests.conftest import HEADER, HEADER_LINE, jsonl, recorded_runs
 
 
 def make_row(**overrides):
@@ -69,11 +69,11 @@ class TestStore:
 
     def test_sink_streams_through_one_handle(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(6)]
-        with ResultSink(tmp_path / "stream" / "sink.jsonl") as sink:
+        with ResultSink(tmp_path / "stream" / "sink.jsonl", header=HEADER) as sink:
             for row in rows:
                 sink.append(row)
-        assert sink.path.read_text() == jsonl(rows)
-        assert recorded_runs(sink.path, "unit", lambda _: 1)[0] == set(range(6))
+        assert sink.path.read_text() == HEADER_LINE + jsonl(rows)
+        assert recorded_runs(sink.path, lambda _: 1)[0] == set(range(6))
 
     def test_iter_rows_is_lazy_and_matches_read(self, tmp_path):
         rows = [make_row(run_id=i) for i in range(3)]
@@ -156,7 +156,7 @@ class TestSerializeOnce:
         shapes = [
             {k: v for k, v in real_loads(line).items()
              if k not in ("rep", "run_id", "seed")}
-            for line in checkpoint_path(out).read_bytes().splitlines()
+            for line in checkpoint_path(out).read_bytes().splitlines()[1:]
         ]
         heads = sum(
             1 for before, line in zip([None] + shapes, shapes)
@@ -165,7 +165,8 @@ class TestSerializeOnce:
         assert len(shapes) == 40 and heads < 40  # groups share a parse
         calls.update(dump=0)
         assert main(run + ["--out", str(out), "--resume"]) == 0
-        assert calls == {"dump": total - 40 + heads, "loads": heads, "dumps": 0}
+        # The header is one more parse.
+        assert calls == {"dump": total - 40 + heads, "loads": heads + 1, "dumps": 0}
         assert out.read_bytes() == single.read_bytes()
         # The recorded rows were folded by the validation scan: the
         # resumed report covers the whole grid without a second read.
@@ -177,7 +178,7 @@ class TestIndexMerge:
         return [make_row(run_id=i, seed=10**i) for i in (3, 0, 2, 1)]
 
     def checkpoint(self, tmp_path, rows):
-        with ResultSink(tmp_path / "out.jsonl.partial") as sink:
+        with ResultSink(tmp_path / "out.jsonl.partial", header=HEADER) as sink:
             for row in rows:
                 sink.append(row)
         return sink.path, sink.index
@@ -218,8 +219,8 @@ class TestIndexMerge:
         row = make_row(run_id=5)
         row[LINE_KEY] = '{"run_id":5,"verbatim":true}'
         path, index = self.checkpoint(tmp_path, [row])
-        assert path.read_text() == '{"run_id":5,"verbatim":true}\n'
-        assert index == {5: (0, len(path.read_bytes()))}
+        assert path.read_text() == HEADER_LINE + '{"run_id":5,"verbatim":true}\n'
+        assert index == {5: (len(HEADER_LINE), len(path.read_bytes()) - len(HEADER_LINE))}
 
     def test_merge_orders_by_run_id_without_parsing(
         self, tmp_path, monkeypatch
@@ -262,6 +263,15 @@ class TestIndexMerge:
         )
         assert not path.exists()
 
+    def test_without_an_index_a_checkpoint_without_header_is_refused(self, tmp_path):
+        """A file written before checkpoints had headers: its first line is
+        a row, which skipping as the header would lose."""
+        path, out = tmp_path / "old.partial", tmp_path / "out.jsonl"
+        path.write_text(jsonl(self.rows()))
+        with pytest.raises(ValueError, match="does not start with a header line"):
+            finalize_checkpoint(path, out)
+        assert path.read_text() == jsonl(self.rows()) and not out.exists()
+
     def test_torn_tail_is_refused_by_finalize_and_healed_by_resume(
         self, tmp_path
     ):
@@ -273,7 +283,7 @@ class TestIndexMerge:
         with pytest.raises(ValueError, match="torn"):
             finalize_checkpoint(path, tmp_path / "out.jsonl")
         assert path.exists() and not (tmp_path / "out.jsonl").exists()
-        assert recorded_runs(path, "unit", lambda i: 10**i) == (
+        assert recorded_runs(path, lambda i: 10**i) == (
             {0, 1, 2, 3}, intact
         )
 
@@ -309,7 +319,7 @@ class TestIndexMerge:
         path, _ = self.checkpoint(tmp_path, rows[:2])
         with open(path, "ab") as handle:
             handle.write(b'{"run_id":2,"torn')
-        spec = type("Spec", (), {"name": "unit", "total_runs": 4})()
+        spec = type("Spec", (), {"to_mapping": lambda _: HEADER, "total_runs": 4})()
         seeds = {row["run_id"]: row["seed"] for row in rows}
         spec.run_at = lambda run_id: type("Run", (), {"seed": seeds[run_id]})()
         index, intact = validate_resume(spec, path)
@@ -369,7 +379,7 @@ class TestLineIndex:
         self, tmp_path
     ):
         path = tmp_path / "out.jsonl.partial"
-        path.write_text(jsonl([{"run_id": 0}, {"run_id": 10**20}]))
+        path.write_text(HEADER_LINE + jsonl([{"run_id": 0}, {"run_id": 10**20}]))
         tracemalloc.start()
         with pytest.raises(ValueError, match=f"records run {10**20} but"):
             finalize_checkpoint(path, tmp_path / "out.jsonl")

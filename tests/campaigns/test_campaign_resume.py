@@ -7,6 +7,7 @@ uninterrupted run — plus the streaming properties that make that cheap
 ``sent == delivered + dropped`` accounting invariant on both engines.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -21,7 +22,8 @@ from repro.campaigns.results import (
 from repro.campaigns.runner import iter_campaign, run_campaign
 from repro.campaigns.spec import CampaignSpec
 from repro.cli import main
-from tests.conftest import jsonl, recorded_runs
+from repro.utils.jsonl import canonical
+from tests.conftest import HEADER_LINE, jsonl, recorded_runs
 
 COORDS = ("rep", "run_id", "seed")
 
@@ -35,6 +37,11 @@ SPEC = {
     "seed": 11,
     "max_phases": 12,
 }
+
+
+def header_line(mapping):
+    """The header line ``campaign run`` starts a checkpoint of ``mapping`` with."""
+    return canonical(CampaignSpec.from_mapping(mapping).to_mapping()).encode() + b"\n"
 
 
 @pytest.fixture()
@@ -132,12 +139,14 @@ class TestInterruptResume:
         lines = reference.splitlines(keepends=True)[:10]
         lines[4] = respell(lines[4])
         assert lines[4] != reference.splitlines(keepends=True)[4]
+        lines.insert(0, header_line(SPEC))
         checkpoint_path(out).write_bytes(b"".join(lines))
         assert run_cli(spec_path, out, "--resume") == 2
         err = capsys.readouterr().err
         assert err.startswith("cannot resume: ") and err.endswith(
             "; delete the checkpoint to start over\n"
         )
+        assert "is not its row's canonical JSON" in err
         assert checkpoint_path(out).read_bytes() == b"".join(lines)
         assert not out.exists()
 
@@ -149,12 +158,35 @@ class TestInterruptResume:
     def test_resume_rejects_foreign_checkpoint(
         self, spec_path, tmp_path, capsys
     ):
+        """A checkpoint another campaign started, its rows otherwise alike."""
         out = tmp_path / "foreign.jsonl"
-        checkpoint_path(out).write_text(
-            '{"campaign":"someone-else","run_id":0}\n'
+        checkpoint_path(out).write_bytes(
+            header_line({**SPEC, "name": "someone-else"})
+            + b'{"campaign":"someone-else","run_id":0}\n'
         )
         assert run_cli(spec_path, out, "--resume") == 2
-        assert "belongs to campaign" in capsys.readouterr().err
+        assert (
+            "(name: checkpoint has 'someone-else', this run has 'resume-unit')"
+            in capsys.readouterr().err
+        )
+
+    def test_a_header_only_checkpoint_resumes_to_the_single_shot_bytes(
+        self, spec_path, tmp_path, capsys, reference
+    ):
+        """Killed before its first row, a checkpoint holds its header alone:
+        the header is still compared, then the whole grid runs."""
+        out = tmp_path / "header-only.jsonl"
+        assert run_cli(spec_path, out, "--stop-after", "3") == 3
+        checkpoint = checkpoint_path(out)
+        header = checkpoint.read_bytes().split(b"\n")[0] + b"\n"
+        checkpoint.write_bytes(header)
+        capsys.readouterr()
+        assert run_cli(spec_path, out, "--resume", "--seed", "12") == 2
+        assert "(seed: checkpoint has 11, this run has 12)" in capsys.readouterr().err
+        assert checkpoint.read_bytes() == header
+        assert run_cli(spec_path, out, "--resume") == 0
+        assert "resumed: 0 rows skipped" in capsys.readouterr().err
+        assert out.read_bytes() == reference
 
     def test_resume_rejects_seed_mismatch(self, spec_path, tmp_path, capsys):
         """Resuming under a different campaign seed would finalize a
@@ -163,7 +195,7 @@ class TestInterruptResume:
         assert run_cli(spec_path, out, "--stop-after", "3") == 3
         capsys.readouterr()
         assert run_cli(spec_path, out, "--resume", "--seed", "99") == 2
-        assert "seed mismatch" in capsys.readouterr().err
+        assert "(seed: checkpoint has 11, this run has 99)" in capsys.readouterr().err
         # The checkpoint must survive the refused resume untouched.
         assert checkpoint_path(out).exists()
         assert run_cli(spec_path, out, "--resume") == 0
@@ -176,11 +208,10 @@ class TestInterruptResume:
         capsys.readouterr()
         spec_path.write_text(json.dumps({**SPEC, "repetitions": 1}))
         assert run_cli(spec_path, out, "--resume") == 2
-        assert "spec changed" in capsys.readouterr().err
+        assert "(repetitions: checkpoint has 2, this run has 1)" in capsys.readouterr().err
 
     def test_resume_rejects_reordered_axes(self, spec_path, tmp_path, capsys):
-        """Same grid size, different coordinates: the recorded rows' derived
-        seeds no longer match their run_ids."""
+        """Same grid size, different coordinates: the headers differ."""
         out = tmp_path / "reordered.jsonl"
         assert run_cli(spec_path, out, "--stop-after", "3") == 3
         capsys.readouterr()
@@ -188,7 +219,7 @@ class TestInterruptResume:
             json.dumps({**SPEC, "scenarios": ["worst_case", "fault-free"]})
         )
         assert run_cli(spec_path, out, "--resume") == 2
-        assert "seed mismatch" in capsys.readouterr().err
+        assert "(scenarios: checkpoint has " in capsys.readouterr().err
 
     def test_stale_checkpoint_without_resume_fails(
         self, spec_path, tmp_path, capsys
@@ -212,20 +243,92 @@ class TestInterruptResume:
         assert jsonl(merged) == jsonl(run_campaign(spec))
 
 
+#: A grid where ``max_phases`` moves rows: at 2 instead of 60, 13 of its 324
+#: single-shot rows differ.
+PHASES_GRID = {
+    "name": "phases",
+    "algorithms": ["paxos", "class-2", "one-third-rule"],
+    "models": [[4, 1, 0], [5, 1, 0], [7, 2, 0]],
+    "engines": ["lockstep", "timed"],
+    "scenarios": ["lossy_channel", "flaky_gst", "async_then_sync"],
+    "repetitions": 6,
+    "seed": 3,
+    "max_phases": 60,
+}
+
+
+def test_resume_under_an_edited_max_phases_is_refused(tmp_path, capsys):
+    """Stopped at ``max_phases`` 60 and resumed at 2, the resume used to
+    finish a file that matched neither spec's single shot.  It is refused,
+    the checkpoint untouched, and a resume under the spec that started it
+    still gives the single-shot bytes."""
+    spec_path, edited = tmp_path / "spec.json", tmp_path / "edited.json"
+    spec_path.write_text(json.dumps(PHASES_GRID))
+    edited.write_text(json.dumps({**PHASES_GRID, "max_phases": 2}))
+    single, other, out = (tmp_path / f"{name}.jsonl" for name in ("single", "other", "out"))
+    assert run_cli(spec_path, single) == 0 and run_cli(edited, other) == 0
+    moved = [a != b for a, b in zip(single.read_bytes().splitlines(), other.read_bytes().splitlines())]
+    assert (len(moved), sum(moved)) == (324, 13)
+    assert run_cli(spec_path, out, "--stop-after", "250") == 3
+    recorded = checkpoint_path(out).read_bytes()
+    capsys.readouterr()
+    assert run_cli(edited, out, "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot resume: ")
+    assert "(max_phases: checkpoint has 60, this run has 2)" in err
+    assert checkpoint_path(out).read_bytes() == recorded and not out.exists()
+    assert run_cli(spec_path, out, "--resume") == 0
+    assert out.read_bytes() == single.read_bytes()
+
+
+def flipped(value):
+    """Another valid spec-file value of ``value``'s JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-flipped"
+    if isinstance(value, list):
+        assert value[::-1] != value, "the flip test needs two entries an axis"
+        return value[::-1]
+    raise TypeError(f"no flip for {value!r}")
+
+
+@pytest.mark.parametrize("field", [each.name for each in dataclasses.fields(CampaignSpec)])
+def test_resume_refuses_any_changed_spec_field(tmp_path, capsys, field):
+    """Every ``CampaignSpec`` field — one added later too, through its
+    ``to_mapping`` key — changed alone: exit 2, the checkpoint untouched."""
+    mapping = CampaignSpec.from_mapping(
+        {**SPEC, "models": [[4, 1, 0], [5, 1, 0]]}
+    ).to_mapping()
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(mapping))
+    out = tmp_path / "out.jsonl"
+    assert run_cli(spec_path, out, "--stop-after", "3") == 3
+    recorded = checkpoint_path(out).read_bytes()
+    spec_path.write_text(json.dumps({**mapping, field: flipped(mapping[field])}))
+    capsys.readouterr()
+    assert run_cli(spec_path, out, "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot resume: ") and f"({field}: checkpoint has " in err
+    assert checkpoint_path(out).read_bytes() == recorded and not out.exists()
+
+
 class TestCheckpointScan:
     def test_scan_recovers_ids_and_offset(self, tmp_path):
         path = tmp_path / "ckpt.partial"
-        intact = '{"run_id":0}\n{"run_id":4}\n'
+        intact = HEADER_LINE + '{"run_id":0}\n{"run_id":4}\n'
         path.write_text(intact + '{"run_id":9,"to')
-        ids, offset = recorded_runs(path, None, lambda _: None)
+        ids, offset = recorded_runs(path, lambda _: None)
         assert ids == {0, 4}
         assert offset == len(intact.encode())
 
     def test_scan_rejects_rows_without_run_id(self, tmp_path):
         path = tmp_path / "alien.partial"
-        path.write_text('{"status":"ok"}\n')
+        path.write_text(HEADER_LINE + '{"status":"ok"}\n')
         with pytest.raises(ValueError, match="run_id"):
-            recorded_runs(path, None)
+            recorded_runs(path)
 
     def test_validate_resume_is_the_shared_api_guard(self, tmp_path):
         """API callers get the same protection as the CLI: valid checkpoints
@@ -234,7 +337,8 @@ class TestCheckpointScan:
         spec = CampaignSpec.from_mapping(SPEC)
         path = tmp_path / "api.partial"
         rows = list(itertools.islice(iter_campaign(spec), 4))
-        path.write_text(jsonl(rows))
+        header = header_line(SPEC).decode()
+        path.write_text(header + jsonl(rows))
         folded = []
         index, intact = validate_resume(
             spec, path, on_row=lambda row, count: folded.extend([row] * count)
@@ -254,15 +358,17 @@ class TestCheckpointScan:
                 jsonl([row]).encode()
             )
 
-        path.write_text(jsonl([{**rows[0], "campaign": "other"}]))
-        with pytest.raises(ValueError, match="belongs to campaign"):
+        path.write_text(header_line({**SPEC, "name": "other"}).decode() + jsonl(rows))
+        with pytest.raises(ValueError, match="name: checkpoint has 'other'"):
             validate_resume(spec, path)
 
-        path.write_text(jsonl([{**rows[0], "run_id": 10_000}]))
+        path.write_text(header + jsonl([{**rows[0], "run_id": 10_000}]))
         with pytest.raises(ValueError, match="spec changed"):
             validate_resume(spec, path)
 
-        path.write_text(jsonl([{**rows[0], "seed": rows[0]["seed"] ^ 1}]))
+        # What the header cannot see: a row whose seed this checkout
+        # derives differently.
+        path.write_text(header + jsonl([{**rows[0], "seed": rows[0]["seed"] ^ 1}]))
         with pytest.raises(ValueError, match="seed mismatch"):
             validate_resume(spec, path)
 
@@ -274,7 +380,7 @@ class TestCheckpointScan:
             {"run_id": 2, "x": "duplicate"},
             {"run_id": 1, "x": "mid"},
         ]
-        checkpoint.write_text(jsonl(rows))
+        checkpoint.write_text(HEADER_LINE + jsonl(rows))
         out = tmp_path / "out.jsonl"
         finalize_checkpoint(checkpoint, out)
         merged = list(iter_rows(out))

@@ -4,9 +4,8 @@ line-by-line merge writes.
 
 The reference scan below calls ``json.loads`` on every line — the scan as
 it was before a group's lines shared one parse.  Every input is checked on
-index, intact length, first and last row, campaign names and the report
-fold; a mutation (a shape compared on its first byte run only) must be
-caught.
+index, intact length, first and last row and the report fold; a mutation
+(a shape compared on its first byte run only) must be caught.
 """
 
 import dataclasses
@@ -27,6 +26,7 @@ from repro.campaigns.results import (
 )
 from repro.cli import main
 from repro.utils.jsonl import scan
+from tests.conftest import HEADER_LINE
 
 REPLICATE = {
     "name": "scan-replicate",
@@ -52,17 +52,18 @@ STOCHASTIC = {
 
 def reference_scan(path):
     """Every line through ``json.loads``, every row folded on its own."""
-    index, campaigns, fold = {}, set(), SummaryFold()
+    index, fold = {}, SummaryFold()
     first = last = None
-    intact = 0
-    for offset, length, row in scan(path, "checkpoint"):
+    lines = scan(path, "checkpoint")
+    offset, length, _header = next(lines)
+    intact = offset + length
+    for offset, length, row in lines:
         if row["run_id"] not in index:
             index[row["run_id"]] = (offset, length)
             fold.add(row)
-        campaigns.add(row.get("campaign"))
         first = row if first is None else first
         last, intact = row, offset + length
-    return index, intact, first, last, campaigns, fold.summaries()
+    return index, intact, first, last, fold.summaries()
 
 
 def group_scan(path):
@@ -83,7 +84,7 @@ def parses(path, monkeypatch):
 
 
 def assert_scans_agree(path):
-    names = ("index", "intact", "first", "last", "campaigns", "summaries")
+    names = ("index", "intact", "first", "last", "summaries")
     for name, got, want in zip(names, group_scan(path), reference_scan(path)):
         assert got == want, name
 
@@ -114,7 +115,7 @@ def row(run_id, **fields):
 
 
 def write(path, rows):
-    path.write_text("".join(row_to_json(each) + "\n" for each in rows))
+    path.write_text(HEADER_LINE + "".join(row_to_json(each) + "\n" for each in rows))
     return path
 
 
@@ -138,8 +139,8 @@ def gauntlet(tmp_path_factory):
     )
     # The pool's order is run_id order now and then; rotated, it is still
     # an order chunks can complete in, and never the sorted one.
-    lines = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join(lines[100:] + lines[:100]))
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([header] + lines[100:] + lines[:100]))
     return path
 
 
@@ -147,7 +148,7 @@ class TestDifferential:
     def test_replicate_checkpoint(self, replicate, monkeypatch):
         assert_scans_agree(replicate)
         loads, lines = parses(replicate, monkeypatch)
-        assert lines == 40 and loads <= 4  # one parse a group
+        assert lines == 1 + 40 and loads <= 1 + 4  # the header, one parse a group
 
     def test_gauntlet_checkpoint_in_completion_order(
         self, gauntlet, monkeypatch
@@ -160,15 +161,16 @@ class TestDifferential:
 
     def test_all_distinct_stochastic_file(self, tmp_path, monkeypatch):
         path = campaign_file(tmp_path, STOCHASTIC)
+        path.write_bytes(HEADER_LINE.encode() + path.read_bytes())  # as a checkpoint
         assert_scans_agree(path)
         loads, lines = parses(path, monkeypatch)
-        assert loads == lines == 32
+        assert loads == lines == 1 + 32
 
     def test_blank_lines_torn_tail_and_duplicate_run_ids(
         self, replicate, tmp_path
     ):
-        lines = replicate.read_bytes().splitlines(keepends=True)
-        damaged = (
+        header, *lines = replicate.read_bytes().splitlines(keepends=True)
+        damaged = [header] + (
             lines[:3] + [b"\n", b"   \n"] + lines[3:5] + [lines[4]]
             + lines[5:20] + [lines[0], lines[12]] + lines[20:]
             + [lines[30][:40]]
@@ -181,7 +183,7 @@ class TestDifferential:
         )
         assert len(index) == 40 and intact == path.stat().st_size - 40
 
-    @pytest.mark.parametrize("at", [1, 17])
+    @pytest.mark.parametrize("at", [2, 17])
     def test_corrupt_middle_line_names_path_and_line(
         self, replicate, tmp_path, at
     ):
@@ -201,14 +203,14 @@ class TestDifferential:
         path = write(tmp_path / "string.partial", rows)
         assert b'\\"seed\\":5' in path.read_bytes()
         assert_scans_agree(path)
-        assert parses(path, monkeypatch) == (2, 9)
+        assert parses(path, monkeypatch) == (1 + 2, 1 + 9)
 
     def test_nested_object_keyed_seed(self, tmp_path, monkeypatch):
         rows = [row(i, extra={"seed": 5, "rep": 0}) for i in range(5)]
         rows += [row(i, extra={"seed": i}) for i in range(5, 8)]
         path = write(tmp_path / "nested.partial", rows)
         assert_scans_agree(path)
-        assert parses(path, monkeypatch) == (8, 8)  # no shape is proved
+        assert parses(path, monkeypatch) == (1 + 8, 1 + 8)  # no shape is proved
 
     def test_unprovable_lines_are_each_parsed(self, tmp_path, monkeypatch):
         """A second ``run_id`` spelling keeps a line out of any shape; each
@@ -216,12 +218,12 @@ class TestDifferential:
         a line no sink writes, which the scan refuses."""
         rows = [row(i) for i in range(4)]
         path = tmp_path / "unprovable.partial"
-        path.write_text("".join(
+        path.write_text(HEADER_LINE + "".join(
             row_to_json(dict(each, note='x"run_id')) + "\n" for each in rows
         ))
         assert reference_scan(path)[0].keys() == {0, 1, 2, 3}
         assert_scans_agree(path)
-        assert parses(path, monkeypatch) == (4, 4)
+        assert parses(path, monkeypatch) == (1 + 4, 1 + 4)
         for text in (
             "".join(  # a space after each comma: no cut matches
                 json.dumps(each, sort_keys=True, separators=(", ", ":"))
@@ -232,8 +234,8 @@ class TestDifferential:
                 for each in rows
             ),
         ):
-            path.write_text(text)
-            with pytest.raises(ValueError, match="byte 0 is not its row's"):
+            path.write_text(HEADER_LINE + text)
+            with pytest.raises(ValueError, match=f"byte {len(HEADER_LINE)} is not its row's"):
                 results._scan(path)
 
 
@@ -269,7 +271,7 @@ class TestFinalizeRuns:
     ):
         lines = gauntlet.read_bytes().splitlines(keepends=True)
         checkpoint = tmp_path / "out.jsonl.partial"
-        checkpoint.write_bytes(b"".join(lines + lines[5:9] + [lines[0]]))
+        checkpoint.write_bytes(b"".join(lines + lines[5:9] + [lines[1]]))
         index, _ = validate_resume(
             dataclasses.replace(
                 BUILTIN_CAMPAIGNS["gauntlet"], name="scan-gauntlet",

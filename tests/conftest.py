@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.campaigns.results import row_to_json, validate_resume
+from repro.utils.jsonl import canonical
 from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, SelectionMessage
 
@@ -16,12 +17,19 @@ def jsonl(rows) -> str:
     return "".join(row_to_json(row) + "\n" for row in rows)
 
 
-def recorded_runs(path, campaign, seed=lambda run_id: run_id):
+#: The header a hand-made checkpoint starts with: what ``recorded_runs``'s
+#: stand-in spec would start it with.
+HEADER = {"name": "hand"}
+HEADER_LINE = canonical(HEADER) + "\n"
+
+
+def recorded_runs(path, seed=lambda run_id: run_id):
     """``(recorded run_ids, intact byte length)`` of a checkpoint, read the
     way ``--resume`` reads it: through ``validate_resume``, against a
-    stand-in spec named ``campaign`` whose run ``i`` has seed ``seed(i)``."""
+    stand-in spec whose header is ``HEADER`` and whose run ``i`` has seed
+    ``seed(i)``."""
     spec = SimpleNamespace(
-        name=campaign,
+        to_mapping=lambda: HEADER,
         total_runs=2**63,
         run_at=lambda run_id: SimpleNamespace(seed=seed(run_id)),
     )

@@ -400,8 +400,8 @@ def _lost_index_entry():
 
     init = ResultSink.__init__
 
-    def forgetful(self, path, index=None):
-        init(self, path, index)
+    def forgetful(self, path, index=None, header=None):
+        init(self, path, index, header)
         if index:
             self.index = LineIndex()
             self.index.update(index)

@@ -221,7 +221,8 @@ def test_resume_refuses_a_record_without_its_candidate_untouched(tmp_path, capsy
 
 
 @pytest.mark.parametrize("bad", [999, "abc"])
-def test_resume_with_a_bad_next_exits_2_untouched(tmp_path, capsys, bad):
+def test_resume_with_a_next_in_the_header_exits_2_untouched(tmp_path, capsys, bad):
+    """The header holds no recovery point: one that does is refused."""
     out = tmp_path / "findings.jsonl"
     sidecar = tmp_path / "findings.jsonl.state"
     assert main(run_args(out, "--stop-after", "4")) == 3
@@ -232,5 +233,5 @@ def test_resume_with_a_bad_next_exits_2_untouched(tmp_path, capsys, bad):
     assert main(run_args(out, "--resume")) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("cannot resume: ")
-    assert str(sidecar) in err and "'next'" in err and repr(bad) in err
+    assert str(sidecar) in err and f"(next: state has {bad!r}, this run has None)" in err
     assert (out.read_bytes(), sidecar.read_bytes()) == (corpus, state)

@@ -1,14 +1,15 @@
 """The state sidecar as a header + append-only acknowledgement journal.
 
-The reader's recovery point is the last newline-terminated ack (the
-header's own ``next`` / ``findings`` when there is none, which is how a
-one-document sidecar of the earlier format reads); the loop appends one
-line per candidate and renames only the header into place, once per
-session.  A SIGKILLed run resumes to the bytes of an undisturbed one.
+The header is the run's configuration, which a resume must match whole;
+the reader's recovery point is the last newline-terminated ack (``0 0``
+when there is none).  A fresh session renames the header into place, and
+every session appends one line per candidate.  A SIGKILLed run resumes to
+the bytes of an undisturbed one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -25,19 +26,21 @@ from repro.cli import main
 from repro.fuzz import (
     FuzzConfig,
     FuzzSpace,
-    open_journal,
     read_state,
     run_fuzz,
     scan_findings,
     state_path,
     write_state,
 )
+from repro.fuzz.runner import state_header
+from repro.utils.jsonl import Appender
 
 #: Over-bound and eventful: findings fall on both sides of any cut.
 SPACE = FuzzSpace(
     algorithms=("one-third-rule",), engines=("lockstep",), models=((4, 2, 0),)
 )
 CONFIG = FuzzConfig(space=SPACE, seed=7, budget=40, over_bound="allow")
+HEADER = state_header(CONFIG)
 #: The same cell as the CLI spells it (CI's over-bound positive control).
 CLI_CELL = [
     "--seed", "7", "--models", "4,2,0", "--algorithms", "one-third-rule",
@@ -64,19 +67,17 @@ def interrupted(tmp_path, stop_after=20):
 def test_journal_is_a_header_plus_one_ack_line_per_candidate(tmp_path):
     out, sidecar = interrupted(tmp_path)
     header, *acks = sidecar.read_text().splitlines()
-    assert json.loads(header)["next"] == 0
+    assert json.loads(header) == HEADER
     assert [int(line.split()[0]) for line in acks] == list(range(1, 21))
-    state = read_state(sidecar)
-    assert state["next"] == 20
-    assert state["findings"] == len(scan_findings(out))
+    assert read_state(sidecar, HEADER) == (20, len(scan_findings(out)))
 
 
 def test_unterminated_ack_tail_is_ignored(tmp_path, baseline):
     out, sidecar = interrupted(tmp_path)
-    before = read_state(sidecar)
+    before = read_state(sidecar, HEADER)
     with sidecar.open("ab") as handle:
         handle.write(b"21 9")  # torn: no newline, so never acknowledged
-    assert read_state(sidecar) == before
+    assert read_state(sidecar, HEADER) == before
     run_fuzz(CONFIG, out, resume=True)
     assert out.read_bytes() == baseline
 
@@ -88,28 +89,30 @@ def test_complete_non_ack_line_mid_journal_raises(tmp_path, garbage):
     lines[10] = garbage  # where the ack of candidate 9 ("10 <f>") was
     sidecar.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="line 11 is not the acknowledgement"):
-        read_state(sidecar)
+        read_state(sidecar, HEADER)
     with pytest.raises(ValueError, match="corrupt fuzz state"):
         run_fuzz(CONFIG, out, resume=True)
 
 
 def test_header_only_sidecar_resumes_byte_identically(tmp_path, baseline):
-    """What the one-document-per-candidate format left behind still resumes."""
+    """A journal killed before its first acknowledgement holds its header
+    alone: the recovery point is candidate 0, every record is dropped."""
     out, sidecar = interrupted(tmp_path)
-    state = read_state(sidecar)
-    sidecar.write_text(json.dumps(state, sort_keys=True) + "\n")
-    assert read_state(sidecar) == state
+    findings = read_state(sidecar, HEADER)[1]
+    sidecar.write_text(sidecar.read_text().split("\n", 1)[0] + "\n")
+    assert read_state(sidecar, HEADER) == (0, 0)
     resumed = run_fuzz(CONFIG, out, resume=True)
-    assert (resumed.resumed_at, resumed.kept) == (20, state["findings"])
+    assert (resumed.resumed_at, resumed.kept, resumed.dropped) == (0, 0, findings)
     assert out.read_bytes() == baseline
 
 
 def test_write_state_appends_one_line(tmp_path):
     sidecar = tmp_path / "x.state"
-    with open_journal(sidecar, {"next": 3}) as journal:
-        write_state(journal, 4, 1)
-        write_state(journal, 5, 1)
-        assert sidecar.read_bytes() == b'{"next":3}\n4 1\n5 1\n'
+    sidecar.write_text("what a fresh journal replaces\n")
+    with Appender(sidecar, {"seed": 3}) as journal:
+        write_state(journal, 1, 0)
+        write_state(journal, 2, 1)
+        assert sidecar.read_bytes() == b'{"seed":3}\n1 0\n2 1\n'
 
 
 # ------------------------------------------------------- resume integrity
@@ -117,7 +120,7 @@ def test_write_state_appends_one_line(tmp_path):
 
 def test_resume_refuses_a_corpus_that_lost_acknowledged_findings(tmp_path):
     out, sidecar = interrupted(tmp_path)
-    acknowledged = read_state(sidecar)["findings"]
+    acknowledged = read_state(sidecar, HEADER)[1]
     assert acknowledged > 1
     lines = out.read_bytes().splitlines(keepends=True)
     out.write_bytes(lines[0])
@@ -130,15 +133,14 @@ def test_resume_refuses_a_corpus_that_lost_acknowledged_findings(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("next", 999), ("next", "abc"), ("next", -1), ("next", True),
-     ("findings", 21), ("findings", None), ("budget", "40")],
+    "field, acks",
+    [("next", [f"{i} 0" for i in range(21, 42)]), ("findings", ["21 22"])],
 )
-def test_resume_refuses_an_out_of_range_recovery_point(tmp_path, field, value):
+def test_resume_refuses_an_out_of_range_recovery_point(tmp_path, field, acks):
+    """Acknowledgements past the budget, or more findings than candidates."""
     out, sidecar = interrupted(tmp_path)
-    state = read_state(sidecar)
-    state[field] = value
-    sidecar.write_text(json.dumps(state) + "\n")
+    with sidecar.open("a") as handle:
+        handle.writelines(ack + "\n" for ack in acks)
     corpus, journal = out.read_bytes(), sidecar.read_bytes()
     with pytest.raises(ValueError) as excinfo:
         run_fuzz(CONFIG, out, resume=True)
@@ -150,7 +152,7 @@ def test_resume_refuses_an_out_of_range_recovery_point(tmp_path, field, value):
 # ---------------------------------------------------------------- the loop
 
 
-def test_resume_restarts_the_journal_at_the_recovery_point(
+def test_resume_appends_after_the_last_acknowledgement(
     tmp_path, monkeypatch, baseline
 ):
     out, sidecar = interrupted(tmp_path)
@@ -166,12 +168,10 @@ def test_resume_restarts_the_journal_at_the_recovery_point(
 
     monkeypatch.setattr(runner_mod, "write_state", spy)
     run_fuzz(CONFIG, out, resume=True, stop_after=5)
-    (header,) = at_first_ack[0].splitlines()  # torn tail healed, acks compacted
-    assert json.loads(header)["next"] == 20
-    assert json.loads(header)["findings"] == len(
-        [r for r in scan_findings(out) if r["index"] < 20]
-    )
-    assert sidecar.read_text().count("\n") == 1 + 5
+    header, *acks = at_first_ack[0].split("\n")  # torn tail cut, nothing renamed
+    assert json.loads(header) == HEADER
+    assert acks[-1] == "" and acks[-2].startswith("20 ")
+    assert sidecar.read_text().count("\n") == 1 + 20 + 5
     run_fuzz(CONFIG, out, resume=True)
     assert out.read_bytes() == baseline
 
@@ -180,7 +180,7 @@ def test_sidecar_gone_on_completion_kept_on_every_interruption(
     tmp_path, monkeypatch, baseline
 ):
     out, sidecar = interrupted(tmp_path, stop_after=8)
-    assert read_state(sidecar)["next"] == 8
+    assert read_state(sidecar, HEADER)[0] == 8
 
     real = runner_mod.classify_candidate
     calls = []
@@ -195,7 +195,7 @@ def test_sidecar_gone_on_completion_kept_on_every_interruption(
     with pytest.raises(KeyboardInterrupt):
         run_fuzz(CONFIG, out, resume=True)
     monkeypatch.setattr(runner_mod, "classify_candidate", real)
-    assert 8 < read_state(sidecar)["next"] < CONFIG.budget
+    assert 8 < read_state(sidecar, HEADER)[0] < CONFIG.budget
 
     run_fuzz(CONFIG, out, resume=True)
     assert not sidecar.exists()
@@ -203,8 +203,9 @@ def test_sidecar_gone_on_completion_kept_on_every_interruption(
     assert out.read_bytes() == baseline
 
 
-def test_one_sidecar_rename_per_session(tmp_path, monkeypatch):
-    """The rename-per-candidate protocol cannot come back unnoticed."""
+def test_one_sidecar_rename_per_journal(tmp_path, monkeypatch):
+    """The rename-per-candidate protocol cannot come back unnoticed, and a
+    resume appends to the journal it continues."""
     renamed = []
     real = os.replace
 
@@ -222,7 +223,7 @@ def test_one_sidecar_rename_per_session(tmp_path, monkeypatch):
     run_fuzz(config, cut, stop_after=90)
     assert renamed.count("cut.jsonl.state") == 1
     run_fuzz(config, cut, resume=True)
-    assert renamed.count("cut.jsonl.state") == 2
+    assert renamed.count("cut.jsonl.state") == 1
     assert cut.read_bytes() == fresh.read_bytes()
 
 
@@ -256,7 +257,7 @@ def test_sigkill_then_resume_equals_single_shot(tmp_path):
         process.wait(timeout=60)
     assert process.returncode == -signal.SIGKILL
 
-    acknowledged = read_state(sidecar)["next"]
+    acknowledged = read_state(sidecar, state_header(dataclasses.replace(CONFIG, budget=400)))[0]
     assert 100 <= acknowledged < 400
     indices = [record["index"] for record in scan_findings(single)]
     assert min(indices) < acknowledged < max(indices), "findings on both sides"

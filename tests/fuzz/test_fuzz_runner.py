@@ -8,11 +8,14 @@ the state sidecar.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
 import pytest
 
+import repro.fuzz
+import repro.fuzz.runner as runner_mod
 from repro.cli import main
 from repro.fuzz import (
     FuzzConfig,
@@ -37,18 +40,18 @@ CLI_CONFIG = [
     "one-third-rule", "pbft", "--engines", "lockstep", "--models", "4,2,0",
     "4,1,0", "--over-bound", "allow", "--quiet",
 ]
-#: The state header ``CLI_CONFIG`` writes: it records the shrink budget.
+#: The state header ``CLI_CONFIG`` writes: every ``FuzzConfig`` field and
+#: the two fixed knobs, nothing else.
 HEADER = (
+    '{"budget":16,"mutate_prob":0.5,"over_bound":"allow","seed":11,'
+    '"shrink_attempts":160,"space":"6eab52724060861f"}\n'
+)
+#: ``HEADER`` as checkouts before the header was compared whole wrote it:
+#: with the session's start (``next`` / ``findings``), a version and a
+#: ``shrink`` flag.
+OLD_HEADER = (
     '{"budget":16,"findings":0,"mutate_prob":0.5,"next":0,'
     '"over_bound":"allow","seed":11,"shrink":true,"shrink_attempts":160,'
-    '"space":"6eab52724060861f","version":1}\n'
-)
-#: ``HEADER`` as checkouts before the shrink budget was recorded wrote it,
-#: the last with a ``--mutate-prob`` / ``--no-shrink`` / ``--n-min`` /
-#: ``--shrink-attempts`` flag among them.
-PRE_BUDGET_HEADER = (
-    '{"budget":16,"findings":0,"mutate_prob":0.5,"next":0,'
-    '"over_bound":"allow","seed":11,"shrink":true,'
     '"space":"6eab52724060861f","version":1}\n'
 )
 
@@ -149,11 +152,69 @@ def test_resume_refuses_a_state_written_with_another_fixed_knob(
     assert f"({key}: state has {value!r}" in err
 
 
-def test_resume_refuses_a_state_without_a_shrink_budget(tmp_path, capsys):
-    """A header from before the shrink budget was recorded may hide a
-    ``--shrink-attempts`` session, so it is refused."""
-    err = refused_resume(tmp_path, capsys, lambda _header: PRE_BUDGET_HEADER)
-    assert "(shrink_attempts: state has None" in err
+def test_resume_refuses_a_state_written_before_the_header_was_compared_whole(
+    tmp_path, capsys
+):
+    """No compatibility path: an earlier checkout's header is refused on
+    the first key it differs in."""
+    err = refused_resume(tmp_path, capsys, lambda _header: OLD_HEADER)
+    assert "(findings: state has 0, this run has None)" in err
+
+
+def flipped(value):
+    """Another value of ``value``'s shape, built past any validation (a
+    resume compares headers before it runs anything)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-flipped"
+    if isinstance(value, tuple):
+        return value[::-1]
+    if value is None:
+        return None
+    other = copy.copy(value)  # a frozen dataclass: each field flipped
+    for each in dataclasses.fields(value):
+        object.__setattr__(other, each.name, flipped(getattr(value, each.name)))
+    return other
+
+
+@pytest.mark.parametrize(
+    "name",
+    [each.name for each in dataclasses.fields(FuzzConfig)]
+    + ["MUTATE_PROB", "DEFAULT_MAX_ATTEMPTS"],
+)
+def test_resume_refuses_any_changed_field_or_fixed_knob(
+    tmp_path, capsys, monkeypatch, name
+):
+    """Every ``FuzzConfig`` field — one added later too — and each fixed
+    knob the runner records: changed alone, the resume exits 2 with both
+    files untouched."""
+    out = tmp_path / "flip.jsonl"
+    sidecar = state_path(out)
+    assert main([*CLI_CONFIG, "--out", str(out), "--stop-after", "3"]) == 3
+    before = out.read_bytes(), sidecar.read_bytes()
+    if name.isupper():
+        monkeypatch.setattr(runner_mod, name, flipped(getattr(runner_mod, name)))
+    else:
+        real = repro.fuzz.run_fuzz
+
+        def run_flipped(config, *args, **kwargs):
+            other = copy.copy(config)
+            object.__setattr__(other, name, flipped(getattr(config, name)))
+            assert runner_mod.state_header(other) != runner_mod.state_header(config)
+            return real(other, *args, **kwargs)
+
+        monkeypatch.setattr(repro.fuzz, "run_fuzz", run_flipped)
+    capsys.readouterr()
+    assert main([*CLI_CONFIG, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("cannot resume: ")
+    assert "was written by a different configuration (" in err
+    if not name.isupper():
+        assert f"({name}: state has " in err
+    assert (out.read_bytes(), sidecar.read_bytes()) == before
 
 
 def test_fresh_run_refuses_existing_state(tmp_path):

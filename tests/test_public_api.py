@@ -80,7 +80,9 @@ def test_docstring_quickstart_in_package():
 #: the ``REPRO_BACKEND`` default; the latency models and the ``Random`` form
 #: of a scenario's seed (a ``NetworkSpec`` and an int describe a run's
 #: network); the ◇S detector and the leader oracles but Ω (a leader is a
-#: function of the phase).  None may come back (``MIGRATION.md``).
+#: function of the phase); the fuzz journal opener and state version a
+#: header-taking ``Appender`` and the whole-header compare replaced.  None
+#: may come back (``MIGRATION.md``).
 DELETED_NAMES = [
     "run_consensus", "ConsensusOutcome", "outcome_from_kernel",
     "_build_byzantine", "run_timed_consensus", "TimedOutcome",
@@ -98,6 +100,7 @@ DELETED_NAMES = [
     "RunMetrics",
     "DiamondS", "SuspicionSample", "suspicion_driven_oracle",
     "StabilizingLeaderOracle", "rotating_oracle",
+    "open_journal", "STATE_VERSION",
 ]
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro.fuzz import scan_findings
 from repro.observability import read_events
 from repro.utils.jsonl import Appender, canonical, replace, scan
-from tests.conftest import recorded_runs
+from tests.conftest import HEADER_LINE, recorded_runs
 
 #: A finding with every field replay, shrink and resume read.
 FINDING = {
@@ -24,29 +24,32 @@ FINDING = {
 }
 
 #: Each durable file's reader, reduced to the ids of the lines it counted,
-#: and the record its lines hold.
+#: the record its lines hold and the header line it starts with.
 FILES = {
     "checkpoint": (
-        lambda path: sorted(recorded_runs(path, "c")[0]),
+        lambda path: sorted(recorded_runs(path)[0]),
         lambda i: {"campaign": "c", "run_id": i, "seed": i},
+        HEADER_LINE.encode(),
     ),
     "corpus": (
         lambda path: [record["index"] for record in scan_findings(path)],
         lambda i: dict(FINDING, index=i),
+        b"",
     ),
     "sidecar": (
         lambda path: [event["run_id"] for event in read_events(path)],
         lambda i: {"kind": "row_completed", "run_id": i, "ts": 1.0},
+        b"",
     ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FILES))
 def test_one_torn_tail_rule(tmp_path, kind):
-    read, record = FILES[kind]
+    read, record, head = FILES[kind]
     path = tmp_path / f"{kind}.jsonl"
     lines = [canonical(record(i)).encode() + b"\n" for i in range(3)]
-    intact = lines[0] + b"\n" + lines[1]  # a blank line is skipped
+    intact = head + lines[0] + b"\n" + lines[1]  # a blank line is skipped
 
     # A half line, and a whole line whose newline never reached the disk:
     # both are torn tails, and the next append starts past neither.
@@ -61,7 +64,8 @@ def test_one_torn_tail_rule(tmp_path, kind):
     path.write_bytes(intact + b"garbage\n")
     assert read(path) == [0, 1]
     path.write_bytes(intact + b"garbage\n" + lines[2])
-    with pytest.raises(ValueError, match=re.escape(f"{path}:4: corrupt ")):
+    number = 4 + head.count(b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{number}: corrupt ")):
         read(path)
 
 
