@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cell import Coords, Row, RowPart, expand_part
-from repro.utils.jsonl import Appender, canonical, check_header, replace, scan
+from repro.utils.jsonl import Appender, canonical, check_header, checkpoint_path, replace, scan
 
 #: The most bytes :func:`finalize_checkpoint` reads at once (a longer line is read whole).
 WINDOW = 1 << 20
@@ -218,12 +218,6 @@ def iter_rows(path: object) -> Iterator[Row]:
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{line_number}: not a JSON object")
             yield row
-
-
-def checkpoint_path(out: object) -> Path:
-    """The checkpoint (streaming append) file paired with a final path."""
-    target = Path(out)
-    return target.with_name(target.name + ".partial")
 
 
 _INT = re.compile(rb"0|-?[1-9][0-9]*")  # a canonical JSON integer

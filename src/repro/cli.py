@@ -31,7 +31,7 @@ import os
 import signal
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algorithms import ALGORITHM_BUILDERS
 from repro.analysis.reporting import format_table
@@ -39,6 +39,7 @@ from repro.core.classification import AlgorithmClass
 from repro.engine.kernel import DEFAULT_PHASES
 from repro.engine.scheduler import ENGINES
 from repro.faults.registry import STRATEGY_REGISTRY
+from repro.utils.jsonl import checkpoint_path
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -491,44 +492,49 @@ HEARTBEAT_EVERY = 20
 
 class _Resumable(NamedTuple):
     """The resume / stop / interrupt contract ``campaign run`` and ``fuzz
-    run`` share: one message shape per outcome, and exit 2 (refused), 3
-    (``--stop-after``) or 130 (Ctrl-C), the last two keeping the state."""
+    run`` share: one checkpoint, ``<out>.partial``, one message shape per
+    outcome, and exit 2 (refused), 3 (``--stop-after``) or 130 (Ctrl-C),
+    the last two keeping the checkpoint."""
 
     out: Path
-    state: Path  # the file ``--resume`` continues from
-    noun: str  # what ``state`` is called
     unit: str  # what one session executes
 
-    def refusal(self, resume: bool) -> Optional[int]:
-        """Exit 2 with one line when ``--resume`` and the state file
-        disagree (else ``None``); asked before anything is printed."""
-        if resume and not self.state.exists():
-            reason = f"nothing to resume: no {self.noun} at {self.state}"
+    @property
+    def checkpoint(self) -> Path:
+        """The file ``--resume`` continues from."""
+        return checkpoint_path(self.out)
+
+    def recover(self, resume: bool, read: Callable[[Path], object]) -> Tuple[object, Optional[int]]:
+        """``(what read(checkpoint) recovered, None)`` on ``--resume``,
+        ``(None, None)`` on a fresh run, else ``(None, 2)`` after one line:
+        ``--resume`` and the checkpoint disagree, or ``read`` refuses the
+        checkpoint (``ValueError``).  Asked before anything is printed or
+        written, so a refused checkpoint is left untouched."""
+        if not resume:
+            if not self.checkpoint.exists():
+                return None, None
+            reason = (
+                f"checkpoint {self.checkpoint} already exists; pass --resume "
+                "to complete it or delete it to start over"
+            )
+        elif not self.checkpoint.exists():
+            reason = f"nothing to resume: no checkpoint at {self.checkpoint}"
             if self.out.exists():
                 reason += f" ({self.out} exists — already complete?)"
-        elif not resume and self.state.exists():
-            reason = (
-                f"{self.noun} {self.state} already exists; pass --resume to "
-                "complete it or delete it to start over"
-            )
         else:
-            return None
+            try:
+                return read(self.checkpoint), None
+            except ValueError as exc:
+                reason = f"cannot resume: {exc}; delete the checkpoint to start over"
         print(reason, file=sys.stderr)
-        return 2
-
-    def invalid(self, exc: Exception) -> int:
-        print(
-            f"cannot resume: {exc}; delete the {self.noun} to start over",
-            file=sys.stderr,
-        )
-        return 2
+        return None, 2
 
     def ended(self, done: int, stopped: bool) -> int:
-        """Report a session cut short, its state kept for ``--resume``."""
+        """Report a session cut short, its checkpoint kept for ``--resume``."""
         print(
             ("stopped" if stopped else "\ninterrupted")
-            + f" after {done} {self.unit}(s); {self.noun} retained at "
-            f"{self.state} — rerun with --resume to complete",
+            + f" after {done} {self.unit}(s); checkpoint retained at "
+            f"{self.checkpoint} — rerun with --resume to complete",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED if stopped else 130
@@ -566,7 +572,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaigns.results import (
         LineIndex,
         ResultSink,
-        checkpoint_path,
         finalize_checkpoint,
         validate_resume,
     )
@@ -580,8 +585,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = dc_replace(spec, seed=args.seed)
     out = Path(args.out or f"{spec.name}.results.jsonl")
-    checkpoint = checkpoint_path(out)
-    session = _Resumable(out, checkpoint, "checkpoint", "run")
+    session = _Resumable(out, "run")
+    checkpoint = session.checkpoint
     if args.events and Path(args.events).resolve() in (
         out.resolve(),
         checkpoint.resolve(),
@@ -599,20 +604,16 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     # scan for rows an earlier session recorded.
     fold = SummaryFold()
 
-    refused = session.refusal(args.resume)
+    # A checkpoint started under another spec, or a corrupt one, is
+    # refused untouched.  Only then is a torn final line truncated so new
+    # appends start on a clean row.
+    recovered, refused = session.recover(
+        args.resume, lambda path: validate_resume(spec, path, on_row=fold.add)
+    )
     if refused is not None:
         return refused
-    index = LineIndex(spec.total_runs)  # the recorded lines: resume skips them
-    intact = 0
-    if args.resume:
-        # Validation before any mutation: a checkpoint started under
-        # another spec, or a corrupt one, is refused untouched (delete it to
-        # start over).  Only then is a torn final line truncated so new
-        # appends start on a clean row.
-        try:
-            index, intact = validate_resume(spec, checkpoint, on_row=fold.add)
-        except ValueError as exc:
-            return session.invalid(exc)
+    # The recorded lines: resume skips them.
+    index, intact = recovered or (LineIndex(spec.total_runs), 0)
     skipped = len(index)
     # What earlier sessions recorded: the progress line and the events
     # report only this session's share of the fold's totals.
@@ -961,7 +962,7 @@ def _fuzz_space(args: argparse.Namespace):
 
 @_sigterm_interrupts
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
-    from repro.fuzz import FuzzConfig, run_fuzz, state_path
+    from repro.fuzz import FuzzConfig, read_checkpoint, run_fuzz, state_header
     from repro.utils.jsonl import unwritable
 
     space = _fuzz_space(args)
@@ -978,11 +979,13 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     out = Path(args.out)
-    session = _Resumable(out, state_path(out), "fuzz state", "candidate")
-    refused = session.refusal(args.resume)
+    session = _Resumable(out, "candidate")
+    resume, refused = session.recover(
+        args.resume, lambda path: read_checkpoint(path, state_header(config))
+    )
     if refused is not None:
         return refused
-    # Probed before the run creates its sidecar beside ``out``.
+    # The checkpoint lives beside ``out``: one probe covers both.
     reason = unwritable(out)
     if reason is not None:
         print(f"cannot write {out}: {reason}", file=sys.stderr)
@@ -1008,22 +1011,12 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         summary = run_fuzz(
             config,
             out,
-            resume=args.resume,
+            resume=resume,
             stop_after=args.stop_after,
             progress=progress,
         )
-    except ValueError as exc:
-        return session.invalid(exc)
     except KeyboardInterrupt:
         return session.ended(ran, stopped=False)
-    if summary.resumed_at is not None:
-        # Always reported, like ``campaign run --resume``'s line.
-        print(
-            f"resumed: {summary.resumed_at} candidate(s) acknowledged, "
-            f"{summary.kept} finding(s) kept, {summary.dropped} "
-            "unacknowledged record(s) dropped",
-            file=sys.stderr,
-        )
     if summary.interrupted:
         return session.ended(ran, stopped=True)
     kinds = ", ".join(
@@ -1037,6 +1030,13 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         + f" -> {out}",
         file=sys.stderr,
     )
+    if summary.resumed_at is not None:
+        # Always reported, like ``campaign run --resume``'s line.
+        print(
+            f"resumed: {summary.resumed_at} candidate(s) recorded, "
+            f"{summary.kept} finding(s) kept",
+            file=sys.stderr,
+        )
     if args.fail_on_finding and summary.findings:
         return 1
     return 0
@@ -1426,7 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument(
         "--resume",
         action="store_true",
-        help="complete an interrupted fuzz run from its <out>.state sidecar",
+        help="complete an interrupted fuzz run from its <out>.partial checkpoint",
     )
     frun.add_argument(
         "--stop-after",
@@ -1434,7 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stop gracefully after N candidates this session, leaving the "
-        "state for --resume (exit code 3); used by interrupt testing",
+        "checkpoint for --resume (exit code 3); used by interrupt testing",
     )
     frun.add_argument("--quiet", action="store_true", help="suppress progress")
     frun.add_argument(

@@ -9,8 +9,8 @@ The package turns the scenario layer into a violation-hunting instrument:
   classification (safety / liveness / error findings);
 * :mod:`repro.fuzz.shrink` — delta-debugging a finding to a minimal
   still-failing spec;
-* :mod:`repro.fuzz.corpus` — the crash-safe, resumable findings JSONL +
-  state journal sidecar;
+* :mod:`repro.fuzz.corpus` — the crash-safe checkpoint ``<out>.partial``
+  a session streams through, and the findings JSONL it completes into;
 * :mod:`repro.fuzz.runner` — the deterministic fuzz loop
   (``repro fuzz run|replay|shrink`` on the CLI).
 """
@@ -27,13 +27,7 @@ from repro.fuzz.classify import (
     execute_candidate,
     liveness_eligible,
 )
-from repro.fuzz.corpus import (
-    read_state,
-    scan_findings,
-    state_path,
-    truncate_findings,
-    write_state,
-)
+from repro.fuzz.corpus import read_checkpoint, scan_findings
 from repro.fuzz.runner import (
     FuzzConfig,
     FuzzSummary,
@@ -43,6 +37,8 @@ from repro.fuzz.runner import (
     replay_finding,
     run_fuzz,
     shrunk_fields,
+    state_header,
+    write_state,
 )
 from repro.fuzz.shrink import ShrinkResult, shrink_candidate
 from repro.fuzz.space import (
@@ -77,15 +73,14 @@ __all__ = [
     "generate",
     "liveness_eligible",
     "mutate",
-    "read_state",
+    "read_checkpoint",
     "record_over_bound",
     "replay_finding",
     "run_fuzz",
     "scan_findings",
     "shrink_candidate",
     "shrunk_fields",
-    "state_path",
+    "state_header",
     "suggest_phases",
-    "truncate_findings",
     "write_state",
 ]

@@ -12,22 +12,24 @@ mutation sources at any interruption point, and re-running the remaining
 indices produces byte-identical findings.
 
 Findings are shrunk immediately (:mod:`repro.fuzz.shrink`, at most
-:data:`~repro.fuzz.shrink.DEFAULT_MAX_ATTEMPTS` reproductions each),
-appended to the JSONL corpus, and acknowledged *after* the append by one
-line appended to the state journal — the crash window between the two is
-healed on resume by truncating unacknowledged records (see
-:mod:`repro.fuzz.corpus`).  A session renames the corpus into place once,
-when it starts (empty, or the acknowledged findings on a resume); a fresh
-session also starts the journal with its header (:func:`state_header`),
-which a resume compares and then appends after.
+:data:`~repro.fuzz.shrink.DEFAULT_MAX_ATTEMPTS` reproductions each).  Every
+candidate appends one line to the checkpoint ``<out>.partial``
+(:func:`write_state`): its finding's record, fsynced, or else its bare
+index, so a finding and its acknowledgement are one write and the only
+crash window is a torn tail (see :mod:`repro.fuzz.corpus`).  A fresh
+session starts the checkpoint with its header (:func:`state_header`); a
+resume, validated first by :func:`~repro.fuzz.corpus.read_checkpoint`,
+appends after its last line.  A completed session renames its records into
+``<out>`` and removes the checkpoint.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.cell import derive_seed
 from repro.fuzz.classify import (
@@ -36,15 +38,9 @@ from repro.fuzz.classify import (
     candidate_seed,
     classify_candidate,
 )
-from repro.fuzz.corpus import (
-    read_state,
-    state_path,
-    truncate_findings,
-    write_state,
-)
 from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, ShrinkResult, shrink_candidate
 from repro.fuzz.space import FuzzCandidate, FuzzSpace, generate, mutate
-from repro.utils.jsonl import Appender, canonical, replace
+from repro.utils.jsonl import Appender, canonical, checkpoint_path, replace
 
 #: Called after each candidate with ``(index, budget, findings_so_far)``.
 ProgressFn = Callable[[int, int, int], None]
@@ -156,19 +152,20 @@ class FuzzSummary:
     duplicates: int = 0
     skipped: int = 0  # inadmissible / inapplicable / over-bound-skipped
     ok: int = 0
+    #: Findings in the corpus, those earlier sessions recorded included,
+    #: and their count by kind.
     findings: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
     interrupted: bool = False  # --stop-after tripped (checkpoint retained)
     next_index: int = 0
-    #: What a resume recovered: candidates the journal acknowledged
-    #: (``None``: a fresh run), findings kept, unacknowledged records dropped.
+    #: What a resume recovered: candidates the checkpoint recorded
+    #: (``None``: a fresh run) and the findings among them.
     resumed_at: Optional[int] = None
     kept: int = 0
-    dropped: int = 0
 
 
 def state_header(config: FuzzConfig) -> Dict[str, object]:
-    """The state journal's header: every :class:`FuzzConfig` field (the
+    """The checkpoint's header: every :class:`FuzzConfig` field (the
     space as its fingerprint) and the fixed knobs that shape the stream —
     what a resume must find unchanged."""
     header = {each.name: getattr(config, each.name) for each in fields(config)}
@@ -176,10 +173,20 @@ def state_header(config: FuzzConfig) -> Dict[str, object]:
     return dict(header, mutate_prob=MUTATE_PROB, shrink_attempts=DEFAULT_MAX_ATTEMPTS)
 
 
+def write_state(partial: Appender, index: int, record: Optional[Dict[str, object]]) -> None:
+    """Record candidate ``index`` on the checkpoint: its finding's canonical
+    line, fsynced before the next candidate runs, or else the bare
+    acknowledgement ``index`` (no fsync: a process death keeps what the
+    kernel has, and a lost one re-runs a candidate that found nothing)."""
+    if record is None:
+        partial.write(b"%d\n" % index)
+    else:
+        partial.write(canonical(record).encode() + b"\n")
+        partial.sync()
+
+
 def _rebuild_history(
-    config: FuzzConfig,
-    start: int,
-    records: List[Dict[str, object]],
+    config: FuzzConfig, start: int, records: List[Dict[str, object]]
 ) -> tuple:
     """Replay candidate *generation* for indices before ``start``.
 
@@ -188,20 +195,13 @@ def _rebuild_history(
     interrupted session had them, so the continuation is byte-identical
     to an undisturbed run.
     """
+    found = {record["index"]: record["candidate"] for record in records}
     seen: set = set()
     sources: List[FuzzCandidate] = []
-    pointer = 0
-    ordered = sorted(records, key=lambda r: int(r["index"]))
     for index in range(start):
-        while pointer < len(ordered) and int(ordered[pointer]["index"]) < index:
-            sources.append(
-                FuzzCandidate.from_mapping(ordered[pointer]["candidate"])
-            )
-            pointer += 1
         seen.add(candidate_at(config, index, sources).key())
-    while pointer < len(ordered):
-        sources.append(FuzzCandidate.from_mapping(ordered[pointer]["candidate"]))
-        pointer += 1
+        if index in found:
+            sources.append(FuzzCandidate.from_mapping(found[index]))
     return seen, sources
 
 
@@ -209,62 +209,39 @@ def run_fuzz(
     config: FuzzConfig,
     out: object,
     *,
-    resume: bool = False,
+    resume: Optional[Tuple[int, List[Dict[str, object]]]] = None,
     stop_after: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> FuzzSummary:
-    """Run (or resume) one fuzz session against the corpus at ``out``.
+    """Run (or resume) one fuzz session whose corpus is ``out``.
 
-    The state journal gains one acknowledgement per candidate, so
-    interrupting at any point — including ``KeyboardInterrupt``
-    mid-execution, which this function deliberately lets propagate — leaves
-    a valid checkpoint.  On natural completion the sidecar is removed and
-    the findings file is the run's canonical product.  ``stop_after``
-    bounds the number of candidates *this session* executes (the
-    ``--stop-after`` CLI contract); when it trips, the summary says
-    ``interrupted`` and the checkpoint stays.
-
-    A fresh session starts the journal with :func:`state_header`; a resume
-    compares that header with this ``config``'s, whole, before it touches
-    either file, then appends after the last acknowledgement.
-
-    Raises ``FileExistsError`` when a state file exists and ``resume`` is
-    unset, and ``ValueError`` when a resume is incompatible or impossible
-    (the first differing header key named).
+    The session streams into the checkpoint ``<out>.partial``, one line per
+    candidate, so interrupting at any point — including
+    ``KeyboardInterrupt`` mid-execution, which this function deliberately
+    lets propagate — leaves a valid checkpoint.  A fresh session starts it
+    with :func:`state_header` (replacing any checkpoint there); ``resume``
+    is what :func:`~repro.fuzz.corpus.read_checkpoint` recovered from it
+    for this ``config``, and the session appends after it.  On completion
+    the records are renamed into ``out`` and the checkpoint is removed;
+    ``out`` is not touched before.  ``stop_after`` bounds the candidates
+    *this session* runs (the ``--stop-after`` CLI contract); when it
+    trips, the summary says ``interrupted`` and the checkpoint stays, even
+    if the budget is reached.
     """
     out_path = Path(str(out))
-    sidecar = state_path(out_path)
-    summary = FuzzSummary()
-    records: List[Dict[str, object]] = []
-    seen: set = set()
-    sources: List[FuzzCandidate] = []
-    start = 0
-    header = state_header(config)
-
-    if resume:
-        if not sidecar.exists():
-            raise ValueError(f"nothing to resume: no state at {sidecar}")
-        start, acknowledged = read_state(sidecar, header)
-        records, summary.dropped = truncate_findings(out_path, start, acknowledged)
-        summary.resumed_at, summary.kept = start, len(records)
-        seen, sources = _rebuild_history(config, start, records)
-    elif sidecar.exists():
-        raise FileExistsError(
-            f"fuzz state {sidecar} already exists; pass --resume to "
-            f"complete it or delete it to start over"
-        )
-    else:
-        replace(out_path, ())  # a fresh session starts an empty corpus
-
-    summary.next_index = start
-    # The corpus is written first: an unwritable ``out`` leaves no sidecar.
-    # A resume appends to the journal, its torn tail cut first.
-    with Appender(out_path) as corpus, Appender(
-        sidecar, None if resume else header
-    ) as journal:
+    start, recorded = resume or (0, [])
+    records = list(recorded)
+    seen, sources = _rebuild_history(config, start, records)
+    summary = FuzzSummary(next_index=start, kept=len(records))
+    if resume is not None:
+        summary.resumed_at = start
+    with Appender(
+        checkpoint_path(out_path), None if resume else state_header(config)
+    ) as partial:
         for index in range(start, config.budget):
             candidate = candidate_at(config, index, sources)
             key = candidate.key()
+            record = None
             if key in seen:
                 summary.duplicates += 1
             else:
@@ -284,31 +261,22 @@ def run_fuzz(
                         over_bound=config.over_bound,
                     )
                     record.update(shrunk_fields(config.seed, shrunk))
-                    corpus.write(canonical(record).encode() + b"\n")
-                    corpus.sync()
                     records.append(record)
                     sources.append(candidate)
-                    summary.findings += 1
-                    kind = str(verdict.kind)
-                    summary.by_kind[kind] = summary.by_kind.get(kind, 0) + 1
                 elif verdict.status == "ok":
                     summary.ok += 1
                 else:
                     summary.skipped += 1
-            # Acknowledge the candidate only after its finding (if any) is
-            # durably in the corpus: the crash window leaves at most one
-            # unacknowledged record, healed by truncation on resume.
+            write_state(partial, index, record)
             summary.next_index = index + 1
-            write_state(journal, index + 1, len(records))
             if progress is not None:
                 progress(index + 1, config.budget, len(records))
-            if (
-                stop_after is not None
-                and (index + 1 - start) >= stop_after
-                and index + 1 < config.budget
-            ):
+            if stop_after is not None and index + 1 - start >= stop_after:
                 summary.interrupted = True
-                return summary
-
-    sidecar.unlink(missing_ok=True)
+                break
+    summary.findings = len(records)
+    summary.by_kind = dict(Counter(str(record["kind"]) for record in records))
+    if not summary.interrupted:
+        replace(out_path, (canonical(record).encode() + b"\n" for record in records))
+        checkpoint_path(out_path).unlink()
     return summary

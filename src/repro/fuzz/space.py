@@ -128,7 +128,7 @@ class FuzzSpace:
 
     ``models`` pins an explicit ``(n, b, f)`` pool (what the CI smoke cells
     use); ``None`` samples ``n`` from :data:`N_RANGE`.  The space fingerprint
-    is recorded in the corpus state file so a resume under a different
+    is recorded in the checkpoint header so a resume under a different
     space is refused rather than silently diverging.
     """
 
@@ -181,7 +181,7 @@ class FuzzSpace:
                     else [list(m) for m in self.models]
                 ),
                 # A fixed range, hashed so that the fingerprint (and every
-                # state file it was recorded in) keeps its value.
+                # checkpoint it was recorded in) keeps its value.
                 "n_range": list(N_RANGE),
                 "strategies": list(self.strategies),
             },

@@ -1,9 +1,9 @@
 """Crash-safe JSONL files: the one primitive under every durable file.
 
 The campaign checkpoint and result file (:mod:`repro.campaigns.results`),
-the fuzz findings corpus and its state journal (:mod:`repro.fuzz.corpus`)
-and the events sidecar (:mod:`repro.observability.events`) are all made of
-these pieces:
+the fuzz checkpoint and findings corpus (:mod:`repro.fuzz.corpus`) and the
+events sidecar (:mod:`repro.observability.events`) are all made of these
+pieces:
 
 * :func:`canonical` — the one JSON encoding: sorted keys, compact
   separators, ASCII, so equal objects are equal bytes (what every
@@ -12,8 +12,10 @@ these pieces:
 * :class:`Appender` — a held-open handle, one ``write`` + ``flush`` per
   :meth:`~Appender.write`, so a crash loses at most the line being written;
   given a header it starts the file afresh with that one line;
-* :func:`check_header` — the one resume check of a file that starts with
-  a header (the campaign checkpoint, the fuzz state journal);
+* :func:`checkpoint_path` — where a resumable command streams before its
+  output is complete: ``<out>.partial``;
+* :func:`check_header` — the one resume check of a checkpoint, which
+  starts with a header;
 * :func:`replace` — write a temporary sibling, then rename it into place,
   so a reader (or a crash) sees the old file or the new one, never a mix;
 * :func:`unwritable` — the probe the CLI runs before it creates anything.
@@ -123,6 +125,12 @@ class Appender:
         tb: Optional[TracebackType],
     ) -> None:
         self.close()
+
+
+def checkpoint_path(out: object) -> Path:
+    """The checkpoint (streaming append) file paired with a final path."""
+    target = Path(out)
+    return target.with_name(target.name + ".partial")
 
 
 def check_header(path: object, header: object, expected: Mapping[str, object], noun: str) -> None:

@@ -1,8 +1,8 @@
 """``repro fuzz run|replay|shrink``: exit codes mirror ``campaign run``.
 
 The interrupt contract is the satellite under test: ``--stop-after``
-leaves a valid state sidecar and exits 3, Ctrl-C (KeyboardInterrupt)
-exits 130 with the state retained, ``--resume`` completes byte-identically,
+leaves a valid checkpoint and exits 3, Ctrl-C (KeyboardInterrupt) exits
+130 with the checkpoint retained, ``--resume`` completes byte-identically,
 and usage errors exit 2.
 """
 
@@ -41,9 +41,17 @@ def corpus(tmp_path_factory):
 def test_stop_after_exits_3_and_resume_matches(tmp_path, corpus):
     out = tmp_path / "findings.jsonl"
     assert main(run_args(out, "--stop-after", "4")) == 3
-    assert (tmp_path / "findings.jsonl.state").exists()
+    assert (tmp_path / "findings.jsonl.partial").exists()
     assert main(run_args(out, "--resume")) == 0
-    assert not (tmp_path / "findings.jsonl.state").exists()
+    assert not (tmp_path / "findings.jsonl.partial").exists()
+    assert out.read_bytes() == corpus.read_bytes()
+
+
+def test_a_rerun_leaves_a_finished_corpus_until_it_completes(tmp_path, corpus):
+    """A fresh session used to empty ``<out>`` when it started."""
+    out = tmp_path / "findings.jsonl"
+    out.write_bytes(corpus.read_bytes())
+    assert main(run_args(out, "--stop-after", "1")) == 3
     assert out.read_bytes() == corpus.read_bytes()
 
 
@@ -66,7 +74,7 @@ def test_keyboard_interrupt_exits_130_and_keeps_state(
     monkeypatch.setattr(runner_mod, "classify_candidate", interrupting)
     assert main(run_args(out)) == 130
     assert "resume" in capsys.readouterr().err
-    assert (tmp_path / "findings.jsonl.state").exists()
+    assert (tmp_path / "findings.jsonl.partial").exists()
     monkeypatch.setattr(runner_mod, "classify_candidate", real_classify)
     assert main(run_args(out, "--resume")) == 0
 
@@ -78,7 +86,7 @@ def test_usage_errors_exit_2(tmp_path, corpus):
     assert main(run_args(out, "--models", "nope")) == 2
     # resume with nothing to resume
     assert main(run_args(tmp_path / "void.jsonl", "--resume")) == 2
-    # state exists without --resume
+    # checkpoint exists without --resume
     assert main(run_args(out, "--stop-after", "2")) == 3
     assert main(run_args(out)) == 2
 
@@ -162,6 +170,10 @@ def test_shrink_command_prints_minimal_candidate(corpus, capsys):
 def test_fail_on_finding_gates_ci(tmp_path, corpus):
     out = tmp_path / "gate.jsonl"
     assert main(run_args(out, "--fail-on-finding")) == 1
+    # A resume gates on the whole corpus, not on what it found itself.
+    resumed = tmp_path / "resumed.jsonl"
+    assert main(run_args(resumed, "--stop-after", "15")) == 3
+    assert main(run_args(resumed, "--resume", "--fail-on-finding")) == 1
     # An in-bounds space stays quiet and passes the gate.
     quiet = tmp_path / "quiet.jsonl"
     code = main([
@@ -192,46 +204,45 @@ def test_unwritable_out_exits_2_and_leaves_nothing(tmp_path, capsys):
 def test_resume_reports_the_recovery_point_even_when_quiet(tmp_path, capsys):
     out = tmp_path / "findings.jsonl"
     assert main(run_args(out, "--stop-after", "15")) == 3
-    (record,) = out.read_text().splitlines()  # seed 7 first finds at index 14
-    with out.open("a") as handle:  # the crash window: appended, never acked
-        handle.write(json.dumps(dict(json.loads(record), index=15)) + "\n")
     capsys.readouterr()
     assert main(run_args(out, "--resume")) == 0
-    assert (
-        "resumed: 15 candidate(s) acknowledged, 1 finding(s) kept, "
-        "1 unacknowledged record(s) dropped\n"
-    ) in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(  # seed 7 first finds at index 14
+        "resumed: 15 candidate(s) recorded, 1 finding(s) kept\n"
+    )
 
 
 def test_resume_refuses_a_record_without_its_candidate_untouched(tmp_path, capsys):
     out = tmp_path / "findings.jsonl"
-    sidecar = tmp_path / "findings.jsonl.state"
+    partial = tmp_path / "findings.jsonl.partial"
     assert main(run_args(out, "--stop-after", "15")) == 3
-    record = json.loads(out.read_text())
+    lines = partial.read_text().splitlines(keepends=True)
+    record = json.loads(lines[-1])
     del record["candidate"]
-    out.write_text(json.dumps(record) + "\n")
-    corpus, state = out.read_bytes(), sidecar.read_bytes()
+    lines[-1] = json.dumps(record) + "\n"
+    partial.write_text("".join(lines))
+    before = partial.read_bytes()
     capsys.readouterr()
     assert main(run_args(out, "--resume")) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        f"cannot resume: {out}: findings line at byte 0 lacks candidate; "
-        "delete the fuzz state to start over"
+        f"cannot resume: {partial}: checkpoint line at byte "
+        f"{len(before) - len(lines[-1])} lacks candidate; "
+        "delete the checkpoint to start over"
     )
-    assert (out.read_bytes(), sidecar.read_bytes()) == (corpus, state)
+    assert partial.read_bytes() == before and not out.exists()
 
 
 @pytest.mark.parametrize("bad", [999, "abc"])
 def test_resume_with_a_next_in_the_header_exits_2_untouched(tmp_path, capsys, bad):
     """The header holds no recovery point: one that does is refused."""
     out = tmp_path / "findings.jsonl"
-    sidecar = tmp_path / "findings.jsonl.state"
+    partial = tmp_path / "findings.jsonl.partial"
     assert main(run_args(out, "--stop-after", "4")) == 3
-    header = json.loads(sidecar.read_text().splitlines()[0])
-    sidecar.write_text(json.dumps(dict(header, next=bad)) + "\n")
-    corpus, state = out.read_bytes(), sidecar.read_bytes()
+    header = json.loads(partial.read_text().splitlines()[0])
+    partial.write_text(json.dumps(dict(header, next=bad)) + "\n")
+    before = partial.read_bytes()
     capsys.readouterr()
     assert main(run_args(out, "--resume")) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("cannot resume: ")
-    assert str(sidecar) in err and f"(next: state has {bad!r}, this run has None)" in err
-    assert (out.read_bytes(), sidecar.read_bytes()) == (corpus, state)
+    assert str(partial) in err and f"(next: checkpoint has {bad!r}, this run has None)" in err
+    assert partial.read_bytes() == before and not out.exists()

@@ -1,9 +1,8 @@
 """The fuzz loop's determinism and crash-safety contracts.
 
 For a fixed (seed, budget, space) the findings JSONL is byte-identical
-across reruns and across arbitrary interruption/resume points — including
-the crash window where a finding was appended but not yet acknowledged in
-the state sidecar.
+across reruns and across arbitrary interruption/resume points, and a
+resume refuses a checkpoint written under any other configuration.
 """
 
 from __future__ import annotations
@@ -20,11 +19,12 @@ from repro.cli import main
 from repro.fuzz import (
     FuzzConfig,
     FuzzSpace,
+    read_checkpoint,
     replay_finding,
     run_fuzz,
-    scan_findings,
-    state_path,
+    state_header,
 )
+from repro.utils.jsonl import checkpoint_path
 
 #: Small but eventful: the (4,2,0) one-third-rule cell is far over-bound,
 #: so this budget reliably produces both safety and liveness findings.
@@ -40,7 +40,7 @@ CLI_CONFIG = [
     "one-third-rule", "pbft", "--engines", "lockstep", "--models", "4,2,0",
     "4,1,0", "--over-bound", "allow", "--quiet",
 ]
-#: The state header ``CLI_CONFIG`` writes: every ``FuzzConfig`` field and
+#: The checkpoint header ``CLI_CONFIG`` writes: every ``FuzzConfig`` field and
 #: the two fixed knobs, nothing else.
 HEADER = (
     '{"budget":16,"mutate_prob":0.5,"over_bound":"allow","seed":11,'
@@ -61,8 +61,13 @@ def baseline(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "baseline.jsonl"
     summary = run_fuzz(CONFIG, out)
     assert summary.findings > 0, "fixture config must find violations"
-    assert not state_path(out).exists(), "completed run removes its state"
+    assert not checkpoint_path(out).exists(), "completed run removes its checkpoint"
     return out.read_bytes(), summary
+
+
+def resume(config, out):
+    recovered = read_checkpoint(checkpoint_path(out), state_header(config))
+    return run_fuzz(config, out, resume=recovered)
 
 
 def test_rerun_is_byte_identical(tmp_path, baseline):
@@ -78,27 +83,12 @@ def test_stop_after_leaves_valid_state_and_resume_completes(
     summary = run_fuzz(CONFIG, out, stop_after=5)
     assert summary.interrupted
     assert summary.next_index == 5
-    assert state_path(out).exists()
-    resumed = run_fuzz(CONFIG, out, resume=True)
+    assert checkpoint_path(out).exists()
+    resumed = resume(CONFIG, out)
     assert not resumed.interrupted
-    assert not state_path(out).exists()
+    assert not checkpoint_path(out).exists()
     assert out.read_bytes() == baseline[0]
-
-
-def test_resume_heals_the_crash_window(tmp_path, baseline):
-    """A finding appended but unacknowledged is truncated and re-found."""
-    out = tmp_path / "crashed.jsonl"
-    run_fuzz(CONFIG, out, stop_after=6)
-    records = scan_findings(out)
-    # Simulate the torn state: a record past the acknowledged index plus
-    # a torn half-line, exactly what a kill mid-append leaves behind.
-    with out.open("a", encoding="utf-8") as handle:
-        whole = records[0] if records else json.loads(baseline[0].splitlines()[0])
-        fake = dict(whole, index=6)
-        handle.write(json.dumps(fake, sort_keys=True) + "\n")
-        handle.write('{"index": 7, "torn')
-    run_fuzz(CONFIG, out, resume=True)
-    assert out.read_bytes() == baseline[0]
+    assert (resumed.findings, resumed.by_kind) == (baseline[1].findings, baseline[1].by_kind)
 
 
 def test_resume_refuses_foreign_configuration(tmp_path):
@@ -112,23 +102,23 @@ def test_resume_refuses_foreign_configuration(tmp_path):
     ):
         other = dataclasses.replace(CONFIG, **change)
         with pytest.raises(ValueError):
-            run_fuzz(other, out, resume=True)
+            resume(other, out)
 
 
 def refused_resume(tmp_path, capsys, rewrite) -> str:
-    """Stop a ``CLI_CONFIG`` session after 3 candidates, replace its state
-    header (``HEADER``) by ``rewrite(header)`` and resume: assert it exits
-    2 with corpus and state byte-untouched, and return the error line."""
+    """Stop a ``CLI_CONFIG`` session after 3 candidates, replace its
+    checkpoint header (``HEADER``) by ``rewrite(header)`` and resume: assert
+    it exits 2 with the checkpoint byte-untouched, and return the error line."""
     out = tmp_path / "foreign.jsonl"
-    sidecar = state_path(out)
+    partial = checkpoint_path(out)
     assert main([*CLI_CONFIG, "--out", str(out), "--stop-after", "3"]) == 3
-    header, acks = sidecar.read_text().split("\n", 1)
+    header, lines = partial.read_text().split("\n", 1)
     assert header + "\n" == HEADER
-    sidecar.write_text(rewrite(header) + acks)
-    before = out.read_bytes(), sidecar.read_bytes()
+    partial.write_text(rewrite(header) + lines)
+    before = partial.read_bytes()
     capsys.readouterr()
     assert main([*CLI_CONFIG, "--out", str(out), "--resume"]) == 2
-    assert (out.read_bytes(), sidecar.read_bytes()) == before
+    assert partial.read_bytes() == before and not out.exists()
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("cannot resume: ")
     return err
@@ -139,26 +129,26 @@ def refused_resume(tmp_path, capsys, rewrite) -> str:
     [("shrink", False), ("mutate_prob", 0.25), ("shrink_attempts", 2)],
     ids=["no-shrink", "mutate-prob", "shrink-attempts"],
 )
-def test_resume_refuses_a_state_written_with_another_fixed_knob(
+def test_resume_refuses_a_checkpoint_written_with_another_fixed_knob(
     tmp_path, capsys, key, value
 ):
-    """A state from a ``--no-shrink``, ``--mutate-prob 0.25`` or
+    """A checkpoint from a ``--no-shrink``, ``--mutate-prob 0.25`` or
     ``--shrink-attempts 2`` session is refused."""
 
     def rewrite(header):
         return json.dumps(dict(json.loads(header), **{key: value}), sort_keys=True) + "\n"
 
     err = refused_resume(tmp_path, capsys, rewrite)
-    assert f"({key}: state has {value!r}" in err
+    assert f"({key}: checkpoint has {value!r}" in err
 
 
-def test_resume_refuses_a_state_written_before_the_header_was_compared_whole(
+def test_resume_refuses_a_header_written_before_it_was_compared_whole(
     tmp_path, capsys
 ):
     """No compatibility path: an earlier checkout's header is refused on
     the first key it differs in."""
     err = refused_resume(tmp_path, capsys, lambda _header: OLD_HEADER)
-    assert "(findings: state has 0, this run has None)" in err
+    assert "(findings: checkpoint has 0, this run has None)" in err
 
 
 def flipped(value):
@@ -192,43 +182,38 @@ def test_resume_refuses_any_changed_field_or_fixed_knob(
     knob the runner records: changed alone, the resume exits 2 with both
     files untouched."""
     out = tmp_path / "flip.jsonl"
-    sidecar = state_path(out)
+    partial = checkpoint_path(out)
     assert main([*CLI_CONFIG, "--out", str(out), "--stop-after", "3"]) == 3
-    before = out.read_bytes(), sidecar.read_bytes()
+    before = partial.read_bytes()
     if name.isupper():
         monkeypatch.setattr(runner_mod, name, flipped(getattr(runner_mod, name)))
     else:
-        real = repro.fuzz.run_fuzz
+        real = repro.fuzz.state_header
 
-        def run_flipped(config, *args, **kwargs):
+        def header_flipped(config):
             other = copy.copy(config)
             object.__setattr__(other, name, flipped(getattr(config, name)))
-            assert runner_mod.state_header(other) != runner_mod.state_header(config)
-            return real(other, *args, **kwargs)
+            assert real(other) != real(config)
+            return real(other)
 
-        monkeypatch.setattr(repro.fuzz, "run_fuzz", run_flipped)
+        monkeypatch.setattr(repro.fuzz, "state_header", header_flipped)
     capsys.readouterr()
     assert main([*CLI_CONFIG, "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("cannot resume: ")
     assert "was written by a different configuration (" in err
     if not name.isupper():
-        assert f"({name}: state has " in err
-    assert (out.read_bytes(), sidecar.read_bytes()) == before
+        assert f"({name}: checkpoint has " in err
+    assert partial.read_bytes() == before and not out.exists()
 
 
-def test_fresh_run_refuses_existing_state(tmp_path):
-    out = tmp_path / "busy.jsonl"
-    run_fuzz(CONFIG, out, stop_after=3)
-    with pytest.raises(FileExistsError):
-        run_fuzz(CONFIG, out)
-
-
-def test_resume_without_state_raises(tmp_path, baseline):
-    out = tmp_path / "done.jsonl"
+def test_a_fresh_session_starts_the_checkpoint_afresh(tmp_path, baseline):
+    """Below the CLI (whose refusal asks for ``--resume``), a fresh session
+    replaces a stale checkpoint with its own."""
+    out = tmp_path / "stale.jsonl"
+    run_fuzz(dataclasses.replace(CONFIG, seed=12), out, stop_after=3)
     run_fuzz(CONFIG, out)
-    with pytest.raises(ValueError):
-        run_fuzz(CONFIG, out, resume=True)
+    assert out.read_bytes() == baseline[0] and not checkpoint_path(out).exists()
 
 
 def test_findings_replay_and_shrink_forms_reproduce(baseline):

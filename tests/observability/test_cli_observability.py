@@ -5,10 +5,9 @@ import json
 
 import pytest
 
-from repro.campaigns.results import checkpoint_path
 from repro.cli import main
-from repro.fuzz import state_path
 from repro.observability import read_events
+from repro.utils.jsonl import checkpoint_path
 
 SPEC = {
     "name": "obs-unit",
@@ -118,37 +117,68 @@ class TestEventsSidecar:
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+def resumable(command, spec_path, out):
+    """``(argv, total)``: a quiet ``campaign run`` or ``fuzz run`` to ``out``
+    and how many runs or candidates it has."""
+    if command == "campaign":
+        argv, total = ["campaign", "run", str(spec_path), "--no-report"], 16
+    else:
+        argv, total = ["fuzz", "run", "--budget", "6"], 6
+    return argv + ["--out", str(out), "--quiet"], total
+
+
 class TestResumeReporting:
     @pytest.mark.parametrize("command", ["campaign", "fuzz"])
     def test_one_resume_and_stop_contract(
         self, spec_path, tmp_path, capsys, command
     ):
         """``campaign run`` and ``fuzz run`` refuse, stop and retain with
-        the same one-line shapes; a refusal prints nothing before it."""
+        the same one-line shapes, naming the same checkpoint."""
         out = tmp_path / "out.jsonl"
-        if command == "campaign":
-            argv = ["campaign", "run", str(spec_path), "--no-report"]
-            state, noun, unit = checkpoint_path(out), "checkpoint", "run"
-        else:
-            argv = ["fuzz", "run", "--budget", "6"]
-            state, noun, unit = state_path(out), "fuzz state", "candidate"
-        argv += ["--out", str(out), "--quiet"]
+        argv, _total = resumable(command, spec_path, out)
+        state, unit = checkpoint_path(out), "run" if command == "campaign" else "candidate"
         assert main(argv + ["--resume"]) == 2
         assert capsys.readouterr().err == (
-            f"nothing to resume: no {noun} at {state}\n"
+            f"nothing to resume: no checkpoint at {state}\n"
         )
         assert main(argv + ["--stop-after", "2"]) == 3
         assert capsys.readouterr().err.endswith(
-            f"stopped after 2 {unit}(s); {noun} retained at {state} — "
+            f"stopped after 2 {unit}(s); checkpoint retained at {state} — "
             "rerun with --resume to complete\n"
         )
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"{noun} {state} already exists; pass --resume to complete it "
+            f"checkpoint {state} already exists; pass --resume to complete it "
             "or delete it to start over\n"
         )
         assert main(argv + ["--resume"]) == 0
         assert not state.exists()
+
+    @pytest.mark.parametrize(
+        "case", ["no checkpoint", "no --resume", "changed seed", "corrupt middle line"]
+    )
+    @pytest.mark.parametrize("command", ["campaign", "fuzz"])
+    def test_a_refusal_prints_one_line_and_touches_nothing(
+        self, spec_path, tmp_path, capsys, command, case
+    ):
+        """Refused before the banner: nothing on stdout, one line on
+        stderr, exit 2 and the checkpoint byte-unchanged."""
+        out = tmp_path / "out.jsonl"
+        argv, _total = resumable(command, spec_path, out)
+        state = checkpoint_path(out)
+        if case != "no checkpoint":
+            assert main(argv + ["--stop-after", "4"]) == 3
+        if case == "corrupt middle line":
+            lines = state.read_bytes().splitlines(keepends=True)
+            state.write_bytes(b"".join(lines[:2] + [b"garbage\n"] + lines[3:]))
+        before = state.read_bytes() if state.exists() else None
+        extra = {"no --resume": [], "changed seed": ["--seed", "8", "--resume"]}
+        capsys.readouterr()
+        assert main(argv + extra.get(case, ["--resume"])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n") and not out.exists()
+        assert (state.read_bytes() if state.exists() else None) == before
 
     def test_interrupted_then_resumed_events_accumulate(
         self, spec_path, tmp_path, capsys
@@ -169,17 +199,25 @@ class TestResumeReporting:
         resumed = [e for e in stream if e["kind"] == "resume_skipped"]
         assert resumed and resumed[0]["rows"] == 4
 
+    @pytest.mark.parametrize("command", ["campaign", "fuzz"])
     def test_fully_recorded_resume_reports_loudly(
-        self, spec_path, tmp_path, capsys
+        self, spec_path, tmp_path, capsys, command
     ):
+        """``--stop-after`` the remaining count keeps a full checkpoint
+        (exit 3); the resume runs nothing, says so and finalizes."""
         out = tmp_path / "out.jsonl"
-        total = 16
-        assert run_cli(spec_path, out, "--stop-after", str(total)) == 3
+        argv, total = resumable(command, spec_path, out)
+        assert main(argv + ["--stop-after", str(total)]) == 3
+        assert checkpoint_path(out).exists() and not out.exists()
         capsys.readouterr()
-        assert run_cli(spec_path, out, "--resume") == 0
+        assert main(argv + ["--resume"]) == 0
         err = capsys.readouterr().err
-        assert f"resumed: {total} rows skipped, 0 executed" in err
-        assert out.exists()
+        if command == "campaign":
+            assert f"resumed: {total} rows skipped, 0 executed" in err
+        else:
+            assert f"fuzzed {total} candidates (0 executed, 0 duplicate(s), 0 skipped)" in err
+            assert f"resumed: {total} candidate(s) recorded, " in err
+        assert out.exists() and not checkpoint_path(out).exists()
 
 
 class TestProgressLine:

@@ -1,7 +1,7 @@
 """SIGTERM ends ``campaign run`` and ``fuzz run`` the way Ctrl-C does: one
-``interrupted after …`` line, exit 130, the state kept for ``--resume``
-(which then finishes on the grid's pinned bytes) and no worker process left
-behind."""
+``interrupted after …`` line, exit 130, the checkpoint kept for ``--resume``
+(which refuses another seed untouched, then finishes on the grid's pinned
+bytes) and no worker process left behind."""
 
 import os
 import signal
@@ -30,14 +30,13 @@ def survivors(marker: str):
 
 
 @pytest.mark.parametrize(
-    "name, state, slow",
-    [("kill-cmp", ".partial", ["--backend", "scalar"]), ("fuzz-11", ".state", [])],
+    "name, slow", [("kill-cmp", ["--backend", "scalar"]), ("fuzz-11", [])]
 )
-def test_sigterm_interrupts_like_ctrl_c(tmp_path, name, state, slow):
+def test_sigterm_interrupts_like_ctrl_c(tmp_path, capsys, name, slow):
     grid, out = table.GRIDS[name], tmp_path / "out.jsonl"
     argv = [part.format(spec=table.spec_argument(grid, tmp_path)) for part in grid.argv]
     argv += ["--out", str(out)]
-    state = Path(f"{out}{state}")
+    state = Path(f"{out}.partial")
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
     stderr = tmp_path / "stderr.txt"
     with stderr.open("w") as sink:  # not a pipe: an orphan would hold it open
@@ -63,5 +62,9 @@ def test_sigterm_interrupts_like_ctrl_c(tmp_path, name, state, slow):
     while survivors(str(out)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert survivors(str(out)) == []
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(argv + ["--seed", "8", "--resume"]) == 2
+    assert capsys.readouterr().out == "" and state.read_bytes() == before
     assert main(argv + ["--resume"]) == 0
     assert table.sha256(out.read_bytes()) == grid.sha["out"]

@@ -101,6 +101,7 @@ DELETED_NAMES = [
     "DiamondS", "SuspicionSample", "suspicion_driven_oracle",
     "StabilizingLeaderOracle", "rotating_oracle",
     "open_journal", "STATE_VERSION",
+    "read_state", "state_path", "truncate_findings",
 ]
 
 
