@@ -1022,8 +1022,11 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     kinds = ", ".join(
         f"{kind}: {count}" for kind, count in sorted(summary.by_kind.items())
     )
+    # A resumed session counts only its own candidates; the findings are
+    # the whole corpus's.
+    scope = "" if summary.resumed_at is None else "this session: "
     print(
-        f"fuzzed {config.budget} candidates ({summary.executed} executed, "
+        f"fuzzed {config.budget} candidates ({scope}{summary.executed} executed, "
         f"{summary.duplicates} duplicate(s), {summary.skipped} skipped): "
         f"{summary.findings} finding(s)"
         + (f" [{kinds}]" if kinds else "")

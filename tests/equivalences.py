@@ -15,7 +15,6 @@ Run as a script, every equivalence runs on its full grids, one SHA-256 is
 printed per output and the exit status is 1 on the first difference::
 
     PYTHONPATH=src python tests/equivalences.py [NAME ...]
-    PYTHONPATH=src python tests/equivalences.py --spec kill-cmp  # a grid's spec
 
 ``tests/test_equivalences.py`` runs each arm of each equivalence against
 the first on its small grids in tier-1, and each mutation on its control
@@ -265,7 +264,7 @@ _GRIDS = [
         sha={"out": "6e6312af9d3bfad86bf80d6710c21b38ec027811b5afc3be8b3be32ca681122b"},
     ),
     _campaign("latency-gst", "latency-gst", plan="  tiers: columnar-state 15  replicate 5"),
-    # What the kill and SIGTERM cells interrupt.
+    # What the campaign kill cell of tests/cells.py interrupts.
     _campaign("kill-cmp", _gauntlet(name="kill-cmp", repetitions=50), sha={
         "out": "eec07d01d14700845e9fc72353931d78cb6ab645c9aa8f839e26799dd49af4bd",
     }),
@@ -680,9 +679,6 @@ def planned(grid: Grid, directory: Path) -> str:
 
 
 def _main(argv) -> int:
-    if argv[:1] == ["--spec"]:
-        print(json.dumps(GRIDS[argv[1]].spec, indent=1))
-        return 0
     entries = [BY_NAME[name] for name in argv] or list(EQUIVALENCES)
     memo: dict = {}
     with tempfile.TemporaryDirectory() as scratch:

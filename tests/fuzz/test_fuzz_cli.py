@@ -9,6 +9,7 @@ and usage errors exit 2.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -209,6 +210,24 @@ def test_resume_reports_the_recovery_point_even_when_quiet(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(  # seed 7 first finds at index 14
         "resumed: 15 candidate(s) recorded, 1 finding(s) kept\n"
     )
+
+
+def test_a_resumed_summary_labels_its_session_counts(tmp_path, capsys):
+    """The counts in parentheses are this session's, the findings the
+    corpus's: a resumed summary used to print them side by side unlabelled."""
+    out = tmp_path / "findings.jsonl"
+    assert main(run_args(out)) == 0
+    fresh = capsys.readouterr().err
+    assert main(run_args(out, "--stop-after", "4")) == 3
+    capsys.readouterr()
+    assert main(run_args(out, "--resume")) == 0
+    resumed = capsys.readouterr().err
+    counts = re.search(
+        r"\(this session: (\d+) executed, (\d+) duplicate\(s\), (\d+) skipped\): ", resumed
+    )
+    assert counts is not None, resumed
+    assert sum(map(int, counts.groups())) == 16 - 4
+    assert "this session" not in fresh
 
 
 def test_resume_refuses_a_record_without_its_candidate_untouched(tmp_path, capsys):

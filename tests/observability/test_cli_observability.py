@@ -215,7 +215,7 @@ class TestResumeReporting:
         if command == "campaign":
             assert f"resumed: {total} rows skipped, 0 executed" in err
         else:
-            assert f"fuzzed {total} candidates (0 executed, 0 duplicate(s), 0 skipped)" in err
+            assert f"fuzzed {total} candidates (this session: 0 executed, 0 duplicate(s), 0 skipped)" in err
             assert f"resumed: {total} candidate(s) recorded, " in err
         assert out.exists() and not checkpoint_path(out).exists()
 

@@ -451,18 +451,26 @@ def definitions(source: str) -> Dict[str, int]:
     }
 
 
+def ci_scripts(repo: Path = REPO) -> Tuple[str, List[Path]]:
+    """``ci.yml``'s text and the repo scripts it runs (``python X.py``), a
+    ``test_*.py`` file aside: a test is no reader, even one CI runs."""
+    ci = (repo / ".github" / "workflows" / "ci.yml").read_text("utf-8")
+    scripts = sorted({repo / script for script in re.findall(r"python3? ([\w/]+\.py)", ci)})
+    return ci, [path for path in scripts if path.is_file() and not path.name.startswith("test_")]
+
+
 def outside_readers(repo: Path = REPO) -> Set[str]:
-    """Names read by what is not a test: benches, examples, CI, the
-    README's python blocks and the console script."""
-    names: Set[str] = set()
-    for directory in READER_DIRS:
-        for path in sorted((repo / directory).rglob("*.py")):
-            if path.name.startswith("test_"):
-                continue
-            names.update(_referenced(ast.parse(path.read_text("utf-8"))))
-    ci = repo / ".github" / "workflows" / "ci.yml"
-    if ci.exists():
-        names.update(re.findall(r"[A-Za-z_]\w*", ci.read_text("utf-8")))
+    """Names read by what is not a test: benches, examples, CI and the
+    scripts it runs, the README's python blocks and the console script."""
+    ci, scripts = ci_scripts(repo)
+    names = set(re.findall(r"[A-Za-z_]\w*", ci))
+    for path in scripts + [
+        path
+        for directory in READER_DIRS
+        for path in sorted((repo / directory).rglob("*.py"))
+        if not path.name.startswith("test_")
+    ]:
+        names.update(_referenced(ast.parse(path.read_text("utf-8"))))
     readme = (repo / "README.md").read_text("utf-8")
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         names.update(_referenced(ast.parse(block)))
@@ -642,6 +650,22 @@ def test_census_reports_a_planted_module_name_and_member(tmp_path):
     }
     assert set(members) == {("repro.smr.log", "PlantedHost", "planted_member")}
 
+    # A script ``ci.yml`` runs reads; a test file reads nothing, run by CI or not.
+    repo = tmp_path / "repo"
+    (repo / ".github" / "workflows").mkdir(parents=True)
+    (repo / "tests").mkdir()
+    (repo / ".github" / "workflows" / "ci.yml").write_text(
+        "run: python tests/cells.py a\nrun: python tests/test_cells.py\nrun: python -m pytest\n"
+    )
+    (repo / "tests" / "cells.py").write_text("from repro.smr.log import by_cells\nby_cells()\n")
+    for test in ("test_cells.py", "test_log.py"):
+        (repo / "tests" / test).write_text("from repro.smr.log import by_test\nby_test()\n")
+    (repo / "README.md").write_text("")
+    (repo / "pyproject.toml").write_text("")
+    sources = {"repro.smr.log": "def by_cells():\n    pass\n\n\ndef by_test():\n    pass\n"}
+    found = unread_names(sources, set(sources), outside_readers(repo))
+    assert set(found) == {("repro.smr.log", "by_test")}
+
 
 def test_every_module_is_reachable():
     sources, reached, _names, _members = census()
@@ -693,11 +717,8 @@ def option_setters(repo: Path = REPO) -> str:
     """The text an option counts as set in: ``ci.yml`` and the repo scripts
     it runs, every non-test script under ``READER_DIRS``, and every fenced
     block of the README."""
-    ci = (repo / ".github" / "workflows" / "ci.yml").read_text("utf-8")
-    texts = [ci]
-    for script in sorted(set(re.findall(r"python3? ([\w/]+\.py)", ci))):
-        if (repo / script).is_file():
-            texts.append((repo / script).read_text("utf-8"))
+    ci, scripts = ci_scripts(repo)
+    texts = [ci] + [script.read_text("utf-8") for script in scripts]
     for directory in READER_DIRS:
         for path in sorted((repo / directory).rglob("*.py")):
             if not path.name.startswith("test_"):
