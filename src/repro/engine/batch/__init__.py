@@ -35,7 +35,10 @@ template-build time and demoted (never fudged) when unprovable:
   edges)`` admission mask, their latency blocks concatenated and held
   against the round deadline in one compare, and the edge mask scattered
   into the ``(B, n, n)`` mask with one fancy index; a round that draws
-  nothing is delivered once per cell.  Everything else — payloads,
+  nothing is delivered once per cell.  Latencies are drawn only up to the
+  cell's *cutoff*, the last round in which one can miss its deadline
+  (pre-GST, or post-GST where the largest draw, clamped to δ, overshoots
+  it in float); every later round delivers what it admits.  Everything else — payloads,
   suggestion sets, validator sets, edge lists, wall-clock windows,
   zero-draw rounds — is a per-cell template shared by all runs.
   Byzantine payloads overlay the honest state per ``(dest, sender)``: the
@@ -56,13 +59,15 @@ same coordinate-derived seed** — never a shared batch stream, never a
 re-partitioned one:
 
 * *timed*: the network stream of run *b* is seeded ``seed_b``, and the
-  policy/filter stream of run *b* is an independent generator also seeded
-  ``seed_b`` — precisely the two streams scalar compilation builds.  Per
-  round: the bad-round rule's coins first (policy stream), then one
-  latency block for the run's admitted edges, tested against the round
-  deadline (network stream) — the block of run *b* sits at *b*'s place in
-  the live runs' concatenation, so the one compare settles every run with
-  its own draws;
+  policy/filter stream of run *b* is a second generator also seeded
+  ``seed_b`` — precisely the two streams scalar compilation builds (one
+  sequence, read at two offsets).  Per round: the bad-round rule's coins
+  first (policy stream), then, up to the cutoff, one latency block for
+  the run's admitted edges, tested against the round deadline (network
+  stream) — the block of run *b* sits at *b*'s place in the live runs'
+  concatenation, so the one compare settles every run with its own
+  draws.  Only that compare reads the network stream, so a cell whose
+  cutoff is 0 never builds it;
 * *lockstep*: one policy stream per run, seeded ``seed_b`` — no network
   stream, no deadline.  A bad round of a coin-drawing comm
   (``CommSpec.draws_coins()``: ``lossy``, ``good-bad``/``drop``) draws one

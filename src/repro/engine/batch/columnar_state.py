@@ -16,7 +16,9 @@ itself* into arrays for cells the planner proved eligible
   per run mirror the one timed sweep
   (:meth:`TimedScheduler._deliver_fast`) — the round's edge rule, then one
   batched latency draw over the admitted edges — draw for draw, every
-  live run settled by the same array step.
+  live run settled by the same array step.  Past the cell's cutoff, the
+  last round in which a latency can miss its deadline, the sweep draws
+  nothing: every admitted edge arrives.
   *Lockstep*: one policy stream per run mirrors
   :func:`~repro.rounds.policies.random_drop_behavior` under
   :func:`~repro.rounds.policies.filtered_delivery` — one coin per edge
@@ -137,8 +139,9 @@ class _RoundTemplate:
         # round draws, and ``admit_base`` (edge order) is what its rule
         # admits before any coin, ``use_coins`` whether coins flip the
         # ``coin_idx`` edges.  Timed only: the wall-clock window, and the
-        # verdict ``arrives`` of constant post-GST transits (``None`` where
-        # the deadline sweep draws one latency per admitted edge).
+        # verdict ``arrives`` of constant post-GST transits or of any round
+        # past the cutoff (``None`` where the deadline sweep draws one
+        # latency per admitted edge).
         "flat",
         "fixed",
         "admit_base",
@@ -234,6 +237,22 @@ class CellProgram:
         self.post_gst_transit = t.post_gst_transit
         # As in PartialSynchronyNetwork: every sample is already ≤ δ.
         self.clamp_free = t.max_latency <= t.delta
+        # ``top`` is ``_transits`` at u → 1; rounding is monotone, so no
+        # post-GST draw exceeds it.  ``cutoff`` is the last round where a
+        # latency can miss its deadline (pre-GST, or ``top`` overshoots):
+        # later rounds draw none, and the draws before are unchanged.
+        top = self.low + (self.high - self.low)
+        if not self.clamp_free:
+            top = min(top, self.delta)
+        self.cutoff = 0
+        self.starts = []  # the scalar clock: round r starts at starts[r - 1]
+        now = 0.0
+        for number in range(1, self.max_rounds + 1):
+            self.starts.append(now)
+            deadline = now + self.round_duration
+            if now < self.gst or not (self.fixed_latency or now + top <= deadline):
+                self.cutoff = number
+            now = deadline
 
     # ---------------------------------------------------------- templates
 
@@ -308,16 +327,12 @@ class CellProgram:
         self.initial_codes = {
             pid: self.code[value] for pid, value in self.initial_values.items()
         }
-        self.templates: Dict[int, _RoundTemplate] = {}
-
-    def template(self, number: int) -> _RoundTemplate:
-        """Round ``number``'s template, built when the first run reaches it."""
-        rt = self.templates.get(number)
-        if rt is None:
-            rt = self.templates[number] = self._build_template(number)
-        return rt
+        #: ``(e_send, e_dest, flat, coin_idx)`` per outbound shape: most
+        #: rounds repeat an earlier round's edges.
+        self.edges: Dict[tuple, tuple] = {}
 
     def _build_template(self, number: int) -> _RoundTemplate:
+        """Round ``number``'s template, built when the live runs reach it."""
         np = self.np
         n = self.n
         info = self.structure.info(number)
@@ -365,18 +380,17 @@ class CellProgram:
                 outbound[sender] = {}
             else:
                 outbound[sender] = everyone
-        senders: List[int] = []
-        dests: List[int] = []
-        for sender, out in outbound.items():
-            senders.extend([sender] * len(out))
-            dests.extend(out)
-        rt.e_send = np.asarray(senders, dtype=np.intp)
-        rt.e_dest = np.asarray(dests, dtype=np.intp)
-        rt.sent = len(senders)
-        rt.flat = rt.e_dest * n + rt.e_send
-        # Which edges consume one policy coin in a coin round: the rule is
-        # never asked about Byzantine receivers, which draw none.
-        rt.coin_idx = np.nonzero(~self.byz_col[rt.e_dest])[0]
+        shape = tuple(map(tuple, outbound.values()))
+        edges = self.edges.get(shape)
+        if edges is None:
+            e_send = np.repeat(np.arange(n, dtype=np.intp), list(map(len, shape)))
+            e_dest = np.asarray([d for out in shape for d in out], dtype=np.intp)
+            # Which edges consume one policy coin in a coin round: the rule
+            # is never asked about Byzantine receivers, which draw none.
+            coin_idx = np.nonzero(~self.byz_col[e_dest])[0]
+            edges = self.edges[shape] = (e_send, e_dest, e_dest * n + e_send, coin_idx)
+        rt.e_send, rt.e_dest, rt.flat, rt.coin_idx = edges
+        rt.sent = rt.e_send.size
 
         matrix = None
         if self.lockstep:
@@ -512,23 +526,20 @@ class CellProgram:
         The wall clock is run-invariant (every run accumulates the same
         ``deadline = now + round_duration`` float sequence), and so is a
         bad round's admission base — only the per-edge drop coins differ
-        between runs.  A round that then draws nothing (no coins, and
-        post-GST constant transits or no admitted edge) is delivered here
-        once for all runs; in any other, :meth:`_deliver` draws every live
-        run's coins and latencies and settles all of them with one
-        deadline compare.
+        between runs.  A round that then draws nothing (no coins, and a
+        run-invariant transit verdict or no admitted edge) is delivered
+        here once for all runs; in any other, :meth:`_deliver` draws every
+        live run's coins and, up to the cutoff, latencies, and settles all
+        of them with one deadline compare.
         """
         np = self.np
-        # Same float accumulation as the scalar scheduler: the round's
-        # start is the previous round's deadline.
-        now = 0.0
-        for _ in range(rt.number - 1):
-            now = now + self.round_duration
-        rt.now = now
+        rt.now = now = self.starts[rt.number - 1]
         rt.deadline = now + self.round_duration
         rt.pre_gst = now < self.gst
         constant = None if rt.pre_gst else self.post_gst_transit
         rt.arrives = None if constant is None else now + constant <= rt.deadline
+        if rt.arrives is None and rt.number > self.cutoff:
+            rt.arrives = True  # no draw can miss this deadline
 
         byz_dest = self.byz_col[rt.e_dest]
         rt.use_coins = False
@@ -595,11 +606,11 @@ class CellProgram:
         ``mask`` is ``(B, n, n)`` dest-major (rows of finished runs are
         don't-cares); the counts are per live run, or run-invariant ints.
         ``streams`` is ``(policy, network)``, one stream per run each (no
-        network under lockstep).  A drawing round is one array step over
-        the live runs: each run's coins from its own policy stream,
-        stacked; under the timed engine each run's latency block from its
-        own network stream, all of them against the deadline in one
-        compare.  Per stream the draws are the scalar scheduler's, in its
+        network under lockstep or a cutoff of 0).  A drawing round is one
+        array step over the live runs: each run's coins from its own
+        policy stream, stacked; up to the cutoff, each run's latency block
+        from its own network stream, all of them against the deadline in
+        one compare.  Per stream the draws are the scalar scheduler's, in its
         order — the filter's coins, then the deadline sweep's latencies.
         """
         np = self.np
@@ -612,9 +623,12 @@ class CellProgram:
         on = np.broadcast_to(rt.admit_base, (live.size, rt.sent))
         if rt.use_coins:
             k = int(rt.coin_idx.size)
-            coins = policy.block(live, k)
-            on = on.copy()
-            on[:, rt.coin_idx] = coins >= self.drop_prob
+            coins = policy.block(live, k) >= self.drop_prob
+            if k == rt.sent:  # every edge flips a coin
+                on = coins
+            else:
+                on = on.copy()
+                on[:, rt.coin_idx] = coins
         if rt.arrives is None:
             admitted = on
             on = np.zeros(admitted.shape, dtype=bool)
@@ -622,10 +636,9 @@ class CellProgram:
             on[admitted] = rt.now + transits <= rt.deadline
         elif not rt.arrives:
             on = np.zeros_like(on)
-        edges = np.zeros((B, rt.sent), dtype=bool)
-        edges[live] = on
         deliv = np.zeros((B, n * n), dtype=bool)
-        deliv[:, rt.flat] = edges
+        rows = slice(None) if live.size == B else live[:, None]
+        deliv[rows, rt.flat] = on
         got = on.sum(axis=1)
         return deliv.reshape(B, n, n), got, rt.sent - got
 
@@ -643,9 +656,12 @@ class CellProgram:
         honest_col = self.honest_col
 
         # Per run, streams seeded with the run seed exactly as scalar
-        # compilation builds them: the policy stream alone under lockstep,
-        # a network stream and an independent policy stream when timed.
-        streams = (StreamSet(np, seeds), None if self.lockstep else StreamSet(np, seeds))
+        # compilation builds them: the policy stream, and when timed a
+        # second ``random.Random(seed)`` for the network — the same
+        # sequence, read at its own offset — unless no round draws a
+        # latency.
+        network = None if self.lockstep or not self.cutoff else StreamSet(np, seeds)
+        streams = (StreamSet(np, seeds), network)
         vote = np.zeros((B, n), dtype=np.int64)
         ts = np.zeros((B, n), dtype=np.int64)
         selected = np.full((B, n), NULL_CODE, dtype=np.int64)
@@ -674,7 +690,7 @@ class CellProgram:
         for number in range(1, self.max_rounds + 1):
             if not active.any():
                 break
-            rt = self.template(number)
+            rt = self._build_template(number)
             deliv, arrived, lost = self._deliver(
                 rt, streams, np.nonzero(active)[0]
             )

@@ -258,7 +258,7 @@ def test_columnar_state_transits_match_per_message_stream(kind):
     for gst, send_time, delta in [(0.0, 0.0, 2.0), (30.0, 2.5, 2.0),
                                   (30.0, 30.0, 2.0), (0.0, 0.0, 1.2)]:
         spec = NetworkSpec(kind=kind, gst=gst, delta=delta)
-        program = SimpleNamespace(np=np, timing=spec)
+        program = SimpleNamespace(np=np, timing=spec, max_rounds=1)
         CellProgram._compile_timing(program)
         stream = StreamSet(np, [5])
         serial = spec.build(5)

@@ -8,8 +8,8 @@ The two contracts that live below the CLI — the engines' round model and
 the comm-kind normal form — run their arms through ``run_instance`` /
 ``run_scenario``, one named case at a time.  A :class:`Grid` pins the last line ``campaign plan``
 prints for it and the SHA-256 of each output, so a drift every arm shares
-is caught too.  Each equivalence carries one test-only mutation of the code
-under test that it must catch.
+is caught too.  Each equivalence carries at least one test-only mutation of
+the code under test that it must catch.
 
 Run as a script, every equivalence runs on its full grids, one SHA-256 is
 printed per output and the exit status is 1 on the first difference::
@@ -85,7 +85,9 @@ class Equivalence:
     small: Tuple[str, ...]  # what tier-1 runs
     mutation: Callable[[], ContextManager]  # what it must catch ...
     control: str  # ... on this grid, at --workers 1
-    numpy: bool = False  # the mutation lives on the numpy path
+    numpy: bool = False  # the mutations live on the numpy path
+    #: Further ``(mutation, control grid)`` pairs it must catch.
+    more: Tuple[Tuple[Callable[[], ContextManager], str], ...] = ()
 
 
 # ------------------------------------------------------------------ grids
@@ -350,11 +352,11 @@ def _max_code_tie_break():
         yield
 
 
-def _skipped_draw():
-    """Every draw of the numpy stream set starts one draw late."""
+def _late(*draws):
+    """Each named draw method of the numpy stream set starts one draw late."""
     from repro.utils.accel import StreamSet
 
-    block, ragged = StreamSet.block, StreamSet.ragged
+    ragged = StreamSet.ragged
 
     def late(draw):
         def skipping(self, rows, count):
@@ -363,7 +365,19 @@ def _skipped_draw():
 
         return skipping
 
-    return mock.patch.multiple(StreamSet, block=late(block), ragged=late(ragged))
+    return mock.patch.multiple(
+        StreamSet, **{name: late(getattr(StreamSet, name)) for name in draws}
+    )
+
+
+def _skipped_draw():
+    """Every draw of the numpy stream set starts one draw late."""
+    return _late("block", "ragged")
+
+
+def _skipped_latency():
+    """Every ragged draw — each latency block — starts one draw late."""
+    return _late("ragged")
 
 
 def _uncanonical_fast_sweep():
@@ -483,6 +497,9 @@ EQUIVALENCES: Tuple[Equivalence, ...] = (
         (DEFAULT, Arm("no-numpy", env=(("REPRO_NO_NUMPY", "1"),))),
         CAMPAIGN_GRIDS, ("groups", "byz-forced"),
         _skipped_draw, "groups", numpy=True,
+        # ``groups`` draws coins but, at default timing, no latency: the
+        # latency path needs a grid whose pre-GST draws decide deliveries.
+        more=((_skipped_latency, "latency-gst"),),
     ),
     Equivalence(
         "heap",

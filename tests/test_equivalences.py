@@ -29,12 +29,24 @@ def test_equivalence_holds_on_its_small_grid(entry, grid, arm, case, tmp_path):
     assert list(table.check(entry, table.GRIDS[grid], tmp_path, MEMO, arm, case))
 
 
-@pytest.mark.parametrize("entry", table.EQUIVALENCES, ids=lambda entry: entry.name)
-def test_mutation_is_caught(entry, tmp_path):
+MUTATIONS = [
+    pytest.param(
+        entry, mutation, control,
+        id=entry.name if index == 0 else f"{entry.name}-{mutation.__name__.strip('_')}",
+    )
+    for entry in table.EQUIVALENCES
+    for index, (mutation, control) in enumerate(
+        ((entry.mutation, entry.control),) + entry.more
+    )
+]
+
+
+@pytest.mark.parametrize("entry, mutation, control", MUTATIONS)
+def test_mutation_is_caught(entry, mutation, control, tmp_path):
     if entry.numpy and get_numpy() is None:
         pytest.skip("the mutated path runs only with numpy")
-    with entry.mutation():
-        found = table.outputs(entry, table.GRIDS[entry.control], tmp_path, workers=1)
+    with mutation():
+        found = table.outputs(entry, table.GRIDS[control], tmp_path, workers=1)
     assert any(output != found[0][1] for _arm, output in found)
 
 
