@@ -35,10 +35,10 @@ template-build time and demoted (never fudged) when unprovable:
   edges)`` admission mask, their latency blocks concatenated and held
   against the round deadline in one compare, and the edge mask scattered
   into the ``(B, n, n)`` mask with one fancy index; a round that draws
-  nothing is delivered once per cell.  Latencies are drawn only up to the
-  cell's *cutoff*, the last round in which one can miss its deadline
-  (pre-GST, or post-GST where the largest draw, clamped to δ, overshoots
-  it in float); every later round delivers what it admits.  Everything else — payloads,
+  nothing is delivered once per cell.  Latencies are drawn only in the
+  rounds whose deadline :meth:`~repro.eventsim.network.NetworkSpec.arrives`
+  leaves to the draws (``None``), as the scalar sweep draws them; every
+  other round delivers what it admits, or nothing.  Everything else — payloads,
   suggestion sets, validator sets, edge lists, wall-clock windows,
   zero-draw rounds — is a per-cell template shared by all runs.
   Byzantine payloads overlay the honest state per ``(dest, sender)``: the
@@ -62,12 +62,12 @@ re-partitioned one:
   policy/filter stream of run *b* is a second generator also seeded
   ``seed_b`` — precisely the two streams scalar compilation builds (one
   sequence, read at two offsets).  Per round: the bad-round rule's coins
-  first (policy stream), then, up to the cutoff, one latency block for
-  the run's admitted edges, tested against the round deadline (network
-  stream) — the block of run *b* sits at *b*'s place in the live runs'
-  concatenation, so the one compare settles every run with its own
-  draws.  Only that compare reads the network stream, so a cell whose
-  cutoff is 0 never builds it;
+  first (policy stream), then, where the deadline rule says ``None``, one
+  latency block for the run's admitted edges, tested against the round
+  deadline (network stream) — the block of run *b* sits at *b*'s place in
+  the live runs' concatenation, so the one compare settles every run with
+  its own draws.  Only that compare reads the network stream, so a cell none of
+  whose rounds draws never builds it;
 * *lockstep*: one policy stream per run, seeded ``seed_b`` — no network
   stream, no deadline.  A bad round of a coin-drawing comm
   (``CommSpec.draws_coins()``: ``lossy``, ``good-bad``/``drop``) draws one

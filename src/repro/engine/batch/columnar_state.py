@@ -16,9 +16,10 @@ itself* into arrays for cells the planner proved eligible
   per run mirror the one timed sweep
   (:meth:`TimedScheduler._deliver_fast`) — the round's edge rule, then one
   batched latency draw over the admitted edges — draw for draw, every
-  live run settled by the same array step.  Past the cell's cutoff, the
-  last round in which a latency can miss its deadline, the sweep draws
-  nothing: every admitted edge arrives.
+  live run settled by the same array step.  A round whose deadline
+  :meth:`~repro.eventsim.network.NetworkSpec.arrives` settles draws no
+  latency, as the scalar sweep draws none: every admitted edge arrives,
+  or none does.
   *Lockstep*: one policy stream per run mirrors
   :func:`~repro.rounds.policies.random_drop_behavior` under
   :func:`~repro.rounds.policies.filtered_delivery` — one coin per edge
@@ -60,6 +61,7 @@ against.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Sequence
 
 from repro.core.columnar import (
@@ -138,10 +140,9 @@ class _RoundTemplate:
         # zero-draw round ``(mask, delivered, dropped)``, else ``None``: the
         # round draws, and ``admit_base`` (edge order) is what its rule
         # admits before any coin, ``use_coins`` whether coins flip the
-        # ``coin_idx`` edges.  Timed only: the wall-clock window, and the
-        # verdict ``arrives`` of constant post-GST transits or of any round
-        # past the cutoff (``None`` where the deadline sweep draws one
-        # latency per admitted edge).
+        # ``coin_idx`` edges.  Timed only: the wall-clock window, and
+        # ``NetworkSpec.arrives`` of its start (``None`` where the deadline
+        # sweep draws one latency per admitted edge).
         "flat",
         "fixed",
         "admit_base",
@@ -214,8 +215,13 @@ class CellProgram:
         #: Bad rounds flip loss coins; any other bad behaviour is a
         #: run-invariant edge rule.
         self.coins = comm.draws_coins()
-        if not self.lockstep:
-            self._compile_timing()
+        #: The scalar clock, timed only: round r starts at ``starts[r - 1]``.
+        duration = self.timing.round_duration
+        self.starts = [] if self.lockstep else list(
+            accumulate([duration] * (self.max_rounds - 1), initial=0.0)
+        )
+        #: Whether some round leaves its deadline to the latency draws.
+        self.draws = any(self.timing.arrives(now) is None for now in self.starts)
         self._compile_payloads()
 
     # ------------------------------------------------------------ filters
@@ -223,36 +229,6 @@ class CellProgram:
     def _coin_round(self, number: int) -> bool:
         """One loss coin per honest-bound edge: a coin comm's bad rounds."""
         return self.coins and not self.is_good(number)
-
-    def _compile_timing(self) -> None:
-        t = self.timing
-        self.gst = t.gst
-        self.delta = t.delta
-        self.pre_prob = t.pre_gst_delay_prob
-        self.chaos = t.chaos_factor
-        self.round_duration = t.round_duration
-        self.low = t.low
-        self.high = t.high
-        self.fixed_latency = t.kind == "fixed"
-        self.post_gst_transit = t.post_gst_transit
-        # As in PartialSynchronyNetwork: every sample is already ≤ δ.
-        self.clamp_free = t.max_latency <= t.delta
-        # ``top`` is ``_transits`` at u → 1; rounding is monotone, so no
-        # post-GST draw exceeds it.  ``cutoff`` is the last round where a
-        # latency can miss its deadline (pre-GST, or ``top`` overshoots):
-        # later rounds draw none, and the draws before are unchanged.
-        top = self.low + (self.high - self.low)
-        if not self.clamp_free:
-            top = min(top, self.delta)
-        self.cutoff = 0
-        self.starts = []  # the scalar clock: round r starts at starts[r - 1]
-        now = 0.0
-        for number in range(1, self.max_rounds + 1):
-            self.starts.append(now)
-            deadline = now + self.round_duration
-            if now < self.gst or not (self.fixed_latency or now + top <= deadline):
-                self.cutoff = number
-            now = deadline
 
     # ---------------------------------------------------------- templates
 
@@ -529,17 +505,14 @@ class CellProgram:
         between runs.  A round that then draws nothing (no coins, and a
         run-invariant transit verdict or no admitted edge) is delivered
         here once for all runs; in any other, :meth:`_deliver` draws every
-        live run's coins and, up to the cutoff, latencies, and settles all
-        of them with one deadline compare.
+        live run's coins and, where the deadline rule says ``None``,
+        latencies, and settles all of them with one deadline compare.
         """
         np = self.np
         rt.now = now = self.starts[rt.number - 1]
-        rt.deadline = now + self.round_duration
-        rt.pre_gst = now < self.gst
-        constant = None if rt.pre_gst else self.post_gst_transit
-        rt.arrives = None if constant is None else now + constant <= rt.deadline
-        if rt.arrives is None and rt.number > self.cutoff:
-            rt.arrives = True  # no draw can miss this deadline
+        rt.deadline = now + self.timing.round_duration
+        rt.pre_gst = now < self.timing.gst
+        rt.arrives = self.timing.arrives(now)
 
         byz_dest = self.byz_col[rt.e_dest]
         rt.use_coins = False
@@ -584,20 +557,21 @@ class CellProgram:
         even length, so the pairs stay aligned across the concatenation.
         """
         np = self.np
-        pairs = rt.pre_gst and not self.fixed_latency
+        t = self.timing
+        low, span = t.low, t.high - t.low
+        pairs = rt.pre_gst and t.kind == "uniform"
         draws = network.ragged(live, 2 * counts if pairs else counts)
         if not rt.pre_gst:
-            transits = self.low + (self.high - self.low) * draws
-            if not self.clamp_free:
-                transits = np.minimum(transits, self.delta)
+            transits = low + span * draws
+            if t.max_latency > t.delta:  # as in PartialSynchronyNetwork
+                transits = np.minimum(transits, t.delta)
             return transits
+        chaos, prob = t.chaos_factor, t.pre_gst_delay_prob
         if not pairs:
-            return np.where(
-                draws < self.pre_prob, self.low * self.chaos, self.low
-            )
-        bases = self.low + (self.high - self.low) * draws[0::2]
+            return np.where(draws < prob, low * chaos, low)
+        bases = low + span * draws[0::2]
         # ``x * 1.0`` is ``x``: the delayed ones alone change, by ``* chaos``.
-        bases *= np.where(draws[1::2] < self.pre_prob, self.chaos, 1.0)
+        bases *= np.where(draws[1::2] < prob, chaos, 1.0)
         return bases
 
     def _deliver(self, rt: _RoundTemplate, streams, live):
@@ -606,12 +580,13 @@ class CellProgram:
         ``mask`` is ``(B, n, n)`` dest-major (rows of finished runs are
         don't-cares); the counts are per live run, or run-invariant ints.
         ``streams`` is ``(policy, network)``, one stream per run each (no
-        network under lockstep or a cutoff of 0).  A drawing round is one
+        network when no round draws a latency).  A drawing round is one
         array step over the live runs: each run's coins from its own
-        policy stream, stacked; up to the cutoff, each run's latency block
-        from its own network stream, all of them against the deadline in
-        one compare.  Per stream the draws are the scalar scheduler's, in its
-        order — the filter's coins, then the deadline sweep's latencies.
+        policy stream, stacked; where the deadline rule says ``None``, each
+        run's latency block from its own network stream, all of them
+        against the deadline in one compare.  Per stream the draws are the
+        scalar scheduler's, in its order — the filter's coins, then the
+        deadline sweep's latencies.
         """
         np = self.np
         n = self.n
@@ -660,7 +635,7 @@ class CellProgram:
         # second ``random.Random(seed)`` for the network — the same
         # sequence, read at its own offset — unless no round draws a
         # latency.
-        network = None if self.lockstep or not self.cutoff else StreamSet(np, seeds)
+        network = StreamSet(np, seeds) if self.draws else None
         streams = (StreamSet(np, seeds), network)
         vote = np.zeros((B, n), dtype=np.int64)
         ts = np.zeros((B, n), dtype=np.int64)

@@ -62,7 +62,6 @@ from repro.core.selector import (
 )
 from repro.engine.cell import RunSpec, admit
 from repro.engine.scheduler import SLOW_SCHEDULER_ENV
-from repro.eventsim.network import NetworkSpec
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -113,19 +112,6 @@ class BatchPlan:
 
     mode: str
     reason: str
-
-
-def _timed_delivery_deterministic(timing: NetworkSpec) -> bool:
-    """True when no timed latency draw can ever miss a round deadline.
-
-    With GST at time 0 every sample is clamped to δ, so when
-    ``min(max_latency, δ) ≤ Δ`` the deadline test passes for every possible
-    draw — delivery (and therefore the outcome) is independent of the
-    latency stream, even though the stream is still consumed.
-    """
-    if timing.gst > 0:
-        return False
-    return min(timing.max_latency, timing.delta) <= timing.round_duration
 
 
 def columnar_state_blockers(
@@ -223,7 +209,10 @@ def plan_cell(
     if comm_det and engine == "lockstep":
         return BatchPlan(MODE_REPLICATE, "deterministic lockstep delivery")
     if engine == "timed":
-        if comm_det and _timed_delivery_deterministic(scenario.timing):
+        # GST at 0 and no draw can miss: every round delivers whatever the
+        # latency stream would say.
+        timing = scenario.timing
+        if comm_det and timing.gst <= 0 and timing.arrives(0.0):
             return BatchPlan(
                 MODE_REPLICATE, "timed delivery cannot miss a deadline"
             )

@@ -30,13 +30,17 @@ admits every edge.
 Within one round every ``(sender, dest)`` edge carries at most one message,
 so the delivery matrix is independent of arrival order: the timed scheduler
 therefore delivers a round in one sweep — collect the admitted edges, draw
-their latencies in one batched call in exactly the sender-major, dest-minor
-order the historical heap path used (so seeded runs are unchanged), compare
-each against the deadline — O(m) per round, no event heap.  Set
+their latencies in one batched call in the sender-major, dest-minor order
+the historical heap path used, compare each against the deadline — O(m)
+per round, no event heap.  A round in which
+:meth:`~repro.eventsim.network.NetworkSpec.arrives` settles every deadline
+draws nothing, and no later round draws again, so the sweep's stream is a
+prefix of the heap path's and seeded runs are unchanged.  Set
 ``REPRO_SLOW_SCHEDULER=1`` to force the legacy
-:class:`~repro.eventsim.events.EventQueue` push/pop path (the identity
-suite diffs the two); ``eventsim`` users that genuinely need ordered
-arrival keep using :class:`EventQueue` directly.
+:class:`~repro.eventsim.events.EventQueue` push/pop path, which draws every
+latency and never reads that rule (the identity suite diffs the two);
+``eventsim`` users that genuinely need ordered arrival keep using
+:class:`EventQueue` directly.
 
 Every scheduler inherits the no-impersonation guarantee from the outbound
 matrix it receives: a payload delivered as coming from ``q`` was produced
@@ -94,8 +98,9 @@ class RoundScheduler(abc.ABC):
 
     A scheduler may carry per-run state (the timed scheduler tracks the
     simulated clock and in-flight messages); the kernel calls :meth:`reset`
-    when it binds a scheduler, so one scheduler object can safely be reused
-    across runs.
+    when it binds a scheduler, which clears that state.  Randomness it was
+    given is not rewound: a reused scheduler's next run reads on where the
+    last one stopped (see :meth:`TimedScheduler.reset`).
     """
 
     #: Bound instrumentation registry, or ``None`` (the un-instrumented hot
@@ -201,7 +206,13 @@ class TimedScheduler(RoundScheduler):
         self._now = 0.0
 
     def reset(self) -> None:
-        """Rewind the clock and drop in-flight messages (new run)."""
+        """Rewind the clock and drop in-flight messages (new run).
+
+        The network's stream is not rewound: a second run reads on from
+        where the first stopped, and where that is depends on the path — the
+        sweep stops drawing once the deadline rule settles, the heap path
+        never does.  Build a fresh network per run for seeded results.
+        """
         if self._queue is not None:
             self._queue.clear()
         self._now = 0.0
@@ -243,10 +254,11 @@ class TimedScheduler(RoundScheduler):
         matrix does not depend on arrival order and the deadline test
         decides delivery directly — no heap.  The admitted ``(sender, dest,
         payload)`` records are collected in sender-major, dest-minor order
-        and batched through one ``sample_round`` call: draw for draw the
-        order of the heap path.  Communication closure applies to every
-        receiver, Byzantine included: a message missing its deadline is
-        dropped.
+        and batched through one ``sample_round`` call, unless the spec's
+        :meth:`~repro.eventsim.network.NetworkSpec.arrives` settles the
+        round without a draw: the draws are a prefix of the heap path's.
+        Communication closure applies to every receiver, Byzantine
+        included: a message missing its deadline is dropped.
         """
         now = self._now
         dropped = 0
@@ -271,14 +283,13 @@ class TimedScheduler(RoundScheduler):
 
         matrix: DeliveryMatrix = {}
         setdefault = matrix.setdefault
-        constant = self._network.constant_transit(now)
-        if constant is not None:
-            # Post-GST fixed latency: zero RNG draws, one test.
-            if now + constant <= deadline:
-                for sender, dest, payload in pending:
-                    setdefault(dest, {})[sender] = payload
-            else:
-                dropped += len(pending)
+        arrives = self._network.spec.arrives(now)
+        if arrives:
+            # No latency can miss: zero RNG draws.
+            for sender, dest, payload in pending:
+                setdefault(dest, {})[sender] = payload
+        elif arrives is not None:
+            dropped += len(pending)
         elif pending:
             tel = self._telemetry
             with _NO_SPAN if tel is None else tel.span("network.sample"):

@@ -77,11 +77,27 @@ class NetworkSpec:
         """The largest latency the model can draw."""
         return self.low if self.kind == "fixed" else self.high
 
-    @property
-    def post_gst_transit(self) -> Optional[float]:
-        """The transit of every message sent from GST on, when that is one
-        constant requiring zero RNG draws (the fixed model); else ``None``."""
-        return min(self.low, self.delta) if self.kind == "fixed" else None
+    def arrives(self, now: float) -> Optional[bool]:
+        """Does every message sent at ``now`` meet the deadline ``now + Δ``?
+
+        ``True`` when every one does, ``False`` when none does, whatever the
+        stream draws; ``None`` when only the draws can tell — every pre-GST
+        round.  From GST on a fixed latency is one compare in the round's
+        own floats.  A uniform one is settled by ``top``, the draw at u → 1
+        clamped as the draws are: rounding is monotone, so no draw exceeds
+        it, and ``top ≤ Δ`` meets every round's deadline.  That answer must
+        not depend on the round: a scheduler that stops drawing where the
+        rule settles must never meet a later round that draws, or its
+        stream would fall out of step with the per-message draws.
+        """
+        if now < self.gst:
+            return None
+        if self.kind == "fixed":
+            return now + min(self.low, self.delta) <= now + self.round_duration
+        top = self.low + (self.high - self.low)
+        if self.high > self.delta:
+            top = min(top, self.delta)
+        return True if top <= self.round_duration else None
 
     def build(self, seed: int) -> PartialSynchronyNetwork:
         """Instantiate the timed network with a per-run RNG stream."""
@@ -126,7 +142,6 @@ class PartialSynchronyNetwork:
         self._delta = spec.delta
         self._delay_prob = spec.pre_gst_delay_prob
         self._chaos = spec.chaos_factor
-        self._constant = spec.post_gst_transit
         # Every sample is already ≤ δ: the post-GST clamp is a no-op.
         self._clamp_free = spec.max_latency <= spec.delta
 
@@ -141,16 +156,6 @@ class PartialSynchronyNetwork:
         if rand() < self._delay_prob:
             return base * self._chaos
         return base
-
-    def constant_transit(self, send_time: float) -> Optional[float]:
-        """The transit every message sent at ``send_time`` experiences, when
-        that is one constant requiring zero RNG draws; ``None`` otherwise.
-
-        Only the post-GST fixed model qualifies: it never touches the
-        stream, so short-circuiting it leaves every later draw of the run
-        untouched.
-        """
-        return self._constant if send_time >= self._gst else None
 
     def sample_round(
         self, send_time: float, edges: Sequence[Edge]

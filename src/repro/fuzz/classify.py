@@ -221,10 +221,12 @@ def liveness_eligible(candidate: FuzzCandidate, *, randomized: bool) -> bool:
     """Would a stalled run under this candidate be a *finding*?
 
     Only scenarios whose communication is eventually good, whose timed
-    network delivers within the round after GST, and whose phase budget
-    covers the bad prefix make a missing decision evidence of a liveness
-    violation.  Randomized algorithms are never eligible: their
-    termination is probabilistic, so a fixed horizon can stall honestly.
+    network delivers every message within its round from GST on
+    (:meth:`~repro.eventsim.network.NetworkSpec.arrives` is ``True``), and
+    whose phase budget covers the bad prefix make a missing decision
+    evidence of a liveness violation.  Randomized algorithms are never
+    eligible: their termination is probabilistic, so a fixed horizon can
+    stall honestly.
     """
     if randomized:
         return False
@@ -232,10 +234,8 @@ def liveness_eligible(candidate: FuzzCandidate, *, randomized: bool) -> bool:
     comm = scenario.comm
     if not comm.eventually_good():
         return False
-    if candidate.engine == "timed":
-        timing = scenario.timing
-        if timing.delta > timing.round_duration:
-            return False
+    if candidate.engine == "timed" and not scenario.timing.arrives(scenario.timing.gst):
+        return False
     return candidate.max_phases >= suggest_phases(
         comm, scenario.timing, candidate.engine
     )

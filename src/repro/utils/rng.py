@@ -1,9 +1,13 @@
-"""Seeded randomness with per-consumer independent streams.
+"""Seeded randomness with named, independent streams.
 
-Simulation components (adversaries, latency models, randomized consensus
-coins) each derive an independent ``random.Random`` stream from a single run
-seed so that (a) whole runs are reproducible from one integer and (b) adding a
-new consumer does not perturb the streams of existing consumers.
+:class:`SeededRng` derives one ``random.Random`` per name and scope from a
+single seed, so that (a) a run is reproducible from one integer and (b)
+adding a consumer does not perturb the streams of the others.  Only the
+randomized consensus coins (:mod:`repro.core.randomized`) draw from it.  A
+scenario's delivery policy and timed network do not:
+:func:`~repro.scenarios.compile.compile_scenario` seeds each with
+``random.Random(seed)`` — one sequence, read at two offsets — and the batch
+tiers mirror exactly that pair.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ class SeededRng:
 
         rng = SeededRng(42)
         coin = rng.stream("coin", process=3)
-        net = rng.stream("latency")
+        other = rng.stream("coin", process=4)
     """
 
     def __init__(self, seed: int) -> None:

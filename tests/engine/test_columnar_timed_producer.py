@@ -11,9 +11,10 @@ reached the case it is here for.  The last test is the mutation the suite
 must catch: every run's transits drawn from its own stream but joined in
 reverse run order.
 
-The cutoff tests pin the rounds that draw latencies at all: none after the
-last round in which a draw can miss its deadline, and no network stream
-when there is no such round — float edges and the δ clamp included.
+The cutoff tests pin the rounds that draw latencies at all, on both tiers:
+those where ``NetworkSpec.arrives`` of the round's start is ``None``, and no
+network stream when there is no such round — float edges and the δ clamp
+included.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.campaigns.results import row_to_json
 from repro.campaigns.runner import execute_run
 from repro.engine.batch import MODE_COLUMNAR_STATE, plan_for_run, run_batch
 from repro.engine.batch.columnar_state import CellProgram
-from repro.eventsim.network import NetworkSpec
+from repro.eventsim.network import NetworkSpec, PartialSynchronyNetwork
 from repro.observability import Telemetry
 from repro.scenarios import CommSpec, ScenarioSpec, get_scenario
 from repro.utils.accel import StreamSet, get_numpy
@@ -116,10 +117,11 @@ CUTOFFS = {
     "gst-10": (_pbft("gst_10", CommSpec(), gst=10.0, pre_gst_delay_prob=0.85), 4),
     # high = Δ: now + high == deadline in every round, which is on time.
     "high-at-deadline": (_pbft("at_deadline", high=2.5, delta=2.5), 0),
-    # One ulp above Δ: late by that ulp in round 1, from round 2 on the
-    # excess is below half an ulp of the deadline and rounds away.
+    # One ulp above Δ: late by that ulp in round 1.  From round 2 on the
+    # excess rounds away, but the rule is one for every round, so every
+    # round draws (and no draw misses).
     "high-ulp-above": (_pbft("ulp_above", high=math.nextafter(2.5, 3.0),
-                                 delta=3.0), 1),
+                                 delta=3.0), math.inf),
     # Above Δ by more than rounding hides: every round can miss.
     "high-above": (_pbft("above", high=2.5 + 1e-9, delta=3.0), math.inf),
     # high > Δ, but every draw is clamped to δ = 2 ≤ Δ.
@@ -245,21 +247,39 @@ def test_latencies_are_drawn_up_to_the_cutoff_only(name, monkeypatch):
     seen: dict = {"streams": [], "ragged": []}
     rows, rounds = _run(name, monkeypatch, seen)
     assert rows == _oracle(name)
-    assert set(seen["ragged"]) == {r.number for r in rounds if r.number <= cutoff}
+    drawing = {r.number for r in rounds if r.number <= cutoff}
+    assert set(seen["ragged"]) == drawing
     # The policy streams, and the network streams only if some round draws.
     assert len(seen["streams"]) == 1 + (cutoff > 0)
+    assert all((r.arrives is None) == (r.number in drawing) for r in rounds)
     assert all(r.arrives is True for r in rounds if r.number > cutoff)
+    # The scalar sweep samples in exactly the same rounds.
+    sampled, sample_round = set(), PartialSynchronyNetwork.sample_round
+
+    def spy(self, now, edges):
+        sampled.add(now)
+        return sample_round(self, now, edges)
+
+    monkeypatch.setattr(PartialSynchronyNetwork, "sample_round", spy)
+    assert [row_to_json(execute_run(run)) for run in _runs(name)] == rows
+    starts = [0.0]
+    for _ in rounds:
+        starts.append(starts[-1] + CELLS[name][0].timing.round_duration)
+    assert {starts.index(now) + 1 for now in sampled} == drawing
 
 
 def test_early_cutoff_is_caught(monkeypatch):
-    """Mutation: the cutoff one round early lets round 4's pre-GST
-    messages, most of them delayed 50x, all arrive."""
-    compile_timing = CellProgram._compile_timing
-
-    def early(self):
-        compile_timing(self)
-        self.cutoff -= 1
-
-    monkeypatch.setattr(CellProgram, "_compile_timing", early)
+    """Mutation: the shared deadline rule settles round 4, one round before
+    GST, so its pre-GST messages, most of them delayed 50x, all arrive —
+    on both tiers alike.  Only the heap path, which draws every latency
+    and never reads the rule, sees it."""
+    monkeypatch.setenv("REPRO_SLOW_SCHEDULER", "1")
+    heap = [row_to_json(execute_run(run)) for run in _runs("gst-10")]
+    assert heap == _oracle("gst-10")
+    monkeypatch.delenv("REPRO_SLOW_SCHEDULER")
+    arrives = NetworkSpec.arrives
+    monkeypatch.setattr(NetworkSpec, "arrives",
+                        lambda self, now: arrives(self, now + self.round_duration))
     rows, _rounds = _run("gst-10", monkeypatch)
-    assert rows != _oracle("gst-10")
+    assert rows != heap
+    assert [row_to_json(execute_run(run)) for run in _runs("gst-10")] == rows

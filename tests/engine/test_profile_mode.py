@@ -21,7 +21,7 @@ KERNEL_SPANS = {"kernel.send", "scheduler.deliver", "kernel.apply",
 
 
 def run_cell(spec, *, engine="lockstep", observe=OBSERVE_METRICS,
-             telemetry=None, byzantine=None):
+             telemetry=None, byzantine=None, timing=NetworkSpec()):
     model = spec.parameters.model
     byzantine = byzantine or {}
     values = {
@@ -35,7 +35,7 @@ def run_cell(spec, *, engine="lockstep", observe=OBSERVE_METRICS,
     elif engine == "stack":
         scheduler = PconsStackScheduler(AuthenticatedCoordinatorEcho(model))
     else:
-        scheduler = TimedScheduler(NetworkSpec().build(7))
+        scheduler = TimedScheduler(timing.build(7))
     return run_instance(
         instance, scheduler, max_phases=12, observe=observe,
         telemetry=telemetry,
@@ -62,8 +62,11 @@ class TestProfileMode:
             assert stats["total_s"] >= stats["self_s"] >= 0.0
 
     def test_timed_profile_times_network_sampling(self):
+        # The default timing settles every round with no draw; rounds
+        # before GST 5 draw latencies.
         outcome = run_cell(
-            build_one_third_rule(4), engine="timed", observe=OBSERVE_PROFILE
+            build_one_third_rule(4), engine="timed", observe=OBSERVE_PROFILE,
+            timing=NetworkSpec(gst=5.0),
         )
         tel = outcome.telemetry
         assert "network.sample" in tel.span_names

@@ -393,6 +393,17 @@ def _uncanonical_fast_sweep():
     return mock.patch.object(TimedScheduler, "_deliver_fast", forgetful)
 
 
+def _early_settle():
+    """The deadline rule settles the round before GST as if GST had come:
+    both sweeps stop drawing a round early, the heap path never reads it."""
+    from repro.eventsim.network import NetworkSpec
+
+    arrives = NetworkSpec.arrives
+    return mock.patch.object(
+        NetworkSpec, "arrives", lambda self, now: arrives(self, now + self.round_duration)
+    )
+
+
 def _positional_seeds():
     """A run's seed comes from its position in the slice, not its rep."""
     from repro.engine.cell import CellSlice, cell_key, cell_key_prefix, derive_seed
@@ -506,6 +517,8 @@ EQUIVALENCES: Tuple[Equivalence, ...] = (
         (DEFAULT, Arm("heap", env=(("REPRO_SLOW_SCHEDULER", "1"),))),
         ("gauntlet", "comm-matrix", "fuzz-11", "fuzz-23"), ("gauntlet",),
         _uncanonical_fast_sweep, "gauntlet",
+        # Both other tiers ask one rule; only the heap arm does not.
+        more=((_early_settle, "latency-gst"),),
     ),
     Equivalence(
         "workers",

@@ -1,5 +1,7 @@
 """The timed network: its spec, its latency draws and partial synchrony."""
 
+import math
+
 import pytest
 
 from repro.eventsim.network import NetworkSpec
@@ -29,12 +31,25 @@ class TestNetworkSpecValidation:
 
 
 def test_latency_facts():
-    """The one place a latency bound or a constant transit is derived."""
+    """The one deadline rule: every message sent at ``now`` meets ``now +
+    Δ`` (True), none does (False), or only the draws can tell (None)."""
     assert NetworkSpec(low=0.5, high=2.0).max_latency == 2.0
     assert NetworkSpec(kind="fixed", low=1.5, high=9.0).max_latency == 1.5
-    assert NetworkSpec(low=0.5, high=2.0).post_gst_transit is None
-    assert NetworkSpec(kind="fixed", low=1.5).post_gst_transit == 1.5
-    assert NetworkSpec(kind="fixed", low=3.0, delta=2.0).post_gst_transit == 2.0
+    ulp_above = math.nextafter(2.5, 3.0)
+    for spec, now, verdict in [
+        (NetworkSpec(gst=10.0), 7.5, None),  # pre-GST
+        (NetworkSpec(gst=10.0), 10.0, True),
+        (NetworkSpec(high=2.5, delta=2.5), 0.0, True),  # high == Δ is on time
+        (NetworkSpec(high=ulp_above, delta=3.0), 0.0, None),
+        # Rounding hides the ulp this late, but the rule is one for all rounds.
+        (NetworkSpec(high=ulp_above, delta=3.0), 1e6, None),
+        (NetworkSpec(high=3.2), 0.0, True),  # clamped to δ = 2 ≤ Δ
+        (NetworkSpec(high=3.2, delta=3.0), 0.0, None),
+        (NetworkSpec(kind="fixed", low=3.0, delta=2.0), 0.0, True),
+        (NetworkSpec(kind="fixed", low=3.0, delta=3.0), 0.0, False),  # all miss
+        (NetworkSpec(kind="fixed", gst=5.0), 2.5, None),
+    ]:
+        assert spec.arrives(now) is verdict, (spec, now)
 
 
 def test_uniform_latency_bounds():

@@ -147,6 +147,9 @@ DELETED_MEMBERS = [
     ("repro.rounds.base", "RunContext", "is_faulty"),
     ("repro.smr.serve", "WorkloadSpec", "expected_commands"),
     ("repro.eventsim.network", "PartialSynchronyNetwork", "reseed"),
+    # The deadline rule is NetworkSpec.arrives.
+    ("repro.eventsim.network", "NetworkSpec", "post_gst_transit"),
+    ("repro.eventsim.network", "PartialSynchronyNetwork", "constant_transit"),
     ("repro.engine.outcome", "Outcome", "rounds_to_first_decision"),
     ("repro.smr.log", "ReplicatedLog", "committed_prefix"),
     ("repro.scenarios.compile", "CompiledScenario", "honest_values"),
