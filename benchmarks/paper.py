@@ -641,10 +641,10 @@ def bounded_history_caps_state():
     return (big, small), small <= 2 and decided(bounded)
 
 
-def check(each: Claim) -> Tuple[str, bool]:
-    """``(figure, holds)``; a claim that raises is a miss showing its message."""
+def check(measure: Callable[[], Tuple[object, bool]]) -> Tuple[str, bool]:
+    """``(figure, holds)``; a claim or gate that raises is a miss showing its message."""
     try:
-        figure, holds = each.measure()
+        figure, holds = measure()
     except Exception as exc:  # any failure is a miss
         first_line = str(exc).partition("\n")[0]
         return f"raised {type(exc).__name__}: {first_line}", False
@@ -654,7 +654,7 @@ def check(each: Claim) -> Tuple[str, bool]:
 def main() -> int:
     missed = 0
     for each in CLAIMS:
-        figure, holds = check(each)
+        figure, holds = check(each.measure)
         missed += not holds
         print(f"{'ok' if holds else 'MISS':<4}  {each.name:<42} {each.section:<12} {figure}",
               flush=True)

@@ -26,4 +26,4 @@ def test_a_broken_subject_is_a_named_miss(monkeypatch, capsys):
 
 def test_a_claim_that_raises_is_a_miss_with_its_message():
     broken = paper.Claim("broken", "§0", lambda: {}["vote"])
-    assert paper.check(broken) == ("raised KeyError: 'vote'", False)
+    assert paper.check(broken.measure) == ("raised KeyError: 'vote'", False)

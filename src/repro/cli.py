@@ -254,7 +254,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                     engine=args.engine,
                     rng=args.seed + repeat,
                     config=config,
-                    observe="profile",
+                    observe="metrics",
                     max_phases=args.max_phases,
                     telemetry=telemetry,
                 )

@@ -32,7 +32,6 @@ from repro.engine.assembly import Instance, build_instance
 from repro.engine.kernel import (
     OBSERVE_FULL,
     OBSERVE_METRICS,
-    OBSERVE_PROFILE,
     ExecutionKernel,
     run_instance,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "LockstepScheduler",
     "OBSERVE_FULL",
     "OBSERVE_METRICS",
-    "OBSERVE_PROFILE",
     "Outcome",
     "PrelScheduler",
     "RoundDelivery",

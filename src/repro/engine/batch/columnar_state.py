@@ -563,7 +563,7 @@ class CellProgram:
         draws = network.ragged(live, 2 * counts if pairs else counts)
         if not rt.pre_gst:
             transits = low + span * draws
-            if t.max_latency > t.delta:  # as in PartialSynchronyNetwork
+            if t.clamps:
                 transits = np.minimum(transits, t.delta)
             return transits
         chaos, prob = t.chaos_factor, t.pre_gst_delay_prob

@@ -45,13 +45,10 @@ from repro.rounds.predicates import check_pcons, check_pgood, check_prel
 #: optional snapshots) — what interactive runs and invariant tests need.
 OBSERVE_FULL = "full"
 #: Record only decisions and message counters — the campaign hot path.
+#: Phase spans are a separate switch: a bound ``telemetry`` registry.
 OBSERVE_METRICS = "metrics"
-#: Metrics plus phase-time telemetry spans — no trace objects, but every
-#: round's send/deliver/sample/apply/probe phases are wall-timed into the
-#: run's :class:`~repro.observability.telemetry.Telemetry` registry.
-OBSERVE_PROFILE = "profile"
 
-OBSERVE_MODES = (OBSERVE_FULL, OBSERVE_METRICS, OBSERVE_PROFILE)
+OBSERVE_MODES = (OBSERVE_FULL, OBSERVE_METRICS)
 
 #: The run horizon every path takes when none is asked for: a run stops
 #: after this many phases unless its scenario needs more (see
@@ -385,15 +382,15 @@ def run_instance(
     ``record_snapshots`` defaults to the observation mode: full observation
     records per-round state snapshot dicts, metrics mode records nothing
     per-round.
-    ``observe="profile"`` instruments the run (a fresh
-    :class:`~repro.observability.telemetry.Telemetry` is created when none
-    is passed); any mode accepts an explicit ``telemetry`` registry, which
-    comes back as ``Outcome.telemetry``.
+    A ``telemetry`` registry, in either mode, wall-times every round's
+    phases into spans and comes back as ``Outcome.telemetry``.
     """
+    if observe == "profile":
+        # The retired spelling of metrics-plus-telemetry, which the end-to-end
+        # tracer (benchmarks/e2e/trace.py) still passes beside its registry.
+        observe = OBSERVE_METRICS
     if record_snapshots is None:
         record_snapshots = observe == OBSERVE_FULL
-    if telemetry is None and observe == OBSERVE_PROFILE:
-        telemetry = Telemetry()
     kernel = ExecutionKernel(
         instance.parameters.model,
         instance.processes,

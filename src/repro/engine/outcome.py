@@ -50,8 +50,8 @@ class Outcome:
     observe: str
     #: Full execution trace; ``None`` in metrics mode.
     trace: Optional[ExecutionTrace] = None
-    #: Phase-time instrumentation registry; set in ``observe="profile"``
-    #: mode (or whenever the caller passed one) — ``None`` otherwise.
+    #: Phase-time instrumentation registry: the one the caller passed, or
+    #: ``None``.
     telemetry: Optional[Telemetry] = None
 
     # -- decisions ---------------------------------------------------------

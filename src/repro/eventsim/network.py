@@ -73,9 +73,9 @@ class NetworkSpec:
             )
 
     @property
-    def max_latency(self) -> float:
-        """The largest latency the model can draw."""
-        return self.low if self.kind == "fixed" else self.high
+    def clamps(self) -> bool:
+        """Can a latency drawn from GST on exceed δ?  Every tier clamps it then."""
+        return (self.low if self.kind == "fixed" else self.high) > self.delta
 
     def arrives(self, now: float) -> Optional[bool]:
         """Does every message sent at ``now`` meet the deadline ``now + Δ``?
@@ -95,7 +95,7 @@ class NetworkSpec:
         if self.kind == "fixed":
             return now + min(self.low, self.delta) <= now + self.round_duration
         top = self.low + (self.high - self.low)
-        if self.high > self.delta:
+        if self.clamps:
             top = min(top, self.delta)
         return True if top <= self.round_duration else None
 
@@ -142,8 +142,7 @@ class PartialSynchronyNetwork:
         self._delta = spec.delta
         self._delay_prob = spec.pre_gst_delay_prob
         self._chaos = spec.chaos_factor
-        # Every sample is already ≤ δ: the post-GST clamp is a no-op.
-        self._clamp_free = spec.max_latency <= spec.delta
+        self._clamps = spec.clamps
 
     def transit_time(
         self, send_time: float, sender: ProcessId, dest: ProcessId
@@ -177,7 +176,7 @@ class PartialSynchronyNetwork:
             else:
                 span = self._span
                 samples = [low + span * rand() for _ in edges]
-            if self._clamp_free:
+            if not self._clamps:
                 return samples
             delta = self._delta
             return [base if base <= delta else delta for base in samples]

@@ -18,9 +18,9 @@ runner report what they are doing instead of running as black boxes:
   inadmissible counts) behind ``repro campaign run --progress``.
 
 The engine surfaces telemetry as ``Outcome.telemetry``: pass a
-:class:`Telemetry` to :func:`~repro.engine.kernel.run_instance` (any
-observation mode), or use ``observe="profile"`` to get phase timings
-without paying for trace objects.  ``repro profile`` renders the result
+:class:`Telemetry` to :func:`~repro.engine.kernel.run_instance` (either
+observation mode; ``observe="metrics"`` gets phase timings without paying
+for trace objects).  ``repro profile`` renders the result
 as a phase-breakdown table via :func:`format_phase_table`.
 """
 

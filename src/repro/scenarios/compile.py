@@ -284,8 +284,8 @@ def run_scenario(
 
     It runs at most ``max_phases`` phases, raised to the scenario's own
     horizon (:meth:`CompiledScenario.max_phases`).
-    ``observe="profile"`` (or an explicit ``telemetry`` registry) wall-times
-    the run's phases; the registry comes back as ``Outcome.telemetry``."""
+    A ``telemetry`` registry wall-times the run's phases and comes back as
+    ``Outcome.telemetry``."""
     from repro.engine.assembly import build_instance
 
     if isinstance(spec, str):

@@ -25,13 +25,13 @@ from repro.engine.assembly import build_instance
 from repro.engine.kernel import (
     OBSERVE_FULL,
     OBSERVE_METRICS,
-    OBSERVE_PROFILE,
     ExecutionKernel,
     run_instance,
 )
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
 from repro.eventsim.network import NetworkSpec
 from repro.faults.crash import CrashEvent, CrashSchedule
+from repro.observability import Telemetry
 
 
 def sync_network(seed=7):
@@ -181,7 +181,7 @@ class TestTimedFullObservation:
 MESSAGE_TYPES = (SelectionMessage, ValidationMessage, DecisionMessage)
 
 
-def delivered_refs_after_step(observe=OBSERVE_METRICS):
+def delivered_refs_after_step(telemetry=None):
     """Step one pbft round; weak references to every message it delivered."""
     spec = build_pbft(4)
     values = {pid: f"v{pid % 2}" for pid in range(4)}
@@ -207,7 +207,8 @@ def delivered_refs_after_step(observe=OBSERVE_METRICS):
         scheduler,
         instance.structure.info,
         context=instance.context,
-        observe=observe,
+        observe=OBSERVE_METRICS,
+        telemetry=telemetry,
     )
     kernel.step()
     gc.collect()
@@ -219,9 +220,9 @@ class TestRoundLifetime:
     """A message sent in round r is read in round r and never again, so the
     payload validators' caches hold nothing once the round has run."""
 
-    @pytest.mark.parametrize("observe", [OBSERVE_METRICS, OBSERVE_PROFILE])
-    def test_delivered_payload_is_unreachable_after_its_round(self, observe):
-        kernel, refs = delivered_refs_after_step(observe)
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "telemetry"])
+    def test_delivered_payload_is_unreachable_after_its_round(self, instrumented):
+        kernel, refs = delivered_refs_after_step(Telemetry() if instrumented else None)
         assert all(ref() is None for ref in refs)
         assert not any(_PAYLOAD_CACHES)
         assert kernel.rounds_executed == 1

@@ -1,15 +1,10 @@
-"""``observe="profile"``: phase spans without trace objects, parity intact."""
+"""A bound ``telemetry``: phase spans without trace objects, parity intact."""
 
 import pytest
 
 from repro.algorithms import build_one_third_rule, build_pbft
 from repro.engine.assembly import build_instance
-from repro.engine.kernel import (
-    OBSERVE_FULL,
-    OBSERVE_METRICS,
-    OBSERVE_PROFILE,
-    run_instance,
-)
+from repro.engine.kernel import OBSERVE_FULL, OBSERVE_METRICS, ExecutionKernel, run_instance
 from repro.engine.scheduler import LockstepScheduler, TimedScheduler
 from repro.eventsim.network import NetworkSpec
 from repro.network.stack import PconsStackScheduler
@@ -42,13 +37,13 @@ def run_cell(spec, *, engine="lockstep", observe=OBSERVE_METRICS,
     )
 
 
-class TestProfileMode:
+class TestBoundTelemetry:
     @pytest.mark.parametrize("engine", ["lockstep", "timed", "stack"])
-    def test_profile_attaches_telemetry_without_trace(self, engine):
+    def test_metrics_run_with_telemetry_keeps_no_trace(self, engine):
         """Every kernel span — delivery included, whichever scheduler is
         bound — is opened once per round."""
         outcome = run_cell(
-            build_pbft(4), engine=engine, observe=OBSERVE_PROFILE,
+            build_pbft(4), engine=engine, telemetry=Telemetry(),
             byzantine={3: "equivocator"},
         )
         assert outcome.trace is None
@@ -61,11 +56,11 @@ class TestProfileMode:
             assert stats["calls"] == rounds
             assert stats["total_s"] >= stats["self_s"] >= 0.0
 
-    def test_timed_profile_times_network_sampling(self):
+    def test_timed_telemetry_times_network_sampling(self):
         # The default timing settles every round with no draw; rounds
         # before GST 5 draw latencies.
         outcome = run_cell(
-            build_one_third_rule(4), engine="timed", observe=OBSERVE_PROFILE,
+            build_one_third_rule(4), engine="timed", telemetry=Telemetry(),
             timing=NetworkSpec(gst=5.0),
         )
         tel = outcome.telemetry
@@ -79,11 +74,11 @@ class TestProfileMode:
         )
 
     @pytest.mark.parametrize("engine", ["lockstep", "timed"])
-    def test_profile_matches_metrics_results(self, engine):
+    def test_telemetry_matches_plain_metrics_results(self, engine):
         spec = build_pbft(4)
         metrics = run_cell(spec, engine=engine, observe=OBSERVE_METRICS,
                            byzantine={3: "equivocator"})
-        profiled = run_cell(spec, engine=engine, observe=OBSERVE_PROFILE,
+        profiled = run_cell(spec, engine=engine, telemetry=Telemetry(),
                             byzantine={3: "equivocator"})
         assert {p: d.value for p, d in profiled.decisions.items()} == {
             p: d.value for p, d in metrics.decisions.items()
@@ -111,8 +106,8 @@ class TestProfileMode:
     def test_shared_telemetry_accumulates_across_runs(self):
         tel = Telemetry()
         spec = build_one_third_rule(4)
-        first = run_cell(spec, observe=OBSERVE_PROFILE, telemetry=tel)
-        second = run_cell(spec, observe=OBSERVE_PROFILE, telemetry=tel)
+        first = run_cell(spec, telemetry=tel)
+        second = run_cell(spec, telemetry=tel)
         assert first.telemetry is second.telemetry is tel
         assert tel.span_stats("kernel.send")["calls"] == (
             first.rounds_executed + second.rounds_executed
@@ -128,9 +123,23 @@ class TestProfileMode:
         tel = Telemetry()
         instance = build_instance(spec.parameters, values, config=spec.config)
         run_instance(instance, scheduler, max_phases=12,
-                     observe=OBSERVE_PROFILE, telemetry=tel)
+                     observe=OBSERVE_METRICS, telemetry=tel)
         calls = tel.span_stats("scheduler.deliver")["calls"]
         instance = build_instance(spec.parameters, values, config=spec.config)
         run_instance(instance, scheduler, max_phases=12,
                      observe=OBSERVE_METRICS)
         assert tel.span_stats("scheduler.deliver")["calls"] == calls
+
+    def test_the_retired_profile_spelling_runs_as_metrics(self):
+        # ``run_instance`` still reads ``observe="profile"`` (the end-to-end
+        # tracer passes it beside its own registry); the kernel refuses it.
+        tel = Telemetry()
+        outcome = run_cell(build_one_third_rule(4), observe="profile", telemetry=tel)
+        assert outcome.observe == OBSERVE_METRICS and outcome.trace is None
+        assert outcome.telemetry is tel
+        spec = build_one_third_rule(4)
+        values = {pid: f"v{pid % 2}" for pid in spec.parameters.model.processes}
+        instance = build_instance(spec.parameters, values, config=spec.config)
+        with pytest.raises(ValueError, match="unknown observe mode 'profile'"):
+            ExecutionKernel(spec.parameters.model, instance.processes, LockstepScheduler(),
+                            instance.structure.info, observe="profile")

@@ -22,6 +22,7 @@ from repro.core.classification import AlgorithmClass, build_class_parameters
 from repro.core.types import FaultModel, RoundInfo, RoundKind
 from repro.engine.scheduler import TimedScheduler
 from repro.eventsim.network import NetworkSpec
+from repro.observability import Telemetry
 from repro.rounds.base import RunContext
 from repro.rounds.schedule import GoodBadSchedule
 from repro.scenarios import SCENARIO_REGISTRY, run_scenario
@@ -186,17 +187,17 @@ def _run_summary(outcome):
     )
 
 
-@pytest.mark.parametrize("observe", ["metrics", "profile"])
+@pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "telemetry"])
 @pytest.mark.parametrize("gst", [0.0, 10.0])
 @pytest.mark.parametrize("kind", ["uniform", "fixed"])
 @pytest.mark.parametrize("name", sorted(SCENARIO_REGISTRY))
 def test_every_scenario_runs_the_same_on_fast_sweep_and_heap(
-    monkeypatch, name, kind, gst, observe
+    monkeypatch, name, kind, gst, instrumented
 ):
     """Whole runs, good and bad rounds alike, instrumented or not.
 
-    ``observe="profile"`` binds telemetry, so the sweep opens its
-    ``network.sample`` span; that must change nothing either.
+    A bound telemetry makes the sweep open its ``network.sample`` span;
+    that must change nothing either.
     """
     model = FaultModel(7, 1, 1)
     params = build_class_parameters(AlgorithmClass.CLASS_3, model)
@@ -205,7 +206,8 @@ def test_every_scenario_runs_the_same_on_fast_sweep_and_heap(
     summaries = []
     for slow in ("0", "1"):  # compile_scenario builds its scheduler from the env
         monkeypatch.setenv("REPRO_SLOW_SCHEDULER", slow)
-        outcome = run_scenario(spec, params, engine="timed", rng=17, observe=observe)
+        outcome = run_scenario(spec, params, engine="timed", rng=17, observe="metrics",
+                               telemetry=Telemetry() if instrumented else None)
         summaries.append(_run_summary(outcome))
     fast, heap = summaries
     assert fast == heap

@@ -33,8 +33,12 @@ class TestNetworkSpecValidation:
 def test_latency_facts():
     """The one deadline rule: every message sent at ``now`` meets ``now +
     Δ`` (True), none does (False), or only the draws can tell (None)."""
-    assert NetworkSpec(low=0.5, high=2.0).max_latency == 2.0
-    assert NetworkSpec(kind="fixed", low=1.5, high=9.0).max_latency == 1.5
+    # A post-GST draw is clamped to δ only where it can exceed it: a uniform
+    # model's ``high``, a fixed one's ``low``.
+    assert not NetworkSpec(low=0.5, high=2.0, delta=2.0).clamps
+    assert NetworkSpec(low=0.5, high=2.5, delta=2.0).clamps
+    assert not NetworkSpec(kind="fixed", low=1.5, high=9.0, delta=2.0).clamps
+    assert NetworkSpec(kind="fixed", low=2.5, high=1.0, delta=2.0).clamps
     ulp_above = math.nextafter(2.5, 3.0)
     for spec, now, verdict in [
         (NetworkSpec(gst=10.0), 7.5, None),  # pre-GST

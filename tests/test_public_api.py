@@ -81,8 +81,9 @@ def test_docstring_quickstart_in_package():
 #: of a scenario's seed (a ``NetworkSpec`` and an int describe a run's
 #: network); the ◇S detector and the leader oracles but Ω (a leader is a
 #: function of the phase); the fuzz journal opener and state version a
-#: header-taking ``Appender`` and the whole-header compare replaced.  None
-#: may come back (``MIGRATION.md``).
+#: header-taking ``Appender`` and the whole-header compare replaced; the
+#: third observation mode (a bound telemetry is the one switch for spans).
+#: None may come back (``MIGRATION.md``).
 DELETED_NAMES = [
     "run_consensus", "ConsensusOutcome", "outcome_from_kernel",
     "_build_byzantine", "run_timed_consensus", "TimedOutcome",
@@ -102,6 +103,7 @@ DELETED_NAMES = [
     "StabilizingLeaderOracle", "rotating_oracle",
     "open_journal", "STATE_VERSION",
     "read_state", "state_path", "truncate_findings",
+    "OBSERVE_PROFILE",
 ]
 
 
@@ -116,7 +118,7 @@ DELETED_NAMES = [
      "repro.utils", "repro.utils.det", "repro.smr", "repro.smr.machine",
      "repro.campaigns.runner", "repro.eventsim.network", "repro.scenarios",
      "repro.scenarios.compile", "repro.core.selector",
-     "repro.algorithms.paxos"],
+     "repro.algorithms.paxos", "repro.engine", "repro.engine.kernel"],
 )
 def test_deleted_names_stay_deleted(module_name):
     module = importlib.import_module(module_name)
@@ -161,6 +163,8 @@ DELETED_MEMBERS = [
     ("repro.fuzz.space", "FuzzSpace", "n_range"),
     ("repro.smr.serve", "ServeConfig", "batch_bytes"),
     ("repro.smr.serve", "ServeConfig", "round_cost"),
+    # Whether a post-GST draw is clamped is NetworkSpec.clamps.
+    ("repro.eventsim.network", "NetworkSpec", "max_latency"),
 ]
 
 
