@@ -46,11 +46,10 @@ from repro.core.types import FaultModel, RoundInfo, RoundKind, SelectionMessage 
 from repro.engine import (ExecutionKernel, LockstepScheduler, TimedScheduler,  # noqa: E402
                           build_instance, run_instance)
 from repro.eventsim import NetworkSpec  # noqa: E402
-from repro.network import (AuthenticatedCoordinatorEcho, SignatureFreeCoordinatorEcho,  # noqa: E402
-                           run_with_pcons_stack)
+from repro.network import PconsStackScheduler, SignatureFreeCoordinatorEcho  # noqa: E402
 from repro.rounds.policies import random_drop_behavior  # noqa: E402
 from repro.rounds.schedule import GoodBadSchedule  # noqa: E402
-from repro.scenarios import CommSpec, ScenarioSpec, run_scenario  # noqa: E402
+from repro.scenarios import CommSpec, ScenarioSpec, compile_scenario, run_scenario  # noqa: E402
 from repro.utils.sentinels import ANY_VALUE, NULL_VALUE  # noqa: E402
 
 
@@ -414,39 +413,45 @@ def benign_frontier():
         ("ok", True), ("inadmissible", None), ("ok", True), ("inadmissible", None)]
 
 
+def pcons(params, values, engine):
+    """One metrics-mode run of a one-equivocator scenario compiled onto an
+    implemented-``Pcons`` engine: ``(outcome, its scheduler)``."""
+    compiled = compile_scenario(ScenarioSpec(byzantine=("equivocator",)), params.model, engine)
+    return lockstep(params, values, compiled.scheduler, byzantine=compiled.byzantine,
+                    observe="metrics"), compiled.scheduler
+
+
 @claim("§2.2", {
-    "pcons-authenticated-round-cost": (AuthenticatedCoordinatorEcho, 2),
-    "pcons-signature-free-round-cost": (SignatureFreeCoordinatorEcho, 3),
+    "pcons-authenticated-round-cost": ("pcons-auth", 2),
+    "pcons-signature-free-round-cost": ("pcons-sigfree", 3),
 })
-def pcons_round_cost(wic, extra):
+def pcons_round_cost(engine, extra):
     """One phase costs the Pcons implementation's rounds + validation + decision."""
     params = build_pbft(4).parameters
-    outcome = run_with_pcons_stack(params, split(range(3)), wic(params.model),
-                                   byzantine={3: "equivocator"})
-    used = outcome.micro_rounds_used
-    return used, decided(outcome) and used == extra + 2 and outcome.pcons_held_in_phase(1)
+    outcome, stack = pcons(params, split(range(3)), engine)
+    used = stack.micro_rounds
+    return used, decided(outcome) and used == extra + 2 and (1, True) in stack.pcons_observations
 
 
 @claim("§2.2")
 def pcons_signature_free_costs_more():
     params = build_mqb(5).parameters
-    auth, free = (run_with_pcons_stack(params, split(range(4)), wic(params.model),
-                                       byzantine={4: "equivocator"})
-                  for wic in (AuthenticatedCoordinatorEcho, SignatureFreeCoordinatorEcho))
-    return (f"messages {auth.messages_sent} vs {free.messages_sent}, "
-            f"rounds {auth.micro_rounds_used} vs {free.micro_rounds_used}"), (
-        free.messages_sent > auth.messages_sent
-        and free.micro_rounds_used > auth.micro_rounds_used)
+    auth, free = (pcons(params, split(range(4)), engine)[1]
+                  for engine in ("pcons-auth", "pcons-sigfree"))
+    return (f"messages {auth.micro_messages} vs {free.micro_messages}, "
+            f"rounds {auth.micro_rounds} vs {free.micro_rounds}"), (
+        free.micro_messages > auth.micro_messages and free.micro_rounds > auth.micro_rounds)
 
 
 @claim("§2.2")
 def pcons_byzantine_coordinator_recovers():
-    """A Byzantine phase-1 coordinator delays but never corrupts."""
+    """A Byzantine phase-1 coordinator delays but never corrupts: process 0
+    is no scenario placement, so the scheduler is built here."""
     params = build_pbft(4).parameters
-    outcome = run_with_pcons_stack(params, split((1, 2, 3)),
-                                   SignatureFreeCoordinatorEcho(params.model),
-                                   byzantine={0: "equivocator"}, max_phases=6)
-    return f"{outcome.micro_rounds_used} micro-rounds", decided(outcome)
+    stack = PconsStackScheduler(SignatureFreeCoordinatorEcho(params.model))
+    outcome = lockstep(params, split((1, 2, 3)), stack, byzantine={0: "equivocator"},
+                       observe="metrics", max_phases=6)
+    return f"{stack.micro_rounds} micro-rounds", decided(outcome)
 
 
 ROUND = 2.5

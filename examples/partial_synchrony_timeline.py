@@ -13,11 +13,7 @@ Run:  python examples/partial_synchrony_timeline.py
 from repro.algorithms import build_pbft
 from repro.engine import TimedScheduler, build_instance, run_instance
 from repro.eventsim import NetworkSpec
-from repro.network import (
-    AuthenticatedCoordinatorEcho,
-    SignatureFreeCoordinatorEcho,
-    run_with_pcons_stack,
-)
+from repro.scenarios import ScenarioSpec, compile_scenario
 
 
 def main():
@@ -48,20 +44,24 @@ def main():
     )
 
     print("\nImplemented Pcons cost (Section 2.2), same consensus instance:")
-    model = spec.parameters.model
-    for wic_cls, label in (
-        (AuthenticatedCoordinatorEcho, "authenticated (2 extra rounds)"),
-        (SignatureFreeCoordinatorEcho, "signature-free (3 extra rounds)"),
+    equivocator = ScenarioSpec(byzantine=("equivocator",))  # on process 3
+    for engine, label in (
+        ("pcons-auth", "authenticated (2 extra rounds)"),
+        ("pcons-sigfree", "signature-free (3 extra rounds)"),
     ):
-        outcome = run_with_pcons_stack(
-            spec.parameters,
-            values,
-            wic_cls(model),
-            byzantine={3: "equivocator"},
+        compiled = compile_scenario(equivocator, spec.parameters.model, engine)
+        stack = compiled.scheduler
+        outcome = run_instance(
+            build_instance(
+                spec.parameters, values, byzantine=compiled.byzantine
+            ),
+            stack,
+            observe="metrics",
         )
+        assert outcome.agreement_holds
         print(
-            f"  {label:34s}: {outcome.micro_rounds_used} wire rounds, "
-            f"{outcome.messages_sent} messages"
+            f"  {label:34s}: {stack.micro_rounds} wire rounds, "
+            f"{stack.micro_messages} messages"
         )
 
 

@@ -11,10 +11,10 @@ messages to select where Algorithm 6 needs 3 (footnote 13) — asserted in
 ``tests/algorithms/test_fab_paxos.py``.
 
 The original FaB Paxos uses a coordinator-based, signature-based ``Pcons``
-implementation; running this spec under
-:class:`~repro.network.stack.PconsStack` with either WIC implementation
-yields the coordinator-free / signature-free variants mentioned in the
-paper.
+implementation; running this spec on the ``pcons-auth`` or
+``pcons-sigfree`` engine (:class:`~repro.network.stack.PconsStackScheduler`
+with either WIC implementation) yields the coordinator-free /
+signature-free variants mentioned in the paper.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Algorithm 3 (class-2 FLV) with that ``TD``.
 The quorums this threshold induces are *masking quorums* in the sense of
 Malkhi-Reiter [15] (hence the name); ``tests/core/test_flv_variants.py``
 checks the correspondence (footnote 10).  Depending on the ``Pcons``
-implementation chosen in :mod:`repro.network.stack`, one obtains the
-coordinator-based or coordinator-free variants the paper mentions.
+implementation chosen — the ``pcons-auth`` / ``pcons-sigfree`` engines of
+:mod:`repro.network.stack` — one obtains the coordinator-based or
+coordinator-free variants the paper mentions.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ PBFT reaches the optimal Byzantine resilience by paying with the unbounded
 provide unanimity, hence Algorithm 8 is the generic class-3 FLV (Algorithm
 4) minus its lines 8-9 — ``FLVClass3(ensure_unanimity=False)``, which is
 what the batch planner and the columnar evaluators see.  The original uses
-a coordinator-based signature-free ``Pcons`` implementation; running under
-:mod:`repro.network.stack` with the echo implementation gives the
-coordinator-free variant the paper mentions.
+a coordinator-based signature-free ``Pcons`` implementation; running on the
+``pcons-sigfree`` engine (:mod:`repro.network.stack` with the echo
+implementation) gives the coordinator-free variant the paper mentions.
 """
 
 from __future__ import annotations

@@ -157,12 +157,12 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
         row.update(
             decided=len(outcome.decisions),
             rounds=outcome.rounds_executed,
-            # Phase counts are a lockstep metric, time-to-decision a timed
+            # Phase counts are an untimed metric, time-to-decision a timed
             # one; the other stays None so row schemas match the result
             # store's historical shape.
             phases=(
                 outcome.phases_to_last_decision
-                if run.engine == "lockstep"
+                if run.engine != "timed"
                 else None
             ),
             time_to_decision=outcome.last_decision_time,
@@ -171,6 +171,9 @@ def execute_run(run: RunSpec, *, timings: bool = False) -> Row:
             messages_dropped=outcome.messages_dropped,
             **outcome.invariant_report(),
         )
+    except ScenarioInapplicable as exc:
+        # The Pcons stack refuses a non-Π selector in its first round.
+        row.update(status=STATUS_INAPPLICABLE, error=str(exc))
     except Exception as exc:
         row.update(status=STATUS_ERROR, error=describe_error(exc))
     return row

@@ -8,6 +8,7 @@ Usage examples::
     python -m repro.cli scenario run partition_heal --algorithm pbft --n 4
     python -m repro.cli scenario run worst_case --algorithm class-3 --n 7 --engine timed
     python -m repro.cli scenario run fault-free --algorithm ben-or --n 5 --seed 3
+    python -m repro.cli scenario run worst_case --algorithm pbft --n 4 --b 1 --engine pcons-sigfree
     python -m repro.cli profile worst_case --algorithm pbft --n 4 --b 1
     python -m repro.cli campaign list
     python -m repro.cli campaign run grid-demo --workers 4
@@ -109,6 +110,8 @@ def _admit_cell(args: argparse.Namespace, scenario: str):
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
+    from repro.analysis.invariants import InvariantViolation
+    from repro.analysis.lemmas import check_all_lemmas
     from repro.scenarios import ScenarioInapplicable, run_scenario
 
     cell = _admit_cell(args, args.name)
@@ -145,7 +148,14 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     if outcome.simulated_time is not None:
         print(f"  time        : {outcome.simulated_time:g} "
               f"(last decision {outcome.last_decision_time})")
-    return 0 if outcome.agreement_holds else 1
+    # The run recorded state snapshots: judge Theorem 1's lemmas on them.
+    try:
+        check_all_lemmas(outcome)
+        lemmas = None
+    except InvariantViolation as exc:
+        lemmas = str(exc)
+    print(f"  lemmas      : {lemmas or 'ok'}")
+    return 0 if outcome.agreement_holds and lemmas is None else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -922,7 +932,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _fuzz_space(args: argparse.Namespace):
     """Build a :class:`FuzzSpace` from ``fuzz run`` arguments (or exit 2)."""
-    from repro.fuzz import DEFAULT_ALGORITHMS, DEFAULT_STRATEGIES, FuzzSpace
+    from repro.fuzz import DEFAULT_ALGORITHMS, DEFAULT_ENGINES, DEFAULT_STRATEGIES, FuzzSpace
 
     models = None
     if args.models:
@@ -949,7 +959,7 @@ def _fuzz_space(args: argparse.Namespace):
             algorithms=(
                 tuple(args.algorithms) if args.algorithms else DEFAULT_ALGORITHMS
             ),
-            engines=tuple(args.engines) if args.engines else ENGINES,
+            engines=tuple(args.engines) if args.engines else DEFAULT_ENGINES,
             models=models,
             strategies=(
                 tuple(args.strategies) if args.strategies else DEFAULT_STRATEGIES
@@ -1453,7 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         choices=ENGINES,
         default=None,
-        help="restrict the engine pool (default: all)",
+        help="restrict the engine pool (default: lockstep timed)",
     )
     frun.add_argument(
         "--models",

@@ -34,6 +34,7 @@ display; volatile fields never reach the canonical JSONL.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from time import perf_counter
 from typing import List, Optional, Sequence
 
@@ -116,13 +117,11 @@ def run_batch(
     demoted = None
     try:
         if plan.mode == MODE_REPLICATE:
-            parts = _replicate_rows(runs)
+            with _tier_span(telemetry, MODE_REPLICATE):
+                parts = _replicate_rows(runs)
         elif plan.mode == MODE_COLUMNAR_STATE:
             tier = "batch.columnar_state_rows"
-            if telemetry is not None:
-                with telemetry.span("scheduler.batch"):
-                    rows = columnar_state_rows(runs)
-            else:
+            with _tier_span(telemetry, MODE_COLUMNAR_STATE):
                 rows = columnar_state_rows(runs)
             parts = [(row, None) for row in rows]
     except Demote as exc:
@@ -139,20 +138,26 @@ def run_batch(
         telemetry.count("batch.fallback_scalar", len(runs))
         if demoted is not None:
             telemetry.count(f"batch.demoted[{demoted}]", len(runs))
-    try:
-        admit(first.algorithm, first.n, first.b, first.f)
-        rejected = False
-    except (ValueError, KeyError):
-        rejected = True  # a pure function of the cell, memoized as such
-    except Exception:
-        rejected = False  # possibly transient: every run asks for itself
-    if rejected:
-        parts = [(open_row(first)[0], cell_coords(runs))]
-    else:
-        parts = [(_oracle(run), None) for run in runs]
+    with _tier_span(telemetry, MODE_SCALAR):
+        try:
+            admit(first.algorithm, first.n, first.b, first.f)
+            rejected = False
+        except (ValueError, KeyError):
+            rejected = True  # a pure function of the cell, memoized as such
+        except Exception:
+            rejected = False  # possibly transient: every run asks for itself
+        if rejected:
+            parts = [(open_row(first)[0], cell_coords(runs))]
+        else:
+            parts = [(_oracle(run), None) for run in runs]
     for row, _coords in parts:
         row["_backend"] = "scalar"
     return GroupedRows(parts)
+
+
+def _tier_span(telemetry: Optional[Telemetry], mode: str):
+    """The ``batch.<tier>`` span when a registry is bound, else nothing."""
+    return nullcontext() if telemetry is None else telemetry.span(f"batch.{mode}")
 
 
 def _oracle(run: RunSpec) -> Row:

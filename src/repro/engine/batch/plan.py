@@ -34,7 +34,8 @@ run executes, how much of that structure the batch kernel may exploit:
   the oracle it is checked against.
 * :data:`MODE_SCALAR` — everything else (``async-prel``, randomized coins,
   crash scripts, unknown Byzantine strategies, coordinator-style
-  selectors, the ``REPRO_SLOW_SCHEDULER`` escape hatch):
+  selectors, the ``REPRO_SLOW_SCHEDULER`` escape hatch, the implemented
+  ``Pcons`` engines):
   the per-run scalar oracle, byte for byte.
 
 The classification is deliberately conservative: anything the rules cannot
@@ -104,6 +105,11 @@ DETERMINISTIC_STRATEGIES = frozenset(
         "adaptive-liar",
     }
 )
+
+
+#: The engines the array tiers mirror (not the implemented-``Pcons`` ones).
+ARRAY_ENGINES = ("lockstep", "timed")
+PCONS_REASON = "implemented Pcons runs its micro-rounds per run"
 
 
 @dataclass(frozen=True)
@@ -220,6 +226,9 @@ def plan_cell(
             return BatchPlan(
                 MODE_SCALAR, "REPRO_SLOW_SCHEDULER forces the heap oracle"
             )
+    if engine not in ARRAY_ENGINES:
+        # columnar_state_blockers never looks at the engine.
+        return BatchPlan(MODE_SCALAR, PCONS_REASON)
     if parameters is not None and not columnar_state_blockers(
         scenario, parameters, config
     ):
@@ -258,4 +267,6 @@ def explain_for_run(run: RunSpec) -> List[str]:
     why = columnar_state_blockers(run.scenario, parameters, config)
     if getattr(config, "coin", None) is not None:
         why.insert(0, "randomized coin consumes per-run seed")
+    if run.engine not in ARRAY_ENGINES:
+        why.insert(0, PCONS_REASON)
     return why

@@ -24,8 +24,9 @@ admits every edge.
   messages are discarded).  Byzantine equivocation in selection rounds is
   canonicalized to one payload per sender, as an implemented ``Pcons``
   would enforce (the micro-rounds such an implementation costs are
-  :class:`~repro.network.stack.PconsStackScheduler`'s to measure).  In a
-  bad round the rule withholds edges before any latency is sampled.
+  :class:`~repro.network.stack.PconsStackScheduler`'s to measure, on the
+  ``pcons-auth`` / ``pcons-sigfree`` engines).  In a bad round the rule
+  withholds edges before any latency is sampled.
 
 Within one round every ``(sender, dest)`` edge carries at most one message,
 so the delivery matrix is independent of arrival order: the timed scheduler
@@ -71,8 +72,9 @@ from repro.rounds.schedule import GoodBadSchedule
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.eventsim.network import PartialSynchronyNetwork
 
-#: The timing disciplines a scenario may compile onto.
-ENGINES = ("lockstep", "timed")
+#: The timing disciplines a scenario may compile onto: two with an oracle
+#: ``Pcons``, two over an implemented one (Section 2.2).
+ENGINES = ("lockstep", "timed", "pcons-auth", "pcons-sigfree")
 
 #: Environment switch selecting the legacy heap-ordered timed delivery.
 SLOW_SCHEDULER_ENV = "REPRO_SLOW_SCHEDULER"

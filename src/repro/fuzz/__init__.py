@@ -43,6 +43,7 @@ from repro.fuzz.runner import (
 from repro.fuzz.shrink import ShrinkResult, shrink_candidate
 from repro.fuzz.space import (
     DEFAULT_ALGORITHMS,
+    DEFAULT_ENGINES,
     DEFAULT_STRATEGIES,
     FuzzCandidate,
     FuzzSpace,
@@ -54,6 +55,7 @@ from repro.fuzz.space import (
 __all__ = [
     "BOUNDARY_CLASSES",
     "DEFAULT_ALGORITHMS",
+    "DEFAULT_ENGINES",
     "DEFAULT_STRATEGIES",
     "FINDING_KINDS",
     "FuzzCandidate",

@@ -212,6 +212,9 @@ def execute_candidate(
             rounds=outcome.rounds_executed,
             **outcome.invariant_report(),
         )
+    except ScenarioInapplicable as exc:
+        # The Pcons stack refuses a non-Π selector in its first round.
+        row.update(status=STATUS_INAPPLICABLE, error=str(exc))
     except Exception as exc:
         row.update(status=STATUS_ERROR, error=describe_error(exc))
     return row

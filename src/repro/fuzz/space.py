@@ -47,6 +47,11 @@ DEFAULT_ALGORITHMS = (
     "class-3",
 )
 
+#: Engines the default space searches over: the two with an oracle
+#: ``Pcons``.  The implemented-``Pcons`` engines of
+#: :data:`~repro.engine.scheduler.ENGINES` are named explicitly.
+DEFAULT_ENGINES = ("lockstep", "timed")
+
 #: Byzantine strategies the generator assigns to slots (fixed order — the
 #: registry is consulted for validity, not for ordering, so the candidate
 #: stream never depends on registration order).
@@ -133,7 +138,7 @@ class FuzzSpace:
     """
 
     algorithms: Tuple[str, ...] = DEFAULT_ALGORITHMS
-    engines: Tuple[str, ...] = ENGINES
+    engines: Tuple[str, ...] = DEFAULT_ENGINES
     models: Optional[Tuple[Tuple[int, int, int], ...]] = None
     strategies: Tuple[str, ...] = DEFAULT_STRATEGIES
 
@@ -386,7 +391,7 @@ def _mutate_once(
     if op == 1 and len(space.engines) > 1:
         pool = [e for e in space.engines if e != cand.engine]
         engine = pool[rng.randrange(len(pool))]
-        if engine == "timed" and scenario.comm.kind == "async-prel":
+        if engine != "lockstep" and scenario.comm.kind == "async-prel":
             # Prel-only delivery is lockstep-only; land on plain loss.
             scenario = replace(
                 scenario, comm=CommSpec(kind="lossy", drop_prob=0.5)

@@ -8,17 +8,14 @@ The paper relies on [17] (Milosevic-Hutle-Schiper, WIC) and [2]
 * with plain **Byzantine** faults (no signatures): 3 extra rounds —
   :class:`~repro.network.wic.SignatureFreeCoordinatorEcho`.
 
-:mod:`repro.network.stack` runs the generic consensus algorithm under a
-scheduler whose expanded round schedule realizes each selection round by one
-of these sub-protocols instead of an oracle ``Pcons`` policy.
+:mod:`repro.network.stack` holds the scheduler whose expanded round schedule
+realizes each selection round by one of these sub-protocols instead of an
+oracle ``Pcons`` policy: the ``pcons-auth`` / ``pcons-sigfree`` engines of
+:func:`~repro.scenarios.compile.compile_scenario`.
 """
 
 from repro.network.signatures import Signature, SignatureError, SignatureService
-from repro.network.stack import (
-    PconsStackOutcome,
-    PconsStackScheduler,
-    run_with_pcons_stack,
-)
+from repro.network.stack import PconsStackScheduler
 from repro.network.wic import (
     AuthenticatedCoordinatorEcho,
     PconsImplementation,
@@ -29,12 +26,10 @@ from repro.network.wic import (
 __all__ = [
     "AuthenticatedCoordinatorEcho",
     "PconsImplementation",
-    "PconsStackOutcome",
     "PconsStackScheduler",
     "Signature",
     "SignatureError",
     "SignatureService",
     "SignatureFreeCoordinatorEcho",
     "WicAdversaryMode",
-    "run_with_pcons_stack",
 ]

@@ -4,8 +4,9 @@
 :class:`~repro.network.wic.PconsImplementation` sub-protocol instead of an
 oracle: the authenticated variant costs 2 extra rounds per phase, the
 signature-free one 3 — exactly the tradeoff the paper quotes from [17].
-:func:`run_with_pcons_stack` runs an instance under it through the one
-kernel (``build_instance`` + ``run_instance``), like every other execution.
+:func:`~repro.scenarios.compile.compile_scenario` builds it for the
+``pcons-auth`` / ``pcons-sigfree`` engines, and the one kernel
+(``build_instance`` + ``run_instance``) runs it like every other scheduler.
 
 The global micro-round clock is what the good/bad schedule applies to, so a
 phase succeeds only when its whole expanded footprint falls in a good period
@@ -19,23 +20,22 @@ Limitations: the stack requires the Π (all-processes) selector — true for
 every Byzantine algorithm in the paper — and supports Byzantine but not
 crash faults (the paper's ``Pcons`` constructions target the Byzantine
 models; benign algorithms get ``Pcons`` for free from synchrony when no
-crash occurs in good periods).
+crash occurs in good periods).  A correct process whose selection messages
+do not address all of Π raises
+:class:`~repro.scenarios.compile.ScenarioInapplicable`; the compiler
+refuses ``f > 0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.types import Decision, ProcessId, RoundInfo, RoundKind, Value
-from repro.engine.assembly import build_instance
-from repro.engine.kernel import DEFAULT_PHASES, OBSERVE_METRICS, run_instance
+from repro.core.types import ProcessId, RoundInfo, RoundKind
 from repro.engine.scheduler import GoodBad, RoundDelivery, RoundScheduler
-from repro.faults.registry import ByzantineSpec
 from repro.network.wic import MicroOutbound, PconsImplementation
 from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
 from repro.rounds.policies import count_edges, faithful_delivery, filtered_delivery
+from repro.scenarios.compile import ScenarioInapplicable
 
 
 class PconsStackScheduler(RoundScheduler):
@@ -83,6 +83,11 @@ class PconsStackScheduler(RoundScheduler):
     ) -> RoundDelivery:
         dropped_before = self.micro_dropped
         if info.kind is RoundKind.SELECTION:
+            n = self._wic.model.n
+            if any(0 < len(outbound.get(pid, ())) < n for pid in ctx.correct):
+                raise ScenarioInapplicable(
+                    "the Pcons stack requires the Π (all-processes) selector"
+                )
             # One selection payload per sender; an equivocating sender
             # contributes what it would have told the coordinator.
             coordinator = self._wic.coordinator(info.phase)
@@ -110,71 +115,3 @@ class PconsStackScheduler(RoundScheduler):
         return RoundDelivery(
             matrix, dropped=self.micro_dropped - dropped_before
         )
-
-
-@dataclass
-class PconsStackOutcome:
-    """Result of a stack run."""
-
-    parameters: ConsensusParameters
-    decisions: Dict[ProcessId, Decision]
-    #: (phase, did all correct processes obtain identical selection vectors).
-    pcons_observations: List[Tuple[int, bool]]
-    micro_rounds_used: int
-    logical_rounds_used: int
-    messages_sent: int
-    context: RunContext
-
-    @property
-    def agreement_holds(self) -> bool:
-        return len({decision.value for decision in self.decisions.values()}) <= 1
-
-    @property
-    def all_correct_decided(self) -> bool:
-        return set(self.context.correct) <= set(self.decisions)
-
-    def pcons_held_in_phase(self, phase: int) -> Optional[bool]:
-        for observed_phase, held in self.pcons_observations:
-            if observed_phase == phase:
-                return held
-        return None
-
-
-def run_with_pcons_stack(
-    parameters: ConsensusParameters,
-    initial_values: Mapping[ProcessId, Value],
-    wic: PconsImplementation,
-    *,
-    config: Optional[GenericConsensusConfig] = None,
-    byzantine: Optional[Mapping[ProcessId, ByzantineSpec]] = None,
-    good_bad: Optional[GoodBad] = None,
-    max_phases: int = DEFAULT_PHASES,
-) -> PconsStackOutcome:
-    """Run one consensus instance with an implemented ``Pcons`` under a
-    :class:`PconsStackScheduler` over ``good_bad``."""
-    model = parameters.model
-    if not parameters.selector.is_static or parameters.selector.select(
-        0, 1
-    ) != frozenset(model.processes):
-        raise ValueError("the Pcons stack requires the Π (all-processes) selector")
-    if model.f != 0:
-        raise ValueError("the Pcons stack supports Byzantine faults only (f = 0)")
-
-    scheduler = PconsStackScheduler(wic, good_bad)
-    outcome = run_instance(
-        build_instance(
-            parameters, initial_values, config=config, byzantine=byzantine
-        ),
-        scheduler,
-        max_phases=max_phases,
-        observe=OBSERVE_METRICS,
-    )
-    return PconsStackOutcome(
-        parameters=parameters,
-        decisions=outcome.decisions,
-        pcons_observations=scheduler.pcons_observations,
-        micro_rounds_used=scheduler.micro_rounds,
-        logical_rounds_used=outcome.rounds_executed,
-        messages_sent=scheduler.micro_messages,
-        context=outcome.context,
-    )

@@ -1,14 +1,14 @@
-"""Scenario compilation: one spec onto both timing disciplines.
+"""Scenario compilation: one spec onto every engine.
 
 :func:`compile_scenario` turns a declarative
 :class:`~repro.scenarios.spec.ScenarioSpec` into the three concrete objects
 an execution needs — the Byzantine placement map, the crash schedule, and a
-ready :class:`~repro.engine.scheduler.RoundScheduler` — for either engine.
+ready :class:`~repro.engine.scheduler.RoundScheduler` — for any engine.
 
 A communication spec compiles to **one** ``(schedule, edge rule)`` pair
 (:func:`_good_bad`: the spec's normal form picks the schedule, the single
 :func:`_bad_rule` clause turns its bad behaviour into code), or to nothing
-when no round is ever bad, and both timing disciplines take that pair:
+when no round is ever bad, and every per-edge scheduler takes that pair:
 
 * ``engine="lockstep"`` — a :class:`~repro.engine.scheduler.LockstepScheduler`
   over the pair (oracle predicates in good rounds), or a
@@ -18,7 +18,12 @@ when no round is ever bad, and both timing disciplines take that pair:
   :class:`~repro.eventsim.network.PartialSynchronyNetwork` and the
   :class:`~repro.engine.scheduler.TimedScheduler` takes the same pair, so
   partitions, loss windows and GST prefixes run under Δ-paced deadline
-  delivery too.
+  delivery too;
+* ``engine="pcons-auth"`` / ``"pcons-sigfree"`` — a
+  :class:`~repro.network.stack.PconsStackScheduler` takes the pair on its
+  micro-round clock and runs the authenticated (+2 rounds) or the
+  signature-free (+3 rounds) coordinator echo of Section 2.2 in place of
+  the ``Pcons`` oracle.
 
 Compilation pre-resolves per-round delivery behaviour: good/bad schedule
 lookups are memoized per round number and a partition is one precomputed
@@ -27,8 +32,9 @@ hot path pays no repeated predicate evaluation inside the round loop.
 
 A scenario a configuration cannot host raises :class:`ScenarioInapplicable`
 (a ``ValueError``): Byzantine placement with ``b = 0``, more crashes than
-``f``, or ``Prel``-only delivery on the timed engine.  The campaign runner
-maps it to an ``inapplicable`` row instead of an error.
+``f``, ``Prel``-only delivery off the lockstep engine, or ``f > 0`` on a
+``Pcons`` engine (whose stack also refuses a non-Π selector when it
+runs).  The campaign runner maps it to an ``inapplicable`` row.
 """
 
 from __future__ import annotations
@@ -251,10 +257,21 @@ def compile_scenario(
         scheduler = PrelScheduler(delivery_rng)
     elif engine == "lockstep":
         scheduler = LockstepScheduler(_good_bad(spec.comm, model, delivery_rng))
-    else:
+    elif engine == "timed":
         scheduler = TimedScheduler(
             spec.timing.build(seed),
             good_bad=_good_bad(spec.comm, model, delivery_rng),
+        )
+    else:
+        # Imported here: no lockstep or timed run loads the stack.
+        from repro.network import stack, wic
+
+        if model.f:
+            raise ScenarioInapplicable("the Pcons stack supports Byzantine faults only (f = 0)")
+        echo = (wic.AuthenticatedCoordinatorEcho if engine == "pcons-auth"
+                else wic.SignatureFreeCoordinatorEcho)
+        scheduler = stack.PconsStackScheduler(
+            echo(model), _good_bad(spec.comm, model, delivery_rng)
         )
     return CompiledScenario(
         spec=spec,

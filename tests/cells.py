@@ -98,7 +98,8 @@ def front_door():
     """A misspelt ``smr sweep`` name used to print inapplicable cells, and a
     repeated entry to run a cell twice or double a fuzz draw weight; argparse
     refuses a retired knob before anything is read or written.  A scenario
-    that needs 18 phases runs 18 at any shorter ``--max-phases``."""
+    that needs 18 phases runs 18 at any shorter ``--max-phases``.  The
+    implemented-``Pcons`` engines run, refuse crash faults and plan scalar."""
     for command in ("run", "sweep", "ben-or", "smr sweep --scenarios nope",
                     "smr sweep --algorithm nope", "smr sweep --rates 8,8"):
         cli(command, expect=2)
@@ -127,6 +128,15 @@ def front_door():
     for row in rows:
         del row["_wall_seconds"], row["throughput"]  # wall-clock readings
     assert json.dumps(rows[0], sort_keys=True) == json.dumps(rows[1], sort_keys=True), rows
+    pcons = "scenario run worst_case --algorithm pbft --n 4 --b 1 --engine pcons-sigfree"
+    assert "  lemmas      : ok" in cli(pcons).out
+    crash = "scenario run fault-free --algorithm class-3 --n 7 --b 1 --f 1 --engine pcons-auth"
+    assert "scenario inapplicable" in cli(crash, expect=2).err
+    plan = write_json("pcons-plan.json", {
+        "name": "pcons-plan", "algorithms": ["pbft"], "models": [[4, 1, 0]],
+        "engines": ["pcons-auth"], "scenarios": ["worst_case"]})
+    assert "scalar          implemented Pcons runs its micro-rounds per run" in cli(
+        f"campaign plan {plan}").out
 
 
 def campaign_kill():

@@ -416,7 +416,7 @@ def test_run_batch_counts_telemetry():
     else:
         assert telemetry.counters["batch.fallback_scalar"] == 4
         assert telemetry.counters["batch.demoted[numpy absent]"] == 4
-    assert "scheduler.batch" in telemetry.span_names
+    assert "batch.columnar-state" in telemetry.span_names
 
     # A planned-scalar cell falls back without counting as demoted.
     telemetry = Telemetry()
@@ -428,6 +428,35 @@ def test_run_batch_counts_telemetry():
     run_batch(runs, telemetry=telemetry)
     assert telemetry.counters["batch.fallback_scalar"] == 4
     assert not any(k.startswith("batch.demoted") for k in telemetry.counters)
+
+
+@pytest.mark.parametrize(
+    "scenario,engine,mode",
+    [
+        ("worst_case", "lockstep", MODE_REPLICATE),
+        ("lossy_channel", "timed", MODE_COLUMNAR_STATE),
+        ("lossy_crash", "lockstep", MODE_SCALAR),
+    ],
+)
+def test_every_tier_has_a_span_covering_its_work(scenario, engine, mode):
+    """``repro profile --batch``'s span table accounts for the batch wall
+    on every tier, not only the array one."""
+    from time import perf_counter
+
+    from repro.observability import Telemetry
+
+    if scenario == "lossy_crash":
+        scenario = dataclasses.replace(
+            get_scenario("lossy_channel"), name=scenario, crashes=1
+        )
+    runs = _cell_runs(scenario, engine, repetitions=8)
+    assert plan_for_run(runs[0]).mode == mode
+    telemetry = Telemetry()
+    started = perf_counter()
+    run_batch(runs, telemetry=telemetry)
+    wall = perf_counter() - started
+    assert f"batch.{mode}" in telemetry.span_names
+    assert telemetry.total_span_seconds() >= 0.9 * wall
 
 
 def test_run_batch_demotion_reason_without_numpy(monkeypatch):

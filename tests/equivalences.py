@@ -4,9 +4,9 @@ An :class:`Equivalence` names two or more arms that must produce the same
 bytes on every grid it lists.  An arm is one ``repro.cli.main(argv)`` call
 (two for a resumed run) plus environment, writing into a temporary
 directory, so the CLI, the worker pool and the result files stay covered.
-The two contracts that live below the CLI — the engines' round model and
-the comm-kind normal form — run their arms through ``run_instance`` /
-``run_scenario``, one named case at a time.  A :class:`Grid` pins the last line ``campaign plan``
+The three contracts that live below the CLI — the engines' round model,
+the implemented ``Pcons`` and the comm-kind normal form — run their arms
+through ``run_instance`` / ``run_scenario``, one named case at a time.  A :class:`Grid` pins the last line ``campaign plan``
 prints for it and the SHA-256 of each output, so a drift every arm shares
 is caught too.  Each equivalence carries at least one test-only mutation of
 the code under test that it must catch.
@@ -189,6 +189,35 @@ def _signature(outcome) -> str:
                        outcome.messages_delivered, outcome.messages_dropped])
 
 
+#: case → (algorithm, (n, b, f), named scenario): always-good cells on the
+#: algorithms whose selector addresses all of Π, Byzantine liars included.
+PCONS_STACK_CASES = {
+    f"{name}-{scenario}": (name, model, scenario)
+    for name, model in (("pbft", (4, 1, 0)), ("mqb", (5, 1, 0)),
+                        ("fab-paxos", (6, 1, 0)), ("class-1", (6, 1, 0)),
+                        ("class-2", (5, 1, 0)), ("class-3", (7, 2, 0)))
+    for scenario in ("fault-free", "silent_minority", "worst_case", "crash_storm")
+}
+
+
+def _pcons_stack(arm: Arm, case: str) -> str:
+    """One case on ``arm``'s engine: the ``Pcons`` oracle or one of its
+    Section 2.2 implementations decides the same values in the same
+    phases and logical rounds."""
+    from repro.engine.cell import admit
+    from repro.scenarios import run_scenario
+
+    name, model, scenario = PCONS_STACK_CASES[case]
+    _model, parameters, config = admit(name, *model)
+    (engine,) = arm.flags
+    outcome = run_scenario(scenario, parameters, engine=engine, config=config,
+                           observe="metrics")
+    if not outcome.agreement_holds or not outcome.all_correct_decided:
+        raise Divergence(f"{case}: {arm.label} run is unsafe or stuck")
+    decisions = {pid: [d.value, d.phase] for pid, d in sorted(outcome.decisions.items())}
+    return json.dumps([decisions, outcome.rounds_executed])
+
+
 def _good_bad(schedule, bad, **fields) -> CommSpec:
     return CommSpec(kind="good-bad", schedule=schedule, bad=bad, **fields)
 
@@ -326,6 +355,9 @@ _GRIDS = [
     _serve("async_then_sync", "2", "--engine", "timed"),
     Grid("lockstep-timed", call=_lockstep_vs_timed, cases=tuple(LOCKSTEP_TIMED_CASES), sha={
         "out": "c53bce53cd2646bfc54b6957001657e010a47bd81dcf4d569968b98bc964a611",
+    }),
+    Grid("pcons-stack", call=_pcons_stack, cases=tuple(PCONS_STACK_CASES), sha={
+        "out": "1f33ea456359013cbbb7e716e10c72cb68e9ad7721314e473ff1be903f67831d",
     }),
     Grid("comm-spellings", call=_comm_spellings, cases=tuple(COMM_SPELLINGS), sha={
         "out": "64100995b9c51491ba2e19c9f60a058f32f4f5ba2e475f3c8eb7bd29f5c07f4a",
@@ -471,6 +503,16 @@ def _pcons_uncanonical():
     )
 
 
+def _coordinator_from_the_last():
+    """The echo's rotation starts at the last process, where scenarios
+    place their first Byzantine one: phase 1 has a faulty coordinator."""
+    from repro.network.wic import PconsImplementation
+
+    return mock.patch.object(
+        PconsImplementation, "coordinator", lambda self, phase: (phase - 2) % self.model.n
+    )
+
+
 def _dest_major_filter():
     """The lockstep bad round visits edges dest-major, so the coins of a
     drop rule land on other edges than the timed sweep's."""
@@ -552,6 +594,12 @@ EQUIVALENCES: Tuple[Equivalence, ...] = (
         (Arm("lockstep", ("lockstep",)), Arm("timed", ("timed",))),
         ("lockstep-timed",), ("lockstep-timed",),
         _pcons_uncanonical, "lockstep-timed",
+    ),
+    Equivalence(
+        "pcons-stack",
+        tuple(Arm(engine, (engine,)) for engine in ("lockstep", "pcons-auth", "pcons-sigfree")),
+        ("pcons-stack",), ("pcons-stack",),
+        _coordinator_from_the_last, "pcons-stack",
     ),
     Equivalence(
         "normal-form",

@@ -108,3 +108,16 @@ def test_default_space_fingerprint_is_pinned():
     """The repeat check moves no space: the default still fingerprints as
     it always did (corpus state files record it)."""
     assert FuzzSpace().fingerprint() == "92d6355f2da00b18"
+
+
+def test_default_engines_are_the_oracle_pcons_pair():
+    """The implemented-``Pcons`` engines are named, never drawn by default:
+    the default space, its fingerprint and its candidate stream stay put."""
+    from repro.engine.scheduler import ENGINES
+    from repro.fuzz import DEFAULT_ENGINES
+
+    assert DEFAULT_ENGINES == ("lockstep", "timed")
+    assert FuzzSpace().engines == DEFAULT_ENGINES
+    assert set(ENGINES) - set(DEFAULT_ENGINES) == {"pcons-auth", "pcons-sigfree"}
+    named = FuzzSpace(engines=("pcons-auth",))
+    assert generate(named, Random(0)).engine == "pcons-auth"

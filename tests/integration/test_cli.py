@@ -331,6 +331,52 @@ def test_campaign_plan_explain_lists_every_failed_clause(capsys, tmp_path):
     ]
 
 
+def test_campaign_plan_sends_pcons_cells_to_the_scalar_oracle(capsys, tmp_path):
+    """``columnar_state_blockers`` never looks at the engine, so the
+    planner's own clause claims the implemented-``Pcons`` cells."""
+    mapping = {
+        "name": "pcons-plan", "algorithms": ["class-2"], "models": [[9, 1, 0]],
+        "engines": ["pcons-auth", "pcons-sigfree"], "repetitions": 4,
+        "scenarios": ["lossy_channel", "fault-free"],
+    }
+    path = tmp_path / "pcons-plan.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["campaign", "plan", str(path), "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("scalar          implemented Pcons runs its micro-rounds per run") == 4
+    assert out.count("      - implemented Pcons runs its micro-rounds per run") == 4
+    assert out.rstrip().endswith("tiers: scalar 16")
+
+
+def test_scenario_run_judges_the_lemmas(capsys, monkeypatch):
+    """``scenario run`` checks Theorem 1's lemmas on its recorded trace:
+    one ``lemmas`` line, exit 1 on a violation."""
+    from repro.analysis import lemmas
+    from repro.analysis.invariants import InvariantViolation
+
+    cell = ["scenario", "run", "worst_case", "--algorithm", "pbft", "--n", "4",
+            "--b", "1", "--engine", "pcons-sigfree"]
+    assert main(cell) == 0
+    assert "  lemmas      : ok" in capsys.readouterr().out
+
+    def violated(outcome):
+        raise InvariantViolation("Lemma 4 violated in phase 1: planted")
+
+    monkeypatch.setattr(lemmas, "ALL_LEMMA_CHECKS", (violated,))
+    assert main(cell) == 1
+    assert "  lemmas      : Lemma 4 violated in phase 1: planted" in capsys.readouterr().out
+
+
+def test_scenario_run_pcons_refusals_exit_2(capsys):
+    assert main(["scenario", "run", "fault-free", "--algorithm", "class-3", "--n", "7",
+                 "--b", "1", "--f", "1", "--engine", "pcons-auth"]) == 2
+    assert "scenario inapplicable: the Pcons stack supports Byzantine faults only" in (
+        capsys.readouterr().err)
+    assert main(["scenario", "run", "fault-free", "--algorithm", "paxos", "--n", "3",
+                 "--engine", "pcons-sigfree"]) == 2
+    assert "all-processes" in capsys.readouterr().err
+
+
 def test_profile_batch_surfaces_demotion_reason(capsys, monkeypatch):
     cell = ["profile", "lossy_channel", "--algorithm", "class-2", "--n", "9",
             "--b", "1", "--f", "1", "--engine", "lockstep", "--batch", "6"]

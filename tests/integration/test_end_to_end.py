@@ -157,23 +157,32 @@ class TestCombinedFaultLoads:
 class TestStackUnderPartialSynchrony:
     def test_pcons_stack_with_alternating_schedule(self):
         from repro.algorithms import build_pbft
-        from repro.network import SignatureFreeCoordinatorEcho, run_with_pcons_stack
+        from repro.scenarios import CommSpec, ScenarioSpec
+        from repro.scenarios.compile import compile_scenario
 
         spec = build_pbft(4)
-        model = spec.parameters.model
-        outcome = run_with_pcons_stack(
-            spec.parameters,
-            {pid: f"v{pid % 2}" for pid in range(3)},
-            SignatureFreeCoordinatorEcho(model),
-            byzantine={3: "equivocator"},
-            good_bad=(
-                GoodBadSchedule.alternating(good_len=10, bad_len=3),
-                random_drop_behavior(random.Random(2), 0.7),
+        scenario = ScenarioSpec(
+            name="alternating-drop",
+            byzantine=("equivocator",),
+            comm=CommSpec(kind="good-bad", schedule="alternating", good_len=10,
+                          bad_len=3, bad="drop", drop_prob=0.7),
+        )
+        compiled = compile_scenario(
+            scenario, spec.parameters.model, "pcons-sigfree", rng=2
+        )
+        assert compiled.byzantine == {3: "equivocator"}
+        outcome = run_instance(
+            build_instance(
+                spec.parameters,
+                {pid: f"v{pid % 2}" for pid in range(3)},
+                byzantine=compiled.byzantine,
             ),
+            compiled.scheduler,
             max_phases=12,
         )
         assert outcome.agreement_holds
         assert outcome.all_correct_decided
+        check_all_lemmas(outcome)
 
 
 class TestTimedWithByzantine:

@@ -22,8 +22,8 @@ a scheduler under the one kernel, not a run loop beside it.
 The last half is the *reachability census*: every ``src/repro`` module is
 imported from ``repro.cli`` or the algorithm registry, and every public
 top-level name has a reader that is not a test — and so does every public
-method and property of a reached public class.  Its one allow-list, of
-modules not wired yet, may only shrink.  ``PYTHONPATH=src python
+method and property of a reached public class.  It has no allow-list.
+``PYTHONPATH=src python
 tests/test_layering.py`` prints it: reached and unreached lines per module,
 and every test-only name's and member's size.
 
@@ -117,15 +117,14 @@ def test_the_one_exception_is_still_exactly_one_line():
 
 #: Every file under ``src/repro`` (outside ``engine/``, which defines them)
 #: that calls ``build_instance`` / ``run_instance``: the scenario layer, the
-#: three executors that hold a compiled scenario, and two library
-#: conveniences (``AlgorithmSpec.run``, the Pcons-stack wrapper).
+#: three executors that hold a compiled scenario, and one library
+#: convenience (``AlgorithmSpec.run``).
 ASSEMBLY_CALLERS = {
     "scenarios/compile.py",
     "campaigns/runner.py",
     "fuzz/classify.py",
     "smr/serve.py",
     "algorithms/registry.py",
-    "network/stack.py",
 }
 
 
@@ -342,13 +341,6 @@ def test_census_of_durable_file_writers():
 #: library entry point resolves names through.
 ROOTS = ("repro.cli", "repro.algorithms.registry")
 
-#: Modules (and their submodules) no command reaches yet, each with the
-#: ROADMAP item that wires it.  This set may only shrink.
-UNREACHABLE = {
-    "repro.network": "ROADMAP item 2: the implemented-Pcons engines",
-    "repro.analysis.lemmas": "ROADMAP item 17: the trace judge",
-}
-
 REPO = SRC.parent.parent
 #: Outside ``src/``, what counts as a reader: the paper-claims table and the
 #: end-to-end ruler, the examples, CI, the README's python blocks.
@@ -538,25 +530,16 @@ def unread_members(
     }
 
 
-def _within(module: str, packages) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in packages)
-
-
 def census(src: Path = SRC) -> Tuple[
     Dict[str, str], Set[str], Dict[Tuple[str, str], int],
     Dict[Tuple[str, str, str], int],
 ]:
     """``(every module's source, the reached modules, test-only names,
-    test-only members)``.  A module on the ``UNREACHABLE`` list is waiting
-    to be wired, so what it reads counts as read: wiring it must not find
-    its helpers deleted."""
+    test-only members)``."""
     files = module_files(src)
     sources = {m: path.read_text("utf-8") for m, path in files.items()}
     reached = reached_modules(files)
     outside = outside_readers()
-    for module, source in sources.items():
-        if module not in reached and _within(module, UNREACHABLE):
-            outside.update(_referenced(ast.parse(source)))
     return (
         sources,
         reached,
@@ -642,9 +625,7 @@ def test_census_reports_a_planted_module_name_and_member(tmp_path):
             "    def planted_member(self):\n        return 1\n"
         )
     sources, reached, names, members = census(src)
-    assert set(sources) - reached == {
-        "repro.planted", *(m for m in sources if _within(m, UNREACHABLE))
-    }
+    assert set(sources) - reached == {"repro.planted"}
     assert set(names) == {
         ("repro.smr.log", "planted"), ("repro.smr.log", "PlantedHost"),
     }
@@ -668,11 +649,9 @@ def test_census_reports_a_planted_module_name_and_member(tmp_path):
 
 
 def test_every_module_is_reachable():
+    # No allow-list: a module no command imports is wired or deleted.
     sources, reached, _names, _members = census()
-    unreached = set(sources) - reached
-    assert {m for m in unreached if not _within(m, UNREACHABLE)} == set()
-    # the allow-list only shrinks: an entry whose modules are wired leaves it
-    assert all(any(_within(m, {entry}) for m in unreached) for entry in UNREACHABLE)
+    assert set(sources) - reached == set()
 
 
 def test_every_public_name_has_a_reader():

@@ -82,7 +82,9 @@ def test_docstring_quickstart_in_package():
 #: network); the ◇S detector and the leader oracles but Ω (a leader is a
 #: function of the phase); the fuzz journal opener and state version a
 #: header-taking ``Appender`` and the whole-header compare replaced; the
-#: third observation mode (a bound telemetry is the one switch for spans).
+#: third observation mode (a bound telemetry is the one switch for spans);
+#: the implemented-``Pcons`` run route and its outcome type (the stack is
+#: the ``pcons-auth`` / ``pcons-sigfree`` engines).
 #: None may come back (``MIGRATION.md``).
 DELETED_NAMES = [
     "run_consensus", "ConsensusOutcome", "outcome_from_kernel",
@@ -104,6 +106,7 @@ DELETED_NAMES = [
     "open_journal", "STATE_VERSION",
     "read_state", "state_path", "truncate_findings",
     "OBSERVE_PROFILE",
+    "run_with_pcons_stack", "PconsStackOutcome",
 ]
 
 
@@ -118,7 +121,8 @@ DELETED_NAMES = [
      "repro.utils", "repro.utils.det", "repro.smr", "repro.smr.machine",
      "repro.campaigns.runner", "repro.eventsim.network", "repro.scenarios",
      "repro.scenarios.compile", "repro.core.selector",
-     "repro.algorithms.paxos", "repro.engine", "repro.engine.kernel"],
+     "repro.algorithms.paxos", "repro.engine", "repro.engine.kernel",
+     "repro.network", "repro.network.stack"],
 )
 def test_deleted_names_stay_deleted(module_name):
     module = importlib.import_module(module_name)
